@@ -272,45 +272,48 @@ func PhaseCoincidence(t *trace.Trace, pairs [][2]int, gap sim.Duration) float64 
 
 // ConnectionCorrelation computes the mean pairwise Pearson correlation of
 // the binned bandwidth series of the given connections — the paper's
-// "correlated traffic along many connections" claim quantified. Both
-// series are truncated to the shorter length; pairs with fewer than two
-// overlapping bins are skipped.
+// "correlated traffic along many connections" claim quantified. Every
+// series spans the whole trace: bins start at the first packet and all
+// series have the aggregate bin count, so every pair of connections is
+// scored over the same bins. The series are binned in one pass over the
+// packets and folded by stats.MeanPairwisePearson, whose contract covers
+// the degenerate cases: fewer than two pairs (or an empty trace) score 0,
+// a pair absent from the trace is an all-zero series that contributes 0
+// and still counts, and a pair listed twice is two identical series.
 func ConnectionCorrelation(t *trace.Trace, pairs [][2]int, bin sim.Duration) float64 {
-	return connectionCorrelation(t, pairs, bin, nil)
-}
-
-// connectionCorrelation builds the per-pair series on the pool (each
-// pair's bins are an independent scan of the read-only trace) and then
-// folds the pairwise correlations serially in (i, j) order, so the
-// result is bit-identical for any pool size.
-func connectionCorrelation(t *trace.Trace, pairs [][2]int, bin sim.Duration, pool *dsp.Pool) float64 {
 	if len(t.Packets) == 0 {
 		return 0
 	}
 	t0 := t.Packets[0].Time
 	end := t.Packets[len(t.Packets)-1].Time
 	n := int(end.Sub(t0)/bin) + 1
-	series := make([][]float64, len(pairs))
-	pool.Map(len(pairs), func(_ *dsp.Workspace, i int) {
-		pr := pairs[i]
-		s := make([]float64, n)
-		for _, p := range t.Packets {
-			if int(p.Src) == pr[0] && int(p.Dst) == pr[1] {
-				s[int(p.Time.Sub(t0)/bin)] += float64(p.Size)
-			}
-		}
-		series[i] = s
-	})
-	var sum float64
-	var count int
-	for i := 0; i < len(series); i++ {
-		for j := i + 1; j < len(series); j++ {
-			sum += stats.PearsonR(series[i], series[j])
-			count++
+	series := seriesRows(len(pairs), n)
+	rowOf := make(map[[2]int]int, len(pairs))
+	for i, pr := range pairs {
+		if _, listed := rowOf[pr]; !listed {
+			rowOf[pr] = i
 		}
 	}
-	if count == 0 {
-		return 0
+	for _, p := range t.Packets {
+		if i, ok := rowOf[[2]int{int(p.Src), int(p.Dst)}]; ok {
+			series[i][int(p.Time.Sub(t0)/bin)] += float64(p.Size)
+		}
 	}
-	return sum / float64(count)
+	for i, pr := range pairs {
+		if first := rowOf[pr]; first != i {
+			copy(series[i], series[first])
+		}
+	}
+	return stats.MeanPairwisePearson(series)
+}
+
+// seriesRows returns k zeroed series of n bins each, rows of one backing
+// array so the pairwise kernel walks them contiguously.
+func seriesRows(k, n int) [][]float64 {
+	flat := make([]float64, k*n)
+	rows := make([][]float64, k)
+	for i := range rows {
+		rows[i] = flat[i*n : (i+1)*n]
+	}
+	return rows
 }

@@ -6,6 +6,7 @@ import (
 
 	"fxnet/internal/ethernet"
 	"fxnet/internal/sim"
+	"fxnet/internal/stats"
 	"fxnet/internal/trace"
 )
 
@@ -196,6 +197,68 @@ func TestConnectionCorrelation(t *testing.T) {
 	}
 	if outPhase > 0.1 {
 		t.Errorf("out-of-phase correlation = %v", outPhase)
+	}
+}
+
+// scanConnectionCorrelation is the reference ConnectionCorrelation must
+// equal to the last bit: one full scan of the trace per listed pair, then
+// stats.PearsonR folded over i < j in order.
+func scanConnectionCorrelation(t *trace.Trace, pairs [][2]int, bin sim.Duration) float64 {
+	if len(t.Packets) == 0 {
+		return 0
+	}
+	t0 := t.Packets[0].Time
+	n := int(t.Packets[len(t.Packets)-1].Time.Sub(t0)/bin) + 1
+	series := make([][]float64, len(pairs))
+	for i, pr := range pairs {
+		series[i] = make([]float64, n)
+		for _, p := range t.Packets {
+			if int(p.Src) == pr[0] && int(p.Dst) == pr[1] {
+				series[i][int(p.Time.Sub(t0)/bin)] += float64(p.Size)
+			}
+		}
+	}
+	var sum float64
+	var count int
+	for i := range series {
+		for j := i + 1; j < len(series); j++ {
+			sum += stats.PearsonR(series[i], series[j])
+			count++
+		}
+	}
+	if count == 0 {
+		return 0
+	}
+	return sum / float64(count)
+}
+
+// TestConnectionCorrelationMatchesPerPairScan: the one-pass binning must
+// give the per-pair scan's answer for any pair list — in any order, with
+// pairs the trace never carries (in and out of the address range), pairs
+// listed twice, one pair, and none.
+func TestConnectionCorrelationMatchesPerPairScan(t *testing.T) {
+	tr := allToAllTrace(6, 9)
+	all := tr.Pairs()
+	for _, c := range []struct {
+		name  string
+		pairs [][2]int
+	}{
+		{"none", nil},
+		{"one", all[:1]},
+		{"all", all},
+		{"unsorted", [][2]int{all[7], all[2], all[19], all[0], all[11]}},
+		{"absent", [][2]int{all[0], {40, 41}, all[1], {-1, 2}, {1 << 20, 0}, all[2]}},
+		{"only absent", [][2]int{{40, 41}, {41, 40}}},
+		{"listed twice", [][2]int{all[3], all[4], all[3], all[5], all[3]}},
+	} {
+		got := ConnectionCorrelation(tr, c.pairs, CorrelationBin)
+		want := scanConnectionCorrelation(tr, c.pairs, CorrelationBin)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: got %v, per-pair scan %v", c.name, got, want)
+		}
+	}
+	if got := ConnectionCorrelation(trace.New(), all, CorrelationBin); got != 0 {
+		t.Errorf("empty trace: got %v", got)
 	}
 }
 

@@ -71,16 +71,6 @@ func CharacterizeTrace(tr *trace.Trace, program string, repConn [2]int) *Report 
 func CharacterizeTracePool(tr *trace.Trace, program string, repConn [2]int, pool *dsp.Pool) *Report {
 	rep := &Report{Program: program}
 
-	// Correlation pairs: the data-bearing host-to-host connections
-	// (broadcast pseudo-destination excluded). Computed up front so the
-	// per-pair work can join the fan-out.
-	var pairs [][2]int
-	for _, pr := range tr.Pairs() {
-		if pr[1] != int(trace.Broadcast) {
-			pairs = append(pairs, pr)
-		}
-	}
-
 	sections := []func(){
 		func() {
 			rep.AggSize = SizeStats(tr)
@@ -104,9 +94,15 @@ func CharacterizeTracePool(tr *trace.Trace, program string, repConn [2]int, pool
 			rep.ConnSpectrum = SpectrumOfSeries(rep.ConnSeries, PaperWindow.Seconds())
 		},
 		func() {
-			if len(pairs) > 1 {
-				rep.Correlation = connectionCorrelation(tr, pairs, CorrelationBin, pool)
+			// Correlation pairs: the data-bearing host-to-host
+			// connections (broadcast pseudo-destination excluded).
+			var pairs [][2]int
+			for _, pr := range tr.Pairs() {
+				if pr[1] != int(trace.Broadcast) {
+					pairs = append(pairs, pr)
+				}
 			}
+			rep.Correlation = ConnectionCorrelation(tr, pairs, CorrelationBin)
 		},
 		func() {
 			// Phase coincidence over TCP-data connections only (daemon

@@ -8,14 +8,21 @@
 // spectra, average bandwidths, correlation, coincidence, size modality,
 // and the Min/Max/Mean/N of every summary are bit-identical to the
 // trace-derived report — the streaming fold performs the same float64
-// operations in the same order. Only the SD fields differ: the two-pass
+// operations in the same order. For the correlation that holds by
+// construction: both paths bin each connection's bytes in packet order
+// over the aggregate bin count, order the connections as trace.Pairs()
+// does, and hand the rows to the one kernel, stats.MeanPairwisePearson,
+// which itself is bit-identical to the naive (i < j) fold of
+// stats.PearsonR. Only the SD fields differ: the two-pass
 // variance of stats.Summarize needs the full sample, so the stream uses
 // the moment form (E[x²] − E[x]²), which agrees to ~1e-9 relative but
 // not to the last bit.
 package analysis
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"fxnet/internal/ethernet"
 	"fxnet/internal/sim"
@@ -113,48 +120,22 @@ func (c *corrTracker) add(t0, t sim.Time, src, dst uint16, size uint16) {
 
 // correlation finalizes the statistic: pairs sorted as trace.Pairs()
 // sorts them, each series zero-padded to the aggregate bin count, and
-// the pairwise Pearson correlations folded in (i, j) order — the same
-// values in the same order as the trace-derived computation.
-func (c *corrTracker) correlation(t0, last sim.Time) (float64, int) {
-	if len(c.series) < 2 {
-		return 0, len(c.series)
-	}
+// folded by the kernel ConnectionCorrelation uses — the same values in
+// the same order as the trace-derived computation.
+func (c *corrTracker) correlation(t0, last sim.Time) float64 {
 	keys := make([]pairKey, 0, len(c.series))
 	for k := range c.series {
 		keys = append(keys, k)
 	}
-	sortPairKeys(keys)
+	slices.SortFunc(keys, func(a, b pairKey) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
+	})
 	n := int(last.Sub(t0)/c.bin) + 1
-	series := make([][]float64, len(keys))
+	series := seriesRows(len(keys), n)
 	for i, k := range keys {
-		s := c.series[k]
-		for len(s) < n {
-			s = append(s, 0)
-		}
-		series[i] = s[:n]
+		copy(series[i], c.series[k])
 	}
-	var sum float64
-	var count int
-	for i := 0; i < len(series); i++ {
-		for j := i + 1; j < len(series); j++ {
-			sum += stats.PearsonR(series[i], series[j])
-			count++
-		}
-	}
-	return sum / float64(count), len(keys)
-}
-
-func sortPairKeys(keys []pairKey) {
-	// Insertion sort: the pair universe is O(P²), tiny.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0; j-- {
-			a, b := keys[j-1], keys[j]
-			if a.src < b.src || (a.src == b.src && a.dst <= b.dst) {
-				break
-			}
-			keys[j-1], keys[j] = b, a
-		}
-	}
+	return stats.MeanPairwisePearson(series)
 }
 
 // coinTracker streams the phase-coincidence statistic: bursts of
@@ -336,9 +317,7 @@ func (sc *StreamCharacterizer) Report() *Report {
 		rep.ConnSpectrum = SpectrumOfSeries(rep.ConnSeries, PaperWindow.Seconds())
 	}
 
-	if corr, pairs := sc.corr.correlation(sc.first, sc.last); pairs > 1 {
-		rep.Correlation = corr
-	}
+	rep.Correlation = sc.corr.correlation(sc.first, sc.last)
 	rep.Coincidence = sc.coin.coincidence()
 	return rep
 }

@@ -2,8 +2,11 @@ package analysis
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"fxnet/internal/dsp"
+	"fxnet/internal/ethernet"
 	"fxnet/internal/sim"
 	"fxnet/internal/trace"
 )
@@ -64,25 +67,71 @@ func TestAccumulatorEmpty(t *testing.T) {
 	}
 }
 
-// TestStreamCharacterizerMatchesTrace: the full streaming report against
-// the trace-derived one on a synthetic multi-connection trace (the
-// end-to-end simulator parity lives in internal/core).
-func TestStreamCharacterizerMatchesTrace(t *testing.T) {
+// allToAllTrace builds the fabric_topo64 shape: every host sends to every
+// other host in each of the phases (500 ms apart), with sizes that
+// differ by connection and phase and a fifth of the sends skipped, so
+// the hosts×(hosts−1) connection series are neither equal nor constant.
+func allToAllTrace(hosts, phases int) *trace.Trace {
 	tr := trace.New()
+	for ph := 0; ph < phases; ph++ {
+		start := sim.Time(0).Add(sim.Duration(ph) * 500 * sim.Millisecond)
+		for src := 0; src < hosts; src++ {
+			for dst := 0; dst < hosts; dst++ {
+				if src == dst || (src+dst+ph)%5 == 0 {
+					continue
+				}
+				tr.Packets = append(tr.Packets, trace.Packet{
+					Time:  start.Add(sim.Duration(src*hosts+dst) * 20 * sim.Microsecond),
+					Size:  uint16(64 + (src*7+dst*13+ph*31)%1400),
+					Src:   uint16(src),
+					Dst:   uint16(dst),
+					Proto: ethernet.ProtoTCP, Flags: ethernet.FlagData,
+				})
+			}
+		}
+	}
+	return tr
+}
+
+// TestStreamCharacterizerMatchesTrace: the full streaming report against
+// the trace-derived one on synthetic multi-connection traces (the
+// end-to-end simulator parity lives in internal/core) — a small one with
+// a representative connection, and a 64-host all-to-all one whose 4032
+// connections put the pairwise-correlation kernel at benchmark scale.
+// The pooled batch report must equal the serial one at any worker count.
+func TestStreamCharacterizerMatchesTrace(t *testing.T) {
+	small := trace.New()
 	// Two data connections bursting in phase plus reverse ACK traffic,
 	// periodic at 150 ms over 30 s.
 	for start := sim.Time(0); start < sim.TimeOf(30); start = start.Add(150 * sim.Millisecond) {
 		for i := 0; i < 10; i++ {
 			at := start.Add(sim.Duration(i) * 400 * sim.Microsecond)
-			tr.Packets = append(tr.Packets,
+			small.Packets = append(small.Packets,
 				trace.Packet{Time: at, Size: 1000, Src: 1, Dst: 0, Proto: 1, Flags: 1 | 2},
 				trace.Packet{Time: at.Add(90 * sim.Microsecond), Size: 1200, Src: 2, Dst: 0, Proto: 1, Flags: 1 | 2},
 				trace.Packet{Time: at.Add(150 * sim.Microsecond), Size: 64, Src: 0, Dst: 1, Proto: 1, Flags: 2},
 			)
 		}
 	}
+	t.Run("small", func(t *testing.T) { checkStreamMatchesTrace(t, small, 3) })
+	t.Run("alltoall64", func(t *testing.T) { checkStreamMatchesTrace(t, allToAllTrace(64, 12), 64*63) })
+}
+
+func checkStreamMatchesTrace(t *testing.T, tr *trace.Trace, pairs int) {
+	if got := len(tr.Pairs()); got != pairs {
+		t.Fatalf("trace has %d connections, want %d", got, pairs)
+	}
 	repConn := [2]int{1, 0}
 	want := CharacterizeTrace(tr, "synthetic", repConn)
+	if want.Correlation == 0 {
+		t.Error("Correlation = 0: the trace does not exercise the statistic")
+	}
+	for _, workers := range []int{1, 4} {
+		if pooled := CharacterizeTracePool(tr, "synthetic", repConn, dsp.NewPool(workers)); !reflect.DeepEqual(pooled, want) {
+			t.Errorf("CharacterizeTracePool(%d workers) differs from CharacterizeTrace (Correlation %v want %v)",
+				workers, pooled.Correlation, want.Correlation)
+		}
+	}
 
 	sc := NewStreamCharacterizer("synthetic", repConn)
 	feed(sc, tr, 97)
@@ -128,6 +177,22 @@ func TestStreamCharacterizerMatchesTrace(t *testing.T) {
 		if math.Float64bits(got.AggSpectrum.Power[i]) != math.Float64bits(want.AggSpectrum.Power[i]) {
 			t.Fatalf("AggSpectrum.Power[%d] differs", i)
 		}
+	}
+}
+
+// TestAccumulatorAddDoesNotAllocate: the per-packet hot path with the bin
+// array warm must allocate nothing.
+func TestAccumulatorAddDoesNotAllocate(t *testing.T) {
+	acc := NewAccumulator(PaperWindow)
+	span := sim.TimeOf(100)
+	acc.Add(0, 1)
+	acc.Add(span, 1)
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		acc.Add(sim.Time(int64(i%1000)*int64(span)/1000), uint16(64+i%1400))
+		i++
+	}); allocs != 0 {
+		t.Errorf("Accumulator.Add allocates %v/op, want 0", allocs)
 	}
 }
 

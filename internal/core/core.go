@@ -555,8 +555,7 @@ func Characterize(res *Result) *Report {
 }
 
 // CharacterizePool is Characterize with the report's independent
-// sections (and the per-connection correlation scans) fanned out over a
-// worker pool. The result is byte-identical to Characterize for any
+// sections fanned out over a worker pool. The result is byte-identical to Characterize for any
 // pool size.
 func CharacterizePool(res *Result, pool *dsp.Pool) *Report {
 	return analysis.CharacterizeTracePool(res.Trace, res.Config.Program, res.RepConn, pool)

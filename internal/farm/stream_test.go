@@ -3,6 +3,7 @@ package farm
 import (
 	"math"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -57,16 +58,27 @@ func TestStreamJobMatchesTraceJob(t *testing.T) {
 // each other, in a namespace separate from trace jobs of the same key.
 func TestStreamDedupNamespace(t *testing.T) {
 	f := New(Options{Workers: 4})
+	jobs := make([]Job, 8)
+	// A leader holds its slot until every job of the batch has been
+	// submitted: a job submitted after its leader finished would rightly
+	// execute again (nothing memoizes here), and the tiny run is quick
+	// enough for that to happen.
+	allSubmitted := func() {
+		for f.Stats().Submitted < int64(len(jobs)) {
+			runtime.Gosched()
+		}
+	}
 	var streams, traces atomic.Int32
 	f.runStreamFn = func(cfg core.RunConfig) (*core.Result, *core.Report, error) {
 		streams.Add(1)
+		allSubmitted()
 		return core.RunStream(cfg)
 	}
 	f.runFn = func(cfg core.RunConfig) (*core.Result, error) {
 		traces.Add(1)
+		allSubmitted()
 		return core.Run(cfg)
 	}
-	jobs := make([]Job, 8)
 	for i := range jobs {
 		jobs[i] = Job{Label: "dup", Config: tinyConfig(9), Stream: i%2 == 0}
 	}

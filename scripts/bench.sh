@@ -193,11 +193,6 @@ fi
 
 cat "$SERVE_OUT"
 
-# --- analysis suite → BENCH_analysis.json ----------------------------
-# Serial vs parallel spectral characterization of a long capture, plus
-# the streaming single-pass pipeline and the zero-alloc hot-loop gate.
-sh scripts/bench_analysis.sh
-
 # --- catalog suite → BENCH_catalog.json ------------------------------
 # Spectral-model catalog: fit-once/admit-in-microseconds speedup floor,
 # 5% mean-bandwidth error ceiling, byte-identical .fxmodel determinism.
