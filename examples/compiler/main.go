@@ -66,6 +66,7 @@ func main() {
 	// the wire carries exactly the compiled bytes.
 	sched := stmts[1].sched
 	k := sim.New(1)
+	defer k.Close() // release the PVM daemons still parked when Run drains
 	seg := ethernet.NewSegment(k, 0)
 	var hosts []*netstack.Host
 	for i := 0; i < p; i++ {

@@ -20,6 +20,7 @@ func smallParams() Params {
 func runDistributed(t *testing.T, P int, p Params) ([][][][]float32, *trace.Trace) {
 	t.Helper()
 	k := sim.New(1)
+	t.Cleanup(k.Close)
 	seg := ethernet.NewSegment(k, 0)
 	var hosts []*netstack.Host
 	for i := 0; i < P; i++ {
@@ -164,6 +165,7 @@ func TestTransposeRoundTrip(t *testing.T) {
 	p.Steps = 0 // no simulation; we call the transposes directly
 	const P = 4
 	k := sim.New(1)
+	t.Cleanup(k.Close)
 	seg := ethernet.NewSegment(k, 0)
 	var hosts []*netstack.Host
 	for i := 0; i < P; i++ {

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"fxnet/internal/airshed"
 	"fxnet/internal/analysis"
@@ -220,6 +221,9 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 	}
 
 	k := sim.New(cfg.Seed)
+	// Parked daemons and unfinished workers are unwound once the result
+	// is sealed, so the run returns holding no goroutines of its own.
+	defer k.Close()
 	var (
 		medium   ethernet.TrafficSource
 		attach   func(name string) ethernet.Port
@@ -371,7 +375,7 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 	}
 
 	elapsed := k.Run()
-	final, runErr, err := finishTeam(team, progName, cfg.Program, elapsed)
+	final, runErr, err := finishTeam(team, progName, cfg.Program, elapsed, k)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -467,8 +471,9 @@ func launchTeam(cfg RunConfig, machine *pvm.Machine, spec kernels.Spec, isKernel
 
 // finishTeam classifies the team's final state after the simulation
 // drained: done, aborted (a fault measurement), killed without an abort
-// record, or deadlocked (an error).
-func finishTeam(team *fx.Team, progName, program string, elapsed sim.Time) (*fx.Team, *fx.RunError, error) {
+// record, or deadlocked (an error naming the processes left parked on
+// the run's kernels).
+func finishTeam(team *fx.Team, progName, program string, elapsed sim.Time, parts ...*sim.Kernel) (*fx.Team, *fx.RunError, error) {
 	final := team.Final()
 	switch {
 	case final.Done():
@@ -486,8 +491,29 @@ func finishTeam(team *fx.Team, progName, program string, elapsed sim.Time) (*fx.
 			Err: fmt.Errorf("worker killed by host fault before completing"),
 		}, nil
 	default:
-		return nil, nil, fmt.Errorf("core: %s did not complete (deadlock at %v)", program, elapsed)
+		return nil, nil, fmt.Errorf("core: %s did not complete (deadlock at %v; parked: %s)", program, elapsed, parkedProcs(parts))
 	}
+}
+
+// maxParkedNames bounds the deadlock report: enough for every party of a
+// small team, short enough to read for a 4096-proc topology.
+const maxParkedNames = 16
+
+// parkedProcs names the processes suspended on the given kernels, in
+// partition then spawn order. The always-parked PVM daemons (accept and
+// reader loops) appear too: a reader stuck mid-message is a finding.
+func parkedProcs(parts []*sim.Kernel) string {
+	var names []string
+	for _, k := range parts {
+		names = append(names, k.Suspended()...)
+	}
+	if len(names) == 0 {
+		return "none"
+	}
+	if more := len(names) - maxParkedNames; more > 0 {
+		return fmt.Sprintf("%s, … %d more", strings.Join(names[:maxParkedNames], ", "), more)
+	}
+	return strings.Join(names, ", ")
 }
 
 // CalibratedCost returns the calibrated cost model for a program, as a

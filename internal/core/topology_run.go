@@ -86,6 +86,11 @@ func runTopology(cfg RunConfig, stream bool, opts RunOpts, spec kernels.Spec, is
 		parts[i] = sim.New(partitionSeed(cfg.Seed, topo.Segments[i].Name))
 		delay[i] = topo.trunkLatency(i)
 	}
+	defer func() {
+		for _, k := range parts {
+			k.Close()
+		}
+	}()
 	var eng *sim.Engine
 	if nSeg > 1 {
 		// Per-pair horizons: each partition pair advances independently
@@ -240,7 +245,7 @@ func runTopology(cfg RunConfig, stream bool, opts RunOpts, spec kernels.Spec, is
 	}
 
 	elapsed := eng.Run(parallel)
-	final, runErr, err := finishTeam(team, progName, cfg.Program, elapsed)
+	final, runErr, err := finishTeam(team, progName, cfg.Program, elapsed, parts...)
 	if err != nil {
 		return nil, nil, err
 	}

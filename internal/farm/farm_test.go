@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,6 +73,15 @@ func TestSingleflightDedup(t *testing.T) {
 	jobs := make([]Job, 8)
 	for i := range jobs {
 		jobs[i] = Job{Label: "dup", Config: tinyConfig(5)}
+	}
+	// The leader holds its slot until every job of the batch has been
+	// submitted: a follower submitted after the tiny leader finished
+	// would rightly execute again (nothing memoizes here).
+	f.runFn = func(cfg core.RunConfig) (*core.Result, error) {
+		for f.Stats().Submitted < int64(len(jobs)) {
+			runtime.Gosched()
+		}
+		return core.Run(cfg)
 	}
 	out := f.RunBatch(jobs)
 	var deduped int

@@ -16,6 +16,7 @@ import (
 func launchTeam(t *testing.T, seed int64, p int, cost CostModel, body func(w *Worker)) (*sim.Kernel, *Team) {
 	t.Helper()
 	k := sim.New(seed)
+	t.Cleanup(k.Close)
 	seg := ethernet.NewSegment(k, 0)
 	var hosts []*netstack.Host
 	for i := 0; i < p; i++ {
@@ -427,6 +428,7 @@ func TestQuickAllToAllDeliversEverything(t *testing.T) {
 		}
 		results := make([][][]byte, P)
 		k := sim.New(seed)
+		defer k.Close()
 		seg := ethernet.NewSegment(k, 0)
 		var hosts []*netstack.Host
 		for i := 0; i < P; i++ {

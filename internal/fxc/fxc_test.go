@@ -187,6 +187,7 @@ func TestExecuteScheduleOnSimulator(t *testing.T) {
 	sched := CompileAssign(Assign{LHS: b, RHS: a, RowSub: Affine{CJ: 1}, ColSub: Affine{CI: 1}}, 4)
 
 	k := sim.New(1)
+	t.Cleanup(k.Close)
 	seg := ethernet.NewSegment(k, 0)
 	var hosts []*netstack.Host
 	for i := 0; i < 4; i++ {

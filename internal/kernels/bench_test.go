@@ -32,6 +32,7 @@ func benchKernel(b *testing.B, name string, p Params) {
 			spec.Run(w, p)
 		})
 		k.Run()
+		k.Close()
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 func runTeam(t *testing.T, P int, body func(w *fx.Worker)) {
 	t.Helper()
 	k := sim.New(1)
+	t.Cleanup(k.Close)
 	seg := ethernet.NewSegment(k, 0)
 	var hosts []*netstack.Host
 	for i := 0; i < P; i++ {

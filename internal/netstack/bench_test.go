@@ -24,6 +24,7 @@ func BenchmarkTCPTransfer(b *testing.B) {
 			c.Write(p, make([]byte, 1<<20))
 		})
 		k.Run()
+		k.Close()
 	}
 	b.SetBytes(1 << 20)
 }
@@ -31,6 +32,7 @@ func BenchmarkTCPTransfer(b *testing.B) {
 // BenchmarkUDPDatagrams measures the fire-and-forget path.
 func BenchmarkUDPDatagrams(b *testing.B) {
 	k := sim.New(1)
+	b.Cleanup(k.Close)
 	seg := ethernet.NewSegment(k, 0)
 	h0 := NewHost(k, seg.Attach("a"), "a", DefaultConfig())
 	h1 := NewHost(k, seg.Attach("b"), "b", DefaultConfig())

@@ -13,6 +13,7 @@ import (
 func newFaultRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
 	r := &rig{k: sim.New(1)}
+	t.Cleanup(r.k.Close)
 	r.seg = ethernet.NewSegment(r.k, 0)
 	for i := 0; i < 2; i++ {
 		st := r.seg.Attach(string(rune('a' + i)))

@@ -12,6 +12,7 @@ import (
 func lossRig(t *testing.T, seed int64, dropProb float64) (*sim.Kernel, *ethernet.Segment, *Host, *Host) {
 	t.Helper()
 	k := sim.New(seed)
+	t.Cleanup(k.Close)
 	seg := ethernet.NewSegment(k, 0)
 	a := NewHost(k, seg.Attach("a"), "a", DefaultConfig())
 	b := NewHost(k, seg.Attach("b"), "b", DefaultConfig())
@@ -75,6 +76,7 @@ func TestFastRetransmit(t *testing.T) {
 	// Deterministic loss: every frame in a short mid-transfer window is
 	// corrupted, forcing recovery through retransmission.
 	k := sim.New(5)
+	t.Cleanup(k.Close)
 	seg := ethernet.NewSegment(k, 0)
 	a := NewHost(k, seg.Attach("a"), "a", DefaultConfig())
 	b := NewHost(k, seg.Attach("b"), "b", DefaultConfig())
@@ -162,6 +164,7 @@ func TestNagleWithLoss(t *testing.T) {
 	// Nagle coalescing and retransmission compose: a lossy link with
 	// small writes still delivers the exact stream.
 	k := sim.New(31)
+	t.Cleanup(k.Close)
 	seg := ethernet.NewSegment(k, 0)
 	cfg := DefaultConfig()
 	cfg.Nagle = true

@@ -11,6 +11,7 @@ import (
 func nagleRig(t *testing.T) (*sim.Kernel, *Host, *Host, *[]ethernet.Capture) {
 	t.Helper()
 	k := sim.New(1)
+	t.Cleanup(k.Close)
 	seg := ethernet.NewSegment(k, 0)
 	cfg := DefaultConfig()
 	cfg.Nagle = true

@@ -18,6 +18,7 @@ type rig struct {
 func newRig(t *testing.T, n int) *rig {
 	t.Helper()
 	r := &rig{k: sim.New(1)}
+	t.Cleanup(r.k.Close)
 	r.seg = ethernet.NewSegment(r.k, 0)
 	for i := 0; i < n; i++ {
 		st := r.seg.Attach(string(rune('a' + i)))
@@ -327,6 +328,7 @@ func TestOversizeUDPPanics(t *testing.T) {
 func TestLargeTransferDeterministic(t *testing.T) {
 	run := func() (sim.Time, int) {
 		k := sim.New(3)
+		defer k.Close()
 		seg := ethernet.NewSegment(k, 0)
 		h0 := NewHost(k, seg.Attach("a"), "a", DefaultConfig())
 		h1 := NewHost(k, seg.Attach("b"), "b", DefaultConfig())

@@ -149,6 +149,7 @@ func TestKillHostLeavesMachineRunnable(t *testing.T) {
 // before the retries are exhausted leaves the peer reachable.
 func TestConnectRetriesSpanLinkOutage(t *testing.T) {
 	k := sim.New(1)
+	t.Cleanup(k.Close)
 	seg := ethernet.NewSegment(k, 0)
 	ncfg := netstack.DefaultConfig()
 	ncfg.MaxRetransmits = 2 // individual connect attempts give up

@@ -20,6 +20,7 @@ type rig struct {
 func newRig(t *testing.T, nHosts int, cfg Config) *rig {
 	t.Helper()
 	r := &rig{k: sim.New(1)}
+	t.Cleanup(r.k.Close)
 	r.seg = ethernet.NewSegment(r.k, 0)
 	var hosts []*netstack.Host
 	for i := 0; i < nHosts; i++ {
@@ -295,6 +296,7 @@ func TestManyTasksAllToAll(t *testing.T) {
 func TestDeterministicRun(t *testing.T) {
 	run := func() (sim.Time, int) {
 		k := sim.New(11)
+		defer k.Close()
 		seg := ethernet.NewSegment(k, 0)
 		var hosts []*netstack.Host
 		for i := 0; i < 4; i++ {

@@ -77,14 +77,18 @@ type Kernel struct {
 	stopped  bool
 	rands    map[string]*rand.Rand
 
-	// current process, non-nil while a process goroutine is executing.
+	// current process, non-nil while a process body is executing.
 	cur *Proc
+	// sentinel of the ring of started, not yet done processes (see link).
+	procs Proc
 }
 
 // New returns a kernel whose clock reads zero and whose named random
 // generators derive from seed.
 func New(seed int64) *Kernel {
-	return &Kernel{seed: seed}
+	k := &Kernel{seed: seed}
+	k.procs.prev, k.procs.next = &k.procs, &k.procs
+	return k
 }
 
 // Now reports the current virtual time.

@@ -1,87 +1,137 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulation process: a goroutine that interleaves with the event
+// Proc is a simulation process: a coroutine that interleaves with the event
 // loop so that exactly one of (event loop, some process) executes at a
 // time. Processes express sequential blocking behaviour — compute phases,
 // blocking sends and receives — that would be awkward as event callbacks.
 //
 // A process may only call its blocking methods (Sleep, Suspend, Yield) from
-// its own goroutine. Wake must be called from event context (or from
-// another process), never from the process itself.
+// its own body. Wake must be called from event context (or from another
+// process), never from the process itself.
+//
+// Lifecycle: spawned (Go) → started (its start event creates the
+// coroutine and links it into the kernel's registry) → parked and resumed
+// any number of times → done, because the body returned, Kill unwound it,
+// or Kernel.Close did. Only a done process has released its goroutine.
 type Proc struct {
 	k        *Kernel
 	name     string
 	wakeName string // precomputed "wake:"+name: Sleep/Wake allocate nothing
-	resume   chan struct{}
-	yielded  chan struct{}
-	done     bool
-	waiting  bool // true while parked in Suspend
-	started  bool
-	killed   bool
+
+	// The iter.Pull coroutine running the body. resume switches into it
+	// and returns at its next park (or its end); yield is the park side
+	// and reports false once stop has been called.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
+
+	prev, next *Proc // kernel registry of started, not yet done processes
+
+	done    bool
+	waiting bool // true while parked in Suspend
+	killed  bool
 }
 
-// killedSignal unwinds a killed process's goroutine from its next (or
+// killedSignal unwinds a killed or closed process from its next (or
 // current) park point back through the body to the spawn wrapper.
 type killedSignal struct{}
 
 // Go spawns a new process executing body. The body starts at the current
-// virtual time (via an immediate event) and runs until it returns.
+// virtual time (via an immediate event) and runs until it returns. A panic
+// in the body surfaces in the caller of Run/RunUntil.
 func (k *Kernel) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		k:        k,
-		name:     name,
-		wakeName: "wake:" + name,
-		resume:   make(chan struct{}),
-		yielded:  make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name, wakeName: "wake:" + name}
 	k.At(k.now, "start:"+name, func() {
-		p.started = true
-		go func() {
+		if p.killed {
+			p.done = true // killed before its first instruction
+			return
+		}
+		p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			defer func() {
+				p.done = true
+				k.unlink(p)
 				if r := recover(); r != nil {
 					if _, ok := r.(killedSignal); !ok {
 						panic(r)
 					}
 				}
-				p.done = true
-				p.yielded <- struct{}{}
 			}()
-			<-p.resume
-			if p.killed {
-				panic(killedSignal{})
-			}
 			body(p)
-		}()
+		})
+		k.link(p)
 		p.dispatch()
 	})
 	return p
 }
 
-// dispatch hands control to the process goroutine and blocks the event
-// loop until the process yields (blocks or finishes). Must be called from
-// event context.
+// dispatch switches to the process and returns to the event loop when the
+// process parks or finishes. Must be called from event context.
 func (p *Proc) dispatch() {
 	if p.done {
 		return
 	}
 	prev := p.k.cur
 	p.k.cur = p
-	p.resume <- struct{}{}
-	<-p.yielded
-	p.k.cur = prev
+	defer func() { p.k.cur = prev }() // also when a body panic passes through
+	p.resume()
 }
 
-// park yields control back to the event loop and blocks until dispatched
-// again. Must be called from the process goroutine. A process killed while
-// parked unwinds here instead of resuming.
+// park switches back to the event loop until dispatched again. Must be
+// called from the process body. A process killed or closed while parked
+// unwinds here instead of resuming.
 func (p *Proc) park() {
-	p.yielded <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) || p.killed {
 		panic(killedSignal{})
 	}
+}
+
+// link appends p to the kernel's registry: a ring through k.procs, so
+// list order is spawn order and unlinking a finished process is O(1).
+func (k *Kernel) link(p *Proc) {
+	p.prev, p.next = k.procs.prev, &k.procs
+	p.prev.next, k.procs.prev = p, p
+}
+
+// unlink drops p from the registry and clears its links, so a retained
+// handle to a finished process does not pin its one-time neighbours.
+func (k *Kernel) unlink(p *Proc) {
+	p.prev.next, p.next.prev = p.next, p.prev
+	p.prev, p.next = nil, nil
+}
+
+// Close releases every process that is still parked, in spawn order: each
+// unwinds from its park point through the body's deferred calls, exactly
+// as a killed process does, and its goroutine exits. A deferred call that
+// tries to block again is cut short the same way. Call it once the
+// simulation's results have been read: a run that skips it leaks one
+// goroutine per parked process. Close is idempotent.
+func (k *Kernel) Close() {
+	if k.cur != nil {
+		panic("sim: Close called from inside process " + k.cur.name)
+	}
+	defer func() { k.cur = nil }() // also when a deferred call's panic passes through
+	for p := k.procs.next; p != &k.procs; p = k.procs.next {
+		k.cur = p
+		p.stop() // runs the spawn wrapper's defer, which unlinks p
+	}
+}
+
+// Suspended reports the names of the processes parked in Suspend, in spawn
+// order — after a drained Run, the parties to a deadlock (and any daemons).
+func (k *Kernel) Suspended() []string {
+	var names []string
+	for p := k.procs.next; p != &k.procs; p = p.next {
+		if p.waiting {
+			names = append(names, p.name)
+		}
+	}
+	return names
 }
 
 // Name reports the process name.
@@ -99,7 +149,7 @@ func (p *Proc) Done() bool { return p.done }
 // Killed reports whether Kill has been called on the process.
 func (p *Proc) Killed() bool { return p.killed }
 
-// Kill terminates the process: its goroutine unwinds from its current park
+// Kill terminates the process: its body unwinds from its current park
 // point (Sleep, Suspend, Gate.Wait) without resuming the body — the
 // host-crash primitive of the fault model. Kill must be called from event
 // context or from a different process; it is idempotent, and killing a
