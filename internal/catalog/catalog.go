@@ -384,19 +384,6 @@ func (c *Catalog) Program(name string) (qos.Program, error) {
 	return qos.TabulatedProgram(name, pat, pts), nil
 }
 
-// EffectiveP resolves the processor count a configuration actually runs
-// with (cfg.P, or the program's default when 0) — the P recorded in a
-// catalog entry.
-func EffectiveP(cfg core.RunConfig) int {
-	if cfg.P != 0 {
-		return cfg.P
-	}
-	if spec, ok := kernels.Lookup(cfg.Program); ok {
-		return spec.P
-	}
-	return 4
-}
-
 // mean is the arithmetic mean, 0 for an empty series.
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -239,7 +239,7 @@ func (ft *Fitter) fitReport(key string, cfg core.RunConfig, rep *core.Report, op
 	e := &Entry{
 		Key:              key,
 		Program:          cfg.Program,
-		P:                EffectiveP(cfg),
+		P:                cfg.EffectiveP(),
 		Seed:             cfg.Seed,
 		BitRateBps:       cfg.BitRate,
 		Switched:         cfg.Switched,

@@ -69,12 +69,13 @@ type RunConfig struct {
 	Net netstack.Config
 	// KeepaliveInterval for PVM daemons; 0 keeps the default 2 s.
 	KeepaliveInterval sim.Duration
-	// FrameLossProb injects FCS corruption: each frame is independently
-	// lost with this probability, and TCP recovers by retransmission.
+	// FrameLossProb injects FCS corruption on every segment of the
+	// fabric: each frame is independently lost with this probability, in
+	// [0,1), and TCP recovers by retransmission. Not modeled on a switch.
 	FrameLossProb float64
 	// Switched replaces the shared collision domain with a store-and-
 	// forward full-duplex switch (capture then models a SPAN port) — the
-	// modernization ablation.
+	// modernization ablation. A fabric of its own: it excludes Topology.
 	Switched bool
 	// Nagle enables sender-side coalescing. PVM sets TCP_NODELAY, so the
 	// measured configuration leaves it off; turning it on shows how
@@ -105,12 +106,13 @@ type RunConfig struct {
 	// otherwise, matching the measured-era daemons).
 	HeartbeatMisses int
 	// Topology, when non-nil, replaces the single shared segment with a
-	// multi-segment bridged LAN: named segments with per-segment bit
-	// rates, hosts pinned to segments, learning bridges relaying frames
-	// over latency-only trunks. Runs are then eligible for conservative
-	// parallel execution (see RunOpts.PDES); serial and parallel produce
-	// byte-identical traces. Nil keeps the paper's shared segment and
-	// leaves every existing run key and golden digest unchanged.
+	// bridged LAN: named segments with per-segment bit rates, hosts
+	// pinned to segments, learning bridges relaying frames over latency-
+	// only trunks. One segment is one partition and combines with every
+	// feature the nil topology does, except Switched; several run under
+	// the conservative engine (see RunOpts.PDES; serial and parallel
+	// produce byte-identical traces) and refuse what Validate lists. Nil
+	// keeps the paper's shared segment, run keys and golden digests.
 	Topology *Topology
 }
 
@@ -131,9 +133,9 @@ type Result struct {
 	// faults (nil for successful runs, including degraded ones). A run
 	// that aborts cleanly is a valid measurement, not a Run error.
 	RunErr *fx.RunError
-	// Engine carries the conservative parallel engine's scheduling
-	// counters for topology runs (zero-valued for single-segment runs
-	// and results served from the cache).
+	// Engine carries the conservative engine's scheduling counters. Only
+	// a topology of several segments runs under the engine: zero for
+	// every one-partition run and for results served from the cache.
 	Engine sim.EngineStats
 }
 
@@ -155,16 +157,15 @@ const (
 // deliberately outside RunConfig so they never enter cache keys or
 // canonical encodings.
 type RunOpts struct {
-	// PDES selects serial or parallel partition execution for topology
-	// runs. Ignored (harmlessly) for single-segment runs.
+	// PDES selects serial or parallel partition execution. Ignored
+	// (harmlessly) when the fabric is a single partition.
 	PDES PDESMode
 }
 
 // Run executes one experiment to completion and returns the captured
 // trace and run metadata.
 func Run(cfg RunConfig) (*Result, error) {
-	res, _, err := run(cfg, false, RunOpts{})
-	return res, err
+	return RunWithOpts(cfg, RunOpts{})
 }
 
 // RunWithOpts is Run with explicit execution options.
@@ -189,63 +190,98 @@ func RunStream(cfg RunConfig) (*Result, *Report, error) {
 	return run(cfg, true, RunOpts{})
 }
 
-// run is the shared body of Run and RunStream.
-func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
-	spec, isKernel := kernels.Lookup(cfg.Program)
-	if !isKernel && cfg.Program != Airshed {
-		return nil, nil, fmt.Errorf("core: unknown program %q (have %v)", cfg.Program, ProgramNames())
+// EffectiveP resolves the processor count the configuration runs with:
+// cfg.P, or the program's default when 0 (4 for AIRSHED).
+func (cfg RunConfig) EffectiveP() int {
+	if cfg.P != 0 {
+		return cfg.P
+	}
+	if spec, ok := kernels.Lookup(cfg.Program); ok {
+		return spec.P
+	}
+	return 4
+}
+
+// Validate reports why cfg cannot run, or nil. It is the run path's own
+// first step, exported so a front end can refuse a job at submit time
+// with the message the run would fail with.
+func Validate(cfg RunConfig) error {
+	_, err := validate(cfg)
+	return err
+}
+
+// validate is the one place this package refuses a configuration:
+// malformed input first, then the refusal table (DESIGN.md §13), keyed
+// on what the builder can observe — the medium kind and the partition
+// count. It returns the fault schedule it resolved on the way.
+func validate(cfg RunConfig) (*faults.Schedule, error) {
+	if _, isKernel := kernels.Lookup(cfg.Program); !isKernel && cfg.Program != Airshed {
+		return nil, fmt.Errorf("core: unknown program %q (have %v)", cfg.Program, ProgramNames())
 	}
 	if cfg.ForceCopyLoop && cfg.ForceFragments {
-		return nil, nil, fmt.Errorf("core: ForceCopyLoop and ForceFragments both set")
+		return nil, fmt.Errorf("core: ForceCopyLoop and ForceFragments both set")
 	}
-	if cfg.Topology != nil {
-		return runTopology(cfg, stream, opts, spec, isKernel)
+	if !(cfg.FrameLossProb >= 0 && cfg.FrameLossProb < 1) { // written so NaN fails too
+		return nil, fmt.Errorf("core: FrameLossProb %g outside [0,1)", cfg.FrameLossProb)
 	}
 	schedule := cfg.Faults
 	if schedule == nil && cfg.FaultScript != "" {
-		s, err := faults.Parse(cfg.FaultScript)
-		if err != nil {
-			return nil, nil, err
+		var err error
+		if schedule, err = faults.Parse(cfg.FaultScript); err != nil {
+			return nil, err
 		}
-		schedule = s
+	}
+	multi := false
+	if cfg.Topology != nil {
+		if err := cfg.Topology.ValidateFor(cfg.EffectiveP()); err != nil {
+			return nil, err
+		}
+		multi = len(cfg.Topology.Segments) > 1
+	}
+	for _, r := range []struct {
+		hit       bool
+		what, why string
+	}{
+		{cfg.Switched && cfg.Topology != nil, "Switched with Topology",
+			"the switch is a fabric of its own, not a segment a bridge can join"},
+		{cfg.Switched && cfg.FrameLossProb > 0, "FrameLossProb with Switched",
+			"FCS corruption is modeled on the shared-medium segment only"},
+		{cfg.GuaranteeProgram && !cfg.Switched, "GuaranteeProgram without Switched",
+			"strict priority is a property of the switch's egress queues"},
+		// The rest mutate machine state every partition reads, at an
+		// instant only one partition's clock defines — outside any
+		// barrier, so serial and parallel execution could disagree.
+		{multi && !schedule.Empty(), "fault injection (FaultScript/Faults) on a multi-segment topology",
+			"a fault fires on one partition's clock but kills hosts and marks them dead on all of them"},
+		{multi && cfg.Degrade, "Degrade on a multi-segment topology",
+			"re-forming the team rewrites machine state shared by every partition"},
+		{multi && cfg.HeartbeatMisses != 0, "HeartbeatMisses on a multi-segment topology",
+			"a heartbeat timeout marks the host dead on every partition at once, which is not a function of virtual time"},
+		{multi && cfg.CrossTrafficKBps > 0, "CrossTrafficKBps on a multi-segment topology",
+			"the background source stops on the team's atomic done flag, which is not a function of virtual time"},
+	} {
+		if r.hit {
+			return nil, fmt.Errorf("core: %s is not supported: %s", r.what, r.why)
+		}
+	}
+	return schedule, nil
+}
+
+// run is the one body behind every Run* entry point: validate, build the
+// fabric, attach the hosts, launch the program, run, seal the trace.
+func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
+	schedule, err := validate(cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	faulty := !schedule.Empty()
+	p := cfg.EffectiveP()
 
-	p := cfg.P
-	if p == 0 {
-		if isKernel {
-			p = spec.P
-		} else {
-			p = 4
-		}
-	}
-
-	k := sim.New(cfg.Seed)
+	fab := newFabric(cfg, p)
 	// Parked daemons and unfinished workers are unwound once the result
 	// is sealed, so the run returns holding no goroutines of its own.
-	defer k.Close()
-	var (
-		medium   ethernet.TrafficSource
-		attach   func(name string) ethernet.Port
-		segStats func() ethernet.Stats
-	)
-	if cfg.Switched {
-		sw := ethernet.NewSwitch(k, cfg.BitRate, 10*sim.Microsecond)
-		medium = sw
-		attach = func(name string) ethernet.Port { return sw.Attach(name) }
-		segStats = func() ethernet.Stats { return ethernet.Stats{Frames: sw.Delivered, Bytes: sw.DeliveredBytes} }
-		if cfg.FrameLossProb > 0 {
-			return nil, nil, fmt.Errorf("core: frame loss injection is only modeled on the shared segment")
-		}
-	} else {
-		seg := ethernet.NewSegment(k, cfg.BitRate)
-		if cfg.FrameLossProb > 0 {
-			seg.SetDropProb(cfg.FrameLossProb)
-		}
-		medium = seg
-		attach = func(name string) ethernet.Port { return seg.Attach(name) }
-		segStats = seg.Stats
-	}
+	defer fab.close()
+
 	netCfg := cfg.Net
 	if netCfg.SendWindow == 0 {
 		netCfg = netstack.DefaultConfig()
@@ -263,37 +299,33 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 			netCfg.ConnectTimeout = 30 * sim.Second
 		}
 	}
-	hosts := make([]*netstack.Host, p)
-	names := make([]string, 0, p+1)
-	for i := range hosts {
-		st := attach(fmt.Sprintf("alpha%d", i))
-		hosts[i] = netstack.NewHost(k, st, st.Name(), netCfg)
-		names = append(names, st.Name())
+	names := make([]string, 0, p+2)
+	attachHost := func(name string) *netstack.Host {
+		k, port := fab.attach(name, len(names))
+		names = append(names, name)
+		return netstack.NewHost(k, port, name, netCfg)
 	}
-	// The measurement workstation: attached, promiscuous, silent.
-	attach("monitor")
+	hosts := make([]*netstack.Host, p)
+	for i := range hosts {
+		hosts[i] = attachHost(fmt.Sprintf("alpha%d", i))
+	}
+	// The measurement workstation: attached, promiscuous, silent. A
+	// topology's capture is its segments' taps, so there the monitor is a
+	// trace host name only, with no station behind it.
+	if cfg.Topology == nil {
+		fab.attach("monitor", len(names))
+	}
 	names = append(names, "monitor")
-	col := trace.Capture(medium)
+	col := trace.Capture(fab)
 
 	if cfg.GuaranteeProgram {
-		sw, ok := medium.(*ethernet.Switch)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: GuaranteeProgram requires Switched")
-		}
 		for i := 0; i < p; i++ {
 			for j := 0; j < p; j++ {
 				if i != j {
-					sw.Guarantee(i, j)
+					fab.sw.Guarantee(i, j)
 				}
 			}
 		}
-	}
-
-	var crossHost *netstack.Host
-	if cfg.CrossTrafficKBps > 0 {
-		st := attach("video")
-		names = append(names, "video")
-		crossHost = netstack.NewHost(k, st, "video", netCfg)
 	}
 
 	pvmCfg := pvm.DefaultConfig()
@@ -318,9 +350,22 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 			pvmCfg.ConnectBackoff = 250 * sim.Millisecond
 		}
 	}
+	// The fault schedule and the cross-traffic source take "the" kernel:
+	// both are refused on several partitions, so the first is the only one.
+	k := fab.parts[0]
 	machine := pvm.NewMachine(k, hosts, pvmCfg)
+	if fab.eng != nil {
+		// A task exit is physical news: it reaches every other partition
+		// one trunk path later, as an engine message, so the count each
+		// partition observes is a pure function of virtual time (see
+		// pvm.DistributeExits). One partition keeps the exact count.
+		machine.DistributeExits(len(fab.parts),
+			func(hostIndex int) int { return fab.segOf[hostIndex] },
+			func(src, dst int, fn func()) { fab.send(src, dst, "pvm.exit", fn) })
+	}
 
-	team, repConn, progName := launchTeam(cfg, machine, spec, isKernel, p)
+	team := launchTeam(cfg, machine, p)
+	repConn := RepConn(cfg.Program)
 
 	if faulty {
 		hooks := faults.Hooks{
@@ -343,10 +388,11 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 				col.Trace().AddMark(at, f.String())
 			},
 		}
-		// Wire faults only on the shared segment: a switched fabric has
-		// no single collision domain, so link-level faults are rejected
-		// by Apply's validation rather than silently ignored.
-		if seg, ok := medium.(*ethernet.Segment); ok {
+		// Wire faults only on a segment: a switched fabric has no single
+		// collision domain, so link-level faults are rejected by Apply's
+		// validation rather than silently ignored.
+		if fab.sw == nil {
+			seg := fab.segs[0]
 			hooks.LinkDown = seg.SetLinkDown
 			hooks.SegmentDown = seg.SetSegmentDown
 			hooks.Partition = seg.SetPartition
@@ -360,13 +406,12 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 		}
 	}
 
-	if crossHost != nil {
-		startCrossTraffic(k, crossHost, hosts[0].Addr(), cfg.CrossTrafficKBps, team)
+	if cfg.CrossTrafficKBps > 0 {
+		startCrossTraffic(k, attachHost("video"), hosts[0].Addr(), cfg.CrossTrafficKBps, team)
 	}
 
 	// Streaming analysis: fold packets into the characterization as they
-	// are captured, and keep none of them. Attached here — after the
-	// representative connection is known, before any packet flows.
+	// are captured, and keep none of them.
 	var sc *analysis.StreamCharacterizer
 	if stream {
 		sc = analysis.NewStreamCharacterizer(cfg.Program, repConn)
@@ -374,8 +419,8 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 		col.AddSink(sc)
 	}
 
-	elapsed := k.Run()
-	final, runErr, err := finishTeam(team, progName, cfg.Program, elapsed, k)
+	elapsed := fab.run(opts)
+	final, runErr, err := finishTeam(team, cfg.Program, elapsed, fab.parts...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -391,89 +436,84 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 	tr.Meta["program"] = cfg.Program
 	tr.Meta["P"] = fmt.Sprint(p)
 	tr.Meta["seed"] = fmt.Sprint(cfg.Seed)
+	if cfg.Topology != nil {
+		tr.Meta["topology"] = cfg.Topology.Spec()
+	}
 	if faulty {
 		tr.Meta["faults"] = schedule.String()
 		tr.Meta["finalP"] = fmt.Sprint(len(final.Workers))
 	}
 
-	return &Result{
+	res := &Result{
 		Config:   cfg,
 		Trace:    tr,
 		Elapsed:  elapsed,
-		SegStats: segStats(),
+		SegStats: fab.stats(),
 		Workers:  final.Workers,
 		RepConn:  repConn,
 		Team:     final,
 		RunErr:   runErr,
-	}, rep, nil
+	}
+	if fab.eng != nil {
+		res.Engine = fab.eng.Stats()
+	}
+	return res, rep, nil
 }
 
 // launchTeam builds the cost model and launches the Fx program over the
-// machine, returning the team, the representative connection, and the
-// program's registry name. Shared by the single-segment and topology
-// runners.
-func launchTeam(cfg RunConfig, machine *pvm.Machine, spec kernels.Spec, isKernel bool, p int) (*fx.Team, [2]int, string) {
-	cost := buildCost(cfg, spec, isKernel)
-	repConn := [2]int{-1, -1}
-	opts := fx.Opts{P: p, Cost: cost, Degrade: cfg.Degrade}
-	var team *fx.Team
-	if isKernel {
-		params := spec.Params
-		if cfg.Params.N != 0 {
-			params.N = cfg.Params.N
-		}
-		if cfg.Params.Iters != 0 {
-			params.Iters = cfg.Params.Iters
-		}
-		useFrags := spec.UseFragments
-		if cfg.ForceCopyLoop {
-			useFrags = false
-		}
-		if cfg.ForceFragments {
-			useFrags = true
-		}
-		repConn = spec.RepresentativeConn
-		run := spec.Run
-		coalesce := cfg.ForceCopyLoop
-		opts.Name = spec.Name
-		if cfg.Degrade && spec.QoS != nil {
-			// Degradation is the §7.3 negotiation run in reverse: hand
-			// the network the program's [l(), b(), c] and let it pick
-			// the post-fault processor count.
-			prog := spec.QoS(params)
-			net := qos.NewNetwork(qosCapacityBps)
-			opts.Renegotiate = func(maxP int) int {
-				off, err := net.Negotiate(prog, maxP)
-				if err != nil {
-					return maxP
-				}
-				return off.P
-			}
-		}
-		team = fx.LaunchOpts(machine, opts, func(w *fx.Worker) {
-			w.UseFragments = useFrags
-			w.CoalesceFragments = coalesce
-			run(w, params)
-		})
-	} else {
+// machine.
+func launchTeam(cfg RunConfig, machine *pvm.Machine, p int) *fx.Team {
+	spec, isKernel := kernels.Lookup(cfg.Program)
+	opts := fx.Opts{P: p, Cost: buildCost(cfg, spec, isKernel), Degrade: cfg.Degrade, Name: cfg.Program}
+	if !isKernel {
 		ap := cfg.AirshedParams
 		if ap.Layers == 0 {
 			ap = airshed.PaperParams()
 		}
-		repConn = [2]int{1, 0}
-		opts.Name = Airshed
-		team = fx.LaunchOpts(machine, opts, func(w *fx.Worker) {
+		return fx.LaunchOpts(machine, opts, func(w *fx.Worker) {
 			airshed.Run(w, ap)
 		})
 	}
-	return team, repConn, opts.Name
+	params := spec.Params
+	if cfg.Params.N != 0 {
+		params.N = cfg.Params.N
+	}
+	if cfg.Params.Iters != 0 {
+		params.Iters = cfg.Params.Iters
+	}
+	useFrags := spec.UseFragments
+	if cfg.ForceCopyLoop {
+		useFrags = false
+	}
+	if cfg.ForceFragments {
+		useFrags = true
+	}
+	if cfg.Degrade && spec.QoS != nil {
+		// Degradation is the §7.3 negotiation run in reverse: hand the
+		// network the program's [l(), b(), c] and let it pick the
+		// post-fault processor count.
+		prog := spec.QoS(params)
+		net := qos.NewNetwork(qosCapacityBps)
+		opts.Renegotiate = func(maxP int) int {
+			off, err := net.Negotiate(prog, maxP)
+			if err != nil {
+				return maxP
+			}
+			return off.P
+		}
+	}
+	return fx.LaunchOpts(machine, opts, func(w *fx.Worker) {
+		w.UseFragments = useFrags
+		w.CoalesceFragments = cfg.ForceCopyLoop
+		spec.Run(w, params)
+	})
 }
 
 // finishTeam classifies the team's final state after the simulation
 // drained: done, aborted (a fault measurement), killed without an abort
 // record, or deadlocked (an error naming the processes left parked on
 // the run's kernels).
-func finishTeam(team *fx.Team, progName, program string, elapsed sim.Time, parts ...*sim.Kernel) (*fx.Team, *fx.RunError, error) {
+func finishTeam(team *fx.Team, program string, elapsed sim.Time, parts ...*sim.Kernel) (*fx.Team, *fx.RunError, error) {
 	final := team.Final()
 	switch {
 	case final.Done():
@@ -487,7 +527,7 @@ func finishTeam(team *fx.Team, progName, program string, elapsed sim.Time, parts
 		// needed to talk to the dead rank again. Its output is lost
 		// either way, so the run still reports a fault.
 		return final, &fx.RunError{
-			Program: progName, Rank: -1, Phase: "killed",
+			Program: program, Rank: -1, Phase: "killed",
 			Err: fmt.Errorf("worker killed by host fault before completing"),
 		}, nil
 	default:

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"fxnet/internal/airshed"
@@ -198,6 +200,17 @@ func TestSwitchedMedium(t *testing.T) {
 func TestSwitchedRejectsLossInjection(t *testing.T) {
 	if _, err := Run(RunConfig{Program: "sor", Switched: true, FrameLossProb: 0.1}); err == nil {
 		t.Error("switched + loss accepted")
+	}
+}
+
+// An out-of-range loss probability is an error from the run path's
+// validation, not a panic in Segment.SetDropProb (or, negative, a
+// silently loss-free run).
+func TestFrameLossOutOfRange(t *testing.T) {
+	for _, p := range []float64{1.5, 1, -0.1, math.NaN()} {
+		if _, err := Run(RunConfig{Program: "sor", FrameLossProb: p}); err == nil || !strings.Contains(err.Error(), "FrameLossProb") {
+			t.Errorf("FrameLossProb %g: err = %v, want a FrameLossProb range error", p, err)
+		}
 	}
 }
 

@@ -26,6 +26,22 @@ func goroutinesSettleTo(want int) int {
 	return runtime.NumGoroutine()
 }
 
+// goroutinesSettled reads the goroutine count once it has held still for
+// 20 ms: the previous test's own runner goroutine finishes its exit after
+// the next test has started, and a baseline read too early counts it.
+func goroutinesSettled() int {
+	n, held := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); held < 20 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			held++
+		} else {
+			n, held = m, 0
+		}
+	}
+	return n
+}
+
 // TestRunLeavesNoGoroutines: every run path returns with the goroutines
 // it started — PVM accept and reader daemons, killed and surviving
 // workers, cross traffic — released, on every fabric and in both modes.
@@ -45,12 +61,13 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		{"switched", RunConfig{Program: "2dfft", Seed: 1, Params: small, Switched: true}, RunOpts{}},
 		{"topology/serial", RunConfig{Program: "2dfft", Seed: 7, P: 4, Params: small, Topology: twoSeg}, RunOpts{PDES: PDESSerial}},
 		{"topology/parallel", RunConfig{Program: "2dfft", Seed: 7, P: 4, Params: small, Topology: twoSeg}, RunOpts{PDES: PDESParallel}},
+		{"topology+loss/parallel", RunConfig{Program: "2dfft", Seed: 7, P: 4, Params: small, Topology: twoSeg, FrameLossProb: 0.02}, RunOpts{PDES: PDESParallel}},
 		{"crash", RunConfig{Program: "sor", Seed: 5, Params: kernels.Params{N: 32, Iters: 8}, FaultScript: "20ms:crash host2"}, RunOpts{}},
 		{"crash+degrade", RunConfig{Program: "sor", Seed: 31, Params: kernels.Params{N: 512, Iters: 12}, DisableDesched: true, Degrade: true, FaultScript: "4s:crash host2"}, RunOpts{}},
 	}
 	for _, c := range cases {
 		for _, stream := range []bool{false, true} {
-			before := runtime.NumGoroutine()
+			before := goroutinesSettled()
 			var res *Result
 			var err error
 			if stream {
@@ -89,7 +106,7 @@ func TestDeadlockNamesParkedProcs(t *testing.T) {
 				w.Task().Proc().Suspend() // a receive nobody will satisfy
 			}
 		})
-		_, _, err := finishTeam(team, "stuck", "stuck", k.Run(), k)
+		_, _, err := finishTeam(team, "stuck", k.Run(), k)
 		if err == nil {
 			t.Fatalf("P=%d: a team with suspended workers finished", p)
 		}

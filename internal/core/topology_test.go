@@ -3,11 +3,15 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"fxnet/internal/faults"
 	"fxnet/internal/kernels"
 	"fxnet/internal/sim"
+	"fxnet/internal/trace"
 )
 
 func TestParseTopology(t *testing.T) {
@@ -250,19 +254,36 @@ func topoDigest(t *testing.T, cfg RunConfig, mode PDESMode) string {
 }
 
 func TestTopologySerialParallelIdentical(t *testing.T) {
-	topo, err := ParseTopology("lan0:0-1,lan1:2-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := RunConfig{
-		Program: "2dfft", Seed: 7, P: 4,
-		Params:   kernels.Params{N: 16, Iters: 3},
-		Topology: topo,
-	}
-	serial := topoDigest(t, cfg, PDESSerial)
-	parallel := topoDigest(t, cfg, PDESParallel)
-	if serial != parallel {
-		t.Fatalf("serial digest %s != parallel digest %s", serial, parallel)
+	for _, spec := range []string{"lan0:0-1,lan1:2-3", "a:0,b:1,c:2,d:3"} {
+		topo, err := ParseTopology(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Frame loss is partition-local (each segment draws from its own
+		// kernel's stream), so it is one more schedule-invariant input.
+		for _, loss := range []float64{0, 0.02} {
+			cfg := RunConfig{
+				Program: "2dfft", Seed: 7, P: 4,
+				Params:        kernels.Params{N: 16, Iters: 3},
+				Topology:      topo,
+				FrameLossProb: loss,
+			}
+			serial := topoDigest(t, cfg, PDESSerial)
+			parallel := topoDigest(t, cfg, PDESParallel)
+			if serial != parallel {
+				t.Errorf("%s loss=%g: serial digest %s != parallel digest %s", spec, loss, serial, parallel)
+			}
+			if loss == 0 {
+				continue
+			}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.SegStats.Corrupted == 0 {
+				t.Errorf("%s loss=%g: no corrupted frames recorded", spec, loss)
+			}
+		}
 	}
 }
 
@@ -296,8 +317,8 @@ func TestTopologyTrafficVolume(t *testing.T) {
 }
 
 func TestTopologySingleSegment(t *testing.T) {
-	// A one-segment topology runs through the partitioned engine with
-	// no trunks — a degenerate but legal case.
+	// A one-segment topology is one partition: the bare kernel loop, no
+	// engine, whatever PDES mode is asked for.
 	topo, err := ParseTopology("lan0:0-3")
 	if err != nil {
 		t.Fatal(err)
@@ -310,30 +331,154 @@ func TestTopologySingleSegment(t *testing.T) {
 	if s, p := topoDigest(t, cfg, PDESSerial), topoDigest(t, cfg, PDESParallel); s != p {
 		t.Fatalf("single-segment serial %s != parallel %s", s, p)
 	}
+	res, err := RunWithOpts(cfg, RunOpts{PDES: PDESParallel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine != (sim.EngineStats{}) {
+		t.Errorf("one partition reported engine activity: %+v", res.Engine)
+	}
 }
 
+// The refusal rule, fabric × feature: what needs a single partition is
+// refused on two segments with an error naming the feature and the
+// reason, and accepted on a one-segment topology exactly as on the nil
+// one; what needs a different medium is refused on both.
 func TestTopologyRejectsIncompatibleFeatures(t *testing.T) {
-	topo, _ := ParseTopology("lan0:0-1,lan1:2-3")
-	base := RunConfig{Program: "sor", P: 4, Topology: topo}
+	two, err := ParseTopology("lan0:0-1,lan1:2-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := ParseTopology("lan0:0-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := RunConfig{
+		Program: "sor", Seed: 31, P: 4,
+		Params:         kernels.Params{N: 512, Iters: 12},
+		DisableDesched: true,
+		Topology:       one,
+	}
+	third := probeEnd(t, base) / 3
+	crash := &faults.Schedule{Faults: []faults.Fault{{At: third, Kind: faults.HostCrash, Host: "host2"}}}
+	flap := &faults.Schedule{Faults: []faults.Fault{
+		{At: third, Kind: faults.LinkDown, Host: "host2"},
+		{At: 2 * third, Kind: faults.LinkUp, Host: "host2"},
+	}}
 	cases := []struct {
 		name   string
 		mutate func(*RunConfig)
+		// refusal names the feature and the reason on two segments.
+		refusal []string
+		// onePartition: accepted on lan0:0-3; check inspects that run.
+		onePartition bool
+		check        func(*testing.T, *Result)
 	}{
-		{"switched", func(c *RunConfig) { c.Switched = true }},
-		{"loss", func(c *RunConfig) { c.FrameLossProb = 0.1 }},
-		{"faults", func(c *RunConfig) { c.FaultScript = "5s:linkdown host2" }},
-		{"degrade", func(c *RunConfig) { c.Degrade = true }},
-		{"crosstraffic", func(c *RunConfig) { c.CrossTrafficKBps = 100 }},
-		{"guarantee", func(c *RunConfig) { c.GuaranteeProgram = true }},
-		{"heartbeat", func(c *RunConfig) { c.HeartbeatMisses = 3 }},
-		{"wrongP", func(c *RunConfig) { c.P = 8 }},
+		{"switched", func(c *RunConfig) { c.Switched = true },
+			[]string{"Switched with Topology", "fabric of its own"}, false, nil},
+		{"guarantee", func(c *RunConfig) { c.GuaranteeProgram = true },
+			[]string{"GuaranteeProgram without Switched", "egress queues"}, false, nil},
+		{"wrongP", func(c *RunConfig) { c.P = 8 },
+			[]string{"pins 4 hosts", "8 processors"}, false, nil},
+		{"faults", func(c *RunConfig) { c.Faults = flap },
+			[]string{"fault injection", "one partition's clock"}, true,
+			func(t *testing.T, res *Result) {
+				if len(res.Trace.Marks) != 2 {
+					t.Errorf("marks = %v, want linkdown and linkup", res.Trace.Marks)
+				}
+				if res.SegStats.Dropped == 0 {
+					t.Error("the severed link dropped no frames")
+				}
+			}},
+		{"degrade", func(c *RunConfig) { c.Degrade = true },
+			[]string{"Degrade", "shared by every partition"}, true, nil},
+		{"crash+degrade", func(c *RunConfig) { c.Faults, c.Degrade = crash, true },
+			[]string{"fault injection", "one partition's clock"}, true,
+			func(t *testing.T, res *Result) {
+				if res.RunErr != nil {
+					t.Fatalf("degraded run aborted: %v", res.RunErr)
+				}
+				if finalP := len(res.Workers); finalP >= 4 || res.Trace.Meta["finalP"] != fmt.Sprint(finalP) {
+					t.Errorf("finalP = %d (meta %q), want fewer than P=4", finalP, res.Trace.Meta["finalP"])
+				}
+			}},
+		{"heartbeat", func(c *RunConfig) { c.HeartbeatMisses = 3 },
+			[]string{"HeartbeatMisses", "not a function of virtual time"}, true, nil},
+		{"crosstraffic", func(c *RunConfig) { c.CrossTrafficKBps = 100 },
+			[]string{"CrossTrafficKBps", "not a function of virtual time"}, true,
+			func(t *testing.T, res *Result) {
+				video := len(res.Trace.Hosts) - 1
+				if res.Trace.Hosts[video] != "video" || res.Trace.Filter(func(p trace.Packet) bool { return int(p.Src) == video }).Len() == 0 {
+					t.Errorf("no cross traffic from the video host (hosts %v)", res.Trace.Hosts)
+				}
+			}},
 	}
 	for _, tc := range cases {
 		cfg := base
+		cfg.Topology = two
 		tc.mutate(&cfg)
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		err := Validate(cfg)
+		if err == nil {
+			t.Errorf("%s: accepted on %s", tc.name, two.Spec())
+			continue
 		}
+		for _, want := range tc.refusal {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: refusal %q does not say %q", tc.name, err, want)
+			}
+		}
+		if _, runErr := Run(cfg); runErr == nil || runErr.Error() != err.Error() {
+			t.Errorf("%s: Run error %v, Validate error %v", tc.name, runErr, err)
+		}
+
+		cfg.Topology = one
+		if !tc.onePartition {
+			if err := Validate(cfg); err == nil {
+				t.Errorf("%s: accepted on %s", tc.name, one.Spec())
+			}
+			continue
+		}
+		res, err := RunWithOpts(cfg, RunOpts{PDES: PDESSerial})
+		if err != nil {
+			t.Errorf("%s: refused on %s: %v", tc.name, one.Spec(), err)
+			continue
+		}
+		if tc.check != nil {
+			tc.check(t, res)
+		}
+		if s, p := topoDigest(t, cfg, PDESSerial), topoDigest(t, cfg, PDESParallel); s != p {
+			t.Errorf("%s on %s: serial %s != parallel %s", tc.name, one.Spec(), s, p)
+		}
+	}
+}
+
+// Stream mode's O(windows) contract holds on a one-segment topology: the
+// single partition taps its segment directly, so the run allocates what
+// the same run on the nil topology does, not a buffered whole capture.
+func TestTopologySingleSegmentStreamAlloc(t *testing.T) {
+	topo, err := ParseTopology("lan0:0-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RunConfig{Program: "seq", Seed: 1, P: 4, Params: kernels.Params{N: 64}}
+	alloc := func(cfg RunConfig) (uint64, int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, rep, err := RunStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, rep.AggSize.N
+	}
+	shared, nShared := alloc(cfg)
+	cfg.Topology = topo
+	single, nSingle := alloc(cfg)
+	if nShared != nSingle {
+		t.Fatalf("packet counts differ: %d shared, %d one-segment", nShared, nSingle)
+	}
+	if float64(single) > 1.2*float64(shared) {
+		t.Errorf("one-segment stream run allocated %d bytes, nil-topology run %d (> 1.2×) over %d packets", single, shared, nShared)
 	}
 }
 

@@ -125,6 +125,18 @@ type Stats struct {
 	Reordered     int64 // frames delivered late by injected reordering
 }
 
+// Add accumulates o into s — the totals over a multi-segment fabric.
+func (s *Stats) Add(o Stats) {
+	s.Frames += o.Frames
+	s.Bytes += o.Bytes
+	s.Collisions += o.Collisions
+	s.MaxBackoffHit += o.MaxBackoffHit
+	s.Corrupted += o.Corrupted
+	s.Dropped += o.Dropped
+	s.Duplicated += o.Duplicated
+	s.Reordered += o.Reordered
+}
+
 // Segment is one shared collision domain.
 type Segment struct {
 	k        *sim.Kernel

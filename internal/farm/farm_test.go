@@ -185,12 +185,20 @@ func TestSubmitStreams(t *testing.T) {
 
 func TestBadJobSurfacesError(t *testing.T) {
 	f := New(Options{Workers: 1})
-	out := f.RunBatch([]Job{{Label: "bad", Config: core.RunConfig{Program: "no-such-kernel"}}})
-	if out[0].Err == nil {
-		t.Fatal("unknown program did not error")
+	out := f.RunBatch([]Job{
+		{Label: "bad", Config: core.RunConfig{Program: "no-such-kernel"}},
+		// `fxsweep -sweep loss -values 1.5,-0.1`: an error per point, not
+		// a panic inside a farm worker.
+		{Label: "loss=1.50", Config: core.RunConfig{Program: "sor", FrameLossProb: 1.5}},
+		{Label: "loss=-0.10", Config: core.RunConfig{Program: "sor", FrameLossProb: -0.1}},
+	})
+	for _, jr := range out {
+		if jr.Err == nil {
+			t.Errorf("%s did not error", jr.Job.Label)
+		}
 	}
-	if s := f.Stats(); s.Failed != 1 {
-		t.Errorf("failed counter %d, want 1", s.Failed)
+	if s := f.Stats(); s.Failed != int64(len(out)) {
+		t.Errorf("failed counter %d, want %d", s.Failed, len(out))
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"fxnet/internal/core"
 	"fxnet/internal/journal"
 )
 
@@ -63,6 +64,47 @@ func traceBytes(t *testing.T, base, id string) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// A configuration the run path refuses is refused at submit, with the
+// run path's own message: nothing is journaled and no job exists to fail
+// later in the farm.
+func TestSubmitRefusedConfigLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := journaledServer(t, dir, Options{Workers: 1})
+	journalSize := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, "journal.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := journalSize()
+	req := cheapRun()
+	req.Topology = "lan0:0-1,lan1:2-3"
+	req.Faults = "5s:linkdown host2"
+	var e map[string]string
+	if code := doJSON(t, "POST", ts.URL+"/v1/runs", req, &e); code != http.StatusBadRequest {
+		t.Fatalf("HTTP %d, want 400", code)
+	}
+	cfg := core.RunConfig{Program: req.Program, P: req.P, FaultScript: req.Faults}
+	cfg.Topology, _ = core.ParseTopology(req.Topology)
+	if want := core.Validate(cfg); want == nil || e["error"] != want.Error() {
+		t.Errorf("error %q, want the run path's %v", e["error"], want)
+	}
+	for state, n := range s.jobs.counts() {
+		if n != 0 {
+			t.Errorf("%d %s job(s) after a refused submit", n, state)
+		}
+	}
+	if after := journalSize(); after != before {
+		t.Errorf("journal grew %d → %d bytes on a refused submit", before, after)
+	}
+	// The same fault script on a one-segment topology is a job.
+	req.Topology = "lan0:0-3"
+	if st := waitState(t, ts.URL, submit(t, ts.URL, req)); st.State != stateDone {
+		t.Errorf("one-segment topology with faults: %s (%s)", st.State, st.Error)
+	}
 }
 
 // The tentpole invariant: every job acknowledged with a 202 before a

@@ -41,7 +41,6 @@ import (
 	"fxnet/internal/core"
 	"fxnet/internal/dsp"
 	"fxnet/internal/farm"
-	"fxnet/internal/faults"
 	"fxnet/internal/journal"
 	"fxnet/internal/kernels"
 	"fxnet/internal/version"
@@ -435,19 +434,10 @@ func (req *RunRequest) stream() (bool, error) {
 	}
 }
 
-// config validates the request and builds the run configuration.
+// config builds the run configuration and validates it with the run
+// path's own check, so a job the simulator would refuse is a 400 at
+// submit — never journaled, queued, and failed later.
 func (req *RunRequest) config() (core.RunConfig, error) {
-	if _, ok := kernels.Lookup(req.Program); !ok && req.Program != core.Airshed {
-		return core.RunConfig{}, fmt.Errorf("unknown program %q (have %v)", req.Program, core.ProgramNames())
-	}
-	if req.Loss < 0 || req.Loss >= 1 {
-		return core.RunConfig{}, fmt.Errorf("loss %g outside [0,1)", req.Loss)
-	}
-	if req.Faults != "" {
-		if _, err := faults.Parse(req.Faults); err != nil {
-			return core.RunConfig{}, fmt.Errorf("bad fault script: %v", err)
-		}
-	}
 	cfg := core.RunConfig{
 		Program:          req.Program,
 		P:                req.P,
@@ -474,6 +464,9 @@ func (req *RunRequest) config() (core.RunConfig, error) {
 		ap := airshed.PaperParams()
 		ap.Hours = req.Hours
 		cfg.AirshedParams = ap
+	}
+	if err := core.Validate(cfg); err != nil {
+		return core.RunConfig{}, err
 	}
 	return cfg, nil
 }

@@ -15,7 +15,11 @@ go test ./...
 # those packages under the race detector first so a synchronization
 # regression fails fast. The conservative parallel engine runs one
 # worker goroutine per segment partition, so the DES kernel and the
-# Ethernet layer get the same fail-fast treatment. Then sweep the tree.
+# Ethernet layer get the same fail-fast treatment. Then sweep the tree:
+# core has one run path, and the engine is its only multi-partition
+# branch (a one-segment topology is the bare kernel loop), so the
+# internal/core serial ≡ parallel tests in the sweep — with and without
+# frame loss — are what race-checks that branch end to end.
 go test -race ./internal/dsp/... ./internal/analysis/...
 go test -race ./internal/sim/... ./internal/ethernet/...
 go test -race ./...
