@@ -8,26 +8,22 @@
 // catalog lookup instead of minutes of simulation.
 //
 // Entries live as .fxmodel files under one directory (by convention
-// <cache>/models next to the farm's run cache), written with the same
-// durability discipline as the run cache: temp file + fsync + rename +
-// directory fsync, with undecodable entries quarantined to corrupt/.
-// The binary codec is deterministic — no timestamps, no map iteration —
-// so refitting the same RunConfig produces byte-identical files, which
-// the bench harness verifies.
+// <cache>/models next to the farm's run cache) in a durable.Store — the
+// same crash-safe publish path and corrupt/ quarantine as the run cache
+// (DESIGN.md §11). The binary codec is deterministic — no timestamps, no
+// map iteration — so refitting the same RunConfig produces
+// byte-identical files, which the bench harness verifies.
 package catalog
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"fxnet/internal/core"
+	"fxnet/internal/durable"
 	"fxnet/internal/fx"
 	"fxnet/internal/kernels"
 	"fxnet/internal/model"
@@ -97,31 +93,29 @@ const ext = ".fxmodel"
 // Catalog is the on-disk store, fronted by an in-memory map so repeated
 // lookups of the same key never touch the disk. Safe for concurrent use.
 type Catalog struct {
-	dir string
+	st *durable.Store
 
 	mu  sync.RWMutex
 	mem map[string]*Entry
 
-	hits, misses, quarantined, storeFailures atomic.Int64
+	hits, misses atomic.Int64
 }
 
-// Open opens (creating if needed) a catalog directory.
-func Open(dir string) (*Catalog, error) {
-	if dir == "" {
-		return nil, errors.New("catalog: empty directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// Open opens (creating if needed) a catalog directory on the real
+// filesystem.
+func Open(dir string) (*Catalog, error) { return OpenFS(nil, dir) }
+
+// OpenFS is Open over a filesystem seam; nil is the real one.
+func OpenFS(fs durable.FS, dir string) (*Catalog, error) {
+	st, err := durable.Open(fs, dir, ext)
+	if err != nil {
 		return nil, fmt.Errorf("catalog: open: %w", err)
 	}
-	return &Catalog{dir: dir, mem: make(map[string]*Entry)}, nil
+	return &Catalog{st: st, mem: make(map[string]*Entry)}, nil
 }
 
 // Dir reports the catalog directory.
-func (c *Catalog) Dir() string { return c.dir }
-
-func (c *Catalog) path(key string) string {
-	return filepath.Join(c.dir, key+ext)
-}
+func (c *Catalog) Dir() string { return c.st.Dir() }
 
 // Get looks a fitted model up by run key. Entries are immutable once
 // stored; callers must not modify the returned Entry.
@@ -133,7 +127,7 @@ func (c *Catalog) Get(key string) (*Entry, bool) {
 		c.hits.Add(1)
 		return e, true
 	}
-	body, err := os.ReadFile(c.path(key))
+	body, err := c.st.Read(key, ext)
 	if err != nil {
 		c.misses.Add(1)
 		return nil, false
@@ -143,7 +137,7 @@ func (c *Catalog) Get(key string) (*Entry, bool) {
 		// Undecodable, or an entry filed under the wrong name: quarantine
 		// the evidence and report a miss — a bad catalog costs a refit,
 		// never a wrong admission.
-		c.quarantine(c.path(key))
+		c.st.Quarantine(key, ext)
 		c.misses.Add(1)
 		return nil, false
 	}
@@ -154,17 +148,12 @@ func (c *Catalog) Get(key string) (*Entry, bool) {
 	return e, true
 }
 
-// Put stores an entry durably (temp + fsync + rename + directory fsync)
-// and publishes it to the in-memory map. Refitting a key overwrites its
-// entry; the codec is deterministic, so an unchanged fit rewrites
-// byte-identical content.
+// Put publishes an entry durably and then to the in-memory map.
+// Refitting a key overwrites its entry; the codec is deterministic, so
+// an unchanged fit rewrites byte-identical content.
 func (c *Catalog) Put(e *Entry) error {
-	if e.Key == "" {
-		return errors.New("catalog: entry has no key")
-	}
-	if err := c.store(e); err != nil {
-		c.storeFailures.Add(1)
-		return err
+	if _, err := c.st.Publish(e.Key, ext, durable.Bytes(Encode(e))); err != nil {
+		return fmt.Errorf("catalog: store: %w", err)
 	}
 	c.mu.Lock()
 	c.mem[e.Key] = e
@@ -172,77 +161,17 @@ func (c *Catalog) Put(e *Entry) error {
 	return nil
 }
 
-func (c *Catalog) store(e *Entry) error {
-	body := Encode(e)
-	tmp, err := os.CreateTemp(c.dir, "tmp-"+e.Key[:min(16, len(e.Key))]+"-*")
-	if err != nil {
-		return fmt.Errorf("catalog: store: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: store: %w", err)
-	}
-	// Sync file bytes before the rename publishes the name — same
-	// crash-safety argument as the run cache and the journal.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("catalog: store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(e.Key)); err != nil {
-		return fmt.Errorf("catalog: store: %w", err)
-	}
-	if err := syncDir(c.dir); err != nil {
-		return fmt.Errorf("catalog: store: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a rename within it is durable; platforms
-// that refuse directory fsync degrade silently (journal FS policy).
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
-		return err
-	}
-	return nil
-}
-
-// quarantine moves an undecodable entry into corrupt/ so the evidence
-// survives while the key goes back to missing.
-func (c *Catalog) quarantine(path string) {
-	dir := filepath.Join(c.dir, "corrupt")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	if err := os.Rename(path, filepath.Join(dir, filepath.Base(path))); err != nil {
-		return
-	}
-	c.quarantined.Add(1)
-}
-
 // List returns every decodable entry, sorted by (Program, P, Key) so
 // listings and the programs assembled from them are deterministic.
 // Corrupt entries are quarantined and skipped.
 func (c *Catalog) List() ([]*Entry, error) {
-	des, err := os.ReadDir(c.dir)
+	keys, err := c.st.Keys(ext)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: list: %w", err)
 	}
 	var out []*Entry
-	for _, de := range des {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ext) {
-			continue
-		}
-		if e, ok := c.Get(strings.TrimSuffix(name, ext)); ok {
+	for _, key := range keys {
+		if e, ok := c.Get(key); ok {
 			out = append(out, e)
 		}
 	}
@@ -258,26 +187,16 @@ func (c *Catalog) List() ([]*Entry, error) {
 	return out, nil
 }
 
-// Len counts entries on disk (decodability not checked).
-func (c *Catalog) Len() int {
-	des, err := os.ReadDir(c.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, de := range des {
-		if !de.IsDir() && strings.HasSuffix(de.Name(), ext) {
-			n++
-		}
-	}
-	return n
-}
+// Len and Bytes report the census of entries on disk (decodability not
+// checked): counters kept by the store, not a directory scan.
+func (c *Catalog) Len() int     { return int(c.st.Census(ext).Entries) }
+func (c *Catalog) Bytes() int64 { return c.st.Census(ext).Bytes }
 
 // Counters for the service's metrics surface.
 func (c *Catalog) Hits() int64          { return c.hits.Load() }
 func (c *Catalog) Misses() int64        { return c.misses.Load() }
-func (c *Catalog) Quarantined() int64   { return c.quarantined.Load() }
-func (c *Catalog) StoreFailures() int64 { return c.storeFailures.Load() }
+func (c *Catalog) Quarantined() int64   { return c.st.Quarantined(ext) }
+func (c *Catalog) StoreFailures() int64 { return c.st.Failures() }
 
 // PatternOf maps a catalogued program to its global communication
 // pattern: the kernel registry for the five kernels, and all-to-all for

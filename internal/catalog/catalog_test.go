@@ -2,10 +2,12 @@ package catalog
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"fxnet/internal/durable"
 	"fxnet/internal/fx"
 	"fxnet/internal/model"
 	"fxnet/internal/qos"
@@ -144,6 +146,70 @@ func TestPutOverwriteAndList(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
+	}
+}
+
+// TestCatalogReadsParentLayout: a models/ directory as the
+// pre-durable.Store code left it — an entry written straight under
+// <key>.fxmodel with the (unchanged) codec, an orphaned old-style temp
+// file — is counted, served and never quarantined.
+func TestCatalogReadsParentLayout(t *testing.T) {
+	dir := t.TempDir()
+	e := sampleEntry()
+	body := Encode(e)
+	if err := os.WriteFile(filepath.Join(dir, e.Key+".fxmodel"), body, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "tmp-"+e.Key[:16]+"-42"), body[:9], 0o600); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 1 || c.Bytes() != int64(len(body)) {
+		t.Errorf("census = %d entries / %d bytes, want 1 / %d", c.Len(), c.Bytes(), len(body))
+	}
+	got, ok := c.Get(e.Key)
+	if !ok || !entriesEqual(e, got) {
+		t.Fatal("parent-layout entry not served")
+	}
+	if list, err := c.List(); err != nil || len(list) != 1 {
+		t.Errorf("List = %d entries (%v), want 1", len(list), err)
+	}
+	if c.Quarantined() != 0 || c.Misses() != 0 {
+		t.Errorf("quarantined %d misses %d, want 0 / 0", c.Quarantined(), c.Misses())
+	}
+}
+
+// TestPutOnFullDisk: a failed Put is an error and a counted store
+// failure, publishes nothing — not to disk, not to the in-memory map —
+// and a Put after the disk heals lands.
+func TestPutOnFullDisk(t *testing.T) {
+	ffs := &durable.FaultFS{FS: durable.OSFS{}, WriteBudget: 10}
+	c, err := OpenFS(ffs, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sampleEntry()
+	if err := c.Put(e); !errors.Is(err, durable.ErrDiskFull) {
+		t.Fatalf("Put on a full disk: %v, want ErrDiskFull", err)
+	}
+	if _, ok := c.Get(e.Key); ok {
+		t.Error("entry that never reached the disk is served")
+	}
+	if c.StoreFailures() != 1 || c.Len() != 0 || c.Bytes() != 0 {
+		t.Errorf("store failures %d, census %d/%d; want 1, 0/0", c.StoreFailures(), c.Len(), c.Bytes())
+	}
+	ffs.WriteBudget = -1
+	if err := c.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(e.Key); !ok || c.Len() != 1 || c.Bytes() != int64(len(Encode(e))) {
+		t.Errorf("Put after heal: hit %v, census %d/%d", ok, c.Len(), c.Bytes())
+	}
+	if err := c.Put(&Entry{}); err == nil || c.StoreFailures() != 1 {
+		t.Errorf("keyless entry: err %v, store failures %d; want a refusal that is not a disk failure", err, c.StoreFailures())
 	}
 }
 

@@ -1,4 +1,11 @@
-package journal
+// Package durable is the one place fxnet writes bytes it expects to
+// find again: the filesystem seam (FS, with the real OSFS and the
+// fault-injecting FaultFS) and, on top of it, Store — a directory of
+// <key><ext> entries published atomically and durably. The journal
+// appends through the seam; the run cache, the spectrum cache and the
+// model catalog publish through the Store (DESIGN.md §11, "Durable
+// store").
+package durable
 
 import (
 	"errors"
@@ -8,23 +15,25 @@ import (
 	"time"
 )
 
-// FS is the journal's filesystem seam. Production code uses OSFS; the
-// chaos tests substitute implementations that run slow, fill up, or fail
-// to sync, so crash-safety behavior under degraded disks is testable
-// in-process without privileged fault injection.
+// FS is the filesystem seam. Production code uses OSFS; the chaos tests
+// substitute implementations that run slow, fill up, or fail to sync, so
+// crash-safety behavior under degraded disks is testable in-process
+// without privileged fault injection.
 type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	ReadDir(dir string) ([]os.DirEntry, error)
+	MkdirAll(dir string, perm os.FileMode) error
 	// SyncDir fsyncs a directory so a freshly created or renamed file's
 	// directory entry is durable.
 	SyncDir(dir string) error
 }
 
-// File is the subset of *os.File the journal needs.
+// File is the subset of *os.File the journal and the store need.
 type File interface {
-	io.Reader
-	io.Writer
+	io.ReadWriteSeeker
 	io.Closer
-	io.Seeker
 	Sync() error
 	Truncate(size int64) error
 }
@@ -35,6 +44,11 @@ type OSFS struct{}
 func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
+
+func (OSFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
+func (OSFS) Remove(name string) error                    { return os.Remove(name) }
+func (OSFS) ReadDir(dir string) ([]os.DirEntry, error)   { return os.ReadDir(dir) }
+func (OSFS) MkdirAll(dir string, perm os.FileMode) error { return os.MkdirAll(dir, perm) }
 
 func (OSFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -52,12 +66,14 @@ func (OSFS) SyncDir(dir string) error {
 
 // FaultFS wraps an FS with injectable failures: a write-byte budget
 // models a disk filling up mid-record, a per-write delay models a
-// saturated device, and SyncErr makes every fsync fail. The zero value
-// (beyond Base) injects nothing.
+// saturated device, and SyncErr makes every fsync fail. Namespace
+// operations (rename, remove, mkdir, readdir) are the embedded FS's: a
+// full or slow disk still renames. WriteBudget -1 with the other fields
+// zero injects nothing.
 type FaultFS struct {
-	Base FS
-	// WriteBudget is the number of bytes writable before ErrDiskFull;
-	// negative means unlimited.
+	FS
+	// WriteBudget is the number of bytes writable, across every file,
+	// before ErrDiskFull; negative means unlimited.
 	WriteBudget int64
 	// WriteDelay stalls every write, modeling a slow disk.
 	WriteDelay time.Duration
@@ -69,10 +85,10 @@ type FaultFS struct {
 }
 
 // ErrDiskFull is the injected out-of-space error.
-var ErrDiskFull = errors.New("journal: injected disk full")
+var ErrDiskFull = errors.New("durable: injected disk full")
 
 func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	base, err := f.Base.OpenFile(name, flag, perm)
+	base, err := f.FS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +99,7 @@ func (f *FaultFS) SyncDir(dir string) error {
 	if f.SyncErr != nil {
 		return f.SyncErr
 	}
-	return f.Base.SyncDir(dir)
+	return f.FS.SyncDir(dir)
 }
 
 // faultFile applies the parent FaultFS's failure policy to one file.
@@ -100,26 +116,17 @@ func (f *faultFile) Write(p []byte) (int, error) {
 		time.Sleep(f.fs.WriteDelay)
 	}
 	f.fs.mu.Lock()
-	budget := f.fs.WriteBudget
-	if budget >= 0 {
-		remaining := budget - f.fs.written
-		if remaining <= 0 {
-			f.fs.mu.Unlock()
-			return 0, ErrDiskFull
-		}
-		if int64(len(p)) > remaining {
-			f.fs.written = budget
-			f.fs.mu.Unlock()
-			n, err := f.File.Write(p[:remaining])
-			if err != nil {
-				return n, err
-			}
-			return n, ErrDiskFull
-		}
+	full := false
+	if budget := f.fs.WriteBudget; budget >= 0 && int64(len(p)) > budget-f.fs.written {
+		p, full = p[:max(budget-f.fs.written, 0)], true
 	}
 	f.fs.written += int64(len(p))
 	f.fs.mu.Unlock()
-	return f.File.Write(p)
+	n, err := f.File.Write(p)
+	if err == nil && full {
+		err = ErrDiskFull
+	}
+	return n, err
 }
 
 func (f *faultFile) Sync() error {

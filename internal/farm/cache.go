@@ -8,13 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 
 	"fxnet/internal/core"
 	"fxnet/internal/dsp"
+	"fxnet/internal/durable"
 	"fxnet/internal/ethernet"
 	"fxnet/internal/fx"
 	"fxnet/internal/sim"
@@ -29,7 +26,17 @@ import (
 const (
 	cacheMagic  = "FXFARM01"
 	streamMagic = "FXSPEC01"
+	runExt      = ".fxrun"
+	specExt     = ".fxspec"
 )
+
+// kindOf maps the stream flag to an entry's extension and magic.
+func kindOf(stream bool) (ext, magic string) {
+	if stream {
+		return specExt, streamMagic
+	}
+	return runExt, cacheMagic
+}
 
 // Cache is an on-disk, content-addressed store of completed runs: one
 // file per key holding the run metadata, the characterization JSON, and
@@ -38,123 +45,49 @@ const (
 // The cache is corruption-tolerant by construction: a missing, truncated,
 // bit-flipped, or otherwise unreadable entry is reported as a miss and
 // the run is recomputed — a bad cache can cost time, never correctness.
-// A structurally present but undecodable entry is additionally moved to
-// the corrupt/ subdirectory (quarantined): the evidence survives for
-// inspection, the key stops hitting the same bad bytes on every probe,
-// and the quarantine counter makes silent disk rot visible in /metrics.
+// A structurally present but undecodable entry is additionally
+// quarantined, which makes silent disk rot visible in /metrics.
 //
-// Writes are crash-safe: entries land in a temp file that is fsync'd,
-// renamed into place, and sealed with a directory fsync, so a power cut
-// can only lose the entry, never publish a torn one under its final
-// name.
-type Cache struct {
-	dir string
+// What is the cache's own is the entry codec and its verification; where
+// the bytes live — crash-safe publish, quarantine, census, the key rule —
+// is the durable.Store underneath (DESIGN.md §11).
+type Cache struct{ st *durable.Store }
 
-	quarantined atomic.Int64
-	// quarantinedKind counts quarantines by entry kind ("run", "spec",
-	// "other") so disk rot is attributable per tier.
-	quarantineMu    sync.Mutex
-	quarantinedKind map[string]int64
+// CacheStats is a snapshot of the on-disk census: the published
+// .fxrun/.fxspec files, quarantined and temp files excluded.
+type CacheStats = durable.Census
 
-	// statMu guards the entry census (count and bytes) that the cluster
-	// tiering metrics export per shard. The census is seeded by a
-	// directory scan at open and maintained incrementally by
-	// store/install/quarantine.
-	statMu  sync.Mutex
-	entries int64
-	bytes   int64
-}
+// OpenCache opens (creating if needed) a cache directory on the real
+// filesystem and takes a census of its published entries.
+func OpenCache(dir string) (*Cache, error) { return OpenCacheFS(nil, dir) }
 
-// CacheStats is a snapshot of the on-disk census.
-type CacheStats struct {
-	// Entries and Bytes count the published .fxrun/.fxspec files
-	// (quarantined and temp files excluded).
-	Entries int64
-	Bytes   int64
-}
-
-// OpenCache opens (creating if needed) a cache directory and takes a
-// census of its published entries.
-func OpenCache(dir string) (*Cache, error) {
-	if dir == "" {
-		return nil, errors.New("farm: empty cache directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("farm: open cache: %w", err)
-	}
-	c := &Cache{dir: dir, quarantinedKind: make(map[string]int64)}
-	ents, err := os.ReadDir(dir)
+// OpenCacheFS is OpenCache over a filesystem seam; nil is the real one.
+func OpenCacheFS(fs durable.FS, dir string) (*Cache, error) {
+	st, err := durable.Open(fs, dir, runExt, specExt)
 	if err != nil {
 		return nil, fmt.Errorf("farm: open cache: %w", err)
 	}
-	for _, e := range ents {
-		if e.IsDir() || !isEntryName(e.Name()) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		c.entries++
-		c.bytes += info.Size()
-	}
-	return c, nil
-}
-
-// isEntryName reports whether a file name is a published cache entry.
-func isEntryName(name string) bool {
-	ext := filepath.Ext(name)
-	return ext == ".fxrun" || ext == ".fxspec"
-}
-
-// entryKind labels a path for the per-kind quarantine counters.
-func entryKind(path string) string {
-	switch filepath.Ext(path) {
-	case ".fxrun":
-		return "run"
-	case ".fxspec":
-		return "spec"
-	default:
-		return "other"
-	}
+	return &Cache{st: st}, nil
 }
 
 // Stats reports the entry census.
-func (c *Cache) Stats() CacheStats {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	return CacheStats{Entries: c.entries, Bytes: c.bytes}
-}
-
-// accountPublish records a new or replaced entry of size n bytes where
-// an entry of oldSize bytes (0 = none) previously lived.
-func (c *Cache) accountPublish(oldSize, n int64, existed bool) {
-	c.statMu.Lock()
-	if !existed {
-		c.entries++
-	}
-	c.bytes += n - oldSize
-	c.statMu.Unlock()
-}
-
-// accountRemove records an entry leaving the published namespace.
-func (c *Cache) accountRemove(size int64) {
-	c.statMu.Lock()
-	c.entries--
-	c.bytes -= size
-	c.statMu.Unlock()
-}
+func (c *Cache) Stats() CacheStats { return c.st.Census(runExt, specExt) }
 
 // Dir reports the cache directory.
-func (c *Cache) Dir() string { return c.dir }
+func (c *Cache) Dir() string { return c.st.Dir() }
 
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".fxrun")
+// Quarantined reports how many corrupt entries this cache has moved to
+// its corrupt/ subdirectory.
+func (c *Cache) Quarantined() int64 { return c.st.Quarantined(runExt) + c.st.Quarantined(specExt) }
+
+// QuarantinedKinds reports quarantine counts by entry kind.
+func (c *Cache) QuarantinedKinds() map[string]int64 {
+	return map[string]int64{"run": c.st.Quarantined(runExt), "spec": c.st.Quarantined(specExt)}
 }
 
-func (c *Cache) streamPath(key string) string {
-	return filepath.Join(c.dir, key+".fxspec")
-}
+// StoreFailures counts entries that could not be published (full disk,
+// failed fsync, …): each cost a future re-execution, not a result.
+func (c *Cache) StoreFailures() int64 { return c.st.Failures() }
 
 // entryMeta is the JSON header of a cache entry: everything a
 // core.Result carries besides the trace and the live worker handles.
@@ -176,6 +109,22 @@ type runErrJSON struct {
 	Msg     string `json:"msg"`
 }
 
+// load reads and verifies one entry; an undecodable one is quarantined
+// and reported as a miss.
+func (c *Cache) load(key string, cfg core.RunConfig, stream bool) (*core.Result, *core.Report, bool) {
+	ext, magic := kindOf(stream)
+	body, err := c.st.Read(key, ext)
+	if err != nil {
+		return nil, nil, false
+	}
+	res, rep, err := decodeEntry(body, cfg, magic)
+	if err != nil {
+		c.st.Quarantine(key, ext)
+		return nil, nil, false
+	}
+	return res, rep, true
+}
+
 // Load retrieves a cached run. ok is false on any miss — absent entry,
 // bad magic, digest mismatch, truncation, or undecodable section — and
 // the caller recomputes. A loaded Result has no live Workers or Team
@@ -183,64 +132,11 @@ type runErrJSON struct {
 // caller's cfg. The report is recomputed from the trace when the stored
 // characterization is absent or damaged.
 func (c *Cache) Load(key string, cfg core.RunConfig) (res *core.Result, rep *core.Report, ok bool) {
-	body, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil, nil, false
-	}
-	res, rep, err = decodeEntry(body, cfg, cacheMagic)
-	if err != nil {
-		c.quarantine(c.path(key))
-		return nil, nil, false
-	}
-	if rep == nil {
+	res, rep, ok = c.load(key, cfg, false)
+	if ok && rep == nil {
 		rep = core.Characterize(res)
 	}
-	return res, rep, true
-}
-
-// Quarantined reports how many corrupt entries this cache has moved to
-// its corrupt/ subdirectory.
-func (c *Cache) Quarantined() int64 { return c.quarantined.Load() }
-
-// QuarantinedKinds reports quarantine counts by entry kind ("run",
-// "spec", "other").
-func (c *Cache) QuarantinedKinds() map[string]int64 {
-	c.quarantineMu.Lock()
-	defer c.quarantineMu.Unlock()
-	out := make(map[string]int64, len(c.quarantinedKind))
-	for k, v := range c.quarantinedKind {
-		out[k] = v
-	}
-	return out
-}
-
-// quarantine moves an undecodable entry into corrupt/ so the evidence
-// survives while the key goes back to missing. Failures (the entry
-// vanished, the disk is read-only) degrade to the old leave-it behavior.
-func (c *Cache) quarantine(path string) {
-	dir := filepath.Join(c.dir, "corrupt")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	var size int64
-	published := filepath.Dir(path) == filepath.Clean(c.dir) && isEntryName(path)
-	if published {
-		if info, err := os.Stat(path); err == nil {
-			size = info.Size()
-		} else {
-			published = false
-		}
-	}
-	if err := os.Rename(path, filepath.Join(dir, filepath.Base(path))); err != nil {
-		return
-	}
-	if published {
-		c.accountRemove(size)
-	}
-	c.quarantined.Add(1)
-	c.quarantineMu.Lock()
-	c.quarantinedKind[entryKind(path)]++
-	c.quarantineMu.Unlock()
+	return res, rep, ok
 }
 
 // LoadStream retrieves a spectrum-level entry for a streaming-analysis
@@ -251,14 +147,8 @@ func (c *Cache) quarantine(path string) {
 // carries a trace. A stream entry without a decodable report is a miss:
 // there are no packets to recompute one from.
 func (c *Cache) LoadStream(key string, cfg core.RunConfig) (res *core.Result, rep *core.Report, ok bool) {
-	if body, err := os.ReadFile(c.streamPath(key)); err == nil {
-		res, rep, err = decodeEntry(body, cfg, streamMagic)
-		if err == nil && rep != nil {
-			return res, rep, true
-		}
-		if err != nil {
-			c.quarantine(c.streamPath(key))
-		}
+	if res, rep, ok = c.load(key, cfg, true); ok && rep != nil {
+		return res, rep, true
 	}
 	res, rep, ok = c.Load(key, cfg)
 	if !ok {
@@ -270,75 +160,30 @@ func (c *Cache) LoadStream(key string, cfg core.RunConfig) (res *core.Result, re
 	return res, rep, true
 }
 
-// Store writes a completed run under key, atomically and durably (temp
-// file + fsync + rename + directory fsync), so a crashed or interrupted
-// writer can only ever leave behind a temp file, never a torn entry
-// under the final name.
+// Store writes a completed run under key through the durable store's
+// publish path, so a crashed or interrupted writer can never leave a
+// torn entry under the final name.
 func (c *Cache) Store(key string, res *core.Result, rep *core.Report) error {
-	return c.store(c.path(key), key, res, rep, cacheMagic)
+	return c.store(key, res, rep, false)
 }
 
 // StoreStream writes a spectrum-level entry under key. The result of a
 // streaming run carries a metadata-only trace, so the entry is a few
 // kilobytes of report JSON rather than a packet capture.
 func (c *Cache) StoreStream(key string, res *core.Result, rep *core.Report) error {
-	return c.store(c.streamPath(key), key, res, rep, streamMagic)
+	return c.store(key, res, rep, true)
 }
 
-func (c *Cache) store(path, key string, res *core.Result, rep *core.Report, magic string) error {
+func (c *Cache) store(key string, res *core.Result, rep *core.Report, stream bool) error {
+	ext, magic := kindOf(stream)
 	body, err := encodeEntry(res, rep, magic)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, "tmp-"+key[:16]+"-*")
-	if err != nil {
-		return fmt.Errorf("farm: store: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
-		return fmt.Errorf("farm: store: %w", err)
-	}
-	// Sync file bytes before the rename publishes the name: rename is
-	// atomic, but without the fsync a crash can publish a name whose
-	// bytes never reached the platter.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("farm: store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("farm: store: %w", err)
-	}
-	if err := c.publish(tmp.Name(), path, int64(len(body))); err != nil {
+	if _, err := c.st.Publish(key, ext, durable.Bytes(body)); err != nil {
 		return fmt.Errorf("farm: store: %w", err)
 	}
 	return nil
-}
-
-// publish renames a fully written temp file into place, fsyncs the
-// directory, and updates the census.
-func (c *Cache) publish(tmpName, path string, size int64) error {
-	var oldSize int64
-	existed := false
-	if info, err := os.Stat(path); err == nil {
-		oldSize, existed = info.Size(), true
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return err
-	}
-	if err := syncDir(c.dir); err != nil {
-		return err
-	}
-	c.accountPublish(oldSize, size, existed)
-	return nil
-}
-
-// entryPath maps (key, stream) to the entry file path.
-func (c *Cache) entryPath(key string, stream bool) string {
-	if stream {
-		return c.streamPath(key)
-	}
-	return c.path(key)
 }
 
 // OpenEntry opens the raw, verified-format entry file for a key so it
@@ -347,32 +192,18 @@ func (c *Cache) entryPath(key string, stream bool) string {
 // magic, SHA-256 digest, payload — so the receiving peer re-verifies
 // the digest before publishing the entry locally.
 func (c *Cache) OpenEntry(key string, stream bool) (io.ReadCloser, int64, error) {
-	f, err := os.Open(c.entryPath(key, stream))
-	if err != nil {
-		return nil, 0, err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	return f, info.Size(), nil
+	ext, _ := kindOf(stream)
+	return c.st.OpenEntry(key, ext)
 }
 
 // InstallRaw streams a peer-fetched entry into the cache: the body is
-// spooled to a temp file while the embedded SHA-256 is recomputed, and
-// only a digest-clean entry is published (temp + fsync + rename +
-// directory fsync, same as Store). A corrupt body is quarantined —
-// moved to corrupt/ under the entry's final name with a .fetched
-// suffix — and reported as an error; the local key stays a miss, so a
-// lying peer costs a fetch, never a wrong result.
+// spooled through the publish path while the embedded SHA-256 is
+// recomputed, and only a digest-clean entry is published. A corrupt
+// body is quarantined — kept in corrupt/ under the entry's final name
+// with a .fetched suffix — and reported as an error; the local key stays
+// a miss, so a lying peer costs a fetch, never a wrong result.
 func (c *Cache) InstallRaw(key string, stream bool, r io.Reader) (int64, error) {
-	magic := cacheMagic
-	if stream {
-		magic = streamMagic
-	}
-	path := c.entryPath(key, stream)
-
+	ext, magic := kindOf(stream)
 	head := make([]byte, len(magic)+sha256.Size)
 	if _, err := io.ReadFull(r, head); err != nil {
 		return 0, fmt.Errorf("farm: install %s: short header: %w", key, err)
@@ -380,64 +211,23 @@ func (c *Cache) InstallRaw(key string, stream bool, r io.Reader) (int64, error) 
 	if string(head[:len(magic)]) != magic {
 		return 0, fmt.Errorf("farm: install %s: bad magic %q", key, head[:len(magic)])
 	}
-	wantDigest := head[len(magic):]
-
-	tmp, err := os.CreateTemp(c.dir, "tmp-"+key[:16]+"-*")
+	size, err := c.st.Publish(key, ext, func(w io.Writer) error {
+		if _, err := w.Write(head); err != nil {
+			return err
+		}
+		h := sha256.New()
+		if _, err := io.Copy(io.MultiWriter(w, h), r); err != nil {
+			return err
+		}
+		if !bytes.Equal(h.Sum(nil), head[len(magic):]) {
+			return fmt.Errorf("%w: digest mismatch on fetched entry", durable.ErrCorrupt)
+		}
+		return nil
+	})
 	if err != nil {
-		return 0, fmt.Errorf("farm: install: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(head); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("farm: install: %w", err)
-	}
-	h := sha256.New()
-	n, err := io.Copy(io.MultiWriter(tmp, h), r)
-	if err != nil {
-		tmp.Close()
 		return 0, fmt.Errorf("farm: install %s: %w", key, err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("farm: install: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("farm: install: %w", err)
-	}
-	if sum := h.Sum(nil); !bytes.Equal(sum, wantDigest) {
-		// Keep the evidence under the entry's name, clearly marked as a
-		// fetched body that failed verification.
-		dir := filepath.Join(c.dir, "corrupt")
-		if os.MkdirAll(dir, 0o755) == nil {
-			if os.Rename(tmp.Name(), filepath.Join(dir, filepath.Base(path)+".fetched")) == nil {
-				c.quarantined.Add(1)
-				c.quarantineMu.Lock()
-				c.quarantinedKind[entryKind(path)]++
-				c.quarantineMu.Unlock()
-			}
-		}
-		return 0, fmt.Errorf("farm: install %s: digest mismatch on fetched entry", key)
-	}
-	size := int64(len(head)) + n
-	if err := c.publish(tmp.Name(), path, size); err != nil {
-		return 0, fmt.Errorf("farm: install: %w", err)
-	}
 	return size, nil
-}
-
-// syncDir fsyncs a directory so a rename within it is durable.
-// Platforms that refuse directory fsync degrade silently — same policy
-// as the journal's FS seam.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
-		return err
-	}
-	return nil
 }
 
 // encodeEntry renders a cache entry:
@@ -466,7 +256,7 @@ func encodeEntry(res *core.Result, rep *core.Report, magic string) ([]byte, erro
 	if err != nil {
 		return nil, fmt.Errorf("farm: encode meta: %w", err)
 	}
-	repBytes, err := marshalReport(rep)
+	repBytes, err := MarshalReport(rep)
 	if err != nil {
 		repBytes = nil // degenerate characterization: recompute on load
 	}
@@ -617,14 +407,7 @@ func spectrumFromJSON(s *spectrumJSON) (*dsp.Spectrum, error) {
 
 // MarshalReport renders a characterization as JSON — the cache's report
 // section and fxfarm's -out artifact format.
-func MarshalReport(rep *core.Report) ([]byte, error) { return marshalReport(rep) }
-
-// UnmarshalReport parses a characterization written by MarshalReport.
-func UnmarshalReport(b []byte) (*core.Report, error) { return unmarshalReport(b) }
-
-// marshalReport renders a characterization as JSON (the cache's report
-// section and fxfarm's -out artifact format).
-func marshalReport(rep *core.Report) ([]byte, error) {
+func MarshalReport(rep *core.Report) ([]byte, error) {
 	if rep == nil {
 		return nil, nil
 	}

@@ -159,7 +159,7 @@ func TestCacheEntryWithoutReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(c.path(key), body, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(c.Dir(), key+runExt), body, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, gotRep, ok := c.Load(key, cfg)
@@ -171,93 +171,147 @@ func TestCacheEntryWithoutReport(t *testing.T) {
 	}
 }
 
-// A corrupt entry is quarantined on load — moved to corrupt/ so the
-// evidence survives, the key goes back to missing, and the counter
-// ticks — then a re-store and reload work normally.
+// A corrupt entry of either kind is a miss that is quarantined under its
+// kind and leaves the census; a second probe is a plain miss, and a
+// re-store heals the key. (Where the evidence goes and how the census
+// survives a reopen is the store's business: durable.TestCensusQuarantineReopen.)
 func TestCacheQuarantinesCorruptEntry(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := tinyConfig(3)
 	res, rep := tinyRun(t, 3)
 	key := Key(cfg)
-	if err := c.Store(key, res, rep); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rot the stored entry: flip one byte in the middle.
-	p := filepath.Join(dir, key+".fxrun")
-	body, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body[len(body)/2] ^= 0x01
-	if err := os.WriteFile(p, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, _, ok := c.Load(key, cfg); ok {
-		t.Fatal("corrupt entry loaded as a hit")
-	}
-	if got := c.Quarantined(); got != 1 {
-		t.Fatalf("Quarantined() = %d, want 1", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "corrupt", key+".fxrun")); err != nil {
-		t.Fatalf("corrupt entry not preserved in corrupt/: %v", err)
-	}
-	if _, err := os.Stat(p); !os.IsNotExist(err) {
-		t.Fatalf("corrupt entry still at original path (err %v)", err)
-	}
-
-	// A second probe of the now-missing key is a plain miss, not a
-	// second quarantine.
-	if _, _, ok := c.Load(key, cfg); ok {
-		t.Fatal("missing key reported a hit")
-	}
-	if got := c.Quarantined(); got != 1 {
-		t.Fatalf("Quarantined() after plain miss = %d, want 1", got)
-	}
-
-	// Re-store heals the key.
-	if err := c.Store(key, res, rep); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := c.Load(key, cfg); !ok {
-		t.Fatal("re-stored entry missed")
+	for kind, stream := range map[string]bool{"run": false, "spec": true} {
+		ext, _ := kindOf(stream)
+		t.Run(kind, func(t *testing.T) {
+			c, err := OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, load := c.Store, c.Load
+			if stream {
+				store, load = c.StoreStream, c.LoadStream
+			}
+			if err := store(key, res, rep); err != nil {
+				t.Fatal(err)
+			}
+			// Rot the stored entry: flip one byte in the middle.
+			p := filepath.Join(c.Dir(), key+ext)
+			body, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body[len(body)/2] ^= 0x01
+			if err := os.WriteFile(p, body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for probe := 1; probe <= 2; probe++ {
+				if _, _, ok := load(key, cfg); ok {
+					t.Fatalf("probe %d: corrupt entry loaded as a hit", probe)
+				}
+				if got := c.QuarantinedKinds(); c.Quarantined() != 1 || got[kind] != 1 {
+					t.Fatalf("probe %d: quarantined = %d %v, want 1 under %q", probe, c.Quarantined(), got, kind)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(c.Dir(), "corrupt", key+ext)); err != nil {
+				t.Errorf("evidence not in corrupt/: %v", err)
+			}
+			if st := c.Stats(); st != (CacheStats{}) {
+				t.Errorf("census still counts the quarantined entry: %+v", st)
+			}
+			if err := store(key, res, rep); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := load(key, cfg); !ok {
+				t.Fatal("re-stored entry missed")
+			}
+		})
 	}
 }
 
-// Stream entries quarantine through the same path.
-func TestCacheQuarantinesCorruptStreamEntry(t *testing.T) {
+// TestCacheShortKey: the temp name used to slice key[:16] and panic on
+// a shorter key; fxnet.RunCache exports both paths.
+func TestCacheShortKey(t *testing.T) {
+	res, rep := tinyRun(t, 5)
+	for _, stream := range []bool{false, true} {
+		src, err := OpenCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := OpenCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, load := src.Store, dst.Load
+		if stream {
+			store, load = src.StoreStream, dst.LoadStream
+		}
+		if err := store("abc", res, rep); err != nil {
+			t.Fatalf("store (stream=%v) under a 3-byte key: %v", stream, err)
+		}
+		rc, _, err := src.OpenEntry("abc", stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = dst.InstallRaw("abc", stream, rc)
+		rc.Close()
+		if err != nil {
+			t.Fatalf("install (stream=%v) under a 3-byte key: %v", stream, err)
+		}
+		if _, _, ok := load("abc", tinyConfig(5)); !ok {
+			t.Errorf("installed 3-byte key (stream=%v) does not load", stream)
+		}
+	}
+}
+
+// TestCacheReadsParentLayout: a directory as the pre-durable.Store code
+// left it — entries written straight under <key>.fxrun / <key>.fxspec
+// with the (unchanged) entry codec, an orphaned old-style temp file, old
+// evidence in corrupt/ — is served with zero quarantines and zero
+// re-executions, and the census counts exactly the two entries.
+func TestCacheReadsParentLayout(t *testing.T) {
 	dir := t.TempDir()
+	cfg := tinyConfig(6)
+	res, rep := tinyRun(t, 6)
+	key := Key(cfg)
+	var want int64
+	for ext, magic := range map[string]string{".fxrun": "FXFARM01", ".fxspec": "FXSPEC01"} {
+		body, err := encodeEntry(res, rep, magic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, key+ext), body, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		want += int64(len(body))
+	}
+	if err := os.WriteFile(filepath.Join(dir, "tmp-"+key[:16]+"-123456789"), []byte("torn"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "corrupt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "corrupt", "old.fxrun"), []byte("evidence"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
 	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tinyConfig(4)
-	res, rep := tinyRun(t, 4)
-	key := Key(cfg)
-	if err := c.StoreStream(key, res, rep); err != nil {
-		t.Fatal(err)
+	if st := c.Stats(); st != (CacheStats{Entries: 2, Bytes: want}) {
+		t.Errorf("census = %+v, want 2 entries / %d bytes", st, want)
 	}
-	p := filepath.Join(dir, key+".fxspec")
-	body, err := os.ReadFile(p)
+	f := New(Options{Workers: 1, Cache: c})
+	got, _, err := f.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body[len(body)/2] ^= 0x01
-	if err := os.WriteFile(p, body, 0o644); err != nil {
+	if !bytes.Equal(traceBytes(t, got), traceBytes(t, res)) {
+		t.Error("parent-layout run entry decoded to a different trace")
+	}
+	if _, _, err := f.RunStream(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.LoadStream(key, cfg); ok {
-		t.Fatal("corrupt stream entry loaded as a hit")
-	}
-	if got := c.Quarantined(); got != 1 {
-		t.Fatalf("Quarantined() = %d, want 1", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "corrupt", key+".fxspec")); err != nil {
-		t.Fatalf("corrupt stream entry not preserved: %v", err)
+	if s := f.Stats(); s.Executed != 0 || s.CacheHits != 2 || c.Quarantined() != 0 {
+		t.Errorf("stats %+v quarantined %d, want 0 executed / 2 hits / 0 quarantined", s, c.Quarantined())
 	}
 }

@@ -501,12 +501,9 @@ func (f *Farm) lead(ctx context.Context, key string, job Job, c *call) {
 	f.mu.Unlock()
 	if f.cache != nil {
 		// A store failure (full disk, read-only dir) costs future time,
-		// not this result's correctness; surface nothing.
-		if job.Stream {
-			_ = f.cache.StoreStream(key, res, rep)
-		} else {
-			_ = f.cache.Store(key, res, rep)
-		}
+		// not this result's correctness: the result stands and the cache
+		// counts the failure (Cache.StoreFailures).
+		_ = f.cache.store(key, res, rep, job.Stream)
 	}
 }
 

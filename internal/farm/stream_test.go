@@ -3,6 +3,7 @@ package farm
 import (
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -115,10 +116,10 @@ func TestStreamCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := Key(cfg)
-	if _, err := os.Stat(c.streamPath(key)); err != nil {
+	if _, err := os.Stat(filepath.Join(c.Dir(), key+specExt)); err != nil {
 		t.Fatalf("no .fxspec entry after stream run: %v", err)
 	}
-	if _, err := os.Stat(c.path(key)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(c.Dir(), key+runExt)); !os.IsNotExist(err) {
 		t.Fatalf("stream run wrote a full .fxrun entry (err=%v)", err)
 	}
 
@@ -139,12 +140,12 @@ func TestStreamCacheRoundTrip(t *testing.T) {
 	}
 
 	// A corrupted .fxspec entry is a miss and forces a re-run.
-	body, err := os.ReadFile(c.streamPath(key))
+	body, err := os.ReadFile(filepath.Join(c.Dir(), key+specExt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body[len(body)/2] ^= 0x40
-	if err := os.WriteFile(c.streamPath(key), body, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(c.Dir(), key+specExt), body, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f3 := New(Options{Workers: 1, Cache: c})

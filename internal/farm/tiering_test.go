@@ -154,7 +154,9 @@ func TestPeerFetchMissFallsThrough(t *testing.T) {
 }
 
 // TestInstallRawVerifiesDigest: a bit-flipped entry body is refused,
-// quarantined under corrupt/, and the key stays a miss.
+// counted as a quarantine of its kind (the store keeps the spooled bytes
+// as .fetched evidence: durable.TestVerificationFailureKeepsEvidence),
+// and the key stays a miss.
 func TestInstallRawVerifiesDigest(t *testing.T) {
 	srcDir, dstDir := t.TempDir(), t.TempDir()
 	src, err := OpenCache(srcDir)
@@ -191,8 +193,8 @@ func TestInstallRawVerifiesDigest(t *testing.T) {
 	if _, _, ok := dst.Load(key, cfg); ok {
 		t.Fatal("corrupt install became loadable")
 	}
-	if _, err := os.Stat(filepath.Join(dstDir, "corrupt", key+".fxrun.fetched")); err != nil {
-		t.Fatalf("quarantine evidence missing: %v", err)
+	if dst.StoreFailures() != 0 {
+		t.Fatal("a lying peer is not a store failure")
 	}
 	if st := dst.Stats(); st.Entries != 0 {
 		t.Fatalf("census counts a never-published entry: %+v", st)
@@ -229,52 +231,5 @@ func TestInstallRawRejectsBadMagic(t *testing.T) {
 	}
 	if c.Quarantined() != 0 {
 		t.Fatal("bad magic should be refused, not quarantined (nothing was spooled)")
-	}
-}
-
-// TestCacheCensus tracks entries/bytes across store, reopen, and
-// quarantine.
-func TestCacheCensus(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := New(Options{Workers: 1, Cache: c})
-	for seed := int64(1); seed <= 2; seed++ {
-		if _, _, err := f.Run(tinyConfig(seed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.Entries != 2 || st.Bytes <= 0 {
-		t.Fatalf("census after 2 stores = %+v", st)
-	}
-
-	// A reopened cache re-takes the census from disk.
-	c2, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2 := c2.Stats(); st2 != st {
-		t.Fatalf("reopened census %+v != live census %+v", st2, st)
-	}
-
-	// Corrupting an entry and probing it quarantines and shrinks the
-	// census.
-	key := Key(tinyConfig(1))
-	path := filepath.Join(dir, key+".fxrun")
-	if err := os.WriteFile(path, []byte("FXFARM01garbage-that-wont-verify-padding-padding"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := c2.Load(key, tinyConfig(1)); ok {
-		t.Fatal("corrupt entry loaded")
-	}
-	st3 := c2.Stats()
-	if st3.Entries != 1 {
-		t.Fatalf("census after quarantine = %+v, want 1 entry", st3)
-	}
-	if st3.Bytes >= st.Bytes {
-		t.Fatalf("census bytes did not shrink after quarantine: %+v vs %+v", st3, st)
 	}
 }

@@ -21,7 +21,6 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,6 +29,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"fxnet/internal/durable"
 )
 
 // Op tags a record with its lifecycle event.
@@ -80,8 +81,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures a journal.
 type Options struct {
-	// FS is the filesystem seam; nil selects the real filesystem.
-	FS FS
+	// FS is the filesystem seam (durable.FaultFS injects slow, full and
+	// unsyncable disks); nil selects the real filesystem.
+	FS durable.FS
 	// NoSync skips the per-append fsync. Only tests and throwaway
 	// deployments should set it: without the sync, acknowledged records
 	// can vanish in a crash.
@@ -91,11 +93,11 @@ type Options struct {
 // Journal is an open write-ahead log. Append is safe for concurrent use.
 type Journal struct {
 	path   string
-	fs     FS
+	fs     durable.FS
 	noSync bool
 
 	mu     sync.Mutex
-	f      File
+	f      durable.File
 	broken error // sticky failure: the log's tail state is unknown
 }
 
@@ -118,13 +120,11 @@ type ReplayStats struct {
 func Open(path string, opts Options, fn func(Record) error) (*Journal, ReplayStats, error) {
 	fs := opts.FS
 	if fs == nil {
-		fs = OSFS{}
+		fs = durable.OSFS{}
 	}
 	var st ReplayStats
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, st, fmt.Errorf("journal: %w", err)
-		}
+	if err := fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, st, fmt.Errorf("journal: %w", err)
 	}
 	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -168,10 +168,9 @@ func (j *Journal) replay(fn func(Record) error, st *ReplayStats) error {
 	}
 
 	good := int64(len(magic))
-	rd := newCountingReader(j.f)
 	reason := ""
 	for {
-		rec, err := readRecord(rd)
+		rec, err := readRecord(j.f)
 		if err == io.EOF {
 			break
 		}
@@ -185,7 +184,7 @@ func (j *Journal) replay(fn func(Record) error, st *ReplayStats) error {
 			}
 		}
 		st.Records++
-		good = int64(len(magic)) + rd.n
+		good += int64(frameHead + 1 + len(rec.Body))
 	}
 	if good < size {
 		st.TruncatedBytes = size - good
@@ -200,25 +199,8 @@ func (j *Journal) replay(fn func(Record) error, st *ReplayStats) error {
 	return nil
 }
 
-// countingReader tracks how many bytes of valid frame data have been
-// consumed, so replay knows the last good offset.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func newCountingReader(r io.Reader) *countingReader { return &countingReader{r: r} }
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // readRecord parses one frame. io.EOF means a clean end; any other
-// error means the tail from this frame on is untrustworthy. The
-// counting reader may overshoot into the bad frame; callers use the
-// offset recorded before the failed read.
+// error means the tail from this frame on is untrustworthy.
 func readRecord(r io.Reader) (Record, error) {
 	var head [frameHead]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -269,17 +251,13 @@ func (j *Journal) Append(op Op, body []byte) error {
 
 // encodeFrame renders one record as a single contiguous frame.
 func encodeFrame(op Op, body []byte) []byte {
-	var buf bytes.Buffer
-	buf.Grow(frameHead + 1 + len(body))
-	payload := make([]byte, 1+len(body))
+	frame := make([]byte, frameHead+1+len(body))
+	payload := frame[frameHead:]
 	payload[0] = byte(op)
 	copy(payload[1:], body)
-	var head [frameHead]byte
-	binary.LittleEndian.PutUint32(head[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(head[4:], crc32.Checksum(payload, castagnoli))
-	buf.Write(head[:])
-	buf.Write(payload)
-	return buf.Bytes()
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
+	return frame
 }
 
 func (j *Journal) sync() error {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"fxnet/internal/durable"
 )
 
 // openCollect opens path and returns the journal plus the replayed
@@ -160,7 +162,7 @@ func TestFullDiskAppendFailsSticky(t *testing.T) {
 	// the middle of the second append.
 	rec := []byte("0123456789abcdef")
 	frame := int64(len(encodeFrame(OpSubmitted, rec)))
-	ffs := &FaultFS{Base: OSFS{}, WriteBudget: int64(len(magic)) + frame + frame/2}
+	ffs := &durable.FaultFS{FS: durable.OSFS{}, WriteBudget: int64(len(magic)) + frame + frame/2}
 	j, _, err := Open(path, Options{FS: ffs}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +170,8 @@ func TestFullDiskAppendFailsSticky(t *testing.T) {
 	if err := j.Append(OpSubmitted, rec); err != nil {
 		t.Fatalf("first append within budget: %v", err)
 	}
-	if err := j.Append(OpSubmitted, rec); !errors.Is(err, ErrDiskFull) {
-		t.Fatalf("append on full disk: %v, want ErrDiskFull", err)
+	if err := j.Append(OpSubmitted, rec); !errors.Is(err, durable.ErrDiskFull) {
+		t.Fatalf("append on full disk: %v, want durable.ErrDiskFull", err)
 	}
 	// The journal is now sticky-broken: even a tiny append refuses.
 	if err := j.Append(OpTerminal, nil); err == nil {
@@ -195,7 +197,7 @@ func TestSyncFailureIsAppendFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	ffs := &FaultFS{Base: OSFS{}, WriteBudget: -1, SyncErr: errors.New("injected sync failure")}
+	ffs := &durable.FaultFS{FS: durable.OSFS{}, WriteBudget: -1, SyncErr: errors.New("injected sync failure")}
 	j2, _, err := Open(path, Options{FS: ffs}, nil)
 	if err == nil {
 		// Header already exists so Open does not sync; the append must
@@ -210,7 +212,7 @@ func TestSyncFailureIsAppendFailure(t *testing.T) {
 
 func TestSlowDiskStillCorrect(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	ffs := &FaultFS{Base: OSFS{}, WriteBudget: -1, WriteDelay: 2 * time.Millisecond}
+	ffs := &durable.FaultFS{FS: durable.OSFS{}, WriteBudget: -1, WriteDelay: 2 * time.Millisecond}
 	j, _, err := Open(path, Options{FS: ffs}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"strconv"
 
 	"fxnet/internal/catalog"
+	"fxnet/internal/durable"
 	"fxnet/internal/farm"
 	"fxnet/internal/journal"
 )
@@ -82,6 +83,10 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
+	if !durable.ValidKey(key) {
+		writeErr(w, http.StatusBadRequest, "bad model key %q", key)
+		return
+	}
 	e, ok := s.catalog.Get(key)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no fitted model %q", key)

@@ -99,6 +99,9 @@ func TestFitJobLifecycle(t *testing.T) {
 	if v := metricValue(t, body, "fxnetd_catalog_entries"); v != 1 {
 		t.Errorf("fxnetd_catalog_entries = %g", v)
 	}
+	if v := metricValue(t, body, "fxnetd_catalog_bytes"); v <= 0 {
+		t.Errorf("fxnetd_catalog_bytes = %g", v)
+	}
 	if v := metricValue(t, body, "fxnetd_catalog_fits_total"); v != 1 {
 		t.Errorf("fxnetd_catalog_fits_total = %g", v)
 	}

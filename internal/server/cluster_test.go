@@ -382,6 +382,8 @@ func TestClusterMetricsSurface(t *testing.T) {
 		"fxnetd_farm_memo_evicted_total ",
 		"fxnetd_cluster_fetch_total{outcome=\"hit\"} ",
 		"fxnetd_cache_quarantined_kind_total{kind=\"run\"} ",
+		"fxnetd_cache_quarantined_kind_total{kind=\"model\"} 0",
+		"fxnetd_cache_store_failures_total 0",
 	} {
 		if !strings.Contains(body, m) {
 			t.Errorf("metrics missing %q", m)

@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"fxnet/internal/core"
-	"fxnet/internal/journal"
+	"fxnet/internal/durable"
 )
 
 // journaledServer builds a server over dir's journal (and run cache) and
@@ -36,7 +36,16 @@ func journaledServer(t *testing.T, dir string, opts Options) (*Server, *httptest
 		t.Fatalf("recover: %v", err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
+	t.Cleanup(func() {
+		ts.Close()
+		// Wait out jobs still simulating (a "crashed" server's goroutines
+		// keep running) so their cache writes cannot race the temp-dir
+		// removal.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+		s.Close()
+	})
 	return s, ts
 }
 
@@ -393,10 +402,10 @@ func TestSigtermDuringReplay(t *testing.T) {
 // append finishes on the server's side and the job is durable.
 func TestClientDisconnectDuringJournalAppend(t *testing.T) {
 	dir := t.TempDir()
-	ffs := &journal.FaultFS{Base: journal.OSFS{}, WriteBudget: -1, WriteDelay: 30 * time.Millisecond}
+	ffs := &durable.FaultFS{FS: durable.OSFS{}, WriteBudget: -1, WriteDelay: 30 * time.Millisecond}
 	opts := Options{Workers: 2, Memoize: true,
 		JournalPath: filepath.Join(dir, "journal.wal"), CacheDir: filepath.Join(dir, "cache"),
-		JournalNoSync: true, JournalFS: ffs}
+		JournalNoSync: true, FS: ffs}
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -453,10 +462,10 @@ func TestClientDisconnectDuringJournalAppend(t *testing.T) {
 // unaffected.
 func TestFullDiskFailsSubmitsClosed(t *testing.T) {
 	dir := t.TempDir()
-	ffs := &journal.FaultFS{Base: journal.OSFS{}, WriteBudget: -1}
+	ffs := &durable.FaultFS{FS: durable.OSFS{}, WriteBudget: -1}
 	opts := Options{Workers: 2, Memoize: true,
 		JournalPath: filepath.Join(dir, "journal.wal"), CacheDir: filepath.Join(dir, "cache"),
-		JournalNoSync: true, JournalFS: ffs}
+		JournalNoSync: true, FS: ffs}
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -40,6 +40,7 @@ import (
 	"fxnet/internal/cluster"
 	"fxnet/internal/core"
 	"fxnet/internal/dsp"
+	"fxnet/internal/durable"
 	"fxnet/internal/farm"
 	"fxnet/internal/journal"
 	"fxnet/internal/kernels"
@@ -90,9 +91,10 @@ type Options struct {
 	// Recover replays it on boot. Empty disables journaling (a purely
 	// in-memory node, the pre-crash-safety behavior).
 	JournalPath string
-	// JournalFS overrides the journal's filesystem (chaos tests inject
-	// slow or full disks); nil selects the real one.
-	JournalFS journal.FS
+	// FS is the one filesystem seam under every durable byte — journal,
+	// run cache and model catalog (chaos tests inject slow, full or
+	// unsyncable disks); nil selects the real one.
+	FS durable.FS
 	// JournalNoSync skips the per-append fsync; tests only.
 	JournalNoSync bool
 	// MaxQueue is the farm queue depth at which load shedding starts
@@ -158,7 +160,7 @@ func New(opts Options) (*Server, error) {
 		MemoMaxBytes:   opts.MemoMaxBytes,
 	}
 	if opts.CacheDir != "" {
-		c, err := farm.OpenCache(opts.CacheDir)
+		c, err := farm.OpenCacheFS(opts.FS, opts.CacheDir)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +214,7 @@ func New(opts Options) (*Server, error) {
 	var cat *catalog.Catalog
 	var fitter *catalog.Fitter
 	if catDir != "" {
-		c, err := catalog.Open(catDir)
+		c, err := catalog.OpenFS(opts.FS, catDir)
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +264,7 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.JournalPath != "" {
 		rs := newRecoveredState()
-		jn, st, err := journal.Open(opts.JournalPath, journal.Options{FS: opts.JournalFS, NoSync: opts.JournalNoSync}, rs.fold)
+		jn, st, err := journal.Open(opts.JournalPath, journal.Options{FS: opts.FS, NoSync: opts.JournalNoSync}, rs.fold)
 		if err != nil {
 			return nil, err
 		}
@@ -933,9 +935,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "fxnetd_cache_quarantined_total %d\n", c.Quarantined())
 		fmt.Fprintln(w, "# HELP fxnetd_cache_quarantined_kind_total Quarantined cache entries by kind.\n# TYPE fxnetd_cache_quarantined_kind_total counter")
 		kinds := c.QuarantinedKinds()
-		for _, kind := range []string{"run", "spec", "other"} {
+		if s.catalog != nil {
+			kinds["model"] = s.catalog.Quarantined()
+		}
+		for _, kind := range []string{"run", "spec", "model", "other"} {
 			fmt.Fprintf(w, "fxnetd_cache_quarantined_kind_total{kind=%q} %d\n", kind, kinds[kind])
 		}
+		fmt.Fprintln(w, "# HELP fxnetd_cache_store_failures_total Run-cache entries that could not be stored durably.\n# TYPE fxnetd_cache_store_failures_total counter")
+		fmt.Fprintf(w, "fxnetd_cache_store_failures_total %d\n", c.StoreFailures())
 	}
 
 	s.writeClusterMetrics(w)
@@ -949,6 +956,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.catalog != nil {
 		fmt.Fprintln(w, "# HELP fxnetd_catalog_entries Fitted models in the catalog.\n# TYPE fxnetd_catalog_entries gauge")
 		fmt.Fprintf(w, "fxnetd_catalog_entries %d\n", s.catalog.Len())
+		fmt.Fprintln(w, "# HELP fxnetd_catalog_bytes Bytes of fitted models in the catalog.\n# TYPE fxnetd_catalog_bytes gauge")
+		fmt.Fprintf(w, "fxnetd_catalog_bytes %d\n", s.catalog.Bytes())
 		fmt.Fprintln(w, "# HELP fxnetd_catalog_hits_total Catalog lookups answered from a stored model.\n# TYPE fxnetd_catalog_hits_total counter")
 		fmt.Fprintf(w, "fxnetd_catalog_hits_total %d\n", s.catalog.Hits())
 		fmt.Fprintln(w, "# HELP fxnetd_catalog_misses_total Catalog lookups that found no usable model.\n# TYPE fxnetd_catalog_misses_total counter")

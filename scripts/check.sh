@@ -6,6 +6,11 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# One durable store: a hand-rolled temp+rename outside internal/durable,
+# or another directory-fsync helper, is a fourth store coming back.
+if grep -rn 'os\.Rename(\|os\.CreateTemp(' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -v '^internal/durable/'; then exit 1; fi
+if grep -rn 'func syncDir' --include='*.go' internal cmd bench examples ./*.go; then exit 1; fi
+
 go build ./...
 go vet ./...
 go test ./...
