@@ -540,8 +540,9 @@ func finishTeam(team *fx.Team, program string, elapsed sim.Time, parts ...*sim.K
 const maxParkedNames = 16
 
 // parkedProcs names the processes suspended on the given kernels, in
-// partition then spawn order. The always-parked PVM daemons (accept and
-// reader loops) appear too: a reader stuck mid-message is a finding.
+// partition then spawn order. The always-parked PVM accept daemons appear
+// too. A connection reader is not a process (it parses in event context),
+// so a message stuck half-received shows as its task parked in Recv.
 func parkedProcs(parts []*sim.Kernel) string {
 	var names []string
 	for _, k := range parts {

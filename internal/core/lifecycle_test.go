@@ -43,8 +43,8 @@ func goroutinesSettled() int {
 }
 
 // TestRunLeavesNoGoroutines: every run path returns with the goroutines
-// it started — PVM accept and reader daemons, killed and surviving
-// workers, cross traffic — released, on every fabric and in both modes.
+// it started — PVM accept daemons, killed and surviving workers, cross
+// traffic — released, on every fabric and in both modes.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	twoSeg, err := ParseTopology("lan0:0-1,lan1:2-3")
 	if err != nil {

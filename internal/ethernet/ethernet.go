@@ -72,18 +72,31 @@ const (
 	FlagData             // carries application payload
 )
 
+// TCPHeader is the part of a TCP header the receiving stack needs and the
+// capture layer does not: byte sequence numbers in the connection's data
+// space. SYN and FIN travel in Frame.Flags; a segment's data length is
+// len(Frame.Payload).
+type TCPHeader struct {
+	Seq, Ack int64
+}
+
 // Frame is one Ethernet frame. NetLen is the network-layer length (IP
 // header + transport header + payload) used for sizing; Payload carries
 // the actual application bytes for delivery to the destination stack.
+//
+// A frame is immutable once sent, and one *Frame may be delivered many
+// times over — a duplicate, a held reorder, a bridge flood onto several
+// segments — so whoever allocates frames must leave their lifetime to the
+// garbage collector and never reuse one.
 type Frame struct {
 	Src, Dst int // station indexes; Dst may be Broadcast
 	Proto    Proto
 	SrcPort  uint16
 	DstPort  uint16
 	Flags    uint8
-	NetLen   int    // bytes at the network layer
-	Payload  []byte // application bytes (may be shorter than NetLen)
-	Opaque   any    // stack-private data carried to the receiver
+	NetLen   int       // bytes at the network layer
+	Payload  []byte    // application bytes (may be shorter than NetLen)
+	TCP      TCPHeader // meaningful when Proto is ProtoTCP
 }
 
 // CapturedSize is the size tcpdump would report: header + network bytes +

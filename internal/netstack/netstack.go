@@ -30,6 +30,9 @@ var (
 	// ErrClosed is returned when the peer closed the connection before
 	// the requested bytes arrived.
 	ErrClosed = errors.New("netstack: connection closed by peer")
+	// ErrWouldBlock is returned by TryRead when the requested bytes have
+	// not arrived yet on a healthy connection.
+	ErrWouldBlock = errors.New("netstack: read would block")
 )
 
 // Header sizes in bytes.
@@ -101,6 +104,35 @@ type Host struct {
 	conns     map[connKey]*Conn
 	nextPort  uint16
 	down      bool
+
+	// slab is the unused tail of the current frame slab (see newFrame),
+	// slabLen that slab's full length.
+	slab    []ethernet.Frame
+	slabLen int
+}
+
+// A host's frame slabs double from minFrameSlab to frameSlab frames, so
+// a long run amortises the allocator 256-fold and a run of a few dozen
+// frames per host (a daemon's small jobs) does not pay for 256 each.
+const (
+	minFrameSlab = 16
+	frameSlab    = 256
+)
+
+// newFrame carves a zeroed frame from the host's current slab, starting a
+// new slab when it runs out. Slabs only amortise the allocator: a frame
+// is never handed out twice, because the wire may still hold it — as a
+// duplicate, a held reorder, a bridge flood in another partition — long
+// after the stack is done with it. A slab is collected once the last of
+// its frames is unreachable.
+func (h *Host) newFrame() *ethernet.Frame {
+	if len(h.slab) == 0 {
+		h.slabLen = min(max(2*h.slabLen, minFrameSlab), frameSlab)
+		h.slab = make([]ethernet.Frame, h.slabLen)
+	}
+	f := &h.slab[0]
+	h.slab = h.slab[1:]
+	return f
 }
 
 type connKey struct {
@@ -199,22 +231,14 @@ func (h *Host) SendUDP(dstHost int, srcPort, dstPort uint16, payload []byte) {
 	if h.down {
 		return // a crashed host sends nothing
 	}
-	h.st.Send(&ethernet.Frame{
-		Dst:     dstHost,
-		Proto:   ethernet.ProtoUDP,
-		SrcPort: srcPort,
-		DstPort: dstPort,
-		Flags:   ethernet.FlagData,
-		NetLen:  IPHeaderBytes + UDPHeaderBytes + len(payload),
-		Payload: payload,
-	})
-}
-
-// tcpInfo is the stack-private TCP header carried in Frame.Opaque.
-type tcpInfo struct {
-	seq, ack int64
-	syn, fin bool
-	dataLen  int
+	f := h.newFrame()
+	f.Dst = dstHost
+	f.Proto = ethernet.ProtoUDP
+	f.SrcPort, f.DstPort = srcPort, dstPort
+	f.Flags = ethernet.FlagData
+	f.NetLen = IPHeaderBytes + UDPHeaderBytes + len(payload)
+	f.Payload = payload
+	h.st.Send(f)
 }
 
 // receive dispatches an inbound frame to UDP or TCP handling.
@@ -233,18 +257,14 @@ func (h *Host) receive(f *ethernet.Frame) {
 }
 
 func (h *Host) receiveTCP(f *ethernet.Frame) {
-	info, _ := f.Opaque.(*tcpInfo)
-	if info == nil {
-		return
-	}
 	key := connKey{remoteHost: f.Src, localPort: f.DstPort, remotePort: f.SrcPort}
 	if c, ok := h.conns[key]; ok {
-		c.handle(f, info)
+		c.handle(f)
 		return
 	}
-	if info.syn && !info.fin {
+	if f.Flags&(ethernet.FlagSyn|ethernet.FlagFin) == ethernet.FlagSyn {
 		if l, ok := h.listeners[f.DstPort]; ok {
-			l.handleSyn(f, info)
+			l.handleSyn(f)
 		}
 	}
 }
@@ -271,7 +291,7 @@ func (l *Listener) Accept(p *sim.Proc) *Conn {
 	return l.backlog.Get(p)
 }
 
-func (l *Listener) handleSyn(f *ethernet.Frame, info *tcpInfo) {
+func (l *Listener) handleSyn(f *ethernet.Frame) {
 	h := l.h
 	key := connKey{remoteHost: f.Src, localPort: l.port, remotePort: f.SrcPort}
 	if _, dup := h.conns[key]; dup {
@@ -281,7 +301,7 @@ func (l *Listener) handleSyn(f *ethernet.Frame, info *tcpInfo) {
 	c.state = stateSynRcvd
 	h.conns[key] = c
 	// SYN-ACK.
-	c.sendControl(ethernet.FlagSyn|ethernet.FlagAck, &tcpInfo{syn: true, ack: 1})
+	c.sendControl(ethernet.FlagSyn|ethernet.FlagAck, 0, 1)
 	// The connection is usable once the final ACK of the handshake (or
 	// first data) arrives; deliver it to Accept then.
 	c.onEstablished = func() { l.backlog.Put(c) }
@@ -342,10 +362,16 @@ type Conn struct {
 	onDelAckFn func()
 	synRetryFn func()
 
-	// Receive side.
+	// Receive side. rcvBuf[rcvOff:] holds the bytes not yet read: reading
+	// advances the cursor instead of re-slicing, so the backing array keeps
+	// its capacity and a drained buffer rewinds to its start.
 	rcvNext     int64 // next expected byte
 	rcvBuf      []byte
+	rcvOff      int
 	readers     sim.Gate
+	onReadable  func() // event-context reader (OnReadable), nil if none
+	wakeName    string // its wake event's name
+	readArmed   bool   // TryRead came up short since onReadable last ran
 	unackedSegs int
 	delAck      sim.Event
 	delAckAt    sim.Time
@@ -460,7 +486,7 @@ func (h *Host) ConnectErr(p *sim.Proc, dstHost int, dstPort uint16) (*Conn, erro
 // or SYN-ACK cannot deadlock connection setup. With MaxRetransmits
 // configured, a persistently unanswered SYN fails the connection.
 func (c *Conn) sendSyn() {
-	c.sendControl(ethernet.FlagSyn, &tcpInfo{syn: true})
+	c.sendControl(ethernet.FlagSyn, 0, 0)
 	c.synTimer = c.h.k.After(c.h.cfg.RTO, "tcp.synrto", c.synRetryFn)
 }
 
@@ -504,7 +530,7 @@ func (c *Conn) fail(err error) {
 	c.segFree = nil
 	c.buffered = 0
 	c.established.Broadcast()
-	c.readers.Broadcast()
+	c.readable()
 	c.writers.Broadcast()
 }
 
@@ -514,17 +540,21 @@ func (c *Conn) LocalPort() uint16 { return c.localPort }
 // RemoteAddr reports the peer host address and port.
 func (c *Conn) RemoteAddr() (int, uint16) { return c.remoteHost, c.remotePort }
 
+// segment carves a frame addressed to the peer with an empty TCP segment.
+func (c *Conn) segment(flags uint8, seq, ack int64) *ethernet.Frame {
+	f := c.h.newFrame()
+	f.Dst = c.remoteHost
+	f.Proto = ethernet.ProtoTCP
+	f.SrcPort, f.DstPort = c.localPort, c.remotePort
+	f.Flags = flags
+	f.NetLen = IPHeaderBytes + TCPHeaderBytes
+	f.TCP = ethernet.TCPHeader{Seq: seq, Ack: ack}
+	return f
+}
+
 // sendControl emits a zero-data control segment (SYN/ACK/FIN variants).
-func (c *Conn) sendControl(flags uint8, info *tcpInfo) {
-	c.h.st.Send(&ethernet.Frame{
-		Dst:     c.remoteHost,
-		Proto:   ethernet.ProtoTCP,
-		SrcPort: c.localPort,
-		DstPort: c.remotePort,
-		Flags:   flags,
-		NetLen:  IPHeaderBytes + TCPHeaderBytes,
-		Opaque:  info,
-	})
+func (c *Conn) sendControl(flags uint8, seq, ack int64) {
+	c.h.st.Send(c.segment(flags, seq, ack))
 	if flags&ethernet.FlagAck != 0 && flags&ethernet.FlagSyn == 0 {
 		c.AcksOut++
 	}
@@ -597,7 +627,7 @@ func (c *Conn) pump() {
 		}
 		c.popSndQ()
 		if seg.fin {
-			c.sendControl(ethernet.FlagFin, &tcpInfo{fin: true, seq: seg.seq})
+			c.sendControl(ethernet.FlagFin, seg.seq, 0)
 			c.freeSeg(seg)
 			continue
 		}
@@ -668,16 +698,10 @@ func (c *Conn) nagleCoalesce() *sendSeg {
 
 // sendData puts one data segment on the wire.
 func (c *Conn) sendData(seg *sendSeg) {
-	c.h.st.Send(&ethernet.Frame{
-		Dst:     c.remoteHost,
-		Proto:   ethernet.ProtoTCP,
-		SrcPort: c.localPort,
-		DstPort: c.remotePort,
-		Flags:   ethernet.FlagData,
-		NetLen:  IPHeaderBytes + TCPHeaderBytes + len(seg.data),
-		Payload: seg.data,
-		Opaque:  &tcpInfo{seq: seg.seq, dataLen: len(seg.data)},
-	})
+	f := c.segment(ethernet.FlagData, seg.seq, 0)
+	f.NetLen += len(seg.data)
+	f.Payload = seg.data
+	c.h.st.Send(f)
 }
 
 // armRTO (re)arms the retransmission timer by moving its logical
@@ -749,28 +773,29 @@ func (c *Conn) goBackN() {
 }
 
 // handle processes an inbound segment for an existing connection.
-func (c *Conn) handle(f *ethernet.Frame, info *tcpInfo) {
+func (c *Conn) handle(f *ethernet.Frame) {
+	syn, fin := f.Flags&ethernet.FlagSyn != 0, f.Flags&ethernet.FlagFin != 0
 	switch {
-	case info.syn && f.Flags&ethernet.FlagAck != 0: // SYN-ACK at client
+	case syn && f.Flags&ethernet.FlagAck != 0: // SYN-ACK at client
 		if c.state == stateSynSent {
 			c.synTimer.Cancel()
 			c.synTimer = sim.Event{}
 			c.state = stateEstablished
 			// ack=0 in the data sequence space: the handshake must not
 			// disturb byte-count window accounting.
-			c.sendControl(ethernet.FlagAck, &tcpInfo{ack: 0})
+			c.sendControl(ethernet.FlagAck, 0, 0)
 			c.established.Broadcast()
 		}
 		return
-	case info.syn: // retransmitted SYN at server: the SYN-ACK was lost
+	case syn: // retransmitted SYN at server: the SYN-ACK was lost
 		if c.state == stateSynRcvd {
-			c.sendControl(ethernet.FlagSyn|ethernet.FlagAck, &tcpInfo{syn: true, ack: 1})
+			c.sendControl(ethernet.FlagSyn|ethernet.FlagAck, 0, 1)
 		}
 		return
-	case info.fin:
+	case fin:
 		c.peerClosed = true
-		c.sendControl(ethernet.FlagAck, &tcpInfo{ack: c.rcvNext})
-		c.readers.Broadcast()
+		c.sendControl(ethernet.FlagAck, 0, c.rcvNext)
+		c.readable()
 		return
 	}
 	if c.state == stateSynRcvd {
@@ -781,13 +806,14 @@ func (c *Conn) handle(f *ethernet.Frame, info *tcpInfo) {
 		}
 		c.established.Broadcast()
 	}
-	if info.dataLen > 0 {
+	dataLen := len(f.Payload)
+	if dataLen > 0 {
 		switch {
-		case info.seq == c.rcvNext:
+		case f.TCP.Seq == c.rcvNext:
 			c.SegsIn++
-			c.rcvNext += int64(info.dataLen)
-			c.rcvBuf = append(c.rcvBuf, f.Payload...)
-			c.readers.Broadcast()
+			c.rcvNext += int64(dataLen)
+			c.buffer(f.Payload)
+			c.readable()
 			c.unackedSegs++
 			if c.unackedSegs >= c.h.cfg.AckEvery {
 				c.sendAckNow()
@@ -805,17 +831,18 @@ func (c *Conn) handle(f *ethernet.Frame, info *tcpInfo) {
 			c.DupSegsIn++
 			c.unackedSegs = 0
 			c.delAckAt = 0
-			c.sendControl(ethernet.FlagAck, &tcpInfo{ack: c.rcvNext})
+			c.sendControl(ethernet.FlagAck, 0, c.rcvNext)
 		}
 	}
 	if f.Flags&ethernet.FlagAck != 0 {
+		ack := f.TCP.Ack
 		switch {
-		case info.ack > c.sndUna:
-			c.sndUna = info.ack
+		case ack > c.sndUna:
+			c.sndUna = ack
 			c.dupAcks = 0
 			for c.inFlight() > 0 {
 				seg := c.unacked[c.unaHead]
-				if seg.seq+int64(len(seg.data)) > info.ack {
+				if seg.seq+int64(len(seg.data)) > ack {
 					break
 				}
 				c.unacked[c.unaHead] = nil
@@ -829,7 +856,7 @@ func (c *Conn) handle(f *ethernet.Frame, info *tcpInfo) {
 			c.armRTO(true)
 			c.pump()
 			c.writers.Broadcast()
-		case info.ack == c.sndUna && info.dataLen == 0 && c.inFlight() > 0 && !info.syn && !info.fin:
+		case ack == c.sndUna && dataLen == 0 && c.inFlight() > 0:
 			// One fast retransmit per loss window: a go-back-N resend
 			// itself provokes duplicate ACKs, which must not re-trigger.
 			c.dupAcks++
@@ -862,19 +889,72 @@ func (c *Conn) sendAckNow() {
 	}
 	c.unackedSegs = 0
 	c.delAckAt = 0
-	c.sendControl(ethernet.FlagAck, &tcpInfo{ack: c.rcvNext})
+	c.sendControl(ethernet.FlagAck, 0, c.rcvNext)
+}
+
+// buffer appends an in-order segment's payload to the receive buffer.
+// A connection that is never fully drained would otherwise grow its
+// consumed prefix without bound, so the live bytes move to the front
+// once the prefix outweighs them — each byte is moved at most once per
+// byte consumed.
+func (c *Conn) buffer(data []byte) {
+	if live := len(c.rcvBuf) - c.rcvOff; c.rcvOff > live {
+		copy(c.rcvBuf, c.rcvBuf[c.rcvOff:])
+		c.rcvBuf = c.rcvBuf[:live]
+		c.rcvOff = 0
+	}
+	c.rcvBuf = append(c.rcvBuf, data...)
+}
+
+// readable announces a change in what a read would return — data, the
+// peer's FIN, a failure — to blocked readers and to the OnReadable
+// callback, if it is armed.
+func (c *Conn) readable() {
+	c.readers.Broadcast()
+	if c.readArmed {
+		c.readArmed = false
+		c.h.k.At(c.h.k.Now(), c.wakeName, c.onReadable)
+	}
+}
+
+// OnReadable makes fn the connection's event-context reader: fn runs once
+// now, in a kernel event of its own named "start:"+name, and again in an
+// event named "wake:"+name at the instant of each later read-state change
+// (data, the peer's FIN, a failure) — but only if a TryRead has come up
+// short since fn last ran, so a reader that is not waiting costs nothing,
+// and at most one run is pending. These are exactly the events, in the
+// same queue positions, that a process looping over ReadErr would consume.
+// A nil fn removes the reader; its pending runs still fire.
+func (c *Conn) OnReadable(name string, fn func()) {
+	c.onReadable, c.readArmed = fn, false
+	if fn == nil {
+		return
+	}
+	c.wakeName = "wake:" + name
+	c.h.k.At(c.h.k.Now(), "start:"+name, fn)
 }
 
 // Buffered reports the bytes available to Read without blocking.
-func (c *Conn) Buffered() int { return len(c.rcvBuf) }
+func (c *Conn) Buffered() int { return len(c.rcvBuf) - c.rcvOff }
+
+// take consumes the next n buffered bytes, which must be available.
+func (c *Conn) take(n int) []byte {
+	end := c.rcvOff + n
+	out := c.rcvBuf[c.rcvOff:end:end]
+	c.rcvOff = end
+	if end == len(c.rcvBuf) {
+		c.rcvBuf, c.rcvOff = c.rcvBuf[:0], 0
+	}
+	return out
+}
 
 // Read blocks p until n bytes are available, then returns them. If the
 // peer closes before n bytes arrive, Read panics — the message protocols
-// built on top never truncate.
+// built on top never truncate. The slice is only lent: see ReadErr.
 func (c *Conn) Read(p *sim.Proc, n int) []byte {
 	out, err := c.ReadErr(p, n)
 	if err != nil {
-		panic(fmt.Sprintf("netstack: Read on %s: %v (%d/%d bytes buffered)", c.h.name, err, len(c.rcvBuf), n))
+		panic(fmt.Sprintf("netstack: Read on %s: %v (%d/%d bytes buffered)", c.h.name, err, c.Buffered(), n))
 	}
 	return out
 }
@@ -883,8 +963,13 @@ func (c *Conn) Read(p *sim.Proc, n int) []byte {
 // the peer's FIN arrives before n bytes do, or the connection's failure
 // cause (ErrTimedOut, ErrReset) when it dies while blocked. Buffered data
 // already received stays readable after a failure.
+//
+// The returned slice aliases the receive buffer, whose storage later
+// segments reuse: it is valid until the caller next reads from the
+// connection or gives up the processor (blocks, or returns to the event
+// loop). Copy or parse it before then.
 func (c *Conn) ReadErr(p *sim.Proc, n int) ([]byte, error) {
-	for len(c.rcvBuf) < n {
+	for c.Buffered() < n {
 		if c.err != nil {
 			return nil, c.err
 		}
@@ -893,9 +978,24 @@ func (c *Conn) ReadErr(p *sim.Proc, n int) ([]byte, error) {
 		}
 		c.readers.Wait(p)
 	}
-	out := c.rcvBuf[:n:n]
-	c.rcvBuf = c.rcvBuf[n:]
-	return out, nil
+	return c.take(n), nil
+}
+
+// TryRead is ReadErr for event context: where ReadErr would block it
+// returns ErrWouldBlock and arms the OnReadable callback instead. The
+// slice is lent on ReadErr's terms.
+func (c *Conn) TryRead(n int) ([]byte, error) {
+	if c.Buffered() >= n {
+		return c.take(n), nil
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	if c.peerClosed {
+		return nil, ErrClosed
+	}
+	c.readArmed = c.onReadable != nil
+	return nil, ErrWouldBlock
 }
 
 // Close sends a FIN after all queued data. It does not block.

@@ -176,8 +176,8 @@ func (m *Machine) NotifyHostDead(fn func(hostIndex int)) {
 }
 
 // MarkHostDead records host i as failed and propagates the news: every
-// surviving task's connections to the dead host are reset (unwinding its
-// reader loops), every mailbox gate is broadcast so blocked receives
+// surviving task's connections to the dead host are reset (stopping their
+// readers), every mailbox gate is broadcast so blocked receives
 // re-check peerDead, and registered callbacks fire. In real PVM the
 // master pvmd broadcasts HOSTDELETE notifications; the shared machine
 // state models that control message. Idempotent.
@@ -214,10 +214,11 @@ func (m *Machine) MarkHostDead(i int) {
 }
 
 // KillHost models a machine crash: every task on host i is killed along
-// with its accept and reader service processes, and the host's transport
-// stack crashes (resetting its connections and dropping its bindings).
-// Peers learn of the death through heartbeat timeout when HeartbeatMisses
-// is configured, or immediately via an explicit MarkHostDead.
+// with its accept process and its connection readers, and the host's
+// transport stack crashes (resetting its connections and dropping its
+// bindings). Peers learn of the death through heartbeat timeout when
+// HeartbeatMisses is configured, or immediately via an explicit
+// MarkHostDead.
 func (m *Machine) KillHost(i int) {
 	for _, t := range m.tasks {
 		if t.hostIndex != i {
@@ -230,8 +231,8 @@ func (m *Machine) KillHost(i int) {
 		if t.accept != nil {
 			t.accept.Kill()
 		}
-		for _, rp := range t.readers {
-			rp.Kill()
+		for _, r := range t.readers {
+			r.kill()
 		}
 	}
 	m.hosts[i].Crash()
@@ -369,6 +370,12 @@ type message struct {
 	body     []byte
 }
 
+// matches reports whether the message satisfies a receive's source and
+// tag, either of which may be a wildcard.
+func (m *message) matches(src, tag int) bool {
+	return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
+}
+
 // Task is a PVM task (one per processor in the Fx model).
 type Task struct {
 	m         *Machine
@@ -381,10 +388,12 @@ type Task struct {
 	out       map[int]*netstack.Conn
 	inConns   []*netstack.Conn
 	accept    *sim.Proc
-	readers   []*sim.Proc
-	mbox      []*message
+	readers   []*reader // one per inConns entry
+	mbox      []message
 	gate      sim.Gate
 	cancelErr error
+	sendChunk []byte // unused tail of the current send chunk (see sendBuf)
+	chunkLen  int    // that chunk's full length
 
 	// Counters.
 	MsgsSent, BytesSent int64
@@ -409,13 +418,11 @@ func (m *Machine) Spawn(name string, hostIndex int, body func(t *Task)) *Task {
 	l := t.host.Listen(uint16(DirectPortBase + t.tid))
 	t.accept = hk.Go(fmt.Sprintf("pvm.accept:%s", name), func(p *sim.Proc) {
 		for {
-			conn := l.Accept(p)
-			c := conn
+			c := l.Accept(p)
+			r := &reader{t: t, c: c, need: headerBytes}
 			t.inConns = append(t.inConns, c)
-			rp := hk.Go(fmt.Sprintf("pvm.reader:%s", name), func(rp *sim.Proc) {
-				t.readLoop(rp, c)
-			})
-			t.readers = append(t.readers, rp)
+			t.readers = append(t.readers, r)
+			c.OnReadable(readerName+name, r.run)
 		}
 	})
 	t.proc = hk.Go("pvm.task:"+name, func(p *sim.Proc) {
@@ -454,44 +461,104 @@ func (t *Task) Host() *netstack.Host { return t.host }
 // compute-phase sleeps.
 func (t *Task) Proc() *sim.Proc { return t.proc }
 
-// readLoop parses messages off one inbound connection into the mailbox.
-// It exits quietly when the connection fails or closes — a dead peer's
-// partial message is discarded, never delivered truncated.
-func (t *Task) readLoop(p *sim.Proc, c *netstack.Conn) {
+// readerName prefixes a reader's kernel events with the name the reader
+// process it replaced had, so event listings read as before.
+const readerName = "pvm.reader:"
+
+// reader parses messages off one inbound connection into the task's
+// mailbox. It is not a process: run is the connection's OnReadable
+// callback, a run-to-completion function of the per-connection parse
+// state below, which consumes whatever is buffered and returns where a
+// reader process would have parked. It stops for good when the connection
+// fails or closes — a dead peer's partial message is discarded, never
+// delivered truncated — or when its host is killed.
+type reader struct {
+	t    *Task
+	c    *netstack.Conn
+	done bool
+
+	state    readState
+	need     int // bytes the state is waiting for
+	src, tag int
+	bodyLen  int    // from the header of the message being assembled
+	body     []byte // what has arrived of it
+	frags    int    // fragments of it still to come
+}
+
+// readState is what the reader is waiting for next.
+type readState uint8
+
+const (
+	readHeader  readState = iota // the headerBytes of a message header
+	readFragLen                  // a 4-byte fragment length
+	readFrag                     // that many bytes of fragment
+)
+
+// await moves the reader to state s, waiting for need bytes.
+func (r *reader) await(s readState, need int) { r.state, r.need = s, need }
+
+func (r *reader) run() {
+	if r.done {
+		return
+	}
 	for {
-		hdr, err := c.ReadErr(p, headerBytes)
-		if err != nil {
+		b, err := r.c.TryRead(r.need)
+		if err == netstack.ErrWouldBlock {
 			return
 		}
-		magic := binary.LittleEndian.Uint32(hdr[0:])
-		if magic != headerMagic {
-			panic(fmt.Sprintf("pvm: bad message magic %#x at task %s", magic, t.name))
+		if err != nil {
+			r.done, r.body = true, nil
+			return
 		}
-		src := int(int32(binary.LittleEndian.Uint32(hdr[4:])))
-		tag := int(int32(binary.LittleEndian.Uint32(hdr[8:])))
-		bodyLen := int(binary.LittleEndian.Uint32(hdr[12:]))
-		nfrag := int(binary.LittleEndian.Uint32(hdr[16:]))
-		body := make([]byte, 0, bodyLen)
-		for i := 0; i < nfrag; i++ {
-			lenb, err := c.ReadErr(p, 4)
-			if err != nil {
-				return
+		switch r.state {
+		case readHeader:
+			if magic := binary.LittleEndian.Uint32(b[0:]); magic != headerMagic {
+				panic(fmt.Sprintf("pvm: bad message magic %#x at task %s", magic, r.t.name))
 			}
-			fragLen := int(binary.LittleEndian.Uint32(lenb))
-			frag, err := c.ReadErr(p, fragLen)
-			if err != nil {
-				return
-			}
-			body = append(body, frag...)
+			r.src = int(int32(binary.LittleEndian.Uint32(b[4:])))
+			r.tag = int(int32(binary.LittleEndian.Uint32(b[8:])))
+			r.bodyLen = int(binary.LittleEndian.Uint32(b[12:]))
+			r.body = make([]byte, 0, r.bodyLen)
+			r.frags = int(binary.LittleEndian.Uint32(b[16:]))
+			r.await(readFragLen, 4)
+		case readFragLen:
+			r.await(readFrag, int(binary.LittleEndian.Uint32(b)))
+		case readFrag:
+			r.body = append(r.body, b...)
+			r.frags--
+			r.await(readFragLen, 4)
 		}
-		if len(body) != bodyLen {
-			panic(fmt.Sprintf("pvm: body %d != header %d", len(body), bodyLen))
+		if r.frags == 0 {
+			r.deliver()
 		}
-		t.MsgsRecv++
-		t.BytesRecv += int64(len(body))
-		t.mbox = append(t.mbox, &message{src: src, tag: tag, body: body})
-		t.gate.Broadcast()
 	}
+}
+
+// deliver queues the assembled message and wakes the task's receives.
+func (r *reader) deliver() {
+	t, body := r.t, r.body
+	if len(body) != r.bodyLen {
+		panic(fmt.Sprintf("pvm: body %d != header %d", len(body), r.bodyLen))
+	}
+	t.MsgsRecv++
+	t.BytesRecv += int64(len(body))
+	t.mbox = append(t.mbox, message{src: r.src, tag: r.tag, body: body})
+	t.gate.Broadcast()
+	r.body = nil
+	r.await(readHeader, headerBytes)
+}
+
+// kill stops a reader whose host crashed. A live reader costs one kernel
+// event, as killing the process it replaced did; nothing its connection
+// does afterwards schedules another.
+func (r *reader) kill() {
+	if r.done {
+		return
+	}
+	r.done, r.body = true, nil
+	r.c.OnReadable("", nil)
+	k := r.t.host.Kernel()
+	k.At(k.Now(), "wake:"+readerName+r.t.name, func() {})
 }
 
 // connTo returns (establishing if needed) the outgoing direct-route
@@ -546,15 +613,40 @@ func (t *Task) connToErr(dst int) (*netstack.Conn, error) {
 	}
 }
 
-// header builds the 20-byte message header.
-func (t *Task) header(tag, bodyLen, nfrag int) []byte {
-	hdr := make([]byte, headerBytes)
-	binary.LittleEndian.PutUint32(hdr[0:], headerMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(int32(t.tid)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(int32(tag)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(bodyLen))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(nfrag))
-	return hdr
+// putHeader writes the 20-byte message header into b.
+func (t *Task) putHeader(b []byte, tag, bodyLen, nfrag int) {
+	binary.LittleEndian.PutUint32(b[0:], headerMagic)
+	binary.LittleEndian.PutUint32(b[4:], uint32(int32(t.tid)))
+	binary.LittleEndian.PutUint32(b[8:], uint32(int32(tag)))
+	binary.LittleEndian.PutUint32(b[12:], uint32(bodyLen))
+	binary.LittleEndian.PutUint32(b[16:], uint32(nfrag))
+}
+
+// Small sends are carved from per-task chunks: the paper's SEQ kernel
+// sends O(1)-byte messages, where one allocation per send is most of the
+// send's cost. Chunks double from minSendChunk to sendChunkBytes, so a
+// task that sends a dozen messages does not pay for 64 KB.
+const (
+	minSendChunk   = 2 << 10
+	sendChunkBytes = 64 << 10
+	sendCarveMax   = 1<<10 + headerBytes + 4 // a 1 KB body, framed
+)
+
+// sendBuf returns n bytes for an outgoing write. The transport holds
+// what it is given until the peer acknowledges it (and a frame on the
+// wire holds it longer), so carved bytes are never handed out again: a
+// chunk is collected once the last buffer carved from it is unreachable.
+func (t *Task) sendBuf(n int) []byte {
+	if n > sendCarveMax {
+		return make([]byte, n)
+	}
+	if len(t.sendChunk) < n {
+		t.chunkLen = min(max(2*t.chunkLen, minSendChunk), sendChunkBytes)
+		t.sendChunk = make([]byte, t.chunkLen)
+	}
+	b := t.sendChunk[:n:n]
+	t.sendChunk = t.sendChunk[n:]
+	return b
 }
 
 // Send transmits body to task dst with the copy-loop discipline: header,
@@ -578,12 +670,10 @@ func (t *Task) SendErr(dst, tag int, body []byte) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, headerBytes+4+len(body))
-	buf = append(buf, t.header(tag, len(body), 1)...)
-	var lenb [4]byte
-	binary.LittleEndian.PutUint32(lenb[:], uint32(len(body)))
-	buf = append(buf, lenb[:]...)
-	buf = append(buf, body...)
+	buf := t.sendBuf(headerBytes + 4 + len(body))
+	t.putHeader(buf, tag, len(body), 1)
+	binary.LittleEndian.PutUint32(buf[headerBytes:], uint32(len(body)))
+	copy(buf[headerBytes+4:], body)
 	if err := c.WriteErr(t.proc, buf); err != nil {
 		return t.sendFailure(dst, err)
 	}
@@ -626,13 +716,15 @@ func (t *Task) SendFragsErr(dst, tag int, frags [][]byte) error {
 	for _, f := range frags {
 		total += len(f)
 	}
-	if err := c.WriteErr(t.proc, t.header(tag, total, len(frags))); err != nil {
+	hdr := t.sendBuf(headerBytes)
+	t.putHeader(hdr, tag, total, len(frags))
+	if err := c.WriteErr(t.proc, hdr); err != nil {
 		return t.sendFailure(dst, err)
 	}
 	for _, f := range frags {
-		var lenb [4]byte
-		binary.LittleEndian.PutUint32(lenb[:], uint32(len(f)))
-		if err := c.WriteErr(t.proc, lenb[:]); err != nil {
+		lenb := t.sendBuf(4)
+		binary.LittleEndian.PutUint32(lenb, uint32(len(f)))
+		if err := c.WriteErr(t.proc, lenb); err != nil {
 			return t.sendFailure(dst, err)
 		}
 		if err := c.WriteErr(t.proc, f); err != nil {
@@ -665,9 +757,15 @@ func (t *Task) Recv(src, tag int) (gotSrc, gotTag int, body []byte) {
 func (t *Task) RecvErr(src, tag int, deadline sim.Duration) (gotSrc, gotTag int, body []byte, err error) {
 	start := t.proc.Now()
 	for {
-		for i, msg := range t.mbox {
-			if (src == AnySource || msg.src == src) && (tag == AnyTag || msg.tag == tag) {
-				t.mbox = append(t.mbox[:i], t.mbox[i+1:]...)
+		for i := range t.mbox {
+			if t.mbox[i].matches(src, tag) {
+				msg := t.mbox[i]
+				// Shift down and zero the vacated slot: a consumed body
+				// must not stay reachable from the slice's dead tail.
+				last := len(t.mbox) - 1
+				copy(t.mbox[i:], t.mbox[i+1:])
+				t.mbox[last] = message{}
+				t.mbox = t.mbox[:last]
 				return msg.src, msg.tag, msg.body, nil
 			}
 		}
@@ -716,8 +814,8 @@ func (t *Task) RecvBody(src, tag int) []byte {
 
 // Probe reports whether a matching message is queued, without blocking.
 func (t *Task) Probe(src, tag int) bool {
-	for _, msg := range t.mbox {
-		if (src == AnySource || msg.src == src) && (tag == AnyTag || msg.tag == tag) {
+	for i := range t.mbox {
+		if t.mbox[i].matches(src, tag) {
 			return true
 		}
 	}

@@ -393,3 +393,26 @@ func TestInterleavedTagsManyMessages(t *testing.T) {
 		}
 	}
 }
+
+// A received message must not stay reachable from the mailbox slice's dead
+// tail: the body belongs to the application now.
+func TestRecvReleasesConsumedMessage(t *testing.T) {
+	r := newRig(t, 2, Config{})
+	r.m.Spawn("send", 0, func(task *Task) {
+		for tag := 0; tag < 3; tag++ {
+			task.Send(1, tag, []byte{byte(tag)})
+		}
+	})
+	var recv *Task
+	recv = r.m.Spawn("recv", 1, func(task *Task) {
+		task.Sleep(sim.Second) // let all three queue
+		task.Recv(0, 1)        // take the middle one
+	})
+	r.k.Run()
+	if len(recv.mbox) != 2 || recv.mbox[0].tag != 0 || recv.mbox[1].tag != 2 || !recv.Probe(0, 2) || recv.Probe(0, 1) {
+		t.Fatalf("mailbox after Recv: %+v", recv.mbox)
+	}
+	if tail := recv.mbox[:3][2]; tail.body != nil || tail.tag != 0 {
+		t.Errorf("vacated mailbox slot still holds %+v", tail)
+	}
+}

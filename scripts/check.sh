@@ -11,6 +11,12 @@ cd "$(dirname "$0")/.."
 if grep -rn 'os\.Rename(\|os\.CreateTemp(' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -v '^internal/durable/'; then exit 1; fi
 if grep -rn 'func syncDir' --include='*.go' internal cmd bench examples ./*.go; then exit 1; fi
 
+# One dispatch and one allocation per message: the TCP header rides in
+# the frame by value (no boxed Frame.Opaque), and a PVM reader is an
+# event-context parser, not a process (no second dispatch per message).
+if grep -n 'Opaque' internal/ethernet/*.go internal/netstack/*.go | grep -v '_test\.go:'; then exit 1; fi
+if grep -n '\.Go(.*reader\|func.*readLoop' internal/pvm/*.go | grep -v '_test\.go:'; then exit 1; fi
+
 go build ./...
 go vet ./...
 go test ./...
