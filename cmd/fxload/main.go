@@ -22,11 +22,16 @@
 // executed versus how much work was answered from memo, disk, peers,
 // or proxying — the warm-cluster dedup rate the sharding exists to buy.
 //
+// Its one in-tree caller is scripts/cluster_smoke.sh, which offers the
+// same skewed spray twice and requires the second pass to execute
+// nothing. Tracked service numbers come from `go run ./bench` (the
+// serve_mix workload), not from this tool.
+//
 // Usage:
 //
-//	fxload -url http://127.0.0.1:8080 -rps 800 -duration 10s -json BENCH_serve.json
+//	fxload -url http://127.0.0.1:8080 -rps 800 -duration 10s -json load.json
 //	fxload -targets http://127.0.0.1:9001,http://127.0.0.1:9002 \
-//	       -keys 32 -zipf 1.3 -rps 600 -duration 10s -json BENCH_cluster.json
+//	       -keys 32 -zipf 1.3 -rps 600 -duration 10s
 package main
 
 import (
@@ -135,7 +140,7 @@ func main() {
 	}
 }
 
-// report is the JSON output shape (BENCH_serve.json / BENCH_cluster.json).
+// report is the -json output shape.
 type report struct {
 	URL     string   `json:"url"`
 	Targets []string `json:"targets,omitempty"` // all sprayed URLs when > 1
@@ -313,8 +318,8 @@ func drive(cfg driveConfig) (*report, error) {
 
 	// drawSeed maps a goroutine's rng to a run-config seed in [1, keys].
 	// With zipf > 1 the ranks follow a Zipf(s) law — seed 1 is the hot
-	// key — which is the skew the cluster bench uses to probe tail
-	// latency when one shard owns the popular key.
+	// key — the skew that probes tail latency when one shard owns the
+	// popular key.
 	drawSeed := func(rng *rand.Rand) int64 {
 		if cfg.zipfS > 1 && cfg.keys > 1 {
 			z := rand.NewZipf(rng, cfg.zipfS, 1, uint64(cfg.keys-1))

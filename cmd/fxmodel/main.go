@@ -55,19 +55,6 @@ func main() {
 	traceCmd()
 }
 
-// quickConfig builds the run configuration fitted into the catalog: the
-// repository's -quick sizing (64/10 kernels, the reduced AIRSHED), the
-// regime every benchmark and golden digest pins.
-func quickConfig(program string, p int, seed int64) fxnet.RunConfig {
-	cfg := fxnet.RunConfig{Program: program, P: p, Seed: seed}
-	if program == "airshed" {
-		cfg.AirshedParams = fxnet.AirshedParams{Layers: 4, Species: 8, Grid: 128, Steps: 2, Hours: 5, Band: 4}
-	} else {
-		cfg.Params = fxnet.KernelParams{N: 64, Iters: 10}
-	}
-	return cfg
-}
-
 // parseInts parses a comma-separated list of positive ints.
 func parseInts(s string) ([]int, error) {
 	var out []int
@@ -122,7 +109,7 @@ func fitCmd(args []string) {
 	var cfgs []fxnet.RunConfig
 	for _, name := range names {
 		for _, p := range ps {
-			cfgs = append(cfgs, quickConfig(strings.TrimSpace(name), p, *seed))
+			cfgs = append(cfgs, fxnet.QuickConfig(strings.TrimSpace(name), p, *seed))
 		}
 	}
 

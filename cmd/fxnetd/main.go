@@ -96,7 +96,7 @@ func main() {
 		clusterPeers   = flag.String("cluster-peers", "", "full ring membership as id1=url1,id2=url2,... (must include -cluster-self)")
 		clusterVNodes  = flag.Int("cluster-vnodes", 0, "virtual nodes per peer on the hash ring (0 = 64)")
 		clusterVersion = flag.Int("cluster-ring-version", 1, "ring configuration version; peers gossip it and flag divergence")
-		clusterRoute   = flag.String("cluster-route", "proxy", "off-ring request handling: proxy, redirect, or off")
+		clusterRoute   = flag.String("cluster-route", "proxy", "off-ring request handling: proxy or off")
 		clusterGossip  = flag.Duration("cluster-gossip", 2*time.Second, "QoS ledger gossip interval (0 = no gossip)")
 		clusterCap     = flag.Float64("cluster-capacity", 0, "cluster-wide QoS capacity in bytes/s (0 = the local -capacity)")
 		ver            = version.Register()

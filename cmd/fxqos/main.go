@@ -125,18 +125,6 @@ type catalogOptions struct {
 	JSON                 bool
 }
 
-// quickConfig mirrors the repository's -quick sizing (64/10 kernels, the
-// reduced AIRSHED) — the regime the catalog benchmarks fit.
-func quickConfig(program string, p int, seed int64) fxnet.RunConfig {
-	cfg := fxnet.RunConfig{Program: program, P: p, Seed: seed}
-	if program == "airshed" {
-		cfg.AirshedParams = fxnet.AirshedParams{Layers: 4, Species: 8, Grid: 128, Steps: 2, Hours: 5, Band: 4}
-	} else {
-		cfg.Params = fxnet.KernelParams{N: 64, Iters: 10}
-	}
-	return cfg
-}
-
 // admitReps is how many warm lookup-and-negotiate passes are timed; the
 // minimum is reported (the steady-state cost, free of scheduler noise).
 const admitReps = 64
@@ -185,7 +173,7 @@ func catalogMode(o catalogOptions) {
 		name = strings.TrimSpace(name)
 		pt := programTiming{Program: name, CatalogHit: true}
 		for _, p := range ps {
-			e, prov, err := ft.Fit(context.Background(), quickConfig(name, p, o.Seed), fxnet.FitOptions{Spikes: o.Spikes})
+			e, prov, err := ft.Fit(context.Background(), fxnet.QuickConfig(name, p, o.Seed), fxnet.FitOptions{Spikes: o.Spikes})
 			if err != nil {
 				log.Fatalf("fit %s P=%d: %v", name, p, err)
 			}

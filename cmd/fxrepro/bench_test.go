@@ -7,9 +7,8 @@ import (
 )
 
 // BenchmarkEndToEndQuickRun measures one serial pass over every program
-// at the -quick sizes — the end-to-end number the performance work in
-// this tree is tracked against (scripts/bench.sh records it in
-// BENCH_sim.json).
+// at the -quick sizes, for measuring while working; the tracked
+// end-to-end numbers are run_s per workload from `go run ./bench`.
 func BenchmarkEndToEndQuickRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

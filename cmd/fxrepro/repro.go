@@ -64,11 +64,7 @@ func reproConfig(name string, opts reproOptions) fxnet.RunConfig {
 			cfg.Params = fxnet.KernelParams{N: 32, Iters: 4}
 		}
 	case opts.Quick:
-		if name == "airshed" {
-			cfg.AirshedParams = fxnet.AirshedParams{Layers: 4, Species: 8, Grid: 128, Steps: 2, Hours: 5, Band: 4}
-		} else {
-			cfg.Params = fxnet.KernelParams{N: 64, Iters: 10}
-		}
+		cfg = fxnet.QuickConfig(name, 0, opts.Seed)
 	}
 	return cfg
 }

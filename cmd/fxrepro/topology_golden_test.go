@@ -3,6 +3,8 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 
 	"fxnet"
@@ -45,14 +47,55 @@ var goldenTopologyDigests = map[string]map[string]string{
 	},
 }
 
-// quickTopologyDigest runs one -quick program on the given topology with
-// the given execution mode and returns its binary trace digest.
-func quickTopologyDigest(t testing.TB, name, spec string, mode fxnet.PDESMode) string {
+// goldenWideTopologies pins the engine at width, each row with its own
+// sizing: the 64-host run on asymmetric trunks that bench/expected.json
+// also pins (one 0.1 ms trunk among 2 ms trunks, where per-pair horizons
+// decide the round schedule), and 1024 hosts on 16 segments with the
+// engine's own counters — a run whose bytes held but whose round count
+// moved changed the schedule. Serial and parallel must both produce the
+// pin. Never re-pin these: a moved digest means the event stream moved.
+var goldenWideTopologies = []struct {
+	name   string
+	spec   string
+	cfg    fxnet.RunConfig
+	digest string
+	engine *engineCounts
+}{
+	{
+		name:   "2dfft64",
+		spec:   "lan0:0-15~2ms,lan1:16-31~2ms,lan2:32-47~100us,lan3:48-63~2ms",
+		cfg:    fxnet.RunConfig{Program: "2dfft", P: 64, Seed: 42, Params: fxnet.KernelParams{N: 256, Iters: 20}},
+		digest: "7450d189389056f34830b88f690a639e0ff240db60a3f7f2af34e18ca469f6b6",
+	},
+	{
+		name:   "hist1024",
+		spec:   segments(16, 64),
+		cfg:    fxnet.RunConfig{Program: "hist", P: 1024, Seed: 42, Params: fxnet.KernelParams{N: 4096, Iters: 1}},
+		digest: "f5553730dec6995d844b31870a33f9342fc26a571dddede5b448219321876c03",
+		engine: &engineCounts{windows: 3350, crossMessages: 35652, nullPublishes: 0},
+	},
+}
+
+// engineCounts are the Result.Engine counters a wide row pins.
+type engineCounts struct{ windows, crossMessages, nullPublishes uint64 }
+
+// segments is the spec of n equal segments of per consecutive hosts:
+// "lan0:0-63,lan1:64-127,...".
+func segments(n, per int) string {
+	parts := make([]string, n)
+	for i := range parts {
+		parts[i] = fmt.Sprintf("lan%d:%d-%d", i, i*per, (i+1)*per-1)
+	}
+	return strings.Join(parts, ",")
+}
+
+// topologyDigest runs cfg on the given topology with the given execution
+// mode and returns its binary trace digest and the engine's counters.
+func topologyDigest(t testing.TB, cfg fxnet.RunConfig, spec string, mode fxnet.PDESMode) (string, engineCounts) {
 	topo, err := fxnet.ParseTopology(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := reproConfig(name, reproOptions{Quick: true, Seed: 42})
 	cfg.Topology = topo
 	res, err := fxnet.RunWithOpts(cfg, fxnet.RunOpts{PDES: mode})
 	if err != nil {
@@ -62,33 +105,48 @@ func quickTopologyDigest(t testing.TB, name, spec string, mode fxnet.PDESMode) s
 	if err := res.Trace.WriteBinary(h); err != nil {
 		t.Fatal(err)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)),
+		engineCounts{res.Engine.Windows, res.Engine.CrossMessages, res.Engine.NullPublishes}
+}
+
+// checkTopologyGolden holds one configuration to its pin under both
+// execution modes.
+func checkTopologyGolden(t *testing.T, cfg fxnet.RunConfig, spec, want string, engine *engineCounts) {
+	serial, counts := topologyDigest(t, cfg, spec, fxnet.PDESSerial)
+	parallel, parallelCounts := topologyDigest(t, cfg, spec, fxnet.PDESParallel)
+	if serial != parallel {
+		t.Fatalf("serial/parallel divergence:\n serial   %s\n parallel %s\n"+
+			"the conservative engine broke the byte-identical-trace contract",
+			serial, parallel)
+	}
+	if serial != want {
+		t.Errorf("topology trace digest changed:\n got  %s\n want %s", serial, want)
+	}
+	if engine != nil && (counts != *engine || parallelCounts != *engine) {
+		t.Errorf("engine counters serial %+v parallel %+v, want %+v", counts, parallelCounts, *engine)
+	}
 }
 
 func TestGoldenTopologyDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every -quick program twice per topology")
+		t.Skip("runs every -quick program twice per topology, and the two wide rows")
 	}
 	for spec, digests := range goldenTopologyDigests {
 		for _, name := range fxnet.Programs() {
-			spec, name := spec, name
 			t.Run(spec+"/"+name, func(t *testing.T) {
 				t.Parallel()
 				want, ok := digests[name]
 				if !ok {
 					t.Fatalf("no golden digest recorded for %q on %q", name, spec)
 				}
-				serial := quickTopologyDigest(t, name, spec, fxnet.PDESSerial)
-				parallel := quickTopologyDigest(t, name, spec, fxnet.PDESParallel)
-				if serial != parallel {
-					t.Fatalf("serial/parallel divergence:\n serial   %s\n parallel %s\n"+
-						"the conservative engine broke the byte-identical-trace contract",
-						serial, parallel)
-				}
-				if serial != want {
-					t.Errorf("topology trace digest changed:\n got  %s\n want %s", serial, want)
-				}
+				checkTopologyGolden(t, fxnet.QuickConfig(name, 0, 42), spec, want, nil)
 			})
 		}
+	}
+	for _, row := range goldenWideTopologies {
+		t.Run("wide/"+row.name, func(t *testing.T) {
+			t.Parallel()
+			checkTopologyGolden(t, row.cfg, row.spec, row.digest, row.engine)
+		})
 	}
 }

@@ -425,6 +425,12 @@ func Characterize(res *Result) *Report { return core.Characterize(res) }
 // Programs lists the runnable programs: the five kernels and "airshed".
 func Programs() []string { return core.ProgramNames() }
 
+// QuickConfig is the -quick sizing of one program (64/10 kernels, the
+// reduced AIRSHED) at P processors; p = 0 keeps the paper's default.
+func QuickConfig(program string, p int, seed int64) RunConfig {
+	return core.QuickConfig(program, p, seed)
+}
+
 // PaperAirshedParams returns the paper's AIRSHED configuration.
 func PaperAirshedParams() AirshedParams { return airshed.PaperParams() }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"fxnet/internal/airshed"
 	"fxnet/internal/core"
 )
 
@@ -15,11 +14,7 @@ import (
 // cached results and must be deliberate.
 func TestCorrelationGolden(t *testing.T) {
 	const want = 0x3fed097f1a6d156b // 0.90740924035405379
-	res, err := core.Run(core.RunConfig{
-		Program:       core.Airshed,
-		Seed:          42,
-		AirshedParams: airshed.Params{Layers: 4, Species: 8, Grid: 128, Steps: 2, Hours: 5, Band: 4},
-	})
+	res, err := core.Run(core.QuickConfig(core.Airshed, 0, 42))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,28 +3,25 @@ package catalog
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fxnet/internal/core"
 	"fxnet/internal/farm"
-	"fxnet/internal/kernels"
 	"fxnet/internal/qos"
 )
 
 // tinyConfig is the smallest sor run whose bandwidth series still has
 // spectral structure to fit (the 32/4 sizing used elsewhere yields a
 // 3-sample series — pure DC).
-func tinyConfig() core.RunConfig {
-	return core.RunConfig{
-		Program: "sor",
-		P:       4,
-		Params:  kernels.Params{N: 64, Iters: 10},
-		Seed:    1,
-	}
-}
+func tinyConfig() core.RunConfig { return core.QuickConfig("sor", 4, 1) }
 
 // newFitter builds a fitter whose farm and catalog share one temp root,
 // mirroring the service layout (<cache>/models beside the run cache).
@@ -202,12 +199,7 @@ func TestFitSingleFlight(t *testing.T) {
 
 func TestSweep(t *testing.T) {
 	ft, f := newFitter(t)
-	cfgs := []core.RunConfig{tinyConfig(), tinyConfig(), {
-		Program: "sor",
-		P:       2,
-		Params:  kernels.Params{N: 64, Iters: 10},
-		Seed:    1,
-	}}
+	cfgs := []core.RunConfig{tinyConfig(), tinyConfig(), core.QuickConfig("sor", 2, 1)}
 
 	res := ft.Sweep(context.Background(), cfgs, Options{})
 	if len(res) != 3 {
@@ -256,6 +248,112 @@ func TestSweep(t *testing.T) {
 	}
 	if off.P != 2 && off.P != 4 {
 		t.Errorf("negotiated P=%d is not a measured point", off.P)
+	}
+}
+
+// modelDigest is `sha256sum -- *.fxmodel | sort | sha256sum` over a
+// catalog directory: one digest for every stored byte and file name.
+func modelDigest(t *testing.T, dir string) string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*"+ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := make([]string, len(names))
+	for i, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = fmt.Sprintf("%x  %s\n", sha256.Sum256(b), filepath.Base(name))
+	}
+	sort.Strings(lines)
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(lines, ""))))
+}
+
+// TestCatalogPromises holds the catalog to what it exists for, over the
+// -quick programs at P=2,4 (seed 42, fxqos -catalog's defaults): every
+// fitted mean within 5% of the measured one, admission from the catalog
+// at least 100x faster than the simulate-then-fit path it replaces, and
+// .fxmodel bytes that are a pure function of the runs — refitted from a
+// warm run cache without simulating, and pinned by digest.
+func TestCatalogPromises(t *testing.T) {
+	const (
+		wantDigest   = "7cbb9029514b8b541f0154a5ccd9df4efde9df9cddf616dcaa642c5b84d8b29a"
+		speedupFloor = 100
+		admitReps    = 64
+	)
+	root := t.TempDir()
+	cache, err := farm.OpenCache(filepath.Join(root, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(name string) (*Fitter, *farm.Farm) {
+		c, err := Open(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := farm.New(farm.Options{Workers: 2, Cache: cache})
+		return NewFitter(f, c), f
+	}
+
+	cold, _ := open("cold")
+	var cfgs []core.RunConfig
+	minSpeedup := 0.0
+	for i, name := range core.ProgramNames() {
+		var fitWall time.Duration
+		for _, p := range []int{2, 4} {
+			cfg := core.QuickConfig(name, p, 42)
+			cfgs = append(cfgs, cfg)
+			e, prov, err := cold.Fit(context.Background(), cfg, Options{})
+			if err != nil {
+				t.Fatalf("fit %s P=%d: %v", name, p, err)
+			}
+			if !(e.MeanRelErr <= 0.05) {
+				t.Errorf("%s P=%d: model mean off the measured mean by %g, want <= 0.05", name, p, e.MeanRelErr)
+			}
+			fitWall += prov.Wall
+		}
+		// The minimum of the warm passes is the steady-state cost; host
+		// noise can only lengthen the cold side.
+		admit := time.Duration(1<<63 - 1)
+		for range admitReps {
+			t0 := time.Now()
+			prog, err := cold.Catalog().Program(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := qos.NewNetwork(1.25e6).Negotiate(prog, 32); err != nil {
+				t.Fatalf("negotiate %s: %v", name, err)
+			}
+			admit = min(admit, time.Since(t0))
+		}
+		if sp := float64(fitWall) / float64(admit); i == 0 || sp < minSpeedup {
+			minSpeedup = sp
+		}
+	}
+	t.Logf("catalog admission %.0fx faster than simulate-then-fit (slowest program)", minSpeedup)
+	if minSpeedup < speedupFloor {
+		t.Errorf("catalog admission only %.0fx faster than simulate-then-fit, want >= %dx", minSpeedup, speedupFloor)
+	}
+	if n := cold.Catalog().Len(); n != 12 {
+		t.Errorf("catalog holds %d entries, want 12 (6 programs x P=2,4)", n)
+	}
+
+	warm, f := open("warm")
+	for _, r := range warm.Sweep(context.Background(), cfgs, Options{}) {
+		if r.Err != nil {
+			t.Fatalf("refit %s P=%d: %v", r.Config.Program, r.Config.P, r.Err)
+		}
+	}
+	if got := f.Stats().Executed; got != 0 {
+		t.Errorf("refit over the warm run cache executed %d simulations, want 0", got)
+	}
+	if got := modelDigest(t, cold.Catalog().Dir()); got != wantDigest {
+		t.Errorf(".fxmodel digest %s, want %s", got, wantDigest)
+	}
+	if got := modelDigest(t, warm.Catalog().Dir()); got != wantDigest {
+		t.Errorf("refitted .fxmodel digest %s, want %s", got, wantDigest)
 	}
 }
 

@@ -38,6 +38,19 @@ func ProgramNames() []string {
 	return append(kernels.Names(), Airshed)
 }
 
+// QuickConfig is the repository's -quick sizing of one program: 64/10
+// kernels and the reduced AIRSHED, the regime the golden digests and
+// the model catalog pin. p = 0 keeps the paper's default.
+func QuickConfig(program string, p int, seed int64) RunConfig {
+	cfg := RunConfig{Program: program, P: p, Seed: seed}
+	if program == Airshed {
+		cfg.AirshedParams = airshed.Params{Layers: 4, Species: 8, Grid: 128, Steps: 2, Hours: 5, Band: 4}
+	} else {
+		cfg.Params = kernels.Params{N: 64, Iters: 10}
+	}
+	return cfg
+}
+
 // RunConfig configures one measured run.
 type RunConfig struct {
 	// Program is a kernel name ("sor", "2dfft", "t2dfft", "seq", "hist")

@@ -5,23 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"fxnet/internal/airshed"
 	"fxnet/internal/dsp"
-	"fxnet/internal/kernels"
 	"fxnet/internal/stats"
 )
-
-// quickConfig mirrors fxrepro's -quick regime (seed 42), the scale the
-// golden trace digests pin.
-func quickConfig(name string) RunConfig {
-	cfg := RunConfig{Program: name, Seed: 42}
-	if name == Airshed {
-		cfg.AirshedParams = airshed.Params{Layers: 4, Species: 8, Grid: 128, Steps: 2, Hours: 5, Band: 4}
-	} else {
-		cfg.Params = kernels.Params{N: 64, Iters: 10}
-	}
-	return cfg
-}
 
 // sameBits reports whether two series carry identical float64 bit
 // patterns, position by position.
@@ -88,7 +74,7 @@ func TestStreamMatchesTraceCharacterization(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg := quickConfig(name)
+			cfg := QuickConfig(name, 0, 42) // fxrepro -quick, the scale the golden digests pin
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -27,9 +27,6 @@ const (
 	// owned by another shard and relays the response; clients see one
 	// logical service regardless of which shard they dial.
 	RouteProxy = "proxy"
-	// RouteRedirect answers 307 with the owner's URL; clients that
-	// follow redirects land on the right shard and keep talking to it.
-	RouteRedirect = "redirect"
 	// RouteOff disables ownership routing: every shard serves what it
 	// is asked. Cache tiering still moves entries; routing-off is the
 	// degraded-but-correct mode.
@@ -55,7 +52,6 @@ type clusterState struct {
 	proxiedSubmits atomic.Int64
 	proxiedPolls   atomic.Int64
 	proxyFallbacks atomic.Int64
-	redirects      atomic.Int64
 	gossipRounds   atomic.Int64
 	ringMismatches atomic.Int64
 }
@@ -83,7 +79,7 @@ func jobShard(id string) string {
 }
 
 // routeSubmit handles cluster placement for one run submission: when
-// another shard owns the key, proxy or redirect there. Reports whether
+// another shard owns the key, proxy there. Reports whether
 // the request was fully handled. A proxy failure (owner down) reports
 // false without touching the response — the caller executes locally,
 // which is the ring's graceful degradation: the result is identical
@@ -97,13 +93,6 @@ func (s *Server) routeSubmit(w http.ResponseWriter, r *http.Request, key string,
 	owner := c.ring.Owner(key)
 	if owner.ID == c.ring.SelfID() {
 		return false
-	}
-	if c.route == RouteRedirect {
-		c.redirects.Add(1)
-		w.Header().Set("Location", owner.URL+"/v1/runs")
-		writeJSON(w, http.StatusTemporaryRedirect, map[string]string{
-			"owner": owner.ID, "location": owner.URL + "/v1/runs", "key": key})
-		return true
 	}
 	if s.proxyRequest(w, r, owner, body) {
 		c.proxiedSubmits.Add(1)
@@ -389,8 +378,6 @@ func (s *Server) writeClusterMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# HELP fxnetd_cluster_proxied_total Requests transparently proxied to their owning shard, by kind.\n# TYPE fxnetd_cluster_proxied_total counter")
 	fmt.Fprintf(w, "fxnetd_cluster_proxied_total{kind=\"submit\"} %d\n", c.proxiedSubmits.Load())
 	fmt.Fprintf(w, "fxnetd_cluster_proxied_total{kind=\"poll\"} %d\n", c.proxiedPolls.Load())
-	fmt.Fprintln(w, "# HELP fxnetd_cluster_redirects_total Submissions answered with a 307 to the owning shard.\n# TYPE fxnetd_cluster_redirects_total counter")
-	fmt.Fprintf(w, "fxnetd_cluster_redirects_total %d\n", c.redirects.Load())
 	fmt.Fprintln(w, "# HELP fxnetd_cluster_proxy_fallbacks_total Submissions executed locally because the owning shard was unreachable.\n# TYPE fxnetd_cluster_proxy_fallbacks_total counter")
 	fmt.Fprintf(w, "fxnetd_cluster_proxy_fallbacks_total %d\n", c.proxyFallbacks.Load())
 	fmt.Fprintln(w, "# HELP fxnetd_cluster_gossip_rounds_total Ledger gossip rounds completed.\n# TYPE fxnetd_cluster_gossip_rounds_total counter")

@@ -2,11 +2,11 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -168,58 +168,60 @@ func TestClusterWarmClusterExecutesOnce(t *testing.T) {
 	}
 }
 
-func TestClusterRedirectMode(t *testing.T) {
-	servers, fronts := startCluster(t, 2, func(i int, o *Options) {
-		o.ClusterRoute = RouteRedirect
-	})
-	req := reqOwnedBy(t, servers[0], "s1")
-	body, _ := json.Marshal(req)
-	hr, _ := http.NewRequest("POST", fronts[0].URL+"/v1/runs", bytes.NewReader(body))
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	resp, err := noFollow.Do(hr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("redirect mode answered %d, want 307", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); loc != fronts[1].URL+"/v1/runs" {
-		t.Fatalf("Location = %q, want owner %q", loc, fronts[1].URL+"/v1/runs")
-	}
-}
-
 func TestClusterPeerFetchTier(t *testing.T) {
 	// Routing off: every shard serves what it is asked, so a submit to
-	// the non-owner exercises the disk-miss → peer-fetch tier instead of
-	// the proxy.
-	servers, fronts := startCluster(t, 2, func(i int, o *Options) {
-		o.ClusterRoute = RouteOff
-		o.Memoize = false
-		o.CacheDir = t.TempDir()
-	})
-	req := reqOwnedBy(t, servers[0], "s0")
+	// a non-owner exercises the disk-miss → peer-fetch tier instead of
+	// the proxy. Once each key's ring owner is warm, a spray of every
+	// key through every front executes nothing: each non-owner's first
+	// touch is one peer fetch, and the installed copy serves the rest.
+	for _, tc := range []struct{ shards, keys int }{{2, 1}, {3, 8}} {
+		t.Run(fmt.Sprintf("%dshards_%dkeys", tc.shards, tc.keys), func(t *testing.T) {
+			servers, fronts := startCluster(t, tc.shards, func(i int, o *Options) {
+				o.ClusterRoute = RouteOff
+				o.Memoize = false
+				o.CacheDir = t.TempDir()
+			})
+			run := func(front int, req RunRequest) {
+				t.Helper()
+				id := submit(t, fronts[front].URL, req)
+				if st := waitState(t, fronts[front].URL, id); st.State != stateDone {
+					t.Fatalf("seed %d via s%d ended %s: %s", req.Seed, front, st.State, st.Error)
+				}
+			}
+			reqs := make([]RunRequest, tc.keys)
+			owned := make([]int64, tc.shards)
+			for k := range reqs {
+				reqs[k] = cheapRun()
+				reqs[k].Seed = int64(k + 1)
+				cfg, err := reqs[k].config()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ownerID := servers[0].Ring().Owner(farm.Key(cfg)).ID
+				owner := slices.IndexFunc(servers, func(s *Server) bool { return s.Ring().SelfID() == ownerID })
+				owned[owner]++
+				run(owner, reqs[k])
+			}
 
-	id := submit(t, fronts[0].URL, req)
-	if st := waitState(t, fronts[0].URL, id); st.State != stateDone {
-		t.Fatalf("warmup ended %s: %s", st.State, st.Error)
-	}
-
-	id = submit(t, fronts[1].URL, req)
-	if st := waitState(t, fronts[1].URL, id); st.State != stateDone {
-		t.Fatalf("peer-fetch run ended %s: %s", st.State, st.Error)
-	}
-	fs := servers[1].farm.Stats()
-	if fs.Executed != 0 || fs.CacheHits != 1 || fs.PeerHits != 1 {
-		t.Fatalf("shard s1 stats %+v, want 0 executed / 1 cache hit / 1 peer hit", fs)
-	}
-
-	// The entry is now local: the fetched copy serves future misses with
-	// no further peer traffic.
-	if st := servers[1].farm.Cache().Stats(); st.Entries != 1 {
-		t.Fatalf("fetched entry not installed locally: %+v", st)
+			for pass := 0; pass < 2; pass++ {
+				for front := range fronts {
+					for _, req := range reqs {
+						run(front, req)
+					}
+				}
+			}
+			for i, s := range servers {
+				fs := s.farm.Stats()
+				keys := int64(tc.keys)
+				if fs.Executed != owned[i] || fs.CacheHits != 2*keys || fs.PeerHits != keys-owned[i] {
+					t.Errorf("shard s%d stats %+v, want %d executed (its own keys) / %d cache hits / %d peer hits",
+						i, fs, owned[i], 2*keys, keys-owned[i])
+				}
+				if st := s.farm.Cache().Stats(); st.Entries != keys {
+					t.Errorf("shard s%d holds %d entries, want all %d installed locally", i, st.Entries, tc.keys)
+				}
+			}
+		})
 	}
 }
 
@@ -241,6 +243,14 @@ func TestClusterProxyFallbackWhenOwnerDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	front.Config.Handler = s.Handler()
+
+	// Proxy and off are the only routes; a third is refused at start-up.
+	if _, err := New(Options{
+		Cluster:      cluster.Config{Version: 1, Self: "s0", Peers: peers},
+		ClusterRoute: "redirect",
+	}); err == nil || !strings.Contains(err.Error(), "unknown cluster route") {
+		t.Fatalf("ClusterRoute redirect: err = %v, want unknown cluster route", err)
+	}
 
 	req := reqOwnedBy(t, s, "s1")
 	var acc map[string]any

@@ -70,7 +70,7 @@ type Options struct {
 	Cluster cluster.Config
 	// ClusterRoute selects what happens to requests whose key (or job
 	// ID) another shard owns: "proxy" (default) forwards transparently,
-	// "redirect" answers 307, "off" serves everything locally.
+	// "off" serves everything locally.
 	ClusterRoute string
 	// ClusterCapacityBps is the cluster-wide schedulable QoS capacity
 	// that the gossiped ledger divides among shards; <= 0 reuses the
@@ -184,9 +184,9 @@ func New(opts Options) (*Server, error) {
 		switch route {
 		case "":
 			route = RouteProxy
-		case RouteProxy, RouteRedirect, RouteOff:
+		case RouteProxy, RouteOff:
 		default:
-			return nil, fmt.Errorf("server: unknown cluster route %q (have proxy, redirect, off)", route)
+			return nil, fmt.Errorf("server: unknown cluster route %q (have proxy, off)", route)
 		}
 		clu = &clusterState{
 			ring:   ring,

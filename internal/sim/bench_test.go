@@ -2,23 +2,81 @@ package sim
 
 import "testing"
 
-func BenchmarkEventThroughput(b *testing.B) {
-	k := New(1)
-	n := 0
+// eventChain returns a function that schedules and dispatches n events
+// on k, one at a time, from a callback built once.
+func eventChain(k *Kernel) func(n int) {
+	left := 0
 	var reschedule func()
 	reschedule = func() {
-		n++
-		if n < b.N {
+		if left--; left > 0 {
 			k.After(Microsecond, "e", reschedule)
 		}
 	}
-	k.After(0, "e", reschedule)
+	return func(n int) {
+		left = n
+		k.After(0, "e", reschedule)
+		k.Run()
+		if left > 0 {
+			panic("sim: event chain stopped early")
+		}
+	}
+}
+
+// enginePingPong returns a function that bounces n hops between two
+// partitions of a serial Engine with once-allocated callbacks: the
+// round loop, staged injection, barrier and kernels, steady state.
+func enginePingPong() func(n int) {
+	parts := []*Kernel{New(1), New(2)}
+	eng := NewEngine(parts, 2*Millisecond)
+	left := 0
+	var fns [2]func()
+	for src := range fns {
+		fns[src] = func() {
+			if left--; left > 0 {
+				eng.Send(src, 1-src, parts[src].Now().Add(2*Millisecond), "hop", fns[1-src])
+			}
+		}
+	}
+	return func(n int) {
+		left = n
+		parts[0].After(0, "seed", fns[0])
+		eng.Run(false)
+		if left > 0 {
+			panic("sim: ping-pong stopped early")
+		}
+	}
+}
+
+// The kernel's schedule + dispatch of a pre-built event and the
+// engine's window loop allocate nothing in steady state.
+func TestEventLoopsDoNotAllocate(t *testing.T) {
+	const batch = 256
+	for _, tc := range []struct {
+		name string
+		run  func(n int)
+	}{
+		{"kernel schedule + dispatch", eventChain(New(1))},
+		{"engine window ping-pong", enginePingPong()},
+	} {
+		tc.run(batch) // fill the event free list and the staging buffers
+		if allocs := testing.AllocsPerRun(20, func() { tc.run(batch) }); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per %d events, want 0", tc.name, allocs, batch)
+		}
+	}
+}
+
+func BenchmarkEventThroughput(b *testing.B) {
+	run := eventChain(New(1))
 	b.ReportAllocs()
 	b.ResetTimer()
-	k.Run()
-	if n < b.N {
-		b.Fatal("not all events ran")
-	}
+	run(b.N)
+}
+
+func BenchmarkEngineWindow(b *testing.B) {
+	run := enginePingPong()
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
 }
 
 func BenchmarkProcContextSwitch(b *testing.B) {

@@ -326,31 +326,3 @@ func TestEngineFinalBarrierWatermarkIsMax(t *testing.T) {
 		t.Fatalf("final watermark %v, want maxTime", last)
 	}
 }
-
-func BenchmarkEngineWindow(b *testing.B) {
-	// Steady-state ping-pong across two partitions with once-allocated
-	// callbacks: the round loop, staged injection, barrier, and kernels
-	// must not allocate per hop.
-	parts := []*Kernel{New(1), New(2)}
-	eng := NewEngine(parts, 2*Millisecond)
-	n := 0
-	var fns [2]func()
-	for src := range fns {
-		src := src
-		fns[src] = func() {
-			n++
-			if n > b.N {
-				return
-			}
-			dst := 1 - src
-			eng.Send(src, dst, parts[src].Now().Add(2*Millisecond), "hop", fns[dst])
-		}
-	}
-	parts[0].At(0, "seed", fns[0])
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Run(false)
-	if n < b.N {
-		b.Fatalf("ran %d hops, want %d", n, b.N)
-	}
-}

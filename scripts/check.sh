@@ -17,6 +17,12 @@ if grep -rn 'func syncDir' --include='*.go' internal cmd bench examples ./*.go; 
 if grep -n 'Opaque' internal/ethernet/*.go internal/netstack/*.go | grep -v '_test\.go:'; then exit 1; fi
 if grep -n '\.Go(.*reader\|func.*readLoop' internal/pvm/*.go | grep -v '_test\.go:'; then exit 1; fi
 
+# One benchmark: performance numbers come from `go run ./bench` →
+# BENCHMARK.json, and every invariant is a Go test or a smoke script run
+# from here. A BENCH_*.json at the root or a bench*.sh beside this
+# script is a second emitter coming back.
+if find . scripts -maxdepth 1 \( -name 'BENCH_*.json' -o -name 'bench*.sh' \) | grep .; then exit 1; fi
+
 go build ./...
 go vet ./...
 go test ./...

@@ -6,9 +6,12 @@
 #   2. Warm-cluster dedup — a configuration submitted through EVERY
 #      front executes exactly one simulation cluster-wide: submits to
 #      non-owners proxy to the owner, who answers from memo/idempotency.
-#   3. Ledger gossip — a QoS commitment on one shard shows up in every
+#   3. Warm under skew — fxload's Zipf-skewed spray across all three
+#      fronts, offered twice: the second pass executes nothing new,
+#      whichever shard each request lands on.
+#   4. Ledger gossip — a QoS commitment on one shard shows up in every
 #      other shard's remote-committed gauge.
-#   4. Graceful degradation — SIGKILL one shard; the survivors notice
+#   5. Graceful degradation — SIGKILL one shard; the survivors notice
 #      (peers_up drops), and submissions whose owner is dead fall back
 #      to local execution instead of failing.
 set -eu
@@ -24,6 +27,7 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$TMP/fxnetd" ./cmd/fxnetd
+go build -o "$TMP/fxload" ./cmd/fxload
 go build -o "$TMP/freeports" ./scripts/freeports
 
 set -- $("$TMP/freeports" 3)
@@ -86,11 +90,12 @@ metric() {
 	curl -fsS "$1/metrics" | sed -n "s/^$2 //p"
 }
 
-# executed_sum: cluster-wide simulations actually executed.
-executed_sum() {
+# farm_sum <counter>: one farm counter summed over the shards, e.g.
+# "executed" — simulations actually run cluster-wide.
+farm_sum() {
 	T=0
 	for B in "$B0" "$B1" "$B2"; do
-		E=$(metric "$B" fxnetd_farm_executed_total)
+		E=$(metric "$B" "fxnetd_farm_$1_total")
 		T=$((T + ${E:-0}))
 	done
 	echo "$T"
@@ -122,12 +127,38 @@ for B in "$B1" "$B2" "$B0" "$B1" "$B2"; do
 	set -- $(submit "$B" "$CFG")
 	wait_done "$B" "$1"
 done
-EXEC=$(executed_sum)
+EXEC=$(farm_sum executed)
 if [ "$EXEC" != "1" ]; then
 	echo "cluster: FAIL: $EXEC simulations executed cluster-wide, want exactly 1" >&2
 	for B in "$B0" "$B1" "$B2"; do
 		echo "  $B executed=$(metric "$B" fxnetd_farm_executed_total)" >&2
 	done
+	exit 1
+fi
+
+echo "cluster: warm cluster under a Zipf-skewed spray executes nothing new" >&2
+# spray: fxload's mixed traffic over 8 keys on every front, then wait
+# for the farms to go idle. The draws are a function of fxload's seed,
+# so a second spray offers exactly the keys and fronts the first warmed.
+spray() {
+	"$TMP/fxload" -targets "$B0,$B1,$B2" -keys 8 -zipf 1.3 -rps 100 -duration 2s >"$TMP/load.out"
+	if ! grep -q ', 0 errors,' "$TMP/load.out"; then
+		echo "cluster: FAIL: fxload reported errors" >&2
+		cat "$TMP/load.out" >&2
+		exit 1
+	fi
+	k=0
+	until [ "$(farm_sum completed)" = "$(farm_sum submitted)" ]; do
+		k=$((k + 1))
+		[ "$k" -gt 100 ] && { echo "cluster: FAIL: farms never went idle after the spray" >&2; exit 1; }
+		sleep 0.1
+	done
+}
+spray
+WARM=$(farm_sum executed)
+spray
+if [ "$(farm_sum executed)" != "$WARM" ]; then
+	echo "cluster: FAIL: warm cluster executed $(($(farm_sum executed) - WARM)) new simulations under the spray, want 0" >&2
 	exit 1
 fi
 
