@@ -99,9 +99,11 @@ func chemPoint(y [][]float32, p Params) float64 {
 	l, s := p.Layers, p.Species
 	f := make([][]float32, l)
 	pred := make([][]float32, l)
+	corr := make([][]float32, l)
 	for li := 0; li < l; li++ {
 		f[li] = make([]float32, s)
 		pred[li] = make([]float32, s)
+		corr[li] = make([]float32, s)
 	}
 	deriv := func(state [][]float32, out [][]float32) {
 		for li := 0; li < l; li++ {
@@ -125,10 +127,12 @@ func chemPoint(y [][]float32, p Params) float64 {
 				pred[li][si] = y[li][si] + chemDT*f[li][si]
 			}
 		}
-		deriv(pred, pred) // reuse pred as the corrector derivative
+		// The corrector derivative needs its own buffer: layer li reads
+		// the predicted state of layers li±1.
+		deriv(pred, corr)
 		for li := 0; li < l; li++ {
 			for si := 0; si < s; si++ {
-				y[li][si] += chemDT * 0.5 * (f[li][si] + pred[li][si])
+				y[li][si] += chemDT * 0.5 * (f[li][si] + corr[li][si])
 			}
 		}
 	}

@@ -275,3 +275,40 @@ func TestMessageSizeMatchesFormula(t *testing.T) {
 		t.Errorf("no frames of expected transpose size %d found", wantFrame)
 	}
 }
+
+// TestChemistryColumnMass is an oracle on the integrator, not a digest:
+// vertical diffusion only moves mass between layers, so a species' column
+// sum sees pure decay, and four Heun substeps of y' = −d·y multiply it by
+// (1 − h·d + (h·d)²/2)⁴ exactly. A corrector that reads anything but the
+// predicted state of the neighbouring layers breaks this at 1e-3.
+func TestChemistryColumnMass(t *testing.T) {
+	p := PaperParams()
+	h := float64(chemDT)
+	var worst float64
+	for k := 0; k < 16; k++ {
+		g := k * p.Grid / 16
+		y := make([][]float32, p.Layers)
+		before := make([]float64, p.Species)
+		for li := range y {
+			y[li] = make([]float32, p.Species)
+			for si := range y[li] {
+				y[li][si] = initConc(li, si, g, p)
+				before[si] += float64(y[li][si])
+			}
+		}
+		chemPoint(y, p)
+		for si := 0; si < p.Species; si++ {
+			var after float64
+			for li := range y {
+				after += float64(y[li][si])
+			}
+			hd := h * float64(float32(0.05+0.01*float32(si%7)))
+			want := before[si] * math.Pow(1-hd+hd*hd/2, chemSubsteps)
+			worst = math.Max(worst, math.Abs(after-want)/want)
+		}
+	}
+	t.Logf("worst relative column-mass error %.2g", worst)
+	if worst > 1e-6 {
+		t.Errorf("column mass off by %.2g relative (want ≤ 1e-6)", worst)
+	}
+}
