@@ -63,6 +63,87 @@ func initConc(li, si, g int, p Params) float32 {
 	return float32(1 + 0.5*math.Sin(2*math.Pi*x*float64(si+1)/8)*math.Cos(float64(li+1)))
 }
 
+// Validate reports whether p dimensions a simulation Run can execute.
+// The zero value is valid: callers take it to mean PaperParams.
+func (p Params) Validate() error {
+	if p == (Params{}) {
+		return nil
+	}
+	switch {
+	case p.Layers < 1 || p.Species < 1 || p.Grid < 1 || p.Steps < 1:
+		return fmt.Errorf("airshed: Layers, Species, Grid and Steps must be at least 1, have %+v", p)
+	case p.Hours < 0:
+		return fmt.Errorf("airshed: Hours %d is negative", p.Hours)
+	case p.Band < 0 || p.Band >= p.Grid:
+		return fmt.Errorf("airshed: Band %d outside [0, Grid=%d)", p.Band, p.Grid)
+	}
+	return nil
+}
+
+// state is one process's working set, flat so the kernels run on plain
+// slices (DESIGN.md §8 "Kernel numerics"). A rank of a distributed run
+// owns nl layers starting at llo in the by-layer distribution and np grid
+// points in the by-grid one; the sequential run owns everything.
+type state struct {
+	p           Params
+	llo, nl, np int
+	// block is the by-layer array [ownedLayer][species][grid]: one
+	// species row is Grid contiguous values, the unit transport solves.
+	block []float32
+	// points is the by-grid array [ownedPoint][layer][species]: one
+	// point's l×s column is contiguous, the unit chemistry integrates.
+	points []float32
+	chem   *heun
+	rhs    [][]float64 // transport scratch: solveBatch rows of Grid
+}
+
+// solveBatch is how many species rows transport backsolves at once: the
+// width linalg's batched kernel interleaves.
+const solveBatch = 4
+
+func newState(p Params, llo, nl, np int) *state {
+	st := &state{
+		p: p, llo: llo, nl: nl, np: np,
+		block:  make([]float32, nl*p.Species*p.Grid),
+		points: make([]float32, np*p.Layers*p.Species),
+		chem:   newHeun(p),
+		rhs:    make([][]float64, solveBatch),
+	}
+	scratch := make([]float64, solveBatch*p.Grid)
+	for k := range st.rhs {
+		st.rhs[k] = scratch[k*p.Grid : (k+1)*p.Grid]
+	}
+	for li := 0; li < nl; li++ {
+		for si := 0; si < p.Species; si++ {
+			row := st.row(li, si)
+			for g := range row {
+				row[g] = initConc(llo+li, si, g, p)
+			}
+		}
+	}
+	return st
+}
+
+// row is species si of owned layer li.
+func (st *state) row(li, si int) []float32 {
+	o := (li*st.p.Species + si) * st.p.Grid
+	return st.block[o : o+st.p.Grid : o+st.p.Grid]
+}
+
+// layers returns the by-layer block as [ownedLayer][species][grid] views
+// over the one backing array.
+func (st *state) layers() [][][]float32 {
+	out := make([][][]float32, st.nl)
+	rows := make([][]float32, st.nl*st.p.Species)
+	for li := range out {
+		out[li] = rows[li*st.p.Species : (li+1)*st.p.Species]
+		for si := range out[li] {
+			out[li][si] = st.row(li, si)
+		}
+	}
+	return out
+}
+
 // stiffness assembles the banded per-layer, per-hour FEM stiffness
 // matrix. It is strictly diagonally dominant, so the pivot-free banded
 // factorization is stable. The returned op count feeds the cost model.
@@ -71,95 +152,148 @@ func stiffness(layer, hour int, p Params) (*linalg.Banded, float64) {
 	wind := 0.4 + 0.2*math.Sin(float64(hour)/7+float64(layer))
 	ops := 0.0
 	for i := 0; i < p.Grid; i++ {
+		row := b.Row(i) // row[Band+d] is element (i, i+d)
 		var off float64
 		for d := 1; d <= p.Band; d++ {
 			c := wind / float64(d*d) / 2.5
 			if i-d >= 0 {
-				b.Set(i, i-d, -c)
+				row[p.Band-d] = -c
 				off += c
 				ops += 3
 			}
 			if i+d < p.Grid {
-				b.Set(i, i+d, -c)
+				row[p.Band+d] = -c
 				off += c
 				ops += 3
 			}
 		}
-		b.Set(i, i, 1+off*1.1)
+		row[p.Band] = 1 + off*1.1
 		ops += 2
 	}
 	return b, ops
 }
 
-// chemPoint integrates one grid point's l×s species column with Heun's
-// predictor–corrector: decay per species plus vertical diffusion between
-// layers. y is indexed [layer][species] and updated in place. Returns the
-// op count.
-func chemPoint(y [][]float32, p Params) float64 {
-	l, s := p.Layers, p.Species
-	f := make([][]float32, l)
-	pred := make([][]float32, l)
-	corr := make([][]float32, l)
-	for li := 0; li < l; li++ {
-		f[li] = make([]float32, s)
-		pred[li] = make([]float32, s)
-		corr[li] = make([]float32, s)
-	}
-	deriv := func(state [][]float32, out [][]float32) {
-		for li := 0; li < l; li++ {
-			for si := 0; si < s; si++ {
-				decay := float32(0.05 + 0.01*float32(si%7))
-				v := -decay * state[li][si]
-				if li > 0 {
-					v += 0.1 * (state[li-1][si] - state[li][si])
-				}
-				if li < l-1 {
-					v += 0.1 * (state[li+1][si] - state[li][si])
-				}
-				out[li][si] = v
-			}
+// factor is the hourly preprocessing: assemble and factor the stiffness
+// matrix of every owned layer. Returns the factors and the op count.
+func (st *state) factor(hour int) ([]*linalg.BandedLU, float64) {
+	lus := make([]*linalg.BandedLU, st.nl)
+	var ops float64
+	for li := range lus {
+		a, aOps := stiffness(st.llo+li, hour, st.p)
+		lu, err := linalg.FactorBanded(a)
+		if err != nil {
+			panic(fmt.Sprintf("airshed: %v", err))
 		}
+		lus[li] = lu
+		ops += aOps + float64(lu.FactorFlops)
 	}
-	for step := 0; step < chemSubsteps; step++ {
-		deriv(y, f)
-		for li := 0; li < l; li++ {
-			for si := 0; si < s; si++ {
-				pred[li][si] = y[li][si] + chemDT*f[li][si]
-			}
-		}
-		// The corrector derivative needs its own buffer: layer li reads
-		// the predicted state of layers li±1.
-		deriv(pred, corr)
-		for li := 0; li < l; li++ {
-			for si := 0; si < s; si++ {
-				y[li][si] += chemDT * 0.5 * (f[li][si] + corr[li][si])
-			}
-		}
-	}
-	return float64(chemSubsteps * l * s * 12)
+	return lus, ops
 }
 
 // transport runs one horizontal transport phase on the by-layer block:
 // for every owned layer and species, a banded backsolve updates the
-// concentration row. Returns the flop count.
-func transport(block [][][]float32, lus []*linalg.BandedLU, p Params) float64 {
+// concentration row, solveBatch rows at a time through reused float64
+// scratch. Returns the flop count.
+func (st *state) transport(lus []*linalg.BandedLU) float64 {
 	var ops float64
-	rhs := make([]float64, p.Grid)
-	for li := range block {
-		lu := lus[li]
-		for si := 0; si < p.Species; si++ {
-			row := block[li][si]
-			for g := range rhs {
-				rhs[g] = float64(row[g])
+	for li, lu := range lus {
+		for si := 0; si < st.p.Species; si += solveBatch {
+			rhs := st.rhs[:min(solveBatch, st.p.Species-si)]
+			for k, x := range rhs {
+				for g, v := range st.row(li, si+k) {
+					x[g] = float64(v)
+				}
 			}
-			x, flops := lu.Solve(rhs)
-			ops += flops
-			for g := range row {
-				row[g] = float32(x[g])
+			lu.SolveBatch(rhs)
+			for k, x := range rhs {
+				row := st.row(li, si+k)
+				for g, v := range x {
+					row[g] = float32(v)
+				}
 			}
 		}
+		ops += float64(st.p.Species * lu.SolveFlops)
 	}
 	return ops
+}
+
+// heun integrates one grid point's l×s species column with Heun's
+// predictor–corrector: decay per species plus vertical diffusion between
+// layers. The decay table and the three derivative buffers are per run,
+// so a point costs no allocation.
+type heun struct {
+	l, s          int
+	decay         []float32 // per species
+	f, pred, corr []float32 // l×s each: y′(y), the predicted state, y′(pred)
+}
+
+func newHeun(p Params) *heun {
+	h := &heun{l: p.Layers, s: p.Species, decay: make([]float32, p.Species)}
+	for si := range h.decay {
+		h.decay[si] = float32(0.05 + 0.01*float32(si%7))
+	}
+	scratch := make([]float32, 3*h.l*h.s)
+	h.f, h.pred, h.corr = scratch[:h.l*h.s], scratch[h.l*h.s:2*h.l*h.s], scratch[2*h.l*h.s:]
+	return h
+}
+
+// deriv evaluates y′ at state into out, which must not alias it: layer li
+// reads layers li±1 of state.
+func (h *heun) deriv(state, out []float32) {
+	s := h.s
+	decay := h.decay[:s]
+	for li := 0; li < h.l; li++ {
+		cur := state[li*s : (li+1)*s]
+		// A missing neighbour's term is skipped, not added as zero, so
+		// up and dn are only placeholders at the edges.
+		hasUp, hasDn := li > 0, li < h.l-1
+		up, dn := cur, cur
+		if hasUp {
+			up = state[(li-1)*s : li*s]
+		}
+		if hasDn {
+			dn = state[(li+1)*s : (li+2)*s]
+		}
+		// Reslicing to the one length lets the compiler drop the inner
+		// loop's bounds checks.
+		cur, up, dn, o := cur[:s], up[:s], dn[:s], out[li*s:][:s]
+		for si, c := range cur {
+			v := -decay[si] * c
+			if hasUp {
+				v += 0.1 * (up[si] - c)
+			}
+			if hasDn {
+				v += 0.1 * (dn[si] - c)
+			}
+			o[si] = v
+		}
+	}
+}
+
+// point advances y, one point's column indexed [layer][species], by
+// chemSubsteps Heun steps in place.
+func (h *heun) point(y []float32) {
+	f, pred, corr := h.f[:len(y)], h.pred[:len(y)], h.corr[:len(y)]
+	for step := 0; step < chemSubsteps; step++ {
+		h.deriv(y, f)
+		for i, v := range y {
+			pred[i] = v + chemDT*f[i]
+		}
+		h.deriv(pred, corr)
+		for i := range y {
+			y[i] += chemDT * 0.5 * (f[i] + corr[i])
+		}
+	}
+}
+
+// chemistry runs the chemistry / vertical transport phase over every
+// owned grid point. Returns the op count.
+func (st *state) chemistry() float64 {
+	n := st.p.Layers * st.p.Species
+	for o := 0; o < len(st.points); o += n {
+		st.chem.point(st.points[o : o+n])
+	}
+	return float64(st.np) * float64(chemSubsteps*n*12)
 }
 
 // Run executes the AIRSHED skeleton on worker w and returns the worker's
@@ -167,121 +301,59 @@ func transport(block [][][]float32, lus []*linalg.BandedLU, p Params) float64 {
 func Run(w *fx.Worker, p Params) [][][]float32 {
 	llo, lhi := fx.BlockRange(p.Layers, w.P, w.Rank)
 	glo, ghi := fx.BlockRange(p.Grid, w.P, w.Rank)
-	myPoints := ghi - glo
-
-	// By-layer block: block[li][si][g].
-	block := make([][][]float32, lhi-llo)
-	for li := range block {
-		block[li] = make([][]float32, p.Species)
-		for si := 0; si < p.Species; si++ {
-			block[li][si] = make([]float32, p.Grid)
-			for g := 0; g < p.Grid; g++ {
-				block[li][si][g] = initConc(llo+li, si, g, p)
-			}
-		}
-	}
-	// By-grid block for the chemistry phase: points[g][li][si].
-	points := make([][][]float32, myPoints)
-	for g := range points {
-		points[g] = make([][]float32, p.Layers)
-		for li := range points[g] {
-			points[g][li] = make([]float32, p.Species)
-		}
-	}
+	st := newState(p, llo, lhi-llo, ghi-glo)
 
 	tag := tagBase
 	for hour := 0; hour < p.Hours; hour++ {
 		// Preprocessing: assemble and factor stiffness per owned layer.
-		lus := make([]*linalg.BandedLU, lhi-llo)
-		var preOps float64
-		for li := range lus {
-			a, aOps := stiffness(llo+li, hour, p)
-			lu, err := linalg.FactorBanded(a)
-			if err != nil {
-				panic(fmt.Sprintf("airshed: %v", err))
-			}
-			lus[li] = lu
-			preOps += aOps + lu.FactorFlops
-		}
+		lus, preOps := st.factor(hour)
 		w.Compute("airshed.factor", preOps)
 
 		for step := 0; step < p.Steps; step++ {
 			// Horizontal transport (by-layer, local).
-			w.Compute("airshed.solve", transport(block, lus, p))
+			w.Compute("airshed.solve", st.transport(lus))
 
 			// Transpose to by-grid distribution.
-			transposeForward(w, block, points, tag, p)
+			st.transposeForward(w, tag)
 			tag += w.P
 
 			// Chemistry / vertical transport (by-grid, local).
-			var chemOps float64
-			for g := range points {
-				chemOps += chemPoint(points[g], p)
-			}
-			w.Compute("airshed.chem", chemOps)
+			w.Compute("airshed.chem", st.chemistry())
 
 			// Reverse transpose back to by-layer.
-			transposeReverse(w, block, points, tag, p)
+			st.transposeReverse(w, tag)
 			tag += w.P
 
 			// Second horizontal transport.
-			w.Compute("airshed.solve", transport(block, lus, p))
+			w.Compute("airshed.solve", st.transport(lus))
 		}
 	}
-	return block
+	return st.layers()
 }
 
-// Sequential runs the same simulation single-process with identical
-// float32 arithmetic order, returning [layer][species][grid].
+// Sequential runs the same simulation single-process on the same kernels,
+// so with identical arithmetic, returning [layer][species][grid].
 func Sequential(p Params) [][][]float32 {
-	block := make([][][]float32, p.Layers)
-	for li := range block {
-		block[li] = make([][]float32, p.Species)
-		for si := 0; si < p.Species; si++ {
-			block[li][si] = make([]float32, p.Grid)
-			for g := 0; g < p.Grid; g++ {
-				block[li][si][g] = initConc(li, si, g, p)
-			}
-		}
-	}
-	points := make([][][]float32, p.Grid)
-	for g := range points {
-		points[g] = make([][]float32, p.Layers)
-		for li := range points[g] {
-			points[g][li] = make([]float32, p.Species)
-		}
-	}
+	st := newState(p, 0, p.Layers, p.Grid)
+	n := p.Layers * p.Species
 	for hour := 0; hour < p.Hours; hour++ {
-		lus := make([]*linalg.BandedLU, p.Layers)
-		for li := range lus {
-			a, _ := stiffness(li, hour, p)
-			lu, err := linalg.FactorBanded(a)
-			if err != nil {
-				panic(err)
-			}
-			lus[li] = lu
-		}
+		lus, _ := st.factor(hour)
 		for step := 0; step < p.Steps; step++ {
-			transport(block, lus, p)
-			for g := 0; g < p.Grid; g++ {
-				for li := 0; li < p.Layers; li++ {
-					for si := 0; si < p.Species; si++ {
-						points[g][li][si] = block[li][si][g]
-					}
+			st.transport(lus)
+			for r := 0; r < n; r++ { // r = layer·Species + species in both layouts
+				for g, v := range st.block[r*p.Grid : (r+1)*p.Grid] {
+					st.points[g*n+r] = v
 				}
 			}
-			for g := range points {
-				chemPoint(points[g], p)
-			}
-			for g := 0; g < p.Grid; g++ {
-				for li := 0; li < p.Layers; li++ {
-					for si := 0; si < p.Species; si++ {
-						block[li][si][g] = points[g][li][si]
-					}
+			st.chemistry()
+			for r := 0; r < n; r++ {
+				row := st.block[r*p.Grid : (r+1)*p.Grid]
+				for g := range row {
+					row[g] = st.points[g*n+r]
 				}
 			}
-			transport(block, lus, p)
+			st.transport(lus)
 		}
 	}
-	return block
+	return st.layers()
 }

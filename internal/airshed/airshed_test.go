@@ -111,21 +111,14 @@ func TestConcentrationsStayFinite(t *testing.T) {
 func TestChemistryConservesShape(t *testing.T) {
 	// Pure decay plus diffusion: total mass must not increase.
 	p := smallParams()
-	y := make([][]float32, p.Layers)
-	var before float64
-	for li := range y {
-		y[li] = make([]float32, p.Species)
-		for si := range y[li] {
-			y[li][si] = initConc(li, si, 0, p)
-			before += float64(y[li][si])
-		}
+	y := column(0, p)
+	var before, after float64
+	for _, v := range y {
+		before += float64(v)
 	}
-	chemPoint(y, p)
-	var after float64
-	for li := range y {
-		for si := range y[li] {
-			after += float64(y[li][si])
-		}
+	newHeun(p).point(y)
+	for _, v := range y {
+		after += float64(v)
 	}
 	if after > before {
 		t.Errorf("mass increased: %v → %v", before, after)
@@ -133,6 +126,17 @@ func TestChemistryConservesShape(t *testing.T) {
 	if after <= 0 || after < before*0.5 {
 		t.Errorf("mass collapsed: %v → %v", before, after)
 	}
+}
+
+// column is grid point g's initial l×s column, indexed [layer][species].
+func column(g int, p Params) []float32 {
+	y := make([]float32, p.Layers*p.Species)
+	for li := 0; li < p.Layers; li++ {
+		for si := 0; si < p.Species; si++ {
+			y[li*p.Species+si] = initConc(li, si, g, p)
+		}
+	}
+	return y
 }
 
 func TestStiffnessDiagonallyDominant(t *testing.T) {
@@ -177,47 +181,23 @@ func TestTransposeRoundTrip(t *testing.T) {
 	fx.Launch(m, P, fx.CostModel{DefaultRate: 1e12}, "tp", func(w *fx.Worker) {
 		llo, lhi := fx.BlockRange(p.Layers, P, w.Rank)
 		glo, ghi := fx.BlockRange(p.Grid, P, w.Rank)
-		block := make([][][]float32, lhi-llo)
-		orig := make([][][]float32, lhi-llo)
-		for li := range block {
-			block[li] = make([][]float32, p.Species)
-			orig[li] = make([][]float32, p.Species)
-			for si := 0; si < p.Species; si++ {
-				block[li][si] = make([]float32, p.Grid)
-				orig[li][si] = make([]float32, p.Grid)
-				for g := 0; g < p.Grid; g++ {
-					v := initConc(llo+li, si, g, p)
-					block[li][si][g] = v
-					orig[li][si][g] = v
-				}
-			}
-		}
-		points := make([][][]float32, ghi-glo)
-		for g := range points {
-			points[g] = make([][]float32, p.Layers)
-			for li := range points[g] {
-				points[g][li] = make([]float32, p.Species)
-			}
-		}
-		transposeForward(w, block, points, 1000, p)
+		st := newState(p, llo, lhi-llo, ghi-glo)
+		orig := append([]float32(nil), st.block...)
+		st.transposeForward(w, 1000)
 		// Verify the by-grid view holds the right elements.
-		for g := range points {
-			for li := 0; li < p.Layers; li++ {
-				for si := 0; si < p.Species; si++ {
-					if points[g][li][si] != initConc(li, si, glo+g, p) {
-						panic("forward transpose wrong")
-					}
+		for g := 0; g < ghi-glo; g++ {
+			want := column(glo+g, p)
+			for i, v := range st.points[g*len(want) : (g+1)*len(want)] {
+				if v != want[i] {
+					panic("forward transpose wrong")
 				}
 			}
 		}
-		transposeReverse(w, block, points, 2000, p)
-		for li := range block {
-			for si := 0; si < p.Species; si++ {
-				for g := 0; g < p.Grid; g++ {
-					if block[li][si][g] != orig[li][si][g] {
-						panic("round trip corrupted block")
-					}
-				}
+		clear(st.block)
+		st.transposeReverse(w, 2000)
+		for i, v := range st.block {
+			if v != orig[i] {
+				panic("round trip corrupted block")
 			}
 		}
 		ok[w.Rank] = true
@@ -283,28 +263,24 @@ func TestMessageSizeMatchesFormula(t *testing.T) {
 // predicted state of the neighbouring layers breaks this at 1e-3.
 func TestChemistryColumnMass(t *testing.T) {
 	p := PaperParams()
-	h := float64(chemDT)
+	h := newHeun(p)
+	dt := float64(chemDT)
 	var worst float64
 	for k := 0; k < 16; k++ {
-		g := k * p.Grid / 16
-		y := make([][]float32, p.Layers)
+		y := column(k*p.Grid/16, p)
 		before := make([]float64, p.Species)
-		for li := range y {
-			y[li] = make([]float32, p.Species)
-			for si := range y[li] {
-				y[li][si] = initConc(li, si, g, p)
-				before[si] += float64(y[li][si])
-			}
+		for i, v := range y {
+			before[i%p.Species] += float64(v)
 		}
-		chemPoint(y, p)
-		for si := 0; si < p.Species; si++ {
-			var after float64
-			for li := range y {
-				after += float64(y[li][si])
-			}
-			hd := h * float64(float32(0.05+0.01*float32(si%7)))
+		h.point(y)
+		after := make([]float64, p.Species)
+		for i, v := range y {
+			after[i%p.Species] += float64(v)
+		}
+		for si := range after {
+			hd := dt * float64(h.decay[si])
 			want := before[si] * math.Pow(1-hd+hd*hd/2, chemSubsteps)
-			worst = math.Max(worst, math.Abs(after-want)/want)
+			worst = math.Max(worst, math.Abs(after[si]-want)/want)
 		}
 	}
 	t.Logf("worst relative column-mass error %.2g", worst)

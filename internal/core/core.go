@@ -234,6 +234,11 @@ func validate(cfg RunConfig) (*faults.Schedule, error) {
 	if cfg.ForceCopyLoop && cfg.ForceFragments {
 		return nil, fmt.Errorf("core: ForceCopyLoop and ForceFragments both set")
 	}
+	if cfg.Program == Airshed {
+		if err := cfg.AirshedParams.Validate(); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
 	if !(cfg.FrameLossProb >= 0 && cfg.FrameLossProb < 1) { // written so NaN fails too
 		return nil, fmt.Errorf("core: FrameLossProb %g outside [0,1)", cfg.FrameLossProb)
 	}

@@ -65,6 +65,47 @@ func TestConflictingPackingFlags(t *testing.T) {
 	}
 }
 
+// Malformed AIRSHED dimensions are refused by Validate, not left to panic
+// inside a proc: the first two rows used to die in core.Run with
+// "linalg: invalid bandwidth" and "makeslice: len out of range".
+func TestAirshedParamsValidated(t *testing.T) {
+	small := airshed.Params{Layers: 4, Species: 2, Grid: 8, Steps: 1, Hours: 1, Band: 2}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*airshed.Params)
+		refuse string
+	}{
+		{"band == grid", func(p *airshed.Params) { p.Band = 8 }, "Band 8 outside [0, Grid=8)"},
+		{"negative species", func(p *airshed.Params) { p.Species = -1 }, "must be at least 1"},
+		{"zero value means the paper's", func(p *airshed.Params) { *p = airshed.Params{} }, ""},
+		{"fewer layers and points than ranks", func(p *airshed.Params) { p.Layers, p.Grid = 2, 3 }, ""},
+	} {
+		cfg := RunConfig{Program: Airshed, Seed: 1, AirshedParams: small}
+		tc.mutate(&cfg.AirshedParams)
+		err := Validate(cfg)
+		if tc.refuse == "" {
+			if err != nil {
+				t.Errorf("%s: refused: %v", tc.name, err)
+			} else if cfg.AirshedParams != (airshed.Params{}) { // the paper's 100 hours are not a unit test
+				if _, err := Run(cfg); err != nil {
+					t.Errorf("%s: %v", tc.name, err)
+				}
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.refuse) {
+			t.Errorf("%s: Validate = %v, want a refusal saying %q", tc.name, err, tc.refuse)
+		}
+		if _, runErr := Run(cfg); runErr == nil || err == nil || runErr.Error() != err.Error() {
+			t.Errorf("%s: Run error %v, Validate error %v", tc.name, runErr, err)
+		}
+	}
+	// Another program ignores the field, malformed or not.
+	if err := Validate(RunConfig{Program: "sor", AirshedParams: airshed.Params{Species: -1}}); err != nil {
+		t.Errorf("sor with unused AirshedParams refused: %v", err)
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	a := smallRun(t, "2dfft")
 	b := smallRun(t, "2dfft")

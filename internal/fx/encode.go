@@ -19,6 +19,14 @@ func EncodeFloat32s(xs []float32) []byte {
 	return out
 }
 
+// AppendFloat32s appends xs to dst in EncodeFloat32s's format.
+func AppendFloat32s(dst []byte, xs []float32) []byte {
+	for _, x := range xs {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
+	}
+	return dst
+}
+
 // DecodeFloat32s unpacks a slice written by EncodeFloat32s.
 func DecodeFloat32s(b []byte) []float32 {
 	if len(b)%4 != 0 {

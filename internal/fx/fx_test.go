@@ -319,6 +319,9 @@ func TestEncodeRoundtrips(t *testing.T) {
 	if got := DecodeFloat32s(EncodeFloat32s(f32)); len(got) != 4 || got[1] != -2.25 || got[3] != 3e30 {
 		t.Errorf("float32 roundtrip = %v", got)
 	}
+	if got := AppendFloat32s(AppendFloat32s([]byte{}, f32[:1]), f32[1:]); string(got) != string(EncodeFloat32s(f32)) {
+		t.Errorf("AppendFloat32s in two pieces = %x, EncodeFloat32s = %x", got, EncodeFloat32s(f32))
+	}
 	f64 := []float64{1.5, -2.25, 1e300}
 	if got := DecodeFloat64s(EncodeFloat64s(f64)); len(got) != 3 || got[2] != 1e300 {
 		t.Errorf("float64 roundtrip = %v", got)

@@ -43,3 +43,30 @@ func BenchmarkBandedSolve_1024x8(b *testing.B) {
 		f.Solve(rhs)
 	}
 }
+
+func BenchmarkBandedSolve4_1024x8(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	m := randBanded(r, 1024, 8)
+	f, err := FactorBanded(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rhs := make([][]float64, 4)
+	xs := make([][]float64, 4)
+	for k := range rhs {
+		rhs[k] = make([]float64, 1024)
+		xs[k] = make([]float64, 1024)
+		for i := range rhs[k] {
+			rhs[k][i] = r.NormFloat64()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range xs {
+			copy(xs[k], rhs[k])
+		}
+		f.SolveBatch(xs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(4*b.N), "ns/rhs")
+}

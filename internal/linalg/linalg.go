@@ -200,6 +200,14 @@ func (b *Banded) Add(i, j int, v float64) {
 	b.Data[k] += v
 }
 
+// Row returns the stored diagonals of row i, aliasing the matrix:
+// Row(i)[Band+d] is element (i, i+d) for d ∈ [−Band, Band]. Entries whose
+// column falls outside the matrix are padding and must stay zero.
+func (b *Banded) Row(i int) []float64 {
+	w := 2*b.Band + 1
+	return b.Data[i*w : (i+1)*w : (i+1)*w]
+}
+
 // Dense expands the banded matrix to dense form (for tests).
 func (b *Banded) Dense() *Matrix {
 	m := NewMatrix(b.N, b.N)
@@ -220,8 +228,8 @@ func (b *Banded) MulVec(x []float64) []float64 {
 	for i := 0; i < b.N; i++ {
 		lo, hi := max(0, i-b.Band), min(b.N-1, i+b.Band)
 		var s float64
-		for j := lo; j <= hi; j++ {
-			s += b.At(i, j) * x[j]
+		for j, v := range b.Row(i)[lo-i+b.Band : hi-i+b.Band+1] {
+			s += v * x[lo+j]
 		}
 		y[i] = s
 	}
@@ -230,68 +238,169 @@ func (b *Banded) MulVec(x []float64) []float64 {
 
 // BandedLU is an LU factorization of a banded matrix without pivoting
 // (valid for the diagonally dominant stiffness systems AIRSHED builds).
+//
+// The flop counts it reports feed the compute-time cost model, so they
+// are part of the simulated behaviour and exact; the kernels themselves
+// run on raw row slices and count nothing (DESIGN.md §8 "Kernel numerics").
 type BandedLU struct {
 	N, Band int
-	lu      *Banded
+	lu      []float64 // same layout as Banded.Data: L below the diagonal (unit diagonal implied), U on and above
 	// FactorFlops is the floating-point operation count of the
-	// factorization, used by the compute-time cost model.
-	FactorFlops float64
+	// factorization: one division per sub-diagonal entry plus a
+	// multiply-add per updated element, with no update counted for a
+	// multiplier that came out exactly zero.
+	FactorFlops int
+	// SolveFlops is the operation count of one backsolve: a multiply-add
+	// per stored off-diagonal entry of L and U, and a subtract and a
+	// divide per row.
+	SolveFlops int
 }
 
 // FactorBanded factors a diagonally dominant banded matrix, leaving it
 // unchanged. It returns an error on a zero pivot.
 func FactorBanded(a *Banded) (*BandedLU, error) {
-	lu := NewBanded(a.N, a.Band)
-	copy(lu.Data, a.Data)
-	f := &BandedLU{N: a.N, Band: a.Band, lu: lu}
-	for col := 0; col < a.N; col++ {
-		piv := lu.At(col, col)
+	n, band := a.N, a.Band
+	w := 2*band + 1
+	lu := append([]float64(nil), a.Data...)
+	f := &BandedLU{N: n, Band: band, lu: lu}
+	f.FactorFlops, f.SolveFlops = denseFlops(n, band)
+	for col := 0; col < n; col++ {
+		prow := lu[col*w : col*w+w]
+		piv := prow[band]
 		if piv == 0 {
 			return nil, fmt.Errorf("linalg: zero pivot at %d", col)
 		}
-		for r := col + 1; r <= min(a.N-1, col+a.Band); r++ {
-			m := lu.At(r, col) / piv
-			lu.Set(r, col, m)
-			f.FactorFlops++
+		k := min(band, n-1-col) // rows below, and columns right of, the pivot inside the band
+		up := prow[band+1 : band+1+k]
+		for r := 1; r <= k; r++ {
+			// Row col+r holds column col at offset band−r.
+			row := lu[(col+r)*w+band-r : (col+r)*w+band-r+1+k]
+			m := row[0] / piv
+			row[0] = m
 			if m == 0 {
+				f.FactorFlops -= 2 * k
 				continue
 			}
-			for j := col + 1; j <= min(a.N-1, col+a.Band); j++ {
-				lu.Add(r, j, -m*lu.At(col, j))
-				f.FactorFlops += 2
+			row = row[1:]
+			for j, u := range up {
+				row[j] += -m * u
 			}
 		}
 	}
 	return f, nil
 }
 
+// denseFlops returns the factor and backsolve flop counts of an n×n
+// matrix of half bandwidth b with no zero multiplier, in closed form.
+// Column col has k = min(b, n−1−col) rows below it, each one division and
+// k multiply-adds: k + 2k² summed over k < b for the last b columns, and
+// n−b full columns. The backsolve touches each of the 2·Σk off-diagonal
+// entries once.
+func denseFlops(n, b int) (factor, solve int) {
+	if n == 0 {
+		return 0, 0
+	}
+	offDiag := (b-1)*b/2 + (n-b)*b // Σ_col k, the entries of L (and of U)
+	factor = offDiag + (b-1)*b*(2*b-1)/3 + (n-b)*2*b*b
+	solve = 4*offDiag + 2*n
+	return factor, solve
+}
+
 // Solve backsolves for one right-hand side. It also reports the flop
 // count of the solve for the cost model.
 func (f *BandedLU) Solve(b []float64) (x []float64, flops float64) {
-	if len(b) != f.N {
+	x = append([]float64(nil), b...)
+	f.SolveInPlace(x)
+	return x, float64(f.SolveFlops)
+}
+
+// SolveInPlace overwrites the right-hand side x with the solution of
+// A·x = b: the forward substitution through L, then the back
+// substitution through U (the paper's AIRSHED "backsolve").
+func (f *BandedLU) SolveInPlace(x []float64) {
+	n, band := f.N, f.Band
+	if len(x) != n {
 		panic("linalg: banded Solve dimension mismatch")
 	}
-	x = append([]float64(nil), b...)
-	for i := 1; i < f.N; i++ {
-		lo := max(0, i-f.Band)
+	w := 2*band + 1
+	for i := 1; i < n; i++ {
+		k := min(band, i)
+		row := f.lu[i*w+band-k : i*w+band]
+		xs := x[i-k : i]
 		var s float64
-		for j := lo; j < i; j++ {
-			s += f.lu.At(i, j) * x[j]
-			flops += 2
+		for j, v := range row {
+			s += v * xs[j]
 		}
 		x[i] -= s
 	}
-	for i := f.N - 1; i >= 0; i-- {
-		hi := min(f.N-1, i+f.Band)
+	for i := n - 1; i >= 0; i-- {
+		k := min(band, n-1-i)
+		row := f.lu[i*w+band : i*w+band+1+k]
+		diag, up := row[0], row[1:]
+		xs := x[i+1 : i+1+k]
 		var s float64
-		for j := i + 1; j <= hi; j++ {
-			s += f.lu.At(i, j) * x[j]
-			flops += 2
+		for j, v := range up {
+			s += v * xs[j]
 		}
-		x[i] = (x[i] - s) / f.lu.At(i, i)
-		flops += 2
+		x[i] = (x[i] - s) / diag
 	}
-	return x, flops
+}
+
+// SolveBatch overwrites every right-hand side in xs with its solution.
+// Each substitution is one loop-carried chain (x[i] waits for x[i−1]), so
+// the right-hand sides are taken four at a time and the four chains
+// interleaved to overlap their latencies; every right-hand side still
+// sees exactly SolveInPlace's operations in SolveInPlace's order, so the
+// results are bit-identical to solving one by one. A tail of fewer than
+// four goes through SolveInPlace.
+func (f *BandedLU) SolveBatch(xs [][]float64) {
+	for ; len(xs) >= 4; xs = xs[4:] {
+		f.solve4(xs[0], xs[1], xs[2], xs[3])
+	}
+	for _, x := range xs {
+		f.SolveInPlace(x)
+	}
+}
+
+func (f *BandedLU) solve4(x0, x1, x2, x3 []float64) {
+	n, band := f.N, f.Band
+	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
+		panic("linalg: banded Solve dimension mismatch")
+	}
+	w := 2*band + 1
+	for i := 1; i < n; i++ {
+		k := min(band, i)
+		row := f.lu[i*w+band-k : i*w+band]
+		a0, a1, a2, a3 := x0[i-k:i], x1[i-k:i], x2[i-k:i], x3[i-k:i]
+		var s0, s1, s2, s3 float64
+		for j, v := range row {
+			s0 += v * a0[j]
+			s1 += v * a1[j]
+			s2 += v * a2[j]
+			s3 += v * a3[j]
+		}
+		x0[i] -= s0
+		x1[i] -= s1
+		x2[i] -= s2
+		x3[i] -= s3
+	}
+	for i := n - 1; i >= 0; i-- {
+		k := min(band, n-1-i)
+		row := f.lu[i*w+band : i*w+band+1+k]
+		diag, up := row[0], row[1:]
+		a0, a1, a2, a3 := x0[i+1:i+1+k], x1[i+1:i+1+k], x2[i+1:i+1+k], x3[i+1:i+1+k]
+		var s0, s1, s2, s3 float64
+		for j, v := range up {
+			s0 += v * a0[j]
+			s1 += v * a1[j]
+			s2 += v * a2[j]
+			s3 += v * a3[j]
+		}
+		x0[i] = (x0[i] - s0) / diag
+		x1[i] = (x1[i] - s1) / diag
+		x2[i] = (x2[i] - s2) / diag
+		x3[i] = (x3[i] - s3) / diag
+	}
 }
 
 // Dot returns the inner product of a and b.

@@ -161,6 +161,9 @@ func TestBandedAccessors(t *testing.T) {
 	if b.At(0, 4) != 0 {
 		t.Error("out-of-band At != 0")
 	}
+	if row := b.Row(2); len(row) != 3 || row[b.Band+1] != 8 {
+		t.Errorf("Row(2) = %v, want element (2,3) = 8 at offset Band+1", row)
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
