@@ -3,20 +3,19 @@
 // statistics, windowed instantaneous bandwidth, power spectra, full
 // reports, and per-connection breakdowns.
 //
-// -analysis selects the pipeline: "trace" (default) materializes the
-// capture; "stream" folds packets through the decoder one at a time, so
-// arbitrarily long captures analyze in O(bandwidth windows) memory with
-// results bit-identical to the trace pipeline. -j fans the spectral
-// stages of -mode report out on a worker pool (byte-identical output for
-// any worker count), and the same profiling flags as fxrun/fxfarm
+// Every mode but connections is a fold: a binary trace streams through
+// the characterizer one decoded record at a time and is never
+// materialized, so arbitrarily long captures analyze in O(bandwidth
+// windows) memory, and -mode report prints the bytes fxrun -format
+// report printed for the run. The same profiling flags as fxrun/fxfarm
 // (-cpuprofile, -memprofile, -trace) cover the analysis itself.
 //
 // Usage:
 //
 //	fxanalyze -in 2dfft.trace -mode stats
 //	fxanalyze -in 2dfft.trace -mode spectrum -peaks 5
-//	fxanalyze -in 2dfft.trace -mode bandwidth -analysis stream > series.csv
-//	fxanalyze -in 2dfft.trace -mode report -j 4 > report.json
+//	fxanalyze -in 2dfft.trace -mode bandwidth > series.csv
+//	fxanalyze -in 2dfft.trace -mode report > report.json
 //	fxanalyze -in 2dfft.trace -mode conn -src 1 -dst 0
 package main
 
@@ -37,16 +36,14 @@ func main() {
 	log.SetPrefix("fxanalyze: ")
 
 	var (
-		in       = flag.String("in", "", "input binary trace (required)")
-		mode     = flag.String("mode", "stats", "analysis: stats, bandwidth, spectrum, report, connections, conn")
-		analysis = flag.String("analysis", "trace", "pipeline: trace (materialize the capture) or stream (single-pass, O(windows) memory)")
-		jobs     = flag.Int("j", 0, "parallel analysis workers for -mode report (0 = GOMAXPROCS)")
-		window   = flag.Int("window-ms", 10, "averaging window in ms")
-		peaks    = flag.Int("peaks", 5, "number of spectral peaks to report")
-		src      = flag.Int("src", -1, "source host for -mode conn")
-		dst      = flag.Int("dst", -1, "destination host for -mode conn")
-		prof     = profiling.Register()
-		ver      = version.Register()
+		in     = flag.String("in", "", "input trace (required)")
+		mode   = flag.String("mode", "stats", "analysis: stats, bandwidth, spectrum, report, connections, conn")
+		window = flag.Int("window-ms", 10, "averaging window in ms")
+		peaks  = flag.Int("peaks", 5, "number of spectral peaks to report")
+		src    = flag.Int("src", -1, "source host for -mode conn")
+		dst    = flag.Int("dst", -1, "destination host for -mode conn")
+		prof   = profiling.Register()
+		ver    = version.Register()
 	)
 	flag.Parse()
 	version.ExitIfRequested(ver)
@@ -54,6 +51,9 @@ func main() {
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *window <= 0 {
+		log.Fatalf("-window-ms %d: the averaging window must be positive", *window)
 	}
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -65,40 +65,51 @@ func main() {
 		}
 	}()
 
-	switch *analysis {
-	case "trace":
-		runTraceMode(*in, *mode, *window, *peaks, *jobs, *src, *dst)
-	case "stream":
-		runStreamMode(*in, *mode, *window, *peaks)
-	default:
-		log.Fatalf("unknown analysis %q (want trace or stream)", *analysis)
-	}
-}
-
-// runTraceMode materializes the capture and analyzes it post hoc.
-func runTraceMode(in, mode string, windowMs, peaks, jobs, src, dst int) {
-	f, err := os.Open(in)
+	f, err := os.Open(*in)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := fxnet.ReadTrace(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bin := fxnet.Duration(windowMs) * 1_000_000
 
-	switch mode {
-	case "stats":
-		printStats(tr)
-	case "bandwidth":
-		series, dt := fxnet.BinnedBandwidth(tr, bin)
-		printSeries(series, dt)
-	case "spectrum":
-		printSpectrum(fxnet.SpectrumOf(tr, bin), peaks)
-	case "report":
-		printReport(fxnet.CharacterizeTraceData(tr, fxnet.NewSpectralPool(jobs)))
+	switch *mode {
+	case "stats", "report":
+		meta, each := packets(f)
+		sc := fxnet.NewStreamCharacterizer(meta["program"])
+		each(sc.Observe)
+		if *mode == "report" {
+			printReport(sc.Report())
+		} else {
+			printStats(sc)
+		}
+	case "conn":
+		if *src < 0 || *dst < 0 {
+			log.Fatal("-mode conn requires -src and -dst")
+		}
+		_, each := packets(f)
+		sc := fxnet.NewStreamCharacterizer("")
+		each(func(p fxnet.Packet) {
+			if int(p.Src) == *src && int(p.Dst) == *dst {
+				sc.Observe(p)
+			}
+		})
+		printStats(sc)
+	case "bandwidth", "spectrum":
+		_, each := packets(f)
+		acc := fxnet.NewBandwidthAccumulator(fxnet.Duration(*window) * 1_000_000)
+		each(func(p fxnet.Packet) { acc.Add(p.Time, p.Size) })
+		series, dt := acc.Series()
+		if *mode == "bandwidth" {
+			printSeries(series, dt)
+		} else {
+			printSpectrum(fxnet.SpectrumOfSeries(series, dt), *peaks)
+		}
 	case "connections":
+		// The per-connection table filters the packets themselves, so
+		// this one mode materializes the capture.
+		tr, err := fxnet.ReadTrace(f)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-20s %10s %12s\n", "connection", "packets", "KB/s")
 		for _, pr := range tr.Pairs() {
 			conn := tr.Connection(pr[0], pr[1])
@@ -106,79 +117,42 @@ func runTraceMode(in, mode string, windowMs, peaks, jobs, src, dst int) {
 				fmt.Sprintf("%s > %s", tr.HostName(pr[0]), tr.HostName(pr[1])),
 				conn.Len(), fxnet.AverageBandwidthKBps(conn))
 		}
-	case "conn":
-		if src < 0 || dst < 0 {
-			log.Fatal("-mode conn requires -src and -dst")
-		}
-		printStats(tr.Connection(src, dst))
 	default:
-		log.Fatalf("unknown mode %q", mode)
+		log.Fatalf("unknown mode %q", *mode)
 	}
 }
 
-// runStreamMode folds packets through the binary decoder one at a time;
-// the capture is never materialized.
-func runStreamMode(in, mode string, windowMs, peaks int) {
-	f, err := os.Open(in)
+// packets returns the capture's metadata and a function that feeds its
+// packets, in order, to a fold. A binary trace is decoded one record at
+// a time, so the capture is never materialized; a text listing (fxrun
+// -format text) has no streaming decoder and is parsed whole.
+func packets(f *os.File) (meta map[string]string, each func(observe func(fxnet.Packet))) {
+	if rd, err := fxnet.NewTraceReader(f); err == nil {
+		return rd.Meta(), func(observe func(fxnet.Packet)) {
+			var p fxnet.Packet
+			for {
+				if err := rd.Next(&p); err == io.EOF {
+					return
+				} else if err != nil {
+					log.Fatal(err)
+				}
+				observe(p)
+			}
+		}
+	}
+	// Not a readable binary header: ReadTrace detects the format again
+	// from the start, so a damaged binary trace reports its own error.
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		log.Fatal(err)
+	}
+	tr, err := fxnet.ReadTrace(f)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	rd, err := fxnet.NewTraceReader(f)
-	if err != nil {
-		log.Fatalf("-analysis stream needs a binary trace: %v", err)
-	}
-	bin := fxnet.Duration(windowMs) * 1_000_000
-
-	switch mode {
-	case "stats", "report":
-		sc := fxnet.NewStreamCharacterizer(rd.Meta()["program"])
-		var p fxnet.Packet
-		for {
-			if err := rd.Next(&p); err == io.EOF {
-				break
-			} else if err != nil {
-				log.Fatal(err)
-			}
-			sc.Observe(p)
+	return tr.Meta, func(observe func(fxnet.Packet)) {
+		for _, p := range tr.Packets {
+			observe(p)
 		}
-		rep := sc.Report()
-		if mode == "report" {
-			printReport(rep)
-			return
-		}
-		if rep.AggSize.N == 0 {
-			fmt.Println("empty trace")
-			return
-		}
-		dur := float64(len(rep.AggSeries)) * rep.SeriesDT
-		fmt.Printf("packets:        %d over %.3f s\n", rep.AggSize.N, dur)
-		fmt.Printf("size (bytes):   min=%.0f max=%.0f avg=%.1f sd=%.1f\n",
-			rep.AggSize.Min, rep.AggSize.Max, rep.AggSize.Mean, rep.AggSize.SD)
-		fmt.Printf("interarrival:   min=%.2f max=%.1f avg=%.2f sd=%.2f ms\n",
-			rep.AggInterarrival.Min, rep.AggInterarrival.Max, rep.AggInterarrival.Mean, rep.AggInterarrival.SD)
-		fmt.Printf("avg bandwidth:  %.1f KB/s\n", rep.AggKBps)
-	case "bandwidth", "spectrum":
-		acc := fxnet.NewBandwidthAccumulator(bin)
-		var p fxnet.Packet
-		for {
-			if err := rd.Next(&p); err == io.EOF {
-				break
-			} else if err != nil {
-				log.Fatal(err)
-			}
-			acc.Add(p.Time, p.Size)
-		}
-		series, dt := acc.Series()
-		if mode == "bandwidth" {
-			printSeries(series, dt)
-			return
-		}
-		printSpectrum(fxnet.SpectrumOfSeries(series, dt), peaks)
-	case "connections", "conn":
-		log.Fatalf("-mode %s needs the materialized capture; use -analysis trace", mode)
-	default:
-		log.Fatalf("unknown mode %q", mode)
 	}
 }
 
@@ -210,15 +184,15 @@ func printReport(rep *fxnet.Report) {
 	fmt.Println()
 }
 
-func printStats(tr *fxnet.Trace) {
-	if tr.Len() == 0 {
+func printStats(sc *fxnet.StreamCharacterizer) {
+	rep := sc.Report()
+	if rep.AggSize.N == 0 {
 		fmt.Println("empty trace")
 		return
 	}
-	ss := fxnet.SizeStats(tr)
-	is := fxnet.InterarrivalStats(tr)
-	fmt.Printf("packets:        %d over %.3f s\n", tr.Len(), tr.Duration().Seconds())
+	ss, is := rep.AggSize, rep.AggInterarrival
+	fmt.Printf("packets:        %d over %.3f s\n", ss.N, sc.Duration().Seconds())
 	fmt.Printf("size (bytes):   min=%.0f max=%.0f avg=%.1f sd=%.1f\n", ss.Min, ss.Max, ss.Mean, ss.SD)
 	fmt.Printf("interarrival:   min=%.2f max=%.1f avg=%.2f sd=%.2f ms\n", is.Min, is.Max, is.Mean, is.SD)
-	fmt.Printf("avg bandwidth:  %.1f KB/s\n", fxnet.AverageBandwidthKBps(tr))
+	fmt.Printf("avg bandwidth:  %.1f KB/s\n", rep.AggKBps)
 }

@@ -33,8 +33,8 @@ var goldenQuickDigests = map[string]string{
 // 754 bits) of every program under the -quick regime at seed 42. The
 // streaming pipeline folds these bins during the simulation without
 // materializing a trace, so this map is the determinism contract of
-// -analysis stream: the accumulator must produce bit-identical windows
-// to the trace-derived binning, under any worker count.
+// the fold every report comes out of: the accumulator must produce
+// these windows bit for bit, under any worker count.
 var goldenQuickStreamDigests = map[string]string{
 	"sor":     "b91e508c4cb7a97d06e6964f5587d6beef57c3844ff579a57f303156123b851a",
 	"2dfft":   "70e3d3f8060bd8e9b19d417961078921b0af0c87d623c7830b1351343bf100eb",

@@ -3,10 +3,13 @@
 // text numbers for AIRSHED, the §7.2 spectral models, and the §7.3 QoS
 // negotiation. Measured values print next to the paper's.
 //
-// Runs are submitted through the experiment farm (internal/farm): -j
-// executes them on a bounded worker pool and -cache reuses results from
-// a content-addressed on-disk cache across invocations. The printed
-// tables are byte-identical for any -j and any cache state.
+// Runs are submitted through the experiment farm (internal/farm) as
+// stream jobs — every table is built from Report fields alone, so each
+// run folds its characterization during the simulation and no trace is
+// materialized. -j executes them on a bounded worker pool and -cache
+// reuses results from a content-addressed on-disk cache across
+// invocations. The printed tables are byte-identical for any -j and any
+// cache state.
 //
 // A full run takes a few minutes serially; -quick reduces problem sizes
 // for a fast smoke pass (numbers then differ from the paper regime).
@@ -25,15 +28,14 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fxrepro: ")
 	var (
-		quick    = flag.Bool("quick", false, "reduced problem sizes (fast, non-paper regime)")
-		tiny     = flag.Bool("tiny", false, "minimal problem sizes (CI smoke; implies non-paper regime)")
-		seed     = flag.Int64("seed", 42, "simulation seed")
-		csv      = flag.String("csvdir", "", "optional directory for bandwidth-series CSVs")
-		jobs     = flag.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		cache    = flag.String("cache", "", "content-addressed run-cache directory (e.g. .fxcache)")
-		analysis = flag.String("analysis", "trace", "pipeline: trace (full captures) or stream (fold analysis during each run; O(windows) memory)")
-		prof     = profiling.Register()
-		ver      = version.Register()
+		quick = flag.Bool("quick", false, "reduced problem sizes (fast, non-paper regime)")
+		tiny  = flag.Bool("tiny", false, "minimal problem sizes (CI smoke; implies non-paper regime)")
+		seed  = flag.Int64("seed", 42, "simulation seed")
+		csv   = flag.String("csvdir", "", "optional directory for bandwidth-series CSVs")
+		jobs  = flag.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		cache = flag.String("cache", "", "content-addressed run-cache directory (e.g. .fxcache)")
+		prof  = profiling.Register()
+		ver   = version.Register()
 	)
 	flag.Parse()
 	version.ExitIfRequested(ver)
@@ -43,10 +45,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	stream, err := parseAnalysis(*analysis)
-	if err != nil {
-		log.Fatal(err)
-	}
 	_, err = repro(reproOptions{
 		Quick:    *quick,
 		Tiny:     *tiny,
@@ -54,7 +52,6 @@ func main() {
 		CSVDir:   *csv,
 		Jobs:     *jobs,
 		CacheDir: *cache,
-		Stream:   stream,
 	}, os.Stdout, os.Stderr)
 	if err != nil {
 		log.Fatal(err)

@@ -10,19 +10,6 @@ import (
 	"fxnet"
 )
 
-// parseAnalysis maps the shared -analysis flag value to the farm's
-// Stream selector.
-func parseAnalysis(v string) (stream bool, err error) {
-	switch v {
-	case "", "trace":
-		return false, nil
-	case "stream":
-		return true, nil
-	default:
-		return false, fmt.Errorf("unknown analysis %q (want trace or stream)", v)
-	}
-}
-
 // reproOptions configures one reproduction pass.
 type reproOptions struct {
 	Quick bool // reduced problem sizes (fast, non-paper regime)
@@ -32,14 +19,11 @@ type reproOptions struct {
 	CSVDir string
 	// Jobs bounds concurrent simulations; <= 0 selects GOMAXPROCS.
 	Jobs int
-	// CacheDir enables the on-disk run cache.
+	// CacheDir enables the on-disk run cache. The runs are stream jobs,
+	// so new entries are spectrum-level; a full-run entry another tool
+	// left under the same key answers too, with a Report that is
+	// bit-identical, SD included.
 	CacheDir string
-	// Stream selects the analysis-only pipeline: characterizations fold
-	// during each simulation, no traces are materialized, and cache
-	// entries are spectrum-level. The tables are built from Report fields
-	// alone, so they match the trace pipeline except for SD digits
-	// (streaming moments vs two-pass; ~1e-9 relative).
-	Stream bool
 }
 
 var paper = map[string][3]float64{
@@ -96,7 +80,7 @@ func repro(opts reproOptions, stdout, stderr io.Writer) (fxnet.FarmStats, error)
 
 	var jobs []fxnet.FarmJob
 	for _, name := range fxnet.Programs() {
-		jobs = append(jobs, fxnet.FarmJob{Label: name, Config: reproConfig(name, opts), Stream: opts.Stream})
+		jobs = append(jobs, fxnet.FarmJob{Label: name, Config: reproConfig(name, opts), Stream: true})
 	}
 	reports := map[string]*fxnet.Report{}
 	for _, jr := range f.RunBatch(jobs) {

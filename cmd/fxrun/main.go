@@ -2,19 +2,17 @@
 // simulated testbed and writes the captured packet trace, playing the
 // role of the paper's measurement workstation.
 //
-// -analysis selects the measurement pipeline: "trace" (default) captures
-// and writes the full packet trace; "stream" folds the characterization
+// -format selects the product: "bin" (default) and "text" capture and
+// write the full packet trace; "report" folds the characterization
 // during the simulation — no trace is ever materialized, memory stays
-// O(bandwidth windows), and the output is the report JSON. -format
-// report characterizes a trace-mode run (spectral stages fanned out on
-// -j workers) instead of dumping packets.
+// O(bandwidth windows), and the output is the report JSON, the same
+// bytes fxanalyze -mode report prints from the captured trace.
 //
 // Usage:
 //
 //	fxrun -program 2dfft -o 2dfft.trace
 //	fxrun -program airshed -hours 10 -format text -o airshed.txt
-//	fxrun -program 2dfft -format report -j 4 -o 2dfft.report.json
-//	fxrun -program 2dfft -analysis stream -o 2dfft.report.json
+//	fxrun -program 2dfft -format report -o 2dfft.report.json
 package main
 
 import (
@@ -42,9 +40,7 @@ func main() {
 		seed     = flag.Int64("seed", 42, "simulation seed")
 		bitrate  = flag.Float64("bitrate", 0, "segment bit rate in b/s (0 = 10 Mb/s)")
 		out      = flag.String("o", "", "output file (default stdout)")
-		format   = flag.String("format", "bin", "output: bin or text (trace), report (characterization JSON)")
-		analysis = flag.String("analysis", "trace", "pipeline: trace (capture packets) or stream (fold analysis during the run)")
-		jobs     = flag.Int("j", 0, "parallel analysis workers for -format report (0 = GOMAXPROCS)")
+		format   = flag.String("format", "bin", "output: bin or text (packet trace), report (characterization JSON, no trace kept)")
 		faults   = flag.String("faults", "", `fault script, e.g. "5s:linkdown host2,7s:linkup host2"`)
 		degrade  = flag.Bool("degrade", false, "re-form the team on survivors when a host dies (renegotiates P via QoS)")
 		topology = flag.String("topology", "", `multi-segment topology spec like "lan0:0-1,lan1:2-3" or @file (empty = single shared segment)`)
@@ -93,21 +89,23 @@ func main() {
 	default:
 		log.Fatalf("unknown -pdes %q (want auto, serial, or parallel)", *pdes)
 	}
+	switch *format {
+	case "bin", "text", "report":
+	default:
+		log.Fatalf("unknown -format %q (want bin, text, or report)", *format)
+	}
 
 	var res *fxnet.Result
 	var rep *fxnet.Report
-	switch *analysis {
-	case "trace":
-		res, err = fxnet.RunWithOpts(cfg, opts)
-	case "stream":
+	if *format == "report" {
 		res, rep, err = fxnet.RunStreamWithOpts(cfg, opts)
-	default:
-		log.Fatalf("unknown analysis %q (want trace or stream)", *analysis)
+	} else {
+		res, err = fxnet.RunWithOpts(cfg, opts)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *analysis == "stream" {
+	if rep != nil {
 		fmt.Fprintf(os.Stderr, "fxrun: %s finished at t=%s, %d packets analyzed in-flight\n",
 			*program, res.Elapsed, rep.AggSize.N)
 	} else {
@@ -139,23 +137,13 @@ func main() {
 		}()
 		w = f
 	}
-	if *analysis == "stream" {
-		// A stream run has no packets to dump; the report is the output.
-		if *format != "report" && *format != "bin" {
-			log.Fatalf("-analysis stream produces a report, not a %s trace", *format)
-		}
-		writeReport(w, rep)
-		return
-	}
 	switch *format {
 	case "bin":
 		err = res.Trace.WriteBinary(w)
 	case "text":
 		err = res.Trace.WriteText(w)
 	case "report":
-		writeReport(w, fxnet.CharacterizePool(res, fxnet.NewSpectralPool(*jobs)))
-	default:
-		log.Fatalf("unknown format %q (want bin, text, or report)", *format)
+		writeReport(w, rep)
 	}
 	if err != nil {
 		log.Fatal(err)

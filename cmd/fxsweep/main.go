@@ -6,12 +6,11 @@
 //
 // The sweep's runs are submitted through the experiment farm: -j runs
 // them concurrently and -cache reuses previously simulated points.
-// -analysis stream folds each point's characterization during its
-// simulation (no traces are materialized and cache entries are
-// spectrum-level), which the sweep can afford because every printed
-// column comes from the Report. -json writes a machine-readable record
-// of the sweep alongside the text table (for dashboards and BENCH
-// files); "-" selects stdout.
+// Every printed column comes from the Report, so the points are stream
+// jobs: each folds its characterization during its simulation, no trace
+// is materialized, and cache entries are spectrum-level. -json writes a
+// machine-readable record of the sweep alongside the text table (for
+// dashboards and BENCH files); "-" selects stdout.
 //
 // Usage:
 //
@@ -99,22 +98,12 @@ func main() {
 		degrade  = flag.Bool("degrade", false, "re-form teams on survivors when a host dies")
 		jobs     = flag.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		cacheDir = flag.String("cache", "", "content-addressed run-cache directory")
-		analysis = flag.String("analysis", "trace", "pipeline: trace (full captures) or stream (fold analysis during each run; O(windows) memory)")
 		jsonOut  = flag.String("json", "", "write machine-readable sweep results to this file (\"-\" = stdout)")
 		topology = flag.String("topology", "", `multi-segment topology spec or @file applied to every run (empty = single shared segment)`)
 		ver      = version.Register()
 	)
 	flag.Parse()
 	version.ExitIfRequested(ver)
-
-	var stream bool
-	switch *analysis {
-	case "", "trace":
-	case "stream":
-		stream = true
-	default:
-		log.Fatalf("unknown analysis %q (want trace or stream)", *analysis)
-	}
 
 	base := fxnet.RunConfig{
 		Program: *program, Seed: *seed,
@@ -178,7 +167,7 @@ func main() {
 	}
 	farmJobs := make([]fxnet.FarmJob, len(points))
 	for i, pt := range points {
-		farmJobs[i] = fxnet.FarmJob{Label: pt.label, Config: pt.cfg, Stream: stream}
+		farmJobs[i] = fxnet.FarmJob{Label: pt.label, Config: pt.cfg, Stream: true}
 	}
 	results := farm.RunBatch(farmJobs)
 
@@ -188,9 +177,8 @@ func main() {
 		if jr.Err != nil {
 			log.Fatalf("%s: %v", jr.Job.Label, jr.Err)
 		}
-		// The farm's report already carries the spectrum and bandwidth
-		// (computed in-flight for stream jobs, post hoc otherwise); the
-		// sweep no longer recomputes an FFT per point.
+		// The farm's report already carries the spectrum and bandwidth,
+		// folded during the run.
 		f := jr.Report.AggSpectrum.DominantFreq()
 		kbps := jr.Report.AggKBps
 		packets := int(jr.Report.AggSize.N)

@@ -263,16 +263,14 @@ func Run(cfg RunConfig) (*Result, error) { return core.Run(cfg) }
 // RunStream executes one experiment in streaming-analysis mode: packets
 // fold into the characterization as they are captured, the returned
 // Result carries a metadata-only trace, and peak memory stays
-// O(bandwidth windows) instead of O(packets). The report's series,
-// spectra, bandwidths, correlation, and coincidence are bit-identical to
-// Characterize(Run(cfg)); standard deviations agree to ~1e-9 relative
-// (streaming moments vs two-pass).
+// O(bandwidth windows) instead of O(packets). The report is
+// bit-identical to Characterize(Run(cfg)): one fold computes both.
 func RunStream(cfg RunConfig) (*Result, *Report, error) { return core.RunStream(cfg) }
 
-// Streaming/parallel analysis types.
+// Streaming-analysis types.
 type (
-	// SpectralPool is a bounded worker pool with reusable DSP scratch;
-	// analyses run on it are byte-identical for every worker count.
+	// SpectralPool is a bounded worker pool with reusable DSP scratch
+	// for Welch, whose result is byte-identical for every worker count.
 	SpectralPool = dsp.Pool
 	// WelchOptions configure the averaged-periodogram estimate.
 	WelchOptions = dsp.WelchOptions
@@ -289,18 +287,11 @@ type (
 // (<= 0 selects GOMAXPROCS).
 func NewSpectralPool(workers int) *SpectralPool { return dsp.NewPool(workers) }
 
-// CharacterizePool is Characterize with the spectral stages fanned out
-// on a pool; the output is byte-identical to the serial Characterize.
-func CharacterizePool(res *Result, pool *SpectralPool) *Report {
-	return core.CharacterizePool(res, pool)
-}
-
-// CharacterizeTraceData characterizes a bare trace (program and
-// representative connection derived from its metadata), optionally on a
-// pool — the offline fxanalyze path.
-func CharacterizeTraceData(t *Trace, pool *SpectralPool) *Report {
+// CharacterizeTraceData characterizes a bare trace, with the program and
+// its representative connection derived from the trace's metadata.
+func CharacterizeTraceData(t *Trace) *Report {
 	prog := t.Meta["program"]
-	return analysis.CharacterizeTracePool(t, prog, core.RepConn(prog), pool)
+	return analysis.CharacterizeTrace(t, prog, core.RepConn(prog))
 }
 
 // NewStreamCharacterizer creates a single-pass characterizer for the

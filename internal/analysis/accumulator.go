@@ -6,12 +6,12 @@ import (
 )
 
 // Accumulator folds packets into the fixed-bin bandwidth series as they
-// are captured — the streaming form of BinnedBandwidth. It holds one
-// float64 per elapsed window, so an analysis-only run costs O(windows)
-// memory however many packets flow. Feeding the same packets in the same
-// order as a materialized trace yields a Series bit-identical to
-// BinnedBandwidth on that trace: the per-bin additions happen in capture
-// order and the final scaling uses the same expression.
+// are captured: the bandwidth along static intervals of the bin width,
+// starting at the first packet's time. It holds one float64 per elapsed
+// window, so an analysis-only run costs O(windows) memory however many
+// packets flow. The per-bin additions happen in capture order, so the
+// series depends on the packet sequence alone (BinnedBandwidth is this
+// fold over a materialized trace).
 //
 // The zero value is not ready; use NewAccumulator. Accumulator is a
 // trace.Sink, so it can be attached directly to a Collector.
@@ -58,8 +58,7 @@ func (a *Accumulator) Fold(ch *trace.Chunk) {
 func (a *Accumulator) N() int64 { return a.n }
 
 // Series returns the bandwidth series in KB/s and the bin width in
-// seconds, exactly as BinnedBandwidth would compute them from the full
-// trace. The returned slice is freshly allocated; the accumulator can
+// seconds. The returned slice is freshly allocated; the accumulator can
 // keep folding afterwards.
 func (a *Accumulator) Series() (series []float64, dt float64) {
 	if a.n == 0 || a.bin <= 0 {

@@ -3,6 +3,12 @@
 // bandwidth (figure 5), the 10 ms-windowed instantaneous average
 // bandwidth (figures 6 and 10), and its periodogram power spectrum
 // (figures 7 and 11).
+//
+// One fold computes all of it: StreamCharacterizer (stream.go), fed by a
+// live capture, by a trace.Reader, or by CharacterizeTrace's replay of a
+// materialized trace. The per-quantity functions in this file compute
+// through the same accumulators (running, kbps, Accumulator), so a
+// quantity taken alone equals that field of the Report to the last bit.
 package analysis
 
 import (
@@ -23,23 +29,31 @@ type Sample struct {
 
 // SizeStats summarizes packet sizes in bytes.
 func SizeStats(t *trace.Trace) stats.Summary {
-	return stats.Summarize(t.Sizes())
+	var r running
+	for i := range t.Packets {
+		r.add(float64(t.Packets[i].Size))
+	}
+	return r.summary()
 }
 
 // InterarrivalStats summarizes packet interarrival times in milliseconds.
 func InterarrivalStats(t *trace.Trace) stats.Summary {
-	return stats.Summarize(t.Interarrivals())
+	var r running
+	for i := 1; i < len(t.Packets); i++ {
+		r.add(t.Packets[i].Time.Sub(t.Packets[i-1].Time).Milliseconds())
+	}
+	return r.summary()
 }
 
 // AverageBandwidthKBps is total captured bytes over the trace duration,
 // in KB/s (the paper's figure 5 quantity). Traces with fewer than two
 // packets report 0.
 func AverageBandwidthKBps(t *trace.Trace) float64 {
-	d := t.Duration().Seconds()
-	if d <= 0 {
+	n := len(t.Packets)
+	if n == 0 {
 		return 0
 	}
-	return float64(t.TotalBytes()) / d / 1000
+	return kbps(t.TotalBytes(), int64(n), t.Packets[0].Time, t.Packets[n-1].Time)
 }
 
 // SlidingBandwidth computes the instantaneous average bandwidth with a
@@ -70,22 +84,14 @@ func SlidingBandwidth(t *trace.Trace, window sim.Duration) []Sample {
 // The series starts at the first packet's time, and dt is the bin width
 // in seconds.
 func BinnedBandwidth(t *trace.Trace, bin sim.Duration) (series []float64, dt float64) {
-	if len(t.Packets) == 0 || bin <= 0 {
+	if bin <= 0 {
 		return nil, bin.Seconds()
 	}
-	t0 := t.Packets[0].Time
-	last := t.Packets[len(t.Packets)-1].Time
-	n := int(last.Sub(t0)/bin) + 1
-	series = make([]float64, n)
-	for _, p := range t.Packets {
-		idx := int(p.Time.Sub(t0) / bin)
-		series[idx] += float64(p.Size)
+	acc := NewAccumulator(bin)
+	for i := range t.Packets {
+		acc.Add(t.Packets[i].Time, t.Packets[i].Size)
 	}
-	scale := 1 / bin.Seconds() / 1000
-	for i := range series {
-		series[i] *= scale
-	}
-	return series, bin.Seconds()
+	return acc.Series()
 }
 
 // Spectrum computes the periodogram of the binned instantaneous
@@ -104,18 +110,6 @@ func Spectrum(t *trace.Trace, bin sim.Duration) *dsp.Spectrum {
 // bandwidth series.
 func SpectrumOfSeries(series []float64, dt float64) *dsp.Spectrum {
 	return dsp.Periodogram(series, dt, dsp.PeriodogramOptions{
-		RemoveMean: true,
-		PadPow2:    true,
-	})
-}
-
-// SpectrumInto is SpectrumOfSeries computing into a reusable dsp
-// workspace: analyses that take spectra in a loop (sliding windows,
-// parameter sweeps) reuse one Workspace and allocate nothing per
-// iteration. The returned spectrum aliases ws and is overwritten by the
-// next call.
-func SpectrumInto(ws *dsp.Workspace, series []float64, dt float64) *dsp.Spectrum {
-	return ws.Periodogram(series, dt, dsp.PeriodogramOptions{
 		RemoveMean: true,
 		PadPow2:    true,
 	})
@@ -162,17 +156,6 @@ func FaultWindow(t *trace.Trace) (start, end sim.Time, ok bool) {
 	return start, end, true
 }
 
-// SizeHistogram bins packet sizes over the valid Ethernet range.
-func SizeHistogram(t *trace.Trace, bins int) *stats.Histogram {
-	return stats.NewHistogram(t.Sizes(), 0, 1600, bins)
-}
-
-// ModeCount reports the number of packet-size modes holding at least
-// minFrac of the packets — 3 for the paper's "trimodal" kernels.
-func ModeCount(t *trace.Trace, minFrac float64) int {
-	return len(SizeHistogram(t, 32).Modes(minFrac))
-}
-
 // BurstStats summarizes the burst structure of a trace: contiguous runs
 // of packets separated by gaps of at least gap.
 type BurstStats struct {
@@ -190,14 +173,14 @@ func Bursts(t *trace.Trace, gap sim.Duration) BurstStats {
 	if len(t.Packets) == 0 {
 		return BurstStats{}
 	}
-	var sizes []float64
+	var sizes running
 	var starts []sim.Time
 	var lengths []float64
 	curBytes := int64(t.Packets[0].Size)
 	curStart := t.Packets[0].Time
 	lastT := t.Packets[0].Time
 	flush := func(end sim.Time) {
-		sizes = append(sizes, float64(curBytes))
+		sizes.add(float64(curBytes))
 		starts = append(starts, curStart)
 		lengths = append(lengths, end.Sub(curStart).Seconds())
 	}
@@ -212,9 +195,8 @@ func Bursts(t *trace.Trace, gap sim.Duration) BurstStats {
 	}
 	flush(lastT)
 
-	bs := BurstStats{Count: len(sizes)}
-	s := stats.Summarize(sizes)
-	bs.MeanBytes, bs.SDBytes = s.Mean, s.SD
+	s := sizes.summary()
+	bs := BurstStats{Count: s.N, MeanBytes: s.Mean, SDBytes: s.SD}
 	bs.MeanLengthSec = stats.Mean(lengths)
 	if len(starts) > 1 {
 		var gaps []float64
@@ -224,96 +206,4 @@ func Bursts(t *trace.Trace, gap sim.Duration) BurstStats {
 		bs.MeanPeriodSec = stats.Mean(gaps)
 	}
 	return bs
-}
-
-// PhaseCoincidence quantifies the paper's "correlated traffic along many
-// connections" at the granularity it is claimed: communication phases.
-// The aggregate trace is segmented into bursts separated by idle gaps ≥
-// gap; for each burst, the fraction of the given connections that carry
-// at least one packet is computed, and the mean fraction over bursts is
-// returned. Synchronized collective patterns score near 1.
-func PhaseCoincidence(t *trace.Trace, pairs [][2]int, gap sim.Duration) float64 {
-	if len(t.Packets) == 0 || len(pairs) == 0 {
-		return 0
-	}
-	pairIdx := make(map[[2]int]int, len(pairs))
-	for i, p := range pairs {
-		pairIdx[p] = i
-	}
-	seen := make([]bool, len(pairs))
-	var fracs []float64
-	flush := func() {
-		n := 0
-		for i := range seen {
-			if seen[i] {
-				n++
-				seen[i] = false
-			}
-		}
-		fracs = append(fracs, float64(n)/float64(len(pairs)))
-	}
-	last := t.Packets[0].Time
-	for i, p := range t.Packets {
-		if i > 0 && p.Time.Sub(last) >= gap {
-			flush()
-		}
-		if idx, ok := pairIdx[[2]int{int(p.Src), int(p.Dst)}]; ok {
-			seen[idx] = true
-		}
-		last = p.Time
-	}
-	flush()
-	// Drop the first and last partial phases when there are enough.
-	if len(fracs) > 2 {
-		fracs = fracs[1 : len(fracs)-1]
-	}
-	return stats.Mean(fracs)
-}
-
-// ConnectionCorrelation computes the mean pairwise Pearson correlation of
-// the binned bandwidth series of the given connections — the paper's
-// "correlated traffic along many connections" claim quantified. Every
-// series spans the whole trace: bins start at the first packet and all
-// series have the aggregate bin count, so every pair of connections is
-// scored over the same bins. The series are binned in one pass over the
-// packets and folded by stats.MeanPairwisePearson, whose contract covers
-// the degenerate cases: fewer than two pairs (or an empty trace) score 0,
-// a pair absent from the trace is an all-zero series that contributes 0
-// and still counts, and a pair listed twice is two identical series.
-func ConnectionCorrelation(t *trace.Trace, pairs [][2]int, bin sim.Duration) float64 {
-	if len(t.Packets) == 0 {
-		return 0
-	}
-	t0 := t.Packets[0].Time
-	end := t.Packets[len(t.Packets)-1].Time
-	n := int(end.Sub(t0)/bin) + 1
-	series := seriesRows(len(pairs), n)
-	rowOf := make(map[[2]int]int, len(pairs))
-	for i, pr := range pairs {
-		if _, listed := rowOf[pr]; !listed {
-			rowOf[pr] = i
-		}
-	}
-	for _, p := range t.Packets {
-		if i, ok := rowOf[[2]int{int(p.Src), int(p.Dst)}]; ok {
-			series[i][int(p.Time.Sub(t0)/bin)] += float64(p.Size)
-		}
-	}
-	for i, pr := range pairs {
-		if first := rowOf[pr]; first != i {
-			copy(series[i], series[first])
-		}
-	}
-	return stats.MeanPairwisePearson(series)
-}
-
-// seriesRows returns k zeroed series of n bins each, rows of one backing
-// array so the pairwise kernel walks them contiguously.
-func seriesRows(k, n int) [][]float64 {
-	flat := make([]float64, k*n)
-	rows := make([][]float64, k)
-	for i := range rows {
-		rows[i] = flat[i*n : (i+1)*n]
-	}
-	return rows
 }

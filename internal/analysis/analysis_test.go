@@ -6,7 +6,6 @@ import (
 
 	"fxnet/internal/ethernet"
 	"fxnet/internal/sim"
-	"fxnet/internal/stats"
 	"fxnet/internal/trace"
 )
 
@@ -148,8 +147,15 @@ func TestModeCountTrimodal(t *testing.T) {
 	add(400, 58)
 	add(300, 1518)
 	add(100, 700)
-	if got := ModeCount(tr, 0.02); got != 3 {
-		t.Errorf("ModeCount = %d, want 3", got)
+	if got := refModeCount(tr, 0.02); got != 3 {
+		t.Errorf("reference mode count = %d, want 3", got)
+	}
+	var h histCounts
+	for _, p := range tr.Packets {
+		h.add(float64(p.Size))
+	}
+	if got := len(h.histogram().Modes(0.02)); got != 3 {
+		t.Errorf("fold mode count = %d, want 3", got)
 	}
 }
 
@@ -190,75 +196,79 @@ func TestConnectionCorrelation(t *testing.T) {
 		return tr
 	}
 	pairs := [][2]int{{0, 1}, {2, 3}}
-	inPhase := ConnectionCorrelation(mk(0), pairs, PaperWindow)
-	outPhase := ConnectionCorrelation(mk(100), pairs, PaperWindow)
+	inPhase := foldCorrelation(mk(0), PaperWindow)
+	outPhase := foldCorrelation(mk(100), PaperWindow)
 	if inPhase < 0.9 {
 		t.Errorf("in-phase correlation = %v", inPhase)
 	}
 	if outPhase > 0.1 {
 		t.Errorf("out-of-phase correlation = %v", outPhase)
 	}
+	if ref := refConnectionCorrelation(mk(0), pairs, PaperWindow); math.Float64bits(inPhase) != math.Float64bits(ref) {
+		t.Errorf("in-phase: fold %v, reference %v", inPhase, ref)
+	}
+	if ref := refConnectionCorrelation(mk(100), pairs, PaperWindow); math.Float64bits(outPhase) != math.Float64bits(ref) {
+		t.Errorf("out-of-phase: fold %v, reference %v", outPhase, ref)
+	}
 }
 
-// scanConnectionCorrelation is the reference ConnectionCorrelation must
-// equal to the last bit: one full scan of the trace per listed pair, then
-// stats.PearsonR folded over i < j in order.
-func scanConnectionCorrelation(t *trace.Trace, pairs [][2]int, bin sim.Duration) float64 {
-	if len(t.Packets) == 0 {
+// foldCorrelation streams a trace through the fold's correlation
+// tracker at the given bin, as addPacket does at CorrelationBin.
+func foldCorrelation(tr *trace.Trace, bin sim.Duration) float64 {
+	if len(tr.Packets) == 0 {
 		return 0
 	}
-	t0 := t.Packets[0].Time
-	n := int(t.Packets[len(t.Packets)-1].Time.Sub(t0)/bin) + 1
-	series := make([][]float64, len(pairs))
-	for i, pr := range pairs {
-		series[i] = make([]float64, n)
-		for _, p := range t.Packets {
-			if int(p.Src) == pr[0] && int(p.Dst) == pr[1] {
-				series[i][int(p.Time.Sub(t0)/bin)] += float64(p.Size)
-			}
+	c := corrTracker{bin: bin}
+	t0 := tr.Packets[0].Time
+	for _, p := range tr.Packets {
+		if p.Dst != trace.Broadcast {
+			c.add(t0, p.Time, p.Src, p.Dst, p.Size)
 		}
 	}
-	var sum float64
-	var count int
-	for i := range series {
-		for j := i + 1; j < len(series); j++ {
-			sum += stats.PearsonR(series[i], series[j])
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / float64(count)
+	return c.correlation(t0, tr.Packets[len(tr.Packets)-1].Time)
 }
 
-// TestConnectionCorrelationMatchesPerPairScan: the one-pass binning must
-// give the per-pair scan's answer for any pair list — in any order, with
-// pairs the trace never carries (in and out of the address range), pairs
-// listed twice, one pair, and none.
+// TestConnectionCorrelationMatchesPerPairScan: the fold's one-pass
+// binning must give the per-pair scan's answer to the last bit on every
+// shape of trace — no connection, one, many, a connection whose only
+// packets fall in the last bin, and broadcasts (which are no connection
+// and must not be scored) in the mix.
 func TestConnectionCorrelationMatchesPerPairScan(t *testing.T) {
-	tr := allToAllTrace(6, 9)
-	all := tr.Pairs()
+	one := burstyTrace(3, 300, 4, 700, 200)
+	many := allToAllTrace(6, 9)
+	late := allToAllTrace(4, 5)
+	late.Packets = append(late.Packets, trace.Packet{
+		Time: late.Packets[len(late.Packets)-1].Time.Add(3 * CorrelationBin), Size: 900, Src: 9, Dst: 8,
+	})
+	bcast := allToAllTrace(5, 7)
+	for i := range bcast.Packets {
+		if i%11 == 0 {
+			bcast.Packets[i].Dst = trace.Broadcast
+		}
+	}
 	for _, c := range []struct {
 		name  string
-		pairs [][2]int
+		tr    *trace.Trace
+		pairs int
 	}{
-		{"none", nil},
-		{"one", all[:1]},
-		{"all", all},
-		{"unsorted", [][2]int{all[7], all[2], all[19], all[0], all[11]}},
-		{"absent", [][2]int{all[0], {40, 41}, all[1], {-1, 2}, {1 << 20, 0}, all[2]}},
-		{"only absent", [][2]int{{40, 41}, {41, 40}}},
-		{"listed twice", [][2]int{all[3], all[4], all[3], all[5], all[3]}},
+		{"none", trace.New(), 0},
+		{"one", one, 1},
+		{"many", many, 30},
+		{"late", late, 13},
+		{"broadcast", bcast, 20},
 	} {
-		got := ConnectionCorrelation(tr, c.pairs, CorrelationBin)
-		want := scanConnectionCorrelation(tr, c.pairs, CorrelationBin)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: got %v, per-pair scan %v", c.name, got, want)
+		pairs := hostPairs(c.tr)
+		if len(pairs) != c.pairs {
+			t.Fatalf("%s: trace has %d connections, want %d", c.name, len(pairs), c.pairs)
 		}
-	}
-	if got := ConnectionCorrelation(trace.New(), all, CorrelationBin); got != 0 {
-		t.Errorf("empty trace: got %v", got)
+		got := foldCorrelation(c.tr, CorrelationBin)
+		want := refConnectionCorrelation(c.tr, pairs, CorrelationBin)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: fold %v, per-pair scan %v", c.name, got, want)
+		}
+		if c.pairs > 1 && got == 0 {
+			t.Errorf("%s: correlation 0, the trace does not exercise the statistic", c.name)
+		}
 	}
 }
 
@@ -275,8 +285,11 @@ func TestPhaseCoincidence(t *testing.T) {
 			})
 		}
 	}
-	if got := PhaseCoincidence(tr, conns, 100*sim.Millisecond); got != 1 {
+	if got := foldCoincidence(tr, 100*sim.Millisecond); got != 1 {
 		t.Errorf("full coincidence = %v", got)
+	}
+	if ref := refPhaseCoincidence(tr, conns, 100*sim.Millisecond); ref != 1 {
+		t.Errorf("reference full coincidence = %v", ref)
 	}
 	// Alternating bursts: only one connection per burst → 1/3.
 	tr2 := trace.New()
@@ -287,14 +300,30 @@ func TestPhaseCoincidence(t *testing.T) {
 			Size: 1000, Src: uint16(c[0]), Dst: uint16(c[1]),
 		})
 	}
-	got := PhaseCoincidence(tr2, conns, 100*sim.Millisecond)
+	got := foldCoincidence(tr2, 100*sim.Millisecond)
 	if got < 0.3 || got > 0.4 {
 		t.Errorf("alternating coincidence = %v, want 1/3", got)
 	}
-	if PhaseCoincidence(trace.New(), conns, sim.Second) != 0 {
+	if ref := refPhaseCoincidence(tr2, conns, 100*sim.Millisecond); math.Float64bits(got) != math.Float64bits(ref) {
+		t.Errorf("alternating: fold %v, reference %v", got, ref)
+	}
+	if foldCoincidence(trace.New(), sim.Second) != 0 {
 		t.Error("empty trace coincidence != 0")
 	}
-	if PhaseCoincidence(tr, nil, sim.Second) != 0 {
-		t.Error("no-pairs coincidence != 0")
+	// One connection is no coincidence to speak of: the Report scores
+	// it 0, as it does a trace with no data connection at all.
+	if foldCoincidence(burstyTrace(5, 500, 4, 1000, 200), 100*sim.Millisecond) != 0 {
+		t.Error("one-connection coincidence != 0")
 	}
+}
+
+// foldCoincidence streams a trace through the fold's coincidence
+// tracker at the given gap, as addPacket does for TCP-data packets at
+// CoincidenceGap.
+func foldCoincidence(tr *trace.Trace, gap sim.Duration) float64 {
+	c := coinTracker{gap: gap}
+	for _, p := range tr.Packets {
+		c.add(p.Time, p.Src, p.Dst)
+	}
+	return c.coincidence()
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fxnet/internal/dsp"
-	"fxnet/internal/ethernet"
 	"fxnet/internal/sim"
 	"fxnet/internal/stats"
 	"fxnet/internal/trace"
@@ -57,68 +56,21 @@ const CorrelationBin = 250 * sim.Millisecond
 // the phase-coincidence statistic.
 const CoincidenceGap = 100 * sim.Millisecond
 
-// CharacterizeTrace computes the full report for a materialized trace.
+// CharacterizeTrace computes the full report for a materialized trace
+// by replaying its packets, in order, through the StreamCharacterizer a
+// live run folds into — the one implementation of the Report.
 // repConn is the program's representative connection, or (-1, -1).
 func CharacterizeTrace(tr *trace.Trace, program string, repConn [2]int) *Report {
-	return CharacterizeTracePool(tr, program, repConn, nil)
+	sc := NewStreamCharacterizer(program, repConn)
+	for _, p := range tr.Packets {
+		sc.Observe(p)
+	}
+	return sc.Report()
 }
 
-// CharacterizeTracePool is CharacterizeTrace with the report's
-// independent sections fanned out over a worker pool. Every section is
-// the same pure function the serial path runs and each writes its own
-// report field, so the result is byte-identical for any pool size
-// (including nil, which runs the sections inline in index order).
-func CharacterizeTracePool(tr *trace.Trace, program string, repConn [2]int, pool *dsp.Pool) *Report {
-	rep := &Report{Program: program}
-
-	sections := []func(){
-		func() {
-			rep.AggSize = SizeStats(tr)
-			rep.AggInterarrival = InterarrivalStats(tr)
-			rep.AggKBps = AverageBandwidthKBps(tr)
-			rep.SizeModes = ModeCount(tr, 0.005)
-		},
-		func() {
-			rep.AggSeries, rep.SeriesDT = BinnedBandwidth(tr, PaperWindow)
-			rep.AggSpectrum = SpectrumOfSeries(rep.AggSeries, rep.SeriesDT)
-		},
-		func() {
-			if repConn[0] < 0 {
-				return
-			}
-			conn := tr.Connection(repConn[0], repConn[1])
-			rep.ConnSize = SizeStats(conn)
-			rep.ConnInterarrival = InterarrivalStats(conn)
-			rep.ConnKBps = AverageBandwidthKBps(conn)
-			rep.ConnSeries, _ = BinnedBandwidth(conn, PaperWindow)
-			rep.ConnSpectrum = SpectrumOfSeries(rep.ConnSeries, PaperWindow.Seconds())
-		},
-		func() {
-			// Correlation pairs: the data-bearing host-to-host
-			// connections (broadcast pseudo-destination excluded).
-			var pairs [][2]int
-			for _, pr := range tr.Pairs() {
-				if pr[1] != int(trace.Broadcast) {
-					pairs = append(pairs, pr)
-				}
-			}
-			rep.Correlation = ConnectionCorrelation(tr, pairs, CorrelationBin)
-		},
-		func() {
-			// Phase coincidence over TCP-data connections only (daemon
-			// keepalives would dilute it).
-			data := tr.Filter(func(p trace.Packet) bool {
-				return p.Proto == ethernet.ProtoTCP && p.Flags&ethernet.FlagData != 0
-			})
-			var dataPairs [][2]int
-			for _, pr := range data.Pairs() {
-				dataPairs = append(dataPairs, pr)
-			}
-			if len(dataPairs) > 1 {
-				rep.Coincidence = PhaseCoincidence(data, dataPairs, CoincidenceGap)
-			}
-		},
-	}
-	pool.Map(len(sections), func(_ *dsp.Workspace, i int) { sections[i]() })
-	return rep
+// CharacterizeTracePool is CharacterizeTrace; the pool is ignored. It
+// stays only until bench/sim.go's analysis.pool_speedup probe, its one
+// caller, is dropped (ROADMAP item 3).
+func CharacterizeTracePool(tr *trace.Trace, program string, repConn [2]int, _ *dsp.Pool) *Report {
+	return CharacterizeTrace(tr, program, repConn)
 }

@@ -1,22 +1,15 @@
-// Streaming characterization: the single-pass form of CharacterizeTrace.
-// A StreamCharacterizer is attached to a trace.Collector as a Sink and
-// folds every captured packet into windowed aggregates during the
+// The characterizer: one single-pass fold computes every Report in the
+// tree. A StreamCharacterizer is attached to a trace.Collector as a Sink
+// and folds every captured packet into windowed aggregates during the
 // simulation, so an analysis-only run never materializes the packet
-// trace. Memory is O(windows + connections), not O(packets).
+// trace; a trace.Reader feeds it one decoded packet at a time through
+// Observe, and CharacterizeTrace replays a materialized trace through
+// it. Memory is O(windows + connections), not O(packets).
 //
-// Exactness contract: the bandwidth series (agg and connection), their
-// spectra, average bandwidths, correlation, coincidence, size modality,
-// and the Min/Max/Mean/N of every summary are bit-identical to the
-// trace-derived report — the streaming fold performs the same float64
-// operations in the same order. For the correlation that holds by
-// construction: both paths bin each connection's bytes in packet order
-// over the aggregate bin count, order the connections as trace.Pairs()
-// does, and hand the rows to the one kernel, stats.MeanPairwisePearson,
-// which itself is bit-identical to the naive (i < j) fold of
-// stats.PearsonR. Only the SD fields differ: the two-pass
-// variance of stats.Summarize needs the full sample, so the stream uses
-// the moment form (E[x²] − E[x]²), which agrees to ~1e-9 relative but
-// not to the last bit.
+// The fold is a function of the packet sequence alone: chunk boundaries,
+// and whether the packets arrive live or replayed, cannot change a bit
+// of the Report. reference_test.go holds it to the naive whole-trace
+// definition of every statistic.
 package analysis
 
 import (
@@ -97,8 +90,11 @@ func (h *histCounts) histogram() *stats.Histogram {
 type pairKey struct{ src, dst uint16 }
 
 // corrTracker streams the per-connection bandwidth series that feed the
-// connection-correlation statistic. All series share the aggregate
-// trace's first-packet origin, exactly like ConnectionCorrelation.
+// connection-correlation statistic: the mean pairwise Pearson
+// correlation of the binned bandwidth of every host-to-host connection,
+// the paper's "correlated traffic along many connections" quantified.
+// All series share the aggregate trace's first-packet origin and span
+// the aggregate bin count, so every pair is scored over the same bins.
 type corrTracker struct {
 	bin    sim.Duration
 	series map[pairKey][]float64
@@ -120,8 +116,8 @@ func (c *corrTracker) add(t0, t sim.Time, src, dst uint16, size uint16) {
 
 // correlation finalizes the statistic: pairs sorted as trace.Pairs()
 // sorts them, each series zero-padded to the aggregate bin count, and
-// folded by the kernel ConnectionCorrelation uses — the same values in
-// the same order as the trace-derived computation.
+// folded by stats.MeanPairwisePearson, whose contract covers the
+// degenerate cases (fewer than two connections score 0).
 func (c *corrTracker) correlation(t0, last sim.Time) float64 {
 	keys := make([]pairKey, 0, len(c.series))
 	for k := range c.series {
@@ -138,9 +134,23 @@ func (c *corrTracker) correlation(t0, last sim.Time) float64 {
 	return stats.MeanPairwisePearson(series)
 }
 
-// coinTracker streams the phase-coincidence statistic: bursts of
-// TCP-data packets separated by idle gaps, scored by the fraction of
-// data connections active in each burst.
+// seriesRows returns k zeroed series of n bins each, rows of one backing
+// array so the pairwise kernel walks them contiguously.
+func seriesRows(k, n int) [][]float64 {
+	flat := make([]float64, k*n)
+	rows := make([][]float64, k)
+	for i := range rows {
+		rows[i] = flat[i*n : (i+1)*n]
+	}
+	return rows
+}
+
+// coinTracker streams the phase-coincidence statistic, the paper's
+// "correlated traffic along many connections" at the granularity it is
+// claimed: bursts of TCP-data packets separated by idle gaps ≥ gap, each
+// scored by the fraction of data connections active in it, averaged
+// with the first and last partial bursts dropped when there are enough.
+// Synchronized collective patterns score near 1.
 type coinTracker struct {
 	gap     sim.Duration
 	started bool
@@ -275,15 +285,11 @@ func (sc *StreamCharacterizer) Observe(p trace.Packet) {
 	sc.addPacket(p.Time, p.Size, p.Src, p.Dst, p.Proto, p.Flags)
 }
 
-// N reports the number of packets folded.
-func (sc *StreamCharacterizer) N() int64 { return sc.n }
-
-// TotalBytes reports the bytes folded.
-func (sc *StreamCharacterizer) TotalBytes() int64 { return sc.totalBytes }
+// Duration is the time between the first and last packet folded.
+func (sc *StreamCharacterizer) Duration() sim.Duration { return sc.last.Sub(sc.first) }
 
 // kbps converts a byte total over a first..last span into the paper's
-// KB/s figure, mirroring AverageBandwidthKBps (0 when the span carries
-// fewer than two packets).
+// KB/s figure (0 when the span carries fewer than two packets).
 func kbps(bytes int64, n int64, first, last sim.Time) float64 {
 	if n < 2 {
 		return 0

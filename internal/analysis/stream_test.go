@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"fxnet/internal/dsp"
 	"fxnet/internal/ethernet"
 	"fxnet/internal/sim"
 	"fxnet/internal/trace"
@@ -32,10 +31,11 @@ func feed(s trace.Sink, tr *trace.Trace, chunkLen int) {
 }
 
 // TestAccumulatorMatchesBinnedBandwidth: the streaming series must be
-// bit-identical to the post-hoc windowing, across chunk boundaries.
+// bit-identical to the post-hoc windowing of the whole trace, across
+// chunk boundaries.
 func TestAccumulatorMatchesBinnedBandwidth(t *testing.T) {
 	tr := burstyTrace(100, 200, 20, 1000, 500)
-	want, wantDT := BinnedBandwidth(tr, PaperWindow)
+	want, wantDT := refBinnedBandwidth(tr, PaperWindow)
 	for _, chunkLen := range []int{1, 7, 1000, len(tr.Packets)} {
 		acc := NewAccumulator(PaperWindow)
 		feed(acc, tr, chunkLen)
@@ -58,7 +58,7 @@ func TestAccumulatorMatchesBinnedBandwidth(t *testing.T) {
 }
 
 // TestAccumulatorEmpty: no packets → nil series with the bin width as
-// dt, matching BinnedBandwidth on an empty trace.
+// dt.
 func TestAccumulatorEmpty(t *testing.T) {
 	acc := NewAccumulator(PaperWindow)
 	series, dt := acc.Series()
@@ -93,12 +93,13 @@ func allToAllTrace(hosts, phases int) *trace.Trace {
 	return tr
 }
 
-// TestStreamCharacterizerMatchesTrace: the full streaming report against
-// the trace-derived one on synthetic multi-connection traces (the
-// end-to-end simulator parity lives in internal/core) — a small one with
-// a representative connection, and a 64-host all-to-all one whose 4032
-// connections put the pairwise-correlation kernel at benchmark scale.
-// The pooled batch report must equal the serial one at any worker count.
+// TestStreamCharacterizerMatchesTrace holds the fold to the reference
+// definitions on synthetic multi-connection traces (the simulator's own
+// traces are held in quick_test.go) — a small one with a representative
+// connection, and a 64-host all-to-all one whose 4032 connections put
+// the pairwise-correlation kernel at benchmark scale — and holds the
+// fold to itself: the replay of a materialized trace and a chunked
+// delivery at any chunk length are one Report, SD included.
 func TestStreamCharacterizerMatchesTrace(t *testing.T) {
 	small := trace.New()
 	// Two data connections bursting in phase plus reverse ACK traffic,
@@ -107,9 +108,9 @@ func TestStreamCharacterizerMatchesTrace(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			at := start.Add(sim.Duration(i) * 400 * sim.Microsecond)
 			small.Packets = append(small.Packets,
-				trace.Packet{Time: at, Size: 1000, Src: 1, Dst: 0, Proto: 1, Flags: 1 | 2},
-				trace.Packet{Time: at.Add(90 * sim.Microsecond), Size: 1200, Src: 2, Dst: 0, Proto: 1, Flags: 1 | 2},
-				trace.Packet{Time: at.Add(150 * sim.Microsecond), Size: 64, Src: 0, Dst: 1, Proto: 1, Flags: 2},
+				trace.Packet{Time: at, Size: 1000, Src: 1, Dst: 0, Proto: ethernet.ProtoTCP, Flags: ethernet.FlagData},
+				trace.Packet{Time: at.Add(90 * sim.Microsecond), Size: 1200, Src: 2, Dst: 0, Proto: ethernet.ProtoTCP, Flags: ethernet.FlagData},
+				trace.Packet{Time: at.Add(150 * sim.Microsecond), Size: 64, Src: 0, Dst: 1, Proto: ethernet.ProtoTCP, Flags: ethernet.FlagAck},
 			)
 		}
 	}
@@ -122,60 +123,19 @@ func checkStreamMatchesTrace(t *testing.T, tr *trace.Trace, pairs int) {
 		t.Fatalf("trace has %d connections, want %d", got, pairs)
 	}
 	repConn := [2]int{1, 0}
-	want := CharacterizeTrace(tr, "synthetic", repConn)
-	if want.Correlation == 0 {
-		t.Error("Correlation = 0: the trace does not exercise the statistic")
+	want := ReferenceReport(tr, "synthetic", repConn)
+	if want.Correlation == 0 || want.Coincidence == 0 {
+		t.Errorf("Correlation %v, Coincidence %v: the trace does not exercise the statistic",
+			want.Correlation, want.Coincidence)
 	}
-	for _, workers := range []int{1, 4} {
-		if pooled := CharacterizeTracePool(tr, "synthetic", repConn, dsp.NewPool(workers)); !reflect.DeepEqual(pooled, want) {
-			t.Errorf("CharacterizeTracePool(%d workers) differs from CharacterizeTrace (Correlation %v want %v)",
-				workers, pooled.Correlation, want.Correlation)
-		}
-	}
-
-	sc := NewStreamCharacterizer("synthetic", repConn)
-	feed(sc, tr, 97)
-	got := sc.Report()
-
-	if got.Program != want.Program {
-		t.Errorf("program %q want %q", got.Program, want.Program)
-	}
-	for i := range want.AggSeries {
-		if math.Float64bits(got.AggSeries[i]) != math.Float64bits(want.AggSeries[i]) {
-			t.Fatalf("AggSeries[%d] = %v want %v", i, got.AggSeries[i], want.AggSeries[i])
-		}
-	}
-	for i := range want.ConnSeries {
-		if math.Float64bits(got.ConnSeries[i]) != math.Float64bits(want.ConnSeries[i]) {
-			t.Fatalf("ConnSeries[%d] = %v want %v", i, got.ConnSeries[i], want.ConnSeries[i])
-		}
-	}
-	for _, f := range []struct {
-		what      string
-		got, want float64
-	}{
-		{"AggKBps", got.AggKBps, want.AggKBps},
-		{"ConnKBps", got.ConnKBps, want.ConnKBps},
-		{"Correlation", got.Correlation, want.Correlation},
-		{"Coincidence", got.Coincidence, want.Coincidence},
-		{"SeriesDT", got.SeriesDT, want.SeriesDT},
-		{"AggMean", got.AggSize.Mean, want.AggSize.Mean},
-		{"ConnMean", got.ConnSize.Mean, want.ConnSize.Mean},
-		{"AggInterMean", got.AggInterarrival.Mean, want.AggInterarrival.Mean},
-	} {
-		if math.Float64bits(f.got) != math.Float64bits(f.want) {
-			t.Errorf("%s = %v want %v", f.what, f.got, f.want)
-		}
-	}
-	if got.SizeModes != want.SizeModes {
-		t.Errorf("SizeModes = %d want %d", got.SizeModes, want.SizeModes)
-	}
-	if got.AggSize.N != want.AggSize.N || got.ConnSize.N != want.ConnSize.N {
-		t.Errorf("counts: agg %d/%d conn %d/%d", got.AggSize.N, want.AggSize.N, got.ConnSize.N, want.ConnSize.N)
-	}
-	for i := range want.AggSpectrum.Power {
-		if math.Float64bits(got.AggSpectrum.Power[i]) != math.Float64bits(want.AggSpectrum.Power[i]) {
-			t.Fatalf("AggSpectrum.Power[%d] differs", i)
+	replay := CharacterizeTrace(tr, "synthetic", repConn)
+	CheckAgainstReference(t, replay, want)
+	for _, chunkLen := range []int{1, 7, 16384} {
+		sc := NewStreamCharacterizer("synthetic", repConn)
+		feed(sc, tr, chunkLen)
+		if got := sc.Report(); !reflect.DeepEqual(got, replay) {
+			t.Errorf("chunk length %d: Report differs from the replay's", chunkLen)
+			CheckAgainstReference(t, got, want)
 		}
 	}
 }
@@ -240,5 +200,25 @@ func BenchmarkStreamCharacterizerFold(b *testing.B) {
 		for _, ch := range chunks {
 			sc.Fold(ch)
 		}
+	}
+}
+
+// TestPrimitivesMatchReport: SizeStats, InterarrivalStats,
+// AverageBandwidthKBps, BinnedBandwidth and Spectrum on their own are the
+// Report's fields, on every shape of trace including the degenerate
+// ones.
+func TestPrimitivesMatchReport(t *testing.T) {
+	single := trace.New()
+	single.Packets = []trace.Packet{{Time: 5, Size: 100, Src: 1, Dst: 0}}
+	for name, tr := range map[string]*trace.Trace{
+		"empty":    trace.New(),
+		"single":   single,
+		"bursty":   burstyTrace(20, 170, 6, 900, 350),
+		"alltoall": allToAllTrace(8, 9),
+	} {
+		t.Run(name, func(t *testing.T) {
+			CheckPrimitivesMatchReport(t, tr, [2]int{1, 0})
+			CheckPrimitivesMatchReport(t, tr, [2]int{-1, -1})
+		})
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"fxnet/internal/airshed"
 	"fxnet/internal/analysis"
-	"fxnet/internal/dsp"
 	"fxnet/internal/ethernet"
 	"fxnet/internal/faults"
 	"fxnet/internal/fx"
@@ -197,8 +196,8 @@ func RunStreamWithOpts(cfg RunConfig, opts RunOpts) (*Result, *Report, error) {
 // they cross the wire — and the characterization arrives with the run.
 // The Result's Trace carries only the session metadata (hosts,
 // experiment parameters, marks) with no packets, so a million-packet
-// run costs O(windows) analysis memory. See internal/analysis for the
-// exactness contract relative to Characterize.
+// run costs O(windows) analysis memory. The report is bit-identical to
+// Characterize(Run(cfg)): one fold computes both.
 func RunStream(cfg RunConfig) (*Result, *Report, error) {
 	return run(cfg, true, RunOpts{})
 }
@@ -629,21 +628,16 @@ func buildCost(cfg RunConfig, spec kernels.Spec, isKernel bool) fx.CostModel {
 }
 
 // Report is the per-program characterization of the paper's figures 3–7
-// (and 8–11 for AIRSHED). It lives in internal/analysis so both the
-// trace-derived and streaming characterizers can produce it; the alias
-// keeps core the orchestration façade.
+// (and 8–11 for AIRSHED). It lives in internal/analysis beside the fold
+// that computes it; the alias keeps core the orchestration façade.
 type Report = analysis.Report
 
-// Characterize computes the full report for a run.
+// Characterize computes the full report for a run that retained its
+// trace, by replaying the trace through the fold a stream run feeds live
+// — so it equals the report RunStream returns for the same configuration
+// bit for bit.
 func Characterize(res *Result) *Report {
 	return analysis.CharacterizeTrace(res.Trace, res.Config.Program, res.RepConn)
-}
-
-// CharacterizePool is Characterize with the report's independent
-// sections fanned out over a worker pool. The result is byte-identical to Characterize for any
-// pool size.
-func CharacterizePool(res *Result, pool *dsp.Pool) *Report {
-	return analysis.CharacterizeTracePool(res.Trace, res.Config.Program, res.RepConn, pool)
 }
 
 // RepConn returns the representative connection the paper plots for a

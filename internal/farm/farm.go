@@ -66,9 +66,9 @@ type Job struct {
 	// Stream selects the analysis-only pipeline: the run folds packets
 	// into the characterization as they are captured and never
 	// materializes a trace, so the JobResult carries a metadata-only
-	// Trace and a Report that is bit-identical to the trace-derived one
-	// (series, spectra, bandwidths; SD within the documented streaming
-	// tolerance). Stream jobs deduplicate against each other but not
+	// Trace and a Report that is bit-identical, SD included, to the one
+	// a trace job of the same configuration carries (one fold computes
+	// both). Stream jobs deduplicate against each other but not
 	// against trace jobs of the same configuration — the results differ
 	// in what they retain — and cache as spectrum-level entries that skip
 	// both the simulation and the FFT on a hit.

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -185,4 +186,54 @@ func TestStreamFallsBackToFullEntry(t *testing.T) {
 		t.Errorf("fallback stream result has %d packets", n)
 	}
 	streamBitsMatch(t, rep, traceRep)
+}
+
+// TestStreamReportIndependentOfCacheState: a stream job's Report is the
+// same bytes whether the farm executed it cold or answered it from the
+// full-run entry a trace job of the same configuration left on disk —
+// SD fields included. One fold computes the report a stream run carries
+// and the one a trace run's entry stores, so "byte-identical for any
+// cache state" holds across the two job kinds as well as within each.
+func TestStreamReportIndependentOfCacheState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four -quick programs twice")
+	}
+	for _, name := range []string{"sor", "seq", "2dfft", "hist"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			cfg := core.QuickConfig(name, 0, 42)
+			_, coldRep, err := New(Options{Workers: 1}).RunStream(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := MarshalReport(coldRep)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			c, err := OpenCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := New(Options{Workers: 1, Cache: c}).Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			warmFarm := New(Options{Workers: 1, Cache: c})
+			_, warmRep, err := warmFarm.RunStream(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := warmFarm.Stats(); s.Executed != 0 || s.CacheHits != 1 {
+				t.Fatalf("stats %+v: the stream job must be answered from the trace job's entry", s)
+			}
+			warm, err := MarshalReport(warmRep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cold, warm) {
+				t.Errorf("stream report differs by cache state (%d vs %d bytes): AggSize.SD cold %.17g, from the .fxrun entry %.17g",
+					len(cold), len(warm), coldRep.AggSize.SD, warmRep.AggSize.SD)
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"sort"
+	"strings"
 	"testing"
 
 	"fxnet/internal/ethernet"
@@ -322,10 +323,65 @@ func TestReadBinaryMatchesReader(t *testing.T) {
 	}
 }
 
+// TestTimeGoesBackwards: a record stamped earlier than its predecessor
+// is refused by every decoder — Reader.Next (and so ReadBinary, fxnetd's
+// streamer and fxanalyze), in both record widths, and ReadText — with
+// the offending record named. The two-packet case is the reproducer that
+// used to panic fxanalyze (a negative window index in the bandwidth
+// fold); equal timestamps are order, not an error.
+func TestTimeGoesBackwards(t *testing.T) {
+	at := func(times ...int64) *Trace {
+		tr := New()
+		for _, ns := range times {
+			tr.Packets = append(tr.Packets, Packet{Time: sim.Time(ns), Size: 100, Src: 0, Dst: 1, Proto: ethernet.ProtoTCP})
+		}
+		return tr
+	}
+	wide := func(tr *Trace) *Trace {
+		tr.Packets[0].Src = 1000
+		return tr
+	}
+	for _, c := range []struct {
+		name    string
+		tr      *Trace
+		wantErr string // "" = must decode
+	}{
+		{"reproducer", at(2_000_000_000, 1_000_000_000), "record 2: time goes backwards"},
+		{"wide", wide(at(5, 9, 8)), "record 3: time goes backwards"},
+		{"negative start", at(-50, -20, 0, 7), ""},
+		{"equal", at(3, 3, 3), ""},
+		{"late dip", at(1, 2, 3, 4, 3), "record 5: time goes backwards"},
+	} {
+		var bin bytes.Buffer
+		if err := c.tr.WriteBinary(&bin); err != nil {
+			t.Fatal(err)
+		}
+		_, binErr := ReadBinary(bytes.NewReader(bin.Bytes()))
+		var text bytes.Buffer
+		if err := c.tr.WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		_, textErr := ReadText(bytes.NewReader(text.Bytes()))
+		if c.wantErr == "" {
+			if binErr != nil || textErr != nil {
+				t.Errorf("%s: ReadBinary %v, ReadText %v, want both to decode", c.name, binErr, textErr)
+			}
+			continue
+		}
+		if want := "trace: " + c.wantErr; binErr == nil || binErr.Error() != want {
+			t.Errorf("%s: ReadBinary error %v, want %q", c.name, binErr, want)
+		}
+		if textErr == nil || !strings.HasSuffix(textErr.Error(), ": time goes backwards") {
+			t.Errorf("%s: ReadText error %v, want a time-goes-backwards error", c.name, textErr)
+		}
+	}
+}
+
 // FuzzReader throws arbitrary bytes at the streaming decoder: it must
-// never panic or over-allocate, and any stream it fully accepts must
-// re-encode to a trace that decodes identically (the decoder is a
-// function, not a guesser).
+// never panic or over-allocate, it must refuse a record stamped earlier
+// than its predecessor rather than hand it on, and any stream it fully
+// accepts must re-encode to a trace that decodes identically (the
+// decoder is a function, not a guesser).
 func FuzzReader(f *testing.F) {
 	seedTrace := captureThroughCollector(20)
 	var seed bytes.Buffer
@@ -337,16 +393,25 @@ func FuzzReader(f *testing.F) {
 	// and a wide stream truncated mid-record: the corpus spans both
 	// format versions and their failure edges.
 	v1Trace := captureThroughCollector(5)
-	v1Trace.Packets = append(v1Trace.Packets, Packet{Time: 99, Size: 60, Src: 1, Dst: Broadcast})
+	v1Trace.Packets = append(v1Trace.Packets, Packet{Time: 1 << 20, Size: 60, Src: 1, Dst: Broadcast})
 	f.Add(writeV1(f, v1Trace))
 	wideTrace := captureThroughCollector(5)
-	wideTrace.Packets = append(wideTrace.Packets, Packet{Time: 77, Size: 60, Src: 1000, Dst: 2000})
+	wideTrace.Packets = append(wideTrace.Packets, Packet{Time: 1 << 20, Size: 60, Src: 1000, Dst: 2000})
 	var wideSeed bytes.Buffer
 	if err := wideTrace.WriteBinary(&wideSeed); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(wideSeed.Bytes())
 	f.Add(wideSeed.Bytes()[:wideSeed.Len()-packetRecBytesWide/2])
+	// A well-formed stream whose last record is stamped before the one
+	// ahead of it: the decoder must stop there with an error.
+	backTrace := captureThroughCollector(5)
+	backTrace.Packets = append(backTrace.Packets, Packet{Time: 99, Size: 60, Src: 1, Dst: 2})
+	var backSeed bytes.Buffer
+	if err := backTrace.WriteBinary(&backSeed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(backSeed.Bytes())
 	f.Add([]byte(binaryMagic))
 	f.Add([]byte(binaryMagicWide))
 	f.Add([]byte{})
@@ -368,6 +433,9 @@ func FuzzReader(f *testing.F) {
 					return // damaged body: fine, just no panic
 				}
 				break
+			}
+			if n := len(first.Packets); n > 0 && p.Time < first.Packets[n-1].Time {
+				t.Fatalf("record %d accepted at %v, before its predecessor at %v", n+1, p.Time, first.Packets[n-1].Time)
 			}
 			first.Packets = append(first.Packets, p)
 		}

@@ -370,28 +370,6 @@ func (t *Trace) Pairs() [][2]int {
 	return out
 }
 
-// Sizes returns the packet sizes as float64s, for stats.
-func (t *Trace) Sizes() []float64 {
-	out := make([]float64, len(t.Packets))
-	for i, p := range t.Packets {
-		out[i] = float64(p.Size)
-	}
-	return out
-}
-
-// Interarrivals returns successive packet spacing in milliseconds — the
-// quantity of the paper's figure 4/9 tables.
-func (t *Trace) Interarrivals() []float64 {
-	if len(t.Packets) < 2 {
-		return nil
-	}
-	out := make([]float64, len(t.Packets)-1)
-	for i := 1; i < len(t.Packets); i++ {
-		out[i-1] = t.Packets[i].Time.Sub(t.Packets[i-1].Time).Milliseconds()
-	}
-	return out
-}
-
 // HostName renders a host address using the trace's host table.
 func (t *Trace) HostName(addr int) string {
 	if addr == int(Broadcast) {
@@ -564,7 +542,8 @@ type Reader struct {
 	marks []Mark
 	total uint64
 	read  uint64
-	wide  bool // v2 stream: 16-bit addresses
+	last  sim.Time // timestamp of the previous record
+	wide  bool     // v2 stream: 16-bit addresses
 }
 
 // NewReader parses a binary-trace header from r and returns a streaming
@@ -660,7 +639,10 @@ func (r *Reader) Marks() []Mark { return r.marks }
 func (r *Reader) Len() int { return int(r.total) }
 
 // Next decodes one packet record into p. It returns io.EOF after the last
-// declared record, and io.ErrUnexpectedEOF if the stream ends early.
+// declared record, io.ErrUnexpectedEOF if the stream ends early, and an
+// error for a record stamped earlier than its predecessor: a capture is
+// in time order, and every consumer — the windowed folds above all —
+// indexes by time since the first packet.
 func (r *Reader) Next(p *Packet) error {
 	if r.read >= r.total {
 		return io.EOF
@@ -677,9 +659,14 @@ func (r *Reader) Next(p *Packet) error {
 		return err
 	}
 	r.read++
+	at := sim.Time(int64(binary.LittleEndian.Uint64(rec[0:])))
+	if r.read > 1 && at < r.last {
+		return fmt.Errorf("trace: record %d: time goes backwards", r.read)
+	}
+	r.last = at
 	if r.wide {
 		*p = Packet{
-			Time:    sim.Time(int64(binary.LittleEndian.Uint64(rec[0:]))),
+			Time:    at,
 			Size:    binary.LittleEndian.Uint16(rec[8:]),
 			Src:     binary.LittleEndian.Uint16(rec[10:]),
 			Dst:     binary.LittleEndian.Uint16(rec[12:]),
@@ -695,7 +682,7 @@ func (r *Reader) Next(p *Packet) error {
 		dst = Broadcast
 	}
 	*p = Packet{
-		Time:    sim.Time(int64(binary.LittleEndian.Uint64(rec[0:]))),
+		Time:    at,
 		Size:    binary.LittleEndian.Uint16(rec[8:]),
 		Src:     uint16(rec[10]),
 		Dst:     dst,
@@ -823,8 +810,12 @@ func ReadText(r io.Reader) (*Trace, error) {
 		default:
 			return nil, fmt.Errorf("trace: line %d: unknown protocol %q", lineNo, prot)
 		}
+		at := sim.TimeOf(secs)
+		if n := len(t.Packets); n > 0 && at < t.Packets[n-1].Time {
+			return nil, fmt.Errorf("trace: line %d: time goes backwards", lineNo)
+		}
 		t.Packets = append(t.Packets, Packet{
-			Time: sim.TimeOf(secs), Size: uint16(size),
+			Time: at, Size: uint16(size),
 			Src: srcAddr, Dst: dstAddr, Proto: proto, Flags: uint8(flags),
 			SrcPort: uint16(srcPort), DstPort: uint16(dstPort),
 		})

@@ -95,24 +95,6 @@ func TestPairs(t *testing.T) {
 	}
 }
 
-func TestSizesAndInterarrivals(t *testing.T) {
-	tr := sampleTrace()
-	sizes := tr.Sizes()
-	if len(sizes) != 5 || sizes[0] != 1518 {
-		t.Errorf("sizes = %v", sizes)
-	}
-	ia := tr.Interarrivals()
-	if len(ia) != 4 {
-		t.Fatalf("interarrivals = %v", ia)
-	}
-	if ia[0] != 1 || ia[1] != 4 || ia[2] != 7 || ia[3] != 8 {
-		t.Errorf("interarrivals = %v", ia)
-	}
-	if New().Interarrivals() != nil {
-		t.Error("interarrivals of empty trace")
-	}
-}
-
 func TestCaptureFromSegment(t *testing.T) {
 	k := sim.New(1)
 	seg := ethernet.NewSegment(k, 0)

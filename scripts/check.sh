@@ -23,20 +23,37 @@ if grep -n '\.Go(.*reader\|func.*readLoop' internal/pvm/*.go | grep -v '_test\.g
 # script is a second emitter coming back.
 if find . scripts -maxdepth 1 \( -name 'BENCH_*.json' -o -name 'bench*.sh' \) | grep .; then exit 1; fi
 
+# One characterizer: every Report comes out of StreamCharacterizer.Report()
+# (fed live, by Observe, or by CharacterizeTrace's replay). The batch
+# statistics live on only as the oracle in internal/analysis/*_test.go;
+# a non-test definition, a CLI flag that picks a pipeline, or a caller of
+# the pool entry points (bench/ keeps the CharacterizeTracePool alias
+# alive until its own PR) is the second path coming back.
+if grep -n 'func ConnectionCorrelation\|func PhaseCoincidence\|func ModeCount' internal/analysis/*.go | grep -v '_test\.go:'; then exit 1; fi
+if grep -rn 'flag\.[A-Za-z0-9]*("analysis"' --include='*.go' cmd; then exit 1; fi
+if grep -rn 'CharacterizeTracePool\|CharacterizePool' --include='*.go' . | grep -v '^\./bench/' | grep -v '^\./internal/analysis/report\.go:'; then exit 1; fi
+
 go build ./...
 go vet ./...
 go test ./...
 
-# The streaming-analysis pipeline shares pooled FFT scratch across
-# workers and merges parallel spectral stages back in index order; run
-# those packages under the race detector first so a synchronization
-# regression fails fast. The conservative parallel engine runs one
-# worker goroutine per segment partition, so the DES kernel and the
-# Ethernet layer get the same fail-fast treatment. Then sweep the tree:
-# core has one run path, and the engine is its only multi-partition
-# branch (a one-segment topology is the bare kernel loop), so the
-# internal/core serial ≡ parallel tests in the sweep — with and without
-# frame loss — are what race-checks that branch end to end.
+# fxrun refuses an unknown -format before it simulates and before it
+# creates -o.
+fmtdir=$(mktemp -d)
+if go run ./cmd/fxrun -program seq -format jsno -o "$fmtdir/x" 2>/dev/null || [ -e "$fmtdir/x" ]; then exit 1; fi
+rmdir "$fmtdir"
+
+# dsp.Welch, the only pooled stage left, shares FFT scratch across its
+# workers and merges the segment periodograms back in index order; run
+# dsp, and the characterizer above it, under the race detector first so
+# a synchronization regression fails fast. The conservative parallel
+# engine runs one worker goroutine per segment partition, so the DES
+# kernel and the Ethernet layer get the same fail-fast treatment. Then
+# sweep the tree: core has one run path, and the engine is its only
+# multi-partition branch (a one-segment topology is the bare kernel
+# loop), so the internal/core serial ≡ parallel tests in the sweep —
+# with and without frame loss — are what race-checks that branch end to
+# end.
 go test -race ./internal/dsp/... ./internal/analysis/...
 go test -race ./internal/sim/... ./internal/ethernet/...
 go test -race ./...
