@@ -42,8 +42,8 @@ func main() {
 		peaks  = flag.Int("peaks", 5, "number of spectral peaks to report")
 		src    = flag.Int("src", -1, "source host for -mode conn")
 		dst    = flag.Int("dst", -1, "destination host for -mode conn")
-		prof   = profiling.Register()
-		ver    = version.Register()
+		prof   = profiling.Register(flag.CommandLine)
+		ver    = version.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	version.ExitIfRequested(ver)

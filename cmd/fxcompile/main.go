@@ -27,7 +27,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fxcompile: ")
 	p := flag.Int("p", 4, "processor count to compile for")
-	ver := version.Register()
+	ver := version.Register(flag.CommandLine)
 	flag.Parse()
 	version.ExitIfRequested(ver)
 

@@ -96,7 +96,7 @@ func main() {
 		zipfS    = flag.Float64("zipf", 0, "Zipf skew exponent over key ranks (0 or <=1 = uniform)")
 		seed     = flag.Int64("seed", 1, "mix-selection seed")
 		jsonOut  = flag.String("json", "", "write the report as JSON to this file")
-		ver      = version.Register()
+		ver      = version.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	version.ExitIfRequested(ver)

@@ -256,7 +256,7 @@ func traceCmd() {
 		duration = flag.Float64("duration", 30, "synthetic trace duration (s)")
 		pktSize  = flag.Int("pktsize", 1460, "synthetic packet size (captured bytes ≈ pktsize+58)")
 		jsonOut  = flag.Bool("json", false, "emit the fitted model as JSON")
-		ver      = version.Register()
+		ver      = version.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	version.ExitIfRequested(ver)

@@ -99,7 +99,7 @@ func main() {
 		clusterRoute   = flag.String("cluster-route", "proxy", "off-ring request handling: proxy or off")
 		clusterGossip  = flag.Duration("cluster-gossip", 2*time.Second, "QoS ledger gossip interval (0 = no gossip)")
 		clusterCap     = flag.Float64("cluster-capacity", 0, "cluster-wide QoS capacity in bytes/s (0 = the local -capacity)")
-		ver            = version.Register()
+		ver            = version.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	version.ExitIfRequested(ver)

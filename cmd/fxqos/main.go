@@ -4,30 +4,27 @@
 // that minimizes the burst interval, then admits programs until capacity
 // is exhausted.
 //
-// By default the characterizations are the paper's analytic laws
-// (N=512 calibration). With -catalog they come from the spectral-model
-// catalog instead: fitted models are looked up (fitting them first
-// through the experiment farm on a cold catalog), each fitted (P,
-// burst, interval) point becomes an admission point, and the command
-// reports how long the simulate-then-admit path took against the
-// catalog-lookup admission — the fit-once, admit-in-microseconds trade.
+// It owns no characterization and runs no simulation. By default it
+// negotiates the five kernels' analytic laws, read from the kernel
+// registry fxnetd's /v1/qos/negotiate and Degrade use, so the table here
+// is the daemon's dry-run answer. With -catalog it negotiates the fitted
+// models that catalog directory already holds (each fitted (P, burst,
+// interval) point is an admission point) and names the `fxmodel fit`
+// command to run for the programs it holds none of.
 //
 // Usage:
 //
 //	fxqos -capacity 1.25e6 -maxp 32
-//	fxqos -catalog .fxcache/models -cache .fxcache -p 2,4 -json
+//	fxqos -catalog .fxcache/models
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"strconv"
 	"strings"
-	"time"
 
 	"fxnet"
 	"fxnet/internal/version"
@@ -36,231 +33,105 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fxqos: ")
-	var (
-		capacity   = flag.Float64("capacity", 1.25e6, "network capacity in bytes/s")
-		maxP       = flag.Int("maxp", 32, "largest processor count the cluster offers")
-		catalogDir = flag.String("catalog", "", "admit from fitted models in this catalog directory (empty = analytic laws)")
-		cacheDir   = flag.String("cache", ".fxcache", "run-cache directory for cold-catalog fits")
-		programs   = flag.String("programs", "", "comma-separated programs (empty = all; -catalog mode only)")
-		pList      = flag.String("p", "2,4", "processor counts to fit (-catalog mode only)")
-		spikes     = flag.Int("spikes", 0, "fit spike budget (0 = default 8; -catalog mode only)")
-		jobs       = flag.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS; -catalog mode only)")
-		seed       = flag.Int64("seed", 42, "run seed (-catalog mode only)")
-		jsonOut    = flag.Bool("json", false, "emit machine-readable timings (-catalog mode only)")
-		ver        = version.Register()
-	)
-	flag.Parse()
-	version.ExitIfRequested(ver)
-
-	if *catalogDir != "" {
-		catalogMode(catalogOptions{
-			CatalogDir: *catalogDir, CacheDir: *cacheDir,
-			Programs: *programs, PList: *pList,
-			Spikes: *spikes, Jobs: *jobs, Seed: *seed,
-			Capacity: *capacity, MaxP: *maxP, JSON: *jsonOut,
-		})
-		return
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		log.Fatal(err)
 	}
-	analyticMode(*capacity, *maxP)
 }
 
-func analyticMode(capacity float64, maxP int) {
-	// Characterizations of the measured kernels (N=512 calibration).
-	progs := []fxnet.QoSProgram{
-		{Name: "sor", Pattern: fxnet.Neighbor,
-			Local: func(P int) float64 { return 512.0 * 510 / float64(P) / 38500 },
-			Burst: func(P int) float64 { return 512 * 4 }},
-		{Name: "2dfft", Pattern: fxnet.AllToAll,
-			Local: func(P int) float64 { return 2 * 512 * 23040 / float64(P) / 8.4e6 },
-			Burst: func(P int) float64 { return 512 * 512 * 8 / float64(P*P) }},
-		{Name: "t2dfft", Pattern: fxnet.Partition,
-			Local: func(P int) float64 { return 512 * 23040 / float64(P) / 2.5e6 },
-			Burst: func(P int) float64 { return 4 * 512 * 512 * 8 / float64(P*P) }},
-		{Name: "seq", Pattern: fxnet.Broadcast,
-			Local: func(P int) float64 { return 40.0 / 160 },
-			Burst: func(P int) float64 { return 40 * 16 }},
-		{Name: "hist", Pattern: fxnet.Tree,
-			Local: func(P int) float64 { return 512.0 * 512 / float64(P) / 364000 },
-			Burst: func(P int) float64 { return 256 * 8 }},
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("fxqos", flag.ExitOnError)
+	var (
+		capacity   = fs.Float64("capacity", 1.25e6, "network capacity in bytes/s")
+		maxP       = fs.Int("maxp", 32, "largest processor count the cluster offers")
+		catalogDir = fs.String("catalog", "", "negotiate the fitted models in this catalog directory (empty = the kernels' analytic laws)")
+		ver        = version.Register(fs)
+	)
+	fs.Parse(args)
+	version.ExitIfRequested(ver)
+
+	var progs []fxnet.QoSProgram
+	from := ""
+	if *catalogDir == "" {
+		for _, name := range fxnet.Programs() {
+			if p, ok := fxnet.KernelQoS(name); ok {
+				progs = append(progs, p)
+			}
+		}
+	} else {
+		var err error
+		if progs, err = catalogPrograms(*catalogDir, stderr); err != nil {
+			return err
+		}
+		from = ", fitted models"
 	}
 
-	fmt.Printf("network capacity: %.0f KB/s, cluster size ≤ %d\n\n", capacity/1000, maxP)
+	fmt.Fprintf(stdout, "network capacity: %.0f KB/s, cluster size ≤ %d\n\n", *capacity/1000, *maxP)
 
 	// Per-program negotiation on an empty network: how P trades against tbi.
-	fmt.Println("negotiation on an idle network:")
-	fmt.Printf("%-8s %4s %12s %12s %12s %14s\n", "program", "P", "B (KB/s)", "burst (s)", "tbi (s)", "mean (KB/s)")
+	fmt.Fprintf(stdout, "negotiation on an idle network%s:\n", from)
+	fmt.Fprintf(stdout, "%-8s %4s %12s %12s %12s %14s\n", "program", "P", "B (KB/s)", "burst (s)", "tbi (s)", "mean (KB/s)")
 	for _, p := range progs {
-		net := fxnet.NewQoSNetwork(capacity)
-		off, err := net.Negotiate(p, maxP)
+		off, err := fxnet.NewQoSNetwork(*capacity).Negotiate(p, *maxP)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-8s %4d %12.1f %12.4f %12.4f %14.1f\n",
+		fmt.Fprintf(stdout, "%-8s %4d %12.1f %12.4f %12.4f %14.1f\n",
 			off.Program, off.P, off.BurstBandwidth/1000, off.BurstSeconds,
 			off.BurstInterval, off.MeanBandwidth/1000)
 	}
 
 	// Admission: programs arrive in order and share the medium; later
 	// arrivals see less free capacity and receive degraded offers.
-	fmt.Println("\nsequential admission (shared medium):")
-	net := fxnet.NewQoSNetwork(capacity)
+	fmt.Fprintf(stdout, "\nsequential admission (shared medium%s):\n", from)
+	net := fxnet.NewQoSNetwork(*capacity)
 	for _, p := range progs {
-		off, err := net.Admit(p, maxP)
+		off, err := net.Admit(p, *maxP)
 		if err != nil {
-			fmt.Printf("%-8s REJECTED: %v\n", p.Name, err)
+			fmt.Fprintf(stdout, "%-8s REJECTED: %v\n", p.Name, err)
 			continue
 		}
-		fmt.Printf("%-8s admitted with P=%-3d tbi=%8.4fs, remaining capacity %8.1f KB/s\n",
+		fmt.Fprintf(stdout, "%-8s admitted with P=%-3d tbi=%8.4fs, remaining capacity %8.1f KB/s\n",
 			off.Program, off.P, off.BurstInterval, net.Available()/1000)
 	}
+	return nil
 }
 
-type catalogOptions struct {
-	CatalogDir, CacheDir string
-	Programs, PList      string
-	Spikes, Jobs         int
-	Seed                 int64
-	Capacity             float64
-	MaxP                 int
-	JSON                 bool
-}
-
-// admitReps is how many warm lookup-and-negotiate passes are timed; the
-// minimum is reported (the steady-state cost, free of scheduler noise).
-const admitReps = 64
-
-type programTiming struct {
-	Program    string  `json:"program"`
-	FitMs      float64 `json:"fit_ms"` // simulate(or run-cache)-then-fit wall, all P
-	CatalogHit bool    `json:"catalog_hit"`
-	AdmitUs    float64 `json:"admit_us"` // catalog lookup + negotiate, min of reps
-	Speedup    float64 `json:"speedup"`  // fit_ms·1000 / admit_us
-	P          int     `json:"p"`
-	BurstKBps  float64 `json:"burst_kbps"`
-	TbiS       float64 `json:"tbi_s"`
-	MeanKBps   float64 `json:"mean_kbps"`
-}
-
-func catalogMode(o catalogOptions) {
-	names := fxnet.Programs()
-	if o.Programs != "" {
-		names = strings.Split(o.Programs, ",")
-	}
-	var ps []int
-	for _, f := range strings.Split(o.PList, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v <= 0 {
-			log.Fatalf("bad processor count %q", f)
-		}
-		ps = append(ps, v)
-	}
-
-	farm, err := fxnet.NewFarm(fxnet.FarmOptions{Workers: o.Jobs, CacheDir: o.CacheDir, Memoize: true})
+// catalogPrograms tabulates one characterization per program the catalog
+// holds a fitted model of, in registry order. Fitting is fxmodel's job:
+// programs with no model are named on stderr with the command that fits
+// them, and a catalog that holds none at all is an error.
+func catalogPrograms(dir string, stderr io.Writer) ([]fxnet.QoSProgram, error) {
+	cat, err := fxnet.OpenCatalog(dir)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	cat, err := fxnet.OpenCatalog(o.CatalogDir)
+	entries, err := cat.List()
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	ft := fxnet.NewModelFitter(farm, cat)
-
-	// Phase 1 — ensure every (program × P) has a fitted model, timing the
-	// simulate-then-fit path per program. On a warm catalog this is a
-	// hit and the wall collapses to the lookup.
-	timings := make([]programTiming, 0, len(names))
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		pt := programTiming{Program: name, CatalogHit: true}
-		for _, p := range ps {
-			e, prov, err := ft.Fit(context.Background(), fxnet.QuickConfig(name, p, o.Seed), fxnet.FitOptions{Spikes: o.Spikes})
-			if err != nil {
-				log.Fatalf("fit %s P=%d: %v", name, p, err)
-			}
-			_ = e
-			pt.FitMs += float64(prov.Wall.Microseconds()) / 1000
-			if !prov.CatalogHit {
-				pt.CatalogHit = false
-			}
-		}
-		timings = append(timings, pt)
+	held := map[string]bool{}
+	for _, e := range entries {
+		held[e.Program] = true
 	}
-
-	// Phase 2 — admission from the catalog alone: tabulate the fitted
-	// points and negotiate. This is the path a broker takes per request.
-	for i := range timings {
-		pt := &timings[i]
-		var off fxnet.QoSOffer
-		best := time.Duration(1<<62 - 1)
-		for range admitReps {
-			t0 := time.Now()
-			prog, err := cat.Program(pt.Program)
-			if err != nil {
-				log.Fatalf("catalog program %s: %v", pt.Program, err)
-			}
-			net := fxnet.NewQoSNetwork(o.Capacity)
-			off, err = net.Negotiate(prog, o.MaxP)
-			if err != nil {
-				log.Fatalf("negotiate %s: %v", pt.Program, err)
-			}
-			if d := time.Since(t0); d < best {
-				best = d
-			}
-		}
-		pt.AdmitUs = float64(best.Nanoseconds()) / 1000
-		pt.Speedup = pt.FitMs * 1000 / pt.AdmitUs
-		pt.P, pt.BurstKBps, pt.TbiS, pt.MeanKBps =
-			off.P, off.BurstBandwidth/1000, off.BurstInterval, off.MeanBandwidth/1000
-	}
-
-	st := farm.Stats()
-	fmt.Fprintf(os.Stderr, "farm: executed=%d cache-hits=%d; catalog %s: %d entries\n",
-		st.Executed, st.CacheHits, cat.Dir(), cat.Len())
-
-	if o.JSON {
-		minSpeedup := 0.0
-		for i, t := range timings {
-			if i == 0 || t.Speedup < minSpeedup {
-				minSpeedup = t.Speedup
-			}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{
-			"capacity_bps": o.Capacity,
-			"maxp":         o.MaxP,
-			"p_fitted":     ps,
-			"programs":     timings,
-			"min_speedup":  minSpeedup,
-			"executed":     st.Executed,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	fmt.Printf("catalog admission (capacity %.0f KB/s, models from %s):\n", o.Capacity/1000, o.CatalogDir)
-	fmt.Printf("%-8s %4s %12s %12s %14s %12s %12s %10s\n",
-		"program", "P", "B (KB/s)", "tbi (s)", "mean (KB/s)", "fit (ms)", "admit (µs)", "speedup")
-	for _, t := range timings {
-		fmt.Printf("%-8s %4d %12.1f %12.4f %14.1f %12.1f %12.1f %9.0fx\n",
-			t.Program, t.P, t.BurstKBps, t.TbiS, t.MeanKBps, t.FitMs, t.AdmitUs, t.Speedup)
-	}
-
-	// Sequential admission from fitted models, like the analytic mode.
-	fmt.Println("\nsequential admission (shared medium, fitted models):")
-	net := fxnet.NewQoSNetwork(o.Capacity)
-	for _, t := range timings {
-		prog, err := cat.Program(t.Program)
-		if err != nil {
-			log.Fatal(err)
-		}
-		off, err := net.Admit(prog, o.MaxP)
-		if err != nil {
-			fmt.Printf("%-8s REJECTED: %v\n", t.Program, err)
+	var progs []fxnet.QoSProgram
+	var missing []string
+	for _, name := range fxnet.Programs() {
+		if !held[name] {
+			missing = append(missing, name)
 			continue
 		}
-		fmt.Printf("%-8s admitted with P=%-3d tbi=%8.4fs, remaining capacity %8.1f KB/s\n",
-			off.Program, off.P, off.BurstInterval, net.Available()/1000)
+		p, err := cat.Program(name)
+		if err != nil {
+			return nil, err
+		}
+		progs = append(progs, p)
 	}
+	if len(progs) == 0 {
+		return nil, fmt.Errorf("catalog %s holds no fitted model: run `fxmodel fit -catalog %s` first", dir, dir)
+	}
+	if len(missing) > 0 {
+		fmt.Fprintf(stderr, "fxqos: no fitted model for %s: run `fxmodel fit -catalog %s -programs %s`\n",
+			strings.Join(missing, ", "), dir, strings.Join(missing, ","))
+	}
+	return progs, nil
 }

@@ -34,8 +34,8 @@ func main() {
 		csv   = flag.String("csvdir", "", "optional directory for bandwidth-series CSVs")
 		jobs  = flag.Int("j", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		cache = flag.String("cache", "", "content-addressed run-cache directory (e.g. .fxcache)")
-		prof  = profiling.Register()
-		ver   = version.Register()
+		prof  = profiling.Register(flag.CommandLine)
+		ver   = version.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	version.ExitIfRequested(ver)

@@ -167,19 +167,9 @@ func repro(opts reproOptions, stdout, stderr io.Writer) (fxnet.FarmStats, error)
 
 	fmt.Fprintln(stdout, "\n=== §7.3: QoS negotiation on a 10 Mb/s network ===")
 	net := fxnet.NewQoSNetwork(1.25e6)
-	progs := []fxnet.QoSProgram{
-		{Name: "sor", Pattern: fxnet.Neighbor,
-			Local: func(P int) float64 { return 512.0 * 510 / float64(P) / 38500 },
-			Burst: func(P int) float64 { return 512 * 4 }},
-		{Name: "2dfft", Pattern: fxnet.AllToAll,
-			Local: func(P int) float64 { return 2 * 512 * 23040 / float64(P) / 8.4e6 },
-			Burst: func(P int) float64 { return 512 * 512 * 8 / float64(P*P) }},
-		{Name: "hist", Pattern: fxnet.Tree,
-			Local: func(P int) float64 { return 512.0 * 512 / float64(P) / 364000 },
-			Burst: func(P int) float64 { return 256 * 8 }},
-	}
 	fmt.Fprintf(stdout, "%-8s %4s %12s %12s\n", "program", "P", "B (KB/s)", "tbi (s)")
-	for _, p := range progs {
+	for _, name := range []string{"sor", "2dfft", "hist"} {
+		p, _ := fxnet.KernelQoS(name)
 		off, err := net.Negotiate(p, 32)
 		if err != nil {
 			return f.Stats(), err

@@ -45,8 +45,8 @@ func main() {
 		degrade  = flag.Bool("degrade", false, "re-form the team on survivors when a host dies (renegotiates P via QoS)")
 		topology = flag.String("topology", "", `multi-segment topology spec like "lan0:0-1,lan1:2-3" or @file (empty = single shared segment)`)
 		pdes     = flag.String("pdes", "auto", "partitioned-engine execution: auto, serial, or parallel (multi-segment runs only)")
-		prof     = profiling.Register()
-		ver      = version.Register()
+		prof     = profiling.Register(flag.CommandLine)
+		ver      = version.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	version.ExitIfRequested(ver)

@@ -460,6 +460,19 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 // NewQoSNetwork creates a §7.3 network with the given capacity (bytes/s).
 func NewQoSNetwork(capacityBps float64) *QoSNetwork { return qos.NewNetwork(capacityBps) }
 
+// KernelQoS returns a kernel's §7.3 [l(), b(), c] characterization at
+// its paper-scale problem size: the registry entry fxnetd negotiates
+// with and Degrade renegotiates from — the one place the laws are
+// written. False for a name that is not a kernel (AIRSHED has no
+// analytic law).
+func KernelQoS(name string) (QoSProgram, bool) {
+	spec, ok := kernels.Lookup(name)
+	if !ok {
+		return QoSProgram{}, false
+	}
+	return spec.QoS(spec.Params), true
+}
+
 // CalibratedCost returns the calibrated cost model for a program, for
 // ablations that perturb one parameter at a time.
 func CalibratedCost(program string) (CostModel, error) { return core.CalibratedCost(program) }

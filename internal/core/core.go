@@ -8,6 +8,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 
 	"fxnet/internal/airshed"
@@ -248,6 +250,9 @@ func validate(cfg RunConfig) (*faults.Schedule, error) {
 			return nil, err
 		}
 	}
+	if err := checkFaults(schedule, cfg.EffectiveP(), cfg.Switched); err != nil {
+		return nil, err
+	}
 	multi := false
 	if cfg.Topology != nil {
 		if err := cfg.Topology.ValidateFor(cfg.EffectiveP()); err != nil {
@@ -282,6 +287,49 @@ func validate(cfg RunConfig) (*faults.Schedule, error) {
 		}
 	}
 	return schedule, nil
+}
+
+// hostIndex resolves a fault script's host name — alphaN, hostN or a
+// bare N — to a machine host index among p hosts.
+func hostIndex(name string, p int) (int, bool) {
+	for i := range p {
+		n := strconv.Itoa(i)
+		if name == n || name == "alpha"+n || name == "host"+n {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// checkFaults refuses, with faults.Apply's own messages, a schedule the
+// run could only fail on once its fabric is built: a fault on the wire
+// of a switched fabric (it has no single collision domain to take one),
+// or a host name that is none of the p hosts.
+func checkFaults(s *faults.Schedule, p int, switched bool) error {
+	if s.Empty() {
+		return nil
+	}
+	for _, f := range s.Faults {
+		names, wire := []string{f.Host}, false
+		switch f.Kind {
+		case faults.HostCrash, faults.HostRestart, faults.ComputeStall:
+		case faults.LinkDown, faults.LinkUp:
+			wire = true
+		case faults.NetPartition:
+			names, wire = slices.Concat(f.Groups...), true
+		default:
+			names, wire = nil, true
+		}
+		if wire && switched {
+			return fmt.Errorf("faults: %s not supported by this topology", f.Kind)
+		}
+		for _, name := range names {
+			if _, ok := hostIndex(name, p); !ok {
+				return fmt.Errorf("faults: unknown host %q", name)
+			}
+		}
+	}
+	return nil
 }
 
 // run is the one body behind every Run* entry point: validate, build the
@@ -386,18 +434,9 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 
 	if faulty {
 		hooks := faults.Hooks{
-			HostIndex: func(name string) (int, bool) {
-				for i := range hosts {
-					if name == fmt.Sprintf("alpha%d", i) ||
-						name == fmt.Sprintf("host%d", i) ||
-						name == fmt.Sprint(i) {
-						return i, true
-					}
-				}
-				return 0, false
-			},
-			Crash:   machine.KillHost,
-			Restart: machine.RestartHost,
+			HostIndex: func(name string) (int, bool) { return hostIndex(name, p) },
+			Crash:     machine.KillHost,
+			Restart:   machine.RestartHost,
 			Stall: func(host int, d sim.Duration) {
 				team.Final().StallHost(host, d)
 			},

@@ -7,6 +7,7 @@ import (
 
 	"fxnet/internal/airshed"
 	"fxnet/internal/ethernet"
+	"fxnet/internal/faults"
 	"fxnet/internal/kernels"
 	"fxnet/internal/sim"
 	"fxnet/internal/trace"
@@ -103,6 +104,47 @@ func TestAirshedParamsValidated(t *testing.T) {
 	// Another program ignores the field, malformed or not.
 	if err := Validate(RunConfig{Program: "sor", AirshedParams: airshed.Params{Species: -1}}); err != nil {
 		t.Errorf("sor with unused AirshedParams refused: %v", err)
+	}
+}
+
+// A fault script naming a host the run does not have, or a wire fault on
+// a switched fabric, is refused by Validate with the message faults.Apply
+// gave once the fabric was built — so a front end never accepts (and
+// fxnetd never journals) a job that can only fail.
+func TestFaultScriptValidated(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    RunConfig
+		refuse string
+	}{
+		{"unknown name", RunConfig{FaultScript: "1s:linkdown nosuchhost"}, `faults: unknown host "nosuchhost"`},
+		{"index past P", RunConfig{P: 4, FaultScript: "1s:crash host9"}, `faults: unknown host "host9"`},
+		{"index past the default P", RunConfig{FaultScript: "1s:stall 4 1s"}, `faults: unknown host "4"`},
+		{"partition group", RunConfig{FaultScript: "1s:partition alpha0+alpha1|alpha2+alpha7"}, `faults: unknown host "alpha7"`},
+		{"padded index", RunConfig{FaultScript: "1s:crash 03"}, `faults: unknown host "03"`},
+		{"link fault on a switch", RunConfig{Switched: true, FaultScript: "1s:linkdown host1"}, "faults: linkdown not supported by this topology"},
+		{"bit rate on a switch", RunConfig{Switched: true, FaultScript: "1s:bitrate 5e6"}, "faults: bitrate not supported by this topology"},
+		{"parsed schedule", RunConfig{Faults: faults.MustParse("1s:restart host4")}, `faults: unknown host "host4"`},
+		{"three spellings", RunConfig{FaultScript: "1s:linkdown alpha3,2s:linkup host3,3s:stall 3 10ms"}, ""},
+		{"host faults on a switch", RunConfig{Switched: true, FaultScript: "1s:stall host1 10ms"}, ""},
+		{"P = 8 has a host7", RunConfig{P: 8, FaultScript: "1s:partition 0+1+2+3|4+5+6+7,2s:heal"}, ""},
+	} {
+		cfg := tc.cfg
+		cfg.Program, cfg.Seed, cfg.Params = "sor", 1, kernels.Params{N: 16, Iters: 2}
+		err := Validate(cfg)
+		_, runErr := Run(cfg)
+		if tc.refuse == "" {
+			if err != nil || runErr != nil {
+				t.Errorf("%s: Validate = %v, Run = %v, want both to accept", tc.name, err, runErr)
+			}
+			continue
+		}
+		if err == nil || err.Error() != tc.refuse {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.refuse)
+		}
+		if runErr == nil || runErr.Error() != tc.refuse {
+			t.Errorf("%s: Run = %v, want %q", tc.name, runErr, tc.refuse)
+		}
 	}
 }
 

@@ -187,7 +187,7 @@ func TestBadJobSurfacesError(t *testing.T) {
 	f := New(Options{Workers: 1})
 	out := f.RunBatch([]Job{
 		{Label: "bad", Config: core.RunConfig{Program: "no-such-kernel"}},
-		// `fxsweep -sweep loss -values 1.5,-0.1`: an error per point, not
+		// `fxfarm -loss 1.5,-0.1`: an error per row, not
 		// a panic inside a farm worker.
 		{Label: "loss=1.50", Config: core.RunConfig{Program: "sor", FrameLossProb: 1.5}},
 		{Label: "loss=-0.10", Config: core.RunConfig{Program: "sor", FrameLossProb: -0.1}},

@@ -21,12 +21,13 @@ type Flags struct {
 }
 
 // Register declares the standard -cpuprofile/-memprofile/-trace flags on
-// the default flag set and returns the struct they populate.
-func Register() *Flags {
+// fs (a command's own set, or flag.CommandLine) and returns the struct
+// they populate.
+func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
-	flag.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
-	flag.StringVar(&f.Trace, "trace", "", "write a runtime execution trace to this file")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
+	fs.StringVar(&f.Trace, "trace", "", "write a runtime execution trace to this file")
 	return f
 }
 

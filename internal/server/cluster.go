@@ -155,6 +155,7 @@ func (s *Server) proxyRequest(w http.ResponseWriter, r *http.Request, peer clust
 		}
 	}
 	req.Header.Set(ForwardedHeader, c.ring.SelfID())
+	req.Header.Set(requestIDHeader, w.Header().Get(requestIDHeader)) // instrument set it
 	resp, err := c.httpc.Do(req)
 	if err != nil {
 		return false

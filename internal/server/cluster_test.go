@@ -2,14 +2,18 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fxnet/internal/cluster"
 	"fxnet/internal/farm"
@@ -143,6 +147,88 @@ func TestClusterSubmitProxiedToOwner(t *testing.T) {
 	}
 	if got := servers[0].clu.proxiedSubmits.Load(); got != 1 {
 		t.Fatalf("proxied submits = %d, want 1", got)
+	}
+}
+
+// logBuf is a goroutine-safe log sink a test can read while handlers
+// are still writing to it.
+type logBuf struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *logBuf) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logBuf) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// One request ID names a request on both sides of the proxy hop: the
+// front adopts a well-formed inbound X-Request-ID (or mints one) and
+// forwards it, so its req= line and the owner's agree. A malformed
+// header is replaced, never echoed or logged.
+func TestClusterProxyCarriesRequestID(t *testing.T) {
+	logs := []*logBuf{{}, {}}
+	servers, fronts := startCluster(t, 2, func(i int, o *Options) { o.Log = log.New(logs[i], "", 0) })
+	req := reqOwnedBy(t, servers[0], "s1")
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minted := regexp.MustCompile(`^[0-9a-f]{8}$`)
+	for _, tc := range []struct {
+		name, inbound string
+		adopted       bool
+	}{
+		{"adopted", "trace-me_7.a", true},
+		{"none", "", false},
+		{"spaces", "two words", false},
+		{"markup", `<b>"x"</b>`, false},
+		{"too long", strings.Repeat("a", 65), false},
+	} {
+		hr, err := http.NewRequest("POST", fronts[0].URL+"/v1/runs", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.inbound != "" {
+			hr.Header.Set("X-Request-ID", tc.inbound)
+		}
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || resp.Header.Get("X-Fxnetd-Served-By") != "s1" {
+			t.Fatalf("%s: HTTP %d served by %q, want a 202 proxied to s1", tc.name, resp.StatusCode, resp.Header.Get("X-Fxnetd-Served-By"))
+		}
+		id := resp.Header.Get("X-Request-ID")
+		if tc.adopted && id != tc.inbound {
+			t.Errorf("%s: response carries %q, want the inbound %q", tc.name, id, tc.inbound)
+		}
+		if !tc.adopted && !minted.MatchString(id) {
+			t.Errorf("%s: response carries %q, want a freshly minted ID", tc.name, id)
+		}
+		// The log line follows the response; give each shard a moment.
+		line := "req=" + id + " "
+		for i, l := range logs {
+			deadline := time.Now().Add(5 * time.Second)
+			for !strings.Contains(l.String(), line) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := strings.Count(l.String(), line); n != 1 {
+				t.Errorf("%s: shard s%d logged %q %d times, want once:\n%s", tc.name, i, line, n, l.String())
+			}
+			if !tc.adopted && tc.inbound != "" && strings.Contains(l.String(), tc.inbound) {
+				t.Errorf("%s: shard s%d logged the malformed header %q", tc.name, i, tc.inbound)
+			}
+		}
 	}
 }
 

@@ -81,6 +81,26 @@ func (l *clientLimiter) release(key string) {
 	}
 }
 
+// requestIDHeader carries the ID every log line of a request is tagged
+// with (req=…); proxyRequest forwards it so the front's and the owner's
+// lines agree.
+const requestIDHeader = "X-Request-ID"
+
+// validRequestID reports whether an inbound ID is safe to adopt, log
+// and echo: [0-9A-Za-z._-]{1,64}. (Spelled out, not a regexp: the
+// compiled 64-fold repetition alone is ~26 KB of retained heap.)
+func validRequestID(id string) bool {
+	if len(id) == 0 || len(id) > 64 {
+		return false
+	}
+	for _, c := range []byte(id) {
+		if !(c >= '0' && c <= '9' || c >= 'A' && c <= 'Z' || c >= 'a' && c <= 'z' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
+}
+
 // instrument wraps an endpoint handler with the ops surface: request-ID
 // assignment and logging, latency/status metrics, load shedding by
 // endpoint class, and (for limited endpoints) per-client concurrency
@@ -88,8 +108,13 @@ func (l *clientLimiter) release(key string) {
 func (s *Server) instrument(endpoint string, limited bool, shedClass int, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		reqID := fmt.Sprintf("%08x", s.reqSeq.Add(1))
-		w.Header().Set("X-Request-ID", reqID)
+		// One ID follows a request across the proxy hop: adopt a
+		// well-formed inbound one, mint otherwise (never echo junk).
+		reqID := r.Header.Get(requestIDHeader)
+		if !validRequestID(reqID) {
+			reqID = fmt.Sprintf("%08x", s.reqSeq.Add(1))
+		}
+		w.Header().Set(requestIDHeader, reqID)
 
 		if !s.shedder.admit(shedClass) {
 			w.Header().Set("Retry-After", "2")

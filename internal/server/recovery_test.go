@@ -116,6 +116,48 @@ func TestSubmitRefusedConfigLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// Fault scripts that used to pass Validate and die in faults.Apply once
+// the fabric was built — leaving a `submitted` record for a job that
+// could only fail — are 400s with Apply's message and journal nothing.
+func TestSubmitUnrunnableFaultScriptLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := journaledServer(t, dir, Options{Workers: 1})
+	journalSize := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, "journal.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := journalSize()
+	for _, tc := range []struct {
+		mutate func(*RunRequest)
+		want   string
+	}{
+		{func(r *RunRequest) { r.Faults = "1s:linkdown nosuchhost" }, `faults: unknown host "nosuchhost"`},
+		{func(r *RunRequest) { r.Faults = "1s:crash host9" }, `faults: unknown host "host9"`},
+		{func(r *RunRequest) { r.Switched, r.Faults = true, "1s:linkdown host1" }, "faults: linkdown not supported by this topology"},
+	} {
+		req := cheapRun()
+		tc.mutate(&req)
+		var e map[string]string
+		if code := doJSON(t, "POST", ts.URL+"/v1/runs", req, &e); code != http.StatusBadRequest {
+			t.Errorf("%q: HTTP %d, want 400", req.Faults, code)
+		}
+		if e["error"] != tc.want {
+			t.Errorf("%q: error %q, want %q", req.Faults, e["error"], tc.want)
+		}
+	}
+	for state, n := range s.jobs.counts() {
+		if n != 0 {
+			t.Errorf("%d %s job(s) after refused submits", n, state)
+		}
+	}
+	if after := journalSize(); after != before {
+		t.Errorf("journal grew %d → %d bytes on refused submits", before, after)
+	}
+}
+
 // The tentpole invariant: every job acknowledged with a 202 before a
 // crash reaches done after restart, and the recomputed (or cache-served)
 // trace is byte-identical to what the pre-crash server would have

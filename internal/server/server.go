@@ -492,12 +492,12 @@ type statusJSON struct {
 
 // resultJSON summarizes a completed run.
 type resultJSON struct {
-	Packets       int           `json:"packets"`
-	Bytes         int64         `json:"bytes"`
-	ElapsedS      float64       `json:"elapsed_s"`
-	KBps          nullableFloat `json:"kbps"`
-	FundamentalHz nullableFloat `json:"fundamental_hz"`
-	RunError      string        `json:"run_error,omitempty"`
+	Packets       int               `json:"packets"`
+	Bytes         int64             `json:"bytes"`
+	ElapsedS      float64           `json:"elapsed_s"`
+	KBps          catalog.JSONFloat `json:"kbps"`
+	FundamentalHz catalog.JSONFloat `json:"fundamental_hz"`
+	RunError      string            `json:"run_error,omitempty"`
 }
 
 // IdempotencyKeyHeader carries a client-chosen token that makes a
@@ -650,15 +650,15 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			if rep != nil {
 				rj.Packets = int(rep.AggSize.N)
 				rj.Bytes = int64(math.Round(rep.AggSize.Mean * float64(rep.AggSize.N)))
-				rj.KBps = nullableFloat(rep.AggKBps)
+				rj.KBps = catalog.JSONFloat(rep.AggKBps)
 			}
 		} else {
 			rj.Packets = res.Trace.Len()
 			rj.Bytes = res.Trace.TotalBytes()
-			rj.KBps = nullableFloat(analysis.AverageBandwidthKBps(res.Trace))
+			rj.KBps = catalog.JSONFloat(analysis.AverageBandwidthKBps(res.Trace))
 		}
 		if rep != nil && rep.AggSpectrum != nil {
-			rj.FundamentalHz = nullableFloat(rep.AggSpectrum.DominantFreq())
+			rj.FundamentalHz = catalog.JSONFloat(rep.AggSpectrum.DominantFreq())
 		}
 		if res.RunErr != nil {
 			rj.RunError = res.RunErr.Error()

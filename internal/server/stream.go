@@ -3,9 +3,9 @@ package server
 import (
 	"bufio"
 	"encoding/json"
-	"math"
 	"net/http"
 
+	"fxnet/internal/catalog"
 	"fxnet/internal/dsp"
 	"fxnet/internal/trace"
 )
@@ -16,19 +16,6 @@ import (
 // in constant server memory instead of being materialized as one
 // response body.
 const streamChunk = 8192
-
-// nullableFloat marshals NaN and ±Inf as JSON null instead of tripping
-// encoding/json's unsupported-value error — spectra of degenerate series
-// carry such values legitimately.
-type nullableFloat float64
-
-func (f nullableFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
-}
 
 // traceHeaderJSON is the first NDJSON line of a trace stream.
 type traceHeaderJSON struct {
@@ -102,17 +89,17 @@ func streamTraceNDJSON(w http.ResponseWriter, tr *trace.Trace) error {
 
 // spectrumHeaderJSON is the first NDJSON line of a spectrum stream.
 type spectrumHeaderJSON struct {
-	Program string        `json:"program"`
-	Kind    string        `json:"kind"` // "aggregate" or "connection"
-	Bins    int           `json:"bins"`
-	DF      nullableFloat `json:"df"`
-	DT      nullableFloat `json:"dt"`
-	N       int           `json:"n"`
+	Program string            `json:"program"`
+	Kind    string            `json:"kind"` // "aggregate" or "connection"
+	Bins    int               `json:"bins"`
+	DF      catalog.JSONFloat `json:"df"`
+	DT      catalog.JSONFloat `json:"dt"`
+	N       int               `json:"n"`
 }
 
 type spectrumBinJSON struct {
-	Freq  nullableFloat `json:"freq"`
-	Power nullableFloat `json:"power"`
+	Freq  catalog.JSONFloat `json:"freq"`
+	Power catalog.JSONFloat `json:"power"`
 }
 
 // streamSpectrumNDJSON writes a header line and one line per frequency
@@ -123,15 +110,15 @@ func streamSpectrumNDJSON(w http.ResponseWriter, program, kind string, s *dsp.Sp
 	enc := json.NewEncoder(bw)
 	head := spectrumHeaderJSON{
 		Program: program, Kind: kind, Bins: len(s.Freq),
-		DF: nullableFloat(s.DF), DT: nullableFloat(s.DT), N: s.N,
+		DF: catalog.JSONFloat(s.DF), DT: catalog.JSONFloat(s.DT), N: s.N,
 	}
 	if err := enc.Encode(head); err != nil {
 		return err
 	}
 	for i := range s.Freq {
 		if err := enc.Encode(spectrumBinJSON{
-			Freq:  nullableFloat(s.Freq[i]),
-			Power: nullableFloat(s.Power[i]),
+			Freq:  catalog.JSONFloat(s.Freq[i]),
+			Power: catalog.JSONFloat(s.Power[i]),
 		}); err != nil {
 			return err
 		}

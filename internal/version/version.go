@@ -55,10 +55,11 @@ func String() string {
 	return b.String()
 }
 
-// Register declares the shared -version flag on the default flag set.
-// Call ExitIfRequested with the returned pointer after flag.Parse.
-func Register() *bool {
-	return flag.Bool("version", false, "print build version and exit")
+// Register declares the shared -version flag on fs (a command's own
+// set, or flag.CommandLine). Call ExitIfRequested with the returned
+// pointer after parsing.
+func Register(fs *flag.FlagSet) *bool {
+	return fs.Bool("version", false, "print build version and exit")
 }
 
 // ExitIfRequested prints the build identity and exits 0 when the

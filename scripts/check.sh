@@ -33,9 +33,20 @@ if grep -n 'func ConnectionCorrelation\|func PhaseCoincidence\|func ModeCount' i
 if grep -rn 'flag\.[A-Za-z0-9]*("analysis"' --include='*.go' cmd; then exit 1; fi
 if grep -rn 'CharacterizeTracePool\|CharacterizePool' --include='*.go' . | grep -v '^\./bench/' | grep -v '^\./internal/analysis/report\.go:'; then exit 1; fi
 
+# One command surface: fxfarm is the only batch runner, the §7.3 laws and
+# their calibrated rates are written once (internal/kernels; 12.5e6 is a
+# capacity, not a rate), and one float type renders NaN/Inf as JSON null.
+if [ -e cmd/fxsweep ]; then exit 1; fi
+if grep -rnw '38500\|8\.4e6\|2\.5e6\|364000' --include='*.go' cmd internal | grep -v '_test\.go:' | grep -v '^internal/kernels/'; then exit 1; fi
+if grep -rn 'func ([a-z]* \*\?\w*[Ff]loat\w*) MarshalJSON' --include='*.go' . | grep -v '^\./internal/catalog/json\.go:'; then exit 1; fi
+
 go build ./...
 go vet ./...
 go test ./...
+
+# fxfarm's "-json -" is the batch alone on stdout: valid JSON, loss
+# dimension included.
+go run ./cmd/fxfarm -programs seq -n 8 -iters 1 -loss 0,0.01 -q -json - 2>/dev/null | python3 -m json.tool >/dev/null
 
 # fxrun refuses an unknown -format before it simulates and before it
 # creates -o.
