@@ -13,11 +13,11 @@
 // truncated, not fatal.
 //
 // With -cluster-self/-cluster-peers the daemon joins a consistent-hash
-// shard ring: run keys route to their owning shard (transparent proxy
-// by default), cache entries move between shards over /v1/cache/{key}
-// with digest verification, and the QoS broker admits against the
-// cluster-wide capacity minus what peers report committed (gossiped
-// every -cluster-gossip).
+// shard ring: requests for run keys (and job IDs) another shard owns are
+// transparently proxied there, cache entries move between shards over
+// /v1/cache/{key} with digest verification, and the QoS broker admits
+// against -capacity, read as the cluster-wide capacity, minus what peers
+// report committed (gossiped every -cluster-gossip).
 //
 // Usage:
 //
@@ -83,7 +83,7 @@ func main() {
 		catDir     = flag.String("catalog", "", "spectral-model catalog directory (default <cache>/models; empty without -cache disables /v1/models)")
 		jpath      = flag.String("journal", "", "durable job journal path (empty = no crash safety)")
 		replayOnly = flag.Bool("replay", false, "self-check: replay and verify the journal, print a summary, exit")
-		capacity   = flag.Float64("capacity", 0, "QoS broker capacity in bytes/s (0 = calibrated shared-segment default)")
+		capacity   = flag.Float64("capacity", 0, "QoS broker capacity in bytes/s, cluster-wide on a clustered node (0 = calibrated shared-segment default)")
 		maxP       = flag.Int("maxp", 0, "QoS processor search bound (0 = 32)")
 		climit     = flag.Int("client-limit", 16, "max in-flight API requests per client (0 = unlimited)")
 		maxQueue   = flag.Int("max-queue", 0, "farm queue depth where load shedding begins (0 = 256)")
@@ -96,9 +96,7 @@ func main() {
 		clusterPeers   = flag.String("cluster-peers", "", "full ring membership as id1=url1,id2=url2,... (must include -cluster-self)")
 		clusterVNodes  = flag.Int("cluster-vnodes", 0, "virtual nodes per peer on the hash ring (0 = 64)")
 		clusterVersion = flag.Int("cluster-ring-version", 1, "ring configuration version; peers gossip it and flag divergence")
-		clusterRoute   = flag.String("cluster-route", "proxy", "off-ring request handling: proxy or off")
 		clusterGossip  = flag.Duration("cluster-gossip", 2*time.Second, "QoS ledger gossip interval (0 = no gossip)")
-		clusterCap     = flag.Float64("cluster-capacity", 0, "cluster-wide QoS capacity in bytes/s (0 = the local -capacity)")
 		ver            = version.Register(flag.CommandLine)
 	)
 	flag.Parse()
@@ -123,9 +121,6 @@ func main() {
 		JournalPath:    *jpath,
 		MaxQueue:       *maxQueue,
 		Log:            log.Default(),
-
-		ClusterRoute:       *clusterRoute,
-		ClusterCapacityBps: *clusterCap,
 	}
 	if *clusterSelf != "" || *clusterPeers != "" {
 		peers, err := cluster.ParsePeers(*clusterPeers)

@@ -84,17 +84,12 @@ type Options struct {
 	// FS is the filesystem seam (durable.FaultFS injects slow, full and
 	// unsyncable disks); nil selects the real filesystem.
 	FS durable.FS
-	// NoSync skips the per-append fsync. Only tests and throwaway
-	// deployments should set it: without the sync, acknowledged records
-	// can vanish in a crash.
-	NoSync bool
 }
 
 // Journal is an open write-ahead log. Append is safe for concurrent use.
 type Journal struct {
-	path   string
-	fs     durable.FS
-	noSync bool
+	path string
+	fs   durable.FS
 
 	mu     sync.Mutex
 	f      durable.File
@@ -130,7 +125,7 @@ func Open(path string, opts Options, fn func(Record) error) (*Journal, ReplaySta
 	if err != nil {
 		return nil, st, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{path: path, fs: fs, noSync: opts.NoSync, f: f}
+	j := &Journal{path: path, fs: fs, f: f}
 	if err := j.replay(fn, &st); err != nil {
 		f.Close()
 		return nil, st, err
@@ -154,7 +149,7 @@ func (j *Journal) replay(fn func(Record) error, st *ReplayStats) error {
 		if _, err := j.f.Write([]byte(magic)); err != nil {
 			return fmt.Errorf("journal: write header: %w", err)
 		}
-		if err := j.sync(); err != nil {
+		if err := j.f.Sync(); err != nil {
 			return fmt.Errorf("journal: sync header: %w", err)
 		}
 		if err := j.fs.SyncDir(filepath.Dir(j.path)); err != nil {
@@ -242,7 +237,7 @@ func (j *Journal) Append(op Op, body []byte) error {
 		j.broken = err
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	if err := j.sync(); err != nil {
+	if err := j.f.Sync(); err != nil {
 		j.broken = err
 		return fmt.Errorf("journal: append sync: %w", err)
 	}
@@ -258,13 +253,6 @@ func encodeFrame(op Op, body []byte) []byte {
 	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
 	return frame
-}
-
-func (j *Journal) sync() error {
-	if j.noSync {
-		return nil
-	}
-	return j.f.Sync()
 }
 
 // Err reports the sticky append failure, nil while the journal is

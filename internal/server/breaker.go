@@ -34,13 +34,14 @@ type breaker struct {
 	openedTotal int64
 }
 
+// The server's breaker: five consecutive failures open it for five
+// seconds.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Second
+)
+
 func newBreaker(failThreshold int, cooldown time.Duration) *breaker {
-	if failThreshold <= 0 {
-		failThreshold = 5
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
 	return &breaker{failThreshold: failThreshold, cooldown: cooldown, now: time.Now}
 }
 

@@ -16,7 +16,6 @@ import (
 	"fxnet/internal/catalog"
 	"fxnet/internal/durable"
 	"fxnet/internal/farm"
-	"fxnet/internal/journal"
 )
 
 var (
@@ -36,8 +35,7 @@ type FitRequest struct {
 // catalogEnabled guards the /v1/models surface.
 func (s *Server) catalogEnabled(w http.ResponseWriter) bool {
 	if s.catalog == nil {
-		writeErr(w, http.StatusServiceUnavailable,
-			"model catalog disabled: start fxnetd with -cache or -catalog")
+		writeErr(w, http.StatusServiceUnavailable, "%v", errCatalogDisabled)
 		return false
 	}
 	return true
@@ -95,28 +93,12 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, catalog.ToJSON(e))
 }
 
-// handleFit submits an asynchronous fit job. The submit path mirrors
-// handleSubmit — drain/ready/breaker gates, idempotency, journal-before-
-// 202 — so a crash between the acknowledgment and the fit still lands
-// the model after recovery.
+// handleFit submits an asynchronous fit job through the run submission
+// path — gate, idempotency, journal-before-202 — so a crash between the
+// acknowledgment and the fit still lands the model after recovery. Fit
+// jobs are not routed: they run on the node that received them.
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	if !s.catalogEnabled(w) {
-		return
-	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "5")
-		writeErr(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	if !s.ready.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, "recovering: journal replay in progress")
-		return
-	}
-	if !s.breaker.allow() {
-		s.metrics.breakerReject()
-		w.Header().Set("Retry-After", "5")
-		writeErr(w, http.StatusServiceUnavailable, "execution circuit breaker open")
 		return
 	}
 	var req FitRequest
@@ -133,42 +115,13 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	spikes := req.Spikes
-	if spikes <= 0 {
-		spikes = catalog.DefaultSpikes
+	if req.Spikes <= 0 {
+		req.Spikes = catalog.DefaultSpikes
 	}
-
-	idemKey := r.Header.Get(IdempotencyKeyHeader)
-	if idemKey != "" {
-		s.idemMu.Lock()
-		id, seen := s.idem[idemKey]
-		s.idemMu.Unlock()
-		if seen {
-			if j, ok := s.jobs.get(id); ok {
-				s.accept(w, j, true)
-				return
-			}
-		}
-	}
-
-	id := s.jobs.allocID()
-	sub := submittedRec{
-		ID: id, Key: farm.Key(cfg), Analysis: "stream",
-		IdemKey: idemKey, Request: req.RunRequest, Fit: spikes,
-	}
-	if err := s.appendJournal(journal.OpSubmitted, sub); err != nil {
-		s.logf("journal: fit submit %s: %v", id, err)
-		w.Header().Set("Retry-After", "5")
-		writeErr(w, http.StatusServiceUnavailable, "journal unavailable: submission cannot be made durable")
+	if !s.admitSubmit(w) {
 		return
 	}
-	j := s.jobs.start(id, cfg, true, spikes)
-	if idemKey != "" {
-		s.idemMu.Lock()
-		s.idem[idemKey] = id
-		s.idemMu.Unlock()
-	}
-	s.accept(w, j, false)
+	s.enqueue(w, r, cfg, submittedRec{Key: farm.Key(cfg), Analysis: "stream", Request: req.RunRequest, Fit: req.Spikes})
 }
 
 // catalogProgram resolves a catalog-backed negotiation request.

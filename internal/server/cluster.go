@@ -21,28 +21,17 @@ import (
 // but can never loop.
 const ForwardedHeader = "X-Fxnetd-Forwarded"
 
-// Cluster routing modes.
-const (
-	// RouteProxy transparently forwards requests for keys (and job IDs)
-	// owned by another shard and relays the response; clients see one
-	// logical service regardless of which shard they dial.
-	RouteProxy = "proxy"
-	// RouteOff disables ownership routing: every shard serves what it
-	// is asked. Cache tiering still moves entries; routing-off is the
-	// degraded-but-correct mode.
-	RouteOff = "off"
-)
-
 // clusterState is the per-server cluster runtime: the immutable ring,
 // the gossiped peer ledger, the cache-entry fetcher, and routing
-// counters.
+// counters. Requests for keys (and job IDs) another shard owns are
+// transparently proxied there, so clients see one logical service
+// whichever shard they dial.
 type clusterState struct {
 	ring   *cluster.Ring
 	ledger *cluster.Ledger
 	// fetcher is nil when the node has no disk cache (nothing to
 	// install fetched entries into).
 	fetcher *cluster.Fetcher
-	route   string
 	// capacityBps is the cluster-wide schedulable QoS capacity; each
 	// gossip round sets the local broker's capacity to this minus the
 	// sum of remote committed bandwidth.
@@ -87,7 +76,7 @@ func jobShard(id string) string {
 // just placed off-ring until the owner returns.
 func (s *Server) routeSubmit(w http.ResponseWriter, r *http.Request, key string, body []byte) bool {
 	c := s.clu
-	if c == nil || c.route == RouteOff || r.Header.Get(ForwardedHeader) != "" {
+	if c == nil || r.Header.Get(ForwardedHeader) != "" {
 		return false
 	}
 	owner := c.ring.Owner(key)
@@ -110,7 +99,7 @@ func (s *Server) routeSubmit(w http.ResponseWriter, r *http.Request, key string,
 // owner is a 502.
 func (s *Server) routeJob(w http.ResponseWriter, r *http.Request) bool {
 	c := s.clu
-	if c == nil || c.route == RouteOff || r.Header.Get(ForwardedHeader) != "" {
+	if c == nil || r.Header.Get(ForwardedHeader) != "" {
 		return false
 	}
 	id := r.PathValue("id")
@@ -229,7 +218,6 @@ func (s *Server) handleClusterRing(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{
 		"version": c.ring.Version(),
 		"self":    c.ring.SelfID(),
-		"route":   c.route,
 		"peers":   c.ring.Peers(),
 	}
 	if key := r.URL.Query().Get("key"); key != "" {
@@ -356,43 +344,4 @@ func (c *clusterState) fetchLedger(p cluster.Peer) (ledgerJSON, error) {
 		return ledgerJSON{}, err
 	}
 	return lj, nil
-}
-
-// writeClusterMetrics appends the cluster section of /metrics.
-func (s *Server) writeClusterMetrics(w io.Writer) {
-	c := s.clu
-	enabled := 0
-	if c != nil {
-		enabled = 1
-	}
-	fmt.Fprintln(w, "# HELP fxnetd_cluster_enabled Whether this node participates in a shard ring.\n# TYPE fxnetd_cluster_enabled gauge")
-	fmt.Fprintf(w, "fxnetd_cluster_enabled %d\n", enabled)
-	if c == nil {
-		return
-	}
-	fmt.Fprintln(w, "# HELP fxnetd_cluster_ring_version The ring configuration version this shard runs.\n# TYPE fxnetd_cluster_ring_version gauge")
-	fmt.Fprintf(w, "fxnetd_cluster_ring_version %d\n", c.ring.Version())
-	fmt.Fprintln(w, "# HELP fxnetd_cluster_peers Shards in the ring, including self.\n# TYPE fxnetd_cluster_peers gauge")
-	fmt.Fprintf(w, "fxnetd_cluster_peers %d\n", len(c.ring.Peers()))
-	fmt.Fprintln(w, "# HELP fxnetd_cluster_peers_up Peers whose last gossip poll answered.\n# TYPE fxnetd_cluster_peers_up gauge")
-	fmt.Fprintf(w, "fxnetd_cluster_peers_up %d\n", c.ledger.PeersUp())
-	fmt.Fprintln(w, "# HELP fxnetd_cluster_proxied_total Requests transparently proxied to their owning shard, by kind.\n# TYPE fxnetd_cluster_proxied_total counter")
-	fmt.Fprintf(w, "fxnetd_cluster_proxied_total{kind=\"submit\"} %d\n", c.proxiedSubmits.Load())
-	fmt.Fprintf(w, "fxnetd_cluster_proxied_total{kind=\"poll\"} %d\n", c.proxiedPolls.Load())
-	fmt.Fprintln(w, "# HELP fxnetd_cluster_proxy_fallbacks_total Submissions executed locally because the owning shard was unreachable.\n# TYPE fxnetd_cluster_proxy_fallbacks_total counter")
-	fmt.Fprintf(w, "fxnetd_cluster_proxy_fallbacks_total %d\n", c.proxyFallbacks.Load())
-	fmt.Fprintln(w, "# HELP fxnetd_cluster_gossip_rounds_total Ledger gossip rounds completed.\n# TYPE fxnetd_cluster_gossip_rounds_total counter")
-	fmt.Fprintf(w, "fxnetd_cluster_gossip_rounds_total %d\n", c.gossipRounds.Load())
-	fmt.Fprintln(w, "# HELP fxnetd_cluster_ring_mismatches_total Gossip polls that saw a peer on a different ring version.\n# TYPE fxnetd_cluster_ring_mismatches_total counter")
-	fmt.Fprintf(w, "fxnetd_cluster_ring_mismatches_total %d\n", c.ringMismatches.Load())
-	fmt.Fprintln(w, "# HELP fxnetd_cluster_remote_committed_bytes_per_second QoS bandwidth committed on other shards, per the last gossip.\n# TYPE fxnetd_cluster_remote_committed_bytes_per_second gauge")
-	fmt.Fprintf(w, "fxnetd_cluster_remote_committed_bytes_per_second %g\n", c.ledger.RemoteCommitted())
-	fmt.Fprintln(w, "# HELP fxnetd_cluster_capacity_bytes_per_second The cluster-wide schedulable QoS capacity.\n# TYPE fxnetd_cluster_capacity_bytes_per_second gauge")
-	fmt.Fprintf(w, "fxnetd_cluster_capacity_bytes_per_second %g\n", c.capacityBps)
-	if f := c.fetcher; f != nil {
-		fmt.Fprintln(w, "# HELP fxnetd_cluster_fetch_total Peer cache-entry fetch outcomes.\n# TYPE fxnetd_cluster_fetch_total counter")
-		fmt.Fprintf(w, "fxnetd_cluster_fetch_total{outcome=\"hit\"} %d\n", f.Hits())
-		fmt.Fprintf(w, "fxnetd_cluster_fetch_total{outcome=\"miss\"} %d\n", f.Misses())
-		fmt.Fprintf(w, "fxnetd_cluster_fetch_total{outcome=\"failure\"} %d\n", f.Failures())
-	}
 }

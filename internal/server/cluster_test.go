@@ -254,22 +254,47 @@ func TestClusterWarmClusterExecutesOnce(t *testing.T) {
 	}
 }
 
+// submitForwarded submits a run marked as already forwarded by a peer,
+// so the shard it lands on serves it locally instead of proxying it.
+func submitForwarded(t *testing.T, base string, req RunRequest) string {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.NewRequest("POST", base+"/v1/runs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set(ForwardedHeader, "test")
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acc struct {
+		ID string `json:"id"`
+	}
+	if err := jsonDecode(resp, &acc); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("forwarded submit: HTTP %d (%v)", resp.StatusCode, err)
+	}
+	return acc.ID
+}
+
 func TestClusterPeerFetchTier(t *testing.T) {
-	// Routing off: every shard serves what it is asked, so a submit to
-	// a non-owner exercises the disk-miss → peer-fetch tier instead of
+	// Forwarded submits are served where they land, so a submit to a
+	// non-owner exercises the disk-miss → peer-fetch tier instead of
 	// the proxy. Once each key's ring owner is warm, a spray of every
 	// key through every front executes nothing: each non-owner's first
 	// touch is one peer fetch, and the installed copy serves the rest.
 	for _, tc := range []struct{ shards, keys int }{{2, 1}, {3, 8}} {
 		t.Run(fmt.Sprintf("%dshards_%dkeys", tc.shards, tc.keys), func(t *testing.T) {
 			servers, fronts := startCluster(t, tc.shards, func(i int, o *Options) {
-				o.ClusterRoute = RouteOff
 				o.Memoize = false
 				o.CacheDir = t.TempDir()
 			})
 			run := func(front int, req RunRequest) {
 				t.Helper()
-				id := submit(t, fronts[front].URL, req)
+				id := submitForwarded(t, fronts[front].URL, req)
 				if st := waitState(t, fronts[front].URL, id); st.State != stateDone {
 					t.Fatalf("seed %d via s%d ended %s: %s", req.Seed, front, st.State, st.Error)
 				}
@@ -330,14 +355,6 @@ func TestClusterProxyFallbackWhenOwnerDown(t *testing.T) {
 	}
 	front.Config.Handler = s.Handler()
 
-	// Proxy and off are the only routes; a third is refused at start-up.
-	if _, err := New(Options{
-		Cluster:      cluster.Config{Version: 1, Self: "s0", Peers: peers},
-		ClusterRoute: "redirect",
-	}); err == nil || !strings.Contains(err.Error(), "unknown cluster route") {
-		t.Fatalf("ClusterRoute redirect: err = %v, want unknown cluster route", err)
-	}
-
 	req := reqOwnedBy(t, s, "s1")
 	var acc map[string]any
 	if code := doJSON(t, "POST", front.URL+"/v1/runs", req, &acc); code != http.StatusAccepted {
@@ -358,7 +375,7 @@ func TestClusterProxyFallbackWhenOwnerDown(t *testing.T) {
 func TestClusterLedgerGossipAdjustsCapacity(t *testing.T) {
 	const clusterCap = 2.2e6
 	servers, fronts := startCluster(t, 2, func(i int, o *Options) {
-		o.ClusterCapacityBps = clusterCap
+		o.CapacityBps = clusterCap
 	})
 
 	// Admit a program on s0; its mean bandwidth is s0's committed sum.

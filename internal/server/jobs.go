@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -163,11 +162,6 @@ func (r *jobRegistry) restoreSeq(id string) {
 	r.mu.Unlock()
 }
 
-// submit registers a job under a fresh ID and starts it.
-func (r *jobRegistry) submit(cfg core.RunConfig, stream bool) *job {
-	return r.start(r.allocID(), cfg, stream, 0)
-}
-
 // start registers a job under a preassigned ID and launches its
 // execution goroutine. The job's context is cancelled by
 // DELETE /v1/runs/{id}; until the farm grants a worker slot,
@@ -236,7 +230,7 @@ func (r *jobRegistry) start(id string, cfg core.RunConfig, stream bool, fitSpike
 func (r *jobRegistry) runFit(ctx context.Context, j *job, cfg core.RunConfig, spikes int) {
 	if r.fitter == nil {
 		j.mu.Lock()
-		j.err = errors.New("model catalog disabled: start fxnetd with -cache or -catalog")
+		j.err = errCatalogDisabled
 		j.mu.Unlock()
 		return
 	}

@@ -127,7 +127,7 @@ func (s *Server) instrument(endpoint string, limited bool, shedClass int, h http
 		if limited {
 			key := clientKey(r)
 			if !s.limiter.acquire(key) {
-				s.metrics.throttle()
+				s.metrics.throttled.Add(1)
 				w.Header().Set("Retry-After", "1")
 				http.Error(w, "too many in-flight requests for this client", http.StatusTooManyRequests)
 				s.metrics.record(endpoint, strconv.Itoa(http.StatusTooManyRequests), time.Since(start).Seconds())

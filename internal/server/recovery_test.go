@@ -27,7 +27,10 @@ func journaledServer(t *testing.T, dir string, opts Options) (*Server, *httptest
 	if opts.CacheDir == "" {
 		opts.CacheDir = filepath.Join(dir, "cache")
 	}
-	opts.JournalNoSync = true // tmpfs fsync noise is not what these tests measure
+	if opts.FS == nil {
+		opts.FS = durable.OSFS{}
+	}
+	opts.FS = noSyncFS{opts.FS} // tmpfs fsync noise is not what these tests measure
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -48,6 +51,23 @@ func journaledServer(t *testing.T, dir string, opts Options) (*Server, *httptest
 	})
 	return s, ts
 }
+
+// noSyncFS is a filesystem whose fsyncs do nothing.
+type noSyncFS struct{ durable.FS }
+
+type noSyncFile struct{ durable.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+func (fs noSyncFS) OpenFile(name string, flag int, perm os.FileMode) (durable.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
+func (noSyncFS) SyncDir(string) error { return nil }
 
 // crash abandons a server the way SIGKILL would: no drain, no flush,
 // just the journal handle gone. In-flight goroutines keep running (as a
@@ -407,7 +427,7 @@ func TestSigtermDuringReplay(t *testing.T) {
 	// Boot B with an already-cancelled context: replay aborts on the
 	// first job, exactly as a SIGTERM arriving during a long replay.
 	optsB := Options{Workers: 2, Memoize: true,
-		JournalPath: filepath.Join(dir, "journal.wal"), CacheDir: filepath.Join(dir, "cache"), JournalNoSync: true}
+		JournalPath: filepath.Join(dir, "journal.wal"), CacheDir: filepath.Join(dir, "cache"), FS: noSyncFS{durable.OSFS{}}}
 	b, err := New(optsB)
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +467,7 @@ func TestClientDisconnectDuringJournalAppend(t *testing.T) {
 	ffs := &durable.FaultFS{FS: durable.OSFS{}, WriteBudget: -1, WriteDelay: 30 * time.Millisecond}
 	opts := Options{Workers: 2, Memoize: true,
 		JournalPath: filepath.Join(dir, "journal.wal"), CacheDir: filepath.Join(dir, "cache"),
-		JournalNoSync: true, FS: ffs}
+		FS: noSyncFS{ffs}}
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -499,6 +519,61 @@ func TestClientDisconnectDuringJournalAppend(t *testing.T) {
 	_ = s.Drain(dctx)
 }
 
+// Concurrent retries of one keyed submit land on one job. Without the
+// reservation, each retry that overlaps the first attempt's slow
+// journal append sees no key yet, mints its own ID and journals its own
+// submitted record.
+func TestConcurrentKeyedSubmitsCreateOneJob(t *testing.T) {
+	for _, tc := range []struct {
+		name, path string
+		body       any
+	}{
+		{"run", "/v1/runs", cheapRun()},
+		{"fit", "/v1/models/fit", FitRequest{RunRequest: fitRun()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ffs := &durable.FaultFS{FS: durable.OSFS{}, WriteBudget: -1, WriteDelay: 50 * time.Millisecond}
+			_, ts := journaledServer(t, t.TempDir(), Options{Workers: 2, Memoize: true, FS: ffs})
+			body, err := json.Marshal(tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const retries = 4
+			ids := make(chan string, retries)
+			for range retries {
+				go func() {
+					req, _ := http.NewRequest("POST", ts.URL+tc.path, strings.NewReader(string(body)))
+					req.Header.Set(IdempotencyKeyHeader, "one-key")
+					var acc struct {
+						ID string `json:"id"`
+					}
+					resp, err := http.DefaultClient.Do(req)
+					if err == nil {
+						if resp.StatusCode != http.StatusAccepted {
+							t.Errorf("submit: HTTP %d", resp.StatusCode)
+						}
+						err = jsonDecode(resp, &acc)
+					}
+					if err != nil {
+						t.Errorf("submit: %v", err)
+					}
+					ids <- acc.ID
+				}()
+			}
+			seen := map[string]bool{}
+			for range retries {
+				seen[<-ids] = true
+			}
+			if len(seen) != 1 {
+				t.Errorf("%d concurrent retries of one key got job IDs %v, want one", retries, seen)
+			}
+			if n := metricValue(t, fetchMetrics(t, ts.URL), `fxnetd_journal_appends_total{op="submitted"}`); n != 1 {
+				t.Errorf("journaled %g submitted records, want 1", n)
+			}
+		})
+	}
+}
+
 // When the disk fills, submits fail closed: 503 "journal unavailable",
 // no 202 the server cannot honor. Already-acknowledged work is
 // unaffected.
@@ -507,7 +582,7 @@ func TestFullDiskFailsSubmitsClosed(t *testing.T) {
 	ffs := &durable.FaultFS{FS: durable.OSFS{}, WriteBudget: -1}
 	opts := Options{Workers: 2, Memoize: true,
 		JournalPath: filepath.Join(dir, "journal.wal"), CacheDir: filepath.Join(dir, "cache"),
-		JournalNoSync: true, FS: ffs}
+		FS: noSyncFS{ffs}}
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -532,6 +607,21 @@ func TestFullDiskFailsSubmitsClosed(t *testing.T) {
 	}
 	if !strings.Contains(e["error"], "journal") {
 		t.Errorf("full-disk error = %q, want journal unavailable", e["error"])
+	}
+	// A keyed submit the journal refuses drops its key's reservation: the
+	// retry is refused in turn instead of waiting on it forever.
+	for range 2 {
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/runs",
+			strings.NewReader(`{"program":"sor","p":4,"n":32,"iters":4,"seed":78}`))
+		req.Header.Set(IdempotencyKeyHeader, "full-disk")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("keyed submit on full disk: HTTP %d, want 503", resp.StatusCode)
+		}
 	}
 	// The acknowledged job still answers.
 	if st := waitState(t, ts.URL, id); st.State != stateDone {

@@ -68,17 +68,10 @@ type Options struct {
 	// Cluster configures the consistent-hash shard ring this node
 	// participates in; an empty peer list disables clustering.
 	Cluster cluster.Config
-	// ClusterRoute selects what happens to requests whose key (or job
-	// ID) another shard owns: "proxy" (default) forwards transparently,
-	// "off" serves everything locally.
-	ClusterRoute string
-	// ClusterCapacityBps is the cluster-wide schedulable QoS capacity
-	// that the gossiped ledger divides among shards; <= 0 reuses the
-	// local CapacityBps (each shard then assumes it may use the whole
-	// network unless peers report commitments).
-	ClusterCapacityBps float64
 	// CapacityBps is the QoS broker's schedulable capacity in bytes/s;
-	// <= 0 selects the calibrated shared-segment default (1.1 MB/s).
+	// <= 0 selects the calibrated shared-segment default (1.1 MB/s). On
+	// a clustered node it is the cluster-wide capacity the gossiped
+	// ledger divides among shards.
 	CapacityBps float64
 	// MaxP bounds the broker's processor search; <= 0 selects 32.
 	MaxP int
@@ -95,17 +88,10 @@ type Options struct {
 	// run cache and model catalog (chaos tests inject slow, full or
 	// unsyncable disks); nil selects the real one.
 	FS durable.FS
-	// JournalNoSync skips the per-append fsync; tests only.
-	JournalNoSync bool
 	// MaxQueue is the farm queue depth at which load shedding starts
 	// refusing submissions (and, at twice this depth, polls);
 	// <= 0 selects 256.
 	MaxQueue int
-	// BreakerThreshold is the consecutive farm failures that open the
-	// execution circuit breaker; <= 0 selects 5. BreakerCooldown is the
-	// open interval before a half-open probe; <= 0 selects 5s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Log receives request and lifecycle lines; nil discards them.
 	Log *log.Logger
 }
@@ -132,8 +118,9 @@ type Server struct {
 	jstats    journalStats
 	recovered *recoveredState
 
-	idemMu sync.Mutex
-	idem   map[string]string // idempotency key → job ID
+	idemMu      sync.Mutex
+	idem        map[string]string        // idempotency key → started job's ID
+	idemPending map[string]chan struct{} // key → closed when its in-flight submit resolves
 
 	streamsMu sync.Mutex
 	streams   int
@@ -180,27 +167,14 @@ func New(opts Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		route := opts.ClusterRoute
-		switch route {
-		case "":
-			route = RouteProxy
-		case RouteProxy, RouteOff:
-		default:
-			return nil, fmt.Errorf("server: unknown cluster route %q (have proxy, off)", route)
-		}
+		// The broker starts from the cluster-wide capacity; gossip
+		// subtracts what peers have committed each round.
 		clu = &clusterState{
-			ring:   ring,
-			ledger: cluster.NewLedger(),
-			route:  route,
-			httpc:  &http.Client{Timeout: 30 * time.Second},
+			ring:        ring,
+			ledger:      cluster.NewLedger(),
+			capacityBps: cap,
+			httpc:       &http.Client{Timeout: 30 * time.Second},
 		}
-		clu.capacityBps = opts.ClusterCapacityBps
-		if clu.capacityBps <= 0 {
-			clu.capacityBps = cap
-		}
-		// A clustered broker starts from the cluster-wide capacity;
-		// gossip subtracts what peers have committed each round.
-		cap = clu.capacityBps
 		if fo.Cache != nil {
 			clu.fetcher = cluster.NewFetcher(ring, fo.Cache, nil)
 			fo.PeerFetch = clu.fetcher.Fetch
@@ -222,18 +196,19 @@ func New(opts Options) (*Server, error) {
 		fitter = catalog.NewFitter(f, c)
 	}
 	s := &Server{
-		farm:    f,
-		jobs:    newJobRegistry(f),
-		catalog: cat,
-		fitter:  fitter,
-		broker:  newBroker(cap, opts.MaxP),
-		clu:     clu,
-		metrics: newMetrics(),
-		limiter: newClientLimiter(opts.ClientLimit),
-		breaker: newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
-		logger:  logger,
-		idem:    make(map[string]string),
-		started: time.Now(),
+		farm:        f,
+		jobs:        newJobRegistry(f),
+		catalog:     cat,
+		fitter:      fitter,
+		broker:      newBroker(cap, opts.MaxP),
+		clu:         clu,
+		metrics:     newMetrics(),
+		limiter:     newClientLimiter(opts.ClientLimit),
+		breaker:     newBreaker(breakerThreshold, breakerCooldown),
+		logger:      logger,
+		idem:        make(map[string]string),
+		idemPending: make(map[string]chan struct{}),
+		started:     time.Now(),
 	}
 	s.jobs.fitter = fitter
 	if clu != nil {
@@ -241,14 +216,7 @@ func New(opts Options) (*Server, error) {
 		// that owns the job.
 		s.jobs.shard = clu.ring.SelfID()
 	}
-	s.shedder = newShedder(opts.MaxQueue, func() int64 {
-		fs := f.Stats()
-		q := fs.Submitted - fs.Completed - fs.Running
-		if q < 0 {
-			q = 0
-		}
-		return q
-	})
+	s.shedder = newShedder(opts.MaxQueue, func() int64 { return queueDepth(f.Stats()) })
 	s.jobs.onTerminal = func(j *job, state, errMsg string) {
 		switch state {
 		case stateDone:
@@ -264,7 +232,7 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.JournalPath != "" {
 		rs := newRecoveredState()
-		jn, st, err := journal.Open(opts.JournalPath, journal.Options{FS: opts.FS, NoSync: opts.JournalNoSync}, rs.fold)
+		jn, st, err := journal.Open(opts.JournalPath, journal.Options{FS: opts.FS}, rs.fold)
 		if err != nil {
 			return nil, err
 		}
@@ -301,7 +269,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/cache/{key}", s.instrument("cache_entry", false, classPoll, s.handleCacheEntry))
 	mux.HandleFunc("GET /v1/cluster/ring", s.instrument("cluster_ring", false, classOps, s.handleClusterRing))
 	mux.HandleFunc("GET /v1/cluster/ledger", s.instrument("cluster_ledger", false, classOps, s.handleClusterLedger))
-	mux.HandleFunc("GET /metrics", s.instrument("metrics", false, classOps, s.handleMetrics))
+	mux.HandleFunc("GET /metrics", s.instrument("metrics", false, classOps, s.serveMetrics))
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", false, classOps, s.handleHealthz))
 	mux.HandleFunc("GET /readyz", s.instrument("readyz", false, classOps, s.handleReadyz))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -424,15 +392,15 @@ type RunRequest struct {
 	Topology string `json:"topology,omitempty"`
 }
 
-// stream validates the analysis selector.
-func (req *RunRequest) stream() (bool, error) {
+// analysis validates the analysis selector and names the pipeline.
+func (req *RunRequest) analysis() (string, error) {
 	switch req.Analysis {
 	case "", "trace":
-		return false, nil
+		return "trace", nil
 	case "stream":
-		return true, nil
+		return "stream", nil
 	default:
-		return false, fmt.Errorf("unknown analysis %q (have trace, stream)", req.Analysis)
+		return "", fmt.Errorf("unknown analysis %q (have trace, stream)", req.Analysis)
 	}
 }
 
@@ -506,31 +474,14 @@ type resultJSON struct {
 const IdempotencyKeyHeader = "Idempotency-Key"
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "5")
-		writeErr(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	if !s.ready.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, "recovering: journal replay in progress")
-		return
-	}
-	if !s.breaker.allow() {
-		s.metrics.breakerReject()
-		w.Header().Set("Retry-After", "5")
-		writeErr(w, http.StatusServiceUnavailable, "execution circuit breaker open")
-		return
-	}
 	// The body is captured whole so an off-ring submission can be
 	// re-posted verbatim to the shard that owns its key.
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
 	var req RunRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -539,54 +490,108 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	stream, err := req.stream()
+	analysis, err := req.analysis()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if !s.admitSubmit(w) {
 		return
 	}
 	key := farm.Key(cfg)
 	if s.routeSubmit(w, r, key, body) {
 		return
 	}
+	s.enqueue(w, r, cfg, submittedRec{Key: key, Analysis: analysis, Request: req})
+}
 
-	idemKey := r.Header.Get(IdempotencyKeyHeader)
-	if idemKey != "" {
-		s.idemMu.Lock()
-		id, seen := s.idem[idemKey]
-		s.idemMu.Unlock()
-		if seen {
-			if j, ok := s.jobs.get(id); ok {
-				s.accept(w, j, true)
-				return
-			}
-		}
+// admitSubmit is the gate every submission (run or fit) passes once its
+// body is valid: refused while draining, before recovery, and while the
+// execution breaker is open.
+func (s *Server) admitSubmit(w http.ResponseWriter) bool {
+	switch {
+	case s.draining.Load():
+		w.Header().Set("Retry-After", "5")
+		writeErr(w, http.StatusServiceUnavailable, "draining")
+	case !s.ready.Load():
+		w.Header().Set("Retry-After", "1")
+		writeErr(w, http.StatusServiceUnavailable, "recovering: journal replay in progress")
+	case !s.breaker.allow():
+		s.metrics.breakerRejects.Add(1)
+		w.Header().Set("Retry-After", "5")
+		writeErr(w, http.StatusServiceUnavailable, "execution circuit breaker open")
+	default:
+		return true
 	}
+	return false
+}
 
-	// Allocate the ID, make the submission durable, then start the job:
-	// once the 202 leaves, a crash at any point must still honor it.
-	// From this point the submit is not abortable by client disconnect —
-	// a half-acknowledged journal record with no job would be a lie in
-	// the other direction.
-	id := s.jobs.allocID()
-	sub := submittedRec{ID: id, Key: key, IdemKey: idemKey, Request: req}
-	if stream {
-		sub.Analysis = "stream"
-	} else {
-		sub.Analysis = "trace"
+// enqueue is the one submission path behind POST /v1/runs and
+// POST /v1/models/fit. sub carries the key, analysis, request and fit
+// budget; enqueue replays a known Idempotency-Key's 202, or allocates
+// the ID, makes the submission durable, starts the job and answers 202.
+// Once the 202 leaves, a crash at any point must still honor it; from
+// the journal append on the submit is not abortable by client
+// disconnect — a half-acknowledged record with no job would be a lie in
+// the other direction.
+func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, cfg core.RunConfig, sub submittedRec) {
+	sub.IdemKey = r.Header.Get(IdempotencyKeyHeader)
+	j, resolve := s.claimIdem(sub.IdemKey)
+	if j != nil {
+		s.accept(w, j, true)
+		return
 	}
+	sub.ID = s.jobs.allocID()
 	if err := s.appendJournal(journal.OpSubmitted, sub); err != nil {
-		s.logf("journal: submit %s: %v", id, err)
+		resolve("")
+		s.logf("journal: submit %s: %v", sub.ID, err)
 		w.Header().Set("Retry-After", "5")
 		writeErr(w, http.StatusServiceUnavailable, "journal unavailable: submission cannot be made durable")
 		return
 	}
-	j := s.jobs.start(id, cfg, stream, 0)
-	if idemKey != "" {
-		s.idemMu.Lock()
-		s.idem[idemKey] = id
-		s.idemMu.Unlock()
-	}
+	j = s.jobs.start(sub.ID, cfg, sub.Analysis == "stream", sub.Fit)
+	resolve(sub.ID)
 	s.accept(w, j, false)
+}
+
+// claimIdem returns the job an idempotency key already names, or
+// reserves the key for the caller's submit. A submit carrying a key
+// whose first attempt is still between ID allocation and job start
+// waits for it; other keys never wait on that attempt's fsync. The
+// caller must call resolve exactly once, with the started job's ID or
+// "" to drop the reservation. An empty key claims nothing.
+func (s *Server) claimIdem(key string) (_ *job, resolve func(id string)) {
+	if key == "" {
+		return nil, func(string) {}
+	}
+	s.idemMu.Lock()
+	for {
+		if id, ok := s.idem[key]; ok {
+			if j, ok := s.jobs.get(id); ok {
+				s.idemMu.Unlock()
+				return j, nil
+			}
+		}
+		pending, ok := s.idemPending[key]
+		if !ok {
+			break
+		}
+		s.idemMu.Unlock()
+		<-pending
+		s.idemMu.Lock()
+	}
+	done := make(chan struct{})
+	s.idemPending[key] = done
+	s.idemMu.Unlock()
+	return nil, func(id string) {
+		s.idemMu.Lock()
+		if id != "" {
+			s.idem[key] = id
+		}
+		delete(s.idemPending, key)
+		s.idemMu.Unlock()
+		close(done)
+	}
 }
 
 // accept writes the 202 payload for a (possibly replayed) submission.
@@ -820,172 +825,6 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		s.logf("journal: release %d: %v", id, err)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"released": id})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fs := s.farm.Stats()
-	jobCounts := s.jobs.counts()
-	_, committed, available, capacity := s.broker.snapshot()
-
-	fmt.Fprintf(w, "# HELP fxnetd_build_info Build identity.\n# TYPE fxnetd_build_info gauge\nfxnetd_build_info{version=%q} 1\n", version.String())
-	fmt.Fprintf(w, "# HELP fxnetd_uptime_seconds Seconds since the server started.\n# TYPE fxnetd_uptime_seconds gauge\nfxnetd_uptime_seconds %g\n", time.Since(s.started).Seconds())
-
-	fmt.Fprintln(w, "# HELP fxnetd_farm_submitted_total Jobs submitted to the experiment farm.\n# TYPE fxnetd_farm_submitted_total counter")
-	fmt.Fprintf(w, "fxnetd_farm_submitted_total %d\n", fs.Submitted)
-	fmt.Fprintln(w, "# HELP fxnetd_farm_completed_total Farm jobs completed.\n# TYPE fxnetd_farm_completed_total counter")
-	fmt.Fprintf(w, "fxnetd_farm_completed_total %d\n", fs.Completed)
-	fmt.Fprintln(w, "# HELP fxnetd_farm_executed_total Simulations actually executed (not cached or deduplicated).\n# TYPE fxnetd_farm_executed_total counter")
-	fmt.Fprintf(w, "fxnetd_farm_executed_total %d\n", fs.Executed)
-	fmt.Fprintln(w, "# HELP fxnetd_farm_cache_hits_total Disk-cache hits.\n# TYPE fxnetd_farm_cache_hits_total counter")
-	fmt.Fprintf(w, "fxnetd_farm_cache_hits_total %d\n", fs.CacheHits)
-	fmt.Fprintln(w, "# HELP fxnetd_farm_deduped_total Jobs that shared another execution (single-flight or memo).\n# TYPE fxnetd_farm_deduped_total counter")
-	fmt.Fprintf(w, "fxnetd_farm_deduped_total %d\n", fs.Deduped)
-	fmt.Fprintln(w, "# HELP fxnetd_farm_failed_total Farm jobs that failed.\n# TYPE fxnetd_farm_failed_total counter")
-	fmt.Fprintf(w, "fxnetd_farm_failed_total %d\n", fs.Failed)
-	fmt.Fprintln(w, "# HELP fxnetd_farm_cancelled_total Farm jobs cancelled before executing.\n# TYPE fxnetd_farm_cancelled_total counter")
-	fmt.Fprintf(w, "fxnetd_farm_cancelled_total %d\n", fs.Cancelled)
-
-	fmt.Fprintln(w, "# HELP fxnetd_sims_in_flight Simulations holding a worker slot right now.\n# TYPE fxnetd_sims_in_flight gauge")
-	fmt.Fprintf(w, "fxnetd_sims_in_flight %d\n", fs.Running)
-	queued := fs.Submitted - fs.Completed - fs.Running
-	if queued < 0 {
-		queued = 0
-	}
-	fmt.Fprintln(w, "# HELP fxnetd_queue_depth Farm jobs submitted but neither running nor completed.\n# TYPE fxnetd_queue_depth gauge")
-	fmt.Fprintf(w, "fxnetd_queue_depth %d\n", queued)
-
-	fmt.Fprintln(w, "# HELP fxnetd_jobs Run submissions by state.\n# TYPE fxnetd_jobs gauge")
-	for _, st := range []string{stateQueued, stateDone, stateFailed, stateCancelled} {
-		fmt.Fprintf(w, "fxnetd_jobs{state=%q} %d\n", st, jobCounts[st])
-	}
-
-	fmt.Fprintln(w, "# HELP fxnetd_ready Whether the node is ready for traffic (recovery done, not draining).\n# TYPE fxnetd_ready gauge")
-	ready := 0
-	if s.Ready() {
-		ready = 1
-	}
-	fmt.Fprintf(w, "fxnetd_ready %d\n", ready)
-
-	bstate, bopened := s.breaker.snapshot()
-	fmt.Fprintln(w, "# HELP fxnetd_breaker_state Execution circuit breaker state (0 closed, 1 half-open, 2 open).\n# TYPE fxnetd_breaker_state gauge")
-	fmt.Fprintf(w, "fxnetd_breaker_state{state=%q} %d\n", breakerStateName(bstate), bstate)
-	fmt.Fprintln(w, "# HELP fxnetd_breaker_opened_total Times the execution circuit breaker opened.\n# TYPE fxnetd_breaker_opened_total counter")
-	fmt.Fprintf(w, "fxnetd_breaker_opened_total %d\n", bopened)
-
-	fmt.Fprintln(w, "# HELP fxnetd_shed_tier Current load-shedding tier (0 none, 1 submits, 2 polls).\n# TYPE fxnetd_shed_tier gauge")
-	fmt.Fprintf(w, "fxnetd_shed_tier %d\n", s.shedder.tier())
-	fmt.Fprintln(w, "# HELP fxnetd_shed_total Requests refused by load shedding, by endpoint class.\n# TYPE fxnetd_shed_total counter")
-	for class := classOps; class <= classSubmit; class++ {
-		fmt.Fprintf(w, "fxnetd_shed_total{class=%q} %d\n", shedClassName(class), s.shedder.shed[class].Load())
-	}
-
-	fmt.Fprintln(w, "# HELP fxnetd_streams_in_flight Streaming responses being written right now.\n# TYPE fxnetd_streams_in_flight gauge")
-	s.streamsMu.Lock()
-	streams := s.streams
-	s.streamsMu.Unlock()
-	fmt.Fprintf(w, "fxnetd_streams_in_flight %d\n", streams)
-
-	jenabled := 0
-	if s.journal != nil {
-		jenabled = 1
-	}
-	fmt.Fprintln(w, "# HELP fxnetd_journal_enabled Whether the durable job journal is configured.\n# TYPE fxnetd_journal_enabled gauge")
-	fmt.Fprintf(w, "fxnetd_journal_enabled %d\n", jenabled)
-	fmt.Fprintln(w, "# HELP fxnetd_journal_appends_total Journal records appended, by op.\n# TYPE fxnetd_journal_appends_total counter")
-	for _, op := range []journal.Op{journal.OpSubmitted, journal.OpTerminal, journal.OpGrant, journal.OpRelease} {
-		fmt.Fprintf(w, "fxnetd_journal_appends_total{op=%q} %d\n", op.String(), s.jstats.appends[op].Load())
-	}
-	fmt.Fprintln(w, "# HELP fxnetd_journal_append_failures_total Journal appends that failed (durability refused).\n# TYPE fxnetd_journal_append_failures_total counter")
-	fmt.Fprintf(w, "fxnetd_journal_append_failures_total %d\n", s.jstats.appendFails.Load())
-	fmt.Fprintln(w, "# HELP fxnetd_journal_replayed_records Records replayed from the journal at boot.\n# TYPE fxnetd_journal_replayed_records gauge")
-	fmt.Fprintf(w, "fxnetd_journal_replayed_records %d\n", s.jstats.replayed.Load())
-	fmt.Fprintln(w, "# HELP fxnetd_journal_truncated_bytes Torn-tail bytes dropped from the journal at boot.\n# TYPE fxnetd_journal_truncated_bytes gauge")
-	fmt.Fprintf(w, "fxnetd_journal_truncated_bytes %d\n", s.jstats.truncated.Load())
-
-	eng := &s.jobs.engine
-	windows := eng.windows.Load()
-	fmt.Fprintln(w, "# HELP fxnetd_engine_windows_total Conservative-PDES windows executed across partitioned runs.\n# TYPE fxnetd_engine_windows_total counter")
-	fmt.Fprintf(w, "fxnetd_engine_windows_total %d\n", windows)
-	fmt.Fprintln(w, "# HELP fxnetd_engine_null_publishes_total Demand-driven null-horizon publications by idle partitions.\n# TYPE fxnetd_engine_null_publishes_total counter")
-	fmt.Fprintf(w, "fxnetd_engine_null_publishes_total %d\n", eng.nulls.Load())
-	fmt.Fprintln(w, "# HELP fxnetd_engine_cross_messages_total Cross-partition messages exchanged at window barriers.\n# TYPE fxnetd_engine_cross_messages_total counter")
-	fmt.Fprintf(w, "fxnetd_engine_cross_messages_total %d\n", eng.crossMsgs.Load())
-	fmt.Fprintln(w, "# HELP fxnetd_engine_partitioned_runs_total Runs that executed the partitioned engine (cache hits excluded).\n# TYPE fxnetd_engine_partitioned_runs_total counter")
-	fmt.Fprintf(w, "fxnetd_engine_partitioned_runs_total %d\n", eng.partedRuns.Load())
-	meanActive := 0.0
-	if windows > 0 {
-		meanActive = float64(eng.activeSum.Load()) / float64(windows)
-	}
-	fmt.Fprintln(w, "# HELP fxnetd_engine_mean_active_partitions Mean partitions doing work per window, across partitioned runs.\n# TYPE fxnetd_engine_mean_active_partitions gauge")
-	fmt.Fprintf(w, "fxnetd_engine_mean_active_partitions %g\n", meanActive)
-
-	fmt.Fprintln(w, "# HELP fxnetd_farm_peer_hits_total Cache hits satisfied by fetching the entry from a cluster peer.\n# TYPE fxnetd_farm_peer_hits_total counter")
-	fmt.Fprintf(w, "fxnetd_farm_peer_hits_total %d\n", fs.PeerHits)
-	fmt.Fprintln(w, "# HELP fxnetd_farm_memo_evicted_total Memoized results evicted by the in-memory LRU caps.\n# TYPE fxnetd_farm_memo_evicted_total counter")
-	fmt.Fprintf(w, "fxnetd_farm_memo_evicted_total %d\n", fs.MemoEvicted)
-
-	if c := s.farm.Cache(); c != nil {
-		cs := c.Stats()
-		fmt.Fprintln(w, "# HELP fxnetd_cache_entries Published run-cache entries on disk.\n# TYPE fxnetd_cache_entries gauge")
-		fmt.Fprintf(w, "fxnetd_cache_entries %d\n", cs.Entries)
-		fmt.Fprintln(w, "# HELP fxnetd_cache_bytes Bytes of published run-cache entries on disk.\n# TYPE fxnetd_cache_bytes gauge")
-		fmt.Fprintf(w, "fxnetd_cache_bytes %d\n", cs.Bytes)
-		fmt.Fprintln(w, "# HELP fxnetd_cache_quarantined_total Corrupt cache entries quarantined instead of silently re-executed.\n# TYPE fxnetd_cache_quarantined_total counter")
-		fmt.Fprintf(w, "fxnetd_cache_quarantined_total %d\n", c.Quarantined())
-		fmt.Fprintln(w, "# HELP fxnetd_cache_quarantined_kind_total Quarantined cache entries by kind.\n# TYPE fxnetd_cache_quarantined_kind_total counter")
-		kinds := c.QuarantinedKinds()
-		if s.catalog != nil {
-			kinds["model"] = s.catalog.Quarantined()
-		}
-		for _, kind := range []string{"run", "spec", "model", "other"} {
-			fmt.Fprintf(w, "fxnetd_cache_quarantined_kind_total{kind=%q} %d\n", kind, kinds[kind])
-		}
-		fmt.Fprintln(w, "# HELP fxnetd_cache_store_failures_total Run-cache entries that could not be stored durably.\n# TYPE fxnetd_cache_store_failures_total counter")
-		fmt.Fprintf(w, "fxnetd_cache_store_failures_total %d\n", c.StoreFailures())
-	}
-
-	s.writeClusterMetrics(w)
-
-	cenabled := 0
-	if s.catalog != nil {
-		cenabled = 1
-	}
-	fmt.Fprintln(w, "# HELP fxnetd_catalog_enabled Whether the fitted-model catalog is configured.\n# TYPE fxnetd_catalog_enabled gauge")
-	fmt.Fprintf(w, "fxnetd_catalog_enabled %d\n", cenabled)
-	if s.catalog != nil {
-		fmt.Fprintln(w, "# HELP fxnetd_catalog_entries Fitted models in the catalog.\n# TYPE fxnetd_catalog_entries gauge")
-		fmt.Fprintf(w, "fxnetd_catalog_entries %d\n", s.catalog.Len())
-		fmt.Fprintln(w, "# HELP fxnetd_catalog_bytes Bytes of fitted models in the catalog.\n# TYPE fxnetd_catalog_bytes gauge")
-		fmt.Fprintf(w, "fxnetd_catalog_bytes %d\n", s.catalog.Bytes())
-		fmt.Fprintln(w, "# HELP fxnetd_catalog_hits_total Catalog lookups answered from a stored model.\n# TYPE fxnetd_catalog_hits_total counter")
-		fmt.Fprintf(w, "fxnetd_catalog_hits_total %d\n", s.catalog.Hits())
-		fmt.Fprintln(w, "# HELP fxnetd_catalog_misses_total Catalog lookups that found no usable model.\n# TYPE fxnetd_catalog_misses_total counter")
-		fmt.Fprintf(w, "fxnetd_catalog_misses_total %d\n", s.catalog.Misses())
-		fmt.Fprintln(w, "# HELP fxnetd_catalog_fits_total Spectral-model fits performed (catalog hits excluded).\n# TYPE fxnetd_catalog_fits_total counter")
-		fmt.Fprintf(w, "fxnetd_catalog_fits_total %d\n", s.fitter.Fits())
-		fmt.Fprintln(w, "# HELP fxnetd_catalog_quarantined_total Corrupt catalog entries quarantined.\n# TYPE fxnetd_catalog_quarantined_total counter")
-		fmt.Fprintf(w, "fxnetd_catalog_quarantined_total %d\n", s.catalog.Quarantined())
-		fmt.Fprintln(w, "# HELP fxnetd_catalog_store_failures_total Catalog entries that could not be stored durably.\n# TYPE fxnetd_catalog_store_failures_total counter")
-		fmt.Fprintf(w, "fxnetd_catalog_store_failures_total %d\n", s.catalog.StoreFailures())
-	}
-
-	fmt.Fprintln(w, "# HELP fxnetd_qos_commitments Outstanding QoS commitments.\n# TYPE fxnetd_qos_commitments gauge")
-	fmt.Fprintf(w, "fxnetd_qos_commitments %d\n", len(s.mustOffers()))
-	fmt.Fprintln(w, "# HELP fxnetd_qos_committed_bytes_per_second Mean bandwidth promised to admitted programs.\n# TYPE fxnetd_qos_committed_bytes_per_second gauge")
-	fmt.Fprintf(w, "fxnetd_qos_committed_bytes_per_second %g\n", committed)
-	fmt.Fprintln(w, "# HELP fxnetd_qos_available_bytes_per_second Capacity not yet committed.\n# TYPE fxnetd_qos_available_bytes_per_second gauge")
-	fmt.Fprintf(w, "fxnetd_qos_available_bytes_per_second %g\n", available)
-	fmt.Fprintln(w, "# HELP fxnetd_qos_capacity_bytes_per_second The broker's schedulable capacity.\n# TYPE fxnetd_qos_capacity_bytes_per_second gauge")
-	fmt.Fprintf(w, "fxnetd_qos_capacity_bytes_per_second %g\n", capacity)
-
-	s.metrics.writeProm(w)
-}
-
-// mustOffers returns the current commitment list (helper for /metrics).
-func (s *Server) mustOffers() []OfferJSON {
-	offers, _, _, _ := s.broker.snapshot()
-	return offers
 }
 
 // handleHealthz is liveness: it answers 200 whenever the process can

@@ -40,6 +40,14 @@ if [ -e cmd/fxsweep ]; then exit 1; fi
 if grep -rnw '38500\|8\.4e6\|2\.5e6\|364000' --include='*.go' cmd internal | grep -v '_test\.go:' | grep -v '^internal/kernels/'; then exit 1; fi
 if grep -rn 'func ([a-z]* \*\?\w*[Ff]loat\w*) MarshalJSON' --include='*.go' . | grep -v '^\./internal/catalog/json\.go:'; then exit 1; fi
 
+# One metric table: /metrics text is formatted only by the family table
+# in internal/server/metrics.go. The five server options nobody set
+# (-cluster-route, -cluster-capacity, the journal's no-sync, the
+# breaker's two tunables) stay gone, flags included.
+if grep -rn '# HELP fxnetd_\|# TYPE fxnetd_' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/server/metrics\.go:'; then exit 1; fi
+if grep -rnE 'ClusterRoute|RouteOff|ClusterCapacityBps|JournalNoSync|BreakerThreshold|NoSync +bool' --include='*.go' . | grep -v '_test\.go:'; then exit 1; fi
+if grep -nE '"cluster-(route|capacity)"' cmd/fxnetd/*.go; then exit 1; fi
+
 go build ./...
 go vet ./...
 go test ./...
