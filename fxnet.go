@@ -116,7 +116,7 @@ type (
 // PDES execution modes for RunOpts.
 const (
 	// PDESAuto runs partitions in parallel when the topology has more
-	// than one segment and more than one CPU is available.
+	// than one segment and GOMAXPROCS is above one.
 	PDESAuto = core.PDESAuto
 	// PDESSerial forces the partitioned engine to run single-threaded.
 	PDESSerial = core.PDESSerial

@@ -157,8 +157,8 @@ type Result struct {
 type PDESMode int
 
 const (
-	// PDESAuto runs partitions in parallel when the machine has more
-	// than one CPU and the topology has more than one segment.
+	// PDESAuto runs partitions in parallel when GOMAXPROCS is above one
+	// and the topology has more than one segment.
 	PDESAuto PDESMode = iota
 	// PDESSerial runs the partitioned engine on one goroutine — the
 	// byte-identical baseline parallel mode is verified against.

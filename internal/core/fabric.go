@@ -181,8 +181,15 @@ func (f *fabric) run(opts RunOpts) sim.Time {
 	if f.eng == nil {
 		return f.parts[0].Run()
 	}
-	parallel := opts.PDES == PDESParallel || opts.PDES == PDESAuto && runtime.NumCPU() > 1
-	return f.eng.Run(parallel)
+	return f.eng.Run(opts.PDES.parallel())
+}
+
+// parallel reports whether the engine runs one goroutine per partition:
+// forced, or automatic when the scheduler may run more than one at once.
+// GOMAXPROCS, not NumCPU, is that bound — under GOMAXPROCS=1 the workers
+// would only take turns.
+func (m PDESMode) parallel() bool {
+	return m == PDESParallel || m == PDESAuto && runtime.GOMAXPROCS(0) > 1
 }
 
 // stats sums the media counters over the partitions.

@@ -287,6 +287,22 @@ func TestTopologySerialParallelIdentical(t *testing.T) {
 	}
 }
 
+// PDESAuto follows GOMAXPROCS, not the host's CPU count: under
+// GOMAXPROCS=1 one goroutine per partition would only take turns.
+func TestPDESAutoFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if PDESAuto.parallel() {
+		t.Error("GOMAXPROCS=1: auto took the parallel branch")
+	}
+	if !PDESParallel.parallel() || PDESSerial.parallel() {
+		t.Error("GOMAXPROCS=1: a forced mode did not hold")
+	}
+	runtime.GOMAXPROCS(2)
+	if !PDESAuto.parallel() {
+		t.Error("GOMAXPROCS=2: auto took the serial branch")
+	}
+}
+
 func TestTopologyTrafficVolume(t *testing.T) {
 	// A switched 2-segment run must carry roughly the same payload
 	// volume as the shared-segment baseline — same program, same data.

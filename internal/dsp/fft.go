@@ -9,42 +9,38 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
-	"sync"
+	"sync/atomic"
 )
 
-// fftPlan caches the size-dependent precomputation of the radix-2
-// transform: the bit-reversal permutation and the forward twiddle factors
-// of every stage, packed stage after stage (half(2) + half(4) + … +
-// half(n) = n−1 entries). Plans are immutable once built and shared by
-// every goroutine transforming that size, so the farm's parallel workers
-// pay the trigonometry once per size per process.
-type fftPlan struct {
-	n    int
-	perm []int32      // perm[i] = bit-reverse of i
-	tw   []complex128 // exp(−2πi·j/size), packed per stage
-}
+// twiddles is the one forward twiddle table every radix-2 transform
+// reads: exp(−2πi·j/N) for j < N/2, N the largest power of two
+// transformed so far. It is immutable once published and replaced only
+// by a larger one, so a reader keeps the table it loaded and the farm's
+// parallel workers pay the trigonometry once per growth. Size m ≤ N reads
+// its factor j at tw[j·(N/m)], bit for bit the value a size-m table would
+// hold: fl(−2π)·j·(N/m) and fl(−2π)·j differ by a power of two, which
+// scales and divides exactly.
+var twiddles atomic.Pointer[[]complex128]
 
-var planCache sync.Map // int -> *fftPlan
-
-func planFor(n int) *fftPlan {
-	if v, ok := planCache.Load(n); ok {
-		return v.(*fftPlan)
+// twiddlesFor returns a table covering size n (a power of two ≥ 2),
+// growing the shared one if n is larger than any size seen.
+func twiddlesFor(n int) []complex128 {
+	if p := twiddles.Load(); p != nil && 2*len(*p) >= n {
+		return *p
 	}
-	p := &fftPlan{n: n, perm: make([]int32, n), tw: make([]complex128, n-1)}
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		p.perm[i] = int32(bits.Reverse64(uint64(i)) >> shift)
+	tw := make([]complex128, n/2)
+	for j := range tw {
+		tw[j] = cmplx.Rect(1, -2*math.Pi*float64(j)/float64(n))
 	}
-	off := 0
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		for j := 0; j < half; j++ {
-			p.tw[off+j] = cmplx.Rect(1, -2*math.Pi*float64(j)/float64(size))
+	for {
+		p := twiddles.Load()
+		if p != nil && 2*len(*p) >= n {
+			return *p
 		}
-		off += half
+		if twiddles.CompareAndSwap(p, &tw) {
+			return tw
+		}
 	}
-	v, _ := planCache.LoadOrStore(n, p)
-	return v.(*fftPlan)
 }
 
 // FFT returns the discrete Fourier transform of x:
@@ -60,11 +56,8 @@ func FFT(x []complex128) []complex128 {
 		return nil
 	}
 	out := append([]complex128(nil), x...)
-	if n&(n-1) == 0 {
-		fftRadix2(out, false)
-		return out
-	}
-	return bluestein(out, false)
+	dft(out, false)
+	return out
 }
 
 // IFFT returns the inverse DFT of X, normalized by 1/N, so that
@@ -75,11 +68,7 @@ func IFFT(x []complex128) []complex128 {
 		return nil
 	}
 	out := append([]complex128(nil), x...)
-	if n&(n-1) == 0 {
-		fftRadix2(out, true)
-	} else {
-		out = bluestein(out, true)
-	}
+	dft(out, true)
 	inv := complex(1/float64(n), 0)
 	for i := range out {
 		out[i] *= inv
@@ -87,59 +76,85 @@ func IFFT(x []complex128) []complex128 {
 	return out
 }
 
-// fftRadix2 computes an in-place unnormalized DFT (or conjugate DFT when
-// inverse is true) of a power-of-two length slice, using the cached plan
-// for its size. Inverse twiddles are the conjugates of the cached forward
-// table.
+// dft computes an in-place unnormalized DFT (or conjugate DFT when
+// inverse is true) of x: radix-2 for powers of two, Bluestein otherwise.
+func dft(x []complex128, inverse bool) {
+	if len(x)&(len(x)-1) == 0 {
+		fftRadix2(x, inverse)
+	} else {
+		bluestein(x, inverse)
+	}
+}
+
+// fftRadix2 is dft for a power-of-two length: the bit-reversal
+// permutation, computed as it goes, then one butterfly pass per stage
+// reading the shared twiddle table at that stage's stride.
 func fftRadix2(a []complex128, inverse bool) {
 	n := len(a)
-	if n == 1 {
+	if n <= 1 {
 		return
 	}
-	p := planFor(n)
-	for i, ji := range p.perm {
-		if j := int(ji); j > i {
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := range a {
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
 			a[i], a[j] = a[j], a[i]
 		}
 	}
-	off := 0
+	tw := twiddlesFor(n)
 	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		tw := p.tw[off : off+half]
-		off += half
-		for start := 0; start < n; start += size {
+		half, stride := size>>1, 2*len(tw)/size
+		if half < 8 {
+			// Short stages run factor by factor down the whole array, so
+			// each factor is loaded once and no block is sliced.
 			for j := 0; j < half; j++ {
-				w := tw[j]
-				if inverse {
-					w = complex(real(w), -imag(w))
+				w := twiddle(tw, j*stride, inverse)
+				for s := j; s+half < n; s += size {
+					u, v := a[s], a[s+half]*w
+					a[s], a[s+half] = u+v, u-v
 				}
-				u := a[start+j]
-				v := a[start+j+half] * w
-				a[start+j] = u + v
-				a[start+j+half] = u - v
+			}
+			continue
+		}
+		for start := 0; start < n; start += size {
+			lo, hi := a[start:start+half], a[start+half:start+size]
+			hi = hi[:len(lo)]
+			for j := range lo {
+				u, v := lo[j], hi[j]*twiddle(tw, j*stride, inverse)
+				lo[j], hi[j] = u+v, u-v
 			}
 		}
 	}
 }
 
-// bluesteinPlan caches the length-dependent precomputation of the
+// twiddle is tw[k], conjugated for the inverse transform.
+func twiddle(tw []complex128, k int, inverse bool) complex128 {
+	if inverse {
+		return complex(real(tw[k]), -imag(tw[k]))
+	}
+	return tw[k]
+}
+
+// bluesteinPlan holds the length-dependent precomputation of the
 // chirp-z transform: the chirp sequence and the forward FFT of the
-// (fixed) b sequence, per direction.
+// (fixed) b sequence, for one length and direction.
 type bluesteinPlan struct {
-	m     int
+	n, m  int
 	chirp []complex128
 	bHat  []complex128 // FFT of b, computed once
 }
 
-var bluesteinCache sync.Map // [n, inverse] -> *bluesteinPlan
+// bluesteinPlans keeps the last plan built per direction (0 forward, 1
+// inverse): a run transforms one odd length over and over, and an
+// unbounded per-length cache would keep every length it ever saw.
+var bluesteinPlans [2]atomic.Pointer[bluesteinPlan]
 
 func bluesteinPlanFor(n int, inverse bool) *bluesteinPlan {
-	key := [2]int{n, 0}
+	slot := &bluesteinPlans[0]
 	if inverse {
-		key[1] = 1
+		slot = &bluesteinPlans[1]
 	}
-	if v, ok := bluesteinCache.Load(key); ok {
-		return v.(*bluesteinPlan)
+	if p := slot.Load(); p != nil && p.n == n {
+		return p
 	}
 	sign := -1.0
 	if inverse {
@@ -163,15 +178,15 @@ func bluesteinPlanFor(n int, inverse bool) *bluesteinPlan {
 		b[m-k] = cmplx.Conj(chirp[k])
 	}
 	fftRadix2(b, false)
-	p := &bluesteinPlan{m: m, chirp: chirp, bHat: b}
-	v, _ := bluesteinCache.LoadOrStore(key, p)
-	return v.(*bluesteinPlan)
+	p := &bluesteinPlan{n: n, m: m, chirp: chirp, bHat: b}
+	slot.Store(p)
+	return p
 }
 
-// bluestein computes a DFT of arbitrary length via the chirp-z transform,
-// using two power-of-two FFTs per call (the third, of the fixed b
-// sequence, comes from the per-length plan cache).
-func bluestein(x []complex128, inverse bool) []complex128 {
+// bluestein is dft for any length via the chirp-z transform, using two
+// power-of-two FFTs per call (the third, of the fixed b sequence, comes
+// from the plan of its length and direction).
+func bluestein(x []complex128, inverse bool) {
 	n := len(x)
 	p := bluesteinPlanFor(n, inverse)
 	a := make([]complex128, p.m)
@@ -183,12 +198,10 @@ func bluestein(x []complex128, inverse bool) []complex128 {
 		a[i] *= p.bHat[i]
 	}
 	fftRadix2(a, true)
-	out := make([]complex128, n)
 	scale := complex(1/float64(p.m), 0)
 	for k := 0; k < n; k++ {
-		out[k] = a[k] * scale * p.chirp[k]
+		x[k] = a[k] * scale * p.chirp[k]
 	}
-	return out
 }
 
 // FFTReal transforms a real-valued signal, returning the full complex
@@ -218,11 +231,7 @@ func FFTRealInto(out []complex128, x []float64) {
 		for i, v := range x {
 			out[i] = complex(v, 0)
 		}
-		if n&(n-1) == 0 {
-			fftRadix2(out, false)
-			return
-		}
-		copy(out, bluestein(out, false))
+		dft(out, false)
 		return
 	}
 	h := n / 2
@@ -232,6 +241,7 @@ func FFTRealInto(out []complex128, x []float64) {
 	for k := 0; k < h; k++ {
 		z[k] = complex(x[2*k], x[2*k+1])
 	}
+	tw := twiddlesFor(n) // grown to n first, so the h-point pass builds none
 	fftRadix2(z, false)
 	// Unpack: with E and O the DFTs of the even and odd subsequences,
 	//   E[k] = (Z[k] + conj(Z[h−k]))/2
@@ -242,17 +252,17 @@ func FFTRealInto(out []complex128, x []float64) {
 	// place over out (the pair's reads happen before its writes, and no
 	// other pair touches those slots).
 	z0 := z[0]
-	tw := planFor(n).tw[h-1:] // last stage of the size-n plan: w^0..w^(h−1)
+	stride := 2 * len(tw) / n // w^k at tw[k·stride]
 	for k := 1; k <= h/2; k++ {
 		zk, zc := z[k], cmplx.Conj(z[h-k])
 		e := (zk + zc) * 0.5
 		o := (zk - zc) * complex(0, -0.5)
-		t := tw[k] * o
+		t := tw[k*stride] * o
 		out[k] = e + t
 		out[k+h] = e - t
 		if k < h-k {
 			ec, oc := cmplx.Conj(e), cmplx.Conj(o)
-			tc := tw[h-k] * oc
+			tc := tw[(h-k)*stride] * oc
 			out[h-k] = ec + tc
 			out[h-k+h] = ec - tc
 		}
@@ -273,34 +283,23 @@ func NextPow2(n int) int {
 
 // FFT2D transforms a dense rows×cols matrix stored row-major: first a DFT
 // of each row, then of each column. Used as the sequential reference for
-// the 2DFFT and T2DFFT kernels. Power-of-two dimensions transform in
-// place in the output with one column scratch; other lengths fall back to
-// the allocating Bluestein path.
+// the 2DFFT and T2DFFT kernels. Rows transform in place in the output,
+// columns through one column scratch.
 func FFT2D(m []complex128, rows, cols int) []complex128 {
 	if len(m) != rows*cols {
 		panic("dsp: FFT2D shape mismatch")
 	}
 	out := make([]complex128, len(m))
 	copy(out, m)
-	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
 	for r := 0; r < rows; r++ {
-		row := out[r*cols : (r+1)*cols]
-		if pow2(cols) {
-			fftRadix2(row, false)
-		} else {
-			copy(row, bluestein(row, false))
-		}
+		dft(out[r*cols:(r+1)*cols], false)
 	}
 	col := make([]complex128, rows)
 	for c := 0; c < cols; c++ {
 		for r := 0; r < rows; r++ {
 			col[r] = out[r*cols+c]
 		}
-		if pow2(rows) {
-			fftRadix2(col, false)
-		} else {
-			copy(col, bluestein(col, false))
-		}
+		dft(col, false)
 		for r := 0; r < rows; r++ {
 			out[r*cols+c] = col[r]
 		}

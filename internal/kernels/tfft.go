@@ -4,12 +4,11 @@ import "fxnet/internal/fx"
 
 const tfftTagBase = 200000
 
-// initComplexT generates the m-th matrix of the T2DFFT pipeline's input
-// stream.
-func initComplexT(m, i, j, n int) complex64 {
-	v := initComplex(i, j, n)
-	scale := complex64(complex(1+0.01*float64(m%7), 0))
-	return v * scale
+// tfftScale is the factor the m-th matrix of the T2DFFT pipeline's input
+// stream applies to the 2DFFT input: element (i, j) of matrix m is
+// initComplex(i, j, n) · tfftScale(m).
+func tfftScale(m int) complex64 {
+	return complex64(complex(1+0.01*float64(m%7), 0))
 }
 
 // T2DFFT runs the pipelined, task-parallel 2D FFT: the first P/2 ranks
@@ -37,16 +36,16 @@ func T2DFFT(w *fx.Worker, p Params) [][]complex64 {
 		// Sender: row FFTs, then partitioned sends.
 		s := w.Rank
 		rlo, rhi := fx.BlockRange(n, half, s)
+		input := initRows(rlo, rhi, n)
+		rows := newMatrix(len(input), n)
+		tmp := make([]complex128, n)
 		for m := 0; m < p.Iters; m++ {
-			rows := make([][]complex64, rhi-rlo)
-			for r := range rows {
-				rows[r] = make([]complex64, n)
-				for j := 0; j < n; j++ {
-					rows[r][j] = initComplexT(m, rlo+r, j, n)
+			scale := tfftScale(m)
+			for r, row := range rows {
+				for j, v := range input[r] {
+					row[j] = v * scale
 				}
-			}
-			for _, row := range rows {
-				fftRow(row)
+				fftRow(row, tmp)
 			}
 			w.Compute("tfft.flop", float64(len(rows))*fftFlops(n))
 
@@ -77,12 +76,9 @@ func T2DFFT(w *fx.Worker, p Params) [][]complex64 {
 	q := w.Rank - half
 	clo, chi := fx.BlockRange(n, half, q)
 	myCols := chi - clo
-	var result [][]complex64
+	cols := newMatrix(myCols, n)
+	tmp := make([]complex128, n)
 	for m := 0; m < p.Iters; m++ {
-		cols := make([][]complex64, myCols)
-		for c := range cols {
-			cols[c] = make([]complex64, n)
-		}
 		w.Phase("partition-exchange")
 		for s := 0; s < half; s++ {
 			rlo, rhi := fx.BlockRange(n, half, s)
@@ -96,33 +92,35 @@ func T2DFFT(w *fx.Worker, p Params) [][]complex64 {
 			}
 		}
 		for _, col := range cols {
-			fftRow(col)
+			fftRow(col, tmp)
 		}
 		w.Compute("tfft.flop", float64(myCols)*fftFlops(n))
-		result = cols
 	}
-	return result
+	if p.Iters <= 0 {
+		return nil
+	}
+	return cols
 }
 
 // T2DFFTSequential computes the transform of the m-th pipeline matrix
 // single-process with the same rounding discipline, returned as columns.
 func T2DFFTSequential(p Params, m int) [][]complex64 {
 	n := p.N
-	rows := make([][]complex64, n)
-	for i := range rows {
-		rows[i] = make([]complex64, n)
-		for j := 0; j < n; j++ {
-			rows[i][j] = initComplexT(m, i, j, n)
+	rows := initRows(0, n, n)
+	scale := tfftScale(m)
+	tmp := make([]complex128, n)
+	for _, row := range rows {
+		for j := range row {
+			row[j] *= scale
 		}
-		fftRow(rows[i])
+		fftRow(row, tmp)
 	}
-	cols := make([][]complex64, n)
-	for c := range cols {
-		cols[c] = make([]complex64, n)
-		for i := 0; i < n; i++ {
-			cols[c][i] = rows[i][c]
+	cols := newMatrix(n, n)
+	for c, col := range cols {
+		for i := range col {
+			col[i] = rows[i][c]
 		}
-		fftRow(cols[c])
+		fftRow(col, tmp)
 	}
 	return cols
 }

@@ -48,6 +48,12 @@ if grep -rn '# HELP fxnetd_\|# TYPE fxnetd_' --include='*.go' . | grep -v '_test
 if grep -rnE 'ClusterRoute|RouteOff|ClusterCapacityBps|JournalNoSync|BreakerThreshold|NoSync +bool' --include='*.go' . | grep -v '_test\.go:'; then exit 1; fi
 if grep -nE '"cluster-(route|capacity)"' cmd/fxnetd/*.go; then exit 1; fi
 
+# One twiddle table: every radix-2 transform reads the table of the
+# largest size seen (DESIGN.md §8 "Packed real FFT"). A sync.Map or a
+# stored bit-reversal permutation in internal/dsp is a plan per size,
+# state growing with every size a run transforms, coming back.
+if grep -n 'sync\.Map\|perm  *\[\]int32' internal/dsp/*.go | grep -v '_test\.go:'; then exit 1; fi
+
 go build ./...
 go vet ./...
 go test ./...
