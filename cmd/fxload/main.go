@@ -13,25 +13,20 @@
 // recorded, so the tool keeps measuring through shedding, breaker
 // trips, and restarts of a crash-safe server.
 //
-// Against a sharded cluster, -targets sprays the same mix across every
-// shard's URL, -keys widens the submission pool to N distinct run
-// configurations, and -zipf skews which keys are drawn (s > 1 selects a
-// Zipf(s) law over the key ranks, the classic hot-key shape; 0 is
-// uniform). After the run the tool scrapes every target's /metrics and
-// reports the cluster-wide picture: how many simulations actually
-// executed versus how much work was answered from memo, disk, peers,
-// or proxying — the warm-cluster dedup rate the sharding exists to buy.
+// -keys widens the submission pool to N distinct run configurations,
+// and -zipf skews which keys are drawn (s > 1 selects a Zipf(s) law over
+// the key ranks, the classic hot-key shape; 0 is uniform). After the run
+// the tool scrapes the node's /metrics into a farm report: how many
+// simulations actually executed versus how much work the memo, the disk
+// cache and single-flight dedup answered instead.
 //
-// Its one in-tree caller is scripts/cluster_smoke.sh, which offers the
-// same skewed spray twice and requires the second pass to execute
-// nothing. Tracked service numbers come from `go run ./bench` (the
-// serve_mix workload), not from this tool.
+// Tracked service numbers come from `go run ./bench` (the serve_mix
+// workload), not from this tool.
 //
 // Usage:
 //
 //	fxload -url http://127.0.0.1:8080 -rps 800 -duration 10s -json load.json
-//	fxload -targets http://127.0.0.1:9001,http://127.0.0.1:9002 \
-//	       -keys 32 -zipf 1.3 -rps 600 -duration 10s
+//	fxload -url http://127.0.0.1:8080 -keys 32 -zipf 1.3 -rps 600 -duration 10s
 package main
 
 import (
@@ -60,7 +55,7 @@ import (
 type opGen struct {
 	name   string
 	weight float64
-	do     func(c *client.Client, rng *rand.Rand) (int, error)
+	do     func(rng *rand.Rand) (int, error)
 }
 
 // sample is one completed request.
@@ -87,7 +82,6 @@ func main() {
 	log.SetPrefix("fxload: ")
 	var (
 		base     = flag.String("url", "http://127.0.0.1:8080", "fxnetd base URL")
-		targets  = flag.String("targets", "", "comma-separated shard URLs; overrides -url (requests spray across all)")
 		rps      = flag.Float64("rps", 800, "offered request rate (open loop)")
 		duration = flag.Duration("duration", 10*time.Second, "load duration")
 		clients  = flag.Int("clients", 8, "distinct client identities (X-Client-ID values)")
@@ -101,21 +95,8 @@ func main() {
 	flag.Parse()
 	version.ExitIfRequested(ver)
 
-	urls := []string{*base}
-	if *targets != "" {
-		urls = urls[:0]
-		for _, u := range strings.Split(*targets, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, strings.TrimRight(u, "/"))
-			}
-		}
-		if len(urls) == 0 {
-			log.Fatal("-targets given but empty")
-		}
-	}
-
 	rep, err := drive(driveConfig{
-		targets:  urls,
+		url:      *base,
 		rps:      *rps,
 		duration: *duration,
 		clients:  *clients,
@@ -142,8 +123,7 @@ func main() {
 
 // report is the -json output shape.
 type report struct {
-	URL     string   `json:"url"`
-	Targets []string `json:"targets,omitempty"` // all sprayed URLs when > 1
+	URL string `json:"url"`
 	// Cores records the load generator's CPU count: achieved throughput
 	// and latency quantiles are only comparable between hosts with the
 	// same parallelism budget.
@@ -160,42 +140,23 @@ type report struct {
 	LatencyMs quantiles            `json:"latency_ms"`
 	ByOp      map[string]opSummary `json:"by_op"`
 
-	// Cluster is the post-run /metrics view across every target: what
-	// actually executed versus what the memo, disk cache, peer fetch, and
-	// dedup layers absorbed. Present whenever the scrape succeeds, even
-	// against a single unclustered node.
-	Cluster *clusterReport  `json:"cluster,omitempty"`
-	Server  json.RawMessage `json:"server,omitempty"` // /healthz snapshot after the run
+	// Farm is the post-run /metrics view: what actually executed versus
+	// what the memo, disk cache and dedup layers absorbed. Absent when the
+	// scrape fails.
+	Farm   *farmReport     `json:"farm,omitempty"`
+	Server json.RawMessage `json:"server,omitempty"` // /healthz snapshot after the run
 }
 
-// clusterReport aggregates each target's farm and cluster counters after
-// the run. ReuseRate is the headline number: the fraction of farm
-// submissions cluster-wide that did NOT cost a simulation — answered by
-// memo, disk cache, peer fetch, or single-flight dedup instead.
-type clusterReport struct {
-	Targets        []targetStats `json:"targets"`
-	Submitted      int64         `json:"submitted_total"`
-	Executed       int64         `json:"executed_total"`
-	CacheHits      int64         `json:"cache_hits_total"`
-	PeerHits       int64         `json:"peer_hits_total"`
-	Deduped        int64         `json:"deduped_total"`
-	ProxiedSubmits int64         `json:"proxied_submits_total"`
-	ReuseRate      float64       `json:"reuse_rate"`
-	// CrossShardHitRate is the fraction of cache hits satisfied from a
-	// peer's cache rather than local disk — how much the /v1/cache tier
-	// actually moved.
-	CrossShardHitRate float64 `json:"cross_shard_hit_rate"`
-}
-
-// targetStats is one shard's slice of the post-run scrape.
-type targetStats struct {
-	URL            string `json:"url"`
-	Submitted      int64  `json:"submitted_total"`
-	Executed       int64  `json:"executed_total"`
-	CacheHits      int64  `json:"cache_hits_total"`
-	PeerHits       int64  `json:"peer_hits_total"`
-	Deduped        int64  `json:"deduped_total"`
-	ProxiedSubmits int64  `json:"proxied_submits_total"`
+// farmReport is the node's farm counters after the run. ReuseRate is the
+// headline number: the fraction of farm submissions that did NOT cost a
+// simulation — answered by memo, disk cache, or single-flight dedup
+// instead.
+type farmReport struct {
+	Submitted int64   `json:"submitted_total"`
+	Executed  int64   `json:"executed_total"`
+	CacheHits int64   `json:"cache_hits_total"`
+	Deduped   int64   `json:"deduped_total"`
+	ReuseRate float64 `json:"reuse_rate"`
 }
 
 type quantiles struct {
@@ -213,15 +174,11 @@ type opSummary struct {
 }
 
 func (r *report) print(w io.Writer) {
-	if len(r.Targets) > 1 {
-		fmt.Fprintf(w, "spraying %d targets, %d keys (zipf %.2g)\n", len(r.Targets), r.Keys, r.ZipfS)
-	}
 	fmt.Fprintf(w, "offered %.0f req/s for %.1fs -> achieved %.1f req/s (%d requests, %d errors, %d throttled)\n",
 		r.TargetRPS, r.DurationS, r.AchievedRPS, r.Requests, r.Errors, r.Throttled)
-	if c := r.Cluster; c != nil && c.Submitted > 0 {
-		fmt.Fprintf(w, "cluster: %d farm submissions, %d executed, %d cache hits (%d from peers), %d deduped, %d proxied -> reuse %.1f%%, cross-shard hits %.1f%%\n",
-			c.Submitted, c.Executed, c.CacheHits, c.PeerHits, c.Deduped, c.ProxiedSubmits,
-			100*c.ReuseRate, 100*c.CrossShardHitRate)
+	if f := r.Farm; f != nil && f.Submitted > 0 {
+		fmt.Fprintf(w, "farm: %d submissions, %d executed, %d cache hits, %d deduped -> reuse %.1f%%\n",
+			f.Submitted, f.Executed, f.CacheHits, f.Deduped, 100*f.ReuseRate)
 	}
 	fmt.Fprintf(w, "latency p50 %.2fms  p90 %.2fms  p99 %.2fms  max %.2fms\n",
 		r.LatencyMs.P50, r.LatencyMs.P90, r.LatencyMs.P99, r.LatencyMs.Max)
@@ -254,7 +211,7 @@ func quantilesOf(durs []time.Duration) quantiles {
 
 // driveConfig parameterizes one load run.
 type driveConfig struct {
-	targets  []string
+	url      string
 	rps      float64
 	duration time.Duration
 	clients  int
@@ -284,23 +241,17 @@ func drive(cfg driveConfig) (*report, error) {
 			MaxIdleConnsPerHost: 4 * clients * 16,
 		},
 	}
-	// One retrying client per target, sharing the transport; per-request
-	// identities rotate via an explicit X-Client-ID header so ClientID
-	// stays unset. Ops pick a target uniformly at random — against a
-	// cluster this deliberately sends most keyed submits to shards that do
-	// not own the key, exercising the routing layer.
-	fxs := make([]*client.Client, len(cfg.targets))
-	for i, u := range cfg.targets {
-		fxs[i] = &client.Client{
-			Base: u,
-			HTTP: httpc,
-			Retry: client.Policy{
-				MaxAttempts: retries,
-				BaseDelay:   10 * time.Millisecond,
-				MaxDelay:    250 * time.Millisecond,
-				Deadline:    30 * time.Second,
-			},
-		}
+	// One retrying client; per-request identities rotate via an explicit
+	// X-Client-ID header so ClientID stays unset.
+	fx := &client.Client{
+		Base: cfg.url,
+		HTTP: httpc,
+		Retry: client.Policy{
+			MaxAttempts: retries,
+			BaseDelay:   10 * time.Millisecond,
+			MaxDelay:    250 * time.Millisecond,
+			Deadline:    30 * time.Second,
+		},
 	}
 	var reqSeq atomic.Int64
 	hdr := func() http.Header {
@@ -308,8 +259,8 @@ func drive(cfg driveConfig) (*report, error) {
 		h.Set("X-Client-ID", fmt.Sprintf("fxload-%d", reqSeq.Add(1)%int64(clients)))
 		return h
 	}
-	get := func(c *client.Client, path string) (int, []byte, error) {
-		resp, err := c.Do(context.Background(), http.MethodGet, path, nil, hdr())
+	get := func(path string) (int, []byte, error) {
+		resp, err := fx.Do(context.Background(), http.MethodGet, path, nil, hdr())
 		if err != nil {
 			return 0, nil, err
 		}
@@ -318,8 +269,7 @@ func drive(cfg driveConfig) (*report, error) {
 
 	// drawSeed maps a goroutine's rng to a run-config seed in [1, keys].
 	// With zipf > 1 the ranks follow a Zipf(s) law — seed 1 is the hot
-	// key — the skew that probes tail latency when one shard owns the
-	// popular key.
+	// key — the skew that probes tail latency behind one popular key.
 	drawSeed := func(rng *rand.Rand) int64 {
 		if cfg.zipfS > 1 && cfg.keys > 1 {
 			z := rand.NewZipf(rng, cfg.zipfS, 1, uint64(cfg.keys-1))
@@ -349,11 +299,11 @@ func drive(cfg driveConfig) (*report, error) {
 	}
 
 	ops := []opGen{
-		{"submit", 0.10, func(c *client.Client, rng *rand.Rand) (int, error) {
+		{"submit", 0.10, func(rng *rand.Rand) (int, error) {
 			body := runBody(drawSeed(rng))
 			h := hdr()
 			h.Set(client.IdempotencyKeyHeader, client.IdempotencyKey(body))
-			resp, err := c.Do(context.Background(), http.MethodPost, "/v1/runs", body, h)
+			resp, err := fx.Do(context.Background(), http.MethodPost, "/v1/runs", body, h)
 			if err != nil {
 				return 0, err
 			}
@@ -365,18 +315,16 @@ func drive(cfg driveConfig) (*report, error) {
 			}
 			return resp.Status, nil
 		}},
-		{"status", 0.30, func(c *client.Client, rng *rand.Rand) (int, error) {
+		{"status", 0.30, func(rng *rand.Rand) (int, error) {
 			id := pickID(rng)
 			if id == "" {
-				code, _, err := get(c, "/healthz")
+				code, _, err := get("/healthz")
 				return code, err
 			}
-			// Any target can answer: polls for jobs owned elsewhere proxy
-			// to the owning shard.
-			code, _, err := get(c, "/v1/runs/"+id)
+			code, _, err := get("/v1/runs/" + id)
 			return code, err
 		}},
-		{"negotiate", 0.20, func(c *client.Client, rng *rand.Rand) (int, error) {
+		{"negotiate", 0.20, func(rng *rand.Rand) (int, error) {
 			progs := []string{"sor", "2dfft", "seq", "hist"}
 			body, _ := json.Marshal(map[string]any{
 				"program": progs[rng.Intn(len(progs))], "dry_run": true,
@@ -385,18 +333,18 @@ func drive(cfg driveConfig) (*report, error) {
 			// them retry-safe too.
 			h := hdr()
 			h.Set(client.IdempotencyKeyHeader, client.IdempotencyKey(body))
-			resp, err := c.Do(context.Background(), http.MethodPost, "/v1/qos/negotiate", body, h)
+			resp, err := fx.Do(context.Background(), http.MethodPost, "/v1/qos/negotiate", body, h)
 			if err != nil {
 				return 0, err
 			}
 			return resp.Status, nil
 		}},
-		{"commitments", 0.10, func(c *client.Client, rng *rand.Rand) (int, error) {
-			code, _, err := get(c, "/v1/qos/commitments")
+		{"commitments", 0.10, func(rng *rand.Rand) (int, error) {
+			code, _, err := get("/v1/qos/commitments")
 			return code, err
 		}},
-		{"healthz", 0.30, func(c *client.Client, rng *rand.Rand) (int, error) {
-			code, _, err := get(c, "/healthz")
+		{"healthz", 0.30, func(rng *rand.Rand) (int, error) {
+			code, _, err := get("/healthz")
 			return code, err
 		}},
 	}
@@ -408,12 +356,12 @@ func drive(cfg driveConfig) (*report, error) {
 	// warming it mirrors the steady state the run measures.
 	warmCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	acc, err := fxs[0].Submit(warmCtx, runBody(1))
+	acc, err := fx.Submit(warmCtx, runBody(1))
 	if err != nil {
 		return nil, fmt.Errorf("warm-up submit: %w", err)
 	}
 	addID(acc.ID)
-	st, err := fxs[0].WaitDone(warmCtx, acc.ID, 10*time.Millisecond)
+	st, err := fx.WaitDone(warmCtx, acc.ID, 10*time.Millisecond)
 	if err != nil {
 		return nil, fmt.Errorf("warm-up poll: %w", err)
 	}
@@ -457,7 +405,7 @@ func drive(cfg driveConfig) (*report, error) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(i)))
 			t0 := time.Now()
-			code, err := op.do(fxs[rng.Intn(len(fxs))], rng)
+			code, err := op.do(rng)
 			s := sample{op: op.name, code: code, latency: time.Since(t0), err: err != nil}
 			mu.Lock()
 			samples = append(samples, s)
@@ -468,7 +416,7 @@ func drive(cfg driveConfig) (*report, error) {
 	elapsed := time.Since(start)
 
 	rep := &report{
-		URL:       cfg.targets[0],
+		URL:       cfg.url,
 		Cores:     runtime.NumCPU(),
 		TargetRPS: cfg.rps,
 		DurationS: elapsed.Seconds(),
@@ -476,9 +424,6 @@ func drive(cfg driveConfig) (*report, error) {
 		Keys:      cfg.keys,
 		ZipfS:     cfg.zipfS,
 		ByOp:      make(map[string]opSummary),
-	}
-	if len(cfg.targets) > 1 {
-		rep.Targets = cfg.targets
 	}
 	rep.AchievedRPS = float64(len(samples)) / elapsed.Seconds()
 	var all []time.Duration
@@ -505,55 +450,34 @@ func drive(cfg driveConfig) (*report, error) {
 		rep.ByOp[op] = sum
 	}
 
-	rep.Cluster = scrapeCluster(fxs, get)
-	if code, body, err := get(fxs[0], "/healthz"); err == nil && code == http.StatusOK {
+	rep.Farm = scrapeFarm(get)
+	if code, body, err := get("/healthz"); err == nil && code == http.StatusOK {
 		rep.Server = json.RawMessage(body)
 	}
 	return rep, nil
 }
 
-// scrapeCluster reads every target's /metrics after the run and sums the
-// farm counters into the cluster-wide reuse picture. Any target that
-// fails to answer is skipped; nil is returned only if none answered.
-func scrapeCluster(fxs []*client.Client, get func(*client.Client, string) (int, []byte, error)) *clusterReport {
-	c := &clusterReport{}
-	for _, fx := range fxs {
-		code, body, err := get(fx, "/metrics")
-		if err != nil || code != http.StatusOK {
-			continue
-		}
-		ts := targetStats{
-			URL:            fx.Base,
-			Submitted:      int64(metricValue(body, `fxnetd_farm_submitted_total`)),
-			Executed:       int64(metricValue(body, `fxnetd_farm_executed_total`)),
-			CacheHits:      int64(metricValue(body, `fxnetd_farm_cache_hits_total`)),
-			PeerHits:       int64(metricValue(body, `fxnetd_farm_peer_hits_total`)),
-			Deduped:        int64(metricValue(body, `fxnetd_farm_deduped_total`)),
-			ProxiedSubmits: int64(metricValue(body, `fxnetd_cluster_proxied_total{kind="submit"}`)),
-		}
-		c.Targets = append(c.Targets, ts)
-		c.Submitted += ts.Submitted
-		c.Executed += ts.Executed
-		c.CacheHits += ts.CacheHits
-		c.PeerHits += ts.PeerHits
-		c.Deduped += ts.Deduped
-		c.ProxiedSubmits += ts.ProxiedSubmits
-	}
-	if len(c.Targets) == 0 {
+// scrapeFarm reads the node's /metrics after the run into the reuse
+// picture; nil when the scrape fails.
+func scrapeFarm(get func(string) (int, []byte, error)) *farmReport {
+	code, body, err := get("/metrics")
+	if err != nil || code != http.StatusOK {
 		return nil
 	}
-	if c.Submitted > 0 {
-		c.ReuseRate = 1 - float64(c.Executed)/float64(c.Submitted)
+	f := &farmReport{
+		Submitted: int64(metricValue(body, `fxnetd_farm_submitted_total`)),
+		Executed:  int64(metricValue(body, `fxnetd_farm_executed_total`)),
+		CacheHits: int64(metricValue(body, `fxnetd_farm_cache_hits_total`)),
+		Deduped:   int64(metricValue(body, `fxnetd_farm_deduped_total`)),
 	}
-	if c.CacheHits > 0 {
-		c.CrossShardHitRate = float64(c.PeerHits) / float64(c.CacheHits)
+	if f.Submitted > 0 {
+		f.ReuseRate = 1 - float64(f.Executed)/float64(f.Submitted)
 	}
-	return c
+	return f
 }
 
 // metricValue extracts one sample (exact name, including any label set)
-// from a Prometheus text exposition; absent metrics read as 0, so
-// unclustered targets simply report no proxying.
+// from a Prometheus text exposition; absent metrics read as 0.
 func metricValue(body []byte, name string) float64 {
 	for _, line := range strings.Split(string(body), "\n") {
 		rest, ok := strings.CutPrefix(line, name)

@@ -12,20 +12,11 @@
 // run cache, admissions restore the capacity ledger, and a torn tail is
 // truncated, not fatal.
 //
-// With -cluster-self/-cluster-peers the daemon joins a consistent-hash
-// shard ring: requests for run keys (and job IDs) another shard owns are
-// transparently proxied there, cache entries move between shards over
-// /v1/cache/{key} with digest verification, and the QoS broker admits
-// against -capacity, read as the cluster-wide capacity, minus what peers
-// report committed (gossiped every -cluster-gossip).
-//
 // Usage:
 //
 //	fxnetd -addr :8080 -j 8 -cache .fxcache -journal .fxcache/journal.wal
 //	fxnetd -addr 127.0.0.1:0 -portfile /tmp/fxnetd.port   # ephemeral port
 //	fxnetd -journal .fxcache/journal.wal -replay          # offline self-check
-//	fxnetd -addr :8081 -cache /var/a -cluster-self s0 \
-//	       -cluster-peers 's0=http://h0:8081,s1=http://h1:8081,s2=http://h2:8081'
 //
 // Endpoints:
 //
@@ -41,9 +32,6 @@
 //	                                  answers from fitted models)
 //	GET    /v1/qos/commitments        outstanding commitments
 //	DELETE /v1/qos/commitments/{id}   release a commitment
-//	GET    /v1/cache/{key}            raw cache entry for peer fetch (?kind=spec)
-//	GET    /v1/cluster/ring           ring layout; ?key=K names the key's owner
-//	GET    /v1/cluster/ledger         this shard's slice of the QoS ledger
 //	GET    /metrics, /healthz (liveness), /readyz (readiness), /debug/pprof/
 //
 // On SIGTERM or SIGINT the daemon flips /readyz to not-ready, stops
@@ -66,7 +54,6 @@ import (
 	"syscall"
 	"time"
 
-	"fxnet/internal/cluster"
 	"fxnet/internal/journal"
 	"fxnet/internal/server"
 	"fxnet/internal/version"
@@ -83,7 +70,7 @@ func main() {
 		catDir     = flag.String("catalog", "", "spectral-model catalog directory (default <cache>/models; empty without -cache disables /v1/models)")
 		jpath      = flag.String("journal", "", "durable job journal path (empty = no crash safety)")
 		replayOnly = flag.Bool("replay", false, "self-check: replay and verify the journal, print a summary, exit")
-		capacity   = flag.Float64("capacity", 0, "QoS broker capacity in bytes/s, cluster-wide on a clustered node (0 = calibrated shared-segment default)")
+		capacity   = flag.Float64("capacity", 0, "QoS broker capacity in bytes/s (0 = calibrated shared-segment default)")
 		maxP       = flag.Int("maxp", 0, "QoS processor search bound (0 = 32)")
 		climit     = flag.Int("client-limit", 16, "max in-flight API requests per client (0 = unlimited)")
 		maxQueue   = flag.Int("max-queue", 0, "farm queue depth where load shedding begins (0 = 256)")
@@ -91,13 +78,7 @@ func main() {
 
 		memoEntries = flag.Int("memo-entries", 0, "max in-memory memoized results (0 = unbounded)")
 		memoBytes   = flag.Int64("memo-bytes", 0, "max estimated bytes of in-memory memoized results (0 = unbounded)")
-
-		clusterSelf    = flag.String("cluster-self", "", "this shard's ID in the cluster ring (empty = not clustered)")
-		clusterPeers   = flag.String("cluster-peers", "", "full ring membership as id1=url1,id2=url2,... (must include -cluster-self)")
-		clusterVNodes  = flag.Int("cluster-vnodes", 0, "virtual nodes per peer on the hash ring (0 = 64)")
-		clusterVersion = flag.Int("cluster-ring-version", 1, "ring configuration version; peers gossip it and flag divergence")
-		clusterGossip  = flag.Duration("cluster-gossip", 2*time.Second, "QoS ledger gossip interval (0 = no gossip)")
-		ver            = version.Register(flag.CommandLine)
+		ver         = version.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	version.ExitIfRequested(ver)
@@ -122,19 +103,7 @@ func main() {
 		MaxQueue:       *maxQueue,
 		Log:            log.Default(),
 	}
-	if *clusterSelf != "" || *clusterPeers != "" {
-		peers, err := cluster.ParsePeers(*clusterPeers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Cluster = cluster.Config{
-			Version: *clusterVersion,
-			VNodes:  *clusterVNodes,
-			Self:    *clusterSelf,
-			Peers:   peers,
-		}
-	}
-	if err := run(*addr, *portfile, opts, *drainTO, *clusterGossip); err != nil {
+	if err := run(*addr, *portfile, opts, *drainTO); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -171,7 +140,7 @@ func replayCheck(path string) error {
 	return nil
 }
 
-func run(addr, portfile string, opts server.Options, drainTO, gossipInterval time.Duration) error {
+func run(addr, portfile string, opts server.Options, drainTO time.Duration) error {
 	s, err := server.New(opts)
 	if err != nil {
 		return err
@@ -224,15 +193,6 @@ func run(addr, portfile string, opts server.Options, drainTO, gossipInterval tim
 		log.Printf("ready")
 	}
 	rcancel()
-
-	// Ledger gossip starts after recovery so the commitments this shard
-	// reports to peers include everything the journal restored.
-	if s.Ring() != nil {
-		log.Printf("cluster: shard %s in %d-peer ring (version %d)",
-			s.Ring().SelfID(), len(s.Ring().Peers()), s.Ring().Version())
-		stopGossip := s.StartClusterGossip(gossipInterval)
-		defer stopGossip()
-	}
 
 	select {
 	case err := <-errc:

@@ -1,12 +1,10 @@
 package client
 
 // Flaky-peer coverage: the retry layer against servers that are slow,
-// drop connections mid-body, or shed with Retry-After. These are the
-// failure shapes a sharded cluster adds over a single node — a proxying
-// shard dies mid-relay, a recovering peer sheds, a saturated owner is
-// just slow — and the client must stay correct through all of them:
-// bounded backoff, at-most-once unkeyed submits, exactly-once keyed
-// submits.
+// drop connections mid-body, or shed with Retry-After — a node killed
+// mid-response, one recovering its journal, one saturated — and the
+// client must stay correct through all of them: bounded backoff,
+// at-most-once unkeyed submits, exactly-once keyed submits.
 
 import (
 	"context"
@@ -24,7 +22,7 @@ import (
 
 // dropMidBody hijacks the connection, writes a partial response that
 // promises more bytes than it delivers, and slams the connection — the
-// shape of a peer dying while relaying a proxied response.
+// shape of a server dying mid-response.
 func dropMidBody(w http.ResponseWriter) {
 	hj, ok := w.(http.Hijacker)
 	if !ok {
@@ -173,8 +171,8 @@ func TestSlowPeerBoundedByDeadline(t *testing.T) {
 
 // A shedding peer's Retry-After is honored but clamped to MaxDelay: 4
 // attempts against "Retry-After: 5" must finish in milliseconds, not 15
-// seconds. This is what keeps a whole load-generator fleet from parking
-// on one recovering shard.
+// seconds. This is what keeps a load generator from parking on a
+// recovering node.
 func TestRetryAfterClampBoundsTotalWait(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -39,16 +39,9 @@ type kind struct{ entries, bytes, quarantined atomic.Int64 }
 // several); quarantined and temp files are excluded.
 type Census struct{ Entries, Bytes int64 }
 
-var (
-	// ErrBadKey refuses a key that is not a single file-name element, or
-	// an extension the store was not opened with, before any filesystem
-	// access.
-	ErrBadKey = errors.New("durable: key is not a single file-name element")
-	// ErrCorrupt is what a Publish fill callback wraps to report that the
-	// bytes it spooled failed verification: they are kept as evidence in
-	// corrupt/ instead of being published.
-	ErrCorrupt = errors.New("durable: entry failed verification")
-)
+// ErrBadKey refuses a key that is not a single file-name element, or an
+// extension the store was not opened with, before any filesystem access.
+var ErrBadKey = errors.New("durable: key is not a single file-name element")
 
 // Open opens (creating if needed) dir on fs — nil selects the real
 // filesystem — and takes the census of the entries with the given
@@ -131,19 +124,13 @@ func (s *Store) size(name string) (int64, bool) {
 	return n, true
 }
 
-// OpenEntry opens an entry's raw bytes for streaming and reports their
-// length. The caller closes the reader.
-func (s *Store) OpenEntry(key, ext string) (io.ReadCloser, int64, error) {
-	name, _, err := s.entry(key, ext)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s.open(name)
-}
-
 // Read returns an entry's bytes.
 func (s *Store) Read(key, ext string) ([]byte, error) {
-	f, size, err := s.OpenEntry(key, ext)
+	name, _, err := s.entry(key, ext)
+	if err != nil {
+		return nil, err
+	}
+	f, size, err := s.open(name)
 	if err != nil {
 		return nil, err
 	}
@@ -169,17 +156,15 @@ func Bytes(b []byte) func(io.Writer) error {
 // directory fsync before the census counts it — so a crash or a failing
 // disk can lose the entry but never publish a torn one, and a name in
 // the directory means its publish completed. Any failure leaves no temp
-// file, no entry and an unchanged census, and counts in Failures. A fill
-// error wrapping ErrCorrupt instead moves the spooled bytes to
-// corrupt/<key><ext>.fetched and counts as a quarantine. It reports the
-// published size.
+// file, no entry and an unchanged census, and counts in Failures. It
+// reports the published size.
 func (s *Store) Publish(key, ext string, fill func(w io.Writer) error) (size int64, err error) {
 	name, k, err := s.entry(key, ext)
 	if err != nil {
 		return 0, err
 	}
 	defer func() {
-		if err != nil && !errors.Is(err, ErrCorrupt) {
+		if err != nil {
 			s.failures.Add(1)
 		}
 	}()
@@ -207,9 +192,6 @@ func (s *Store) Publish(key, ext string, fill func(w io.Writer) error) (size int
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
-	}
-	if errors.Is(err, ErrCorrupt) {
-		s.quarantine(tmp, name+".fetched", k)
 	}
 	if err != nil {
 		return 0, err
@@ -249,20 +231,14 @@ func (s *Store) Quarantine(key, ext string) {
 	}
 	s.ns.Lock()
 	defer s.ns.Unlock()
-	if size, ok := s.size(name); ok && s.quarantine(name, name, k) {
-		k.entries.Add(-1)
-		k.bytes.Add(-size)
-	}
-}
-
-// quarantine moves dir/from to dir/corrupt/to and counts it.
-func (s *Store) quarantine(from, to string, k *kind) bool {
+	size, ok := s.size(name)
 	cdir := filepath.Join(s.dir, "corrupt")
-	if s.fs.MkdirAll(cdir, 0o755) != nil || s.fs.Rename(filepath.Join(s.dir, from), filepath.Join(cdir, to)) != nil {
-		return false
+	if !ok || s.fs.MkdirAll(cdir, 0o755) != nil || s.fs.Rename(filepath.Join(s.dir, name), filepath.Join(cdir, name)) != nil {
+		return
 	}
 	k.quarantined.Add(1)
-	return true
+	k.entries.Add(-1)
+	k.bytes.Add(-size)
 }
 
 // Keys lists the keys published under ext, in directory order.
@@ -291,8 +267,7 @@ func (s *Store) Census(exts ...string) (c Census) {
 	return c
 }
 
-// Quarantined counts the entries of ext moved to corrupt/, fetched
-// bodies that failed verification included.
+// Quarantined counts the entries of ext moved to corrupt/.
 func (s *Store) Quarantined(ext string) int64 {
 	if k := s.kinds[ext]; k != nil {
 		return k.quarantined.Load()
@@ -300,6 +275,5 @@ func (s *Store) Quarantined(ext string) int64 {
 	return 0
 }
 
-// Failures counts publishes that did not land for any reason other than
-// a verification failure (those count under Quarantined).
+// Failures counts publishes that did not land; a refused key is not one.
 func (s *Store) Failures() int64 { return s.failures.Load() }

@@ -3,7 +3,6 @@ package durable
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -243,31 +242,6 @@ func TestCensusQuarantineReopen(t *testing.T) {
 	assertClean(t, dir)
 }
 
-// TestVerificationFailureKeepsEvidence: a fill that reports ErrCorrupt
-// publishes nothing; the spooled bytes become corrupt/<name>.fetched.
-func TestVerificationFailureKeepsEvidence(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, nil, dir)
-	_, err := s.Publish("k", extB, func(w io.Writer) error {
-		w.Write([]byte("lying peer"))
-		return fmt.Errorf("%w: digest mismatch", ErrCorrupt)
-	})
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-	if got, err := os.ReadFile(filepath.Join(dir, "corrupt", "k"+extB+".fetched")); err != nil || string(got) != "lying peer" {
-		t.Errorf("evidence = %q, err %v", got, err)
-	}
-	if _, err := s.Read("k", extB); err == nil {
-		t.Error("unverified entry was published")
-	}
-	if s.Quarantined(extB) != 1 || s.Failures() != 0 || s.Census(extB) != (Census{}) {
-		t.Errorf("quarantined %d failures %d census %+v, want 1 / 0 / empty",
-			s.Quarantined(extB), s.Failures(), s.Census(extB))
-	}
-	assertClean(t, dir)
-}
-
 // TestConcurrentPublishOneKey: racing publishers of one key leave one
 // whole entry and a census that matches the directory.
 func TestConcurrentPublishOneKey(t *testing.T) {
@@ -314,9 +288,6 @@ func TestKeyRule(t *testing.T) {
 		}
 		if _, err := s.Read(key, extA); !errors.Is(err, ErrBadKey) {
 			t.Errorf("Read(%q) = %v, want ErrBadKey", key, err)
-		}
-		if _, _, err := s.OpenEntry(key, extA); !errors.Is(err, ErrBadKey) {
-			t.Errorf("OpenEntry(%q) = %v, want ErrBadKey", key, err)
 		}
 		if _, err := s.Publish(key, extA, Bytes([]byte("x"))); !errors.Is(err, ErrBadKey) {
 			t.Errorf("Publish(%q) = %v, want ErrBadKey", key, err)

@@ -186,50 +186,6 @@ func (c *Cache) store(key string, res *core.Result, rep *core.Report, stream boo
 	return nil
 }
 
-// OpenEntry opens the raw, verified-format entry file for a key so it
-// can be streamed to a peer (the /v1/cache/{key} supply side). The
-// caller must close the reader. The bytes are the exact on-disk entry —
-// magic, SHA-256 digest, payload — so the receiving peer re-verifies
-// the digest before publishing the entry locally.
-func (c *Cache) OpenEntry(key string, stream bool) (io.ReadCloser, int64, error) {
-	ext, _ := kindOf(stream)
-	return c.st.OpenEntry(key, ext)
-}
-
-// InstallRaw streams a peer-fetched entry into the cache: the body is
-// spooled through the publish path while the embedded SHA-256 is
-// recomputed, and only a digest-clean entry is published. A corrupt
-// body is quarantined — kept in corrupt/ under the entry's final name
-// with a .fetched suffix — and reported as an error; the local key stays
-// a miss, so a lying peer costs a fetch, never a wrong result.
-func (c *Cache) InstallRaw(key string, stream bool, r io.Reader) (int64, error) {
-	ext, magic := kindOf(stream)
-	head := make([]byte, len(magic)+sha256.Size)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return 0, fmt.Errorf("farm: install %s: short header: %w", key, err)
-	}
-	if string(head[:len(magic)]) != magic {
-		return 0, fmt.Errorf("farm: install %s: bad magic %q", key, head[:len(magic)])
-	}
-	size, err := c.st.Publish(key, ext, func(w io.Writer) error {
-		if _, err := w.Write(head); err != nil {
-			return err
-		}
-		h := sha256.New()
-		if _, err := io.Copy(io.MultiWriter(w, h), r); err != nil {
-			return err
-		}
-		if !bytes.Equal(h.Sum(nil), head[len(magic):]) {
-			return fmt.Errorf("%w: digest mismatch on fetched entry", durable.ErrCorrupt)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, fmt.Errorf("farm: install %s: %w", key, err)
-	}
-	return size, nil
-}
-
 // encodeEntry renders a cache entry:
 //
 //	magic(8) | sha256(32) | metaLen(4) meta | repLen(4) report | trace

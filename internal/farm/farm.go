@@ -43,14 +43,6 @@ type Options struct {
 	// bound, not accounting to the byte. Zero = uncapped on that axis.
 	MemoMaxEntries int
 	MemoMaxBytes   int64
-	// PeerFetch, when non-nil, is the third cache tier: on a local disk
-	// miss it may pull the key's content-addressed entry from a cluster
-	// peer into the local cache and report success, after which the farm
-	// re-probes the disk. It runs inside the key's single-flight slot,
-	// so one miss triggers at most one peer fetch regardless of how many
-	// submitters are waiting, and before a worker slot is taken, so
-	// network wait never occupies a simulation worker.
-	PeerFetch func(ctx context.Context, key string, stream bool) bool
 	// OnProgress, when non-nil, receives one event per completed job.
 	// Events are delivered serially; the callback must not call back
 	// into the farm.
@@ -125,10 +117,7 @@ type Stats struct {
 	Deduped   int64
 	Failed    int64
 	Cancelled int64
-	// PeerHits counts disk-cache loads that were satisfied only after a
-	// peer fetch installed the entry (a subset of CacheHits).
 	// MemoEvicted counts memoized results dropped by the LRU caps.
-	PeerHits    int64
 	MemoEvicted int64
 	// Running is the number of simulations holding a worker slot right
 	// now (the service's "in-flight sims" gauge). Queued jobs are
@@ -161,7 +150,6 @@ type Farm struct {
 	memoize        bool
 	memoMaxEntries int
 	memoMaxBytes   int64
-	peerFetch      func(ctx context.Context, key string, stream bool) bool
 	onProgress     func(Event)
 	// runFn executes one configuration; tests stub it to model slow or
 	// blocking simulations. Defaults to core.Run.
@@ -193,7 +181,6 @@ func New(opts Options) *Farm {
 		memoize:        opts.Memoize,
 		memoMaxEntries: opts.MemoMaxEntries,
 		memoMaxBytes:   opts.MemoMaxBytes,
-		peerFetch:      opts.PeerFetch,
 		onProgress:     opts.OnProgress,
 		runFn:          core.Run,
 		runStreamFn:    core.RunStream,
@@ -426,34 +413,20 @@ func (f *Farm) do(ctx context.Context, job Job) JobResult {
 	return jr
 }
 
-// lead performs the actual work for a key through the cache tiers:
-// local disk probe, then (on a miss) a peer fetch that re-probes the
-// disk, then a worker-pool slot and the simulation. A context cancelled
+// lead performs the actual work for a key: a disk probe, then (on a
+// miss) a worker-pool slot and the simulation. A context cancelled
 // before the slot is acquired frees the job without consuming a worker.
 func (f *Farm) lead(ctx context.Context, key string, job Job, c *call) {
 	cfg := job.Config
 	if f.cache != nil {
-		load := func() (*core.Result, *core.Report, bool) {
-			if job.Stream {
-				return f.cache.LoadStream(key, cfg)
-			}
-			return f.cache.Load(key, cfg)
+		load := f.cache.Load
+		if job.Stream {
+			load = f.cache.LoadStream
 		}
-		res, rep, ok := load()
-		peer := false
-		if !ok && f.peerFetch != nil && ctx.Err() == nil {
-			if f.peerFetch(ctx, key, job.Stream) {
-				res, rep, ok = load()
-				peer = ok
-			}
-		}
-		if ok {
+		if res, rep, ok := load(key, cfg); ok {
 			c.res, c.rep, c.cached = res, rep, true
 			f.mu.Lock()
 			f.stats.CacheHits++
-			if peer {
-				f.stats.PeerHits++
-			}
 			f.mu.Unlock()
 			return
 		}

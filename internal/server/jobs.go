@@ -88,11 +88,6 @@ type jobRegistry struct {
 	// callback returns is recoverable from the journal alone.
 	onTerminal func(j *job, state, errMsg string)
 
-	// shard, when non-empty, prefixes allocated job IDs
-	// (r-<shard>-00000001) so any cluster peer can route a poll to the
-	// shard that owns the job.
-	shard string
-
 	mu   sync.Mutex
 	jobs map[string]*job
 	seq  uint64
@@ -136,16 +131,13 @@ func (r *jobRegistry) allocID() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
-	if r.shard != "" {
-		return fmt.Sprintf("r-%s-%08d", r.shard, r.seq)
-	}
 	return fmt.Sprintf("r-%08d", r.seq)
 }
 
 // restoreSeq advances the ID sequence past a replayed job's ID so new
-// submissions never collide with recovered ones. Both the plain
-// (r-00000001) and shard-prefixed (r-s1-00000001) forms parse: the
-// sequence number is the segment after the last dash.
+// submissions never collide with recovered ones. The sequence number is
+// the segment after the last dash, so journals written by nodes that
+// minted shard-prefixed IDs (r-s1-00000001) replay too.
 func (r *jobRegistry) restoreSeq(id string) {
 	tail := id
 	if i := strings.LastIndex(id, "-"); i >= 0 {

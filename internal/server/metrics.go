@@ -142,8 +142,6 @@ type scrape struct {
 const (
 	always = iota
 	withCache
-	withCluster
-	withFetcher // a clustered node with a disk cache
 	withCatalog
 )
 
@@ -158,8 +156,6 @@ func newScrape(s *Server) *scrape {
 	m.has = [...]bool{
 		always:      true,
 		withCache:   m.cache != nil,
-		withCluster: s.clu != nil,
-		withFetcher: s.clu != nil && s.clu.fetcher != nil,
 		withCatalog: s.catalog != nil,
 	}
 	return m
@@ -252,7 +248,6 @@ var families = []family{
 		}
 		e("", mean)
 	}},
-	{"fxnetd_farm_peer_hits_total", "counter", always, "Cache hits satisfied by fetching the entry from a cluster peer.", func(m *scrape, e emit) { e("", m.fs.PeerHits) }},
 	{"fxnetd_farm_memo_evicted_total", "counter", always, "Memoized results evicted by the in-memory LRU caps.", func(m *scrape, e emit) { e("", m.fs.MemoEvicted) }},
 	{"fxnetd_cache_entries", "gauge", withCache, "Published run-cache entries on disk.", func(m *scrape, e emit) { e("", m.cs.Entries) }},
 	{"fxnetd_cache_bytes", "gauge", withCache, "Bytes of published run-cache entries on disk.", func(m *scrape, e emit) { e("", m.cs.Bytes) }},
@@ -267,24 +262,6 @@ var families = []family{
 		}
 	}},
 	{"fxnetd_cache_store_failures_total", "counter", withCache, "Run-cache entries that could not be stored durably.", func(m *scrape, e emit) { e("", m.cache.StoreFailures()) }},
-	{"fxnetd_cluster_enabled", "gauge", always, "Whether this node participates in a shard ring.", func(m *scrape, e emit) { e("", bit(m.clu != nil)) }},
-	{"fxnetd_cluster_ring_version", "gauge", withCluster, "The ring configuration version this shard runs.", func(m *scrape, e emit) { e("", m.clu.ring.Version()) }},
-	{"fxnetd_cluster_peers", "gauge", withCluster, "Shards in the ring, including self.", func(m *scrape, e emit) { e("", len(m.clu.ring.Peers())) }},
-	{"fxnetd_cluster_peers_up", "gauge", withCluster, "Peers whose last gossip poll answered.", func(m *scrape, e emit) { e("", m.clu.ledger.PeersUp()) }},
-	{"fxnetd_cluster_proxied_total", "counter", withCluster, "Requests transparently proxied to their owning shard, by kind.", func(m *scrape, e emit) {
-		e(`{kind="submit"}`, m.clu.proxiedSubmits.Load())
-		e(`{kind="poll"}`, m.clu.proxiedPolls.Load())
-	}},
-	{"fxnetd_cluster_proxy_fallbacks_total", "counter", withCluster, "Submissions executed locally because the owning shard was unreachable.", func(m *scrape, e emit) { e("", m.clu.proxyFallbacks.Load()) }},
-	{"fxnetd_cluster_gossip_rounds_total", "counter", withCluster, "Ledger gossip rounds completed.", func(m *scrape, e emit) { e("", m.clu.gossipRounds.Load()) }},
-	{"fxnetd_cluster_ring_mismatches_total", "counter", withCluster, "Gossip polls that saw a peer on a different ring version.", func(m *scrape, e emit) { e("", m.clu.ringMismatches.Load()) }},
-	{"fxnetd_cluster_remote_committed_bytes_per_second", "gauge", withCluster, "QoS bandwidth committed on other shards, per the last gossip.", func(m *scrape, e emit) { e("", m.clu.ledger.RemoteCommitted()) }},
-	{"fxnetd_cluster_capacity_bytes_per_second", "gauge", withCluster, "The cluster-wide schedulable QoS capacity.", func(m *scrape, e emit) { e("", m.clu.capacityBps) }},
-	{"fxnetd_cluster_fetch_total", "counter", withFetcher, "Peer cache-entry fetch outcomes.", func(m *scrape, e emit) {
-		e(`{outcome="hit"}`, m.clu.fetcher.Hits())
-		e(`{outcome="miss"}`, m.clu.fetcher.Misses())
-		e(`{outcome="failure"}`, m.clu.fetcher.Failures())
-	}},
 	{"fxnetd_catalog_enabled", "gauge", always, "Whether the fitted-model catalog is configured.", func(m *scrape, e emit) { e("", bit(m.catalog != nil)) }},
 	{"fxnetd_catalog_entries", "gauge", withCatalog, "Fitted models in the catalog.", func(m *scrape, e emit) { e("", m.catalog.Len()) }},
 	{"fxnetd_catalog_bytes", "gauge", withCatalog, "Bytes of fitted models in the catalog.", func(m *scrape, e emit) { e("", m.catalog.Bytes()) }},

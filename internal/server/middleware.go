@@ -82,8 +82,8 @@ func (l *clientLimiter) release(key string) {
 }
 
 // requestIDHeader carries the ID every log line of a request is tagged
-// with (req=…); proxyRequest forwards it so the front's and the owner's
-// lines agree.
+// with (req=…); the response echoes it, so a client can find its
+// request's line.
 const requestIDHeader = "X-Request-ID"
 
 // validRequestID reports whether an inbound ID is safe to adopt, log
@@ -108,8 +108,9 @@ func validRequestID(id string) bool {
 func (s *Server) instrument(endpoint string, limited bool, shedClass int, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		// One ID follows a request across the proxy hop: adopt a
-		// well-formed inbound one, mint otherwise (never echo junk).
+		// One ID names a request from the client's header to the log
+		// line: adopt a well-formed inbound one, mint otherwise (never
+		// echo junk).
 		reqID := r.Header.Get(requestIDHeader)
 		if !validRequestID(reqID) {
 			reqID = fmt.Sprintf("%08x", s.reqSeq.Add(1))

@@ -220,20 +220,6 @@ func (b *broker) restore(off OfferJSON, client string) bool {
 	return ok
 }
 
-// setCapacity adjusts the broker's schedulable capacity — the cluster
-// ledger's lever: cluster-wide capacity minus everything committed on
-// other shards. Existing commitments are untouched; a capacity now
-// below the committed sum just means no new admissions until something
-// releases.
-func (b *broker) setCapacity(bps float64) {
-	if bps < 0 {
-		bps = 0
-	}
-	b.mu.Lock()
-	b.net.CapacityBps = bps
-	b.mu.Unlock()
-}
-
 // release frees the commitment with the given admission ID.
 func (b *broker) release(id int) bool {
 	b.mu.Lock()

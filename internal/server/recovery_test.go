@@ -16,6 +16,8 @@ import (
 
 	"fxnet/internal/core"
 	"fxnet/internal/durable"
+	"fxnet/internal/farm"
+	"fxnet/internal/journal"
 )
 
 // journaledServer builds a server over dir's journal (and run cache) and
@@ -379,6 +381,55 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	doJSON(t, "GET", tsB.URL+"/healthz", nil, &hz)
 	if tb, _ := hz.Journal["truncated_bytes"].(float64); tb <= 0 {
 		t.Errorf("healthz journal = %v, want truncated_bytes > 0", hz.Journal)
+	}
+}
+
+// A journal written by a node that minted shard-prefixed job IDs still
+// replays: the job finishes and answers under its journaled ID, and the
+// next submit continues the sequence after it.
+func TestRecoveryReplaysShardPrefixedIDs(t *testing.T) {
+	dir := t.TempDir()
+	req := cheapRun()
+	cfg, err := req.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jn, _, err := journal.Open(filepath.Join(dir, "journal.wal"), journal.Options{}, func(journal.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := fmt.Sprintf(`{"id":"r-s1-00000041","key":%q,"analysis":"trace","request":{"program":"sor","p":4,"n":32,"iters":4,"seed":1}}`, farm.Key(cfg))
+	if err := jn.Append(journal.OpSubmitted, []byte(rec)); err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := journaledServer(t, dir, Options{Workers: 1})
+	if st := waitState(t, ts.URL, "r-s1-00000041"); st.State != stateDone {
+		t.Fatalf("replayed r-s1-00000041: %s (%s)", st.State, st.Error)
+	}
+	if id := submit(t, ts.URL, cheapRun()); id != "r-00000042" {
+		t.Fatalf("next submit got %s, want r-00000042", id)
+	}
+}
+
+// restoreSeq reads the sequence from the segment after the last dash,
+// whatever shard segment precedes it, and ignores IDs with no number.
+func TestRestoreSeqShardPrefixed(t *testing.T) {
+	for _, tc := range []struct{ id, next string }{
+		{"r-00000001", "r-00000002"},
+		{"r-s2-00000041", "r-00000042"},
+		{"r-a-b-00000007", "r-00000008"},
+		{"nonsense", "r-00000001"},
+		{"", "r-00000001"},
+	} {
+		r := newJobRegistry(nil)
+		r.restoreSeq(tc.id)
+		if id := r.allocID(); id != tc.next {
+			t.Errorf("allocID after restoreSeq(%q) = %s, want %s", tc.id, id, tc.next)
+		}
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"fxnet/internal/airshed"
 	"fxnet/internal/analysis"
 	"fxnet/internal/catalog"
-	"fxnet/internal/cluster"
 	"fxnet/internal/core"
 	"fxnet/internal/dsp"
 	"fxnet/internal/durable"
@@ -65,13 +64,8 @@ type Options struct {
 	// LRU; zero = uncapped on that axis (the historical behavior).
 	MemoMaxEntries int
 	MemoMaxBytes   int64
-	// Cluster configures the consistent-hash shard ring this node
-	// participates in; an empty peer list disables clustering.
-	Cluster cluster.Config
 	// CapacityBps is the QoS broker's schedulable capacity in bytes/s;
-	// <= 0 selects the calibrated shared-segment default (1.1 MB/s). On
-	// a clustered node it is the cluster-wide capacity the gossiped
-	// ledger divides among shards.
+	// <= 0 selects the calibrated shared-segment default (1.1 MB/s).
 	CapacityBps float64
 	// MaxP bounds the broker's processor search; <= 0 selects 32.
 	MaxP int
@@ -110,7 +104,6 @@ type Server struct {
 	limiter *clientLimiter
 	breaker *breaker
 	shedder *shedder
-	clu     *clusterState
 	logger  *log.Logger
 	started time.Time
 
@@ -161,25 +154,6 @@ func New(opts Options) (*Server, error) {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	var clu *clusterState
-	if len(opts.Cluster.Peers) > 0 {
-		ring, err := cluster.NewRing(opts.Cluster)
-		if err != nil {
-			return nil, err
-		}
-		// The broker starts from the cluster-wide capacity; gossip
-		// subtracts what peers have committed each round.
-		clu = &clusterState{
-			ring:        ring,
-			ledger:      cluster.NewLedger(),
-			capacityBps: cap,
-			httpc:       &http.Client{Timeout: 30 * time.Second},
-		}
-		if fo.Cache != nil {
-			clu.fetcher = cluster.NewFetcher(ring, fo.Cache, nil)
-			fo.PeerFetch = clu.fetcher.Fetch
-		}
-	}
 	f := farm.New(fo)
 	catDir := opts.CatalogDir
 	if catDir == "" && opts.CacheDir != "" {
@@ -201,7 +175,6 @@ func New(opts Options) (*Server, error) {
 		catalog:     cat,
 		fitter:      fitter,
 		broker:      newBroker(cap, opts.MaxP),
-		clu:         clu,
 		metrics:     newMetrics(),
 		limiter:     newClientLimiter(opts.ClientLimit),
 		breaker:     newBreaker(breakerThreshold, breakerCooldown),
@@ -211,11 +184,6 @@ func New(opts Options) (*Server, error) {
 		started:     time.Now(),
 	}
 	s.jobs.fitter = fitter
-	if clu != nil {
-		// Shard-prefixed job IDs let any peer route a poll to the shard
-		// that owns the job.
-		s.jobs.shard = clu.ring.SelfID()
-	}
 	s.shedder = newShedder(opts.MaxQueue, func() int64 { return queueDepth(f.Stats()) })
 	s.jobs.onTerminal = func(j *job, state, errMsg string) {
 		switch state {
@@ -266,9 +234,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/qos/negotiate", s.instrument("qos_negotiate", true, classSubmit, s.handleNegotiate))
 	mux.HandleFunc("GET /v1/qos/commitments", s.instrument("qos_list", true, classPoll, s.handleCommitments))
 	mux.HandleFunc("DELETE /v1/qos/commitments/{id}", s.instrument("qos_release", true, classPoll, s.handleRelease))
-	mux.HandleFunc("GET /v1/cache/{key}", s.instrument("cache_entry", false, classPoll, s.handleCacheEntry))
-	mux.HandleFunc("GET /v1/cluster/ring", s.instrument("cluster_ring", false, classOps, s.handleClusterRing))
-	mux.HandleFunc("GET /v1/cluster/ledger", s.instrument("cluster_ledger", false, classOps, s.handleClusterLedger))
 	mux.HandleFunc("GET /metrics", s.instrument("metrics", false, classOps, s.serveMetrics))
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", false, classOps, s.handleHealthz))
 	mux.HandleFunc("GET /readyz", s.instrument("readyz", false, classOps, s.handleReadyz))
@@ -474,8 +439,8 @@ type resultJSON struct {
 const IdempotencyKeyHeader = "Idempotency-Key"
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// The body is captured whole so an off-ring submission can be
-	// re-posted verbatim to the shard that owns its key.
+	// Read whole and unmarshaled, so trailing bytes after the object are
+	// a 400 rather than ignored.
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	var req RunRequest
 	if err == nil {
@@ -498,11 +463,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.admitSubmit(w) {
 		return
 	}
-	key := farm.Key(cfg)
-	if s.routeSubmit(w, r, key, body) {
-		return
-	}
-	s.enqueue(w, r, cfg, submittedRec{Key: key, Analysis: analysis, Request: req})
+	s.enqueue(w, r, cfg, submittedRec{Key: farm.Key(cfg), Analysis: analysis, Request: req})
 }
 
 // admitSubmit is the gate every submission (run or fit) passes once its
@@ -612,11 +573,6 @@ func (s *Server) accept(w http.ResponseWriter, j *job, idempotentReplay bool) {
 }
 
 func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) {
-	// A job ID minted by another shard is served there; routeJob writes
-	// the (proxied) response itself.
-	if s.routeJob(w, r) {
-		return nil, false
-	}
 	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no such run %q", r.PathValue("id"))

@@ -7,8 +7,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -521,14 +523,81 @@ func TestHealthzAndDrain(t *testing.T) {
 	}
 }
 
+// logBuf is a goroutine-safe log sink a test can read while handlers
+// are still writing to it.
+type logBuf struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *logBuf) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logBuf) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// A well-formed inbound X-Request-ID is adopted and anything else is
+// replaced by a freshly minted one. Either way the response carries the
+// ID and the request's log line names it exactly once; a malformed
+// header is never echoed or logged.
 func TestRequestIDsAssigned(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
-	resp, err := http.Get(ts.URL + "/healthz")
+	var logs logBuf
+	_, ts := newTestServer(t, Options{Workers: 1, Memoize: true, Log: log.New(&logs, "", 0)})
+	body, err := json.Marshal(cheapRun())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.Header.Get("X-Request-ID") == "" {
-		t.Error("response missing X-Request-ID")
+	minted := regexp.MustCompile(`^[0-9a-f]{8}$`)
+	for _, tc := range []struct {
+		name, inbound string
+		adopted       bool
+	}{
+		{"adopted", "trace-me_7.a", true},
+		{"none", "", false},
+		{"spaces", "two words", false},
+		{"markup", `<b>"x"</b>`, false},
+		{"too long", strings.Repeat("a", 65), false},
+	} {
+		hr, err := http.NewRequest("POST", ts.URL+"/v1/runs", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.inbound != "" {
+			hr.Header.Set("X-Request-ID", tc.inbound)
+		}
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: HTTP %d, want 202", tc.name, resp.StatusCode)
+		}
+		id := resp.Header.Get("X-Request-ID")
+		if tc.adopted && id != tc.inbound {
+			t.Errorf("%s: response carries %q, want the inbound %q", tc.name, id, tc.inbound)
+		}
+		if !tc.adopted && !minted.MatchString(id) {
+			t.Errorf("%s: response carries %q, want a freshly minted ID", tc.name, id)
+		}
+		// The log line follows the response; give the handler a moment.
+		line := "req=" + id + " "
+		deadline := time.Now().Add(5 * time.Second)
+		for !strings.Contains(logs.String(), line) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := strings.Count(logs.String(), line); n != 1 {
+			t.Errorf("%s: logged %q %d times, want once:\n%s", tc.name, line, n, logs.String())
+		}
+		if !tc.adopted && tc.inbound != "" && strings.Contains(logs.String(), tc.inbound) {
+			t.Errorf("%s: logged the malformed header %q", tc.name, tc.inbound)
+		}
 	}
 }

@@ -46,7 +46,14 @@ if grep -rn 'func ([a-z]* \*\?\w*[Ff]loat\w*) MarshalJSON' --include='*.go' . | 
 # breaker's two tunables) stay gone, flags included.
 if grep -rn '# HELP fxnetd_\|# TYPE fxnetd_' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/server/metrics\.go:'; then exit 1; fi
 if grep -rnE 'ClusterRoute|RouteOff|ClusterCapacityBps|JournalNoSync|BreakerThreshold|NoSync +bool' --include='*.go' . | grep -v '_test\.go:'; then exit 1; fi
-if grep -nE '"cluster-(route|capacity)"' cmd/fxnetd/*.go; then exit 1; fi
+
+# One node: the sharded cluster is deleted (DESIGN.md §8, tracking rows
+# 16–17). A cluster package, a -cluster-* flag, a ring, ledger or
+# peer-cache route, or the farm's peer-fetch tier is it coming back.
+if [ -e internal/cluster ]; then exit 1; fi
+if grep -rn '"cluster-' --include='*.go' cmd; then exit 1; fi
+if grep -rnE '/v1/(cluster|cache)/' --include='*.go' . | grep -v '_test\.go:'; then exit 1; fi
+if grep -rnE 'PeerFetch|InstallRaw' --include='*.go' . | grep -v '_test\.go:'; then exit 1; fi
 
 # One twiddle table: every radix-2 transform reads the table of the
 # largest size seen (DESIGN.md §8 "Packed real FFT"). A sync.Map or a
@@ -87,9 +94,3 @@ go test -race ./...
 # journal, and require every acknowledged job to complete with a
 # byte-identical trace — the promises the journal exists to keep.
 ./scripts/chaos.sh
-
-# Cluster smoke: 3-shard ring on ephemeral ports — ring agreement,
-# warm-cluster dedup through every front (exactly one simulation
-# cluster-wide), ledger gossip, and graceful degradation after a
-# SIGKILL'd peer.
-./scripts/cluster_smoke.sh
