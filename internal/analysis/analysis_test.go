@@ -219,13 +219,14 @@ func foldCorrelation(tr *trace.Trace, bin sim.Duration) float64 {
 		return 0
 	}
 	c := corrTracker{bin: bin}
+	var pairs pairSlots
 	t0 := tr.Packets[0].Time
 	for _, p := range tr.Packets {
 		if p.Dst != trace.Broadcast {
-			c.add(t0, p.Time, p.Src, p.Dst, p.Size)
+			c.add(t0, p.Time, pairs.of(p.Src, p.Dst), p.Size)
 		}
 	}
-	return c.correlation(t0, tr.Packets[len(tr.Packets)-1].Time)
+	return c.correlation(t0, tr.Packets[len(tr.Packets)-1].Time, pairs.keys)
 }
 
 // TestConnectionCorrelationMatchesPerPairScan: the fold's one-pass
@@ -322,8 +323,9 @@ func TestPhaseCoincidence(t *testing.T) {
 // CoincidenceGap.
 func foldCoincidence(tr *trace.Trace, gap sim.Duration) float64 {
 	c := coinTracker{gap: gap}
+	var pairs pairSlots
 	for _, p := range tr.Packets {
-		c.add(p.Time, p.Src, p.Dst)
+		c.add(p.Time, pairs.of(p.Src, p.Dst))
 	}
 	return c.coincidence()
 }

@@ -89,6 +89,36 @@ func (h *histCounts) histogram() *stats.Histogram {
 // pairKey identifies a (src, dst) connection compactly.
 type pairKey struct{ src, dst uint16 }
 
+// pairSlots numbers connections in order of first appearance, so the
+// per-connection trackers keep their state in slices indexed by slot and
+// the fold resolves a packet's connection with one map access.
+type pairSlots struct {
+	slot map[pairKey]int
+	keys []pairKey // by slot
+}
+
+func (p *pairSlots) of(src, dst uint16) int {
+	k := pairKey{src, dst}
+	s, ok := p.slot[k]
+	if !ok {
+		if p.slot == nil {
+			p.slot = make(map[pairKey]int)
+		}
+		s = len(p.keys)
+		p.slot[k] = s
+		p.keys = append(p.keys, k)
+	}
+	return s
+}
+
+// grown returns xs extended with zero values to hold index i.
+func grown[T any](xs []T, i int) []T {
+	if i < len(xs) {
+		return xs
+	}
+	return append(xs, make([]T, i+1-len(xs))...)
+}
+
 // corrTracker streams the per-connection bandwidth series that feed the
 // connection-correlation statistic: the mean pairwise Pearson
 // correlation of the binned bandwidth of every host-to-host connection,
@@ -97,39 +127,39 @@ type pairKey struct{ src, dst uint16 }
 // the aggregate bin count, so every pair is scored over the same bins.
 type corrTracker struct {
 	bin    sim.Duration
-	series map[pairKey][]float64
+	series [][]float64 // by pair slot; nil for a connection never added
 }
 
-func (c *corrTracker) add(t0, t sim.Time, src, dst uint16, size uint16) {
-	if c.series == nil {
-		c.series = make(map[pairKey][]float64)
-	}
-	k := pairKey{src, dst}
-	s := c.series[k]
+func (c *corrTracker) add(t0, t sim.Time, slot int, size uint16) {
+	c.series = grown(c.series, slot)
+	s := &c.series[slot]
 	idx := int(t.Sub(t0) / c.bin)
-	for len(s) <= idx {
-		s = append(s, 0)
+	for len(*s) <= idx {
+		*s = append(*s, 0)
 	}
-	s[idx] += float64(size)
-	c.series[k] = s
+	(*s)[idx] += float64(size)
 }
 
 // correlation finalizes the statistic: pairs sorted as trace.Pairs()
 // sorts them, each series zero-padded to the aggregate bin count, and
 // folded by stats.MeanPairwisePearson, whose contract covers the
-// degenerate cases (fewer than two connections score 0).
-func (c *corrTracker) correlation(t0, last sim.Time) float64 {
-	keys := make([]pairKey, 0, len(c.series))
-	for k := range c.series {
-		keys = append(keys, k)
+// degenerate cases (fewer than two connections score 0). keys names
+// each pair slot.
+func (c *corrTracker) correlation(t0, last sim.Time, keys []pairKey) float64 {
+	slots := make([]int, 0, len(c.series))
+	for s, row := range c.series {
+		if row != nil {
+			slots = append(slots, s)
+		}
 	}
-	slices.SortFunc(keys, func(a, b pairKey) int {
-		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
+	slices.SortFunc(slots, func(a, b int) int {
+		ka, kb := keys[a], keys[b]
+		return cmp.Or(cmp.Compare(ka.src, kb.src), cmp.Compare(ka.dst, kb.dst))
 	})
 	n := int(last.Sub(t0)/c.bin) + 1
-	series := seriesRows(len(keys), n)
-	for i, k := range keys {
-		copy(series[i], c.series[k])
+	series := seriesRows(len(slots), n)
+	for i, s := range slots {
+		copy(series[i], c.series[s])
 	}
 	return stats.MeanPairwisePearson(series)
 }
@@ -155,35 +185,40 @@ type coinTracker struct {
 	gap     sim.Duration
 	started bool
 	last    sim.Time
-	cur     map[pairKey]struct{}
-	all     map[pairKey]struct{}
-	counts  []int
+	// stamp is, by pair slot, the last burst the connection carried data
+	// in, numbering bursts from 1 (len(counts)+1 is the current one); 0
+	// means it never has.
+	stamp  []int
+	cur    int // connections with data in the current burst
+	all    int // connections that ever carried data
+	counts []int
 }
 
-func (c *coinTracker) add(t sim.Time, src, dst uint16) {
-	if c.cur == nil {
-		c.cur = make(map[pairKey]struct{})
-		c.all = make(map[pairKey]struct{})
-	}
+func (c *coinTracker) add(t sim.Time, slot int) {
 	if c.started && t.Sub(c.last) >= c.gap {
-		c.counts = append(c.counts, len(c.cur))
-		clear(c.cur)
+		c.counts = append(c.counts, c.cur)
+		c.cur = 0
 	}
-	k := pairKey{src, dst}
-	c.cur[k] = struct{}{}
-	c.all[k] = struct{}{}
+	c.stamp = grown(c.stamp, slot)
+	if burst := len(c.counts) + 1; c.stamp[slot] != burst {
+		if c.stamp[slot] == 0 {
+			c.all++
+		}
+		c.stamp[slot] = burst
+		c.cur++
+	}
 	c.last = t
 	c.started = true
 }
 
 func (c *coinTracker) coincidence() float64 {
-	if !c.started || len(c.all) < 2 {
+	if !c.started || c.all < 2 {
 		return 0
 	}
-	counts := append(c.counts, len(c.cur))
+	counts := append(c.counts, c.cur)
 	fracs := make([]float64, len(counts))
 	for i, n := range counts {
-		fracs[i] = float64(n) / float64(len(c.all))
+		fracs[i] = float64(n) / float64(c.all)
 	}
 	if len(fracs) > 2 {
 		fracs = fracs[1 : len(fracs)-1]
@@ -215,9 +250,10 @@ type StreamCharacterizer struct {
 	connInter running
 	connAcc   *Accumulator
 
-	hist histCounts
-	corr corrTracker
-	coin coinTracker
+	hist  histCounts
+	pairs pairSlots
+	corr  corrTracker
+	coin  coinTracker
 }
 
 // NewStreamCharacterizer builds a characterizer for one run. repConn is
@@ -269,11 +305,16 @@ func (sc *StreamCharacterizer) addPacket(t sim.Time, size uint16, src, dst uint1
 		sc.connLast = t
 	}
 
-	if dst != trace.Broadcast {
-		sc.corr.add(sc.first, t, src, dst, size)
-	}
-	if proto == ethernet.ProtoTCP && flags&ethernet.FlagData != 0 {
-		sc.coin.add(t, src, dst)
+	unicast := dst != trace.Broadcast
+	data := proto == ethernet.ProtoTCP && flags&ethernet.FlagData != 0
+	if unicast || data {
+		slot := sc.pairs.of(src, dst)
+		if unicast {
+			sc.corr.add(sc.first, t, slot, size)
+		}
+		if data {
+			sc.coin.add(t, slot)
+		}
 	}
 	sc.last = t
 }
@@ -323,7 +364,7 @@ func (sc *StreamCharacterizer) Report() *Report {
 		rep.ConnSpectrum = SpectrumOfSeries(rep.ConnSeries, PaperWindow.Seconds())
 	}
 
-	rep.Correlation = sc.corr.correlation(sc.first, sc.last)
+	rep.Correlation = sc.corr.correlation(sc.first, sc.last, sc.pairs.keys)
 	rep.Coincidence = sc.coin.coincidence()
 	return rep
 }

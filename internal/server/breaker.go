@@ -69,6 +69,20 @@ func (b *breaker) allow() bool {
 	}
 }
 
+// abandon gives back the half-open probe slot of a submission that ended
+// without a verdict: an idempotent replay (no job), a journal refusal,
+// or a cancelled job. Without it the breaker would stay half-open with
+// its one probe spent and refuse every later submit. A cancellation
+// that was not the probe frees the slot too; at worst that admits a
+// second probe, whose verdict counts like the first's.
+func (b *breaker) abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == breakerHalfOpen {
+		b.probing = false
+	}
+}
+
 // success reports a job that completed without a farm error.
 func (b *breaker) success() {
 	b.mu.Lock()

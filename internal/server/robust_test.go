@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"fxnet/internal/durable"
 )
 
 // The breaker opens after N consecutive failures, refuses while open,
@@ -76,6 +80,130 @@ func TestBreakerSuccessResetsCount(t *testing.T) {
 	if !b.allow() {
 		t.Fatal("interleaved successes still opened the breaker")
 	}
+}
+
+// probeBreaker opens s's breaker and moves its clock past the cooldown,
+// so the next submit the gate admits is the half-open probe.
+func probeBreaker(t *testing.T, s *Server) {
+	t.Helper()
+	b := s.breaker
+	opened := time.Unix(0, 0)
+	b.mu.Lock()
+	b.now = func() time.Time { return opened }
+	b.mu.Unlock()
+	for range breakerThreshold {
+		b.failure()
+	}
+	if st, _ := b.snapshot(); st != breakerOpen {
+		t.Fatalf("breaker %s after %d failures, want open", breakerStateName(st), breakerThreshold)
+	}
+	b.mu.Lock()
+	b.now = func() time.Time { return opened.Add(breakerCooldown) }
+	b.mu.Unlock()
+}
+
+// submitReply is the part of a submit's answer these tests read: the
+// job of a 202, the message of a refusal.
+type submitReply struct {
+	ID    string `json:"id"`
+	Error string `json:"error"`
+}
+
+// postRun submits req, with an Idempotency-Key when key is set.
+func postRun(t *testing.T, base, key string, req RunRequest) (int, submitReply) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.NewRequest("POST", base+"/v1/runs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key != "" {
+		hr.Header.Set(IdempotencyKeyHeader, key)
+	}
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out submitReply
+	if err := jsonDecode(resp, &out); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// A half-open probe that replays an existing Idempotency-Key starts no
+// job, so no verdict will ever come back for it: the slot must be given
+// back, or every later submit is refused.
+func TestBreakerProbeReplayGivesSlotBack(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	code, first := postRun(t, ts.URL, "replayed", cheapRun())
+	if code != http.StatusAccepted {
+		t.Fatalf("first keyed submit: HTTP %d %s", code, first.Error)
+	}
+	j, _ := s.jobs.get(first.ID)
+	<-j.done // its success has reached the breaker
+
+	probeBreaker(t, s)
+	if code, r := postRun(t, ts.URL, "replayed", cheapRun()); code != http.StatusAccepted || r.ID != first.ID {
+		t.Fatalf("replayed probe: HTTP %d job %q %s, want 202 for %s", code, r.ID, r.Error, first.ID)
+	}
+	if code, r := postRun(t, ts.URL, "", RunRequest{Program: "sor", P: 4, N: 32, Iters: 4, Seed: 2}); code != http.StatusAccepted {
+		t.Fatalf("submit after a replayed probe: HTTP %d %s, want 202", code, r.Error)
+	}
+}
+
+// A half-open probe the journal refuses starts no job. The journal stays
+// broken, so the next submit is refused too, but by the journal, not by
+// a breaker waiting on a probe that never ran.
+func TestBreakerProbeJournalRefusalGivesSlotBack(t *testing.T) {
+	ffs := &durable.FaultFS{FS: durable.OSFS{}, WriteBudget: -1}
+	s, ts := journaledServer(t, t.TempDir(), Options{Workers: 1, FS: ffs})
+	probeBreaker(t, s)
+	ffs.WriteBudget = 0
+	for i := range 2 {
+		code, r := postRun(t, ts.URL, "", RunRequest{Program: "sor", P: 4, N: 32, Iters: 4, Seed: int64(10 + i)})
+		if code != http.StatusServiceUnavailable || !strings.Contains(r.Error, "journal") {
+			t.Fatalf("submit %d on a full disk: HTTP %d %q, want 503 journal unavailable", i, code, r.Error)
+		}
+	}
+	if n := s.metrics.breakerRejects.Load(); n != 0 {
+		t.Errorf("breaker refused %d submits after the journal refused its probe", n)
+	}
+}
+
+// A half-open probe cancelled before it runs ends with no verdict; the
+// next submit must be admitted. The lone worker is pinned by a job
+// admitted before the breaker opened, so the probe is still queued when
+// it is cancelled.
+func TestBreakerProbeCancelGivesSlotBack(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	blocker := submit(t, ts.URL, RunRequest{Program: "seq", P: 4, N: 64, Iters: 60, Seed: 1})
+	deadline := time.Now().Add(10 * time.Second)
+	for s.farm.Stats().Running == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker never started")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	probeBreaker(t, s)
+	probe := submit(t, ts.URL, cheapRun())
+	var out map[string]string
+	if code := doJSON(t, "DELETE", ts.URL+"/v1/runs/"+probe, nil, &out); code != http.StatusOK || out["state"] != stateCancelled {
+		t.Fatalf("cancel probe: HTTP %d state %q, want cancelled", code, out["state"])
+	}
+	// A blocker that finished already would have closed the breaker with
+	// its success and hidden a probe slot that was never given back.
+	if st, _ := s.breaker.snapshot(); st != breakerHalfOpen {
+		t.Fatalf("breaker %s after the probe was cancelled, want half-open", breakerStateName(st))
+	}
+	next := submit(t, ts.URL, RunRequest{Program: "sor", P: 4, N: 32, Iters: 4, Seed: 2})
+
+	doJSON(t, "DELETE", ts.URL+"/v1/runs/"+next, nil, nil)
+	doJSON(t, "DELETE", ts.URL+"/v1/runs/"+blocker, nil, nil)
 }
 
 // Shedding tiers: submits go first, then polls; ops are never refused.

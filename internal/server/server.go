@@ -191,6 +191,8 @@ func New(opts Options) (*Server, error) {
 			s.breaker.success()
 		case stateFailed:
 			s.breaker.failure()
+		case stateCancelled:
+			s.breaker.abandon()
 		}
 		if err := s.appendJournal(journal.OpTerminal, terminalRec{ID: j.ID, State: state, Error: errMsg}); err != nil {
 			// The result is live in memory; at worst the next boot
@@ -499,12 +501,14 @@ func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, cfg core.RunCon
 	sub.IdemKey = r.Header.Get(IdempotencyKeyHeader)
 	j, resolve := s.claimIdem(sub.IdemKey)
 	if j != nil {
+		s.breaker.abandon()
 		s.accept(w, j, true)
 		return
 	}
 	sub.ID = s.jobs.allocID()
 	if err := s.appendJournal(journal.OpSubmitted, sub); err != nil {
 		resolve("")
+		s.breaker.abandon()
 		s.logf("journal: submit %s: %v", sub.ID, err)
 		w.Header().Set("Retry-After", "5")
 		writeErr(w, http.StatusServiceUnavailable, "journal unavailable: submission cannot be made durable")

@@ -3,7 +3,9 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // naiveMeanPairwise is the reference MeanPairwisePearson must equal to
@@ -116,15 +118,90 @@ func FuzzMeanPairwisePearson(f *testing.F) {
 	})
 }
 
+// withProcs runs fn with GOMAXPROCS set to procs.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// TestMeanPairwisePearsonWorkerCountInvariance: the bits do not depend
+// on how many workers share the rows. K = 300 and 301 at n = 105 sit
+// above inlineWork, with a short last stripe of even and odd height and
+// a short last round at 2 and 3 workers; the rest run inline.
+func TestMeanPairwisePearsonWorkerCountInvariance(t *testing.T) {
+	parallel := 0
+	for _, k := range []int{41, 64, 65, 300, 301} {
+		for _, n := range []int{1, 17, 105} {
+			if k*(k-1)/2*n >= inlineWork {
+				parallel++
+			}
+			series := pairwiseCase(rand.New(rand.NewSource(int64(1000*k+n))), k, n)
+			want := math.Float64bits(naiveMeanPairwise(series))
+			for _, procs := range []int{1, 2, 3, 8} {
+				var got float64
+				withProcs(procs, func() { got = MeanPairwisePearson(series) })
+				if math.Float64bits(got) != want {
+					t.Errorf("k=%d n=%d GOMAXPROCS=%d: kernel %#x, naive fold %#x",
+						k, n, procs, math.Float64bits(got), want)
+				}
+			}
+		}
+	}
+	if parallel == 0 {
+		t.Fatal("no case reaches the parallel path")
+	}
+}
+
+// TestMeanPairwisePearsonJoinsWorkers: a fabric_topo64-sized call leaves
+// no goroutine behind. A worker that has signalled the join can still be
+// on its way out when the call returns, so the count is given a moment
+// to settle, never more.
+func TestMeanPairwisePearsonJoinsWorkers(t *testing.T) {
+	series := pairwiseCase(rand.New(rand.NewSource(42)), 4032, 105)
+	withProcs(max(2, runtime.GOMAXPROCS(0)), func() {
+		before := runtime.NumGoroutine()
+		sinkF = MeanPairwisePearson(series)
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() != before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("goroutines: %d before the call, %d after", before, runtime.NumGoroutine())
+			}
+			runtime.Gosched()
+		}
+	})
+}
+
+// TestMeanPairwisePearsonInlineAllocs: below inlineWork the kernel
+// starts no worker and allocates only its centred block.
+func TestMeanPairwisePearsonInlineAllocs(t *testing.T) {
+	series := pairwiseCase(rand.New(rand.NewSource(7)), 64, 105)
+	if k, n := len(series), len(series[0]); k*(k-1)/2*n >= inlineWork {
+		t.Fatalf("k=%d n=%d is not below the inline threshold", k, n)
+	}
+	withProcs(max(2, runtime.GOMAXPROCS(0)), func() {
+		if a := testing.AllocsPerRun(20, func() { sinkF = MeanPairwisePearson(series) }); a > 2 {
+			t.Errorf("%v allocations per call, want ≤ 2", a)
+		}
+	})
+}
+
 var sinkF float64
 
 // BenchmarkMeanPairwisePearson is the fabric_topo64 shape: 64×63
-// connections, 105 correlation bins.
+// connections, 105 correlation bins, on one core and on all of them.
 func BenchmarkMeanPairwisePearson(b *testing.B) {
 	series := pairwiseCase(rand.New(rand.NewSource(42)), 4032, 105)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkF = MeanPairwisePearson(series)
+	for _, c := range []struct {
+		name  string
+		procs int
+	}{{"procs=1", 1}, {"procs=GOMAXPROCS", runtime.GOMAXPROCS(0)}} {
+		b.Run(c.name, func(b *testing.B) {
+			withProcs(c.procs, func() {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sinkF = MeanPairwisePearson(series)
+				}
+			})
+		})
 	}
 }

@@ -238,74 +238,6 @@ func pearson(sab, saa, sbb float64) float64 {
 	return sab / math.Sqrt(saa*sbb)
 }
 
-// MeanPairwisePearson returns the mean of PearsonR(series[i], series[j])
-// over all pairs i < j, bit-identical to that naive fold: every
-// floating-point chain keeps PearsonR's operand order. Each series' mean,
-// centred deviations and sum of squared deviations are computed once (K
-// passes, not K²) in the order PearsonR computes ma, da and saa; the
-// pairs are then folded into one sum in (i, j) order. The inner loop
-// takes four j at a time with one accumulator per j — four independent
-// dot products, never a split of one — so no sum is reassociated.
-//
-// All series must have equal length (a mismatch panics, as in PearsonR).
-// Degenerate inputs follow the naive fold: fewer than two series have no
-// pair and return 0; a constant (or all-zero, or empty) series
-// contributes 0 for each of its pairs and those pairs still count in the
-// denominator; a series listed twice correlates with itself like any
-// other pair.
-func MeanPairwisePearson(series [][]float64) float64 {
-	k := len(series)
-	if k < 2 {
-		return 0
-	}
-	n := len(series[0])
-	dev := make([]float64, k*n) // row i: series[i] minus its mean
-	ss := make([]float64, k)    // row i: sum of squared deviations
-	for i, s := range series {
-		if len(s) != n {
-			panic("stats: MeanPairwisePearson length mismatch")
-		}
-		m := Mean(s)
-		d := dev[i*n : (i+1)*n]
-		var sq float64
-		for t, x := range s {
-			dx := x - m
-			d[t] = dx
-			sq += dx * dx
-		}
-		ss[i] = sq
-	}
-	row := func(j int) []float64 { return dev[j*n : (j+1)*n : (j+1)*n] }
-	var sum float64
-	for i := 0; i < k; i++ {
-		di := row(i)
-		j := i + 1
-		for ; j+4 <= k; j += 4 {
-			d0, d1, d2, d3 := row(j), row(j+1), row(j+2), row(j+3)
-			var a0, a1, a2, a3 float64
-			for t, x := range di {
-				a0 += x * d0[t]
-				a1 += x * d1[t]
-				a2 += x * d2[t]
-				a3 += x * d3[t]
-			}
-			sum += pearson(a0, ss[i], ss[j])
-			sum += pearson(a1, ss[i], ss[j+1])
-			sum += pearson(a2, ss[i], ss[j+2])
-			sum += pearson(a3, ss[i], ss[j+3])
-		}
-		for ; j < k; j++ {
-			dj := row(j)
-			var a float64
-			for t, x := range di {
-				a += x * dj[t]
-			}
-			sum += pearson(a, ss[i], ss[j])
-		}
-	}
-	return sum / float64(k*(k-1)/2)
-}
-
 // HurstAggVar estimates the Hurst exponent of a stationary series by the
 // aggregated-variance method: for block size m, the variance of the
 // m-aggregated means of a self-similar process scales as m^(2H−2). The

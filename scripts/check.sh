@@ -61,6 +61,14 @@ if grep -rnE 'PeerFetch|InstallRaw' --include='*.go' . | grep -v '_test\.go:'; t
 # state growing with every size a run transforms, coming back.
 if grep -n 'sync\.Map\|perm  *\[\]int32' internal/dsp/*.go | grep -v '_test\.go:'; then exit 1; fi
 
+# One pair kernel: stats.MeanPairwisePearson is the only exported
+# pairwise entry point, and its stripe buffers live for one call
+# (DESIGN.md §10 "Pair statistics"). A sync.Pool in internal/stats is
+# scratch retained between runs; a second exported pairwise function is
+# a second kernel whose bits nobody holds to the naive fold.
+if grep -n 'sync\.Pool' internal/stats/*.go | grep -v '_test\.go:'; then exit 1; fi
+if grep -n '^func [A-Z][A-Za-z0-9]*Pairwise' internal/stats/*.go | grep -v '_test\.go:' | grep -v 'func MeanPairwisePearson('; then exit 1; fi
+
 go build ./...
 go vet ./...
 go test ./...
@@ -75,18 +83,19 @@ fmtdir=$(mktemp -d)
 if go run ./cmd/fxrun -program seq -format jsno -o "$fmtdir/x" 2>/dev/null || [ -e "$fmtdir/x" ]; then exit 1; fi
 rmdir "$fmtdir"
 
-# dsp.Welch, the only pooled stage left, shares FFT scratch across its
-# workers and merges the segment periodograms back in index order; run
-# dsp, and the characterizer above it, under the race detector first so
-# a synchronization regression fails fast. The conservative parallel
-# engine runs one worker goroutine per segment partition, so the DES
-# kernel and the Ethernet layer get the same fail-fast treatment. Then
-# sweep the tree: core has one run path, and the engine is its only
-# multi-partition branch (a one-segment topology is the bare kernel
-# loop), so the internal/core serial ≡ parallel tests in the sweep —
-# with and without frame loss — are what race-checks that branch end to
-# end.
-go test -race ./internal/dsp/... ./internal/analysis/...
+# dsp.Welch shares FFT scratch across its workers and merges the segment
+# periodograms back in index order, and stats.MeanPairwisePearson fans
+# its pair rows out to workers and folds them back in row order; run
+# dsp, stats, and the characterizer above both, under the race
+# detector first so a synchronization regression fails fast. The
+# conservative parallel engine runs one worker goroutine per segment
+# partition, so the DES kernel and the Ethernet layer get the same
+# fail-fast treatment. Then sweep the tree: core has one run path, and
+# the engine is its only multi-partition branch (a one-segment topology
+# is the bare kernel loop), so the internal/core serial ≡ parallel tests
+# in the sweep — with and without frame loss — are what race-checks that
+# branch end to end.
+go test -race ./internal/dsp/... ./internal/stats/... ./internal/analysis/...
 go test -race ./internal/sim/... ./internal/ethernet/...
 go test -race ./...
 
