@@ -10,6 +10,11 @@ import (
 	"testing"
 
 	"fxnet"
+	"fxnet/internal/analysis"
+	"fxnet/internal/core"
+	"fxnet/internal/ethernet"
+	"fxnet/internal/farm"
+	"fxnet/internal/trace"
 )
 
 // fullFraction reports the fraction of TCP data packets at the maximal
@@ -17,7 +22,7 @@ import (
 func fullFraction(tr *fxnet.Trace) float64 {
 	var data, full int
 	for _, p := range tr.Packets {
-		if p.Proto != fxnet.ProtoTCP || p.Flags&fxnet.FlagData == 0 {
+		if p.Proto != ethernet.ProtoTCP || p.Flags&ethernet.FlagData == 0 {
 			continue
 		}
 		data++
@@ -37,7 +42,7 @@ func fullFraction(tr *fxnet.Trace) float64 {
 // produces almost none — the paper's explanation for T2DFFT's smeared
 // packet sizes.
 func BenchmarkAblationFragmentPacking(b *testing.B) {
-	jobs := []fxnet.FarmJob{
+	jobs := []farm.Job{
 		{Label: "t2dfft/frag", Config: fxnet.RunConfig{
 			Program: "t2dfft", Seed: 9, Params: fxnet.KernelParams{N: 128, Iters: 5},
 		}},
@@ -69,9 +74,9 @@ func BenchmarkAblationFragmentPacking(b *testing.B) {
 // has a shorter burst interval, so its spectral fundamental moves up.
 func BenchmarkAblationBandwidthPeriodicity(b *testing.B) {
 	rates := []float64{10e6, 40e6}
-	jobs := make([]fxnet.FarmJob, len(rates))
+	jobs := make([]farm.Job, len(rates))
 	for j, rate := range rates {
-		jobs[j] = fxnet.FarmJob{Label: fmt.Sprintf("2dfft/%gMbps", rate/1e6), Config: fxnet.RunConfig{
+		jobs[j] = farm.Job{Label: fmt.Sprintf("2dfft/%gMbps", rate/1e6), Config: fxnet.RunConfig{
 			Program: "2dfft", Seed: 5, BitRate: rate,
 			Params:         fxnet.KernelParams{Iters: 30},
 			DisableDesched: true,
@@ -145,7 +150,7 @@ func BenchmarkAblationPatternScaling(b *testing.B) {
 				})
 				pairs := map[[2]int]bool{}
 				for _, p := range res.Trace.Packets {
-					if p.Flags&fxnet.FlagData != 0 && p.Proto == fxnet.ProtoTCP {
+					if p.Flags&ethernet.FlagData != 0 && p.Proto == ethernet.ProtoTCP {
 						pairs[[2]int{int(p.Src), int(p.Dst)}] = true
 					}
 				}
@@ -176,13 +181,13 @@ func BenchmarkAblationPatternScaling(b *testing.B) {
 // all-to-all and merges bursts. Without injection the 2DFFT's burst
 // period is regular; with heavy injection the maximum interarrival grows.
 func BenchmarkAblationDescheduling(b *testing.B) {
-	noisyCost, err := fxnet.CalibratedCost("2dfft")
+	noisyCost, err := core.CalibratedCost("2dfft")
 	if err != nil {
 		b.Fatal(err)
 	}
 	noisyCost.DeschedProb = 0.5 // every other phase stalls
 	noisyCost.DeschedMean = 400_000_000
-	jobs := []fxnet.FarmJob{
+	jobs := []farm.Job{
 		{Label: "2dfft/clean", Config: fxnet.RunConfig{
 			Program: "2dfft", Seed: 11, Params: fxnet.KernelParams{Iters: 20},
 			DisableDesched: true,
@@ -306,7 +311,7 @@ func burstsOf(tr *fxnet.Trace) burstSummary {
 // structure degrades — timeouts smear the burst periods, which is why
 // the paper could only observe crisp periodicity on a healthy LAN.
 func BenchmarkAblationFrameLoss(b *testing.B) {
-	jobs := []fxnet.FarmJob{
+	jobs := []farm.Job{
 		{Label: "2dfft/clean", Config: fxnet.RunConfig{
 			Program: "2dfft", Seed: 17, Params: fxnet.KernelParams{Iters: 20},
 			DisableDesched: true,
@@ -348,7 +353,7 @@ func BenchmarkAblationFrameLoss(b *testing.B) {
 // burst fundamental rises — quantifying how much of the measured shape
 // came from the shared medium itself.
 func BenchmarkAblationSwitchedEthernet(b *testing.B) {
-	jobs := []fxnet.FarmJob{
+	jobs := []farm.Job{
 		{Label: "2dfft/shared", Config: fxnet.RunConfig{
 			Program: "2dfft", Seed: 19, Params: fxnet.KernelParams{Iters: 25},
 			DisableDesched: true,
@@ -388,7 +393,7 @@ func BenchmarkAblationSwitchedEthernet(b *testing.B) {
 // paper measured — evidence the measured shape depends on the transport
 // configuration, not just the program.
 func BenchmarkAblationNagle(b *testing.B) {
-	jobs := []fxnet.FarmJob{
+	jobs := []farm.Job{
 		{Label: "seq/nodelay", Config: fxnet.RunConfig{
 			Program: "seq", Seed: 23, Params: fxnet.KernelParams{N: 24, Iters: 2},
 		}},
@@ -428,7 +433,7 @@ func BenchmarkAblationNagle(b *testing.B) {
 // the §6.1 before/after methodology applied to a scripted fault.
 func BenchmarkAblationLinkFlap(b *testing.B) {
 	const script = "12s:linkdown host1,14s:linkup host1"
-	jobs := []fxnet.FarmJob{
+	jobs := []farm.Job{
 		{Label: "2dfft/clean", Config: fxnet.RunConfig{
 			Program: "2dfft", Seed: 41, Params: fxnet.KernelParams{Iters: 25},
 			DisableDesched: true, KeepaliveInterval: -1,
@@ -444,14 +449,14 @@ func BenchmarkAblationLinkFlap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pair := farmBatch(b, jobs)
 		clean, flap := pair[0].Result, pair[1].Result
-		start, _, ok := fxnet.FaultWindow(flap.Trace)
+		start, _, ok := analysis.FaultWindow(flap.Trace)
 		if !ok {
 			b.Fatal("flap run carries no fault marks")
 		}
 		// Bracket the outage plus the retransmission recovery that
 		// follows it; the healthy rhythm resumes beyond that.
 		disturbed := start.Add(fxnet.Duration(7_000_000_000))
-		pre, during, post := fxnet.PreDuringPost(flap.Trace, start, disturbed, fxnet.PaperWindow)
+		pre, during, post := analysis.PreDuringPost(flap.Trace, start, disturbed, fxnet.PaperWindow)
 		preHz = pre.Spectrum.DominantFreq()
 		duringHz = during.Spectrum.DominantFreq()
 		postHz = post.Spectrum.DominantFreq()
@@ -580,7 +585,7 @@ func BenchmarkQoSGuaranteeUnderLoad(b *testing.B) {
 			CrossTrafficKBps: cross, GuaranteeProgram: guarantee,
 		})
 		// Program traffic only: connections among the 4 worker hosts.
-		prog := res.Trace.Filter(func(p fxnet.Packet) bool {
+		prog := res.Trace.Filter(func(p trace.Packet) bool {
 			return p.Src < 4 && p.Dst < 4
 		})
 		f := fxnet.SpectrumOf(prog, fxnet.PaperWindow).DominantFreq()

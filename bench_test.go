@@ -16,6 +16,10 @@ import (
 	"testing"
 
 	"fxnet"
+	"fxnet/internal/core"
+	"fxnet/internal/ethernet"
+	"fxnet/internal/farm"
+	"fxnet/internal/qos"
 )
 
 // paperValues holds the published numbers for side-by-side printing.
@@ -44,11 +48,8 @@ var kernelNames = []string{"sor", "2dfft", "t2dfft", "seq", "hist"}
 // paper-scale runs are expensive (seconds each), so identical
 // configurations are memoized in memory. Set FXNET_BENCH_CACHE to a
 // directory to persist runs on disk across `go test -bench` invocations.
-var benchFarm = func() *fxnet.Farm {
-	f, err := fxnet.NewFarm(fxnet.FarmOptions{
-		Memoize:  true,
-		CacheDir: os.Getenv("FXNET_BENCH_CACHE"),
-	})
+var benchFarm = func() *farm.Farm {
+	f, err := farm.Open(nil, os.Getenv("FXNET_BENCH_CACHE"), farm.Options{Memoize: true})
 	if err != nil {
 		panic(err)
 	}
@@ -61,7 +62,7 @@ var (
 )
 
 // farmRun executes one configuration through the shared farm.
-func farmRun(b *testing.B, cfg fxnet.RunConfig) (*fxnet.Result, *fxnet.Report) {
+func farmRun(b *testing.B, cfg fxnet.RunConfig) (*core.Result, *core.Report) {
 	b.Helper()
 	res, rep, err := benchFarm.Run(cfg)
 	if err != nil {
@@ -72,7 +73,7 @@ func farmRun(b *testing.B, cfg fxnet.RunConfig) (*fxnet.Result, *fxnet.Report) {
 
 // farmBatch executes several configurations concurrently, returning
 // results in submission order.
-func farmBatch(b *testing.B, jobs []fxnet.FarmJob) []fxnet.FarmJobResult {
+func farmBatch(b *testing.B, jobs []farm.Job) []farm.JobResult {
 	b.Helper()
 	results := benchFarm.RunBatch(jobs)
 	for _, jr := range results {
@@ -83,7 +84,7 @@ func farmBatch(b *testing.B, jobs []fxnet.FarmJob) []fxnet.FarmJobResult {
 	return results
 }
 
-func cachedRun(b *testing.B, program string) (*fxnet.Result, *fxnet.Report) {
+func cachedRun(b *testing.B, program string) (*core.Result, *core.Report) {
 	b.Helper()
 	return farmRun(b, fxnet.RunConfig{Program: program, Seed: 42})
 }
@@ -156,7 +157,7 @@ func BenchmarkFigure1Patterns(b *testing.B) {
 			// traffic and handshakes excluded).
 			pairs := map[[2]int]bool{}
 			for _, p := range res.Trace.Packets {
-				if p.Flags&fxnet.FlagData != 0 && p.Proto == fxnet.ProtoTCP {
+				if p.Flags&ethernet.FlagData != 0 && p.Proto == ethernet.ProtoTCP {
 					pairs[[2]int{int(p.Src), int(p.Dst)}] = true
 				}
 			}
@@ -178,7 +179,7 @@ func BenchmarkFigure1Patterns(b *testing.B) {
 // statistics for the five kernels, aggregate and representative
 // connection.
 func BenchmarkTableFigure3PacketSizes(b *testing.B) {
-	reports := make(map[string]*fxnet.Report)
+	reports := make(map[string]*core.Report)
 	for _, name := range kernelNames {
 		_, reports[name] = cachedRun(b, name)
 	}
@@ -213,7 +214,7 @@ func BenchmarkTableFigure3PacketSizes(b *testing.B) {
 // BenchmarkTableFigure4Interarrival regenerates figure 4: interarrival
 // time statistics (ms).
 func BenchmarkTableFigure4Interarrival(b *testing.B) {
-	reports := make(map[string]*fxnet.Report)
+	reports := make(map[string]*core.Report)
 	for _, name := range kernelNames {
 		_, reports[name] = cachedRun(b, name)
 	}
@@ -244,7 +245,7 @@ func BenchmarkTableFigure4Interarrival(b *testing.B) {
 // BenchmarkTableFigure5AvgBandwidth regenerates figure 5: average
 // bandwidth in KB/s, aggregate and per-connection.
 func BenchmarkTableFigure5AvgBandwidth(b *testing.B) {
-	reports := make(map[string]*fxnet.Report)
+	reports := make(map[string]*core.Report)
 	for _, name := range kernelNames {
 		_, reports[name] = cachedRun(b, name)
 	}
@@ -323,7 +324,7 @@ func BenchmarkFigure6InstantaneousBandwidth(b *testing.B) {
 // BenchmarkFigure7PowerSpectra regenerates figure 7: the power spectrum of
 // the windowed bandwidth for each kernel, printing the dominant spikes.
 func BenchmarkFigure7PowerSpectra(b *testing.B) {
-	reports := make(map[string]*fxnet.Report)
+	reports := make(map[string]*core.Report)
 	for _, name := range kernelNames {
 		_, reports[name] = cachedRun(b, name)
 	}
@@ -569,7 +570,7 @@ func BenchmarkSection73QoSNegotiation(b *testing.B) {
 			Pattern: fxnet.Tree,
 		},
 	}
-	var offers []fxnet.QoSOffer
+	var offers []qos.Offer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		offers = offers[:0]
@@ -612,9 +613,9 @@ func BenchmarkSection73ModelValidation(b *testing.B) {
 		predicted, measured float64
 	}
 	ps := []int{2, 4, 8}
-	jobs := make([]fxnet.FarmJob, len(ps))
+	jobs := make([]farm.Job, len(ps))
 	for j, P := range ps {
-		jobs[j] = fxnet.FarmJob{Label: fmt.Sprintf("2dfft/P%d", P), Config: fxnet.RunConfig{
+		jobs[j] = farm.Job{Label: fmt.Sprintf("2dfft/P%d", P), Config: fxnet.RunConfig{
 			Program: "2dfft", Seed: 31, P: P,
 			Params:         fxnet.KernelParams{N: n, Iters: 20},
 			DisableDesched: true,

@@ -26,8 +26,13 @@ import (
 	"log"
 	"os"
 
-	"fxnet"
+	"fxnet/internal/analysis"
+	"fxnet/internal/core"
+	"fxnet/internal/dsp"
+	"fxnet/internal/farm"
 	"fxnet/internal/profiling"
+	"fxnet/internal/sim"
+	"fxnet/internal/trace"
 	"fxnet/internal/version"
 )
 
@@ -74,7 +79,8 @@ func main() {
 	switch *mode {
 	case "stats", "report":
 		meta, each := packets(f)
-		sc := fxnet.NewStreamCharacterizer(meta["program"])
+		prog := meta["program"]
+		sc := analysis.NewStreamCharacterizer(prog, core.RepConn(prog))
 		each(sc.Observe)
 		if *mode == "report" {
 			printReport(sc.Report())
@@ -86,8 +92,8 @@ func main() {
 			log.Fatal("-mode conn requires -src and -dst")
 		}
 		_, each := packets(f)
-		sc := fxnet.NewStreamCharacterizer("")
-		each(func(p fxnet.Packet) {
+		sc := analysis.NewStreamCharacterizer("", core.RepConn(""))
+		each(func(p trace.Packet) {
 			if int(p.Src) == *src && int(p.Dst) == *dst {
 				sc.Observe(p)
 			}
@@ -95,18 +101,18 @@ func main() {
 		printStats(sc)
 	case "bandwidth", "spectrum":
 		_, each := packets(f)
-		acc := fxnet.NewBandwidthAccumulator(fxnet.Duration(*window) * 1_000_000)
-		each(func(p fxnet.Packet) { acc.Add(p.Time, p.Size) })
+		acc := analysis.NewAccumulator(sim.Duration(*window) * 1_000_000)
+		each(func(p trace.Packet) { acc.Add(p.Time, p.Size) })
 		series, dt := acc.Series()
 		if *mode == "bandwidth" {
 			printSeries(series, dt)
 		} else {
-			printSpectrum(fxnet.SpectrumOfSeries(series, dt), *peaks)
+			printSpectrum(analysis.SpectrumOfSeries(series, dt), *peaks)
 		}
 	case "connections":
 		// The per-connection table filters the packets themselves, so
 		// this one mode materializes the capture.
-		tr, err := fxnet.ReadTrace(f)
+		tr, err := trace.Read(f)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -115,7 +121,7 @@ func main() {
 			conn := tr.Connection(pr[0], pr[1])
 			fmt.Printf("%-20s %10d %12.2f\n",
 				fmt.Sprintf("%s > %s", tr.HostName(pr[0]), tr.HostName(pr[1])),
-				conn.Len(), fxnet.AverageBandwidthKBps(conn))
+				conn.Len(), analysis.AverageBandwidthKBps(conn))
 		}
 	default:
 		log.Fatalf("unknown mode %q", *mode)
@@ -126,10 +132,10 @@ func main() {
 // packets, in order, to a fold. A binary trace is decoded one record at
 // a time, so the capture is never materialized; a text listing (fxrun
 // -format text) has no streaming decoder and is parsed whole.
-func packets(f *os.File) (meta map[string]string, each func(observe func(fxnet.Packet))) {
-	if rd, err := fxnet.NewTraceReader(f); err == nil {
-		return rd.Meta(), func(observe func(fxnet.Packet)) {
-			var p fxnet.Packet
+func packets(f *os.File) (meta map[string]string, each func(observe func(trace.Packet))) {
+	if rd, err := trace.NewReader(f); err == nil {
+		return rd.Meta(), func(observe func(trace.Packet)) {
+			var p trace.Packet
 			for {
 				if err := rd.Next(&p); err == io.EOF {
 					return
@@ -140,16 +146,16 @@ func packets(f *os.File) (meta map[string]string, each func(observe func(fxnet.P
 			}
 		}
 	}
-	// Not a readable binary header: ReadTrace detects the format again
+	// Not a readable binary header: trace.Read detects the format again
 	// from the start, so a damaged binary trace reports its own error.
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		log.Fatal(err)
 	}
-	tr, err := fxnet.ReadTrace(f)
+	tr, err := trace.Read(f)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return tr.Meta, func(observe func(fxnet.Packet)) {
+	return tr.Meta, func(observe func(trace.Packet)) {
 		for _, p := range tr.Packets {
 			observe(p)
 		}
@@ -163,7 +169,7 @@ func printSeries(series []float64, dt float64) {
 	}
 }
 
-func printSpectrum(spec *fxnet.Spectrum, peaks int) {
+func printSpectrum(spec *dsp.Spectrum, peaks int) {
 	fmt.Printf("# df=%.6f Hz, %d bins\n", spec.DF, len(spec.Power))
 	fmt.Printf("# top %d spikes:\n", peaks)
 	for _, p := range spec.Peaks(peaks, 2*spec.DF) {
@@ -175,8 +181,8 @@ func printSpectrum(spec *fxnet.Spectrum, peaks int) {
 	}
 }
 
-func printReport(rep *fxnet.Report) {
-	b, err := fxnet.MarshalReport(rep)
+func printReport(rep *core.Report) {
+	b, err := farm.MarshalReport(rep)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -184,7 +190,7 @@ func printReport(rep *fxnet.Report) {
 	fmt.Println()
 }
 
-func printStats(sc *fxnet.StreamCharacterizer) {
+func printStats(sc *analysis.StreamCharacterizer) {
 	rep := sc.Report()
 	if rep.AggSize.N == 0 {
 		fmt.Println("empty trace")

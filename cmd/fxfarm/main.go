@@ -37,9 +37,12 @@ import (
 	"strconv"
 	"strings"
 
-	"fxnet"
 	"fxnet/internal/catalog"
+	"fxnet/internal/core"
+	"fxnet/internal/farm"
+	"fxnet/internal/kernels"
 	"fxnet/internal/profiling"
+	"fxnet/internal/sim"
 	"fxnet/internal/version"
 )
 
@@ -119,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}()
 
-	progList := fxnet.Programs()
+	progList := core.ProgramNames()
 	if *programs != "all" {
 		progList = strings.Split(*programs, ",")
 	}
@@ -145,15 +148,15 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return fmt.Errorf("-media: unknown medium %q (have shared, switched)", m)
 		}
 	}
-	topo, err := fxnet.LoadTopology(*topology)
+	topo, err := core.LoadTopology(*topology)
 	if err != nil {
 		return fmt.Errorf("-topology: %v", err)
 	}
 
 	// The cross product, one dimension at a time; the first varies slowest.
-	jobList := []fxnet.FarmJob{{
-		Config: fxnet.RunConfig{
-			Params:      fxnet.KernelParams{N: *n, Iters: *iters},
+	jobList := []farm.Job{{
+		Config: core.RunConfig{
+			Params:      kernels.Params{N: *n, Iters: *iters},
 			FaultScript: *faults,
 			Degrade:     *degrade,
 			Topology:    topo,
@@ -162,8 +165,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		// only when -out is going to write them.
 		Stream: *outDir == "",
 	}}
-	cross := func(n int, set func(j *fxnet.FarmJob, i int)) {
-		next := make([]fxnet.FarmJob, 0, len(jobList)*n)
+	cross := func(n int, set func(j *farm.Job, i int)) {
+		next := make([]farm.Job, 0, len(jobList)*n)
 		for _, j := range jobList {
 			for i := range n {
 				q := j
@@ -173,38 +176,38 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		jobList = next
 	}
-	cross(len(progList), func(j *fxnet.FarmJob, i int) {
+	cross(len(progList), func(j *farm.Job, i int) {
 		j.Config.Program = strings.TrimSpace(progList[i])
 		j.Label = j.Config.Program
 	})
-	cross(len(pList), func(j *fxnet.FarmJob, i int) {
+	cross(len(pList), func(j *farm.Job, i int) {
 		if j.Config.P = int(pList[i]); j.Config.P != 0 {
 			j.Label += fmt.Sprintf("/P%d", j.Config.P)
 		}
 	})
-	cross(len(seedList), func(j *fxnet.FarmJob, i int) {
+	cross(len(seedList), func(j *farm.Job, i int) {
 		j.Config.Seed = seedList[i]
 		j.Label += fmt.Sprintf("/s%d", j.Config.Seed)
 	})
-	cross(len(rateList), func(j *fxnet.FarmJob, i int) {
+	cross(len(rateList), func(j *farm.Job, i int) {
 		if j.Config.BitRate = rateList[i]; j.Config.BitRate != 0 {
 			j.Label += fmt.Sprintf("/%gMbps", j.Config.BitRate/1e6)
 		}
 	})
-	cross(len(lossList), func(j *fxnet.FarmJob, i int) {
+	cross(len(lossList), func(j *farm.Job, i int) {
 		if j.Config.FrameLossProb = lossList[i]; j.Config.FrameLossProb != 0 {
 			j.Label += fmt.Sprintf("/loss=%g", j.Config.FrameLossProb)
 		}
 	})
-	cross(len(mediaList), func(j *fxnet.FarmJob, i int) {
+	cross(len(mediaList), func(j *farm.Job, i int) {
 		if j.Config.Switched = mediaList[i] == "switched"; j.Config.Switched {
 			j.Label += "/switched"
 		}
 	})
 
-	opts := fxnet.FarmOptions{Workers: *jobs, CacheDir: *cacheDir}
+	opts := farm.Options{Workers: *jobs}
 	if !*quiet {
-		opts.OnProgress = func(ev fxnet.FarmEvent) {
+		opts.OnProgress = func(ev farm.Event) {
 			how := "ran"
 			switch {
 			case ev.Cached:
@@ -219,11 +222,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			fmt.Fprintln(stderr, ")")
 		}
 	}
-	farm, err := fxnet.NewFarm(opts)
+	fm, err := farm.Open(nil, *cacheDir, opts)
 	if err != nil {
 		return err
 	}
-	results := farm.RunBatch(jobList)
+	results := fm.RunBatch(jobList)
 
 	table := stdout
 	if *jsonOut == "-" {
@@ -261,7 +264,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		// no packets; the fold counted them.
 		row.Packets = jr.Report.AggSize.N
 		// Elapsed is virtual simulation time; Wall is real time.
-		row.ElapsedS = fxnet.Duration(jr.Result.Elapsed).Seconds()
+		row.ElapsedS = sim.Duration(jr.Result.Elapsed).Seconds()
 		if jr.Result.RunErr != nil {
 			row.RunFailed = jr.Result.RunErr.Error()
 		}
@@ -275,9 +278,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			}
 		}
 	}
-	stats := farm.Stats()
+	stats := fm.Stats()
 	fmt.Fprintf(stderr, "fxfarm: jobs=%d executed=%d hits=%d dedup=%d workers=%d\n",
-		stats.Submitted, stats.Executed, stats.CacheHits, stats.Deduped, farm.Workers())
+		stats.Submitted, stats.Executed, stats.CacheHits, stats.Deduped, fm.Workers())
 
 	if *jsonOut != "" {
 		enc, err := encodeRows(rows)
@@ -298,7 +301,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 // writeArtifacts stores one run's binary trace and characterization
 // JSON under dir, named by the job label.
-func writeArtifacts(dir string, jr fxnet.FarmJobResult) error {
+func writeArtifacts(dir string, jr farm.JobResult) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -314,7 +317,7 @@ func writeArtifacts(dir string, jr fxnet.FarmJobResult) error {
 	if err := tf.Close(); err != nil {
 		return err
 	}
-	rep, err := fxnet.MarshalReport(jr.Report)
+	rep, err := farm.MarshalReport(jr.Report)
 	if err != nil {
 		// Degenerate characterizations (NaN spectra) have no JSON form;
 		// the trace artifact still captures the run.

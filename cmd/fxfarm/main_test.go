@@ -10,9 +10,11 @@ import (
 	"strings"
 	"testing"
 
-	"fxnet"
 	"fxnet/internal/catalog"
 	"fxnet/internal/core"
+	"fxnet/internal/farm"
+	"fxnet/internal/kernels"
+	"fxnet/internal/trace"
 )
 
 // farmRows runs fxfarm with args plus "-q -json <file>" and returns the
@@ -44,7 +46,7 @@ func same(a catalog.JSONFloat, b float64) bool {
 	return fa == fb || (!finite(fa) && !finite(fb))
 }
 
-// Every row is the Report of fxnet.RunStream on the same configuration —
+// Every row is the Report of core.RunStream on the same configuration —
 // the measured configuration, nothing hard-coded by the runner — whatever
 // the worker count and whether the run executed or came from the cache.
 func TestRowsEqualRunStream(t *testing.T) {
@@ -57,13 +59,13 @@ func TestRowsEqualRunStream(t *testing.T) {
 	wants := map[string]want{}
 	for _, prog := range progs {
 		for _, p := range []int{2, 4} {
-			cfg := fxnet.RunConfig{Program: prog, P: p, Seed: 42, Params: fxnet.KernelParams{N: 64, Iters: 10}}
-			_, rep, err := fxnet.RunStream(cfg)
+			cfg := core.RunConfig{Program: prog, P: p, Seed: 42, Params: kernels.Params{N: 64, Iters: 10}}
+			_, rep, err := core.RunStream(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wants[fmt.Sprintf("%s/P%d/s42", prog, p)] = want{
-				rep.AggKBps, rep.AggSpectrum.DominantFreq(), rep.AggSize.N, fxnet.RunKey(cfg)}
+				rep.AggKBps, rep.AggSpectrum.DominantFreq(), rep.AggSize.N, farm.Key(cfg)}
 		}
 	}
 	for _, j := range []string{"1", "4"} {
@@ -122,9 +124,9 @@ func TestLossAndMediaDimensions(t *testing.T) {
 		for _, r := range rows {
 			labels = append(labels, r.Label)
 			keys[r.Key] = true
-			cfg := fxnet.RunConfig{Program: "seq", Seed: 42, Params: fxnet.KernelParams{N: 8, Iters: 1},
+			cfg := core.RunConfig{Program: "seq", Seed: 42, Params: kernels.Params{N: 8, Iters: 1},
 				BitRate: r.BitRate, FrameLossProb: r.Loss, Switched: r.Switched}
-			if r.Key != fxnet.RunKey(cfg) {
+			if r.Key != farm.Key(cfg) {
 				t.Errorf("%v: row %s does not carry the configuration its key names", tc.args, r.Label)
 			}
 			if r.Packets == 0 || r.Error != "" {
@@ -162,7 +164,7 @@ func TestOutKeepsTheTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := fxnet.ReadTrace(f)
+	tr, err := trace.Read(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestRefusalReportedPerRow(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "2 of 4 runs refused") {
 		t.Errorf("run error %v, want 2 of 4 runs refused", err)
 	}
-	topo, terr := fxnet.ParseTopology(spec)
+	topo, terr := core.ParseTopology(spec)
 	if terr != nil {
 		t.Fatal(terr)
 	}

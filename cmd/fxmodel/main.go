@@ -32,7 +32,13 @@ import (
 	"strconv"
 	"strings"
 
-	"fxnet"
+	"fxnet/internal/analysis"
+	"fxnet/internal/catalog"
+	"fxnet/internal/core"
+	"fxnet/internal/farm"
+	"fxnet/internal/model"
+	"fxnet/internal/sim"
+	"fxnet/internal/trace"
 	"fxnet/internal/version"
 )
 
@@ -78,7 +84,7 @@ func parseInts(s string) ([]int, error) {
 // entryOut is one fitted model on the wire: the catalog entry plus the
 // fit's provenance.
 type entryOut struct {
-	fxnet.CatalogEntryJSON
+	catalog.EntryJSON
 	CatalogHit bool    `json:"catalog_hit"`
 	RunCached  bool    `json:"run_cached"`
 	WallMs     float64 `json:"wall_ms"`
@@ -98,7 +104,7 @@ func fitCmd(args []string) {
 	)
 	fs.Parse(args)
 
-	names := fxnet.Programs()
+	names := core.ProgramNames()
 	if *programs != "" {
 		names = strings.Split(*programs, ",")
 	}
@@ -106,34 +112,34 @@ func fitCmd(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var cfgs []fxnet.RunConfig
+	var cfgs []core.RunConfig
 	for _, name := range names {
 		for _, p := range ps {
-			cfgs = append(cfgs, fxnet.QuickConfig(strings.TrimSpace(name), p, *seed))
+			cfgs = append(cfgs, core.QuickConfig(strings.TrimSpace(name), p, *seed))
 		}
 	}
 
-	f, err := fxnet.NewFarm(fxnet.FarmOptions{Workers: *jobs, CacheDir: *cacheDir, Memoize: true})
+	f, err := farm.Open(nil, *cacheDir, farm.Options{Workers: *jobs, Memoize: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	c, err := fxnet.OpenCatalog(*catalogDir)
+	c, err := catalog.Open(*catalogDir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ft := fxnet.NewModelFitter(f, c)
+	ft := catalog.NewFitter(f, c)
 
-	results := ft.Sweep(context.Background(), cfgs, fxnet.FitOptions{Spikes: *spikes})
+	results := ft.Sweep(context.Background(), cfgs, catalog.Options{Spikes: *spikes})
 	var out []entryOut
 	for _, r := range results {
 		if r.Err != nil {
 			log.Fatalf("%s P=%d: %v", r.Config.Program, r.Config.P, r.Err)
 		}
 		out = append(out, entryOut{
-			CatalogEntryJSON: fxnet.CatalogEntryJSONOf(r.Entry),
-			CatalogHit:       r.Prov.CatalogHit,
-			RunCached:        r.Prov.RunCached,
-			WallMs:           float64(r.Prov.Wall.Microseconds()) / 1000,
+			EntryJSON:  catalog.ToJSON(r.Entry),
+			CatalogHit: r.Prov.CatalogHit,
+			RunCached:  r.Prov.RunCached,
+			WallMs:     float64(r.Prov.Wall.Microseconds()) / 1000,
 		})
 	}
 	st := f.Stats()
@@ -173,7 +179,7 @@ func getCmd(args []string) {
 	if fs.NArg() != 1 {
 		log.Fatal("usage: fxmodel get [-catalog DIR] [-json] <run-key>")
 	}
-	c, err := fxnet.OpenCatalog(*catalogDir)
+	c, err := catalog.Open(*catalogDir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -182,7 +188,7 @@ func getCmd(args []string) {
 		log.Fatalf("no fitted model %q in %s", fs.Arg(0), c.Dir())
 	}
 	if *jsonOut {
-		emitJSON(fxnet.CatalogEntryJSONOf(e))
+		emitJSON(catalog.ToJSON(e))
 		return
 	}
 	fmt.Printf("%s P=%d seed=%d key=%s\n", e.Program, e.P, e.Seed, e.Key)
@@ -205,7 +211,7 @@ func lsCmd(args []string) {
 		jsonOut    = fs.Bool("json", false, "emit the listing as JSON")
 	)
 	fs.Parse(args)
-	c, err := fxnet.OpenCatalog(*catalogDir)
+	c, err := catalog.Open(*catalogDir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -213,7 +219,7 @@ func lsCmd(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var out []fxnet.CatalogEntryJSON
+	var out []catalog.EntryJSON
 	for _, e := range entries {
 		if *program != "" && e.Program != *program {
 			continue
@@ -221,7 +227,7 @@ func lsCmd(args []string) {
 		if *p != 0 && e.P != *p {
 			continue
 		}
-		out = append(out, fxnet.CatalogEntryJSONOf(e))
+		out = append(out, catalog.ToJSON(e))
 	}
 	if *jsonOut {
 		emitJSON(map[string]any{"models": out, "count": len(out)})
@@ -269,16 +275,16 @@ func traceCmd() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr, err := fxnet.ReadTrace(f)
+	tr, err := trace.Read(f)
 	f.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	bin := fxnet.Duration(*windowMs) * 1_000_000
-	series, dt := fxnet.BinnedBandwidth(tr, bin)
-	spec := fxnet.SpectrumOf(tr, bin)
-	m, met := fxnet.FitModel(series, dt, *spikes, 2*spec.DF)
+	bin := sim.Duration(*windowMs) * 1_000_000
+	series, dt := analysis.BinnedBandwidth(tr, bin)
+	spec := analysis.Spectrum(tr, bin)
+	m, met := model.Fit(series, dt, *spikes, 2*spec.DF)
 
 	if *jsonOut {
 		comps := make([]map[string]float64, 0, len(m.Components))
@@ -293,7 +299,7 @@ func traceCmd() {
 		})
 	} else {
 		fmt.Printf("trace: %d packets over %.1f s, mean %.1f KB/s\n",
-			tr.Len(), tr.Duration().Seconds(), fxnet.AverageBandwidthKBps(tr))
+			tr.Len(), tr.Duration().Seconds(), analysis.AverageBandwidthKBps(tr))
 		fmt.Printf("model (%d spikes): %s\n", len(m.Components), m)
 		fmt.Printf("fit: NRMSE=%.4f correlation=%.3f energy-fraction=%.3f\n",
 			met.NRMSE, met.Correlation, met.EnergyFraction)
@@ -302,7 +308,7 @@ func traceCmd() {
 	if *synth == "" {
 		return
 	}
-	st, err := m.GenerateTrace(fxnet.Duration(*duration*1e9), bin, *pktSize, 0, 1)
+	st, err := m.GenerateTrace(sim.Duration(*duration*1e9), bin, *pktSize, 0, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -316,5 +322,5 @@ func traceCmd() {
 		log.Fatal(err)
 	}
 	fmt.Printf("synthetic: %d packets, mean %.1f KB/s → %s\n",
-		st.Len(), fxnet.AverageBandwidthKBps(st), *synth)
+		st.Len(), analysis.AverageBandwidthKBps(st), *synth)
 }

@@ -26,7 +26,10 @@ import (
 	"os"
 	"strings"
 
-	"fxnet"
+	"fxnet/internal/catalog"
+	"fxnet/internal/core"
+	"fxnet/internal/kernels"
+	"fxnet/internal/qos"
 	"fxnet/internal/version"
 )
 
@@ -49,13 +52,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Parse(args)
 	version.ExitIfRequested(ver)
 
-	var progs []fxnet.QoSProgram
+	var progs []qos.Program
 	from := ""
 	if *catalogDir == "" {
-		for _, name := range fxnet.Programs() {
-			if p, ok := fxnet.KernelQoS(name); ok {
-				progs = append(progs, p)
-			}
+		for _, spec := range kernels.All {
+			progs = append(progs, spec.QoS(spec.Params))
 		}
 	} else {
 		var err error
@@ -71,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "negotiation on an idle network%s:\n", from)
 	fmt.Fprintf(stdout, "%-8s %4s %12s %12s %12s %14s\n", "program", "P", "B (KB/s)", "burst (s)", "tbi (s)", "mean (KB/s)")
 	for _, p := range progs {
-		off, err := fxnet.NewQoSNetwork(*capacity).Negotiate(p, *maxP)
+		off, err := qos.NewNetwork(*capacity).Negotiate(p, *maxP)
 		if err != nil {
 			return err
 		}
@@ -83,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Admission: programs arrive in order and share the medium; later
 	// arrivals see less free capacity and receive degraded offers.
 	fmt.Fprintf(stdout, "\nsequential admission (shared medium%s):\n", from)
-	net := fxnet.NewQoSNetwork(*capacity)
+	net := qos.NewNetwork(*capacity)
 	for _, p := range progs {
 		off, err := net.Admit(p, *maxP)
 		if err != nil {
@@ -100,8 +101,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 // holds a fitted model of, in registry order. Fitting is fxmodel's job:
 // programs with no model are named on stderr with the command that fits
 // them, and a catalog that holds none at all is an error.
-func catalogPrograms(dir string, stderr io.Writer) ([]fxnet.QoSProgram, error) {
-	cat, err := fxnet.OpenCatalog(dir)
+func catalogPrograms(dir string, stderr io.Writer) ([]qos.Program, error) {
+	cat, err := catalog.Open(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -113,9 +114,9 @@ func catalogPrograms(dir string, stderr io.Writer) ([]fxnet.QoSProgram, error) {
 	for _, e := range entries {
 		held[e.Program] = true
 	}
-	var progs []fxnet.QoSProgram
+	var progs []qos.Program
 	var missing []string
-	for _, name := range fxnet.Programs() {
+	for _, name := range core.ProgramNames() {
 		if !held[name] {
 			missing = append(missing, name)
 			continue

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"fxnet"
+	"fxnet/internal/catalog"
+	"fxnet/internal/core"
+	"fxnet/internal/farm"
 	"fxnet/internal/kernels"
 	"fxnet/internal/qos"
 )
@@ -81,19 +83,15 @@ func TestCatalogAdmitsFromHeldModels(t *testing.T) {
 	// TestCatalogPromises's fixture, less two programs: the -quick
 	// configurations at P = 2, 4, seed 42.
 	dir := filepath.Join(root, "models")
-	farm, err := fxnet.NewFarm(fxnet.FarmOptions{Workers: 2})
+	cat, err := catalog.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := fxnet.OpenCatalog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft := fxnet.NewModelFitter(farm, cat)
+	ft := catalog.NewFitter(farm.New(farm.Options{Workers: 2}), cat)
 	held := []string{"sor", "2dfft", "t2dfft", "airshed"}
 	for _, name := range held {
 		for _, p := range []int{2, 4} {
-			if _, _, err := ft.Fit(context.Background(), fxnet.QuickConfig(name, p, 42), fxnet.FitOptions{}); err != nil {
+			if _, _, err := ft.Fit(context.Background(), core.QuickConfig(name, p, 42), catalog.Options{}); err != nil {
 				t.Fatalf("fit %s P=%d: %v", name, p, err)
 			}
 		}
@@ -124,7 +122,7 @@ func TestCatalogAdmitsFromHeldModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := fxnet.NewQoSNetwork(1.25e6).Negotiate(prog, 32)
+		off, err := qos.NewNetwork(1.25e6).Negotiate(prog, 32)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,7 @@ package main
 import (
 	"testing"
 
-	"fxnet"
+	"fxnet/internal/core"
 )
 
 // BenchmarkEndToEndQuickRun measures one serial pass over every program
@@ -12,9 +12,9 @@ import (
 func BenchmarkEndToEndQuickRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for _, name := range fxnet.Programs() {
+		for _, name := range core.ProgramNames() {
 			cfg := reproConfig(name, reproOptions{Quick: true, Seed: 42})
-			if _, err := fxnet.Run(cfg); err != nil {
+			if _, err := core.Run(cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

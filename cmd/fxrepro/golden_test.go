@@ -7,7 +7,8 @@ import (
 	"math"
 	"testing"
 
-	"fxnet"
+	"fxnet/internal/core"
+	"fxnet/internal/ethernet"
 )
 
 // goldenQuickDigests pins the SHA-256 of the binary trace of every
@@ -59,11 +60,16 @@ func seriesDigest(dt float64, series []float64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// quickDigest runs one -quick program on the default shared segment,
+// holds its capture to the collision-domain oracle, and hashes it.
 func quickDigest(t testing.TB, name string) string {
 	cfg := reproConfig(name, reproOptions{Quick: true, Seed: 42})
-	res, err := fxnet.Run(cfg)
+	res, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := checkExclusion(res.Trace, ethernet.DefaultBitRate); err != nil {
+		t.Error(err)
 	}
 	h := sha256.New()
 	if err := res.Trace.WriteBinary(h); err != nil {
@@ -76,7 +82,7 @@ func TestGoldenQuickDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every -quick program")
 	}
-	for _, name := range fxnet.Programs() {
+	for _, name := range core.ProgramNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -97,7 +103,7 @@ func TestGoldenQuickStreamDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every -quick program")
 	}
-	for _, name := range fxnet.Programs() {
+	for _, name := range core.ProgramNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -106,7 +112,7 @@ func TestGoldenQuickStreamDigests(t *testing.T) {
 				t.Fatalf("no golden stream digest recorded for program %q", name)
 			}
 			cfg := reproConfig(name, reproOptions{Quick: true, Seed: 42})
-			_, rep, err := fxnet.RunStream(cfg)
+			_, rep, err := core.RunStream(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

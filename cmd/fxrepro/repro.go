@@ -7,7 +7,13 @@ import (
 	"path/filepath"
 	"time"
 
-	"fxnet"
+	"fxnet/internal/airshed"
+	"fxnet/internal/core"
+	"fxnet/internal/farm"
+	"fxnet/internal/kernels"
+	"fxnet/internal/model"
+	"fxnet/internal/qos"
+	"fxnet/internal/stats"
 )
 
 // reproOptions configures one reproduction pass.
@@ -38,17 +44,17 @@ var paper = map[string][3]float64{
 
 // reproConfig builds the run configuration for one program at the
 // requested scale.
-func reproConfig(name string, opts reproOptions) fxnet.RunConfig {
-	cfg := fxnet.RunConfig{Program: name, Seed: opts.Seed}
+func reproConfig(name string, opts reproOptions) core.RunConfig {
+	cfg := core.RunConfig{Program: name, Seed: opts.Seed}
 	switch {
 	case opts.Tiny:
 		if name == "airshed" {
-			cfg.AirshedParams = fxnet.AirshedParams{Layers: 2, Species: 4, Grid: 64, Steps: 1, Hours: 2, Band: 2}
+			cfg.AirshedParams = airshed.Params{Layers: 2, Species: 4, Grid: 64, Steps: 1, Hours: 2, Band: 2}
 		} else {
-			cfg.Params = fxnet.KernelParams{N: 32, Iters: 4}
+			cfg.Params = kernels.Params{N: 32, Iters: 4}
 		}
 	case opts.Quick:
-		cfg = fxnet.QuickConfig(name, 0, opts.Seed)
+		cfg = core.QuickConfig(name, 0, opts.Seed)
 	}
 	return cfg
 }
@@ -57,12 +63,11 @@ func reproConfig(name string, opts reproOptions) fxnet.RunConfig {
 // programs through the experiment farm. The stdout tables are a pure
 // function of the run results, which are themselves byte-identical for
 // any -j and any cache state — repro_test.go holds that contract.
-func repro(opts reproOptions, stdout, stderr io.Writer) (fxnet.FarmStats, error) {
+func repro(opts reproOptions, stdout, stderr io.Writer) (farm.Stats, error) {
 	start := time.Now()
-	f, err := fxnet.NewFarm(fxnet.FarmOptions{
-		Workers:  opts.Jobs,
-		CacheDir: opts.CacheDir,
-		OnProgress: func(ev fxnet.FarmEvent) {
+	f, err := farm.Open(nil, opts.CacheDir, farm.Options{
+		Workers: opts.Jobs,
+		OnProgress: func(ev farm.Event) {
 			how := "ran"
 			if ev.Cached {
 				how = "cache hit"
@@ -75,14 +80,14 @@ func repro(opts reproOptions, stdout, stderr io.Writer) (fxnet.FarmStats, error)
 		},
 	})
 	if err != nil {
-		return fxnet.FarmStats{}, err
+		return farm.Stats{}, err
 	}
 
-	var jobs []fxnet.FarmJob
-	for _, name := range fxnet.Programs() {
-		jobs = append(jobs, fxnet.FarmJob{Label: name, Config: reproConfig(name, opts), Stream: true})
+	var jobs []farm.Job
+	for _, name := range core.ProgramNames() {
+		jobs = append(jobs, farm.Job{Label: name, Config: reproConfig(name, opts), Stream: true})
 	}
-	reports := map[string]*fxnet.Report{}
+	reports := map[string]*core.Report{}
 	for _, jr := range f.RunBatch(jobs) {
 		if jr.Err != nil {
 			return f.Stats(), jr.Err
@@ -158,7 +163,7 @@ func repro(opts reproOptions, stdout, stderr io.Writer) (fxnet.FarmStats, error)
 	for _, name := range append(order, "airshed") {
 		r := reports[name]
 		for _, k := range []int{2, 8, 32} {
-			m, met := fxnet.FitModel(r.AggSeries, r.SeriesDT, k, 2*r.AggSpectrum.DF)
+			m, met := model.Fit(r.AggSeries, r.SeriesDT, k, 2*r.AggSpectrum.DF)
 			_ = m
 			fmt.Fprintf(stdout, "%-8s k=%2d  NRMSE=%.4f  corr=%.3f  energy=%.3f\n",
 				name, k, met.NRMSE, met.Correlation, met.EnergyFraction)
@@ -166,32 +171,32 @@ func repro(opts reproOptions, stdout, stderr io.Writer) (fxnet.FarmStats, error)
 	}
 
 	fmt.Fprintln(stdout, "\n=== §7.3: QoS negotiation on a 10 Mb/s network ===")
-	net := fxnet.NewQoSNetwork(1.25e6)
+	net := qos.NewNetwork(1.25e6)
 	fmt.Fprintf(stdout, "%-8s %4s %12s %12s\n", "program", "P", "B (KB/s)", "tbi (s)")
 	for _, name := range []string{"sor", "2dfft", "hist"} {
-		p, _ := fxnet.KernelQoS(name)
-		off, err := net.Negotiate(p, 32)
+		spec, _ := kernels.Lookup(name)
+		off, err := net.Negotiate(spec.QoS(spec.Params), 32)
 		if err != nil {
 			return f.Stats(), err
 		}
 		fmt.Fprintf(stdout, "%-8s %4d %12.1f %12.4f\n", off.Program, off.P, off.BurstBandwidth/1000, off.BurstInterval)
 	}
 
-	stats := f.Stats()
+	st := f.Stats()
 	fmt.Fprintf(stderr, "farm: jobs=%d executed=%d hits=%d dedup=%d workers=%d wall=%.2fs\n",
-		stats.Submitted, stats.Executed, stats.CacheHits, stats.Deduped,
+		st.Submitted, st.Executed, st.CacheHits, st.Deduped,
 		f.Workers(), time.Since(start).Seconds())
-	return stats, nil
+	return st, nil
 }
 
-func fmtSummary(s fxnet.Summary) string {
+func fmtSummary(s stats.Summary) string {
 	if s.N == 0 {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f/%.1f/%.1f/%.1f", s.Min, s.Max, s.Mean, s.SD)
 }
 
-func writeSeriesCSV(dir, name string, rep *fxnet.Report) error {
+func writeSeriesCSV(dir, name string, rep *core.Report) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

@@ -7,7 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"fxnet"
+	"fxnet/internal/core"
+	"fxnet/internal/kernels"
 )
 
 // Golden trace digests for the -quick programs on multi-segment
@@ -57,20 +58,20 @@ var goldenTopologyDigests = map[string]map[string]string{
 var goldenWideTopologies = []struct {
 	name   string
 	spec   string
-	cfg    fxnet.RunConfig
+	cfg    core.RunConfig
 	digest string
 	engine *engineCounts
 }{
 	{
 		name:   "2dfft64",
 		spec:   "lan0:0-15~2ms,lan1:16-31~2ms,lan2:32-47~100us,lan3:48-63~2ms",
-		cfg:    fxnet.RunConfig{Program: "2dfft", P: 64, Seed: 42, Params: fxnet.KernelParams{N: 256, Iters: 20}},
+		cfg:    core.RunConfig{Program: "2dfft", P: 64, Seed: 42, Params: kernels.Params{N: 256, Iters: 20}},
 		digest: "7450d189389056f34830b88f690a639e0ff240db60a3f7f2af34e18ca469f6b6",
 	},
 	{
 		name:   "hist1024",
 		spec:   segments(16, 64),
-		cfg:    fxnet.RunConfig{Program: "hist", P: 1024, Seed: 42, Params: fxnet.KernelParams{N: 4096, Iters: 1}},
+		cfg:    core.RunConfig{Program: "hist", P: 1024, Seed: 42, Params: kernels.Params{N: 4096, Iters: 1}},
 		digest: "f5553730dec6995d844b31870a33f9342fc26a571dddede5b448219321876c03",
 		engine: &engineCounts{windows: 3350, crossMessages: 35652, nullPublishes: 0},
 	},
@@ -91,13 +92,13 @@ func segments(n, per int) string {
 
 // topologyDigest runs cfg on the given topology with the given execution
 // mode and returns its binary trace digest and the engine's counters.
-func topologyDigest(t testing.TB, cfg fxnet.RunConfig, spec string, mode fxnet.PDESMode) (string, engineCounts) {
-	topo, err := fxnet.ParseTopology(spec)
+func topologyDigest(t testing.TB, cfg core.RunConfig, spec string, mode core.PDESMode) (string, engineCounts) {
+	topo, err := core.ParseTopology(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Topology = topo
-	res, err := fxnet.RunWithOpts(cfg, fxnet.RunOpts{PDES: mode})
+	res, err := core.RunWithOpts(cfg, core.RunOpts{PDES: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +112,9 @@ func topologyDigest(t testing.TB, cfg fxnet.RunConfig, spec string, mode fxnet.P
 
 // checkTopologyGolden holds one configuration to its pin under both
 // execution modes.
-func checkTopologyGolden(t *testing.T, cfg fxnet.RunConfig, spec, want string, engine *engineCounts) {
-	serial, counts := topologyDigest(t, cfg, spec, fxnet.PDESSerial)
-	parallel, parallelCounts := topologyDigest(t, cfg, spec, fxnet.PDESParallel)
+func checkTopologyGolden(t *testing.T, cfg core.RunConfig, spec, want string, engine *engineCounts) {
+	serial, counts := topologyDigest(t, cfg, spec, core.PDESSerial)
+	parallel, parallelCounts := topologyDigest(t, cfg, spec, core.PDESParallel)
 	if serial != parallel {
 		t.Fatalf("serial/parallel divergence:\n serial   %s\n parallel %s\n"+
 			"the conservative engine broke the byte-identical-trace contract",
@@ -132,14 +133,14 @@ func TestGoldenTopologyDigests(t *testing.T) {
 		t.Skip("runs every -quick program twice per topology, and the two wide rows")
 	}
 	for spec, digests := range goldenTopologyDigests {
-		for _, name := range fxnet.Programs() {
+		for _, name := range core.ProgramNames() {
 			t.Run(spec+"/"+name, func(t *testing.T) {
 				t.Parallel()
 				want, ok := digests[name]
 				if !ok {
 					t.Fatalf("no golden digest recorded for %q on %q", name, spec)
 				}
-				checkTopologyGolden(t, fxnet.QuickConfig(name, 0, 42), spec, want, nil)
+				checkTopologyGolden(t, core.QuickConfig(name, 0, 42), spec, want, nil)
 			})
 		}
 	}

@@ -22,7 +22,10 @@ import (
 	"log"
 	"os"
 
-	"fxnet"
+	"fxnet/internal/airshed"
+	"fxnet/internal/core"
+	"fxnet/internal/farm"
+	"fxnet/internal/kernels"
 	"fxnet/internal/profiling"
 	"fxnet/internal/version"
 )
@@ -61,31 +64,31 @@ func main() {
 		}
 	}()
 
-	cfg := fxnet.RunConfig{
+	cfg := core.RunConfig{
 		Program:     *program,
 		P:           *p,
 		Seed:        *seed,
 		BitRate:     *bitrate,
-		Params:      fxnet.KernelParams{N: *n, Iters: *iters},
+		Params:      kernels.Params{N: *n, Iters: *iters},
 		FaultScript: *faults,
 		Degrade:     *degrade,
 	}
 	if *hours > 0 {
-		ap := fxnet.PaperAirshedParams()
+		ap := airshed.PaperParams()
 		ap.Hours = *hours
 		cfg.AirshedParams = ap
 	}
-	if cfg.Topology, err = fxnet.LoadTopology(*topology); err != nil {
+	if cfg.Topology, err = core.LoadTopology(*topology); err != nil {
 		log.Fatalf("-topology: %v", err)
 	}
-	var opts fxnet.RunOpts
+	var opts core.RunOpts
 	switch *pdes {
 	case "auto":
-		opts.PDES = fxnet.PDESAuto
+		opts.PDES = core.PDESAuto
 	case "serial":
-		opts.PDES = fxnet.PDESSerial
+		opts.PDES = core.PDESSerial
 	case "parallel":
-		opts.PDES = fxnet.PDESParallel
+		opts.PDES = core.PDESParallel
 	default:
 		log.Fatalf("unknown -pdes %q (want auto, serial, or parallel)", *pdes)
 	}
@@ -95,12 +98,12 @@ func main() {
 		log.Fatalf("unknown -format %q (want bin, text, or report)", *format)
 	}
 
-	var res *fxnet.Result
-	var rep *fxnet.Report
+	var res *core.Result
+	var rep *core.Report
 	if *format == "report" {
-		res, rep, err = fxnet.RunStreamWithOpts(cfg, opts)
+		res, rep, err = core.RunStreamWithOpts(cfg, opts)
 	} else {
-		res, err = fxnet.RunWithOpts(cfg, opts)
+		res, err = core.RunWithOpts(cfg, opts)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -151,8 +154,8 @@ func main() {
 }
 
 // writeReport renders a characterization as JSON.
-func writeReport(w io.Writer, rep *fxnet.Report) {
-	b, err := fxnet.MarshalReport(rep)
+func writeReport(w io.Writer, rep *core.Report) {
+	b, err := farm.MarshalReport(rep)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 
-	"fxnet"
 	"fxnet/internal/ethernet"
 	"fxnet/internal/fx"
 	"fxnet/internal/fxc"
@@ -27,27 +26,27 @@ func main() {
 	const n, p = 256, 4
 
 	// !HPF$ DISTRIBUTE a(BLOCK, *), b(BLOCK, *), c(*, BLOCK)
-	a := &fxnet.HPFArray{Name: "a", Rows: n, Cols: n, Dist: fxnet.DistRows, ElemBytes: 8}
-	b := &fxnet.HPFArray{Name: "b", Rows: n, Cols: n, Dist: fxnet.DistRows, ElemBytes: 8}
-	c := &fxnet.HPFArray{Name: "c", Rows: n, Cols: n, Dist: fxnet.DistCols, ElemBytes: 8}
-	input := &fxnet.HPFArray{Name: "input", Rows: n, Cols: n, Dist: fxnet.DistSerial, ElemBytes: 8}
+	a := &fxc.Array{Name: "a", Rows: n, Cols: n, Dist: fxc.DistRows, ElemBytes: 8}
+	b := &fxc.Array{Name: "b", Rows: n, Cols: n, Dist: fxc.DistRows, ElemBytes: 8}
+	c := &fxc.Array{Name: "c", Rows: n, Cols: n, Dist: fxc.DistCols, ElemBytes: 8}
+	input := &fxc.Array{Name: "input", Rows: n, Cols: n, Dist: fxc.DistSerial, ElemBytes: 8}
 
 	stmts := []struct {
 		text  string
-		sched *fxnet.CommSchedule
+		sched *fxc.Schedule
 	}{
 		{"b(i,j) = f(a(i-1,j))        ! halo shift",
-			fxnet.CompileAssign(fxnet.HPFAssign{LHS: b, RHS: a, RowSub: fxc.I.Shifted(-1), ColSub: fxc.J}, p)},
+			fxc.CompileAssign(fxc.Assign{LHS: b, RHS: a, RowSub: fxc.I.Shifted(-1), ColSub: fxc.J}, p)},
 		{"b(i,j) = a(j,i)             ! transpose",
-			fxnet.CompileAssign(fxnet.HPFAssign{LHS: b, RHS: a, RowSub: fxnet.HPFAffine{CJ: 1}, ColSub: fxnet.HPFAffine{CI: 1}}, p)},
+			fxc.CompileAssign(fxc.Assign{LHS: b, RHS: a, RowSub: fxc.Affine{CJ: 1}, ColSub: fxc.Affine{CI: 1}}, p)},
 		{"c(i,j) = a(i,j)             ! redistribution rows→cols",
-			fxnet.CompileAssign(fxnet.HPFAssign{LHS: c, RHS: a, RowSub: fxc.I, ColSub: fxc.J}, p)},
+			fxc.CompileAssign(fxc.Assign{LHS: c, RHS: a, RowSub: fxc.I, ColSub: fxc.J}, p)},
 		{"b(i,j) = input(i,j)         ! sequential input",
-			fxnet.CompileAssign(fxnet.HPFAssign{LHS: b, RHS: input, RowSub: fxc.I, ColSub: fxc.J}, p)},
+			fxc.CompileAssign(fxc.Assign{LHS: b, RHS: input, RowSub: fxc.I, ColSub: fxc.J}, p)},
 		{"s = sum(a)                  ! reduction",
-			fxnet.CompileReduce(fxnet.HPFReduce{Src: a, ResultBytes: 2048}, p)},
+			fxc.CompileReduce(fxc.Reduce{Src: a, ResultBytes: 2048}, p)},
 		{"b(i,j) = a(i,j)             ! aligned copy",
-			fxnet.CompileAssign(fxnet.HPFAssign{LHS: b, RHS: a, RowSub: fxc.I, ColSub: fxc.J}, p)},
+			fxc.CompileAssign(fxc.Assign{LHS: b, RHS: a, RowSub: fxc.I, ColSub: fxc.J}, p)},
 	}
 
 	fmt.Printf("compile-time communication analysis (N=%d, P=%d):\n\n", n, p)

@@ -1,0 +1,68 @@
+package fxnet_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// The façade is what the examples and the README quickstart write as
+// fxnet.Name, and nothing else: every other caller imports the internal
+// package that owns the name. An exported name with no such user is a
+// second way in that nobody takes.
+func TestFacadeNamesHaveUsers(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "fxnet.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				names = append(names, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names = append(names, n.Name)
+					}
+				}
+			}
+		}
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var users strings.Builder
+	users.Write(readme)
+	for _, src := range goSources(t, "examples") {
+		users.WriteString(src)
+	}
+	used := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\bfxnet\.([A-Z]\w*)`).FindAllStringSubmatch(users.String(), -1) {
+		used[m[1]] = true
+	}
+
+	exported := 0
+	for _, n := range names {
+		if !ast.IsExported(n) {
+			continue
+		}
+		exported++
+		if !used[n] {
+			t.Errorf("fxnet.%s is written nowhere in examples/ or README.md; callers import its internal package", n)
+		}
+	}
+	t.Logf("fxnet.go exports %d names", exported)
+}

@@ -3,20 +3,21 @@
 package fxnet_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"fxnet"
+	"fxnet/internal/airshed"
+	"fxnet/internal/core"
 )
 
 func TestFacadeRunAndCharacterize(t *testing.T) {
-	for _, name := range fxnet.Programs() {
+	for _, name := range core.ProgramNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := fxnet.RunConfig{Program: name, Seed: 1}
 			if name == "airshed" {
-				cfg.AirshedParams = fxnet.AirshedParams{Layers: 4, Species: 4, Grid: 32, Steps: 2, Hours: 2, Band: 2}
+				cfg.AirshedParams = airshed.Params{Layers: 4, Species: 4, Grid: 32, Steps: 2, Hours: 2, Band: 2}
 			} else {
 				cfg.Params = fxnet.KernelParams{N: 16, Iters: 3}
 			}
@@ -33,7 +34,7 @@ func TestFacadeRunAndCharacterize(t *testing.T) {
 }
 
 func TestFacadePrograms(t *testing.T) {
-	progs := fxnet.Programs()
+	progs := core.ProgramNames()
 	if len(progs) != 6 {
 		t.Fatalf("programs = %v", progs)
 	}
@@ -79,19 +80,6 @@ func TestFacadeQoS(t *testing.T) {
 	}
 }
 
-func TestFacadeCalibratedCost(t *testing.T) {
-	cost, err := fxnet.CalibratedCost("2dfft")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost.Rates["fft.flop"] <= 0 {
-		t.Errorf("missing calibrated rate: %+v", cost.Rates)
-	}
-	if _, err := fxnet.CalibratedCost("nope"); err == nil {
-		t.Error("unknown program accepted")
-	}
-}
-
 func TestPaperAirshedParams(t *testing.T) {
 	p := fxnet.PaperAirshedParams()
 	if p.Species != 35 || p.Grid != 1024 {
@@ -114,66 +102,6 @@ func TestFacadeMediaSources(t *testing.T) {
 	}
 	if cov := fxnet.CoV(series); cov <= 0 {
 		t.Errorf("CoV = %v", cov)
-	}
-}
-
-func TestFacadeCompiler(t *testing.T) {
-	a := &fxnet.HPFArray{Name: "a", Rows: 32, Cols: 32, Dist: fxnet.DistRows, ElemBytes: 8}
-	c := &fxnet.HPFArray{Name: "c", Rows: 32, Cols: 32, Dist: fxnet.DistCols, ElemBytes: 8}
-	sched := fxnet.CompileAssign(fxnet.HPFAssign{
-		LHS: c, RHS: a,
-		RowSub: fxnet.HPFAffine{CI: 1}, ColSub: fxnet.HPFAffine{CJ: 1},
-	}, 4)
-	if pat, comm := sched.Classify(); !comm || pat != fxnet.AllToAll {
-		t.Errorf("redistribution pattern = %v", pat)
-	}
-	red := fxnet.CompileReduce(fxnet.HPFReduce{Src: a, ResultBytes: 128}, 4)
-	if pat, _ := red.Classify(); pat != fxnet.Tree {
-		t.Errorf("reduce pattern = %v", pat)
-	}
-}
-
-func TestFacadeTraceIO(t *testing.T) {
-	res, err := fxnet.Run(fxnet.RunConfig{Program: "sor", Seed: 1, Params: fxnet.KernelParams{N: 16, Iters: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bin, txt bytes.Buffer
-	if err := res.Trace.WriteBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Trace.WriteText(&txt); err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := fxnet.ReadTrace(&bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromTxt, err := fxnet.ReadTrace(&txt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromBin.Len() != res.Trace.Len() || fromTxt.Len() != res.Trace.Len() {
-		t.Errorf("roundtrip lengths: bin %d, text %d, want %d", fromBin.Len(), fromTxt.Len(), res.Trace.Len())
-	}
-
-	// Wide-address traces select the FXTRACE2 record; ReadTrace must
-	// auto-detect that magic too, not fall back to the text parser.
-	wide := &fxnet.Trace{Packets: append([]fxnet.Packet(nil), res.Trace.Packets...)}
-	wide.Packets[0].Dst = 1000
-	var wbin bytes.Buffer
-	if err := wide.WriteBinary(&wbin); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(wbin.Bytes(), []byte("FXTRACE2")) {
-		t.Fatalf("wide trace magic = %q, want FXTRACE2", wbin.Bytes()[:8])
-	}
-	fromWide, err := fxnet.ReadTrace(&wbin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromWide.Len() != wide.Len() || fromWide.Packets[0].Dst != 1000 {
-		t.Errorf("wide roundtrip: len %d dst %d, want %d / 1000", fromWide.Len(), fromWide.Packets[0].Dst, wide.Len())
 	}
 }
 

@@ -177,6 +177,19 @@ func TestSeedChangesTrace(t *testing.T) {
 	}
 }
 
+func TestCalibratedCost(t *testing.T) {
+	cost, err := CalibratedCost("2dfft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost.Rates["fft.flop"] <= 0 {
+		t.Errorf("missing calibrated rate: %+v", cost.Rates)
+	}
+	if _, err := CalibratedCost("nope"); err == nil {
+		t.Error("unknown program accepted")
+	}
+}
+
 func TestCharacterizeReport(t *testing.T) {
 	res := smallRun(t, "2dfft")
 	rep := Characterize(res)

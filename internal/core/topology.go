@@ -10,6 +10,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -360,6 +361,28 @@ func ParseTopologyJSON(data []byte) (*Topology, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// LoadTopology resolves a CLI -topology argument: "@file" loads the file
+// (JSON if it starts with '{' or '[', spec syntax otherwise), anything
+// else parses as an inline spec. Empty returns nil (shared segment).
+func LoadTopology(arg string) (*Topology, error) {
+	if arg == "" {
+		return nil, nil
+	}
+	path, isFile := strings.CutPrefix(arg, "@")
+	if !isFile {
+		return ParseTopology(arg)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	s := strings.TrimSpace(string(data))
+	if strings.HasPrefix(s, "{") || strings.HasPrefix(s, "[") {
+		return ParseTopologyJSON([]byte(s))
+	}
+	return ParseTopology(s)
 }
 
 // MarshalJSON emits the canonical JSON topology form.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -60,6 +61,36 @@ func TestParseTopologyRejects(t *testing.T) {
 		if _, err := ParseTopology(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
+	}
+}
+
+// LoadTopology reads the same topology from an inline spec, an @file in
+// spec syntax and an @file in JSON; empty is the shared segment.
+func TestLoadTopology(t *testing.T) {
+	const spec = "lan0:0-1,lan1:2-3"
+	dir := t.TempDir()
+	specFile, jsonFile := dir+"/topo.spec", dir+"/topo.json"
+	if err := os.WriteFile(specFile, []byte(spec+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	js := `{"segments":[{"name":"lan0","hosts":[0,1]},{"name":"lan1","hosts":[2,3]}]}`
+	if err := os.WriteFile(jsonFile, []byte(js), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, arg := range []string{spec, "@" + specFile, "@" + jsonFile} {
+		topo, err := LoadTopology(arg)
+		if err != nil {
+			t.Fatalf("%s: %v", arg, err)
+		}
+		if got := topo.Spec(); got != spec {
+			t.Errorf("%s: spec %q, want %q", arg, got, spec)
+		}
+	}
+	if topo, err := LoadTopology(""); topo != nil || err != nil {
+		t.Errorf("empty argument: %v, %v; want the shared segment", topo, err)
+	}
+	if _, err := LoadTopology("@" + dir + "/missing"); err == nil {
+		t.Error("missing @file accepted")
 	}
 }
 

@@ -228,7 +228,7 @@ func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 }
 
 // TestCacheShortKey: the temp name used to slice key[:16] and panic on
-// a shorter key; fxnet.RunCache exports both paths.
+// a shorter key; Store and StoreStream are both exported.
 func TestCacheShortKey(t *testing.T) {
 	res, rep := tinyRun(t, 5)
 	for _, stream := range []bool{false, true} {

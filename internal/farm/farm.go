@@ -20,6 +20,7 @@ import (
 
 	"fxnet/internal/core"
 	"fxnet/internal/dsp"
+	"fxnet/internal/durable"
 )
 
 // Options configures a Farm.
@@ -188,6 +189,19 @@ func New(opts Options) *Farm {
 		memo:           make(map[string]*memoEntry),
 		memoList:       list.New(),
 	}
+}
+
+// Open is New with the disk cache opened (created if absent) in cacheDir
+// over fs, nil being the real filesystem; an empty cacheDir is New(opts).
+func Open(fs durable.FS, cacheDir string, opts Options) (*Farm, error) {
+	if cacheDir != "" {
+		c, err := OpenCacheFS(fs, cacheDir)
+		if err != nil {
+			return nil, err
+		}
+		opts.Cache = c
+	}
+	return New(opts), nil
 }
 
 // memoGet looks a slot up in the memo and marks it most recently used.

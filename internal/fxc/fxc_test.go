@@ -113,7 +113,7 @@ func TestCompileRedistributionIsAllToAll(t *testing.T) {
 	a := rowsArr("a", 16)
 	b := &Array{Name: "b", Rows: 16, Cols: 16, Dist: DistCols, ElemBytes: 4}
 	s := CompileAssign(Assign{LHS: b, RHS: a, RowSub: I, ColSub: J}, 4)
-	if pat, _ := s.Classify(); pat != fx.AllToAll {
+	if pat, comm := s.Classify(); !comm || pat != fx.AllToAll {
 		t.Fatalf("redistribution pattern = %v", pat)
 	}
 }

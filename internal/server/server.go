@@ -133,18 +133,14 @@ const defaultCapacityBps = 1.1e6
 // re-enqueued until Recover — the caller decides when the node starts
 // doing work (and can abort mid-replay on SIGTERM).
 func New(opts Options) (*Server, error) {
-	fo := farm.Options{
+	f, err := farm.Open(opts.FS, opts.CacheDir, farm.Options{
 		Workers:        opts.Workers,
 		Memoize:        opts.Memoize,
 		MemoMaxEntries: opts.MemoMaxEntries,
 		MemoMaxBytes:   opts.MemoMaxBytes,
-	}
-	if opts.CacheDir != "" {
-		c, err := farm.OpenCacheFS(opts.FS, opts.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		fo.Cache = c
+	})
+	if err != nil {
+		return nil, err
 	}
 	cap := opts.CapacityBps
 	if cap <= 0 {
@@ -154,7 +150,6 @@ func New(opts Options) (*Server, error) {
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	f := farm.New(fo)
 	catDir := opts.CatalogDir
 	if catDir == "" && opts.CacheDir != "" {
 		catDir = filepath.Join(opts.CacheDir, "models")

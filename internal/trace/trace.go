@@ -730,6 +730,17 @@ func (t *Trace) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
+// Read parses a trace in either the binary or the text format,
+// auto-detected from the leading bytes.
+func Read(r io.Reader) (*Trace, error) {
+	br := bufio.NewReader(r)
+	head, err := br.Peek(len(binaryMagic))
+	if err == nil && (string(head) == binaryMagic || string(head) == binaryMagicWide) {
+		return ReadBinary(br)
+	}
+	return ReadText(br)
+}
+
 // ReadText parses a listing written by WriteText.
 func ReadText(r io.Reader) (*Trace, error) {
 	t := New()

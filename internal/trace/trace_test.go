@@ -269,6 +269,48 @@ func TestTextRoundtrip(t *testing.T) {
 	}
 }
 
+// Read picks the decoder from the leading bytes: the v1 and v2 binary
+// magics (a wide address selects FXTRACE2, which must not fall back to
+// the text parser) and the text listing.
+func TestReadDetectsFormat(t *testing.T) {
+	wide := sampleTrace()
+	wide.Packets[0].Dst = 1000
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+		text bool
+		head string
+	}{
+		{"FXTRACE1", sampleTrace(), false, binaryMagic},
+		{"FXTRACE2", wide, false, binaryMagicWide},
+		{"text", sampleTrace(), true, "# "},
+	} {
+		var buf bytes.Buffer
+		write := tc.tr.WriteBinary
+		if tc.text {
+			write = tc.tr.WriteText
+		}
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(buf.Bytes(), []byte(tc.head)) {
+			t.Fatalf("%s: encoding starts %q, want %q", tc.name, buf.Bytes()[:8], tc.head)
+		}
+		got, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Len() != tc.tr.Len() {
+			t.Fatalf("%s: %d packets, want %d", tc.name, got.Len(), tc.tr.Len())
+		}
+		for i := range tc.tr.Packets {
+			if got.Packets[i] != tc.tr.Packets[i] {
+				t.Errorf("%s: packet %d: %+v vs %+v", tc.name, i, got.Packets[i], tc.tr.Packets[i])
+			}
+		}
+	}
+}
+
 func TestReadTextErrors(t *testing.T) {
 	cases := map[string]string{
 		"bad meta":  "# nokeyvalue\n",

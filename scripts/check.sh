@@ -69,9 +69,20 @@ if grep -n 'sync\.Map\|perm  *\[\]int32' internal/dsp/*.go | grep -v '_test\.go:
 if grep -n 'sync\.Pool' internal/stats/*.go | grep -v '_test\.go:'; then exit 1; fi
 if grep -n '^func [A-Z][A-Za-z0-9]*Pairwise' internal/stats/*.go | grep -v '_test\.go:' | grep -v 'func MeanPairwisePearson('; then exit 1; fi
 
+# One way in: the fxnet façade is the examples' and README quickstart's
+# surface. A command that imports it, or an example that reaches the same
+# code through both the façade and internal/, is a second route back.
+if grep -rn '"fxnet"' cmd; then exit 1; fi
+for d in examples/*/; do
+	if grep -q '"fxnet"' "$d"*.go && grep -q '"fxnet/internal/' "$d"*.go; then echo "$d imports fxnet and internal/"; exit 1; fi
+done
+
 go build ./...
 go vet ./...
 go test ./...
+
+# Every example runs to completion.
+for d in examples/*/; do go run "./$d" >/dev/null; done
 
 # fxfarm's "-json -" is the batch alone on stdout: valid JSON, loss
 # dimension included.
