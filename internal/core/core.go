@@ -75,12 +75,8 @@ type RunConfig struct {
 	// ablations).
 	DisableDesched bool
 	// ForceCopyLoop (for the fragment-packing ablation) makes every
-	// kernel use single-fragment copy-loop sends; ForceFragments makes
-	// kernels use fragment sends. At most one may be set.
-	ForceCopyLoop  bool
-	ForceFragments bool
-	// Net overrides transport parameters; zero keeps defaults.
-	Net netstack.Config
+	// kernel use single-fragment copy-loop sends.
+	ForceCopyLoop bool
 	// KeepaliveInterval for PVM daemons; 0 keeps the default 2 s.
 	KeepaliveInterval sim.Duration
 	// FrameLossProb injects FCS corruption on every segment of the
@@ -105,20 +101,12 @@ type RunConfig struct {
 	// the paper's introduction motivates.
 	GuaranteeProgram bool
 	// FaultScript is a deterministic scheduled fault script (see
-	// faults.Parse), e.g. "5s:linkdown host2,7s:linkup host2". Parsed
-	// into a schedule when Faults is nil.
+	// faults.Parse), e.g. "5s:linkdown host2,7s:linkup host2".
 	FaultScript string
-	// Faults is the parsed fault schedule; it takes precedence over
-	// FaultScript.
-	Faults *faults.Schedule
 	// Degrade re-forms the team on the surviving hosts when a host is
 	// detected dead, renegotiating the processor count through the §7.3
 	// QoS model, instead of aborting the program.
 	Degrade bool
-	// HeartbeatMisses overrides the PVM failure-detection threshold K;
-	// 0 keeps the default (3 when a fault schedule is active, disabled
-	// otherwise, matching the measured-era daemons).
-	HeartbeatMisses int
 	// Topology, when non-nil, replaces the single shared segment with a
 	// bridged LAN: named segments with per-segment bit rates, hosts
 	// pinned to segments, learning bridges relaying frames over latency-
@@ -232,9 +220,6 @@ func validate(cfg RunConfig) (*faults.Schedule, error) {
 	if _, isKernel := kernels.Lookup(cfg.Program); !isKernel && cfg.Program != Airshed {
 		return nil, fmt.Errorf("core: unknown program %q (have %v)", cfg.Program, ProgramNames())
 	}
-	if cfg.ForceCopyLoop && cfg.ForceFragments {
-		return nil, fmt.Errorf("core: ForceCopyLoop and ForceFragments both set")
-	}
 	if cfg.Program == Airshed {
 		if err := cfg.AirshedParams.Validate(); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -243,12 +228,9 @@ func validate(cfg RunConfig) (*faults.Schedule, error) {
 	if !(cfg.FrameLossProb >= 0 && cfg.FrameLossProb < 1) { // written so NaN fails too
 		return nil, fmt.Errorf("core: FrameLossProb %g outside [0,1)", cfg.FrameLossProb)
 	}
-	schedule := cfg.Faults
-	if schedule == nil && cfg.FaultScript != "" {
-		var err error
-		if schedule, err = faults.Parse(cfg.FaultScript); err != nil {
-			return nil, err
-		}
+	schedule, err := faults.Parse(cfg.FaultScript)
+	if err != nil {
+		return nil, err
 	}
 	if err := checkFaults(schedule, cfg.EffectiveP(), cfg.Switched); err != nil {
 		return nil, err
@@ -273,12 +255,10 @@ func validate(cfg RunConfig) (*faults.Schedule, error) {
 		// The rest mutate machine state every partition reads, at an
 		// instant only one partition's clock defines — outside any
 		// barrier, so serial and parallel execution could disagree.
-		{multi && !schedule.Empty(), "fault injection (FaultScript/Faults) on a multi-segment topology",
+		{multi && !schedule.Empty(), "fault injection (FaultScript) on a multi-segment topology",
 			"a fault fires on one partition's clock but kills hosts and marks them dead on all of them"},
 		{multi && cfg.Degrade, "Degrade on a multi-segment topology",
 			"re-forming the team rewrites machine state shared by every partition"},
-		{multi && cfg.HeartbeatMisses != 0, "HeartbeatMisses on a multi-segment topology",
-			"a heartbeat timeout marks the host dead on every partition at once, which is not a function of virtual time"},
 		{multi && cfg.CrossTrafficKBps > 0, "CrossTrafficKBps on a multi-segment topology",
 			"the background source stops on the team's atomic done flag, which is not a function of virtual time"},
 	} {
@@ -347,22 +327,13 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 	// is sealed, so the run returns holding no goroutines of its own.
 	defer fab.close()
 
-	netCfg := cfg.Net
-	if netCfg.SendWindow == 0 {
-		netCfg = netstack.DefaultConfig()
-	}
-	if cfg.Nagle {
-		netCfg.Nagle = true
-	}
+	netCfg := netstack.DefaultConfig()
+	netCfg.Nagle = cfg.Nagle
 	if faulty {
 		// Faults need bounded retries; the measured-era infinite-retry
 		// transport would hang forever on a dead peer.
-		if netCfg.MaxRetransmits == 0 {
-			netCfg.MaxRetransmits = 8
-		}
-		if netCfg.ConnectTimeout == 0 {
-			netCfg.ConnectTimeout = 30 * sim.Second
-		}
+		netCfg.MaxRetransmits = 8
+		netCfg.ConnectTimeout = 30 * sim.Second
 	}
 	names := make([]string, 0, p+2)
 	attachHost := func(name string) *netstack.Host {
@@ -394,26 +365,11 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 	}
 
 	pvmCfg := pvm.DefaultConfig()
+	if faulty {
+		pvmCfg = pvm.FaultConfig()
+	}
 	if cfg.KeepaliveInterval != 0 {
 		pvmCfg.KeepaliveInterval = cfg.KeepaliveInterval
-	} else if faulty {
-		// Failure detection latency is misses × keepalive interval; the
-		// sparse 30 s measured-era cadence would stretch every faulty
-		// run by minutes of virtual time.
-		pvmCfg.KeepaliveInterval = sim.Second
-	}
-	if cfg.HeartbeatMisses != 0 {
-		pvmCfg.HeartbeatMisses = cfg.HeartbeatMisses
-	} else if faulty {
-		pvmCfg.HeartbeatMisses = 3
-	}
-	if faulty {
-		if pvmCfg.ConnectRetries == 0 {
-			pvmCfg.ConnectRetries = 3
-		}
-		if pvmCfg.ConnectBackoff == 0 {
-			pvmCfg.ConnectBackoff = 250 * sim.Millisecond
-		}
 	}
 	// The fault schedule and the cross-traffic source take "the" kernel:
 	// both are refused on several partitions, so the first is the only one.
@@ -540,9 +496,6 @@ func launchTeam(cfg RunConfig, machine *pvm.Machine, p int) *fx.Team {
 	useFrags := spec.UseFragments
 	if cfg.ForceCopyLoop {
 		useFrags = false
-	}
-	if cfg.ForceFragments {
-		useFrags = true
 	}
 	if cfg.Degrade && spec.QoS != nil {
 		// Degradation is the §7.3 negotiation run in reverse: hand the

@@ -7,7 +7,6 @@ import (
 
 	"fxnet/internal/airshed"
 	"fxnet/internal/ethernet"
-	"fxnet/internal/faults"
 	"fxnet/internal/kernels"
 	"fxnet/internal/sim"
 	"fxnet/internal/trace"
@@ -57,12 +56,6 @@ func TestRunAllProgramsSmall(t *testing.T) {
 func TestUnknownProgram(t *testing.T) {
 	if _, err := Run(RunConfig{Program: "nope"}); err == nil {
 		t.Error("unknown program accepted")
-	}
-}
-
-func TestConflictingPackingFlags(t *testing.T) {
-	if _, err := Run(RunConfig{Program: "sor", ForceCopyLoop: true, ForceFragments: true}); err == nil {
-		t.Error("conflicting flags accepted")
 	}
 }
 
@@ -124,7 +117,7 @@ func TestFaultScriptValidated(t *testing.T) {
 		{"padded index", RunConfig{FaultScript: "1s:crash 03"}, `faults: unknown host "03"`},
 		{"link fault on a switch", RunConfig{Switched: true, FaultScript: "1s:linkdown host1"}, "faults: linkdown not supported by this topology"},
 		{"bit rate on a switch", RunConfig{Switched: true, FaultScript: "1s:bitrate 5e6"}, "faults: bitrate not supported by this topology"},
-		{"parsed schedule", RunConfig{Faults: faults.MustParse("1s:restart host4")}, `faults: unknown host "host4"`},
+		{"restart", RunConfig{FaultScript: "1s:restart host4"}, `faults: unknown host "host4"`},
 		{"three spellings", RunConfig{FaultScript: "1s:linkdown alpha3,2s:linkup host3,3s:stall 3 10ms"}, ""},
 		{"host faults on a switch", RunConfig{Switched: true, FaultScript: "1s:stall host1 10ms"}, ""},
 		{"P = 8 has a host7", RunConfig{P: 8, FaultScript: "1s:partition 0+1+2+3|4+5+6+7,2s:heal"}, ""},

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"fxnet/internal/analysis"
 	"fxnet/internal/ethernet"
@@ -42,6 +43,156 @@ func dataEnd(t *testing.T, tr *trace.Trace) sim.Time {
 		t.Fatal("trace has no data packets")
 	}
 	return data.Packets[len(data.Packets)-1].Time
+}
+
+// crashSilence reports the first frame a crashed host started between its
+// crash mark and its next restart mark (or the end of the run): a frame
+// starts its transmission time before its capture, at the bit rate in
+// effect then. The check is exact on a shared segment, where a capture is
+// the end of the one wire the frame crosses; a switch's SPAN capture
+// comes after a queue of unknown length, so a switched run passes.
+func crashSilence(res *Result) error {
+	if res.Config.Switched {
+		return nil
+	}
+	type window struct{ from, to sim.Time }
+	var down [][]window
+	rate := res.Config.BitRate
+	if rate == 0 {
+		rate = ethernet.DefaultBitRate
+	}
+	type rateAt struct {
+		at  sim.Time
+		bps float64
+	}
+	rates := []rateAt{{0, rate}}
+	for _, m := range res.Trace.Marks {
+		s, err := faults.Parse(m.Label)
+		if err != nil {
+			return fmt.Errorf("mark %q: %v", m.Label, err)
+		}
+		f := s.Faults[0]
+		h, _ := hostIndex(f.Host, res.Config.EffectiveP())
+		for len(down) <= h {
+			down = append(down, nil)
+		}
+		open := len(down[h]) > 0 && down[h][len(down[h])-1].to == math.MaxInt64
+		switch {
+		case f.Kind == faults.HostCrash && !open:
+			down[h] = append(down[h], window{m.Time, math.MaxInt64})
+		case f.Kind == faults.HostRestart && open:
+			down[h][len(down[h])-1].to = m.Time
+		case f.Kind == faults.BitRateDegrade:
+			rates = append(rates, rateAt{m.Time, f.Rate})
+		}
+	}
+	for _, pk := range res.Trace.Packets {
+		if int(pk.Src) >= len(down) {
+			continue
+		}
+		bps := rates[0].bps
+		for _, r := range rates {
+			if r.at <= pk.Time {
+				bps = r.bps
+			}
+		}
+		wire := max(int(pk.Size), ethernet.MinWireBytes) + ethernet.PreambleBytes
+		start := pk.Time - sim.Time(sim.DurationOf(float64(wire*8)/bps))
+		for _, w := range down[pk.Src] {
+			if start >= w.from && start < w.to {
+				return fmt.Errorf("host %d is down from %v to %v, but a %d-byte frame %d→%d (port %d→%d) starts at %v",
+					pk.Src, w.from, w.to, pk.Size, pk.Src, pk.Dst, pk.SrcPort, pk.DstPort, start)
+			}
+		}
+	}
+	return nil
+}
+
+// packets returns a trace's packets encoded alone: marks and metadata
+// say a fault was scheduled whether or not it changed the traffic.
+func packets(t *testing.T, res *Result) []byte {
+	t.Helper()
+	tr := *res.Trace
+	tr.Meta, tr.Marks = map[string]string{}, nil
+	var buf bytes.Buffer
+	if err := tr.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Every kind faults.Parse accepts runs through core.Run: it replays
+// byte-identically, it changes the traffic — a kind that undoes another
+// (linkup, segup, heal, restart) changes it relative to the run without
+// the undo — and a crashed host starts no frame until it restarts.
+func TestEveryFaultKindRuns(t *testing.T) {
+	base := RunConfig{Program: "sor", Seed: 11, Params: kernels.Params{N: 32, Iters: 8}}
+	fq := probeEnd(t, base) / 4
+	at := func(n sim.Duration, event string) string { return fmt.Sprintf("%v:%s", time.Duration(n*fq), event) }
+	cases := []struct {
+		kind     faults.Kind
+		switched bool
+		prior    string // the script this kind's event follows
+		event    string
+	}{
+		{faults.LinkDown, false, "", at(1, "linkdown host2")},
+		{faults.LinkUp, false, at(1, "linkdown host2"), at(2, "linkup host2")},
+		{faults.SegmentDown, false, "", at(1, "segdown")},
+		{faults.SegmentUp, false, at(1, "segdown"), at(2, "segup")},
+		{faults.NetPartition, false, "", at(1, "partition host0+host1|host2+host3")},
+		{faults.Heal, false, at(1, "partition host0+host1|host2+host3"), at(2, "heal")},
+		{faults.HostCrash, false, "", at(1, "crash host2")},
+		{faults.HostRestart, false, at(1, "crash host2"), at(2, "restart host2")},
+		{faults.BitRateDegrade, false, "", at(1, "bitrate 2e6")},
+		{faults.FrameDuplicate, false, "", at(1, "duplicate 0.2")},
+		{faults.FrameReorder, false, "", at(1, "reorder 0.2")},
+		{faults.ComputeStall, false, "", at(1, "stall host1 1s")},
+		{faults.HostCrash, true, "", at(1, "crash host2")},
+		{faults.HostRestart, true, at(1, "crash host2"), at(2, "restart host2")},
+	}
+	seen := map[faults.Kind]bool{}
+	for _, tc := range cases {
+		name, script := tc.kind.String(), tc.event
+		if tc.switched {
+			name += "/switched"
+		}
+		if tc.prior != "" {
+			script = tc.prior + "," + tc.event
+		}
+		if got := faults.MustParse(script).Faults; got[len(got)-1].Kind != tc.kind {
+			t.Fatalf("%s: script %q does not end in its kind", name, script)
+		}
+		seen[tc.kind] = true
+		cfg := base
+		cfg.Switched, cfg.FaultScript = tc.switched, script
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := res.Trace.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), traceBytes(t, cfg)) {
+			t.Errorf("%s: %q does not replay byte-identically", name, script)
+		}
+		cfg.FaultScript = tc.prior
+		prior, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if bytes.Equal(packets(t, res), packets(t, prior)) {
+			t.Errorf("%s: %q leaves the traffic of %q unchanged", name, script, tc.prior)
+		}
+		if err := crashSilence(res); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for k := faults.LinkDown; k <= faults.ComputeStall; k++ {
+		if !seen[k] {
+			t.Errorf("fault kind %s never ran", k)
+		}
+	}
 }
 
 // probeEnd measures the fault-free program length so fault offsets can
@@ -81,7 +232,14 @@ func TestFaultRunsDeterministic(t *testing.T) {
 		}
 		for name, sched := range schedules {
 			cfg := base
-			cfg.Faults = sched
+			cfg.FaultScript = sched.String()
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := crashSilence(res); err != nil {
+				t.Errorf("%s/%s: %v", program, name, err)
+			}
 			a := traceBytes(t, cfg)
 			b := traceBytes(t, cfg)
 			if !bytes.Equal(a, b) {
@@ -110,13 +268,16 @@ func TestHostCrashNeverDeadlocks(t *testing.T) {
 	for _, program := range kernels.Names() {
 		base := RunConfig{Program: program, Seed: 5, Params: params[program]}
 		cfg := base
-		cfg.Faults = &faults.Schedule{Faults: []faults.Fault{
+		cfg.FaultScript = (&faults.Schedule{Faults: []faults.Fault{
 			{At: probeEnd(t, base) / 2, Kind: faults.HostCrash, Host: "host2"},
-		}}
+		}}).String()
 		res, err := Run(cfg)
 		if err != nil {
 			t.Errorf("%s: Run failed outright: %v", program, err)
 			continue
+		}
+		if err := crashSilence(res); err != nil {
+			t.Errorf("%s: %v", program, err)
 		}
 		if res.RunErr == nil {
 			t.Errorf("%s: mid-run crash produced no RunError", program)
@@ -154,6 +315,9 @@ func TestDegradeReformsAndMatchesQoSPrediction(t *testing.T) {
 	}
 	if res.RunErr != nil {
 		t.Fatalf("degraded run aborted: %v", res.RunErr)
+	}
+	if err := crashSilence(res); err != nil {
+		t.Error(err)
 	}
 	if res.Team.Generation() != 1 {
 		t.Fatalf("team generation = %d, want 1", res.Team.Generation())
@@ -226,16 +390,19 @@ func TestComputeStallAnnotatesAndCompletes(t *testing.T) {
 	base := RunConfig{Program: "sor", Seed: 3, Params: kernels.Params{N: 32, Iters: 8}}
 	baseEnd := probeEnd(t, base)
 	cfg := base
-	cfg.Faults = &faults.Schedule{Faults: []faults.Fault{
+	cfg.FaultScript = (&faults.Schedule{Faults: []faults.Fault{
 		{At: baseEnd / 2, Kind: faults.ComputeStall,
 			Host: "host1", Dur: 2 * sim.Second},
-	}}
+	}}).String()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.RunErr != nil {
 		t.Fatalf("stall aborted the run: %v", res.RunErr)
+	}
+	if err := crashSilence(res); err != nil {
+		t.Error(err)
 	}
 	if len(res.Trace.Marks) != 1 {
 		t.Fatalf("marks = %v, want the stall annotation", res.Trace.Marks)

@@ -103,7 +103,7 @@ func TestDeadlockNamesParkedProcs(t *testing.T) {
 		m := pvm.NewMachine(k, hosts, pvm.Config{})
 		team := fx.Launch(m, p, fx.DefaultCostModel(), "stuck", func(w *fx.Worker) {
 			if w.Rank != 1 {
-				w.Task().Proc().Suspend() // a receive nobody will satisfy
+				w.Recv(1, 99) // a receive nobody will satisfy
 			}
 		})
 		_, _, err := finishTeam(team, "stuck", k.Run(), k)

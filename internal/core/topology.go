@@ -88,15 +88,6 @@ func (t *Topology) LookaheadMatrix() [][]sim.Duration {
 	return m
 }
 
-// NumHosts reports the total number of pinned hosts.
-func (t *Topology) NumHosts() int {
-	n := 0
-	for i := range t.Segments {
-		n += len(t.Segments[i].Hosts)
-	}
-	return n
-}
-
 // segmentOf builds the host-index → segment-index map.
 func (t *Topology) segmentOf() map[int]int {
 	m := make(map[int]int)
@@ -384,6 +375,3 @@ func LoadTopology(arg string) (*Topology, error) {
 	}
 	return ParseTopology(s)
 }
-
-// MarshalJSON emits the canonical JSON topology form.
-func (t *Topology) JSON() ([]byte, error) { return json.Marshal(t) }

@@ -140,7 +140,7 @@ func TestDeliveredFramesAreNeverReused(t *testing.T) {
 	t.Run("bridge-flood", func(t *testing.T) {
 		const beacons = 300
 		ks := []*sim.Kernel{sim.New(1), sim.New(2)}
-		eng := sim.NewEngine(ks, sim.Millisecond)
+		eng := sim.NewEngineMatrix(ks, [][]sim.Duration{{0, sim.Millisecond}, {sim.Millisecond, 0}})
 		var segs [2]*ethernet.Segment
 		var bridges [2]*ethernet.Bridge
 		for i, k := range ks {

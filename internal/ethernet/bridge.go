@@ -30,10 +30,6 @@ type Bridge struct {
 	// the old map paid a hash per lookup.
 	learned []int32
 	send    func(dstSeg int, f *Frame)
-
-	// Relayed counts frames this bridge pushed into trunks (floods count
-	// once per destination segment).
-	Relayed int64
 }
 
 // NewBridge attaches a bridge station to seg (segment segIdx of nSeg)
@@ -102,7 +98,6 @@ func (b *Bridge) sawFrame(tx *Station, f *Frame) {
 		// Local traffic: already delivered, nothing to relay.
 	default:
 		b.send(seg, f)
-		b.Relayed++
 	}
 }
 
@@ -113,7 +108,6 @@ func (b *Bridge) flood(f *Frame) {
 			continue
 		}
 		b.send(s, f)
-		b.Relayed++
 	}
 }
 

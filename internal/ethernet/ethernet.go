@@ -68,13 +68,13 @@ func (p Proto) String() string {
 const (
 	FlagAck  = 1 << iota // TCP segment carrying only an acknowledgment
 	FlagSyn              // TCP connection setup
-	FlagFin              // TCP teardown
+	FlagFin              // TCP teardown: never sent, its bit stays reserved in captures
 	FlagData             // carries application payload
 )
 
 // TCPHeader is the part of a TCP header the receiving stack needs and the
 // capture layer does not: byte sequence numbers in the connection's data
-// space. SYN and FIN travel in Frame.Flags; a segment's data length is
+// space. SYN travels in Frame.Flags; a segment's data length is
 // len(Frame.Payload).
 type TCPHeader struct {
 	Seq, Ack int64
@@ -344,9 +344,6 @@ func NewSegment(k *sim.Kernel, bitRate float64) *Segment {
 	return s
 }
 
-// BitRate reports the segment's raw bit rate in bits per second.
-func (s *Segment) BitRate() float64 { return s.bitRate }
-
 // Stats returns a copy of the segment counters.
 func (s *Segment) Stats() Stats { return s.stats }
 
@@ -388,9 +385,6 @@ func (s *Segment) AttachID(name string, id int) *Station {
 	return st
 }
 
-// Stations returns the attached stations in attachment order.
-func (s *Segment) Stations() []*Station { return s.stations }
-
 // txDuration is the serialization time of frame f at the segment rate.
 func (s *Segment) txDuration(f *Frame) sim.Duration {
 	bits := float64(f.WireBytes() * 8)
@@ -412,11 +406,8 @@ type Station struct {
 	pending   bool   // a contention attempt is registered or scheduled
 	waiting   bool   // registered in seg.waiters
 	contendFn func() // once-allocated contention callback
+	retry     sim.Event
 	recv      func(*Frame)
-
-	// TxFrames / TxBytes count frames this station put on the wire.
-	TxFrames int64
-	TxBytes  int64
 }
 
 // ID reports the station's address on the segment.
@@ -473,6 +464,29 @@ func (st *Station) enqueue(f *Frame) {
 	}
 }
 
+// Silence is a crashed host's adaptor going dead: every frame queued for
+// transmission is discarded, a pending backoff retry is cancelled, and a
+// frame on the wire is cut short — the runt fails its FCS everywhere, so
+// no station and no tap sees it, and the medium idles from now. The
+// station transmits again once its host enqueues a new frame.
+func (st *Station) Silence() {
+	s := st.seg
+	if s.txFrom == st {
+		s.txEnd.Cancel()
+		s.txEnd, s.txFrom = sim.Event{}, nil
+		s.state, s.idleAt = segIdle, s.k.Now()
+		if len(s.waiters) > 0 {
+			s.scheduleArb(s.idleAt.Add(InterFrameGap))
+		}
+	}
+	st.retry.Cancel()
+	clear(st.queue)
+	st.queue, st.qhead, st.attempts = st.queue[:0], 0, 0
+	// A registered waiter stays pending until the next arbitration finds
+	// its queue empty and lets it go.
+	st.pending = st.waiting
+}
+
 // contend attempts to acquire the medium for the head-of-queue frame.
 func (st *Station) contend() {
 	s := st.seg
@@ -520,7 +534,7 @@ func (st *Station) backoff(from sim.Time) {
 	if at < s.k.Now() {
 		at = s.k.Now()
 	}
-	s.k.At(at, st.retryName, st.contendFn)
+	st.retry = s.k.At(at, st.retryName, st.contendFn)
 }
 
 // startTx begins serializing st's head frame onto the wire.
@@ -547,8 +561,6 @@ func (s *Segment) deliver() {
 
 	st.popHead()
 	st.attempts = 0
-	st.TxFrames++
-	st.TxBytes += int64(f.CapturedSize())
 
 	delivered := true
 	switch {

@@ -183,3 +183,47 @@ func TestFaultStreamsIsolatedFromBaseline(t *testing.T) {
 		t.Errorf("fault stream perturbed baseline: %v vs %v", a, b)
 	}
 }
+
+// A silenced port — a crashed host's adaptor — sends nothing it had not
+// finished sending: the frame on its link is cut short, the frames queued
+// behind it are discarded, and it sends again once given a new frame. On
+// the segment, a station that deferred to the cut frame gets the idle
+// medium.
+func TestSilenceDropsUnsentFrames(t *testing.T) {
+	segK, _, sts := newTestSegment(t, 3)
+	swK, _, ports := newTestSwitch(t, 2)
+	for _, tc := range []struct {
+		name      string
+		k         *sim.Kernel
+		from, to  Port
+		bystander Port
+	}{
+		{"segment", segK, sts[0], sts[1], sts[2]},
+		{"switch", swK, ports[0], ports[1], nil},
+	} {
+		var from []int
+		tc.to.OnReceive(func(f *Frame) { from = append(from, f.Src) })
+		for i := 0; i < 3; i++ {
+			tc.from.Send(dataFrame(tc.to.ID(), 1000))
+		}
+		if tc.bystander != nil {
+			tc.k.After(100*sim.Microsecond, "bystander", func() { tc.bystander.Send(dataFrame(tc.to.ID(), 100)) })
+		}
+		tc.k.After(200*sim.Microsecond, "crash", tc.from.Silence)
+		tc.k.Run()
+		want := 0
+		if tc.bystander != nil {
+			want = 1
+			if len(from) != 1 || from[0] != tc.bystander.ID() {
+				t.Errorf("%s: delivered from %v, want only the bystander %d", tc.name, from, tc.bystander.ID())
+			}
+		} else if len(from) != 0 {
+			t.Errorf("%s: delivered from %v after Silence, want nothing", tc.name, from)
+		}
+		tc.from.Send(dataFrame(tc.to.ID(), 1000))
+		tc.k.Run()
+		if len(from) != want+1 || from[want] != tc.from.ID() {
+			t.Errorf("%s: after a new send, delivered from %v", tc.name, from)
+		}
+	}
+}

@@ -11,9 +11,11 @@ import (
 // transport stack runs over either medium.
 type Port interface {
 	ID() int
-	Name() string
 	Send(*Frame)
 	OnReceive(func(*Frame))
+	// Silence discards what the port has not finished transmitting: a
+	// crashed host's adaptor goes quiet at once.
+	Silence()
 }
 
 // TrafficSource is any medium a promiscuous capture can tap. On the
@@ -118,9 +120,6 @@ func (sw *Switch) Attach(name string) *SwitchPort {
 	return p
 }
 
-// Ports returns the attached ports in order.
-func (sw *Switch) Ports() []*SwitchPort { return sw.ports }
-
 func (sw *Switch) txDuration(f *Frame) sim.Duration {
 	return sim.DurationOf(float64(f.WireBytes()*8) / sw.bitRate)
 }
@@ -141,6 +140,7 @@ type SwitchPort struct {
 	inHead    int
 	inFlight  *Frame // frame currently serializing up the link
 	ingressFn func() // once-allocated ingress-completion callback
+	ingressEv sim.Event
 
 	// Egress (switch → host): a strict-priority pair of queues.
 	outHi     []*Frame
@@ -154,16 +154,8 @@ type SwitchPort struct {
 // ID reports the port's address.
 func (p *SwitchPort) ID() int { return p.id }
 
-// Name reports the port name.
-func (p *SwitchPort) Name() string { return p.name }
-
 // OnReceive registers the delivery upcall.
 func (p *SwitchPort) OnReceive(fn func(*Frame)) { p.recv = fn }
-
-// QueueLen reports queued frames (ingress + egress).
-func (p *SwitchPort) QueueLen() int {
-	return (len(p.inQ) - p.inHead) + (len(p.outQ) - p.outHead) + (len(p.outHi) - p.outHiHead)
-}
 
 // Send transmits a frame toward the switch.
 func (p *SwitchPort) Send(f *Frame) {
@@ -180,6 +172,16 @@ func (p *SwitchPort) Send(f *Frame) {
 	}
 }
 
+// Silence discards the frames queued up the link and cuts short the one
+// serializing: nothing the crashed host had not fully sent reaches the
+// switch. Frames already inside the switch are its own and go on.
+func (p *SwitchPort) Silence() {
+	p.ingressEv.Cancel()
+	p.ingressEv, p.inFlight = sim.Event{}, nil
+	clear(p.inQ)
+	p.inQ, p.inHead = p.inQ[:0], 0
+}
+
 // pumpIngress serializes the next queued frame up the link.
 func (p *SwitchPort) pumpIngress() {
 	if p.inHead == len(p.inQ) {
@@ -192,7 +194,7 @@ func (p *SwitchPort) pumpIngress() {
 	p.inHead++
 	p.inFlight = f
 	sw := p.sw
-	sw.k.After(sw.txDuration(f)+InterFrameGap, p.ingressName, p.ingressFn)
+	p.ingressEv = sw.k.After(sw.txDuration(f)+InterFrameGap, p.ingressName, p.ingressFn)
 }
 
 // ingressDone fires when the in-flight frame has fully arrived at the

@@ -36,26 +36,19 @@ func Key(cfg core.RunConfig) string {
 	writeCost(h, cfg.Cost)
 	writeField(h, "desched-off", cfg.DisableDesched)
 	writeField(h, "force-copyloop", cfg.ForceCopyLoop)
-	writeField(h, "force-fragments", cfg.ForceFragments)
-	writeField(h, "net", fmt.Sprintf("%d/%d/%d/%d/%d/%t/%d/%d",
-		cfg.Net.SendWindow, cfg.Net.AckEvery, int64(cfg.Net.DelayedAckTimeout),
-		int64(cfg.Net.RTO), int64(cfg.Net.MaxRTO), cfg.Net.Nagle,
-		cfg.Net.MaxRetransmits, int64(cfg.Net.ConnectTimeout)))
+	// A field RunConfig no longer has keeps its line with the value every
+	// config had, so keys written before it went stay valid.
+	writeField(h, "force-fragments", false)
+	writeField(h, "net", "0/0/0/0/0/false/0/0")
 	writeField(h, "keepalive", int64(cfg.KeepaliveInterval))
 	writeField(h, "loss", cfg.FrameLossProb)
 	writeField(h, "switched", cfg.Switched)
 	writeField(h, "nagle", cfg.Nagle)
 	writeField(h, "cross-kbps", cfg.CrossTrafficKBps)
 	writeField(h, "guarantee", cfg.GuaranteeProgram)
-	// Faults takes precedence over FaultScript in core.Run; Schedule.String
-	// round-trips through faults.Parse, so it is a canonical form.
-	if cfg.Faults != nil {
-		writeField(h, "faults", cfg.Faults.String())
-	} else {
-		writeField(h, "faults", cfg.FaultScript)
-	}
+	writeField(h, "faults", cfg.FaultScript)
 	writeField(h, "degrade", cfg.Degrade)
-	writeField(h, "heartbeat-misses", cfg.HeartbeatMisses)
+	writeField(h, "heartbeat-misses", 0)
 	// Versioned extension: the topology field is hashed only when set, so
 	// every pre-topology config — and every cache entry written for one —
 	// keeps its exact key. Spec() is canonical (sorted, collapsed host

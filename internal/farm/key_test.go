@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"fxnet/internal/core"
-	"fxnet/internal/faults"
 	"fxnet/internal/fx"
 	"fxnet/internal/kernels"
-	"fxnet/internal/netstack"
 )
 
 // keyMutators perturbs every core.RunConfig field. TestKeyCoversAllFields
@@ -24,8 +22,6 @@ var keyMutators = map[string]func(*core.RunConfig){
 	"Cost":              func(c *core.RunConfig) { c.Cost = &fx.CostModel{DefaultRate: 1e6} },
 	"DisableDesched":    func(c *core.RunConfig) { c.DisableDesched = true },
 	"ForceCopyLoop":     func(c *core.RunConfig) { c.ForceCopyLoop = true },
-	"ForceFragments":    func(c *core.RunConfig) { c.ForceFragments = true },
-	"Net":               func(c *core.RunConfig) { c.Net = netstack.Config{SendWindow: 64 * 1024} },
 	"KeepaliveInterval": func(c *core.RunConfig) { c.KeepaliveInterval = -1 },
 	"FrameLossProb":     func(c *core.RunConfig) { c.FrameLossProb = 0.02 },
 	"Switched":          func(c *core.RunConfig) { c.Switched = true },
@@ -33,9 +29,7 @@ var keyMutators = map[string]func(*core.RunConfig){
 	"CrossTrafficKBps":  func(c *core.RunConfig) { c.CrossTrafficKBps = 500 },
 	"GuaranteeProgram":  func(c *core.RunConfig) { c.GuaranteeProgram = true },
 	"FaultScript":       func(c *core.RunConfig) { c.FaultScript = "5s:linkdown host2" },
-	"Faults":            func(c *core.RunConfig) { c.Faults = faults.MustParse("1s:segdown,2s:segup") },
 	"Degrade":           func(c *core.RunConfig) { c.Degrade = true },
-	"HeartbeatMisses":   func(c *core.RunConfig) { c.HeartbeatMisses = 5 },
 	"Topology":          func(c *core.RunConfig) { c.Topology = mustTopology("lan0:0-1,lan1:2-3") },
 }
 
@@ -110,18 +104,26 @@ func TestKeyTopologyVersioned(t *testing.T) {
 	}
 }
 
-// TestKeyFaultsPrecedence mirrors core.Run: a parsed schedule overrides
-// the script, and a schedule equal to a script's parse hashes like it.
-func TestKeyFaultsPrecedence(t *testing.T) {
-	script := "5s:linkdown host2,7s:linkup host2"
-	viaScript := core.RunConfig{Program: "sor", FaultScript: script}
-	viaSchedule := core.RunConfig{Program: "sor", Faults: faults.MustParse(script)}
-	if Key(viaScript) != Key(viaSchedule) {
-		t.Error("equivalent schedule and script produce different keys")
-	}
-	shadowed := viaSchedule
-	shadowed.FaultScript = "1s:segdown" // ignored by core.Run when Faults is set
-	if Key(shadowed) != Key(viaSchedule) {
-		t.Error("shadowed FaultScript leaked into the key")
+// TestKeyPins holds the key of one config per feature group to the bytes
+// written before RunConfig lost its ForceFragments, Net, Faults and
+// HeartbeatMisses fields: the cache entries written then still hit.
+func TestKeyPins(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  core.RunConfig
+		want string
+	}{
+		{"fault script", core.RunConfig{Program: "sor", Seed: 7, FaultScript: "5s:linkdown host2,7s:linkup host2"},
+			"53ad233efae6e49c2251848cdddbb750304a4681dd23f76c903dd7cf29c53462"},
+		{"nagle+cross traffic", core.RunConfig{Program: "seq", P: 4, Seed: 3, Nagle: true, CrossTrafficKBps: 200},
+			"7338aca63feff5e804d4d0227dcfcd401d05cdf8c870cf9a4071fc7edf7561eb"},
+		{"switched+guarantee", core.RunConfig{Program: "2dfft", Seed: 1, Switched: true, GuaranteeProgram: true},
+			"a3d30f79c5aecf68664b1e8549183a98a8d1b4813baca61c66c7b052bfc27076"},
+		{"one-segment topology", core.RunConfig{Program: "sor", Seed: 1, Topology: mustTopology("lan0:0-3")},
+			"4c9d61baeb2000ea6642908b1c9e208d0e7e2366a310f4e758c297fcc7368b1c"},
+	} {
+		if got := Key(tc.cfg); got != tc.want {
+			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

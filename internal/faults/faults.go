@@ -282,7 +282,7 @@ type Hooks struct {
 	Annotate func(at sim.Time, f Fault)
 }
 
-// hook returns the hook a fault kind needs, as an untyped nil check.
+// missing reports whether the hook a fault kind needs is nil.
 func (h *Hooks) missing(k Kind) bool {
 	switch k {
 	case LinkDown, LinkUp:

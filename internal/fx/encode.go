@@ -7,7 +7,7 @@ import (
 
 // The encode helpers serialize the numeric array slices the kernels ship
 // between processes. Fx programs declare REAL*4 (float32) and COMPLEX*8
-// (complex64) data; AIRSHED's concentration array is REAL*8 (float64).
+// (complex64) data.
 // Everything is little-endian.
 
 // EncodeFloat32s packs xs into a fresh byte slice.
@@ -35,27 +35,6 @@ func DecodeFloat32s(b []byte) []float32 {
 	out := make([]float32, len(b)/4)
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// EncodeFloat64s packs xs into a fresh byte slice.
-func EncodeFloat64s(xs []float64) []byte {
-	out := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
-	}
-	return out
-}
-
-// DecodeFloat64s unpacks a slice written by EncodeFloat64s.
-func DecodeFloat64s(b []byte) []float64 {
-	if len(b)%8 != 0 {
-		panic("fx: DecodeFloat64s length not a multiple of 8")
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }

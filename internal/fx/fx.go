@@ -135,17 +135,6 @@ func (c CostModel) Rate(class string) float64 {
 	return 2e6
 }
 
-// WithRate returns a copy of the model with one class rate overridden.
-func (c CostModel) WithRate(class string, rate float64) CostModel {
-	m := make(map[string]float64, len(c.Rates)+1)
-	for k, v := range c.Rates {
-		m[k] = v
-	}
-	m[class] = rate
-	c.Rates = m
-	return c
-}
-
 // Worker is one SPMD process: rank r of P, bound to a PVM task.
 type Worker struct {
 	Rank, P int
@@ -162,7 +151,6 @@ type Worker struct {
 	// copy-loop path — the packing ablation's control arm.
 	CoalesceFragments bool
 
-	barrierGen   int
 	phase        string
 	pendingStall sim.Duration
 
@@ -202,9 +190,6 @@ func (t *Team) Err() *RunError {
 	return t.errs[0]
 }
 
-// Errs returns every rank failure in the order they unwound.
-func (t *Team) Errs() []*RunError { return t.errs }
-
 // Finished reports whether every worker process has stopped running —
 // by returning, aborting with a RunError, or being killed in a crash.
 func (t *Team) Finished() bool {
@@ -216,10 +201,6 @@ func (t *Team) Finished() bool {
 	return true
 }
 
-// Next returns the degraded successor team formed after a host death
-// (nil if none). Final follows the chain to the team currently running.
-func (t *Team) Next() *Team { return t.next }
-
 // Final returns the last team in the degrade chain (t itself if no
 // re-form has happened).
 func (t *Team) Final() *Team {
@@ -229,9 +210,6 @@ func (t *Team) Final() *Team {
 	}
 	return cur
 }
-
-// Hosts returns the machine host index each rank runs on.
-func (t *Team) Hosts() []int { return append([]int(nil), t.hosts...) }
 
 // Generation reports how many times the team has re-formed (0 = original).
 func (t *Team) Generation() int { return t.gen }
@@ -277,9 +255,6 @@ type Opts struct {
 	// surviving hosts (e.g. qos.Network.Negotiate); nil uses every
 	// survivor. Results outside [1, maxP] are clamped.
 	Renegotiate func(maxP int) int
-	// OnReform is called (in event context) each time a degraded team
-	// launches.
-	OnReform func(prev, next *Team, deadHost int)
 }
 
 // Launch starts an SPMD program with P workers on machine m, worker r on
@@ -330,11 +305,7 @@ func LaunchOpts(m *pvm.Machine, opts Opts, body func(w *Worker)) *Team {
 			next := spawnTeam(m, nopts, body)
 			next.gen = current.gen + 1
 			current.next = next
-			prev := current
 			current = next
-			if opts.OnReform != nil {
-				opts.OnReform(prev, next, dead)
-			}
 		})
 	}
 	return team
@@ -393,9 +364,6 @@ func (w *Worker) abort(err error) {
 // Collectives set it automatically; kernels may name compute phases.
 func (w *Worker) Phase(name string) { w.phase = name }
 
-// CurrentPhase reports the phase most recently set.
-func (w *Worker) CurrentPhase() string { return w.phase }
-
 // InjectStall adds an extra OS-deschedule stall of duration d to the
 // worker's next compute phase — the ComputeStall fault's hook.
 func (w *Worker) InjectStall(d sim.Duration) {
@@ -406,12 +374,6 @@ func (w *Worker) InjectStall(d sim.Duration) {
 
 // tid maps a rank in this team to its PVM TID.
 func (w *Worker) tid(rank int) int { return w.team.baseTID + rank }
-
-// Now reports current virtual time.
-func (w *Worker) Now() sim.Time { return w.task.Proc().Now() }
-
-// Task exposes the underlying PVM task (counters, etc.).
-func (w *Worker) Task() *pvm.Task { return w.task }
 
 // Compute advances virtual time by ops operations of the given cost
 // class, with calibrated rate, multiplicative jitter, and the occasional
@@ -437,9 +399,6 @@ func (w *Worker) Compute(class string, ops float64) {
 	w.ComputeTime += d
 	w.task.Sleep(d)
 }
-
-// Idle advances virtual time without modeling computation (I/O waits).
-func (w *Worker) Idle(d sim.Duration) { w.task.Sleep(d) }
 
 // Send transmits body to rank dst using the worker's packing mode. A
 // transport failure or dead peer aborts the worker with a RunError.
@@ -481,7 +440,7 @@ func (w *Worker) SendFrags(dst, tag int, frags [][]byte) {
 // Recv blocks until a message from rank src with the tag arrives. A dead
 // peer or team abort unwinds the worker with a RunError.
 func (w *Worker) Recv(src, tag int) []byte {
-	_, _, body, err := w.task.RecvErr(w.tid(src), tag, 0)
+	_, _, body, err := w.task.RecvErr(w.tid(src), tag)
 	if err != nil {
 		w.abort(err)
 	}
@@ -564,41 +523,6 @@ func (w *Worker) Reduce(tag int, data []byte, combine func(local, incoming []byt
 		}
 	}
 	return local
-}
-
-// TreeBcast performs the tree down-sweep: rank 0's data propagates by
-// doubling (the reverse of Reduce). Every rank returns the data.
-func (w *Worker) TreeBcast(tag int, data []byte) []byte {
-	w.phase = "tree-broadcast"
-	span := 1
-	for span < w.P {
-		span <<= 1
-	}
-	local := data
-	for stride := span >> 1; stride >= 1; stride >>= 1 {
-		switch w.Rank % (2 * stride) {
-		case 0:
-			if w.Rank+stride < w.P {
-				w.Send(w.Rank+stride, tag, local)
-			}
-		case stride:
-			local = w.Recv(w.Rank-stride, tag)
-		}
-	}
-	return local
-}
-
-// Barrier synchronizes all ranks in the team: an empty tree reduce to
-// rank 0 followed by an empty broadcast release. Fx enforces this
-// synchronization implicitly through its communication schedules; some
-// SPMD communication systems make it an explicit barrier.
-func (w *Worker) Barrier() {
-	const barrierTagBase = 1 << 20
-	w.phase = "barrier"
-	tag := barrierTagBase + 2*w.barrierGen
-	w.barrierGen++
-	w.Reduce(tag, nil, func(a, b []byte) []byte { return nil })
-	w.Bcast(0, tag+1, nil)
 }
 
 // BlockRange computes the block distribution of n items over P

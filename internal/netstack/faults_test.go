@@ -32,7 +32,7 @@ func TestConnectTimeoutAgainstDeadHost(t *testing.T) {
 	var at sim.Time
 	r.k.Go("client", func(p *sim.Proc) {
 		_, err = r.hosts[0].ConnectErr(p, 1, 80)
-		at = p.Now()
+		at = r.k.Now()
 	})
 	r.k.Run()
 	if !errors.Is(err, ErrTimedOut) {

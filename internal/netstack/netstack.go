@@ -1,11 +1,13 @@
 // Package netstack models the per-host transport stack of the paper's
 // OSF/1 workstations: IP encapsulation over Ethernet, UDP datagrams (used
 // by the PVM daemons), and a TCP implementation with MSS segmentation, a
-// fixed sliding window, cumulative and delayed acknowledgments, and
-// connection setup/teardown. The collision-free MAC delivers frames
-// reliably and in order per sender, so no retransmission machinery is
-// needed; what matters for the traffic study is segmentation — which
-// produces the paper's trimodal packet sizes — and the ACK stream.
+// fixed sliding window, cumulative and delayed acknowledgments, and the
+// three-way handshake. What matters for the traffic study is segmentation
+// — which produces the paper's trimodal packet sizes — and the ACK
+// stream; retransmission (a timeout with exponential backoff, fast
+// retransmit on three duplicate ACKs, go-back-N resend) recovers the
+// frames injected loss and faults drop. PVM never closes a direct-route
+// connection, so there is no FIN teardown.
 package netstack
 
 import (
@@ -27,9 +29,6 @@ var (
 	// ErrReset is returned on a connection aborted by Reset or by a host
 	// crash.
 	ErrReset = errors.New("netstack: connection reset")
-	// ErrClosed is returned when the peer closed the connection before
-	// the requested bytes arrived.
-	ErrClosed = errors.New("netstack: connection closed by peer")
 	// ErrWouldBlock is returned by TryRead when the requested bytes have
 	// not arrived yet on a healthy connection.
 	ErrWouldBlock = errors.New("netstack: read would block")
@@ -160,22 +159,20 @@ func NewHost(k *sim.Kernel, st ethernet.Port, name string, cfg Config) *Host {
 // Addr reports the host's address (its station ID).
 func (h *Host) Addr() int { return h.st.ID() }
 
-// Name reports the host name.
-func (h *Host) Name() string { return h.name }
-
 // Kernel returns the simulation kernel.
 func (h *Host) Kernel() *sim.Kernel { return h.k }
 
 // Down reports whether the host stack is crashed.
 func (h *Host) Down() bool { return h.down }
 
-// Crash models a host failure at the transport layer: every open
+// Crash models a host failure: the adaptor goes silent (frames queued
+// for the wire are discarded, one on the wire is cut short), every open
 // connection is aborted with ErrReset (waking its blocked readers and
 // writers), listeners and port bindings are discarded, and the stack stops
-// sending and receiving until Restart. The MAC-level silence of a crashed
-// host is modeled separately by the fault layer's link gate.
+// sending and receiving until Restart.
 func (h *Host) Crash() {
 	h.down = true
+	h.st.Silence()
 	// Abort in a fixed key order: fail() wakes blocked procs, and the
 	// wake sequence must not depend on map iteration for the simulation
 	// to stay byte-deterministic.
@@ -262,7 +259,7 @@ func (h *Host) receiveTCP(f *ethernet.Frame) {
 		c.handle(f)
 		return
 	}
-	if f.Flags&(ethernet.FlagSyn|ethernet.FlagFin) == ethernet.FlagSyn {
+	if f.Flags&ethernet.FlagSyn != 0 {
 		if l, ok := h.listeners[f.DstPort]; ok {
 			l.handleSyn(f)
 		}
@@ -337,7 +334,6 @@ type Conn struct {
 	sndQHead  int
 	buffered  int // bytes in sndQ (the socket send buffer)
 	writers   sim.Gate
-	finSent   bool
 	segFree   []*sendSeg
 
 	// Reliability: segments on the wire but unacknowledged, oldest
@@ -375,7 +371,6 @@ type Conn struct {
 	unackedSegs int
 	delAck      sim.Event
 	delAckAt    sim.Time
-	peerClosed  bool
 
 	// err records why the connection failed (ErrTimedOut, ErrReset);
 	// nil while healthy.
@@ -383,15 +378,12 @@ type Conn struct {
 	synRetries int
 
 	// Counters for tests and diagnostics.
-	SegsOut, AcksOut, SegsIn int64
-	Retransmits              int64
-	DupSegsIn                int64
+	SegsIn, Retransmits int64
 }
 
 type sendSeg struct {
 	data []byte
 	seq  int64
-	fin  bool
 }
 
 // newSeg takes a segment from the connection's free list (or allocates).
@@ -409,7 +401,6 @@ func (c *Conn) newSeg() *sendSeg {
 // already on the wire hold their own copy of the slice header).
 func (c *Conn) freeSeg(s *sendSeg) {
 	s.data = nil
-	s.fin = false
 	c.segFree = append(c.segFree, s)
 }
 
@@ -534,9 +525,6 @@ func (c *Conn) fail(err error) {
 	c.writers.Broadcast()
 }
 
-// LocalPort reports the connection's local port.
-func (c *Conn) LocalPort() uint16 { return c.localPort }
-
 // RemoteAddr reports the peer host address and port.
 func (c *Conn) RemoteAddr() (int, uint16) { return c.remoteHost, c.remotePort }
 
@@ -552,12 +540,9 @@ func (c *Conn) segment(flags uint8, seq, ack int64) *ethernet.Frame {
 	return f
 }
 
-// sendControl emits a zero-data control segment (SYN/ACK/FIN variants).
+// sendControl emits a zero-data control segment (SYN/ACK variants).
 func (c *Conn) sendControl(flags uint8, seq, ack int64) {
 	c.h.st.Send(c.segment(flags, seq, ack))
-	if flags&ethernet.FlagAck != 0 && flags&ethernet.FlagSyn == 0 {
-		c.AcksOut++
-	}
 }
 
 // Write queues data on the connection as one application-layer fragment:
@@ -579,9 +564,6 @@ func (c *Conn) Write(p *sim.Proc, data []byte) {
 func (c *Conn) WriteErr(p *sim.Proc, data []byte) error {
 	if c.err != nil {
 		return c.err
-	}
-	if c.state == stateClosed {
-		panic("netstack: Write on closed connection")
 	}
 	for off := 0; off < len(data); off += MSS {
 		end := off + MSS
@@ -614,7 +596,7 @@ func (c *Conn) WriteErr(p *sim.Proc, data []byte) error {
 func (c *Conn) pump() {
 	for c.qLen() > 0 {
 		seg := c.sndQ[c.sndQHead]
-		if c.h.cfg.Nagle && !seg.fin && len(seg.data) < MSS {
+		if c.h.cfg.Nagle && len(seg.data) < MSS {
 			seg = c.nagleCoalesce()
 			if seg == nil {
 				return // hold the small segment until outstanding data is acked
@@ -622,15 +604,10 @@ func (c *Conn) pump() {
 			c.transmit(seg)
 			continue
 		}
-		if !seg.fin && c.sndQueued+int64(len(seg.data))-c.sndUna > int64(c.h.cfg.SendWindow) {
+		if c.sndQueued+int64(len(seg.data))-c.sndUna > int64(c.h.cfg.SendWindow) {
 			return
 		}
 		c.popSndQ()
-		if seg.fin {
-			c.sendControl(ethernet.FlagFin, seg.seq, 0)
-			c.freeSeg(seg)
-			continue
-		}
 		c.transmit(seg)
 	}
 }
@@ -639,7 +616,6 @@ func (c *Conn) pump() {
 func (c *Conn) transmit(seg *sendSeg) {
 	c.sndQueued += int64(len(seg.data))
 	c.buffered -= len(seg.data)
-	c.SegsOut++
 	c.unacked = append(c.unacked, seg)
 	c.sendData(seg)
 	c.armRTO(false)
@@ -652,7 +628,7 @@ func (c *Conn) nagleCoalesce() *sendSeg {
 	q := c.sndQ[c.sndQHead:]
 	total := 0
 	n := 0
-	for n < len(q) && !q[n].fin && total+len(q[n].data) <= MSS {
+	for n < len(q) && total+len(q[n].data) <= MSS {
 		total += len(q[n].data)
 		n++
 	}
@@ -668,7 +644,7 @@ func (c *Conn) nagleCoalesce() *sendSeg {
 	// Byte-granular fill: top up from the next segment so coalesced
 	// segments are exactly MSS when the buffer has the bytes.
 	take := 0
-	if total < MSS && n < len(q) && !q[n].fin {
+	if total < MSS && n < len(q) {
 		take = MSS - total
 		if take > len(q[n].data) {
 			take = len(q[n].data)
@@ -774,7 +750,7 @@ func (c *Conn) goBackN() {
 
 // handle processes an inbound segment for an existing connection.
 func (c *Conn) handle(f *ethernet.Frame) {
-	syn, fin := f.Flags&ethernet.FlagSyn != 0, f.Flags&ethernet.FlagFin != 0
+	syn := f.Flags&ethernet.FlagSyn != 0
 	switch {
 	case syn && f.Flags&ethernet.FlagAck != 0: // SYN-ACK at client
 		if c.state == stateSynSent {
@@ -791,11 +767,6 @@ func (c *Conn) handle(f *ethernet.Frame) {
 		if c.state == stateSynRcvd {
 			c.sendControl(ethernet.FlagSyn|ethernet.FlagAck, 0, 1)
 		}
-		return
-	case fin:
-		c.peerClosed = true
-		c.sendControl(ethernet.FlagAck, 0, c.rcvNext)
-		c.readable()
 		return
 	}
 	if c.state == stateSynRcvd {
@@ -828,7 +799,6 @@ func (c *Conn) handle(f *ethernet.Frame) {
 			// hole after a lost segment (go-back-N: no out-of-order
 			// buffering). Either way, re-announce the cumulative ACK
 			// immediately so the sender converges.
-			c.DupSegsIn++
 			c.unackedSegs = 0
 			c.delAckAt = 0
 			c.sendControl(ethernet.FlagAck, 0, c.rcvNext)
@@ -906,8 +876,8 @@ func (c *Conn) buffer(data []byte) {
 	c.rcvBuf = append(c.rcvBuf, data...)
 }
 
-// readable announces a change in what a read would return — data, the
-// peer's FIN, a failure — to blocked readers and to the OnReadable
+// readable announces a change in what a read would return — data or a
+// failure — to blocked readers and to the OnReadable
 // callback, if it is armed.
 func (c *Conn) readable() {
 	c.readers.Broadcast()
@@ -920,7 +890,7 @@ func (c *Conn) readable() {
 // OnReadable makes fn the connection's event-context reader: fn runs once
 // now, in a kernel event of its own named "start:"+name, and again in an
 // event named "wake:"+name at the instant of each later read-state change
-// (data, the peer's FIN, a failure) — but only if a TryRead has come up
+// (data or a failure) — but only if a TryRead has come up
 // short since fn last ran, so a reader that is not waiting costs nothing,
 // and at most one run is pending. These are exactly the events, in the
 // same queue positions, that a process looping over ReadErr would consume.
@@ -949,8 +919,9 @@ func (c *Conn) take(n int) []byte {
 }
 
 // Read blocks p until n bytes are available, then returns them. If the
-// peer closes before n bytes arrive, Read panics — the message protocols
-// built on top never truncate. The slice is only lent: see ReadErr.
+// connection fails before n bytes arrive, Read panics — the message
+// protocols built on top never truncate. The slice is only lent: see
+// ReadErr.
 func (c *Conn) Read(p *sim.Proc, n int) []byte {
 	out, err := c.ReadErr(p, n)
 	if err != nil {
@@ -959,10 +930,9 @@ func (c *Conn) Read(p *sim.Proc, n int) []byte {
 	return out
 }
 
-// ReadErr is Read returning an error instead of panicking: ErrClosed when
-// the peer's FIN arrives before n bytes do, or the connection's failure
-// cause (ErrTimedOut, ErrReset) when it dies while blocked. Buffered data
-// already received stays readable after a failure.
+// ReadErr is Read returning an error instead of panicking: the
+// connection's failure cause (ErrTimedOut, ErrReset) when it dies while
+// blocked. Buffered data already received stays readable after a failure.
 //
 // The returned slice aliases the receive buffer, whose storage later
 // segments reuse: it is valid until the caller next reads from the
@@ -972,9 +942,6 @@ func (c *Conn) ReadErr(p *sim.Proc, n int) ([]byte, error) {
 	for c.Buffered() < n {
 		if c.err != nil {
 			return nil, c.err
-		}
-		if c.peerClosed {
-			return nil, ErrClosed
 		}
 		c.readers.Wait(p)
 	}
@@ -991,25 +958,6 @@ func (c *Conn) TryRead(n int) ([]byte, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	if c.peerClosed {
-		return nil, ErrClosed
-	}
 	c.readArmed = c.onReadable != nil
 	return nil, ErrWouldBlock
 }
-
-// Close sends a FIN after all queued data. It does not block.
-func (c *Conn) Close() {
-	if c.finSent || c.state == stateClosed {
-		return
-	}
-	c.finSent = true
-	fin := c.newSeg()
-	fin.fin = true
-	fin.seq = c.sndNext
-	c.sndQ = append(c.sndQ, fin)
-	c.pump()
-}
-
-// PeerClosed reports whether a FIN has arrived from the peer.
-func (c *Conn) PeerClosed() bool { return c.peerClosed }

@@ -268,29 +268,6 @@ func TestDelayedAckTimer(t *testing.T) {
 	}
 }
 
-func TestTCPClose(t *testing.T) {
-	r := newRig(t, 2)
-	l := r.hosts[1].Listen(80)
-	var peerSawFin bool
-	r.k.Go("server", func(p *sim.Proc) {
-		c := l.Accept(p)
-		c.Read(p, 3)
-		for !c.PeerClosed() {
-			p.Sleep(sim.Millisecond)
-		}
-		peerSawFin = true
-	})
-	r.k.Go("client", func(p *sim.Proc) {
-		c := r.hosts[0].Connect(p, 1, 80)
-		c.Write(p, []byte("bye"))
-		c.Close()
-	})
-	r.k.RunUntil(sim.Time(5 * sim.Second))
-	if !peerSawFin {
-		t.Error("peer never observed FIN")
-	}
-}
-
 func TestConnectLoopbackPanics(t *testing.T) {
 	r := newRig(t, 2)
 	r.k.Go("client", func(p *sim.Proc) {

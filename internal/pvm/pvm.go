@@ -30,15 +30,10 @@ import (
 	"fxnet/internal/sim"
 )
 
-// Failure modes surfaced by the robust messaging API (SendErr, RecvErr).
-var (
-	// ErrPeerDead is returned when the peer task's host has been marked
-	// dead (by heartbeat timeout or an explicit MarkHostDead).
-	ErrPeerDead = errors.New("pvm: peer host is dead")
-	// ErrTimedOut is returned by RecvErr when its deadline elapses with no
-	// matching message and no evidence the peer is dead.
-	ErrTimedOut = errors.New("pvm: receive deadline exceeded")
-)
+// ErrPeerDead is returned by the robust messaging API (SendErr, RecvErr)
+// when the peer task's host has been marked dead (by heartbeat timeout or
+// an explicit MarkHostDead).
+var ErrPeerDead = errors.New("pvm: peer host is dead")
 
 // Well-known ports.
 const (
@@ -87,6 +82,21 @@ func DefaultConfig() Config {
 	return Config{
 		KeepaliveInterval: 30 * sim.Second,
 		KeepalivePayload:  32,
+	}
+}
+
+// FaultConfig is DefaultConfig for a run under a fault schedule: a 1 s
+// keepalive (detection latency is misses × interval, and the sparse 30 s
+// cadence would stretch every faulty run by minutes of virtual time), a
+// detector that marks a host dead after three silent intervals, and three
+// connect retries from a 250 ms backoff.
+func FaultConfig() Config {
+	return Config{
+		KeepaliveInterval: sim.Second,
+		KeepalivePayload:  32,
+		HeartbeatMisses:   3,
+		ConnectRetries:    3,
+		ConnectBackoff:    250 * sim.Millisecond,
 	}
 }
 
@@ -175,12 +185,13 @@ func (m *Machine) NotifyHostDead(fn func(hostIndex int)) {
 	m.onHostDead = append(m.onHostDead, fn)
 }
 
-// MarkHostDead records host i as failed and propagates the news: every
-// surviving task's connections to the dead host are reset (stopping their
-// readers), every mailbox gate is broadcast so blocked receives
-// re-check peerDead, and registered callbacks fire. In real PVM the
-// master pvmd broadcasts HOSTDELETE notifications; the shared machine
-// state models that control message. Idempotent.
+// MarkHostDead records host i as failed and propagates the news: its
+// tasks are lost for good, every surviving task's connections to the dead
+// host are reset (stopping their readers), every mailbox gate is
+// broadcast so blocked receives re-check peerDead, and registered
+// callbacks fire. In real PVM the master pvmd broadcasts HOSTDELETE
+// notifications; the shared machine state models that control message.
+// Idempotent.
 func (m *Machine) MarkHostDead(i int) {
 	if m.dead[i] {
 		return
@@ -189,6 +200,7 @@ func (m *Machine) MarkHostDead(i int) {
 	addr := m.hosts[i].Addr()
 	for _, t := range m.tasks {
 		if t.hostIndex == i {
+			t.lost = true
 			continue
 		}
 		// Deterministic order: walk possible destinations by TID, not by
@@ -239,8 +251,11 @@ func (m *Machine) KillHost(i int) {
 }
 
 // RestartHost brings a crashed host's stack and daemon back up. Tasks do
-// not restart — a rebooted PVM host rejoins the virtual machine empty.
+// not restart — a rebooted PVM host rejoins the virtual machine empty, and
+// its re-registration tells the machine that the old incarnation's tasks
+// are gone, if the failure detector has not said so already.
 func (m *Machine) RestartHost(i int) {
+	m.MarkHostDead(i)
 	m.hosts[i].Restart()
 	m.dead[i] = false
 	if i == 0 {
@@ -392,6 +407,7 @@ type Task struct {
 	mbox      []message
 	gate      sim.Gate
 	cancelErr error
+	lost      bool   // its host was marked dead; a restart does not revive it
 	sendChunk []byte // unused tail of the current send chunk (see sendBuf)
 	chunkLen  int    // that chunk's full length
 
@@ -432,9 +448,6 @@ func (m *Machine) Spawn(name string, hostIndex int, body func(t *Task)) *Task {
 	return t
 }
 
-// HostIndex reports the index of the task's host in the machine.
-func (t *Task) HostIndex() int { return t.hostIndex }
-
 // Cancel poisons the task's blocking operations with err: a pending or
 // future SendErr/RecvErr returns it instead of blocking. Queued messages
 // already delivered remain receivable first. Used by the run-time to
@@ -447,12 +460,6 @@ func (t *Task) Cancel(err error) {
 	t.cancelErr = err
 	t.gate.Broadcast()
 }
-
-// Canceled reports the task's cancellation cause, nil if none.
-func (t *Task) Canceled() error { return t.cancelErr }
-
-// TID reports the task identifier.
-func (t *Task) TID() int { return t.tid }
 
 // Host returns the host the task runs on.
 func (t *Task) Host() *netstack.Host { return t.host }
@@ -561,16 +568,6 @@ func (r *reader) kill() {
 	k.At(k.Now(), "wake:"+readerName+r.t.name, func() {})
 }
 
-// connTo returns (establishing if needed) the outgoing direct-route
-// connection to task dst, panicking on failure.
-func (t *Task) connTo(dst int) *netstack.Conn {
-	c, err := t.connToErr(dst)
-	if err != nil {
-		panic(fmt.Sprintf("pvm: connect %s -> task %d: %v", t.name, dst, err))
-	}
-	return c
-}
-
 // connToErr returns (establishing if needed) the outgoing direct-route
 // connection to task dst. A connect that fails (ConnectTimeout or SYN
 // retransmit cap in netstack) is retried up to ConnectRetries times with
@@ -586,7 +583,7 @@ func (t *Task) connToErr(dst int) (*netstack.Conn, error) {
 	if peer.host == t.host {
 		panic("pvm: intra-host messaging not modeled (paper runs one task per machine)")
 	}
-	if t.m.HostDead(peer.hostIndex) {
+	if peer.lost {
 		return nil, ErrPeerDead
 	}
 	backoff := t.m.cfg.ConnectBackoff
@@ -600,7 +597,7 @@ func (t *Task) connToErr(dst int) (*netstack.Conn, error) {
 			t.out[dst] = c
 			return c, nil
 		}
-		if t.m.HostDead(peer.hostIndex) {
+		if peer.lost {
 			return nil, ErrPeerDead
 		}
 		if attempt >= t.m.cfg.ConnectRetries {
@@ -682,25 +679,19 @@ func (t *Task) SendErr(dst, tag int, body []byte) error {
 	return nil
 }
 
-// sendFailure maps a transport error to ErrPeerDead when the peer's host
-// is known dead, else passes it through.
+// sendFailure maps a transport error to ErrPeerDead when the peer is
+// known lost, else passes it through.
 func (t *Task) sendFailure(dst int, err error) error {
-	if t.m.HostDead(t.m.tasks[dst].hostIndex) {
+	if t.m.tasks[dst].lost {
 		return ErrPeerDead
 	}
 	return err
 }
 
-// SendFrags transmits a fragment-list message: the header goes out with
-// the first fragment's length prefix, then every fragment is written to
-// the socket separately — the T2DFFT behaviour.
-func (t *Task) SendFrags(dst, tag int, frags [][]byte) {
-	if err := t.SendFragsErr(dst, tag, frags); err != nil {
-		panic(fmt.Sprintf("pvm: sendfrags %s -> task %d: %v", t.name, dst, err))
-	}
-}
-
-// SendFragsErr is SendFrags returning an error instead of panicking.
+// SendFragsErr transmits a fragment-list message: the header goes out
+// with the first fragment's length prefix, then every fragment is written
+// to the socket separately — the T2DFFT behaviour. A transport failure or
+// dead peer is returned, as by SendErr.
 func (t *Task) SendFragsErr(dst, tag int, frags [][]byte) error {
 	if len(frags) == 0 {
 		return t.SendErr(dst, tag, nil)
@@ -741,7 +732,7 @@ func (t *Task) SendFragsErr(dst, tag int, frags [][]byte) error {
 // source, tag, and body. It panics if the awaited peer dies; RecvErr is
 // the robust form.
 func (t *Task) Recv(src, tag int) (gotSrc, gotTag int, body []byte) {
-	gotSrc, gotTag, body, err := t.RecvErr(src, tag, 0)
+	gotSrc, gotTag, body, err := t.RecvErr(src, tag)
 	if err != nil {
 		panic(fmt.Sprintf("pvm: recv at %s from task %d: %v", t.name, src, err))
 	}
@@ -750,12 +741,10 @@ func (t *Task) Recv(src, tag int) (gotSrc, gotTag int, body []byte) {
 
 // RecvErr is Recv with failure awareness: it returns ErrPeerDead as soon
 // as the awaited source (or, for AnySource, every other task) is on a
-// host marked dead with no matching message queued, and ErrTimedOut when
-// the optional deadline elapses first. A zero deadline waits forever —
-// but still wakes on peer death, because MarkHostDead broadcasts every
-// mailbox gate.
-func (t *Task) RecvErr(src, tag int, deadline sim.Duration) (gotSrc, gotTag int, body []byte, err error) {
-	start := t.proc.Now()
+// host marked dead with no matching message queued. It waits without a
+// deadline but still wakes on peer death, because MarkHostDead broadcasts
+// every mailbox gate.
+func (t *Task) RecvErr(src, tag int) (gotSrc, gotTag int, body []byte, err error) {
 	for {
 		for i := range t.mbox {
 			if t.mbox[i].matches(src, tag) {
@@ -775,23 +764,16 @@ func (t *Task) RecvErr(src, tag int, deadline sim.Duration) (gotSrc, gotTag int,
 		if t.peerDead(src) {
 			return 0, 0, nil, ErrPeerDead
 		}
-		if deadline > 0 {
-			remaining := deadline - t.proc.Now().Sub(start)
-			if remaining <= 0 || !t.gate.WaitTimeout(t.proc, remaining) {
-				return 0, 0, nil, ErrTimedOut
-			}
-		} else {
-			t.gate.Wait(t.proc)
-		}
+		t.gate.Wait(t.proc)
 	}
 }
 
 // peerDead reports whether the source a receive is waiting on cannot
-// possibly send: a specific src on a dead host, or — for AnySource —
-// every other task dead.
+// possibly send: a specific src lost with its host, or — for AnySource —
+// every other task lost.
 func (t *Task) peerDead(src int) bool {
 	if src != AnySource {
-		return t.m.HostDead(t.m.tasks[src].hostIndex)
+		return t.m.tasks[src].lost
 	}
 	others := 0
 	for _, other := range t.m.tasks {
@@ -799,27 +781,11 @@ func (t *Task) peerDead(src int) bool {
 			continue
 		}
 		others++
-		if !t.m.HostDead(other.hostIndex) {
+		if !other.lost {
 			return false
 		}
 	}
 	return others > 0
-}
-
-// RecvBody is Recv returning only the payload.
-func (t *Task) RecvBody(src, tag int) []byte {
-	_, _, body := t.Recv(src, tag)
-	return body
-}
-
-// Probe reports whether a matching message is queued, without blocking.
-func (t *Task) Probe(src, tag int) bool {
-	for i := range t.mbox {
-		if t.mbox[i].matches(src, tag) {
-			return true
-		}
-	}
-	return false
 }
 
 // Sleep advances the task's virtual time — the local-computation hook.

@@ -78,7 +78,7 @@ func TestLargeMessageIntegrity(t *testing.T) {
 	}
 	var got []byte
 	r.m.Spawn("send", 0, func(task *Task) { task.Send(1, 1, msg) })
-	r.m.Spawn("recv", 1, func(task *Task) { got = task.RecvBody(0, 1) })
+	r.m.Spawn("recv", 1, func(task *Task) { got = recvBody(task, 0, 1) })
 	r.k.Run()
 	if !bytes.Equal(got, msg) {
 		t.Fatal("large message corrupted")
@@ -88,7 +88,7 @@ func TestLargeMessageIntegrity(t *testing.T) {
 func TestCopyLoopProducesMaximalSegments(t *testing.T) {
 	r := newRig(t, 2, Config{})
 	r.m.Spawn("send", 0, func(task *Task) { task.Send(1, 1, make([]byte, 20000)) })
-	r.m.Spawn("recv", 1, func(task *Task) { task.RecvBody(0, 1) })
+	r.m.Spawn("recv", 1, func(task *Task) { recvBody(task, 0, 1) })
 	r.k.Run()
 	tr := r.col.Trace()
 	var full, smallData int
@@ -122,8 +122,8 @@ func TestFragmentsProduceNonMaximalSegments(t *testing.T) {
 		frags[i] = make([]byte, 500)
 	}
 	var got []byte
-	r.m.Spawn("send", 0, func(task *Task) { task.SendFrags(1, 1, frags) })
-	r.m.Spawn("recv", 1, func(task *Task) { got = task.RecvBody(0, 1) })
+	r.m.Spawn("send", 0, func(task *Task) { sendFrags(task, 1, 1, frags) })
+	r.m.Spawn("recv", 1, func(task *Task) { got = recvBody(task, 0, 1) })
 	r.k.Run()
 	if len(got) != 20000 {
 		t.Fatalf("received %d bytes", len(got))
@@ -153,10 +153,10 @@ func TestBidirectionalExchange(t *testing.T) {
 	var a, b []byte
 	r.m.Spawn("t0", 0, func(task *Task) {
 		task.Send(1, 1, []byte("from0"))
-		b = task.RecvBody(1, 2)
+		b = recvBody(task, 1, 2)
 	})
 	r.m.Spawn("t1", 1, func(task *Task) {
-		a = task.RecvBody(0, 1)
+		a = recvBody(task, 0, 1)
 		task.Send(0, 2, []byte("from1"))
 	})
 	r.k.Run()
@@ -222,6 +222,30 @@ func TestDaemonsQuiesceWhenTasksDone(t *testing.T) {
 	}
 }
 
+// sendFrags is SendFragsErr failing the run on error.
+func sendFrags(t *Task, dst, tag int, frags [][]byte) {
+	if err := t.SendFragsErr(dst, tag, frags); err != nil {
+		panic(err)
+	}
+}
+
+// recvBody is Recv returning only the payload.
+func recvBody(t *Task, src, tag int) []byte {
+	_, _, body := t.Recv(src, tag)
+	return body
+}
+
+// queued reports whether a message matching src and tag waits in t's
+// mailbox.
+func queued(t *Task, src, tag int) bool {
+	for i := range t.mbox {
+		if t.mbox[i].matches(src, tag) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestProbe(t *testing.T) {
 	r := newRig(t, 2, Config{})
 	var before, after bool
@@ -230,10 +254,10 @@ func TestProbe(t *testing.T) {
 		task.Send(1, 5, []byte("x"))
 	})
 	r.m.Spawn("recv", 1, func(task *Task) {
-		before = task.Probe(0, 5)
+		before = queued(task, 0, 5)
 		task.Sleep(sim.Second) // let the message arrive
-		after = task.Probe(0, 5)
-		task.RecvBody(0, 5)
+		after = queued(task, 0, 5)
+		recvBody(task, 0, 5)
 	})
 	r.k.Run()
 	if before {
@@ -249,11 +273,11 @@ func TestCountersAndEmptyFragList(t *testing.T) {
 	var sender, receiver *Task
 	sender = r.m.Spawn("send", 0, func(task *Task) {
 		task.Send(1, 1, make([]byte, 100))
-		task.SendFrags(1, 2, nil) // empty fragment list → empty body
+		sendFrags(task, 1, 2, nil) // empty fragment list → empty body
 	})
 	receiver = r.m.Spawn("recv", 1, func(task *Task) {
-		task.RecvBody(0, 1)
-		if b := task.RecvBody(0, 2); len(b) != 0 {
+		recvBody(task, 0, 1)
+		if b := recvBody(task, 0, 2); len(b) != 0 {
 			t.Errorf("empty-frag body = %d bytes", len(b))
 		}
 	})
@@ -313,7 +337,7 @@ func TestDeterministicRun(t *testing.T) {
 					task.Send((i+s)%4, 1, make([]byte, 5000))
 				}
 				for s := 1; s < 4; s++ {
-					task.RecvBody((i-s+4)%4, 1)
+					recvBody(task, (i-s+4)%4, 1)
 				}
 			})
 		}
@@ -336,9 +360,9 @@ func TestFragmentLargerThanWindow(t *testing.T) {
 	}
 	var got []byte
 	r.m.Spawn("send", 0, func(task *Task) {
-		task.SendFrags(1, 1, [][]byte{big[:40000], big[40000:]})
+		sendFrags(task, 1, 1, [][]byte{big[:40000], big[40000:]})
 	})
-	r.m.Spawn("recv", 1, func(task *Task) { got = task.RecvBody(0, 1) })
+	r.m.Spawn("recv", 1, func(task *Task) { got = recvBody(task, 0, 1) })
 	r.k.Run()
 	if len(got) != len(big) {
 		t.Fatalf("received %d bytes", len(got))
@@ -355,7 +379,7 @@ func TestZeroLengthMessage(t *testing.T) {
 	done := false
 	r.m.Spawn("send", 0, func(task *Task) { task.Send(1, 9, nil) })
 	r.m.Spawn("recv", 1, func(task *Task) {
-		if b := task.RecvBody(0, 9); len(b) != 0 {
+		if b := recvBody(task, 0, 9); len(b) != 0 {
 			t.Errorf("body = %d bytes", len(b))
 		}
 		done = true
@@ -409,7 +433,7 @@ func TestRecvReleasesConsumedMessage(t *testing.T) {
 		task.Recv(0, 1)        // take the middle one
 	})
 	r.k.Run()
-	if len(recv.mbox) != 2 || recv.mbox[0].tag != 0 || recv.mbox[1].tag != 2 || !recv.Probe(0, 2) || recv.Probe(0, 1) {
+	if len(recv.mbox) != 2 || recv.mbox[0].tag != 0 || recv.mbox[1].tag != 2 || !queued(recv, 0, 2) || queued(recv, 0, 1) {
 		t.Fatalf("mailbox after Recv: %+v", recv.mbox)
 	}
 	if tail := recv.mbox[:3][2]; tail.body != nil || tail.tag != 0 {

@@ -27,7 +27,7 @@ func eventChain(k *Kernel) func(n int) {
 // round loop, staged injection, barrier and kernels, steady state.
 func enginePingPong() func(n int) {
 	parts := []*Kernel{New(1), New(2)}
-	eng := NewEngine(parts, 2*Millisecond)
+	eng := NewEngineMatrix(parts, uniform(len(parts), 2*Millisecond))
 	left := 0
 	var fns [2]func()
 	for src := range fns {
@@ -102,7 +102,7 @@ func BenchmarkChanHandoff(b *testing.B) {
 	k.Go("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			c.Put(i)
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	b.ReportAllocs()

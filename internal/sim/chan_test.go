@@ -54,7 +54,7 @@ func TestChanBlockingFIFO(t *testing.T) {
 		for i := 0; i < n; i++ {
 			c.Put(i)
 			if i%3 == 0 {
-				p.Yield() // vary occupancy so the ring wraps
+				p.Sleep(0) // vary occupancy so the ring wraps
 			}
 		}
 	})

@@ -125,29 +125,6 @@ type xfer struct {
 	fn   func()
 }
 
-// NewEngine builds an engine over the given partition kernels with a
-// uniform lookahead: every pair of distinct partitions is separated by
-// at least the given bound. It must be positive when there is more than
-// one partition.
-func NewEngine(parts []*Kernel, lookahead Duration) *Engine {
-	if len(parts) == 0 {
-		panic("sim: engine needs at least one partition")
-	}
-	if len(parts) > 1 && lookahead <= 0 {
-		panic("sim: multi-partition engine needs positive lookahead")
-	}
-	lat := make([][]Duration, len(parts))
-	for i := range lat {
-		lat[i] = make([]Duration, len(parts))
-		for j := range lat[i] {
-			if i != j {
-				lat[i][j] = lookahead
-			}
-		}
-	}
-	return NewEngineMatrix(parts, lat)
-}
-
 // NewEngineMatrix builds an engine over the given partition kernels with
 // a per-pair lookahead matrix: lat[i][j] bounds from below the virtual
 // latency of any single cross-partition hop from i to j. Off-diagonal

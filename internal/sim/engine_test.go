@@ -17,7 +17,7 @@ func pingPong(parallel bool, nPart, rounds int, delay Duration) []string {
 	for i := range parts {
 		parts[i] = New(int64(i + 1))
 	}
-	eng := NewEngine(parts, 2*delay)
+	eng := NewEngineMatrix(parts, uniform(len(parts), 2*delay))
 	type entry struct {
 		at   Time
 		text string
@@ -87,7 +87,7 @@ func TestEngineBarrierMergeOrder(t *testing.T) {
 	// schedule that delivered them.
 	run := func(parallel bool) []string {
 		parts := []*Kernel{New(1), New(2), New(3), New(4)}
-		eng := NewEngine(parts, 4*Millisecond)
+		eng := NewEngineMatrix(parts, uniform(len(parts), 4*Millisecond))
 		var got []string
 		for src := 1; src <= 3; src++ {
 			src := src
@@ -119,7 +119,7 @@ func TestEngineLookaheadViolationPanics(t *testing.T) {
 		}
 	}()
 	parts := []*Kernel{New(1), New(2)}
-	eng := NewEngine(parts, 10*Millisecond)
+	eng := NewEngineMatrix(parts, uniform(len(parts), 10*Millisecond))
 	parts[0].At(0, "bad", func() {
 		// Timestamp inside the current window: history rewrite.
 		eng.Send(0, 1, parts[0].Now().Add(Millisecond), "early", func() {})
@@ -260,7 +260,7 @@ func TestEngineNullHorizonRoundTripSafety(t *testing.T) {
 	// the 4 ms reply lands in its past.
 	var log []string
 	parts := []*Kernel{New(1), New(2)}
-	eng := NewEngine(parts, Millisecond)
+	eng := NewEngineMatrix(parts, uniform(len(parts), Millisecond))
 	parts[0].At(Time(10*Millisecond), "far", func() {
 		log = append(log, "far@10ms")
 	})
@@ -286,7 +286,7 @@ func TestEngineSkipsIdleTime(t *testing.T) {
 	// crawl in lookahead-sized steps. Executed counts prove only the
 	// scheduled events ran.
 	parts := []*Kernel{New(1), New(2)}
-	eng := NewEngine(parts, Millisecond)
+	eng := NewEngineMatrix(parts, uniform(len(parts), Millisecond))
 	var fired int
 	for i := 0; i < 5; i++ {
 		at := Time(i) * Time(Hour)
@@ -307,7 +307,7 @@ func TestEngineSkipsIdleTime(t *testing.T) {
 
 func TestEngineReturnsLastEventTime(t *testing.T) {
 	parts := []*Kernel{New(1), New(2)}
-	eng := NewEngine(parts, Millisecond)
+	eng := NewEngineMatrix(parts, uniform(len(parts), Millisecond))
 	parts[0].At(10, "a", func() {})
 	parts[1].At(Time(3*Second), "b", func() {})
 	if got := eng.Run(true); got != Time(3*Second) {
@@ -317,7 +317,7 @@ func TestEngineReturnsLastEventTime(t *testing.T) {
 
 func TestEngineFinalBarrierWatermarkIsMax(t *testing.T) {
 	parts := []*Kernel{New(1), New(2)}
-	eng := NewEngine(parts, Millisecond)
+	eng := NewEngineMatrix(parts, uniform(len(parts), Millisecond))
 	var last Time
 	eng.OnBarrier(func(w Time) { last = w })
 	parts[0].At(0, "a", func() {})
@@ -325,4 +325,18 @@ func TestEngineFinalBarrierWatermarkIsMax(t *testing.T) {
 	if last != maxTime {
 		t.Fatalf("final watermark %v, want maxTime", last)
 	}
+}
+
+// uniform is a lookahead matrix separating every pair of n partitions by d.
+func uniform(n int, d Duration) [][]Duration {
+	lat := make([][]Duration, n)
+	for i := range lat {
+		lat[i] = make([]Duration, n)
+		for j := range lat[i] {
+			if i != j {
+				lat[i][j] = d
+			}
+		}
+	}
+	return lat
 }

@@ -39,20 +39,8 @@ func (h Event) Cancel() {
 	}
 }
 
-// Cancelled reports whether Cancel was called on a still-queued event.
-func (h Event) Cancelled() bool { return h.e != nil && h.e.gen == h.gen && h.e.cancel }
-
 // Pending reports whether the event is still queued and not cancelled.
 func (h Event) Pending() bool { return h.e != nil && h.e.gen == h.gen && !h.e.cancel }
-
-// Time reports the virtual instant the event is scheduled for, or 0 if
-// the handle is stale.
-func (h Event) Time() Time {
-	if h.e != nil && h.e.gen == h.gen {
-		return h.e.at
-	}
-	return 0
-}
 
 // Kernel is a discrete-event simulation engine. Create one with New,
 // attach components and processes, then call Run or RunUntil.
@@ -93,9 +81,6 @@ func New(seed int64) *Kernel {
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Seed reports the base seed the kernel was created with.
-func (k *Kernel) Seed() int64 { return k.seed }
 
 // Executed reports how many events have run so far.
 func (k *Kernel) Executed() uint64 { return k.executed }

@@ -12,7 +12,7 @@ func TestTimeConversions(t *testing.T) {
 	if got := Time(250 * Millisecond).Seconds(); got != 0.25 {
 		t.Errorf("Seconds() = %v, want 0.25", got)
 	}
-	if got := Time(1500 * Microsecond).Milliseconds(); got != 1.5 {
+	if got := Time(1500 * Microsecond).Sub(0).Milliseconds(); got != 1.5 {
 		t.Errorf("Milliseconds() = %v, want 1.5", got)
 	}
 	if got := DurationOf(0.001); got != Millisecond {
@@ -64,8 +64,8 @@ func TestEventCancel(t *testing.T) {
 	fired := false
 	e := k.After(Millisecond, "x", func() { fired = true })
 	e.Cancel()
-	if !e.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
+	if e.Pending() {
+		t.Error("Pending() = true after Cancel")
 	}
 	k.Run()
 	if fired {

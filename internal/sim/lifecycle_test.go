@@ -42,7 +42,7 @@ func TestCloseUnwindsParkedProcsInSpawnOrder(t *testing.T) {
 	}
 	for _, p := range []*Proc{suspended, asleep, waiting} {
 		if !p.Done() {
-			t.Errorf("%s not done after Close", p.Name())
+			t.Errorf("%s not done after Close", p.name)
 		}
 	}
 	if neverStarted.Done() {

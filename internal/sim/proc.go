@@ -10,7 +10,7 @@ import (
 // time. Processes express sequential blocking behaviour — compute phases,
 // blocking sends and receives — that would be awkward as event callbacks.
 //
-// A process may only call its blocking methods (Sleep, Suspend, Yield) from
+// A process may only call its blocking methods (Sleep, Suspend) from
 // its own body. Wake must be called from event context (or from another
 // process), never from the process itself.
 //
@@ -134,15 +134,6 @@ func (k *Kernel) Suspended() []string {
 	return names
 }
 
-// Name reports the process name.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the kernel the process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Now reports the current virtual time.
-func (p *Proc) Now() Time { return p.k.Now() }
-
 // Done reports whether the process body has returned (or been killed).
 func (p *Proc) Done() bool { return p.done }
 
@@ -178,10 +169,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.park()
 }
 
-// Yield lets all events scheduled for the current instant (before this
-// call) run, then resumes.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Suspend parks the process until another component calls Wake. It is the
 // building block for blocking queues and condition variables.
 func (p *Proc) Suspend() {
@@ -207,9 +194,6 @@ func (p *Proc) Wake() {
 	p.waiting = false
 	p.k.atProc(p.k.now, p)
 }
-
-// Waiting reports whether the process is parked in Suspend.
-func (p *Proc) Waiting() bool { return p.waiting }
 
 func (p *Proc) checkSelf(op string) {
 	if p.k.cur != p {
@@ -245,24 +229,6 @@ func (g *Gate) pop() *Proc {
 	return p
 }
 
-// remove deletes the first occurrence of p, preserving FIFO order of the
-// rest, and reports whether it was present.
-func (g *Gate) remove(p *Proc) bool {
-	mask := len(g.buf) - 1
-	for i := 0; i < g.n; i++ {
-		if g.buf[(g.head+i)&mask] != p {
-			continue
-		}
-		for j := i; j < g.n-1; j++ {
-			g.buf[(g.head+j)&mask] = g.buf[(g.head+j+1)&mask]
-		}
-		g.buf[(g.head+g.n-1)&mask] = nil
-		g.n--
-		return true
-	}
-	return false
-}
-
 // grow doubles the ring (power-of-two capacity), re-linearizing so head
 // lands at index 0.
 func (g *Gate) grow() {
@@ -282,28 +248,6 @@ func (g *Gate) grow() {
 func (g *Gate) Wait(p *Proc) {
 	g.push(p)
 	p.Suspend()
-}
-
-// WaitTimeout parks p until a Signal or Broadcast reaches it or the
-// deadline d elapses, and reports whether the process was signaled (true)
-// or timed out (false). A non-positive d waits without a deadline.
-func (g *Gate) WaitTimeout(p *Proc, d Duration) bool {
-	if d <= 0 {
-		g.Wait(p)
-		return true
-	}
-	timedOut := false
-	ev := p.k.After(d, "gate.timeout:"+p.name, func() {
-		// Only a process still queued in this gate can time out: a
-		// Signal removes it from waiters before waking it.
-		if g.remove(p) {
-			timedOut = true
-			p.Wake()
-		}
-	})
-	g.Wait(p)
-	ev.Cancel()
-	return !timedOut
 }
 
 // Signal wakes the longest-waiting live process, if any, and reports
@@ -331,9 +275,6 @@ func (g *Gate) Broadcast() {
 		p.Wake()
 	}
 }
-
-// Len reports the number of waiting processes.
-func (g *Gate) Len() int { return g.n }
 
 // Chan is an unbounded FIFO queue connecting event-context producers to
 // process-context consumers. Put never blocks; Get blocks the calling

@@ -6,11 +6,11 @@ func TestProcSleep(t *testing.T) {
 	k := New(1)
 	var marks []Time
 	k.Go("sleeper", func(p *Proc) {
-		marks = append(marks, p.Now())
+		marks = append(marks, p.k.Now())
 		p.Sleep(10 * Millisecond)
-		marks = append(marks, p.Now())
+		marks = append(marks, p.k.Now())
 		p.Sleep(5 * Millisecond)
-		marks = append(marks, p.Now())
+		marks = append(marks, p.k.Now())
 	})
 	k.Run()
 	want := []Time{0, Time(10 * Millisecond), Time(15 * Millisecond)}
@@ -44,7 +44,7 @@ func TestProcSuspendWake(t *testing.T) {
 	var got Time
 	p := k.Go("waiter", func(p *Proc) {
 		p.Suspend()
-		got = p.Now()
+		got = p.k.Now()
 	})
 	k.After(42*Millisecond, "waker", func() { p.Wake() })
 	k.Run()
@@ -82,8 +82,8 @@ func TestGateFIFO(t *testing.T) {
 		})
 	}
 	k.After(Millisecond, "sig", func() {
-		if g.Len() != 3 {
-			t.Errorf("Len = %d, want 3", g.Len())
+		if g.n != 3 {
+			t.Errorf("Len = %d, want 3", g.n)
 		}
 		g.Signal()
 	})
@@ -184,10 +184,10 @@ func TestManyProcsDeterministic(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			name := string(rune('a' + i))
 			k.Go(name, func(p *Proc) {
-				r := p.Kernel().Rand("proc:" + p.Name())
+				r := p.k.Rand("proc:" + p.name)
 				for j := 0; j < 5; j++ {
 					p.Sleep(Duration(r.Intn(1000)) * Microsecond)
-					order = append(order, p.Name())
+					order = append(order, p.name)
 				}
 			})
 		}

@@ -7,10 +7,7 @@
 // given seed is exactly reproducible.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is an instant of virtual simulation time, in nanoseconds since the
 // start of the simulation.
@@ -32,9 +29,6 @@ const (
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// Milliseconds reports t as a floating-point number of milliseconds.
-func (t Time) Milliseconds() float64 { return float64(t) / 1e6 }
-
 // Add returns the instant d after t.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
@@ -49,9 +43,6 @@ func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 
 // Milliseconds reports d as a floating-point number of milliseconds.
 func (d Duration) Milliseconds() float64 { return float64(d) / 1e6 }
-
-// Std converts d to a time.Duration (both are nanosecond counts).
-func (d Duration) Std() time.Duration { return time.Duration(d) }
 
 // DurationOf converts a floating-point number of seconds to a Duration,
 // rounding to the nearest nanosecond.

@@ -77,9 +77,21 @@ for d in examples/*/; do
 	if grep -q '"fxnet"' "$d"*.go && grep -q '"fxnet/internal/' "$d"*.go; then echo "$d imports fxnet and internal/"; exit 1; fi
 done
 
+# A minimal stack: the RunConfig fields, collectives, gate deadline and
+# TCP teardown that no figure, fault kind or flag reached are deleted
+# (DESIGN.md §3 "A minimal stack"). One coming back in non-test Go fails
+# here; new code nothing claim-carrying runs fails the coverage ratchet
+# below.
+if grep -rnE 'ForceFragments|TreeBcast|WaitTimeout|func \(c \*Conn\) Close' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
+if grep -rn 'HeartbeatMisses' --include='*.go' internal/core | grep -v '_test\.go:'; then exit 1; fi
+
 go build ./...
 go vet ./...
 go test ./...
+
+# Coverage ratchet: uncovered statements in the seven simulator packages
+# under the claim-carrying tests may fall but never rise.
+./scripts/coverage.sh
 
 # Every example runs to completion.
 for d in examples/*/; do go run "./$d" >/dev/null; done
