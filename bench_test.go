@@ -19,6 +19,7 @@ import (
 	"fxnet/internal/core"
 	"fxnet/internal/ethernet"
 	"fxnet/internal/farm"
+	"fxnet/internal/kernels"
 	"fxnet/internal/qos"
 )
 
@@ -109,27 +110,23 @@ func pv(v float64) string {
 }
 
 // BenchmarkFigure2KernelTable regenerates figure 2: the kernel ↔ pattern
-// table, verified against the live registry.
+// table, read from c of each kernel's registered [l(), b(), c] law
+// (internal/kernels' TestKernelTrafficMatchesCompiler holds c to the
+// compiler and the wire).
 func BenchmarkFigure2KernelTable(b *testing.B) {
-	want := map[string]fxnet.Pattern{
-		"sor": fxnet.Neighbor, "2dfft": fxnet.AllToAll, "t2dfft": fxnet.Partition,
-		"seq": fxnet.Broadcast, "hist": fxnet.Tree,
-	}
+	pats := make([]fxnet.Pattern, len(kernelNames))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for name, pat := range want {
-			res, _ := farmRun(b, fxnet.RunConfig{
-				Program: name, Seed: 7, Params: fxnet.KernelParams{N: 16, Iters: 1},
-			})
-			_ = res
-			_ = pat
+		for j, name := range kernelNames {
+			spec, _ := kernels.Lookup(name)
+			pats[j] = spec.QoS(spec.Params).Pattern
 		}
 	}
 	printOnce("fig2", func() {
 		fmt.Fprintln(os.Stdout, "\n=== Figure 2: Fx kernels and their communication patterns ===")
 		fmt.Fprintf(os.Stdout, "%-10s %-12s\n", "Kernel", "Pattern")
-		for _, name := range kernelNames {
-			fmt.Fprintf(os.Stdout, "%-10s %-12v\n", name, want[name])
+		for j, name := range kernelNames {
+			fmt.Fprintf(os.Stdout, "%-10s %-12v\n", name, pats[j])
 		}
 	})
 }
@@ -601,12 +598,8 @@ func BenchmarkSection73QoSNegotiation(b *testing.B) {
 // This is the validation the paper leaves as future work.
 func BenchmarkSection73ModelValidation(b *testing.B) {
 	const n = 512
-	flopsPerPhase := func(P int) float64 { return 2 * 512 * 23040 / float64(P) }
-	bytesPerConn := func(P int) float64 { return float64(n) * float64(n) * 8 / float64(P*P) }
-	// Effective shared-medium capacity after framing/ACK overhead,
-	// measured once by the ethernet saturation test: ≈1.1 MB/s of the
-	// 1.25 MB/s line rate.
-	const effCapacity = 1.1e6
+	spec, _ := kernels.Lookup("2dfft")
+	law := spec.QoS(fxnet.KernelParams{N: n})
 
 	type row struct {
 		P                   int
@@ -628,8 +621,8 @@ func BenchmarkSection73ModelValidation(b *testing.B) {
 			P := ps[j]
 			spec := fxnet.SpectrumOf(jr.Result.Trace, fxnet.PaperWindow)
 			measured := 1 / spec.DominantFreq()
-			totalBytes := float64(P*(P-1)) * bytesPerConn(P) * 1.06 // + header overhead
-			predicted := flopsPerPhase(P)/8.4e6 + totalBytes/effCapacity
+			totalBytes := float64(P*(P-1)) * law.Burst(P) * 1.06 // + header overhead
+			predicted := law.Local(P) + totalBytes/qos.EffectiveCapacityBps
 			rows = append(rows, row{P: P, predicted: predicted, measured: measured})
 		}
 	}

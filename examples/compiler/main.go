@@ -4,25 +4,18 @@
 // demonstrates exactly that with the mini-Fx compiler: HPF-style array
 // statements are compiled into communication schedules whose per-message
 // sizes, connection sets, and figure-1 patterns are all known before the
-// program runs — and then verified against the wire by executing one
-// schedule on the simulated testbed.
+// program runs. internal/kernels' TestKernelTrafficMatchesCompiler holds
+// the five kernels' statements to their registered laws and to the
+// captured wire, byte for byte.
 package main
 
 import (
 	"fmt"
-	"log"
 
-	"fxnet/internal/ethernet"
-	"fxnet/internal/fx"
 	"fxnet/internal/fxc"
-	"fxnet/internal/netstack"
-	"fxnet/internal/pvm"
-	"fxnet/internal/sim"
-	"fxnet/internal/trace"
 )
 
 func main() {
-	log.SetFlags(0)
 	const n, p = 256, 4
 
 	// !HPF$ DISTRIBUTE a(BLOCK, *), b(BLOCK, *), c(*, BLOCK)
@@ -60,39 +53,4 @@ func main() {
 		fmt.Printf("%-42s %-12s %6d %12d %12d\n",
 			st.text, patStr, st.sched.Connections(), st.sched.MaxMessageBytes(), st.sched.TotalBytes())
 	}
-
-	// Execute the transpose schedule on the simulated testbed and verify
-	// the wire carries exactly the compiled bytes.
-	sched := stmts[1].sched
-	k := sim.New(1)
-	defer k.Close() // release the PVM daemons still parked when Run drains
-	seg := ethernet.NewSegment(k, 0)
-	var hosts []*netstack.Host
-	for i := 0; i < p; i++ {
-		st := seg.Attach(fmt.Sprintf("alpha%d", i))
-		hosts = append(hosts, netstack.NewHost(k, st, st.Name(), netstack.DefaultConfig()))
-	}
-	col := trace.Capture(seg)
-	m := pvm.NewMachine(k, hosts, pvm.Config{})
-	team := fx.Launch(m, p, fx.CostModel{DefaultRate: 1e12}, "transpose", func(w *fx.Worker) {
-		fxc.Execute(w, sched, 100)
-	})
-	k.Run()
-	if !team.Done() {
-		log.Fatal("execution deadlocked")
-	}
-
-	var payload int
-	for _, pk := range col.Trace().Packets {
-		if pk.Proto == ethernet.ProtoTCP && pk.Flags&ethernet.FlagData != 0 {
-			payload += int(pk.Size) - 58 // strip Ethernet+IP+TCP framing
-		}
-	}
-	overhead := 24 * sched.Connections() // PVM header + length prefix per message
-	fmt.Printf("\ntranspose executed on the wire: %d payload bytes (compiled %d + %d PVM framing)\n",
-		payload, sched.TotalBytes(), overhead)
-	if payload != sched.TotalBytes()+overhead {
-		log.Fatalf("wire bytes diverge from the compile-time prediction")
-	}
-	fmt.Println("compile-time prediction matches the measured wire exactly.")
 }

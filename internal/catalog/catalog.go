@@ -199,12 +199,13 @@ func (c *Catalog) Quarantined() int64   { return c.st.Quarantined(ext) }
 func (c *Catalog) StoreFailures() int64 { return c.st.Failures() }
 
 // PatternOf maps a catalogued program to its global communication
-// pattern: the kernel registry for the five kernels, and all-to-all for
-// AIRSHED, whose dominant communication is the transpose redistribution
-// between the horizontal and vertical phases.
+// pattern: c of the kernel's registered [l(), b(), c] law for the five
+// kernels, and all-to-all for AIRSHED, whose dominant communication is
+// the transpose redistribution between the horizontal and vertical
+// phases.
 func PatternOf(program string) (fx.Pattern, bool) {
 	if spec, ok := kernels.Lookup(program); ok {
-		return spec.Pattern, true
+		return spec.QoS(spec.Params).Pattern, true
 	}
 	if program == core.Airshed {
 		return fx.AllToAll, true

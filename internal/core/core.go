@@ -29,11 +29,6 @@ import (
 // have their own registry in the kernels package).
 const Airshed = "airshed"
 
-// qosCapacityBps is the usable shared-segment capacity assumed by the
-// degraded-team renegotiation, bytes/s: 10 Mb/s derated by framing and
-// CSMA/CD overhead (the §7.3 experiments' calibration).
-const qosCapacityBps = 1.1e6
-
 // ProgramNames lists every runnable program.
 func ProgramNames() []string {
 	return append(kernels.Names(), Airshed)
@@ -502,7 +497,7 @@ func launchTeam(cfg RunConfig, machine *pvm.Machine, p int) *fx.Team {
 		// network the program's [l(), b(), c] and let it pick the
 		// post-fault processor count.
 		prog := spec.QoS(params)
-		net := qos.NewNetwork(qosCapacityBps)
+		net := qos.NewNetwork(qos.EffectiveCapacityBps)
 		opts.Renegotiate = func(maxP int) int {
 			off, err := net.Negotiate(prog, maxP)
 			if err != nil {

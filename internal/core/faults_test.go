@@ -326,7 +326,7 @@ func TestDegradeReformsAndMatchesQoSPrediction(t *testing.T) {
 	// The re-formed size must be exactly what the negotiation returns
 	// for the three survivors.
 	spec, _ := kernels.Lookup("sor")
-	offer, err := qos.NewNetwork(qosCapacityBps).Negotiate(spec.QoS(params), 3)
+	offer, err := qos.NewNetwork(qos.EffectiveCapacityBps).Negotiate(spec.QoS(params), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,30 +225,15 @@ func (s *Schedule) MaxMessageBytes() int {
 	return m
 }
 
-// SendsOf returns rank r's outgoing transfers in destination order.
-func (s *Schedule) SendsOf(r int) []Transfer {
-	var out []Transfer
-	for _, t := range s.Transfers {
-		if t.Src == r {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// RecvsOf returns rank r's incoming transfers in source order.
-func (s *Schedule) RecvsOf(r int) []Transfer {
-	var out []Transfer
-	for _, t := range s.Transfers {
-		if t.Dst == r {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Classify maps the transfer set onto the paper's figure 1 patterns. The
 // boolean is false when the statement needs no communication at all.
+//
+// The binomial tree is tested first: at P = 3 its edges 1→0, 2→0 would
+// otherwise pass as a partition, and at P = 2 its one edge as a neighbor
+// exchange. At P = 2 the patterns' pair sets collapse: neighbor and
+// all-to-all are both {0→1, 1→0}, the shift b(i,j) = a(i-1,j) is the
+// broadcast {0→1} and b(i,j) = a(i+1,j) the tree {1→0}. A caller holding
+// a statement to a known pattern at P = 2 compares pair sets, not classes.
 func (s *Schedule) Classify() (fx.Pattern, bool) {
 	if len(s.Transfers) == 0 {
 		return 0, false
@@ -264,6 +249,8 @@ func (s *Schedule) Classify() (fx.Pattern, bool) {
 		}
 	}
 	switch {
+	case s.isTree():
+		return fx.Tree, true
 	case len(srcs) == 1 && srcs[0] && !dsts[0]:
 		return fx.Broadcast, true
 	case neighborOnly:
@@ -272,8 +259,6 @@ func (s *Schedule) Classify() (fx.Pattern, bool) {
 		return fx.AllToAll, true
 	case disjoint(srcs, dsts):
 		return fx.Partition, true
-	case s.isTree():
-		return fx.Tree, true
 	default:
 		return fx.AllToAll, true // general many-to-many: closest figure-1 class
 	}
@@ -307,32 +292,4 @@ func disjoint(a, b map[int]bool) bool {
 		}
 	}
 	return true
-}
-
-// Execute runs the schedule's communication on a live worker: rank w.Rank
-// sends each of its outgoing messages (payload bytes of the right size)
-// and receives each incoming one, in a deterministic shifted order that
-// avoids receiver hotspots — exactly what Fx's generated code does. tag
-// namespaces the statement instance.
-func Execute(w *fx.Worker, s *Schedule, tag int) {
-	if w.P != s.P {
-		panic(fmt.Sprintf("fxc: schedule compiled for P=%d executed on P=%d", s.P, w.P))
-	}
-	sends := s.SendsOf(w.Rank)
-	// Shift order: start with the destination just above our rank.
-	sort.Slice(sends, func(a, b int) bool {
-		da := (sends[a].Dst - w.Rank + s.P) % s.P
-		db := (sends[b].Dst - w.Rank + s.P) % s.P
-		return da < db
-	})
-	for _, t := range sends {
-		w.Send(t.Dst, tag, make([]byte, t.Bytes(s.ElemBytes)))
-	}
-	for _, t := range s.RecvsOf(w.Rank) {
-		body := w.Recv(t.Src, tag)
-		if len(body) != t.Bytes(s.ElemBytes) {
-			panic(fmt.Sprintf("fxc: rank %d expected %d bytes from %d, got %d",
-				w.Rank, t.Bytes(s.ElemBytes), t.Src, len(body)))
-		}
-	}
 }

@@ -29,8 +29,7 @@ type Params struct {
 
 // Spec describes one kernel for the experiment harness.
 type Spec struct {
-	Name    string
-	Pattern fx.Pattern
+	Name string
 	// P is the paper's processor count for this kernel.
 	P int
 	// Params are the paper-scale defaults.
@@ -47,20 +46,22 @@ type Spec struct {
 	RepresentativeConn [2]int
 	// QoS builds the §7.3 [l(), b(), c] characterization at the given
 	// problem size, from the same calibrated rates the cost model uses.
-	// Degraded-team renegotiation feeds it back to qos.Network.Negotiate
-	// to pick the post-fault processor count.
+	// It is the one hand-written record of what the kernel sends: the
+	// catalog reads c from it, degraded-team renegotiation feeds it back
+	// to qos.Network.Negotiate to pick the post-fault processor count, and
+	// TestKernelTrafficMatchesCompiler holds b and c to the compile-time
+	// schedule of the kernel's communication statement and to the wire.
 	QoS func(p Params) qos.Program
 }
 
 // All lists the five kernels with paper-scale defaults.
 var All = []Spec{
 	{
-		Name:    "sor",
-		Pattern: fx.Neighbor,
-		P:       4,
-		Params:  Params{N: 512, Iters: 100},
-		Rates:   map[string]float64{"sor.update": 38500},
-		Run:     func(w *fx.Worker, p Params) { SOR(w, p) },
+		Name:   "sor",
+		P:      4,
+		Params: Params{N: 512, Iters: 100},
+		Rates:  map[string]float64{"sor.update": 38500},
+		Run:    func(w *fx.Worker, p Params) { SOR(w, p) },
 		// The paper picks an arbitrary adjacent pair.
 		RepresentativeConn: [2]int{1, 0},
 		QoS: func(p Params) qos.Program {
@@ -75,7 +76,6 @@ var All = []Spec{
 	},
 	{
 		Name:               "2dfft",
-		Pattern:            fx.AllToAll,
 		P:                  4,
 		Params:             Params{N: 512, Iters: 100},
 		Rates:              map[string]float64{"fft.flop": 8.4e6},
@@ -94,7 +94,6 @@ var All = []Spec{
 	},
 	{
 		Name:         "t2dfft",
-		Pattern:      fx.Partition,
 		P:            4,
 		Params:       Params{N: 512, Iters: 100},
 		Rates:        map[string]float64{"tfft.flop": 2.5e6},
@@ -126,7 +125,6 @@ var All = []Spec{
 	},
 	{
 		Name:               "seq",
-		Pattern:            fx.Broadcast,
 		P:                  4,
 		Params:             Params{N: 40, Iters: 5},
 		Rates:              map[string]float64{"seq.produce": 160},
@@ -145,7 +143,6 @@ var All = []Spec{
 	},
 	{
 		Name:               "hist",
-		Pattern:            fx.Tree,
 		P:                  4,
 		Params:             Params{N: 512, Iters: 100},
 		Rates:              map[string]float64{"hist.bin": 364000},

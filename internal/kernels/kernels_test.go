@@ -48,8 +48,8 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("Lookup(%q) failed", name)
 			continue
 		}
-		if s.Pattern != pat {
-			t.Errorf("%s pattern = %v, want %v", name, s.Pattern, pat)
+		if got := s.QoS(s.Params).Pattern; got != pat {
+			t.Errorf("%s pattern = %v, want %v", name, got, pat)
 		}
 		if s.P != 4 {
 			t.Errorf("%s P = %d", name, s.P)

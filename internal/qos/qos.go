@@ -76,6 +76,13 @@ type Offer struct {
 	MeanBandwidth float64
 }
 
+// EffectiveCapacityBps is the usable capacity of the paper's 10 Mb/s
+// shared segment in bytes/s: the 1.25 MB/s line rate derated by framing,
+// ACK and CSMA/CD overhead, as the ethernet saturation test measures. The
+// §7.3 validation, degraded-team renegotiation and fxnetd's default
+// network all assume it.
+const EffectiveCapacityBps = 1.1e6
+
 // Network is the entity granting QoS commitments on a shared medium.
 type Network struct {
 	// CapacityBps is the usable capacity in bytes per second.

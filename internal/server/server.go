@@ -43,6 +43,7 @@ import (
 	"fxnet/internal/farm"
 	"fxnet/internal/journal"
 	"fxnet/internal/kernels"
+	"fxnet/internal/qos"
 	"fxnet/internal/version"
 )
 
@@ -65,7 +66,7 @@ type Options struct {
 	MemoMaxEntries int
 	MemoMaxBytes   int64
 	// CapacityBps is the QoS broker's schedulable capacity in bytes/s;
-	// <= 0 selects the calibrated shared-segment default (1.1 MB/s).
+	// <= 0 selects qos.EffectiveCapacityBps.
 	CapacityBps float64
 	// MaxP bounds the broker's processor search; <= 0 selects 32.
 	MaxP int
@@ -124,10 +125,6 @@ type Server struct {
 	ready    atomic.Bool
 }
 
-// defaultCapacityBps matches core's qosCapacityBps: 10 Mb/s derated by
-// framing and CSMA/CD overhead.
-const defaultCapacityBps = 1.1e6
-
 // New assembles a server. When a journal is configured its records are
 // replayed into a recovered-state snapshot here, but jobs are not
 // re-enqueued until Recover — the caller decides when the node starts
@@ -144,7 +141,7 @@ func New(opts Options) (*Server, error) {
 	}
 	cap := opts.CapacityBps
 	if cap <= 0 {
-		cap = defaultCapacityBps
+		cap = qos.EffectiveCapacityBps
 	}
 	logger := opts.Log
 	if logger == nil {

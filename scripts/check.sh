@@ -85,6 +85,16 @@ done
 if grep -rnE 'ForceFragments|TreeBcast|WaitTimeout|func \(c \*Conn\) Close' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
 if grep -rn 'HeartbeatMisses' --include='*.go' internal/core | grep -v '_test\.go:'; then exit 1; fi
 
+# One law per kernel: the registry's QoS closure is the only hand-written
+# record of what a kernel sends (c is QoS(p).Pattern, held to the
+# compiler and the wire by TestKernelTrafficMatchesCompiler); only the run
+# path and the benchmark's probes build a PVM machine; the §7.3 effective
+# capacity is written once, in internal/qos (bench/ keeps its own literal
+# until its own PR).
+if grep -nE 'Pattern +fx\.Pattern' internal/kernels/*.go | grep -v '_test\.go:'; then exit 1; fi
+if grep -rn 'pvm\.NewMachine(' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/core/\|^\./internal/pvm/\|^\./bench/'; then exit 1; fi
+if grep -rn '1\.1e6' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/qos/\|^\./bench/'; then exit 1; fi
+
 go build ./...
 go vet ./...
 go test ./...
