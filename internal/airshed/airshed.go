@@ -190,12 +190,22 @@ func (st *state) factor(hour int) ([]*linalg.BandedLU, float64) {
 	return lus, ops
 }
 
+// transportOps is the flop count of one transport phase over lus: one
+// backsolve per owned layer and species. It depends on structure alone,
+// so it is known before the solves run.
+func (st *state) transportOps(lus []*linalg.BandedLU) float64 {
+	var ops float64
+	for _, lu := range lus {
+		ops += float64(st.p.Species * lu.SolveFlops)
+	}
+	return ops
+}
+
 // transport runs one horizontal transport phase on the by-layer block:
 // for every owned layer and species, a banded backsolve updates the
 // concentration row, solveBatch rows at a time through reused float64
-// scratch. Returns the flop count.
-func (st *state) transport(lus []*linalg.BandedLU) float64 {
-	var ops float64
+// scratch.
+func (st *state) transport(lus []*linalg.BandedLU) {
 	for li, lu := range lus {
 		for si := 0; si < st.p.Species; si += solveBatch {
 			rhs := st.rhs[:min(solveBatch, st.p.Species-si)]
@@ -212,9 +222,7 @@ func (st *state) transport(lus []*linalg.BandedLU) float64 {
 				}
 			}
 		}
-		ops += float64(st.p.Species * lu.SolveFlops)
 	}
-	return ops
 }
 
 // heun integrates one grid point's l×s species column with Heun's
@@ -286,14 +294,19 @@ func (h *heun) point(y []float32) {
 	}
 }
 
+// chemOps is the op count of one chemistry phase: chemSubsteps Heun
+// steps over every owned point's l×s column, known before they run.
+func (st *state) chemOps() float64 {
+	return float64(st.np) * float64(chemSubsteps*st.p.Layers*st.p.Species*12)
+}
+
 // chemistry runs the chemistry / vertical transport phase over every
-// owned grid point. Returns the op count.
-func (st *state) chemistry() float64 {
+// owned grid point.
+func (st *state) chemistry() {
 	n := st.p.Layers * st.p.Species
 	for o := 0; o < len(st.points); o += n {
 		st.chem.point(st.points[o : o+n])
 	}
-	return float64(st.np) * float64(chemSubsteps*n*12)
 }
 
 // Run executes the AIRSHED skeleton on worker w and returns the worker's
@@ -303,29 +316,36 @@ func Run(w *fx.Worker, p Params) [][][]float32 {
 	glo, ghi := fx.BlockRange(p.Grid, w.P, w.Rank)
 	st := newState(p, llo, lhi-llo, ghi-glo)
 
+	// The local phases' arithmetic runs beside their charge (DESIGN.md
+	// §8 "Kernel numerics"): each op count is known from structure before
+	// the work, and the work touches only this rank's state.
+	transport := func(lus []*linalg.BandedLU) {
+		w.ComputeWith("airshed.solve", st.transportOps(lus), func() { st.transport(lus) })
+	}
 	tag := tagBase
 	for hour := 0; hour < p.Hours; hour++ {
 		// Preprocessing: assemble and factor stiffness per owned layer.
+		// Synchronous: the factor's op count depends on its values.
 		lus, preOps := st.factor(hour)
 		w.Compute("airshed.factor", preOps)
 
 		for step := 0; step < p.Steps; step++ {
 			// Horizontal transport (by-layer, local).
-			w.Compute("airshed.solve", st.transport(lus))
+			transport(lus)
 
 			// Transpose to by-grid distribution.
 			st.transposeForward(w, tag)
 			tag += w.P
 
 			// Chemistry / vertical transport (by-grid, local).
-			w.Compute("airshed.chem", st.chemistry())
+			w.ComputeWith("airshed.chem", st.chemOps(), st.chemistry)
 
 			// Reverse transpose back to by-layer.
 			st.transposeReverse(w, tag)
 			tag += w.P
 
 			// Second horizontal transport.
-			w.Compute("airshed.solve", st.transport(lus))
+			transport(lus)
 		}
 	}
 	return st.layers()

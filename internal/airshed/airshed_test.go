@@ -19,6 +19,13 @@ func smallParams() Params {
 
 func runDistributed(t *testing.T, P int, p Params) ([][][][]float32, *trace.Trace) {
 	t.Helper()
+	return runDistributedCost(t, P, p, fx.CostModel{DefaultRate: 1e12})
+}
+
+// runDistributedCost runs Run on P ranks over a shared segment under the
+// cost model and returns each rank's final layers and the captured trace.
+func runDistributedCost(t *testing.T, P int, p Params, cost fx.CostModel) ([][][][]float32, *trace.Trace) {
+	t.Helper()
 	k := sim.New(1)
 	t.Cleanup(k.Close)
 	seg := ethernet.NewSegment(k, 0)
@@ -29,7 +36,6 @@ func runDistributed(t *testing.T, P int, p Params) ([][][][]float32, *trace.Trac
 	}
 	col := trace.Capture(seg)
 	m := pvm.NewMachine(k, hosts, pvm.Config{})
-	cost := fx.CostModel{DefaultRate: 1e12}
 	got := make([][][][]float32, P)
 	team := fx.Launch(m, P, cost, "airshed", func(w *fx.Worker) {
 		got[w.Rank] = Run(w, p)

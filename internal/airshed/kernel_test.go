@@ -72,8 +72,8 @@ func TestDistributedMatchesLegacy(t *testing.T) {
 }
 
 // TestOpCountsMatchLegacy holds the one rule that keeps every digest:
-// the op count of each phase — what Run hands to w.Compute — is the
-// legacy value exactly.
+// the op count of each phase — what Run hands to w.Compute or
+// w.ComputeWith — is the legacy value exactly.
 func TestOpCountsMatchLegacy(t *testing.T) {
 	for _, p := range kernelShapes {
 		st := newState(p, 0, p.Layers, p.Grid)
@@ -99,7 +99,7 @@ func TestOpCountsMatchLegacy(t *testing.T) {
 			if gotPre != wantPre {
 				t.Errorf("%+v hour %d: factor ops %v, legacy %v", p, hour, gotPre, wantPre)
 			}
-			if got, want := st.transport(lus), legacyTransport(block, lus, p); got != want {
+			if got, want := st.transportOps(lus), legacyTransport(block, lus, p); got != want {
 				t.Errorf("%+v hour %d: transport ops %v, legacy %v", p, hour, got, want)
 			}
 		}
@@ -111,7 +111,7 @@ func TestOpCountsMatchLegacy(t *testing.T) {
 		for g := 0; g < p.Grid; g++ {
 			wantChem += legacyChemPoint(y, p)
 		}
-		if got := st.chemistry(); got != wantChem {
+		if got := st.chemOps(); got != wantChem {
 			t.Errorf("%+v: chemistry ops %v, legacy %v", p, got, wantChem)
 		}
 	}

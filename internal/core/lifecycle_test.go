@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"fxnet/internal/airshed"
 	"fxnet/internal/ethernet"
 	"fxnet/internal/fx"
 	"fxnet/internal/kernels"
@@ -42,15 +44,38 @@ func goroutinesSettled() int {
 	return n
 }
 
+// rankWorkRunning reports whether any goroutine is still inside AIRSHED's
+// numerics. fx.Worker.ComputeWith joins its work before it returns and
+// when a kill unwinds the rank, so this is false the moment a run
+// returns: unlike the goroutine count, it needs no settling.
+func rankWorkRunning() bool {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Contains(buf[:n], []byte("fxnet/internal/airshed."))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // TestRunLeavesNoGoroutines: every run path returns with the goroutines
 // it started — PVM accept daemons, killed and surviving workers, cross
-// traffic — released, on every fabric and in both modes.
+// traffic, AIRSHED's off-thread rank numerics — released, on every
+// fabric and in both modes.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	twoSeg, err := ParseTopology("lan0:0-1,lan1:2-3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	small := kernels.Params{N: 32, Iters: 5}
+	// One layer over four ranks: rank 0 alone has transport work, about
+	// 3.3 s of virtual charge (35 backsolves of 32768 points) ending near
+	// 143.4 s at seed 3, and milliseconds of host arithmetic. The crash
+	// lands inside that charge while ranks 1–3 wait for rank 0's
+	// transpose, so the team aborts at once and a work body the kill did
+	// not join would still be running when the run returns.
+	oneLayer := airshed.Params{Layers: 1, Species: 35, Grid: 32768, Steps: 1, Hours: 1, Band: 4}
 	cases := []struct {
 		name string
 		cfg  RunConfig
@@ -64,6 +89,8 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		{"topology+loss/parallel", RunConfig{Program: "2dfft", Seed: 7, P: 4, Params: small, Topology: twoSeg, FrameLossProb: 0.02}, RunOpts{PDES: PDESParallel}},
 		{"crash", RunConfig{Program: "sor", Seed: 5, Params: kernels.Params{N: 32, Iters: 8}, FaultScript: "20ms:crash host2"}, RunOpts{}},
 		{"crash+degrade", RunConfig{Program: "sor", Seed: 31, Params: kernels.Params{N: 512, Iters: 12}, DisableDesched: true, Degrade: true, FaultScript: "4s:crash host2"}, RunOpts{}},
+		{"airshed", QuickConfig(Airshed, 0, 1), RunOpts{}},
+		{"airshed+crash/transport", RunConfig{Program: Airshed, Seed: 3, AirshedParams: oneLayer, FaultScript: "142s:crash host0"}, RunOpts{}},
 	}
 	for _, c := range cases {
 		for _, stream := range []bool{false, true} {
@@ -77,6 +104,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			}
 			if err != nil {
 				t.Fatalf("%s stream=%v: %v", c.name, stream, err)
+			}
+			if rankWorkRunning() {
+				t.Errorf("%s stream=%v: AIRSHED work still running after the run returned", c.name, stream)
 			}
 			if aborted := c.cfg.FaultScript != "" && !c.cfg.Degrade; aborted != (res.RunErr != nil) {
 				t.Errorf("%s stream=%v: RunErr = %v, want an abort: %v", c.name, stream, res.RunErr, aborted)

@@ -400,6 +400,23 @@ func (w *Worker) Compute(class string, ops float64) {
 	w.task.Sleep(d)
 }
 
+// ComputeWith is Compute with the host arithmetic the charge stands for:
+// work runs on its own goroutine while the worker makes exactly the
+// Compute(class, ops) call, so a team's ranks do their arithmetic on as
+// many cores as the host has while virtual time is still ops alone. work
+// is joined before ComputeWith returns, and also when a Kill or
+// Kernel.Close unwinds the worker mid-charge. work must touch only state
+// private to this rank, none of the simulator's, and must not panic.
+func (w *Worker) ComputeWith(class string, ops float64, work func()) {
+	done := make(chan struct{})
+	go func() {
+		work()
+		close(done)
+	}()
+	defer func() { <-done }()
+	w.Compute(class, ops)
+}
+
 // Send transmits body to rank dst using the worker's packing mode. A
 // transport failure or dead peer aborts the worker with a RunError.
 func (w *Worker) Send(dst, tag int, body []byte) {

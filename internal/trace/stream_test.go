@@ -243,6 +243,42 @@ func TestWideAddressRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReaderNextAllocatesNothing: decoding a record costs no heap object,
+// narrow or wide — a million-packet decode is a million fewer.
+func TestReaderNextAllocatesNothing(t *testing.T) {
+	const runs = 100
+	for _, wide := range []bool{false, true} {
+		tr := New()
+		for i := 0; i <= runs; i++ { // AllocsPerRun calls once more to warm up
+			p := synthPacket(i)
+			if wide {
+				p.Src = 500
+			}
+			tr.Packets = append(tr.Packets, p)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.wide != wide {
+			t.Fatalf("wide=%v: reader decodes wide=%v", wide, rd.wide)
+		}
+		var p Packet
+		allocs := testing.AllocsPerRun(runs, func() {
+			if err := rd.Next(&p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("wide=%v: Next allocates %v objects per record, want 0", wide, allocs)
+		}
+	}
+}
+
 // TestReaderTruncationWide: a wide stream cut mid-record must surface
 // io.ErrUnexpectedEOF like the narrow one.
 func TestReaderTruncationWide(t *testing.T) {

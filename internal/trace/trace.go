@@ -544,6 +544,9 @@ type Reader struct {
 	read  uint64
 	last  sim.Time // timestamp of the previous record
 	wide  bool     // v2 stream: 16-bit addresses
+	// rec is Next's record buffer. A local one escapes through
+	// io.ReadFull: one heap object per packet.
+	rec [packetRecBytesWide]byte
 }
 
 // NewReader parses a binary-trace header from r and returns a streaming
@@ -647,7 +650,7 @@ func (r *Reader) Next(p *Packet) error {
 	if r.read >= r.total {
 		return io.EOF
 	}
-	var rec [packetRecBytesWide]byte
+	rec := &r.rec
 	n := packetRecBytes
 	if r.wide {
 		n = packetRecBytesWide

@@ -95,6 +95,12 @@ if grep -nE 'Pattern +fx\.Pattern' internal/kernels/*.go | grep -v '_test\.go:';
 if grep -rn 'pvm\.NewMachine(' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/core/\|^\./internal/pvm/\|^\./bench/'; then exit 1; fi
 if grep -rn '1\.1e6' --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./internal/qos/\|^\./bench/'; then exit 1; fi
 
+# Rank numerics leave the event loop in one place: fx.Worker.ComputeWith
+# runs a rank's work beside its own virtual charge and joins it, on return
+# and on unwind (DESIGN.md §8 "Kernel numerics"). A go statement in a
+# kernel or in AIRSHED is rank work the simulator does not join.
+if grep -rnE '^[[:space:]]*go[[:space:]]' --include='*.go' internal/airshed internal/kernels | grep -v '_test\.go:'; then exit 1; fi
+
 go build ./...
 go vet ./...
 go test ./...
@@ -127,9 +133,11 @@ rmdir "$fmtdir"
 # the engine is its only multi-partition branch (a one-segment topology
 # is the bare kernel loop), so the internal/core serial ≡ parallel tests
 # in the sweep — with and without frame loss — are what race-checks that
-# branch end to end.
+# branch end to end. AIRSHED's transport and chemistry run on a goroutine
+# per rank beside the rank's charge (fx.Worker.ComputeWith), so fx and
+# airshed are race-checked up front too.
 go test -race ./internal/dsp/... ./internal/stats/... ./internal/analysis/...
-go test -race ./internal/sim/... ./internal/ethernet/...
+go test -race ./internal/sim/... ./internal/ethernet/... ./internal/airshed/... ./internal/fx/...
 go test -race ./...
 
 # Crash-safety smoke: SIGKILL fxnetd mid-queue, restart over the same
