@@ -304,11 +304,8 @@ func (c *Catalog) Program(name string) (qos.Program, error) {
 	return qos.TabulatedProgram(name, pat, pts), nil
 }
 
-// mean is the arithmetic mean, 0 for an empty series.
+// mean is the arithmetic mean of a non-empty series.
 func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	s := 0.0
 	for _, x := range xs {
 		s += x

@@ -38,9 +38,6 @@ const DefaultSpikes = 8
 type Options struct {
 	// Spikes is the spike budget k; <= 0 selects DefaultSpikes.
 	Spikes int
-	// MinSepHz is the minimum spike separation, collapsing adjacent
-	// leakage lobes; <= 0 selects twice the spectrum's bin width 2·Δf.
-	MinSepHz float64
 }
 
 func (o Options) withDefaults() Options {
@@ -86,9 +83,6 @@ type fitCall struct {
 func NewFitter(f *farm.Farm, c *Catalog) *Fitter {
 	return &Fitter{farm: f, cat: c, inflight: make(map[string]*fitCall)}
 }
-
-// Catalog reports the backing catalog.
-func (ft *Fitter) Catalog() *Catalog { return ft.cat }
 
 // Fits counts fits performed (catalog hits excluded).
 func (ft *Fitter) Fits() int64 { return ft.fits.Load() }
@@ -200,8 +194,10 @@ func (ft *Fitter) fitReport(key string, cfg core.RunConfig, rep *core.Report, op
 	if rep == nil || len(rep.AggSeries) == 0 || rep.SeriesDT <= 0 {
 		return nil, errors.New("catalog: run produced no bandwidth series to fit")
 	}
-	minSep := opts.MinSepHz
-	if minSep <= 0 && rep.AggSpectrum != nil {
+	// The minimum spike separation, collapsing adjacent leakage lobes, is
+	// twice the spectrum's bin width 2·Δf.
+	minSep := 0.0
+	if rep.AggSpectrum != nil {
 		minSep = 2 * rep.AggSpectrum.DF
 	}
 	m, met := model.Fit(rep.AggSeries, rep.SeriesDT, opts.Spikes, minSep)

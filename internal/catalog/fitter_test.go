@@ -237,7 +237,7 @@ func TestSweep(t *testing.T) {
 
 	// The catalog now characterizes sor at two processor counts; the
 	// negotiation path must work end to end from fitted entries.
-	prog, err := ft.Catalog().Program("sor")
+	prog, err := ft.cat.Program("sor")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestCatalogPromises(t *testing.T) {
 		admit := time.Duration(1<<63 - 1)
 		for range admitReps {
 			t0 := time.Now()
-			prog, err := cold.Catalog().Program(name)
+			prog, err := cold.cat.Program(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -336,7 +336,7 @@ func TestCatalogPromises(t *testing.T) {
 	if minSpeedup < speedupFloor {
 		t.Errorf("catalog admission only %.0fx faster than simulate-then-fit, want >= %dx", minSpeedup, speedupFloor)
 	}
-	if n := cold.Catalog().Len(); n != 12 {
+	if n := cold.cat.Len(); n != 12 {
 		t.Errorf("catalog holds %d entries, want 12 (6 programs x P=2,4)", n)
 	}
 
@@ -349,10 +349,10 @@ func TestCatalogPromises(t *testing.T) {
 	if got := f.Stats().Executed; got != 0 {
 		t.Errorf("refit over the warm run cache executed %d simulations, want 0", got)
 	}
-	if got := modelDigest(t, cold.Catalog().Dir()); got != wantDigest {
+	if got := modelDigest(t, cold.cat.Dir()); got != wantDigest {
 		t.Errorf(".fxmodel digest %s, want %s", got, wantDigest)
 	}
-	if got := modelDigest(t, warm.Catalog().Dir()); got != wantDigest {
+	if got := modelDigest(t, warm.cat.Dir()); got != wantDigest {
 		t.Errorf("refitted .fxmodel digest %s, want %s", got, wantDigest)
 	}
 }

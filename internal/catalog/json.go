@@ -10,8 +10,6 @@ package catalog
 import (
 	"encoding/json"
 	"math"
-
-	"fxnet/internal/model"
 )
 
 // JSONFloat marshals NaN/±Inf as null.
@@ -116,39 +114,4 @@ func ToJSON(e *Entry) EntryJSON {
 		})
 	}
 	return out
-}
-
-// FromJSON converts a wire-form entry back (the binary codec remains the
-// storage format; this supports tooling that consumed -json output).
-func FromJSON(j EntryJSON) *Entry {
-	e := &Entry{
-		Key:              j.Key,
-		Program:          j.Program,
-		P:                j.P,
-		Seed:             j.Seed,
-		BitRateBps:       j.BitRateBps,
-		Switched:         j.Switched,
-		FaultScript:      j.FaultScript,
-		Spikes:           j.Spikes,
-		MinSepHz:         float64(j.MinSepHz),
-		SeriesDT:         float64(j.SeriesDT),
-		SeriesN:          j.SeriesN,
-		MeasuredMeanKBps: float64(j.MeasuredMeanKBps),
-		ModelMeanKBps:    float64(j.ModelMeanKBps),
-		MeanRelErr:       float64(j.MeanRelErr),
-		RMSErrKBps:       float64(j.RMSErrKBps),
-		NRMSE:            float64(j.NRMSE),
-		Correlation:      float64(j.Correlation),
-		EnergyFraction:   float64(j.EnergyFraction),
-		FundamentalHz:    float64(j.FundamentalHz),
-		PeakKBps:         float64(j.PeakKBps),
-	}
-	e.Model.DC = float64(j.DCKBps)
-	for _, c := range j.Components {
-		e.Model.Components = append(e.Model.Components, model.Component{
-			Freq:  float64(c.FreqHz),
-			Coeff: complex(float64(c.CoeffRe), float64(c.CoeffIm)),
-		})
-	}
-	return e
 }

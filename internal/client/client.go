@@ -23,7 +23,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -298,25 +297,6 @@ func (c *Client) WaitDone(ctx context.Context, id string, interval time.Duration
 	}
 }
 
-// Trace fetches the full result stream for a done run in the requested
-// format ("" = NDJSON, "bin" = binary frames), returning the raw bytes.
-// Byte-identical traces across a crash/restart are the chaos harness's
-// ground truth.
-func (c *Client) Trace(ctx context.Context, id, format string) ([]byte, error) {
-	path := "/v1/runs/" + id + "/trace"
-	if format != "" {
-		path += "?format=" + format
-	}
-	resp, err := c.Do(ctx, http.MethodGet, path, nil, http.Header{})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != http.StatusOK {
-		return nil, fmt.Errorf("trace %s: status %d: %s", id, resp.Status, truncate(resp.Body))
-	}
-	return resp.Body, nil
-}
-
 // FitModel posts a model-fit request (raw JSON body for
 // POST /v1/models/fit) with a content-addressed Idempotency-Key, so a
 // retried fit lands on the originally accepted job.
@@ -338,41 +318,4 @@ func (c *Client) FitModel(ctx context.Context, fitReq []byte) (*Accepted, error)
 		return nil, errors.New("fit: accept payload missing id")
 	}
 	return &acc, nil
-}
-
-// Model fetches one fitted model by run key as raw JSON (the catalog
-// entry's wire form); tooling decodes the fields it needs.
-func (c *Client) Model(ctx context.Context, key string) ([]byte, error) {
-	resp, err := c.Do(ctx, http.MethodGet, "/v1/models/"+key, nil, http.Header{})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != http.StatusOK {
-		return nil, fmt.Errorf("model %s: status %d: %s", key, resp.Status, truncate(resp.Body))
-	}
-	return resp.Body, nil
-}
-
-// Models lists fitted models as raw JSON, optionally filtered by program
-// and processor count (zero values skip the filter).
-func (c *Client) Models(ctx context.Context, program string, p int) ([]byte, error) {
-	path := "/v1/models"
-	q := url.Values{}
-	if program != "" {
-		q.Set("program", program)
-	}
-	if p > 0 {
-		q.Set("p", strconv.Itoa(p))
-	}
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	resp, err := c.Do(ctx, http.MethodGet, path, nil, http.Header{})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != http.StatusOK {
-		return nil, fmt.Errorf("models: status %d: %s", resp.Status, truncate(resp.Body))
-	}
-	return resp.Body, nil
 }

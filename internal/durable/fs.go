@@ -66,10 +66,12 @@ func (OSFS) SyncDir(dir string) error {
 
 // FaultFS wraps an FS with injectable failures: a write-byte budget
 // models a disk filling up mid-record, a per-write delay models a
-// saturated device, and SyncErr makes every fsync fail. Namespace
-// operations (rename, remove, mkdir, readdir) are the embedded FS's: a
-// full or slow disk still renames. WriteBudget -1 with the other fields
-// zero injects nothing.
+// saturated device, and SyncErr makes every file fsync fail. Namespace
+// operations (rename, remove, mkdir, readdir) and directory fsyncs are
+// the embedded FS's: a full or slow disk still renames, and every
+// durable write fsyncs its file before its directory, so a failing file
+// fsync stops it first. WriteBudget -1 with the other fields zero
+// injects nothing.
 type FaultFS struct {
 	FS
 	// WriteBudget is the number of bytes writable, across every file,
@@ -77,7 +79,7 @@ type FaultFS struct {
 	WriteBudget int64
 	// WriteDelay stalls every write, modeling a slow disk.
 	WriteDelay time.Duration
-	// SyncErr, when non-nil, is returned by every Sync and SyncDir.
+	// SyncErr, when non-nil, is returned by every file Sync.
 	SyncErr error
 
 	mu      sync.Mutex
@@ -93,13 +95,6 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 		return nil, err
 	}
 	return &faultFile{File: base, fs: f}, nil
-}
-
-func (f *FaultFS) SyncDir(dir string) error {
-	if f.SyncErr != nil {
-		return f.SyncErr
-	}
-	return f.FS.SyncDir(dir)
 }
 
 // faultFile applies the parent FaultFS's failure policy to one file.

@@ -267,13 +267,9 @@ func (s *Store) Census(exts ...string) (c Census) {
 	return c
 }
 
-// Quarantined counts the entries of ext moved to corrupt/.
-func (s *Store) Quarantined(ext string) int64 {
-	if k := s.kinds[ext]; k != nil {
-		return k.quarantined.Load()
-	}
-	return 0
-}
+// Quarantined counts the entries of ext, an extension the store was
+// opened with, moved to corrupt/.
+func (s *Store) Quarantined(ext string) int64 { return s.kinds[ext].quarantined.Load() }
 
 // Failures counts publishes that did not land; a refused key is not one.
 func (s *Store) Failures() int64 { return s.failures.Load() }

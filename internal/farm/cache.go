@@ -73,9 +73,6 @@ func OpenCacheFS(fs durable.FS, dir string) (*Cache, error) {
 // Stats reports the entry census.
 func (c *Cache) Stats() CacheStats { return c.st.Census(runExt, specExt) }
 
-// Dir reports the cache directory.
-func (c *Cache) Dir() string { return c.st.Dir() }
-
 // Quarantined reports how many corrupt entries this cache has moved to
 // its corrupt/ subdirectory.
 func (c *Cache) Quarantined() int64 { return c.st.Quarantined(runExt) + c.st.Quarantined(specExt) }
@@ -140,7 +137,7 @@ func (c *Cache) Load(key string, cfg core.RunConfig) (res *core.Result, rep *cor
 }
 
 // LoadStream retrieves a spectrum-level entry for a streaming-analysis
-// job: first the .fxspec entry written by StoreStream (whose trace is
+// job: first the .fxspec entry a stream job stored (whose trace is
 // metadata-only, so the load touches no packet data at all), then —
 // because a full run subsumes an analysis-only one — a .fxrun entry for
 // the same key, with its packets dropped so a stream job's result never
@@ -165,13 +162,6 @@ func (c *Cache) LoadStream(key string, cfg core.RunConfig) (res *core.Result, re
 // torn entry under the final name.
 func (c *Cache) Store(key string, res *core.Result, rep *core.Report) error {
 	return c.store(key, res, rep, false)
-}
-
-// StoreStream writes a spectrum-level entry under key. The result of a
-// streaming run carries a metadata-only trace, so the entry is a few
-// kilobytes of report JSON rather than a packet capture.
-func (c *Cache) StoreStream(key string, res *core.Result, rep *core.Report) error {
-	return c.store(key, res, rep, true)
 }
 
 func (c *Cache) store(key string, res *core.Result, rep *core.Report, stream bool) error {

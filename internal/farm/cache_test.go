@@ -83,7 +83,7 @@ func TestCacheRoundTrip(t *testing.T) {
 // cacheFile returns the single entry file in the cache dir.
 func cacheFile(t *testing.T, c *Cache) string {
 	t.Helper()
-	ents, err := filepath.Glob(filepath.Join(c.Dir(), "*.fxrun"))
+	ents, err := filepath.Glob(filepath.Join(c.st.Dir(), "*.fxrun"))
 	if err != nil || len(ents) != 1 {
 		t.Fatalf("want one cache entry, got %v (%v)", ents, err)
 	}
@@ -159,7 +159,7 @@ func TestCacheEntryWithoutReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(c.Dir(), key+runExt), body, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(c.st.Dir(), key+runExt), body, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, gotRep, ok := c.Load(key, cfg)
@@ -188,13 +188,13 @@ func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 			}
 			store, load := c.Store, c.Load
 			if stream {
-				store, load = c.StoreStream, c.LoadStream
+				store, load = c.storeStream, c.LoadStream
 			}
 			if err := store(key, res, rep); err != nil {
 				t.Fatal(err)
 			}
 			// Rot the stored entry: flip one byte in the middle.
-			p := filepath.Join(c.Dir(), key+ext)
+			p := filepath.Join(c.st.Dir(), key+ext)
 			body, err := os.ReadFile(p)
 			if err != nil {
 				t.Fatal(err)
@@ -211,7 +211,7 @@ func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 					t.Fatalf("probe %d: quarantined = %d %v, want 1 under %q", probe, c.Quarantined(), got, kind)
 				}
 			}
-			if _, err := os.Stat(filepath.Join(c.Dir(), "corrupt", key+ext)); err != nil {
+			if _, err := os.Stat(filepath.Join(c.st.Dir(), "corrupt", key+ext)); err != nil {
 				t.Errorf("evidence not in corrupt/: %v", err)
 			}
 			if st := c.Stats(); st != (CacheStats{}) {
@@ -227,8 +227,14 @@ func TestCacheQuarantinesCorruptEntry(t *testing.T) {
 	}
 }
 
+// storeStream writes a spectrum-level entry, as a stream job's leader
+// does.
+func (c *Cache) storeStream(key string, res *core.Result, rep *core.Report) error {
+	return c.store(key, res, rep, true)
+}
+
 // TestCacheShortKey: the temp name used to slice key[:16] and panic on
-// a shorter key; Store and StoreStream are both exported.
+// a shorter key, for either entry kind.
 func TestCacheShortKey(t *testing.T) {
 	res, rep := tinyRun(t, 5)
 	for _, stream := range []bool{false, true} {
@@ -238,7 +244,7 @@ func TestCacheShortKey(t *testing.T) {
 		}
 		store, load := c.Store, c.Load
 		if stream {
-			store, load = c.StoreStream, c.LoadStream
+			store, load = c.storeStream, c.LoadStream
 		}
 		if err := store("abc", res, rep); err != nil {
 			t.Fatalf("store (stream=%v) under a 3-byte key: %v", stream, err)
@@ -295,7 +301,7 @@ func TestCacheReadsParentLayout(t *testing.T) {
 	if !bytes.Equal(traceBytes(t, got), traceBytes(t, res)) {
 		t.Error("parent-layout run entry decoded to a different trace")
 	}
-	if _, _, err := f.RunStream(cfg); err != nil {
+	if _, _, err := runStream(f, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if s := f.Stats(); s.Executed != 0 || s.CacheHits != 2 || c.Quarantined() != 0 {

@@ -95,7 +95,6 @@ type JobResult struct {
 // and the current worker count.
 type Event struct {
 	Label   string
-	Key     string
 	Done    int64
 	Total   int64
 	Cached  bool
@@ -216,12 +215,9 @@ func (f *Farm) memoGet(slot string) (*call, bool) {
 }
 
 // memoPut inserts a completed call and evicts LRU entries past the
-// caps. Caller holds f.mu.
+// caps. The slot is never already memoized: its leader has held the
+// in-flight slot since the memo miss. Caller holds f.mu.
 func (f *Farm) memoPut(slot string, c *call) {
-	if old, ok := f.memo[slot]; ok {
-		f.memoList.Remove(old.elem)
-		f.memoBytes -= old.size
-	}
 	e := &memoEntry{slot: slot, c: c, size: memoSize(c)}
 	e.elem = f.memoList.PushFront(e)
 	f.memo[slot] = e
@@ -275,30 +271,7 @@ func (f *Farm) Stats() Stats {
 // Run executes a single configuration (submitting it through the pool,
 // cache, and dedup machinery) and blocks for the outcome.
 func (f *Farm) Run(cfg core.RunConfig) (*core.Result, *core.Report, error) {
-	return f.RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run under a context: a job cancelled while it is queued for a
-// worker slot (or while it waits on a deduplicated twin) returns the
-// context error without ever occupying a worker. A simulation that has
-// already started runs to completion — the DES kernel has no preemption
-// points — but its result is still stored and memoized, so the work is
-// not wasted.
-func (f *Farm) RunCtx(ctx context.Context, cfg core.RunConfig) (*core.Result, *core.Report, error) {
-	jr := f.do(ctx, Job{Label: cfg.Program, Config: cfg})
-	return jr.Result, jr.Report, jr.Err
-}
-
-// RunStream is Run for the streaming-analysis pipeline: the simulation
-// folds packets into the characterization as they happen, no trace is
-// materialized, and a cache hit needs only the spectrum-level entry.
-func (f *Farm) RunStream(cfg core.RunConfig) (*core.Result, *core.Report, error) {
-	return f.RunStreamCtx(context.Background(), cfg)
-}
-
-// RunStreamCtx is RunStream under a context, with RunCtx's semantics.
-func (f *Farm) RunStreamCtx(ctx context.Context, cfg core.RunConfig) (*core.Result, *core.Report, error) {
-	jr := f.do(ctx, Job{Label: cfg.Program, Config: cfg, Stream: true})
+	jr := f.do(context.Background(), Job{Label: cfg.Program, Config: cfg})
 	return jr.Result, jr.Report, jr.Err
 }
 
@@ -323,25 +296,6 @@ func (f *Farm) RunBatchCtx(ctx context.Context, jobs []Job) []JobResult {
 	}
 	wg.Wait()
 	return out
-}
-
-// Submit executes jobs like RunBatch but streams results in completion
-// order; the channel closes when the batch is done.
-func (f *Farm) Submit(jobs []Job) <-chan JobResult {
-	ch := make(chan JobResult, len(jobs))
-	var wg sync.WaitGroup
-	for _, job := range jobs {
-		wg.Add(1)
-		go func(job Job) {
-			defer wg.Done()
-			ch <- f.do(context.Background(), job)
-		}(job)
-	}
-	go func() {
-		wg.Wait()
-		close(ch)
-	}()
-	return ch
 }
 
 // isCtxErr reports whether an error is a context cancellation/deadline.
@@ -501,7 +455,6 @@ func (f *Farm) finish(jr *JobResult, start time.Time) {
 	f.stats.Completed++
 	ev := Event{
 		Label:   jr.Job.Label,
-		Key:     jr.Key,
 		Done:    f.stats.Completed,
 		Total:   f.stats.Submitted,
 		Cached:  jr.Cached,

@@ -13,6 +13,18 @@ import (
 	"fxnet/internal/kernels"
 )
 
+// runCtx and runStream submit one configuration the way the service
+// and the catalog fitter do: a one-job batch, trace or stream.
+func runCtx(ctx context.Context, f *Farm, cfg core.RunConfig) (*core.Result, *core.Report, error) {
+	jr := f.RunBatchCtx(ctx, []Job{{Label: cfg.Program, Config: cfg}})[0]
+	return jr.Result, jr.Report, jr.Err
+}
+
+func runStream(f *Farm, cfg core.RunConfig) (*core.Result, *core.Report, error) {
+	jr := f.RunBatch([]Job{{Label: cfg.Program, Config: cfg, Stream: true}})[0]
+	return jr.Result, jr.Report, jr.Err
+}
+
 // tinyJobs builds a batch of small distinct runs across programs and
 // seeds.
 func tinyJobs() []Job {
@@ -168,21 +180,6 @@ func TestMemoize(t *testing.T) {
 	}
 }
 
-func TestSubmitStreams(t *testing.T) {
-	f := New(Options{Workers: 2})
-	jobs := tinyJobs()[:3]
-	var n int
-	for jr := range f.Submit(jobs) {
-		if jr.Err != nil {
-			t.Fatal(jr.Err)
-		}
-		n++
-	}
-	if n != len(jobs) {
-		t.Fatalf("streamed %d results for %d jobs", n, len(jobs))
-	}
-}
-
 func TestBadJobSurfacesError(t *testing.T) {
 	f := New(Options{Workers: 1})
 	out := f.RunBatch([]Job{
@@ -254,7 +251,7 @@ func TestCancelQueuedJobFreesSlot(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	bDone := make(chan error, 1)
-	go func() { _, _, err := f.RunCtx(ctx, tinyConfig(2)); bDone <- err }()
+	go func() { _, _, err := runCtx(ctx, f, tinyConfig(2)); bDone <- err }()
 	cancel()
 	select {
 	case err := <-bDone:
@@ -301,7 +298,7 @@ func TestCancelledLeaderDoesNotPoisonFollower(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	leadDone := make(chan error, 1)
-	go func() { _, _, err := f.RunCtx(ctx, tinyConfig(2)); leadDone <- err }()
+	go func() { _, _, err := runCtx(ctx, f, tinyConfig(2)); leadDone <- err }()
 	// Wait until the leader has registered its in-flight call, so the
 	// follower actually dedups against it.
 	deadline := time.After(5 * time.Second)

@@ -43,7 +43,7 @@ func TestStreamJobMatchesTraceJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := f.RunStream(cfg)
+	res, rep, err := runStream(f, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,20 +112,20 @@ func TestStreamCacheRoundTrip(t *testing.T) {
 	}
 	cfg := tinyConfig(11)
 	f1 := New(Options{Workers: 1, Cache: c})
-	_, rep1, err := f1.RunStream(cfg)
+	_, rep1, err := runStream(f1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := Key(cfg)
-	if _, err := os.Stat(filepath.Join(c.Dir(), key+specExt)); err != nil {
+	if _, err := os.Stat(filepath.Join(c.st.Dir(), key+specExt)); err != nil {
 		t.Fatalf("no .fxspec entry after stream run: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(c.Dir(), key+runExt)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(c.st.Dir(), key+runExt)); !os.IsNotExist(err) {
 		t.Fatalf("stream run wrote a full .fxrun entry (err=%v)", err)
 	}
 
 	f2 := New(Options{Workers: 1, Cache: c})
-	res2, rep2, err := f2.RunStream(cfg)
+	res2, rep2, err := runStream(f2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +141,16 @@ func TestStreamCacheRoundTrip(t *testing.T) {
 	}
 
 	// A corrupted .fxspec entry is a miss and forces a re-run.
-	body, err := os.ReadFile(filepath.Join(c.Dir(), key+specExt))
+	body, err := os.ReadFile(filepath.Join(c.st.Dir(), key+specExt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body[len(body)/2] ^= 0x40
-	if err := os.WriteFile(filepath.Join(c.Dir(), key+specExt), body, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(c.st.Dir(), key+specExt), body, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f3 := New(Options{Workers: 1, Cache: c})
-	_, rep3, err := f3.RunStream(cfg)
+	_, rep3, err := runStream(f3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestStreamFallsBackToFullEntry(t *testing.T) {
 	}
 
 	f2 := New(Options{Workers: 1, Cache: c})
-	res, rep, err := f2.RunStream(cfg)
+	res, rep, err := runStream(f2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestStreamReportIndependentOfCacheState(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfg := core.QuickConfig(name, 0, 42)
-			_, coldRep, err := New(Options{Workers: 1}).RunStream(cfg)
+			_, coldRep, err := runStream(New(Options{Workers: 1}), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +219,7 @@ func TestStreamReportIndependentOfCacheState(t *testing.T) {
 				t.Fatal(err)
 			}
 			warmFarm := New(Options{Workers: 1, Cache: c})
-			_, warmRep, err := warmFarm.RunStream(cfg)
+			_, warmRep, err := runStream(warmFarm, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,25 +38,6 @@ func TestRecvErrDeadPeerReturnsWithinDeadline(t *testing.T) {
 	}
 }
 
-func TestRecvErrAnySourceAllPeersDead(t *testing.T) {
-	r := newRig(t, 2, Config{})
-	var err error
-	r.m.Spawn("waiter", 0, func(task *Task) {
-		_, _, _, err = task.RecvErr(AnySource, AnyTag)
-	})
-	r.m.Spawn("victim", 1, func(task *Task) {
-		task.Recv(0, 99)
-	})
-	r.k.After(sim.Second, "crash", func() {
-		r.m.KillHost(1)
-		r.m.MarkHostDead(1)
-	})
-	r.k.Run()
-	if !errors.Is(err, ErrPeerDead) {
-		t.Errorf("wildcard recv with every peer dead = %v, want ErrPeerDead", err)
-	}
-}
-
 func TestHeartbeatDetectorMarksCrashedHost(t *testing.T) {
 	cfg := Config{
 		KeepaliveInterval: sim.Second,

@@ -47,12 +47,6 @@ const headerBytes = 20
 
 const headerMagic = 0x50564d33 // "PVM3"
 
-// AnySource and AnyTag are wildcards for Recv.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
-
 // Config tunes the virtual machine.
 type Config struct {
 	// KeepaliveInterval is the period of slave→master daemon UDP
@@ -188,7 +182,7 @@ func (m *Machine) NotifyHostDead(fn func(hostIndex int)) {
 // MarkHostDead records host i as failed and propagates the news: its
 // tasks are lost for good, every surviving task's connections to the dead
 // host are reset (stopping their readers), every mailbox gate is
-// broadcast so blocked receives re-check peerDead, and registered
+// broadcast so blocked receives re-check their source, and registered
 // callbacks fire. In real PVM the master pvmd broadcasts HOSTDELETE
 // notifications; the shared machine state models that control message.
 // Idempotent.
@@ -386,9 +380,9 @@ type message struct {
 }
 
 // matches reports whether the message satisfies a receive's source and
-// tag, either of which may be a wildcard.
+// tag.
 func (m *message) matches(src, tag int) bool {
-	return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
+	return m.src == src && m.tag == tag
 }
 
 // Task is a PVM task (one per processor in the Fx model).
@@ -727,10 +721,9 @@ func (t *Task) SendFragsErr(dst, tag int, frags [][]byte) error {
 	return nil
 }
 
-// Recv blocks until a message matching src and tag (AnySource / AnyTag
-// wildcards) is available, removes it from the mailbox, and returns its
-// source, tag, and body. It panics if the awaited peer dies; RecvErr is
-// the robust form.
+// Recv blocks until a message matching src and tag is available,
+// removes it from the mailbox, and returns its source, tag, and body. It
+// panics if the awaited peer dies; RecvErr is the robust form.
 func (t *Task) Recv(src, tag int) (gotSrc, gotTag int, body []byte) {
 	gotSrc, gotTag, body, err := t.RecvErr(src, tag)
 	if err != nil {
@@ -740,10 +733,9 @@ func (t *Task) Recv(src, tag int) (gotSrc, gotTag int, body []byte) {
 }
 
 // RecvErr is Recv with failure awareness: it returns ErrPeerDead as soon
-// as the awaited source (or, for AnySource, every other task) is on a
-// host marked dead with no matching message queued. It waits without a
-// deadline but still wakes on peer death, because MarkHostDead broadcasts
-// every mailbox gate.
+// as the awaited source is on a host marked dead with no matching
+// message queued. It waits without a deadline but still wakes on peer
+// death, because MarkHostDead broadcasts every mailbox gate.
 func (t *Task) RecvErr(src, tag int) (gotSrc, gotTag int, body []byte, err error) {
 	for {
 		for i := range t.mbox {
@@ -761,31 +753,11 @@ func (t *Task) RecvErr(src, tag int) (gotSrc, gotTag int, body []byte, err error
 		if t.cancelErr != nil {
 			return 0, 0, nil, t.cancelErr
 		}
-		if t.peerDead(src) {
+		if t.m.tasks[src].lost {
 			return 0, 0, nil, ErrPeerDead
 		}
 		t.gate.Wait(t.proc)
 	}
-}
-
-// peerDead reports whether the source a receive is waiting on cannot
-// possibly send: a specific src lost with its host, or — for AnySource —
-// every other task lost.
-func (t *Task) peerDead(src int) bool {
-	if src != AnySource {
-		return t.m.tasks[src].lost
-	}
-	others := 0
-	for _, other := range t.m.tasks {
-		if other == t {
-			continue
-		}
-		others++
-		if !other.lost {
-			return false
-		}
-	}
-	return others > 0
 }
 
 // Sleep advances the task's virtual time — the local-computation hook.

@@ -40,7 +40,7 @@ func TestSendRecv(t *testing.T) {
 		task.Send(1, 42, []byte("payload"))
 	})
 	r.m.Spawn("t1", 1, func(task *Task) {
-		gotSrc, gotTag, got = task.Recv(AnySource, AnyTag)
+		gotSrc, gotTag, got = task.Recv(0, 42)
 	})
 	r.k.Run()
 	if string(got) != "payload" || gotSrc != 0 || gotTag != 42 {
@@ -58,8 +58,8 @@ func TestRecvMatchesSourceAndTag(t *testing.T) {
 		task.Send(2, 9, []byte{2})
 	})
 	r.m.Spawn("t2", 2, func(task *Task) {
-		// Wait for the tag-9 message first regardless of arrival order.
-		_, _, b := task.Recv(AnySource, 9)
+		// Wait for t1's tag-9 message first regardless of arrival order.
+		_, _, b := task.Recv(1, 9)
 		order = append(order, int(b[0]))
 		_, _, b = task.Recv(0, 7)
 		order = append(order, int(b[0]))

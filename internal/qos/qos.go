@@ -249,20 +249,6 @@ func (n *Network) release(i int) bool {
 	return true
 }
 
-// AmdahlLocal builds an l() for a program with W total operations per
-// phase at the given per-processor rate and a serial fraction: the
-// classic shape that makes the processor-count tension of §7.3 concrete.
-func AmdahlLocal(totalOps, opsPerSec, serialFrac float64) func(P int) float64 {
-	return func(P int) float64 {
-		if P < 1 {
-			P = 1
-		}
-		par := totalOps * (1 - serialFrac) / float64(P)
-		ser := totalOps * serialFrac
-		return (par + ser) / opsPerSec
-	}
-}
-
 // SurfaceBurst builds a b() for halo-exchange style programs whose burst
 // shrinks with P (n bytes per row, rows split P ways is constant n — the
 // neighbor case), while BlockBurst models transpose-style programs whose

@@ -10,6 +10,21 @@ import (
 	"fxnet/internal/fx"
 )
 
+// AmdahlLocal builds an l() for a synthetic program with W total
+// operations per phase at the given per-processor rate and a serial
+// fraction: the classic shape that makes the processor-count tension of
+// §7.3 concrete.
+func AmdahlLocal(totalOps, opsPerSec, serialFrac float64) func(P int) float64 {
+	return func(P int) float64 {
+		if P < 1 {
+			P = 1
+		}
+		par := totalOps * (1 - serialFrac) / float64(P)
+		ser := totalOps * serialFrac
+		return (par + ser) / opsPerSec
+	}
+}
+
 // fftLike is a 2DFFT-style program: parallel compute, all-to-all bursts
 // shrinking with P².
 func fftLike() Program {

@@ -21,7 +21,6 @@ import (
 var (
 	errCatalogDisabled     = errors.New("model catalog disabled: start fxnetd with -cache or -catalog")
 	errCatalogNeedsProgram = errors.New("source=catalog requires program")
-	errCatalogNoCustom     = errors.New("source=catalog and custom are mutually exclusive")
 )
 
 // FitRequest is the wire form of POST /v1/models/fit: a run
@@ -131,9 +130,6 @@ func (s *Server) catalogProgram(req *NegotiateRequest) (OfferJSON, error) {
 	}
 	if req.Program == "" {
 		return OfferJSON{}, errCatalogNeedsProgram
-	}
-	if req.Custom != nil {
-		return OfferJSON{}, errCatalogNoCustom
 	}
 	prog, err := s.catalog.Program(req.Program)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"fxnet/internal/fx"
 	"fxnet/internal/kernels"
 	"fxnet/internal/qos"
 )
@@ -14,16 +13,14 @@ import (
 // program submits its [l(), b(), c] characterization and the network
 // answers with the processor count and burst bandwidth that minimize the
 // burst interval given the capacity it has not yet promised elsewhere.
-//
-// A request names either a measured kernel (the registry's calibrated
-// characterization at the given problem size) or a custom
-// characterization with an Amdahl local-time law and a surface/block
-// burst law.
+// A request names a measured kernel: the registry's calibrated
+// characterization at the given problem size, or the catalog's fitted
+// models of it.
 type NegotiateRequest struct {
 	// Client labels the requester in broker listings; optional.
 	Client string `json:"client,omitempty"`
 	// Program selects a kernel characterization ("sor", "2dfft",
-	// "t2dfft", "seq", "hist"); mutually exclusive with Custom.
+	// "t2dfft", "seq", "hist").
 	Program string `json:"program,omitempty"`
 	// Source selects where the characterization comes from: "" or
 	// "analytic" uses the registry's calibrated laws; "catalog" answers
@@ -37,24 +34,6 @@ type NegotiateRequest struct {
 	MaxP int `json:"max_p,omitempty"`
 	// DryRun negotiates without committing bandwidth.
 	DryRun bool `json:"dry_run,omitempty"`
-	// Custom is a free-form characterization.
-	Custom *CustomProgram `json:"custom,omitempty"`
-}
-
-// CustomProgram carries a [l(), b(), c] characterization for a program
-// the registry does not know.
-type CustomProgram struct {
-	Name    string `json:"name"`
-	Pattern string `json:"pattern"` // neighbor, all-to-all, partition, broadcast, tree
-	Local   struct {
-		TotalOps   float64 `json:"total_ops"`
-		OpsPerSec  float64 `json:"ops_per_sec"`
-		SerialFrac float64 `json:"serial_frac"`
-	} `json:"local"`
-	Burst struct {
-		Kind  string  `json:"kind"` // "surface" (P-constant) or "block" (∝ 1/P²)
-		Bytes float64 `json:"bytes"`
-	} `json:"burst"`
 }
 
 // OfferJSON is the wire form of a committed (or dry-run) offer.
@@ -69,69 +48,23 @@ type OfferJSON struct {
 	MeanBandwidth  float64 `json:"mean_bps"`
 }
 
-// parsePattern inverts fx.Pattern.String.
-func parsePattern(s string) (fx.Pattern, error) {
-	for _, p := range []fx.Pattern{fx.Neighbor, fx.AllToAll, fx.Partition, fx.Broadcast, fx.Tree} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown pattern %q", s)
-}
-
-// program builds the qos.Program a request describes.
+// program builds the qos.Program a request names.
 func (req *NegotiateRequest) program() (qos.Program, error) {
-	switch {
-	case req.Custom != nil && req.Program != "":
-		return qos.Program{}, errors.New("program and custom are mutually exclusive")
-	case req.Custom != nil:
-		c := req.Custom
-		if c.Name == "" {
-			return qos.Program{}, errors.New("custom.name required")
-		}
-		pat, err := parsePattern(c.Pattern)
-		if err != nil {
-			return qos.Program{}, err
-		}
-		if c.Local.TotalOps <= 0 || c.Local.OpsPerSec <= 0 {
-			return qos.Program{}, errors.New("custom.local total_ops and ops_per_sec must be positive")
-		}
-		if c.Local.SerialFrac < 0 || c.Local.SerialFrac > 1 {
-			return qos.Program{}, errors.New("custom.local serial_frac must be in [0,1]")
-		}
-		if c.Burst.Bytes <= 0 {
-			return qos.Program{}, errors.New("custom.burst bytes must be positive")
-		}
-		prog := qos.Program{
-			Name:    c.Name,
-			Local:   qos.AmdahlLocal(c.Local.TotalOps, c.Local.OpsPerSec, c.Local.SerialFrac),
-			Pattern: pat,
-		}
-		switch c.Burst.Kind {
-		case "surface":
-			prog.Burst = qos.SurfaceBurst(c.Burst.Bytes)
-		case "block":
-			prog.Burst = qos.BlockBurst(c.Burst.Bytes)
-		default:
-			return qos.Program{}, fmt.Errorf("unknown burst kind %q (want surface or block)", c.Burst.Kind)
-		}
-		return prog, nil
-	case req.Program != "":
-		spec, ok := kernels.Lookup(req.Program)
-		if !ok || spec.QoS == nil {
-			return qos.Program{}, fmt.Errorf("no QoS characterization for program %q", req.Program)
-		}
-		params := spec.Params
-		if req.N != 0 {
-			params.N = req.N
-		}
-		if req.Iters != 0 {
-			params.Iters = req.Iters
-		}
-		return spec.QoS(params), nil
-	default:
-		return qos.Program{}, errors.New("one of program or custom required")
+	if req.Program == "" {
+		return qos.Program{}, errors.New("program required")
 	}
+	spec, ok := kernels.Lookup(req.Program)
+	if !ok || spec.QoS == nil {
+		return qos.Program{}, fmt.Errorf("no QoS characterization for program %q", req.Program)
+	}
+	params := spec.Params
+	if req.N != 0 {
+		params.N = req.N
+	}
+	if req.Iters != 0 {
+		params.Iters = req.Iters
+	}
+	return spec.QoS(params), nil
 }
 
 // errNoCapacity wraps negotiation failures that should map to 409, not

@@ -344,43 +344,64 @@ func TestRecoveryRestoresGrants(t *testing.T) {
 }
 
 // A torn tail — the crash landed mid-append — costs exactly the torn
-// record, never the journal.
+// record, never the journal, wherever in the record's frame the tear
+// falls: in its body or in its 8-byte length+checksum header.
 func TestRecoveryTruncatesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	a, tsA := journaledServer(t, dir, Options{Workers: 2, Memoize: true})
-	id := submit(t, tsA.URL, cheapRun())
-	if st := waitState(t, tsA.URL, id); st.State != stateDone {
-		t.Fatalf("pre-crash run: %s", st.State)
-	}
-	crash(a, tsA)
+	for _, tc := range []struct {
+		name string
+		keep func(frame int) int // bytes of the last frame that survive
+	}{
+		{"body", func(frame int) int { return frame - 3 }},
+		{"header", func(int) int { return 4 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			a, tsA := journaledServer(t, dir, Options{Workers: 2, Memoize: true})
+			id := submit(t, tsA.URL, cheapRun())
+			if st := waitState(t, tsA.URL, id); st.State != stateDone {
+				t.Fatalf("pre-crash run: %s", st.State)
+			}
+			// done is reported before the terminal record is appended.
+			if j, ok := a.jobs.get(id); ok {
+				<-j.done
+			}
+			crash(a, tsA)
 
-	// Tear the last record: chop 3 bytes off the file. The terminal
-	// record becomes unreadable; the submission before it must survive.
-	jp := filepath.Join(dir, "journal.wal")
-	fi, err := os.Stat(jp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(jp, fi.Size()-3); err != nil {
-		t.Fatal(err)
-	}
+			// Tear the last record, the job's terminal one. It becomes
+			// unreadable; the submission before it must survive.
+			body, err := json.Marshal(terminalRec{ID: id, State: stateDone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := 8 + 1 + len(body)
+			jp := filepath.Join(dir, "journal.wal")
+			fi, err := os.Stat(jp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(jp, fi.Size()-int64(frame-tc.keep(frame))); err != nil {
+				t.Fatal(err)
+			}
 
-	b, tsB := journaledServer(t, dir, Options{Workers: 2, Memoize: true})
-	if b.jstats.truncated.Load() == 0 {
-		t.Error("torn tail not reported in journal stats")
-	}
-	// The job lost its terminal record, so it replays as pending and
-	// re-enqueues; the cache answers it and it converges to done.
-	if st := waitState(t, tsB.URL, id); st.State != stateDone {
-		t.Fatalf("run after torn-tail recovery: %s (%s)", st.State, st.Error)
-	}
-	// /healthz surfaces the truncation.
-	var hz struct {
-		Journal map[string]any `json:"journal"`
-	}
-	doJSON(t, "GET", tsB.URL+"/healthz", nil, &hz)
-	if tb, _ := hz.Journal["truncated_bytes"].(float64); tb <= 0 {
-		t.Errorf("healthz journal = %v, want truncated_bytes > 0", hz.Journal)
+			b, tsB := journaledServer(t, dir, Options{Workers: 2, Memoize: true})
+			if got := b.jstats.truncated.Load(); got != int64(tc.keep(frame)) {
+				t.Errorf("journal stats report %d torn bytes, want %d", got, tc.keep(frame))
+			}
+			// The job lost its terminal record, so it replays as pending
+			// and re-enqueues; the cache answers it and it converges to
+			// done.
+			if st := waitState(t, tsB.URL, id); st.State != stateDone {
+				t.Fatalf("run after torn-tail recovery: %s (%s)", st.State, st.Error)
+			}
+			// /healthz surfaces the truncation.
+			var hz struct {
+				Journal map[string]any `json:"journal"`
+			}
+			doJSON(t, "GET", tsB.URL+"/healthz", nil, &hz)
+			if tb, _ := hz.Journal["truncated_bytes"].(float64); tb <= 0 {
+				t.Errorf("healthz journal = %v, want truncated_bytes > 0", hz.Journal)
+			}
+		})
 	}
 }
 
@@ -433,33 +454,53 @@ func TestRestoreSeqShardPrefixed(t *testing.T) {
 	}
 }
 
-// A bit flip mid-file fails the CRC; everything from the flipped record
-// on is untrusted and dropped, everything before it recovers.
+// A bit flip in the last record fails its CRC — or, in its length
+// field, its plausibility bound, before any allocation — and everything
+// from the flipped record on is untrusted and dropped; everything before
+// it recovers.
 func TestRecoverySurvivesBitFlip(t *testing.T) {
-	dir := t.TempDir()
-	a, tsA := journaledServer(t, dir, Options{Workers: 2, Memoize: true})
-	id := submit(t, tsA.URL, cheapRun())
-	if st := waitState(t, tsA.URL, id); st.State != stateDone {
-		t.Fatalf("pre-crash run: %s", st.State)
-	}
-	crash(a, tsA)
+	for _, tc := range []struct {
+		name string
+		at   func(size, frame int) int // offset of the flipped byte
+	}{
+		{"body", func(size, _ int) int { return size - 5 }},
+		{"length", func(size, frame int) int { return size - frame + 3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			a, tsA := journaledServer(t, dir, Options{Workers: 2, Memoize: true})
+			id := submit(t, tsA.URL, cheapRun())
+			if st := waitState(t, tsA.URL, id); st.State != stateDone {
+				t.Fatalf("pre-crash run: %s", st.State)
+			}
+			// done is reported before the terminal record is appended.
+			if j, ok := a.jobs.get(id); ok {
+				<-j.done
+			}
+			crash(a, tsA)
 
-	jp := filepath.Join(dir, "journal.wal")
-	raw, err := os.ReadFile(jp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-5] ^= 0x40
-	if err := os.WriteFile(jp, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			body, err := json.Marshal(terminalRec{ID: id, State: stateDone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jp := filepath.Join(dir, "journal.wal")
+			raw, err := os.ReadFile(jp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[tc.at(len(raw), 8+1+len(body))] ^= 0x40
+			if err := os.WriteFile(jp, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	b, tsB := journaledServer(t, dir, Options{Workers: 2, Memoize: true})
-	if b.jstats.truncated.Load() == 0 {
-		t.Error("bit flip not detected as truncation")
-	}
-	if st := waitState(t, tsB.URL, id); st.State != stateDone {
-		t.Fatalf("run after bit-flip recovery: %s (%s)", st.State, st.Error)
+			b, tsB := journaledServer(t, dir, Options{Workers: 2, Memoize: true})
+			if b.jstats.truncated.Load() == 0 {
+				t.Error("bit flip not detected as truncation")
+			}
+			if st := waitState(t, tsB.URL, id); st.State != stateDone {
+				t.Fatalf("run after bit-flip recovery: %s (%s)", st.State, st.Error)
+			}
+		})
 	}
 }
 
@@ -647,6 +688,11 @@ func TestFullDiskFailsSubmitsClosed(t *testing.T) {
 	id := submit(t, ts.URL, cheapRun())
 	if st := waitState(t, ts.URL, id); st.State != stateDone {
 		t.Fatalf("pre-full run: %s", st.State)
+	}
+	// The job reports done before its terminal record is journaled; let
+	// that append land before the disk fills.
+	if j, ok := s.jobs.get(id); ok {
+		<-j.done
 	}
 
 	// Disk full from here on.

@@ -22,6 +22,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -723,7 +724,7 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		code := http.StatusBadRequest
-		if isNoCapacity(err) {
+		if errors.Is(err, errNoCapacity) {
 			code = http.StatusConflict
 		}
 		writeErr(w, code, "%v", err)
@@ -842,20 +843,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
 	}
-}
-
-// isNoCapacity reports whether a negotiation error is a capacity
-// rejection (409) rather than a malformed request (400).
-func isNoCapacity(err error) bool {
-	for e := err; e != nil; {
-		if e == errNoCapacity {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }

@@ -14,15 +14,15 @@ func TestChanBoundedMemory(t *testing.T) {
 		a, b := i, i+1
 		c.Put(&a)
 		c.Put(&b)
-		if got, ok := c.TryGet(); !ok || *got != i {
-			t.Fatalf("cycle %d: got %v, %v", i, got, ok)
+		if got := c.take(); *got != i {
+			t.Fatalf("cycle %d: got %d", i, *got)
 		}
-		if got, ok := c.TryGet(); !ok || *got != i+1 {
-			t.Fatalf("cycle %d: got %v, %v", i, got, ok)
+		if got := c.take(); *got != i+1 {
+			t.Fatalf("cycle %d: got %d", i, *got)
 		}
 	}
-	if c.Len() != 0 {
-		t.Fatalf("queue not drained: %d items", c.Len())
+	if c.n != 0 {
+		t.Fatalf("queue not drained: %d items", c.n)
 	}
 	// High-water mark was 2, so the power-of-two ring must still be at
 	// its minimum size — a growing buffer here is the leak coming back.

@@ -62,7 +62,6 @@ type Kernel struct {
 	seq      uint64
 	seed     int64
 	executed uint64
-	stopped  bool
 	rands    map[string]*rand.Rand
 
 	// current process, non-nil while a process body is executing.
@@ -169,11 +168,8 @@ func (k *Kernel) Rand(name string) *rand.Rand {
 	return r
 }
 
-// Stop makes Run return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called. It
-// returns the final virtual time.
+// Run executes events until the queue is empty. It returns the final
+// virtual time.
 func (k *Kernel) Run() Time { return k.RunUntil(Time(1<<63 - 1)) }
 
 // RunUntil executes events with timestamps ≤ limit, then advances the
@@ -186,8 +182,7 @@ func (k *Kernel) Run() Time { return k.RunUntil(Time(1<<63 - 1)) }
 // head-to-head comparison picks the next event — the exact order the
 // old single-heap kernel produced.
 func (k *Kernel) RunUntil(limit Time) Time {
-	k.stopped = false
-	for !k.stopped {
+	for {
 		var e *event
 		switch {
 		case k.immN > 0 && len(k.queue) > 0:

@@ -91,23 +91,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	k := New(1)
-	n := 0
-	for i := 0; i < 5; i++ {
-		k.After(Duration(i)*Millisecond, "e", func() {
-			n++
-			if n == 2 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if n != 2 {
-		t.Errorf("executed %d events, want 2", n)
-	}
-}
-
 func TestNestedScheduling(t *testing.T) {
 	k := New(1)
 	depth := 0

@@ -332,15 +332,3 @@ func (c *Chan[T]) Get(p *Proc) T {
 	}
 	return c.take()
 }
-
-// TryGet removes and returns the oldest item without blocking.
-func (c *Chan[T]) TryGet() (T, bool) {
-	if c.n == 0 {
-		var zero T
-		return zero, false
-	}
-	return c.take(), true
-}
-
-// Len reports the number of queued items.
-func (c *Chan[T]) Len() int { return c.n }

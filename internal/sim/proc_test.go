@@ -121,21 +121,6 @@ func TestChanProducerConsumer(t *testing.T) {
 	}
 }
 
-func TestChanTryGet(t *testing.T) {
-	var c Chan[string]
-	if _, ok := c.TryGet(); ok {
-		t.Error("TryGet on empty chan succeeded")
-	}
-	c.Put("a")
-	c.Put("b")
-	if c.Len() != 2 {
-		t.Errorf("Len = %d", c.Len())
-	}
-	if v, ok := c.TryGet(); !ok || v != "a" {
-		t.Errorf("TryGet = %q, %v", v, ok)
-	}
-}
-
 func TestChanBufferedBeforeConsumer(t *testing.T) {
 	k := New(1)
 	var c Chan[int]

@@ -85,6 +85,16 @@ done
 if grep -rnE 'ForceFragments|TreeBcast|WaitTimeout|func \(c \*Conn\) Close' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
 if grep -rn 'HeartbeatMisses' --include='*.go' internal/core | grep -v '_test\.go:'; then exit 1; fi
 
+# A minimal service: the client calls, farm entry points, catalog
+# helpers and custom QoS characterization that no README endpoint, flag
+# or chaos path reached are deleted, as are three of the stack's
+# deferred cuts — sim's Chan.TryGet/Len and Kernel.Stop, and PVM's
+# receive wildcards (DESIGN.md §3 "A minimal stack"). One coming back
+# in non-test Go fails here; new service code nothing claim-carrying
+# runs fails the coverage ratchet below.
+if grep -rnE 'CustomProgram|StoreStream|RunStreamCtx|func FromJSON|func \(f \*Farm\) (Submit|RunCtx|RunStream)\(|func \(c \*Client\) (Trace|Models?)\(|func \(ft \*Fitter\) Catalog\(' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
+if grep -rnE 'TryGet|AnySource|AnyTag|func \(k \*Kernel\) Stop\(' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
+
 # One law per kernel: the registry's QoS closure is the only hand-written
 # record of what a kernel sends (c is QoS(p).Pattern, held to the
 # compiler and the wire by TestKernelTrafficMatchesCompiler); only the run
@@ -105,8 +115,9 @@ go build ./...
 go vet ./...
 go test ./...
 
-# Coverage ratchet: uncovered statements in the seven simulator packages
-# under the claim-carrying tests may fall but never rise.
+# Coverage ratchet: uncovered statements in the seven simulator and six
+# service packages under the claim-carrying tests may fall but never
+# rise.
 ./scripts/coverage.sh
 
 # Every example runs to completion.
@@ -139,6 +150,10 @@ rmdir "$fmtdir"
 go test -race ./internal/dsp/... ./internal/stats/... ./internal/analysis/...
 go test -race ./internal/sim/... ./internal/ethernet/... ./internal/airshed/... ./internal/fx/...
 go test -race ./...
+
+# Service smoke: every README endpoint once, dedup over HTTP, a
+# cancelled queued run, an fxload drive, and a clean drain on SIGTERM.
+./scripts/serve_smoke.sh
 
 # Crash-safety smoke: SIGKILL fxnetd mid-queue, restart over the same
 # journal, and require every acknowledged job to complete with a
