@@ -449,10 +449,10 @@ func BenchmarkAblationLinkFlap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pair := farmBatch(b, jobs)
 		clean, flap := pair[0].Result, pair[1].Result
-		start, _, ok := analysis.FaultWindow(flap.Trace)
-		if !ok {
+		if len(flap.Trace.Marks) == 0 {
 			b.Fatal("flap run carries no fault marks")
 		}
+		start := flap.Trace.Marks[0].Time // the linkdown
 		// Bracket the outage plus the retransmission recovery that
 		// follows it; the healthy rhythm resumes beyond that.
 		disturbed := start.Add(fxnet.Duration(7_000_000_000))

@@ -105,3 +105,18 @@ func TestDocsCiteOnlyWhatExists(t *testing.T) {
 		t.Logf("%s: %d paths, %d test names, %d flags resolve", name, len(paths), len(names), len(fl))
 	}
 }
+
+// designLineBudget caps DESIGN.md. A change that explains something new
+// makes room by cutting what no longer holds; lower the budget when the
+// document shrinks, never raise it.
+const designLineBudget = 1428
+
+func TestDesignWithinLineBudget(t *testing.T) {
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), "\n"); n > designLineBudget {
+		t.Errorf("DESIGN.md is %d lines, over its budget of %d", n, designLineBudget)
+	}
+}

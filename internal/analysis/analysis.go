@@ -136,74 +136,3 @@ func PreDuringPost(t *trace.Trace, start, end sim.Time, bin sim.Duration) (pre, 
 	const horizon = sim.Time(1) << 62
 	return cut("pre", 0, start), cut("during", start, end), cut("post", end, horizon)
 }
-
-// FaultWindow reports the span of the trace's fault marks — the earliest
-// and latest annotated instants — and ok=false when the trace carries no
-// marks.
-func FaultWindow(t *trace.Trace) (start, end sim.Time, ok bool) {
-	if len(t.Marks) == 0 {
-		return 0, 0, false
-	}
-	start, end = t.Marks[0].Time, t.Marks[0].Time
-	for _, m := range t.Marks[1:] {
-		if m.Time < start {
-			start = m.Time
-		}
-		if m.Time > end {
-			end = m.Time
-		}
-	}
-	return start, end, true
-}
-
-// BurstStats summarizes the burst structure of a trace: contiguous runs
-// of packets separated by gaps of at least gap.
-type BurstStats struct {
-	Count         int
-	MeanBytes     float64
-	SDBytes       float64
-	MeanPeriodSec float64 // spacing between burst starts
-	MeanLengthSec float64
-}
-
-// Bursts segments the trace into bursts separated by idle gaps ≥ gap and
-// summarizes them. The paper's "constant burst sizes" claim corresponds
-// to SDBytes ≪ MeanBytes.
-func Bursts(t *trace.Trace, gap sim.Duration) BurstStats {
-	if len(t.Packets) == 0 {
-		return BurstStats{}
-	}
-	var sizes running
-	var starts []sim.Time
-	var lengths []float64
-	curBytes := int64(t.Packets[0].Size)
-	curStart := t.Packets[0].Time
-	lastT := t.Packets[0].Time
-	flush := func(end sim.Time) {
-		sizes.add(float64(curBytes))
-		starts = append(starts, curStart)
-		lengths = append(lengths, end.Sub(curStart).Seconds())
-	}
-	for _, p := range t.Packets[1:] {
-		if p.Time.Sub(lastT) >= gap {
-			flush(lastT)
-			curBytes = 0
-			curStart = p.Time
-		}
-		curBytes += int64(p.Size)
-		lastT = p.Time
-	}
-	flush(lastT)
-
-	s := sizes.summary()
-	bs := BurstStats{Count: s.N, MeanBytes: s.Mean, SDBytes: s.SD}
-	bs.MeanLengthSec = stats.Mean(lengths)
-	if len(starts) > 1 {
-		var gaps []float64
-		for i := 1; i < len(starts); i++ {
-			gaps = append(gaps, starts[i].Sub(starts[i-1]).Seconds())
-		}
-		bs.MeanPeriodSec = stats.Mean(gaps)
-	}
-	return bs
-}

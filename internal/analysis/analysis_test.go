@@ -159,26 +159,6 @@ func TestModeCountTrimodal(t *testing.T) {
 	}
 }
 
-func TestBursts(t *testing.T) {
-	tr := burstyTrace(5, 500, 4, 1000, 200)
-	bs := Bursts(tr, 50*sim.Millisecond)
-	if bs.Count != 10 {
-		t.Errorf("bursts = %d, want 10", bs.Count)
-	}
-	if math.Abs(bs.MeanBytes-4000) > 1 {
-		t.Errorf("mean burst bytes = %v", bs.MeanBytes)
-	}
-	if bs.SDBytes > 1 {
-		t.Errorf("burst size SD = %v, want 0 (constant bursts)", bs.SDBytes)
-	}
-	if math.Abs(bs.MeanPeriodSec-0.5) > 0.01 {
-		t.Errorf("burst period = %v, want 0.5", bs.MeanPeriodSec)
-	}
-	if Bursts(trace.New(), sim.Second).Count != 0 {
-		t.Error("bursts of empty trace")
-	}
-}
-
 func TestConnectionCorrelation(t *testing.T) {
 	// Two connections bursting in phase → high correlation; out of phase
 	// → low.

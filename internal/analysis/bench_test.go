@@ -35,14 +35,6 @@ func BenchmarkSpectrum(b *testing.B) {
 	}
 }
 
-func BenchmarkBursts(b *testing.B) {
-	tr := burstyTrace(100, 200, 20, 1000, 500)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Bursts(tr, 50_000_000)
-	}
-}
-
 // BenchmarkCharacterizeManyPairs is the fabric_topo64 shape, one end of
 // the fold: 64 hosts all-to-all, so the report's cost is the
 // 4032-connection correlation (binning in one pass, then 8.1 M pairs in

@@ -78,7 +78,18 @@ func refBinnedBandwidth(t *trace.Trace, bin sim.Duration) (series []float64, dt 
 // refModeCount reports the number of packet-size modes holding at least
 // minFrac of the packets — 3 for the paper's "trimodal" kernels.
 func refModeCount(t *trace.Trace, minFrac float64) int {
-	return len(stats.NewHistogram(refSizes(t), 0, 1600, 32).Modes(minFrac))
+	h := &stats.Histogram{Lo: 0, Hi: 1600, Counts: make([]int, 32)}
+	for _, x := range refSizes(t) {
+		switch {
+		case x < h.Lo:
+			h.Under++
+		case x >= h.Hi:
+			h.Over++
+		default:
+			h.Counts[int(x/50)]++
+		}
+	}
+	return len(h.Modes(minFrac))
 }
 
 // refPhaseCoincidence segments the aggregate trace into bursts separated

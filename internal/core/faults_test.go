@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"fxnet/internal/analysis"
 	"fxnet/internal/ethernet"
 	"fxnet/internal/faults"
 	"fxnet/internal/kernels"
@@ -337,23 +336,31 @@ func TestDegradeReformsAndMatchesQoSPrediction(t *testing.T) {
 	// Post-fault burst period vs tbi(newP). The crash mark is at 4s;
 	// detection takes ~3 keepalives, so measure well after the re-formed
 	// team has settled into its steady rhythm.
-	start, _, ok := analysis.FaultWindow(res.Trace)
-	if !ok {
+	if len(res.Trace.Marks) == 0 {
 		t.Fatal("no fault marks in trace")
 	}
-	settled := start.Add(6 * sim.Second)
-	data := res.Trace.Filter(func(p trace.Packet) bool {
-		return p.Time >= settled &&
-			p.Proto == ethernet.ProtoTCP && p.Flags&ethernet.FlagData != 0
-	})
-	bursts := analysis.Bursts(data, 500*sim.Millisecond)
-	if bursts.Count < 4 {
-		t.Fatalf("too few post-fault bursts to measure: %d", bursts.Count)
+	settled := res.Trace.Marks[0].Time.Add(6 * sim.Second)
+	// A burst starts at the first data packet after an idle gap of at
+	// least 500 ms.
+	var starts []sim.Time
+	last := sim.Time(-1)
+	for _, p := range res.Trace.Packets {
+		if p.Time < settled || p.Proto != ethernet.ProtoTCP || p.Flags&ethernet.FlagData == 0 {
+			continue
+		}
+		if last < 0 || p.Time.Sub(last) >= 500*sim.Millisecond {
+			starts = append(starts, p.Time)
+		}
+		last = p.Time
 	}
+	if len(starts) < 4 {
+		t.Fatalf("too few post-fault bursts to measure: %d", len(starts))
+	}
+	period := starts[len(starts)-1].Sub(starts[0]).Seconds() / float64(len(starts)-1)
 	predicted := offer.BurstInterval
-	if dev := math.Abs(bursts.MeanPeriodSec-predicted) / predicted; dev > 0.10 {
+	if dev := math.Abs(period-predicted) / predicted; dev > 0.10 {
 		t.Errorf("post-fault burst period %.3fs vs predicted tbi(%d)=%.3fs (%.0f%% off)",
-			bursts.MeanPeriodSec, offer.P, predicted, dev*100)
+			period, offer.P, predicted, dev*100)
 	}
 	if res.Trace.Meta["finalP"] != fmt.Sprint(offer.P) {
 		t.Errorf("finalP meta = %q, want %d", res.Trace.Meta["finalP"], offer.P)

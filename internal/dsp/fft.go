@@ -1,8 +1,8 @@
 // Package dsp implements the signal-processing machinery the paper's
 // analysis relies on: a fast Fourier transform (radix-2 with a Bluestein
-// fallback for arbitrary lengths), window functions, the periodogram power
-// spectrum of the windowed instantaneous bandwidth, and spectral peak
-// ("spike") extraction used to build the analytic traffic models of §7.2.
+// fallback for arbitrary lengths), the periodogram power spectrum of the
+// binned instantaneous bandwidth, and spectral peak ("spike") extraction
+// used to build the analytic traffic models of §7.2.
 package dsp
 
 import (
@@ -51,42 +51,23 @@ func twiddlesFor(n int) []complex128 {
 // iterative radix-2 algorithm, other lengths use Bluestein's algorithm.
 // An empty input returns an empty slice.
 func FFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
 	out := append([]complex128(nil), x...)
-	dft(out, false)
+	dft(out)
 	return out
 }
 
-// IFFT returns the inverse DFT of X, normalized by 1/N, so that
-// IFFT(FFT(x)) == x up to rounding.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := append([]complex128(nil), x...)
-	dft(out, true)
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
-}
-
-// dft computes an in-place unnormalized DFT (or conjugate DFT when
-// inverse is true) of x: radix-2 for powers of two, Bluestein otherwise.
-func dft(x []complex128, inverse bool) {
+// dft computes an in-place unnormalized DFT of x: radix-2 for powers of
+// two, Bluestein otherwise.
+func dft(x []complex128) {
 	if len(x)&(len(x)-1) == 0 {
-		fftRadix2(x, inverse)
+		fftRadix2(x, false)
 	} else {
-		bluestein(x, inverse)
+		bluestein(x)
 	}
 }
 
-// fftRadix2 is dft for a power-of-two length: the bit-reversal
+// fftRadix2 is dft for a power-of-two length, or its conjugate when
+// inverse (Bluestein's convolution runs one of each): the bit-reversal
 // permutation, computed as it goes, then one butterfly pass per stage
 // reading the shared twiddle table at that stage's stride.
 func fftRadix2(a []complex128, inverse bool) {
@@ -136,35 +117,27 @@ func twiddle(tw []complex128, k int, inverse bool) complex128 {
 
 // bluesteinPlan holds the length-dependent precomputation of the
 // chirp-z transform: the chirp sequence and the forward FFT of the
-// (fixed) b sequence, for one length and direction.
+// (fixed) b sequence, for one length.
 type bluesteinPlan struct {
 	n, m  int
 	chirp []complex128
 	bHat  []complex128 // FFT of b, computed once
 }
 
-// bluesteinPlans keeps the last plan built per direction (0 forward, 1
-// inverse): a run transforms one odd length over and over, and an
-// unbounded per-length cache would keep every length it ever saw.
-var bluesteinPlans [2]atomic.Pointer[bluesteinPlan]
+// bluesteinLast keeps the last plan built: a run transforms one odd
+// length over and over, and an unbounded per-length cache would keep
+// every length it ever saw.
+var bluesteinLast atomic.Pointer[bluesteinPlan]
 
-func bluesteinPlanFor(n int, inverse bool) *bluesteinPlan {
-	slot := &bluesteinPlans[0]
-	if inverse {
-		slot = &bluesteinPlans[1]
-	}
-	if p := slot.Load(); p != nil && p.n == n {
+func bluesteinPlanFor(n int) *bluesteinPlan {
+	if p := bluesteinLast.Load(); p != nil && p.n == n {
 		return p
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// chirp[k] = exp(sign·πi·k²/n); k² mod 2n avoids precision loss.
+	// chirp[k] = exp(−πi·k²/n); k² mod 2n avoids precision loss.
 	chirp := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		kk := (int64(k) * int64(k)) % int64(2*n)
-		chirp[k] = cmplx.Rect(1, sign*math.Pi*float64(kk)/float64(n))
+		chirp[k] = cmplx.Rect(1, -math.Pi*float64(kk)/float64(n))
 	}
 	m := 1
 	for m < 2*n-1 {
@@ -179,16 +152,16 @@ func bluesteinPlanFor(n int, inverse bool) *bluesteinPlan {
 	}
 	fftRadix2(b, false)
 	p := &bluesteinPlan{n: n, m: m, chirp: chirp, bHat: b}
-	slot.Store(p)
+	bluesteinLast.Store(p)
 	return p
 }
 
 // bluestein is dft for any length via the chirp-z transform, using two
 // power-of-two FFTs per call (the third, of the fixed b sequence, comes
-// from the plan of its length and direction).
-func bluestein(x []complex128, inverse bool) {
+// from the plan of its length).
+func bluestein(x []complex128) {
 	n := len(x)
-	p := bluesteinPlanFor(n, inverse)
+	p := bluesteinPlanFor(n)
 	a := make([]complex128, p.m)
 	for k := 0; k < n; k++ {
 		a[k] = x[k] * p.chirp[k]
@@ -204,34 +177,20 @@ func bluestein(x []complex128, inverse bool) {
 	}
 }
 
-// FFTReal transforms a real-valued signal, returning the full complex
-// spectrum of the same length. Power-of-two lengths use the packed
+// fftRealInto writes the full complex spectrum of the real signal x
+// into out, which has x's length. Power-of-two lengths use the packed
 // algorithm: the N reals are packed into an N/2-point complex signal,
-// transformed, and unpacked with one twiddle pass — half the butterflies
-// of the generic path (see DESIGN.md §8 for the derivation).
-func FFTReal(x []float64) []complex128 {
-	out := make([]complex128, len(x))
-	FFTRealInto(out, x)
-	return out
-}
-
-// FFTRealInto is FFTReal writing the length-len(x) spectrum into out
-// (which must have the same length), allocating only the packed
-// half-length scratch for power-of-two inputs.
-func FFTRealInto(out []complex128, x []float64) {
+// transformed in out's front half, and unpacked with one twiddle pass —
+// half the butterflies of the generic path (see DESIGN.md §8 for the
+// derivation).
+func fftRealInto(out []complex128, x []float64) {
 	n := len(x)
-	if len(out) != n {
-		panic("dsp: FFTRealInto length mismatch")
-	}
-	if n == 0 {
-		return
-	}
 	if n&(n-1) != 0 || n < 4 {
 		// Odd or tiny lengths: no packed split; use the generic path.
 		for i, v := range x {
 			out[i] = complex(v, 0)
 		}
-		dft(out, false)
+		dft(out)
 		return
 	}
 	h := n / 2
@@ -292,14 +251,14 @@ func FFT2D(m []complex128, rows, cols int) []complex128 {
 	out := make([]complex128, len(m))
 	copy(out, m)
 	for r := 0; r < rows; r++ {
-		dft(out[r*cols:(r+1)*cols], false)
+		dft(out[r*cols : (r+1)*cols])
 	}
 	col := make([]complex128, rows)
 	for c := 0; c < cols; c++ {
 		for r := 0; r < rows; r++ {
 			col[r] = out[r*cols+c]
 		}
-		dft(col, false)
+		dft(col)
 		for r := 0; r < rows; r++ {
 			out[r*cols+c] = col[r]
 		}

@@ -1,93 +1,8 @@
 package dsp
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+// Pool is the handle of the analysis package's pooled entry point,
+// which ignores it; no spectrum runs on a pool.
+type Pool struct{}
 
-// Pool is a bounded worker pool for spectral work. Each worker checks a
-// Workspace out of an internal free list for the duration of a Map call,
-// so repeated parallel spectra reuse scratch instead of allocating —
-// the parallel analogue of holding one Workspace in a serial loop.
-//
-// Determinism contract: Map hands out work by index and callers write
-// results into index-addressed slots, so the output of any Map-based
-// computation is byte-identical for every worker count, including the
-// nil pool (which runs inline, in index order).
-type Pool struct {
-	workers int
-	ws      sync.Pool
-}
-
-// NewPool returns a pool bounded at workers goroutines; workers <= 0
-// selects GOMAXPROCS.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{workers: workers}
-}
-
-// Workers reports the pool bound; a nil pool reports 1 (inline).
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
-// Map invokes fn(ws, i) for every i in [0, n). The Workspace is private
-// to the invocation for its duration and is recycled afterwards; fn must
-// not retain it or any buffer it returned. A nil or single-worker pool
-// runs inline in index order; otherwise the indices are distributed over
-// the workers by an atomic counter, and Map returns when all n calls
-// have finished.
-func (p *Pool) Map(n int, fn func(ws *Workspace, i int)) {
-	if n <= 0 {
-		return
-	}
-	if p == nil || p.workers <= 1 || n == 1 {
-		ws := p.getWS()
-		for i := 0; i < n; i++ {
-			fn(ws, i)
-		}
-		p.putWS(ws)
-		return
-	}
-	workers := min(p.workers, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			ws := p.getWS()
-			defer p.putWS(ws)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(ws, i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func (p *Pool) getWS() *Workspace {
-	if p == nil {
-		return &Workspace{}
-	}
-	if ws, ok := p.ws.Get().(*Workspace); ok {
-		return ws
-	}
-	return &Workspace{}
-}
-
-func (p *Pool) putWS(ws *Workspace) {
-	if p != nil {
-		p.ws.Put(ws)
-	}
-}
+// NewPool returns a pool; the worker count is ignored.
+func NewPool(workers int) *Pool { return &Pool{} }

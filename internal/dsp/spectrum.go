@@ -6,46 +6,6 @@ import (
 	"sort"
 )
 
-// Window identifies a tapering window applied before the periodogram.
-type Window int
-
-// Supported windows.
-const (
-	Rectangular Window = iota
-	Hann
-	Hamming
-)
-
-// Apply returns x multiplied by the window, leaving x unchanged.
-func (w Window) Apply(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	w.applyTo(out)
-	return out
-}
-
-// applyTo multiplies x by the window in place.
-func (w Window) applyTo(x []float64) {
-	if len(x) < 2 {
-		// A one-sample window is identically 1 for every taper; the
-		// general formula would divide by len(x)-1 = 0.
-		return
-	}
-	n := float64(len(x) - 1)
-	for i, v := range x {
-		var g float64
-		switch w {
-		case Hann:
-			g = 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/n)
-		case Hamming:
-			g = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/n)
-		default:
-			g = 1
-		}
-		x[i] = v * g
-	}
-}
-
 // Spectrum is a one-sided power spectrum of a uniformly sampled signal,
 // together with the complex Fourier coefficients needed to reconstruct the
 // signal (equation 2 of the paper).
@@ -67,8 +27,6 @@ type Spectrum struct {
 
 // PeriodogramOptions control Periodogram.
 type PeriodogramOptions struct {
-	// Window tapering applied before the FFT.
-	Window Window
 	// RemoveMean subtracts the sample mean first, suppressing the DC spike
 	// so that low-frequency structure is visible. The removed mean is
 	// still reported as the DC coefficient so reconstruction works.
@@ -96,7 +54,7 @@ func Periodogram(x []float64, dt float64, opt PeriodogramOptions) *Spectrum {
 // *Spectrum returned by Workspace.Periodogram aliases the workspace and
 // is overwritten by the next call.
 type Workspace struct {
-	work []float64 // mean-removed, windowed, zero-padded input
+	work []float64 // mean-removed, zero-padded input
 	xbuf []complex128
 	spec Spectrum
 }
@@ -128,12 +86,9 @@ func (ws *Workspace) Periodogram(x []float64, dt float64, opt PeriodogramOptions
 	for i := n; i < m; i++ {
 		work[i] = 0
 	}
-	if opt.Window != Rectangular {
-		opt.Window.applyTo(work[:n])
-	}
 	ws.xbuf = growC(ws.xbuf, m)
 	X := ws.xbuf
-	FFTRealInto(X, work)
+	fftRealInto(X, work)
 	half := m/2 + 1
 	s.Freq = growF(s.Freq, half)
 	s.Power = growF(s.Power, half)
@@ -233,17 +188,6 @@ func (s *Spectrum) TotalPower() float64 {
 	var sum float64
 	for i := 1; i < len(s.Power); i++ {
 		sum += s.Power[i]
-	}
-	return sum
-}
-
-// BandPower sums Power over bins with lo ≤ Freq < hi (excluding DC).
-func (s *Spectrum) BandPower(lo, hi float64) float64 {
-	var sum float64
-	for i := 1; i < len(s.Power); i++ {
-		if s.Freq[i] >= lo && s.Freq[i] < hi {
-			sum += s.Power[i]
-		}
 	}
 	return sum
 }

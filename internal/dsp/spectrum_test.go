@@ -120,19 +120,30 @@ func TestHarmonicSeries(t *testing.T) {
 	}
 }
 
+// bandPower sums Power over the non-DC bins with lo ≤ Freq < hi.
+func bandPower(s *Spectrum, lo, hi float64) float64 {
+	var sum float64
+	for i := 1; i < len(s.Power); i++ {
+		if s.Freq[i] >= lo && s.Freq[i] < hi {
+			sum += s.Power[i]
+		}
+	}
+	return sum
+}
+
 func TestBandAndTotalPower(t *testing.T) {
 	dt := 0.01
 	x := sine(4096, dt, 5, 1, 0)
 	s := Periodogram(x, dt, PeriodogramOptions{})
 	tot := s.TotalPower()
-	band := s.BandPower(4, 6)
+	band := bandPower(s, 4, 6)
 	if band <= 0 || tot <= 0 {
 		t.Fatal("nonpositive power")
 	}
 	if band/tot < 0.95 {
 		t.Errorf("band fraction = %v, want ≥0.95", band/tot)
 	}
-	if out := s.BandPower(20, 30); out/tot > 0.01 {
+	if out := bandPower(s, 20, 30); out/tot > 0.01 {
 		t.Errorf("out-of-band fraction = %v", out/tot)
 	}
 }
@@ -151,41 +162,5 @@ func TestSlice(t *testing.T) {
 	// 10 Hz of a 50 Hz-wide spectrum ≈ one fifth of the bins.
 	if got, want := len(freq), len(s.Freq)/5; got < want-2 || got > want+2 {
 		t.Errorf("slice bins = %d, want ≈%d", got, want)
-	}
-}
-
-func TestWindows(t *testing.T) {
-	x := []float64{1, 1, 1, 1, 1}
-	hann := Hann.Apply(x)
-	if hann[0] > 1e-12 || hann[4] > 1e-12 {
-		t.Errorf("Hann endpoints = %v, %v", hann[0], hann[4])
-	}
-	if math.Abs(hann[2]-1) > 1e-12 {
-		t.Errorf("Hann midpoint = %v", hann[2])
-	}
-	ham := Hamming.Apply(x)
-	if math.Abs(ham[0]-0.08) > 1e-12 {
-		t.Errorf("Hamming endpoint = %v", ham[0])
-	}
-	rect := Rectangular.Apply(x)
-	for i := range rect {
-		if rect[i] != 1 {
-			t.Errorf("Rectangular changed sample %d", i)
-		}
-	}
-}
-
-func TestHannReducesLeakage(t *testing.T) {
-	dt := 0.01
-	x := sine(1000, dt, 5.037, 1, 0)
-	rect := Periodogram(x, dt, PeriodogramOptions{})
-	hann := Periodogram(x, dt, PeriodogramOptions{Window: Hann})
-	// Compare energy far from the tone relative to the peak.
-	ratio := func(s *Spectrum) float64 {
-		peak := s.Peaks(1, 0)[0]
-		return s.BandPower(15, 40) / peak.Power
-	}
-	if ratio(hann) >= ratio(rect) {
-		t.Errorf("Hann did not reduce leakage: %g vs %g", ratio(hann), ratio(rect))
 	}
 }

@@ -9,12 +9,18 @@ import (
 	"testing"
 )
 
-// resetFFTState drops the shared twiddle table and the Bluestein plans,
+// resetFFTState drops the shared twiddle table and the Bluestein plan,
 // as in a fresh process.
 func resetFFTState() {
 	twiddles.Store(nil)
-	bluesteinPlans[0].Store(nil)
-	bluesteinPlans[1].Store(nil)
+	bluesteinLast.Store(nil)
+}
+
+// fftReal is the packed real transform into a fresh slice.
+func fftReal(x []float64) []complex128 {
+	out := make([]complex128, len(x))
+	fftRealInto(out, x)
+	return out
 }
 
 func sameBits(a, b complex128) bool {
@@ -63,14 +69,13 @@ func TestFFTIndependentOfTableSize(t *testing.T) {
 	xr := realSignal(1024)
 	resetFFTState()
 	defer resetFFTState()
-	fresh, freshInv, freshReal := FFT(x), IFFT(x), FFTReal(xr)
-	FFTReal(make([]float64, 1<<18))
+	fresh, freshReal := FFT(x), fftReal(xr)
+	fftReal(make([]float64, 1<<18))
 	if got := len(*twiddles.Load()); got != 1<<17 {
 		t.Fatalf("table holds %d factors after a 2^18 real FFT, want %d", got, 1<<17)
 	}
 	requireSameBits(t, "FFT", FFT(x), fresh)
-	requireSameBits(t, "IFFT", IFFT(x), freshInv)
-	requireSameBits(t, "FFTReal", FFTReal(xr), freshReal)
+	requireSameBits(t, "fftReal", fftReal(xr), freshReal)
 }
 
 // Concurrent transforms of mixed sizes, radix-2 and Bluestein, while the
@@ -127,13 +132,13 @@ func TestFFTRetainedState(t *testing.T) {
 	before := heap()
 	func() {
 		x := realSignal(1 << 18)
-		FFTRealInto(make([]complex128, len(x)), x)
+		fftRealInto(make([]complex128, len(x)), x)
 	}()
 	retained := heap() - before
 	if got := len(*twiddles.Load()); got != 1<<17 {
 		t.Errorf("table holds %d factors, want %d", got, 1<<17)
 	}
-	if bluesteinPlans[0].Load() != nil || bluesteinPlans[1].Load() != nil {
+	if bluesteinLast.Load() != nil {
 		t.Error("a radix-2 transform built a Bluestein plan")
 	}
 	if limit := int64(1<<17*16 + 1<<18); retained > limit {
@@ -141,9 +146,9 @@ func TestFFTRetainedState(t *testing.T) {
 	}
 }
 
-// Bluestein keeps one plan per direction: a new length replaces it, and
-// a length transformed again after eviction gives the same bits.
-func TestBluesteinKeepsOnePlanPerDirection(t *testing.T) {
+// Bluestein keeps one plan: a new length replaces it, and a length
+// transformed again after eviction gives the same bits.
+func TestBluesteinKeepsOnePlan(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	x := randComplex(r, 100)
 	resetFFTState()
@@ -152,12 +157,8 @@ func TestBluesteinKeepsOnePlanPerDirection(t *testing.T) {
 	for _, n := range []int{300, 200} {
 		FFT(randComplex(r, n))
 	}
-	IFFT(randComplex(r, 60))
-	if p := bluesteinPlans[0].Load(); p == nil || p.n != 200 {
-		t.Errorf("forward slot does not hold the last length")
-	}
-	if p := bluesteinPlans[1].Load(); p == nil || p.n != 60 {
-		t.Errorf("inverse slot does not hold the last length")
+	if p := bluesteinLast.Load(); p == nil || p.n != 200 {
+		t.Errorf("the plan does not hold the last length")
 	}
 	requireSameBits(t, "FFT after eviction", FFT(x), first)
 }

@@ -61,20 +61,3 @@ func HIST(w *fx.Worker, p Params) []int64 {
 	}
 	return final
 }
-
-// HISTSequential is the single-process reference.
-func HISTSequential(p Params) []int64 {
-	n := p.N
-	hist := make([]int64, HistBins)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := float32(initValue(i, j, n))
-			b := int(v * HistBins)
-			if b >= HistBins {
-				b = HistBins - 1
-			}
-			hist[b]++
-		}
-	}
-	return hist
-}

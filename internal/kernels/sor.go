@@ -77,35 +77,3 @@ func SOR(w *fx.Worker, p Params) [][]float32 {
 	}
 	return cur
 }
-
-// SORSequential is the single-process reference: identical arithmetic in
-// identical order, so the distributed result must match exactly.
-func SORSequential(p Params) [][]float32 {
-	n := p.N
-	cur := make([][]float32, n)
-	next := make([][]float32, n)
-	for i := 0; i < n; i++ {
-		cur[i] = make([]float32, n)
-		next[i] = make([]float32, n)
-		for j := 0; j < n; j++ {
-			cur[i][j] = float32(initValue(i, j, n))
-		}
-	}
-	for it := 0; it < p.Iters; it++ {
-		for i := 0; i < n; i++ {
-			if i == 0 || i == n-1 {
-				copy(next[i], cur[i])
-				continue
-			}
-			row := cur[i]
-			dst := next[i]
-			dst[0], dst[n-1] = row[0], row[n-1]
-			for j := 1; j < n-1; j++ {
-				avg := 0.25 * (cur[i-1][j] + cur[i+1][j] + row[j-1] + row[j+1])
-				dst[j] = (1-sorOmega)*row[j] + sorOmega*avg
-			}
-		}
-		cur, next = next, cur
-	}
-	return cur
-}

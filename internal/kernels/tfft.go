@@ -101,26 +101,3 @@ func T2DFFT(w *fx.Worker, p Params) [][]complex64 {
 	}
 	return cols
 }
-
-// T2DFFTSequential computes the transform of the m-th pipeline matrix
-// single-process with the same rounding discipline, returned as columns.
-func T2DFFTSequential(p Params, m int) [][]complex64 {
-	n := p.N
-	rows := initRows(0, n, n)
-	scale := tfftScale(m)
-	tmp := make([]complex128, n)
-	for _, row := range rows {
-		for j := range row {
-			row[j] *= scale
-		}
-		fftRow(row, tmp)
-	}
-	cols := newMatrix(n, n)
-	for c, col := range cols {
-		for i := range col {
-			col[i] = rows[i][c]
-		}
-		fftRow(col, tmp)
-	}
-	return cols
-}

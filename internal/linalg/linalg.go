@@ -1,152 +1,12 @@
-// Package linalg provides the small dense and banded linear algebra the
-// AIRSHED substrate needs: matrices, LU factorization with partial
-// pivoting, triangular solves, and a banded (skyline-free) variant used
-// for the per-layer finite-element stiffness systems that AIRSHED factors
-// once per simulated hour and backsolves l×s times per transport phase.
+// Package linalg provides the banded linear algebra the AIRSHED substrate
+// needs: a banded (skyline-free) matrix, its LU factorization and the
+// triangular solves, for the per-layer finite-element stiffness systems
+// that AIRSHED factors once per simulated hour and backsolves l×s times
+// per transport phase. The dense LU the banded one is checked against
+// lives in the tests.
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
-
-// Matrix is a dense row-major matrix of float64.
-type Matrix struct {
-	Rows, Cols int
-	Data       []float64
-}
-
-// NewMatrix allocates a zero rows×cols matrix.
-func NewMatrix(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		panic("linalg: negative dimensions")
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// MulVec returns m·x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVec shape %dx%d · %d", m.Rows, m.Cols, len(x)))
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// LU is a dense LU factorization PA = LU with partial pivoting.
-type LU struct {
-	lu   *Matrix
-	perm []int
-	sign int
-}
-
-// Factor computes the LU factorization of square matrix a, leaving a
-// unchanged. It returns an error if the matrix is singular to working
-// precision.
-func Factor(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Factor of non-square %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	f := &LU{lu: a.Clone(), perm: make([]int, n), sign: 1}
-	for i := range f.perm {
-		f.perm[i] = i
-	}
-	lu := f.lu
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		p, max := col, math.Abs(lu.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(lu.At(r, col)); v > max {
-				p, max = r, v
-			}
-		}
-		if max == 0 {
-			return nil, fmt.Errorf("linalg: singular matrix at column %d", col)
-		}
-		if p != col {
-			for j := 0; j < n; j++ {
-				lu.Data[p*n+j], lu.Data[col*n+j] = lu.Data[col*n+j], lu.Data[p*n+j]
-			}
-			f.perm[p], f.perm[col] = f.perm[col], f.perm[p]
-			f.sign = -f.sign
-		}
-		piv := lu.At(col, col)
-		for r := col + 1; r < n; r++ {
-			m := lu.At(r, col) / piv
-			lu.Set(r, col, m)
-			if m == 0 {
-				continue
-			}
-			for j := col + 1; j < n; j++ {
-				lu.Data[r*n+j] -= m * lu.Data[col*n+j]
-			}
-		}
-	}
-	return f, nil
-}
-
-// Solve performs the forward and back substitution (the paper's AIRSHED
-// "backsolve") for right-hand side b, returning x with A·x = b.
-func (f *LU) Solve(b []float64) []float64 {
-	n := f.lu.Rows
-	if len(b) != n {
-		panic("linalg: Solve dimension mismatch")
-	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.perm[i]]
-	}
-	// Forward: L has unit diagonal.
-	for i := 1; i < n; i++ {
-		var s float64
-		row := f.lu.Data[i*n : i*n+i]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		x[i] -= s
-	}
-	// Back.
-	for i := n - 1; i >= 0; i-- {
-		var s float64
-		for j := i + 1; j < n; j++ {
-			s += f.lu.Data[i*n+j] * x[j]
-		}
-		x[i] = (x[i] - s) / f.lu.Data[i*n+i]
-	}
-	return x
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.Data[i*n+i]
-	}
-	return d
-}
+import "fmt"
 
 // Banded is a symmetric-bandwidth banded matrix: element (i, j) is stored
 // only when |i−j| ≤ Band. Rows are stored as 2·Band+1 diagonals. This is
@@ -191,49 +51,12 @@ func (b *Banded) Set(i, j int, v float64) {
 	b.Data[k] = v
 }
 
-// Add accumulates v into element (i, j).
-func (b *Banded) Add(i, j int, v float64) {
-	k, ok := b.idx(i, j)
-	if !ok {
-		panic(fmt.Sprintf("linalg: (%d,%d) outside band %d", i, j, b.Band))
-	}
-	b.Data[k] += v
-}
-
 // Row returns the stored diagonals of row i, aliasing the matrix:
 // Row(i)[Band+d] is element (i, i+d) for d ∈ [−Band, Band]. Entries whose
 // column falls outside the matrix are padding and must stay zero.
 func (b *Banded) Row(i int) []float64 {
 	w := 2*b.Band + 1
 	return b.Data[i*w : (i+1)*w : (i+1)*w]
-}
-
-// Dense expands the banded matrix to dense form (for tests).
-func (b *Banded) Dense() *Matrix {
-	m := NewMatrix(b.N, b.N)
-	for i := 0; i < b.N; i++ {
-		for j := max(0, i-b.Band); j <= min(b.N-1, i+b.Band); j++ {
-			m.Set(i, j, b.At(i, j))
-		}
-	}
-	return m
-}
-
-// MulVec returns b·x.
-func (b *Banded) MulVec(x []float64) []float64 {
-	if len(x) != b.N {
-		panic("linalg: banded MulVec dimension mismatch")
-	}
-	y := make([]float64, b.N)
-	for i := 0; i < b.N; i++ {
-		lo, hi := max(0, i-b.Band), min(b.N-1, i+b.Band)
-		var s float64
-		for j, v := range b.Row(i)[lo-i+b.Band : hi-i+b.Band+1] {
-			s += v * x[lo+j]
-		}
-		y[i] = s
-	}
-	return y
 }
 
 // BandedLU is an LU factorization of a banded matrix without pivoting
@@ -400,30 +223,5 @@ func (f *BandedLU) solve4(x0, x1, x2, x3 []float64) {
 		x1[i] = (x1[i] - s1) / diag
 		x2[i] = (x2[i] - s2) / diag
 		x3[i] = (x3[i] - s3) / diag
-	}
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
-
-// AXPY computes y ← a·x + y in place.
-func AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += a * x[i]
 	}
 }

@@ -236,20 +236,6 @@ func TestBandedFlopCounts(t *testing.T) {
 	}
 }
 
-func TestVectorOps(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
-		t.Error("Dot wrong")
-	}
-	if math.Abs(Norm2([]float64{3, 4})-5) > 1e-12 {
-		t.Error("Norm2 wrong")
-	}
-	y := []float64{1, 1}
-	AXPY(2, []float64{3, 4}, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Errorf("AXPY = %v", y)
-	}
-}
-
 func TestQuickLUResidual(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	f := func(seed int64) bool {

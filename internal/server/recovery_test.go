@@ -201,6 +201,10 @@ func TestRecoveryCompletesAcknowledgedJobs(t *testing.T) {
 	for seed := int64(2); seed <= 5; seed++ {
 		pending = append(pending, submit(t, tsA.URL, RunRequest{Program: "sor", P: 4, N: 32, Iters: 4, Seed: seed}))
 	}
+	// And one that takes ≈ 0.3 s, so it is unfinished at the crash
+	// whatever the host's speed: the crashed server's worker completes it
+	// against the closed journal, and its terminal record fails to append.
+	pending = append(pending, submit(t, tsA.URL, RunRequest{Program: "seq", P: 4, N: 64, Iters: 15, Seed: 1}))
 	crash(a, tsA)
 
 	_, tsB := journaledServer(t, dir, Options{Workers: 2, Memoize: true})

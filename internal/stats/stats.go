@@ -1,11 +1,10 @@
 // Package stats provides the descriptive statistics used throughout the
-// traffic analysis: min/max/mean/standard deviation summaries, histograms,
-// quantiles, and a simple modality detector used to verify the paper's
+// traffic analysis: min/max/mean/standard deviation summaries, quantiles,
+// and a histogram modality detector used to verify the paper's
 // "trimodal packet size distribution" observation.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -47,11 +46,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// String formats the summary like a row of the paper's tables.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.1f max=%.1f avg=%.1f sd=%.1f", s.N, s.Min, s.Max, s.Mean, s.SD)
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -63,9 +57,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return Summarize(xs).SD }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. It panics on empty input.
@@ -98,35 +89,6 @@ type Histogram struct {
 	Over   int // samples at or above Hi
 }
 
-// NewHistogram builds a histogram of xs with the given number of bins over
-// [lo, hi). bins must be positive and hi > lo.
-func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	w := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			h.Counts[int((x-lo)/w)]++
-		}
-	}
-	return h
-}
-
-// BinWidth returns the width of each bin.
-func (h *Histogram) BinWidth() float64 { return (h.Hi - h.Lo) / float64(len(h.Counts)) }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.BinWidth()
-}
-
 // Total returns the number of in-range samples.
 func (h *Histogram) Total() int {
 	n := 0
@@ -138,7 +100,8 @@ func (h *Histogram) Total() int {
 
 // Modes returns the indices of local maxima whose count is at least
 // minFrac of the total in-range count, in descending count order. Adjacent
-// equal-count bins count as one mode (the leftmost index is reported).
+// equal-count bins count as one mode (the leftmost index is reported,
+// bin 0 included).
 // This is how we verify the trimodality the paper reports for SOR, 2DFFT
 // and HIST packet sizes.
 func (h *Histogram) Modes(minFrac float64) []int {
@@ -152,17 +115,11 @@ func (h *Histogram) Modes(minFrac float64) []int {
 		if c == 0 || c < min {
 			continue
 		}
-		// Strictly greater than the previous differing neighbor and at
-		// least as large as the next differing neighbor.
-		left := i - 1
-		for left >= 0 && h.Counts[left] == c {
-			left--
-		}
-		if left >= 0 && h.Counts[left] >= c {
+		// Strictly greater than the bin before it, so a plateau reports
+		// only its leftmost bin, and at least as large as the next
+		// differing neighbor.
+		if i > 0 && h.Counts[i-1] >= c {
 			continue
-		}
-		if left >= 0 && left != i-1 {
-			continue // plateau: only leftmost bin reports the mode
 		}
 		right := i + 1
 		for right < len(h.Counts) && h.Counts[right] == c {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -63,9 +64,27 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	}
 }
 
+// newHistogram bins xs into bins equal-width bins over [lo, hi), the
+// shape the analysis package's streaming histogram fills.
+func newHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
+	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
+	w := (hi - lo) / float64(bins)
+	for _, x := range xs {
+		switch {
+		case x < lo:
+			h.Under++
+		case x >= hi:
+			h.Over++
+		default:
+			h.Counts[int((x-lo)/w)]++
+		}
+	}
+	return h
+}
+
 func TestHistogram(t *testing.T) {
 	xs := []float64{-1, 0, 0.5, 1, 1.5, 2, 9.99, 10, 11}
-	h := NewHistogram(xs, 0, 10, 10)
+	h := newHistogram(xs, 0, 10, 10)
 	if h.Under != 1 || h.Over != 2 {
 		t.Errorf("under=%d over=%d", h.Under, h.Over)
 	}
@@ -77,9 +96,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if h.Counts[1] != 2 { // 1, 1.5
 		t.Errorf("bin1 = %d", h.Counts[1])
-	}
-	if !approx(h.BinCenter(0), 0.5, 1e-12) {
-		t.Errorf("center0 = %v", h.BinCenter(0))
 	}
 }
 
@@ -96,14 +112,14 @@ func TestHistogramModesTrimodal(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		xs = append(xs, 700)
 	}
-	h := NewHistogram(xs, 0, 1600, 32)
+	h := newHistogram(xs, 0, 1600, 32)
 	modes := h.Modes(0.02)
 	if len(modes) != 3 {
 		t.Fatalf("modes = %v, want 3", modes)
 	}
-	// Largest mode first (the 58-byte bin).
-	if c := h.BinCenter(modes[0]); c > 100 {
-		t.Errorf("dominant mode center = %v, want near 58", c)
+	// Largest mode first (the 58-byte bin, 50–100 B).
+	if modes[0] != 1 {
+		t.Errorf("dominant mode is bin %d, want 1 (near 58 B)", modes[0])
 	}
 }
 
@@ -112,9 +128,23 @@ func TestHistogramModesUnimodal(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		xs = append(xs, 500+float64(i%10))
 	}
-	h := NewHistogram(xs, 0, 1600, 16)
+	h := newHistogram(xs, 0, 1600, 16)
 	if modes := h.Modes(0.05); len(modes) != 1 {
 		t.Errorf("modes = %v, want exactly 1", modes)
+	}
+	// A plateau is one mode, reported at its leftmost bin, wherever it
+	// starts.
+	for _, c := range []struct {
+		counts []int
+		want   []int
+	}{
+		{[]int{5, 5, 1}, []int{0}},
+		{[]int{1, 5, 5, 1}, []int{1}},
+	} {
+		h := &Histogram{Lo: 0, Hi: float64(len(c.counts)), Counts: c.counts}
+		if got := h.Modes(0); !slices.Equal(got, c.want) {
+			t.Errorf("Modes of %v = %v, want %v", c.counts, got, c.want)
+		}
 	}
 }
 
@@ -182,7 +212,7 @@ func TestQuickHistogramConservation(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		h := NewHistogram(xs, 100, 1000, 9)
+		h := newHistogram(xs, 100, 1000, 9)
 		return h.Total()+h.Under+h.Over == len(xs)
 	}
 	if err := quick.Check(f, nil); err != nil {

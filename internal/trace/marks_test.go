@@ -62,14 +62,6 @@ func TestMarksTextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMarksBetween(t *testing.T) {
-	tr := markedTrace()
-	in := tr.MarksBetween(sim.Time(4*sim.Second), sim.Time(6*sim.Second))
-	if len(in) != 1 || in[0].Label != "5s:linkdown host1" {
-		t.Errorf("MarksBetween = %v", in)
-	}
-}
-
 func TestWriteBinaryWithoutMarksUnchanged(t *testing.T) {
 	plain := markedTrace()
 	plain.Marks = nil

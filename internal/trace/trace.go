@@ -65,17 +65,6 @@ func (t *Trace) AddMark(at sim.Time, label string) {
 	t.Marks = append(t.Marks, Mark{Time: at, Label: label})
 }
 
-// MarksBetween returns the marks with lo ≤ time < hi.
-func (t *Trace) MarksBetween(lo, hi sim.Time) []Mark {
-	var out []Mark
-	for _, m := range t.Marks {
-		if m.Time >= lo && m.Time < hi {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // encodeMarks renders marks as the "marks" meta value:
 // "<ns>@<label>;<ns>@<label>". Labels must not contain ';'.
 func encodeMarks(marks []Mark) string {
@@ -171,9 +160,8 @@ func NewCollector() *Collector {
 }
 
 // Capture attaches a collector to a medium (shared segment or switch
-// SPAN). Capture starts enabled; use Pause and Resume to bracket the
-// measured region (the paper starts tcpdump before launching each
-// program).
+// SPAN). It records from the start, as the paper started tcpdump before
+// launching each program, until Flush.
 func Capture(seg ethernet.TrafficSource) *Collector {
 	c := NewCollector()
 	seg.Tap(c.record)
@@ -191,9 +179,6 @@ func (c *Collector) AddSink(s Sink) { c.sinks = append(c.sinks, s) }
 // streaming-analysis mode, where the sinks are the only consumers. Must
 // be set before packets flow.
 func (c *Collector) SetRetain(on bool) { c.retain = on }
-
-// Retained reports whether the collector keeps packets for Trace.
-func (c *Collector) Retained() bool { return c.retain }
 
 // record is the tap callback: a full-chunk rotation branch, then one
 // bounds-checked append per column.
@@ -261,12 +246,6 @@ func (c *Collector) Flush() {
 		c.emit(c.cur)
 	}
 }
-
-// Pause stops recording.
-func (c *Collector) Pause() { c.enabled = false }
-
-// Resume restarts recording.
-func (c *Collector) Resume() { c.enabled = true }
 
 // Trace returns the collected trace, linearizing any chunks captured
 // since the last call into Packets with a single exact-size allocation

@@ -110,23 +110,22 @@ func TestCaptureFromSegment(t *testing.T) {
 	}
 }
 
-func TestCapturePauseResume(t *testing.T) {
+func TestCaptureStopsAtFlush(t *testing.T) {
 	k := sim.New(1)
 	seg := ethernet.NewSegment(k, 0)
 	a := seg.Attach("a")
 	seg.Attach("b").OnReceive(func(f *ethernet.Frame) {})
 	col := Capture(seg)
-	col.Pause()
-	a.Send(&ethernet.Frame{Dst: 1, NetLen: 100})
-	k.Run()
-	if col.Trace().Len() != 0 {
-		t.Error("captured while paused")
-	}
-	col.Resume()
 	a.Send(&ethernet.Frame{Dst: 1, NetLen: 100})
 	k.Run()
 	if col.Trace().Len() != 1 {
-		t.Error("did not capture after resume")
+		t.Error("did not capture before Flush")
+	}
+	col.Flush()
+	a.Send(&ethernet.Frame{Dst: 1, NetLen: 100})
+	k.Run()
+	if col.Trace().Len() != 1 {
+		t.Error("captured after Flush")
 	}
 }
 
