@@ -14,6 +14,7 @@ import (
 	"fxnet/internal/core"
 	"fxnet/internal/ethernet"
 	"fxnet/internal/farm"
+	"fxnet/internal/stats"
 	"fxnet/internal/trace"
 )
 
@@ -243,8 +244,8 @@ func BenchmarkAblationConstantBurstSizes(b *testing.B) {
 			Program: "2dfft", Seed: 13, Params: fxnet.KernelParams{Iters: 30},
 			DisableDesched: true, KeepaliveInterval: -1,
 		})
-		bs := burstsOf(res.Trace)
-		rel = bs.sd / bs.mean
+		mean, sd := burstSizes(res.Trace, 100_000_000)
+		rel = sd / mean
 	}
 	if rel > 0.05 {
 		b.Fatalf("burst size spread sd/mean = %v, want small", rel)
@@ -253,56 +254,6 @@ func BenchmarkAblationConstantBurstSizes(b *testing.B) {
 		fmt.Fprintln(os.Stdout, "\n=== Constant burst sizes (2DFFT) ===")
 		fmt.Fprintf(os.Stdout, "burst byte total: sd/mean = %.5f\n", rel)
 	})
-}
-
-type burstSummary struct{ mean, sd float64 }
-
-// burstsOf segments a trace at 100 ms idle gaps and summarizes burst byte
-// totals.
-func burstsOf(tr *fxnet.Trace) burstSummary {
-	const gap = fxnet.Duration(100_000_000)
-	var sizes []float64
-	cur := 0.0
-	last := tr.Packets[0].Time
-	for i, p := range tr.Packets {
-		if i > 0 && p.Time.Sub(last) >= gap {
-			sizes = append(sizes, cur)
-			cur = 0
-		}
-		cur += float64(p.Size)
-		last = p.Time
-	}
-	sizes = append(sizes, cur)
-	// Drop first and last (partial phases), then drop noise "bursts":
-	// the 200 ms delayed-ACK timer can fire after a phase ends, leaving a
-	// lone 58-byte ACK that segments as its own burst.
-	if len(sizes) > 2 {
-		sizes = sizes[1 : len(sizes)-1]
-	}
-	maxSize := 0.0
-	for _, s := range sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
-	kept := sizes[:0]
-	for _, s := range sizes {
-		if s >= 0.01*maxSize {
-			kept = append(kept, s)
-		}
-	}
-	sizes = kept
-	var sum float64
-	for _, s := range sizes {
-		sum += s
-	}
-	mean := sum / float64(len(sizes))
-	var ss float64
-	for _, s := range sizes {
-		d := s - mean
-		ss += d * d
-	}
-	return burstSummary{mean: mean, sd: math.Sqrt(ss / float64(len(sizes)))}
 }
 
 // BenchmarkAblationFrameLoss injects FCS corruption on the shared
@@ -500,12 +451,14 @@ func BenchmarkComparisonMediaVsParallel(b *testing.B) {
 			Program: "2dfft", Seed: 29, Params: fxnet.KernelParams{Iters: 30},
 			DisableDesched: true, KeepaliveInterval: -1,
 		})
-		parCoV = burstCoV(res.Trace, 100_000_000)
+		mean, sd := burstSizes(res.Trace, 100_000_000)
+		parCoV = sd / mean
 		series, _ := fxnet.BinnedBandwidth(res.Trace, fxnet.PaperWindow)
 		parH = fxnet.Hurst(series)
 
 		video := fxnet.GenerateVBR(fxnet.VBRConfig{}, 60_000_000_000, 29, 0, 1)
-		vidCoV = burstCoV(video, 5_000_000)
+		mean, sd = burstSizes(video, 5_000_000)
+		vidCoV = sd / mean
 
 		onoff := fxnet.GenerateOnOff(fxnet.OnOffConfig{}, 200_000_000_000, 29)
 		oseries, _ := fxnet.BinnedBandwidth(onoff, 100_000_000)
@@ -530,16 +483,14 @@ func BenchmarkComparisonMediaVsParallel(b *testing.B) {
 	b.ReportMetric(vidCoV, "video-CoV")
 }
 
-// burstCoV segments the trace at idle gaps and returns the coefficient of
-// variation of burst byte totals (noise bursts below 1% of max dropped).
-func burstCoV(tr *fxnet.Trace, gap fxnet.Duration) float64 {
-	bs := burstsOf2(tr, gap)
-	return bs
-}
-
-func burstsOf2(tr *fxnet.Trace, gap fxnet.Duration) float64 {
+// burstSizes segments a trace at idle gaps of at least gap and returns
+// the mean and SD of the burst byte totals. The first and last bursts
+// (partial phases) are dropped, and so are noise bursts under 1 % of the
+// largest: the 200 ms delayed-ACK timer can fire after a phase ends,
+// leaving a lone 58-byte ACK that segments as its own burst.
+func burstSizes(tr *fxnet.Trace, gap fxnet.Duration) (mean, sd float64) {
 	if tr.Len() == 0 {
-		return 0
+		return 0, 0
 	}
 	var sizes []float64
 	cur := 0.0
@@ -558,9 +509,7 @@ func burstsOf2(tr *fxnet.Trace, gap fxnet.Duration) float64 {
 	}
 	maxSize := 0.0
 	for _, s := range sizes {
-		if s > maxSize {
-			maxSize = s
-		}
+		maxSize = max(maxSize, s)
 	}
 	kept := sizes[:0]
 	for _, s := range sizes {
@@ -568,7 +517,8 @@ func burstsOf2(tr *fxnet.Trace, gap fxnet.Duration) float64 {
 			kept = append(kept, s)
 		}
 	}
-	return fxnet.CoV(kept)
+	st := stats.Summarize(kept)
+	return st.Mean, st.SD
 }
 
 // BenchmarkQoSGuaranteeUnderLoad demonstrates the QoS mechanism the

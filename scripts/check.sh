@@ -35,9 +35,13 @@ if grep -rn 'CharacterizeTracePool\|CharacterizePool' --include='*.go' . | grep 
 
 # One command surface: fxfarm is the only batch runner, the §7.3 laws and
 # their calibrated rates are written once (internal/kernels; 12.5e6 is a
-# capacity, not a rate), and one float type renders NaN/Inf as JSON null.
+# capacity, not a rate) — not in cmd/, internal/ or examples/, nor in any
+# root Go file, tests included — and one float type renders NaN/Inf as
+# JSON null.
 if [ -e cmd/fxsweep ]; then exit 1; fi
-if grep -rnw '38500\|8\.4e6\|2\.5e6\|364000' --include='*.go' cmd internal | grep -v '_test\.go:' | grep -v '^internal/kernels/'; then exit 1; fi
+rates='38500\|8\.4e6\|2\.5e6\|364000'
+if grep -rnw "$rates" --include='*.go' cmd internal examples | grep -v '_test\.go:' | grep -v '^internal/kernels/'; then exit 1; fi
+if grep -nw "$rates" ./*.go; then exit 1; fi
 if grep -rn 'func ([a-z]* \*\?\w*[Ff]loat\w*) MarshalJSON' --include='*.go' . | grep -v '^\./internal/catalog/json\.go:'; then exit 1; fi
 
 # One metric table: /metrics text is formatted only by the family table
@@ -100,11 +104,14 @@ if grep -rnE 'TryGet|AnySource|AnyTag|func \(k \*Kernel\) Stop\(' --include='*.g
 # flag or example reached are deleted (DESIGN.md §3 "A minimal stack") —
 # Welch and the pool's Map, IFFT, FFTReal, BandPower, the tapering
 # windows, linalg's Dot/Norm2/AXPY, StdDev, NewHistogram, the
-# collector's Pause/Resume, MarksBetween, Bursts and FaultWindow. One
-# coming back in non-test Go fails here; new analysis code nothing
+# collector's Pause/Resume, MarksBetween, Bursts and FaultWindow, and
+# later Trace.Between, the accumulator's Fold/N and the QoS ledger's
+# release by name.
+# One coming back in non-test Go fails here; new analysis code nothing
 # claim-carrying runs fails the coverage ratchet below.
 if grep -rnE 'Welch|IFFT|FFTReal\b|BandPower|\bHann\b|Hamming|Window +Window|getWS|putWS|func \(p \*Pool\) Map\(' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
 if grep -rnE 'func (Dot|Norm2|AXPY)\(|linalg\.(Dot|Norm2|AXPY)|StdDev|NewHistogram|func \(c \*Collector\) (Pause|Resume)\(|MarksBetween|func Bursts\(|analysis\.Bursts|BurstStats|FaultWindow' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
+if grep -rnE 'func \(t \*Trace\) Between\(|func \(a \*Accumulator\) (Fold|N)\(|func \(n \*Network\) Release\(' --include='*.go' internal | grep -v '_test\.go:'; then exit 1; fi
 
 # One law per kernel: the registry's QoS closure is the only hand-written
 # record of what a kernel sends (c is QoS(p).Pattern, held to the

@@ -4,10 +4,10 @@
 # coverage over its packages:
 #
 #   simulator (sim, core, ethernet, netstack, pvm, fx, faults): the
-#   golden and exclusion tests in cmd/fxrepro, the root tests with every
-#   figure benchmark and paper ablation run once, the benchmark workloads
-#   at smoke scale, and the core tests that run every fault kind and
-#   feature flag;
+#   golden and exclusion tests in cmd/fxrepro with its paper-scale figure
+#   checks (BenchmarkPaperFigures) run once, the root tests with every
+#   paper ablation run once, the benchmark workloads at smoke scale, and
+#   the core tests that run every fault kind and feature flag;
 #
 #   service (server, farm, catalog, journal, durable, client):
 #   scripts/serve_smoke.sh and scripts/chaos.sh against fxnetd and
@@ -51,10 +51,11 @@ run() {
 	"$@" >"$dir/step.log" 2>&1 || { cat "$dir/step.log"; exit 1; }
 }
 
-run go test -count=1 -coverpkg=$sim,$svc,$ana -coverprofile="$dir/repro.out" ./cmd/fxrepro
 # -cpu 2: the pair statistic stripes its rows over workers only when
 # GOMAXPROCS > 1, so a one-core host would otherwise leave that path
 # (26 statements of stats) unrun.
+run go test -count=1 -cpu 2 -coverpkg=$sim,$svc,$ana -coverprofile="$dir/repro.out" ./cmd/fxrepro \
+	-run . -bench PaperFigures -benchtime 1x
 run go test -count=1 -cpu 2 -coverpkg=$sim,$ana -coverprofile="$dir/root.out" . -run . -bench . -benchtime 1x
 run go test -count=1 -coverpkg=$sim,$svc,$ana -coverprofile="$dir/bench.out" ./bench -run TestSmoke
 run go test -count=1 -coverpkg=$sim,$ana -coverprofile="$dir/core.out" ./internal/core \
@@ -138,8 +139,7 @@ run go tool covdata textfmt -i "$dir/cov" -o "$dir/procs.out" -pkg "$(echo $svc,
 #             /healthz's "starting" during replay;
 #   dsp       dsp.FFT2D, the 2-D reference the kernels' tests share, and
 #             the twiddle table's lost compare-and-swap;
-#   analysis  SlidingBandwidth (the paper's figure-6 definition) and
-#             Accumulator.Fold/N;
+#   analysis  SlidingBandwidth (the paper's figure-6 definition);
 #   fxc       Dist.String, the partition class (a user's program reaches
 #             it; no kernel's statement is one);
 #   kernels   T2DFFT's one-row fragment clamp (N > 512 per receiver);
@@ -151,7 +151,7 @@ cat >"$dir/budget" <<'EOF'
 core 76
 ethernet 33
 faults 28
-fx 32
+fx 28
 netstack 32
 pvm 29
 sim 37
@@ -162,7 +162,7 @@ farm 41
 journal 14
 server 98
 airshed 4
-analysis 22
+analysis 19
 dsp 16
 fxc 51
 kernels 8
@@ -170,9 +170,9 @@ linalg 12
 media 0
 model 4
 profiling 10
-qos 14
+qos 12
 stats 22
-trace 71
+trace 69
 version 8
 EOF
 
