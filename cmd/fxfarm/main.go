@@ -126,9 +126,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *programs != "all" {
 		progList = strings.Split(*programs, ",")
 	}
-	pList, err := parseFloats(*ps)
+	pList, err := parseInts(*ps)
 	if err != nil {
-		return err
+		return fmt.Errorf("-p: %v", err)
 	}
 	seedList, err := parseSeeds(*seeds)
 	if err != nil {
@@ -181,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		j.Label = j.Config.Program
 	})
 	cross(len(pList), func(j *farm.Job, i int) {
-		if j.Config.P = int(pList[i]); j.Config.P != 0 {
+		if j.Config.P = pList[i]; j.Config.P != 0 {
 			j.Label += fmt.Sprintf("/P%d", j.Config.P)
 		}
 	})
@@ -205,7 +205,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	})
 
-	opts := farm.Options{Workers: *jobs}
+	// Memoize: a configuration listed twice runs once, whether or not
+	// the first is still in flight when the second is submitted.
+	opts := farm.Options{Workers: *jobs, Memoize: true}
 	if !*quiet {
 		opts.OnProgress = func(ev farm.Event) {
 			how := "ran"
@@ -215,11 +217,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			case ev.Deduped:
 				how = "dedup"
 			}
-			fmt.Fprintf(stderr, "fxfarm: %s %s (%d/%d, %.1fs", how, ev.Label, ev.Done, ev.Total, ev.Wall.Seconds())
-			if ev.ETA > 0 && ev.Done < ev.Total {
-				fmt.Fprintf(stderr, ", eta %.0fs", ev.ETA.Seconds())
-			}
-			fmt.Fprintln(stderr, ")")
+			fmt.Fprintf(stderr, "fxfarm: %s %s (%d/%d, %.1fs, eta %.0fs)\n",
+				how, ev.Label, ev.Done, ev.Total, ev.Wall.Seconds(), ev.ETA.Seconds())
 		}
 	}
 	fm, err := farm.Open(nil, *cacheDir, opts)
@@ -324,6 +323,20 @@ func writeArtifacts(dir string, jr farm.JobResult) error {
 		return nil
 	}
 	return os.WriteFile(filepath.Join(dir, stem+".report.json"), append(rep, '\n'), 0o644)
+}
+
+// parseInts parses a comma-separated list of integers, refusing a
+// fraction rather than truncating it.
+func parseInts(s string) ([]int, error) {
+	var out []int
+	for _, tok := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(tok))
+		if err != nil {
+			return nil, fmt.Errorf("bad integer %q", tok)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 func parseFloats(s string) ([]float64, error) {

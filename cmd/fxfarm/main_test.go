@@ -200,6 +200,70 @@ func TestRefusalReportedPerRow(t *testing.T) {
 	}
 }
 
+// A processor count is an integer: -p 2.5 is refused, not run at P = 2.
+func TestFractionalProcessorCountRefused(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-programs", "seq", "-n", "8", "-iters", "1", "-p", "2,2.5", "-q"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), `"2.5"`) {
+		t.Errorf("-p 2,2.5: error %v, want a refusal naming 2.5", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-p 2,2.5 ran:\n%s", stdout.String())
+	}
+}
+
+// A seed range expands in order and progress goes to stderr, one line
+// per row. A configuration listed twice runs once: its twin is a dedup
+// whether or not the first was still in flight. A run a fault aborts is
+// a row that says so, not a refusal, and the cache keeps it like any
+// other: the second pass runs nothing.
+func TestSeedRangeProgressAndAbortedRun(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "batch.json")
+	args := []string{"-programs", "seq", "-n", "8", "-iters", "1", "-seeds", "1-2,2",
+		"-faults", "0.05s:crash host1", "-j", "1", "-cache", t.TempDir(), "-json", out}
+	for _, pass := range []struct {
+		progress  []string
+		wantDedup bool
+	}{
+		{[]string{"fxfarm: ran seq/s1 (", "fxfarm: dedup seq/s2 (", "executed=2 hits=0 dedup=1 "}, true},
+		{[]string{"fxfarm: cache hit seq/s1 (", "executed=0 hits=2 dedup=1 "}, false},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		enc, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []batchRow
+		if err := json.Unmarshal(enc, &rows); err != nil {
+			t.Fatal(err)
+		}
+		var labels []string
+		for _, r := range rows {
+			labels = append(labels, r.Label)
+			if !strings.HasPrefix(r.RunFailed, "fx: seq rank ") {
+				t.Errorf("%s: run_failed %q, want the fault abort", r.Label, r.RunFailed)
+			}
+		}
+		if got := strings.Join(labels, " "); got != "seq/s1 seq/s2 seq/s2" {
+			t.Errorf("rows %s, want seq/s1 seq/s2 seq/s2", got)
+		}
+		if len(rows) == 3 && (rows[0].Deduped || rows[1].Deduped == rows[2].Deduped) {
+			t.Errorf("deduped = %v, %v, %v, want one of the s2 twins only", rows[0].Deduped, rows[1].Deduped, rows[2].Deduped)
+		}
+		for _, want := range pass.progress {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+			}
+		}
+		if strings.Contains(stdout.String(), " dedup\n") != pass.wantDedup {
+			t.Errorf("a row names dedup as its source: %v, want %v:\n%s", !pass.wantDedup, pass.wantDedup, stdout.String())
+		}
+	}
+}
+
 // "-json -" is the batch alone on stdout, and valid JSON even for a run
 // too short to have a spectral peak (fundamental 0, period +Inf).
 func TestJSONToStdoutIsValid(t *testing.T) {

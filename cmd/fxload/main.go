@@ -194,10 +194,8 @@ func (r *report) print(w io.Writer) {
 	}
 }
 
+// quantilesOf summarizes a non-empty latency sample.
 func quantilesOf(durs []time.Duration) quantiles {
-	if len(durs) == 0 {
-		return quantiles{}
-	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	at := func(q float64) float64 {
 		i := int(q * float64(len(durs)-1))
@@ -222,17 +220,9 @@ type driveConfig struct {
 }
 
 func drive(cfg driveConfig) (*report, error) {
-	if cfg.rps <= 0 {
-		return nil, fmt.Errorf("rps must be positive")
-	}
-	if cfg.clients < 1 {
-		cfg.clients = 1
-	}
-	if cfg.retries < 1 {
-		cfg.retries = 1
-	}
-	if cfg.keys < 1 {
-		cfg.keys = 1
+	total := int(cfg.rps * cfg.duration.Seconds())
+	if cfg.rps <= 0 || total < 1 || cfg.clients < 1 || cfg.retries < 1 || cfg.keys < 1 {
+		return nil, fmt.Errorf("-rps × -duration must offer at least one request, and -clients, -retries and -keys must be at least 1")
 	}
 	clients, retries, seed := cfg.clients, cfg.retries, cfg.seed
 	httpc := &http.Client{
@@ -278,8 +268,8 @@ func drive(cfg driveConfig) (*report, error) {
 		return 1 + rng.Int63n(int64(cfg.keys))
 	}
 
-	// Submitted run IDs feed the status-poll op; seed one run up front so
-	// polls always have a target.
+	// Submitted run IDs feed the status-poll op; the warm-up below seeds
+	// one run before any op is drawn, so polls always have a target.
 	var (
 		idMu   sync.Mutex
 		runIDs []string
@@ -292,9 +282,6 @@ func drive(cfg driveConfig) (*report, error) {
 	pickID := func(rng *rand.Rand) string {
 		idMu.Lock()
 		defer idMu.Unlock()
-		if len(runIDs) == 0 {
-			return ""
-		}
 		return runIDs[rng.Intn(len(runIDs))]
 	}
 
@@ -316,12 +303,7 @@ func drive(cfg driveConfig) (*report, error) {
 			return resp.Status, nil
 		}},
 		{"status", 0.30, func(rng *rand.Rand) (int, error) {
-			id := pickID(rng)
-			if id == "" {
-				code, _, err := get("/healthz")
-				return code, err
-			}
-			code, _, err := get("/v1/runs/" + id)
+			code, _, err := get("/v1/runs/" + pickID(rng))
 			return code, err
 		}},
 		{"negotiate", 0.20, func(rng *rand.Rand) (int, error) {
@@ -377,7 +359,6 @@ func drive(cfg driveConfig) (*report, error) {
 		wg      sync.WaitGroup
 	)
 	interval := time.Duration(float64(time.Second) / cfg.rps)
-	total := int(cfg.rps * cfg.duration.Seconds())
 	rngSrc := rand.New(rand.NewSource(seed))
 	// Pre-draw the op sequence so the hot loop only launches goroutines.
 	plan := make([]*opGen, total)

@@ -49,7 +49,10 @@ func refInterarrivalStats(t *trace.Trace) stats.Summary {
 }
 
 func refAverageBandwidthKBps(t *trace.Trace) float64 {
-	d := t.Duration().Seconds()
+	if len(t.Packets) < 2 {
+		return 0
+	}
+	d := t.Packets[len(t.Packets)-1].Time.Sub(t.Packets[0].Time).Seconds()
 	if d <= 0 {
 		return 0
 	}

@@ -185,12 +185,31 @@ func (ft *Fitter) Sweep(ctx context.Context, cfgs []core.RunConfig, opts Options
 	return out
 }
 
-// fitReport fits a model to a run's Report, computes the error bounds by
-// regenerating the model's series over the measured window, and stores
-// the entry. The entry is a pure function of (Report, opts), and the
-// Report is a pure function of the RunConfig (the determinism contract),
-// so repeated fits of one configuration store byte-identical entries.
+// fitReport fits a model to a run's Report, stamps the entry with the
+// run's identity, and stores it.
 func (ft *Fitter) fitReport(key string, cfg core.RunConfig, rep *core.Report, opts Options) (*Entry, error) {
+	e, err := FitReport(rep, opts.Spikes)
+	if err == nil {
+		e.Key, e.Program, e.P, e.Seed = key, cfg.Program, cfg.EffectiveP(), cfg.Seed
+		e.BitRateBps, e.Switched, e.FaultScript = cfg.BitRate, cfg.Switched, cfg.FaultScript
+		ft.fits.Add(1)
+		// The fit itself is good regardless of the store: a failure (full
+		// disk, read-only dir) costs the next caller a refit, not this
+		// caller the answer, and the catalog's store-failure counter
+		// surfaces it.
+		_ = ft.cat.Put(e)
+	}
+	return e, err
+}
+
+// FitReport fits a k-spike model to a run's Report and computes the error
+// bounds by regenerating the model's series over the measured window. The
+// entry's identity fields (Key, Program, P, ...) are left to the caller.
+// The entry is a pure function of (Report, spikes), and the Report is a
+// pure function of the RunConfig (the determinism contract), so repeated
+// fits of one configuration give byte-identical entries — whether the
+// Report was folded live or replayed from a trace file.
+func FitReport(rep *core.Report, spikes int) (*Entry, error) {
 	if rep == nil || len(rep.AggSeries) == 0 || rep.SeriesDT <= 0 {
 		return nil, errors.New("catalog: run produced no bandwidth series to fit")
 	}
@@ -200,7 +219,7 @@ func (ft *Fitter) fitReport(key string, cfg core.RunConfig, rep *core.Report, op
 	if rep.AggSpectrum != nil {
 		minSep = 2 * rep.AggSpectrum.DF
 	}
-	m, met := model.Fit(rep.AggSeries, rep.SeriesDT, opts.Spikes, minSep)
+	m, met := model.Fit(rep.AggSeries, rep.SeriesDT, spikes, minSep)
 	recon := m.Series(len(rep.AggSeries), rep.SeriesDT)
 
 	measMean := mean(rep.AggSeries)
@@ -232,15 +251,8 @@ func (ft *Fitter) fitReport(key string, cfg core.RunConfig, rep *core.Report, op
 		// the program's burst frequency.
 		f0 = m.Components[0].Freq
 	}
-	e := &Entry{
-		Key:              key,
-		Program:          cfg.Program,
-		P:                cfg.EffectiveP(),
-		Seed:             cfg.Seed,
-		BitRateBps:       cfg.BitRate,
-		Switched:         cfg.Switched,
-		FaultScript:      cfg.FaultScript,
-		Spikes:           opts.Spikes,
+	return &Entry{
+		Spikes:           spikes,
 		MinSepHz:         minSep,
 		Model:            *m,
 		SeriesDT:         rep.SeriesDT,
@@ -254,11 +266,5 @@ func (ft *Fitter) fitReport(key string, cfg core.RunConfig, rep *core.Report, op
 		EnergyFraction:   met.EnergyFraction,
 		FundamentalHz:    f0,
 		PeakKBps:         peak,
-	}
-	ft.fits.Add(1)
-	// The fit itself is good regardless of the store: a failure (full
-	// disk, read-only dir) costs the next caller a refit, not this caller
-	// the answer, and the catalog's store-failure counter surfaces it.
-	_ = ft.cat.Put(e)
-	return e, nil
+	}, nil
 }

@@ -1,11 +1,11 @@
 package catalog
 
 // The JSON wire form of a catalog entry, shared by fxnetd's /v1/models
-// endpoints and fxmodel's -json output. Go's encoding/json rejects NaN
-// and ±Inf, which degenerate fits legitimately produce (a constant
-// series has an undefined correlation), so float fields marshal through
-// a nullable wrapper: non-finite becomes null, and null parses back to
-// NaN.
+// endpoints, fxmodel ls -json and fxanalyze -mode model. Go's
+// encoding/json rejects NaN and ±Inf, which degenerate fits legitimately
+// produce (a constant series has an undefined correlation), so float
+// fields marshal through a nullable wrapper: non-finite becomes null,
+// and null parses back to NaN.
 
 import (
 	"encoding/json"

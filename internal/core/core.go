@@ -215,6 +215,14 @@ func validate(cfg RunConfig) (*faults.Schedule, error) {
 	if _, isKernel := kernels.Lookup(cfg.Program); !isKernel && cfg.Program != Airshed {
 		return nil, fmt.Errorf("core: unknown program %q (have %v)", cfg.Program, ProgramNames())
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"P", cfg.P}, {"N", cfg.Params.N}, {"Iters", cfg.Params.Iters}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("core: %s %d is negative (0 selects the paper's default)", f.name, f.v)
+		}
+	}
 	if cfg.Program == Airshed {
 		if err := cfg.AirshedParams.Validate(); err != nil {
 			return nil, fmt.Errorf("core: %w", err)

@@ -103,7 +103,8 @@ func TestAirshedParamsValidated(t *testing.T) {
 // A fault script naming a host the run does not have, or a wire fault on
 // a switched fabric, is refused by Validate with the message faults.Apply
 // gave once the fabric was built — so a front end never accepts (and
-// fxnetd never journals) a job that can only fail.
+// fxnetd never journals) a job that can only fail. So is a negative size:
+// P < 0 and N < 0 used to panic in makeslice, Iters < 0 to run nothing.
 func TestFaultScriptValidated(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -121,9 +122,15 @@ func TestFaultScriptValidated(t *testing.T) {
 		{"three spellings", RunConfig{FaultScript: "1s:linkdown alpha3,2s:linkup host3,3s:stall 3 10ms"}, ""},
 		{"host faults on a switch", RunConfig{Switched: true, FaultScript: "1s:stall host1 10ms"}, ""},
 		{"P = 8 has a host7", RunConfig{P: 8, FaultScript: "1s:partition 0+1+2+3|4+5+6+7,2s:heal"}, ""},
+		{"negative P", RunConfig{P: -1}, "core: P -1 is negative (0 selects the paper's default)"},
+		{"negative N", RunConfig{Params: kernels.Params{N: -5, Iters: 2}}, "core: N -5 is negative (0 selects the paper's default)"},
+		{"negative Iters", RunConfig{Params: kernels.Params{N: 16, Iters: -2}}, "core: Iters -2 is negative (0 selects the paper's default)"},
 	} {
 		cfg := tc.cfg
-		cfg.Program, cfg.Seed, cfg.Params = "sor", 1, kernels.Params{N: 16, Iters: 2}
+		cfg.Program, cfg.Seed = "sor", 1
+		if cfg.Params == (kernels.Params{}) {
+			cfg.Params = kernels.Params{N: 16, Iters: 2}
+		}
 		err := Validate(cfg)
 		_, runErr := Run(cfg)
 		if tc.refuse == "" {

@@ -174,6 +174,11 @@ func TestSubmitValidation(t *testing.T) {
 		"bad loss":        {Program: "sor", Loss: 1.5},
 		"bad faults":      {Program: "sor", Faults: "gibberish"},
 		"bad topology":    {Program: "sor", Topology: "lan0:0-1,lan0:2-3"},
+		// Accepted once, then a makeslice panic in a farm goroutine took
+		// the daemon down.
+		"negative p":     {Program: "sor", P: -1, N: 32, Iters: 2},
+		"negative n":     {Program: "sor", N: -5, Iters: 2},
+		"negative iters": {Program: "sor", N: 32, Iters: -2},
 	} {
 		var e map[string]string
 		if code := doJSON(t, "POST", ts.URL+"/v1/runs", req, &e); code != http.StatusBadRequest {

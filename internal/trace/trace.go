@@ -279,14 +279,6 @@ func (c *Collector) Trace() *Trace {
 // Len reports the number of captured packets.
 func (t *Trace) Len() int { return len(t.Packets) }
 
-// Duration is the time between the first and last packet.
-func (t *Trace) Duration() sim.Duration {
-	if len(t.Packets) < 2 {
-		return 0
-	}
-	return t.Packets[len(t.Packets)-1].Time.Sub(t.Packets[0].Time)
-}
-
 // TotalBytes sums captured sizes.
 func (t *Trace) TotalBytes() int64 {
 	var n int64

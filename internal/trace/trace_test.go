@@ -36,9 +36,6 @@ func TestTraceSummaries(t *testing.T) {
 	if tr.Len() != 5 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	if got := tr.Duration(); got != 20*sim.Millisecond {
-		t.Errorf("Duration = %v", got)
-	}
 	if got := tr.TotalBytes(); got != 1518+58+90+600+58 {
 		t.Errorf("TotalBytes = %d", got)
 	}

@@ -113,6 +113,16 @@ if grep -rnE 'Welch|IFFT|FFTReal\b|BandPower|\bHann\b|Hamming|Window +Window|get
 if grep -rnE 'func (Dot|Norm2|AXPY)\(|linalg\.(Dot|Norm2|AXPY)|StdDev|NewHistogram|func \(c \*Collector\) (Pause|Resume)\(|MarksBetween|func Bursts\(|analysis\.Bursts|BurstStats|FaultWindow' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
 if grep -rnE 'func \(t \*Trace\) Between\(|func \(a \*Accumulator\) (Fold|N)\(|func \(n \*Network\) Release\(' --include='*.go' internal | grep -v '_test\.go:'; then exit 1; fi
 
+# A minimal front end: fxanalyze is the one reader of trace files — one
+# fold per run, and -mode model fits the folded report with the catalog's
+# fit — and fxmodel is the catalog's command (fit, ls). fxmodel's trace
+# mode (-in, -synth) and its get subcommand, a -window-ms accumulator
+# beside the fold, or fxanalyze's -mode conn filter in cmd/ is the second
+# path coming back; new front-end code nothing claim-carrying runs fails
+# the coverage ratchet below.
+if grep -rnE 'case "(conn|get)"|\("(synth|window-ms)"|NewAccumulator|func (traceCmd|getCmd)\(' --include='*.go' cmd | grep -v '_test\.go:'; then exit 1; fi
+if grep -nE '\("in"' cmd/fxmodel/*.go; then exit 1; fi
+
 # One law per kernel: the registry's QoS closure is the only hand-written
 # record of what a kernel sends (c is QoS(p).Pattern, held to the
 # compiler and the wire by TestKernelTrafficMatchesCompiler); only the run
@@ -134,8 +144,8 @@ go vet ./...
 go test ./...
 
 # Coverage ratchet: uncovered statements in every internal package — the
-# seven simulator, six service and thirteen analysis packages — under the
-# claim-carrying runs may fall but never rise.
+# seven simulator, six service and thirteen analysis packages — and in
+# the nine commands under the claim-carrying runs may fall but never rise.
 ./scripts/coverage.sh
 
 # Every example runs to completion.

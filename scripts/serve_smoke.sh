@@ -7,9 +7,10 @@
 # simulation, visible in /metrics), a refused configuration, a
 # multi-segment run and its engine counters, a model fit and the
 # catalog's list/get, analytic and catalog-backed QoS admission with the
-# commitment ledger, an fxload drive, a fault-aborted run, a stream job,
-# cancelling a queued run, an in-flight twin sharing its execution, and
-# finally SIGTERM with a simulation in flight: a clean drain, exit 0.
+# commitment ledger, an fxload drive over Zipf-skewed keys, a
+# fault-aborted run, a stream job, cancelling a queued run, an in-flight
+# twin sharing its execution, and finally SIGTERM with a simulation in
+# flight: a clean drain, exit 0.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -159,13 +160,13 @@ admit() {
 admit '{"program":"sor","n":256,"iters":10,"client":"smoke"}'
 admit '{"program":"sor","source":"catalog","client":"smoke"}'
 
-echo "smoke: fxload drive" >&2
-"$TMP/fxload" -url "$BASE" -duration 1s -rps 40 -clients 2 -keys 2 >"$TMP/load" 2>&1 || {
+echo "smoke: fxload drive, Zipf-skewed keys" >&2
+"$TMP/fxload" -url "$BASE" -duration 1s -rps 40 -clients 2 -keys 4 -zipf 1.3 -json "$TMP/load.json" >"$TMP/load" 2>&1 || {
 	echo "smoke: FAIL: fxload" >&2
 	cat "$TMP/load" >&2
 	exit 1
 }
-grep -q '^farm: ' "$TMP/load" && grep -q ' 0 errors' "$TMP/load" || {
+grep -q '^farm: ' "$TMP/load" && grep -q ' 0 errors' "$TMP/load" && grep -q '"zipf_s": 1.3' "$TMP/load.json" || {
 	echo "smoke: FAIL: fxload report" >&2
 	cat "$TMP/load" >&2
 	exit 1
