@@ -11,7 +11,8 @@ import (
 const inlineWork = 1 << 20
 
 // stripeRows is the number of pair-matrix rows a worker claims at a
-// time. It is even, so a 2-row tile never straddles two stripes.
+// time. It is a multiple of 8, so a 4-row tile never straddles two
+// stripes and a stripe starts on a panel.
 const stripeRows = 64
 
 // MeanPairwisePearson returns the mean of PearsonR(series[i], series[j])
@@ -20,8 +21,9 @@ const stripeRows = 64
 // Each series' mean, centred deviations and sum of squared deviations
 // are computed once (K passes, not K²) in the order PearsonR computes
 // ma, da and saa. Each dot product Σdᵢ·dⱼ is one accumulator summed in
-// bin order, and the pair terms are folded into one sum in (i, j)
-// order, so no sum is ever reassociated.
+// bin order (a multiply, then an add: never fused), and the pair terms
+// are folded into one sum in (i, j) order, so no sum is ever
+// reassociated.
 //
 // Above inlineWork, with GOMAXPROCS > 1, the rows are split into
 // stripes that GOMAXPROCS workers compute into per-call buffers, a
@@ -41,20 +43,21 @@ func MeanPairwisePearson(series [][]float64) float64 {
 	}
 	n := len(series[0])
 	pairs := k * (k - 1) / 2
-	// One block: the deviations, the sums of squares and the inline
-	// path's terms of one row pair.
-	buf := make([]float64, k*n+3*k)
-	m := pairMatrix{dev: buf[:k*n], ss: buf[k*n : k*n+k], n: n}
+	// One block: the panels (K padded to a multiple of 8 with zero
+	// series), the sums of squares and the inline path's terms of one
+	// row quad.
+	size := (k + 7) / 8 * 8 * n
+	buf := make([]float64, size+5*k)
+	m := pairMatrix{panels: buf[:size], ss: buf[size : size+k], n: n}
 	for i, s := range series {
 		if len(s) != n {
 			panic("stats: MeanPairwisePearson length mismatch")
 		}
-		mean := Mean(s)
-		d := m.row(i)
+		mean, at := Mean(s), i/8*8*n+i%8 // series i's bin 0 in its panel
 		var sq float64
 		for t, x := range s {
 			dx := x - mean
-			d[t] = dx
+			m.panels[at+t*8] = dx
 			sq += dx * dx
 		}
 		m.ss[i] = sq
@@ -63,9 +66,11 @@ func MeanPairwisePearson(series [][]float64) float64 {
 	if workers := runtime.GOMAXPROCS(0); workers > 1 && pairs*n >= inlineWork {
 		sum = m.foldStripes(workers)
 	} else {
-		terms := buf[k*n+k:]
-		for i := 0; i < k; i += 2 {
-			sum = fold(sum, m.rowPair(i, terms))
+		// With no bins every term is pearson(0, 0, 0) = 0 (and the
+		// panels are empty), so the sum stays 0.
+		terms := buf[size+k:]
+		for i := 0; n > 0 && i < k; i += 4 {
+			sum = fold(sum, terms[:m.rowQuad(i, terms)])
 		}
 	}
 	return sum / float64(pairs)
@@ -73,13 +78,12 @@ func MeanPairwisePearson(series [][]float64) float64 {
 
 // pairMatrix is the centred input of the pair statistic.
 type pairMatrix struct {
-	dev []float64 // row i: series i minus its mean, n bins
-	ss  []float64 // row i's sum of squared deviations
-	n   int
-}
-
-func (m *pairMatrix) row(i int) []float64 {
-	return m.dev[i*m.n : (i+1)*m.n : (i+1)*m.n]
+	// panels holds the deviations from the mean in panels of 8 series,
+	// bin-major: panels[p·8n + 8t + c] is series 8p+c's deviation in
+	// bin t.
+	panels []float64
+	ss     []float64 // series i's sum of squared deviations
+	n      int
 }
 
 // offset is the number of pair terms in the rows before row i.
@@ -87,59 +91,60 @@ func (m *pairMatrix) offset(i int) int {
 	return i * (2*len(m.ss) - i - 1) / 2
 }
 
-// rowPair writes the terms of rows i and i+1 into out — row i's pairs
-// (i, i+1…K−1), then row i+1's (i+1, i+2…K−1) — and returns them. The
-// tile is 2 rows × 4 columns: eight dot products side by side, each with
-// its own accumulator.
-func (m *pairMatrix) rowPair(i int, out []float64) []float64 {
-	k := len(m.ss)
-	if i+1 >= k {
-		return out[:0]
+// rowQuad writes the terms of rows i…i+3 (i a multiple of 4; rows past
+// K have none) into out, row by row in (i, j) order, and returns how
+// many it wrote. The tile is 4 rows × 8 columns, a column panel at a
+// time: 32 dot products side by side, each with its own accumulator.
+// The panel on the diagonal runs the portable tile; the panels right of
+// it run the AVX2 one where the CPU has it.
+func (m *pairMatrix) rowQuad(i int, out []float64) int {
+	k, n, ss := len(m.ss), m.n, m.ss
+	p := i / 8
+	rows := m.panels[p*8*n+i%8 : (p+1)*8*n]
+	var acc [32]float64
+	for q := p; q*8 < k; q++ {
+		cols := m.panels[q*8*n : (q+1)*8*n]
+		if useAVX2 && q > p {
+			tileAVX2(&acc, rows, cols)
+		} else {
+			tilePortable(&acc, rows, cols)
+		}
+		o := 0 // where row i+r's terms start in out
+		for r := 0; r < 4 && i+r < k; r++ {
+			row := i + r
+			for c := max(0, row+1-q*8); c < min(8, k-q*8); c++ {
+				out[o+q*8+c-row-1] = pearson(acc[r*8+c], ss[row], ss[q*8+c])
+			}
+			o += k - 1 - row
+		}
 	}
-	ss := m.ss
-	d0, d1 := m.row(i), m.row(i+1)
-	w := k - 1 - i
-	o0, o1 := out[:w], out[w:2*w-1]
-	var a float64
-	for t, x := range d0 {
-		a += x * d1[t]
-	}
-	o0[0] = pearson(a, ss[i], ss[i+1])
-	j := i + 2
-	for ; j+4 <= k; j += 4 {
-		e0, e1, e2, e3 := m.row(j), m.row(j+1), m.row(j+2), m.row(j+3)
+	return m.offset(min(i+4, k)) - m.offset(i)
+}
+
+// tilePortable computes the 4 × 8 tile of rows against cols into acc:
+// acc[8r+c] = Σₜ rows[8t+r]·cols[8t+c] over the len(cols)/8 bins, each
+// sum one accumulator in bin order. It runs as four 2 × 4 sub-tiles,
+// whose 8 accumulators fit the registers.
+func tilePortable(acc *[32]float64, rows, cols []float64) {
+	n := len(cols) / 8
+	for s := range 4 {
+		r, c := s/2*2, s%2*4
 		var a0, a1, a2, a3, b0, b1, b2, b3 float64
-		for t, x := range d0 {
-			y := d1[t]
-			a0 += x * e0[t]
-			a1 += x * e1[t]
-			a2 += x * e2[t]
-			a3 += x * e3[t]
-			b0 += y * e0[t]
-			b1 += y * e1[t]
-			b2 += y * e2[t]
-			b3 += y * e3[t]
+		for t := range n {
+			x, y := rows[t*8+r], rows[t*8+r+1]
+			e := cols[t*8+c : t*8+c+4 : t*8+c+4]
+			a0 += x * e[0]
+			a1 += x * e[1]
+			a2 += x * e[2]
+			a3 += x * e[3]
+			b0 += y * e[0]
+			b1 += y * e[1]
+			b2 += y * e[2]
+			b3 += y * e[3]
 		}
-		o0[j-i-1] = pearson(a0, ss[i], ss[j])
-		o0[j-i] = pearson(a1, ss[i], ss[j+1])
-		o0[j-i+1] = pearson(a2, ss[i], ss[j+2])
-		o0[j-i+2] = pearson(a3, ss[i], ss[j+3])
-		o1[j-i-2] = pearson(b0, ss[i+1], ss[j])
-		o1[j-i-1] = pearson(b1, ss[i+1], ss[j+1])
-		o1[j-i] = pearson(b2, ss[i+1], ss[j+2])
-		o1[j-i+1] = pearson(b3, ss[i+1], ss[j+3])
+		acc[r*8+c], acc[r*8+c+1], acc[r*8+c+2], acc[r*8+c+3] = a0, a1, a2, a3
+		acc[r*8+c+8], acc[r*8+c+9], acc[r*8+c+10], acc[r*8+c+11] = b0, b1, b2, b3
 	}
-	for ; j < k; j++ {
-		e := m.row(j)
-		var a, b float64
-		for t, x := range d0 {
-			a += x * e[t]
-			b += d1[t] * e[t]
-		}
-		o0[j-i-1] = pearson(a, ss[i], ss[j])
-		o1[j-i-2] = pearson(b, ss[i+1], ss[j])
-	}
-	return out[:2*w-1]
 }
 
 // stripe returns the rows [r0, r1) of stripe s.
@@ -167,8 +172,8 @@ func (m pairMatrix) foldStripes(workers int) float64 {
 				defer wg.Done()
 				out := bufs[w*width : (w+1)*width]
 				r0, r1 := m.stripe(first + w)
-				for i := r0; i < r1; i += 2 {
-					m.rowPair(i, out[m.offset(i)-m.offset(r0):])
+				for i := r0; i < r1; i += 4 {
+					m.rowQuad(i, out[m.offset(i)-m.offset(r0):])
 				}
 			}()
 		}

@@ -58,19 +58,34 @@ func pairwiseCase(r *rand.Rand, k, n int) [][]float64 {
 	return series
 }
 
+// eachTile runs fn on the host's tile and, where that is the AVX2 one,
+// once more with it off, so both tiles are held to the naive fold.
+func eachTile(fn func(tile string)) {
+	if !useAVX2 {
+		fn("portable")
+		return
+	}
+	fn("avx2")
+	useAVX2 = false
+	defer func() { useAVX2 = true }()
+	fn("portable")
+}
+
 func checkPairwise(t *testing.T, seed int64, k, n int) {
 	t.Helper()
 	series := pairwiseCase(rand.New(rand.NewSource(seed)), k, n)
-	got, want := MeanPairwisePearson(series), naiveMeanPairwise(series)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("seed=%d k=%d n=%d: kernel %v (%#x), naive fold %v (%#x)",
-			seed, k, n, got, math.Float64bits(got), want, math.Float64bits(want))
-	}
+	want := naiveMeanPairwise(series)
+	eachTile(func(tile string) {
+		if got := MeanPairwisePearson(series); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("tile=%s seed=%d k=%d n=%d: kernel %v (%#x), naive fold %v (%#x)",
+				tile, seed, k, n, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }
 
 // TestMeanPairwisePearsonMatchesNaiveFold covers every K in [0, 40] — all
-// residues of the unroll width, for every first row — against n from
-// empty to longer than a cache line.
+// residues of the tile's 4 rows and 8 columns, for every first row —
+// against n from empty to longer than a cache line, on both tiles.
 func TestMeanPairwisePearsonMatchesNaiveFold(t *testing.T) {
 	for k := 0; k <= 40; k++ {
 		for _, n := range []int{0, 1, 2, 3, 7, 16, 33, 64} {
@@ -137,18 +152,61 @@ func TestMeanPairwisePearsonWorkerCountInvariance(t *testing.T) {
 			}
 			series := pairwiseCase(rand.New(rand.NewSource(int64(1000*k+n))), k, n)
 			want := math.Float64bits(naiveMeanPairwise(series))
-			for _, procs := range []int{1, 2, 3, 8} {
-				var got float64
-				withProcs(procs, func() { got = MeanPairwisePearson(series) })
-				if math.Float64bits(got) != want {
-					t.Errorf("k=%d n=%d GOMAXPROCS=%d: kernel %#x, naive fold %#x",
-						k, n, procs, math.Float64bits(got), want)
+			eachTile(func(tile string) {
+				for _, procs := range []int{1, 2, 3, 8} {
+					var got float64
+					withProcs(procs, func() { got = MeanPairwisePearson(series) })
+					if math.Float64bits(got) != want {
+						t.Errorf("tile=%s k=%d n=%d GOMAXPROCS=%d: kernel %#x, naive fold %#x",
+							tile, k, n, procs, math.Float64bits(got), want)
+					}
 				}
-			}
+			})
 		}
 	}
 	if parallel == 0 {
 		t.Fatal("no case reaches the parallel path")
+	}
+}
+
+// TestPairTileMatchesPortable: the AVX2 tile's 32 sums equal the
+// portable tile's bit for bit, on both row offsets of a panel, for
+// values whose products overflow to ±Inf (whose sums are NaN), underflow
+// to subnormals or ±0, or mix signs and scales.
+func TestPairTileMatchesPortable(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 with OS YMM support on this CPU: only the portable tile runs")
+	}
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.5e-310, -1e-300,
+		1e-300, 1e300, -1e300, 1e160, -1e150, 1, -1, 3.75}
+	r := rand.New(rand.NewSource(41))
+	// mix 0 draws only special values, mix 1 one in 16, mix 2 none.
+	panel := func(n, mix int) []float64 {
+		p := make([]float64, 8*n)
+		for i := range p {
+			if mix == 0 || mix == 1 && r.Intn(16) == 0 {
+				p[i] = special[r.Intn(len(special))]
+			} else {
+				p[i] = r.NormFloat64() * math.Pow(10, float64(r.Intn(41)-20))
+			}
+		}
+		return p
+	}
+	for _, n := range []int{0, 1, 2, 3, 7, 105, 1000} {
+		for mix := range 3 {
+			rows, cols := panel(n, mix), panel(n, mix)
+			for _, r0 := range []int{0, 4} {
+				var want, got [32]float64
+				tilePortable(&want, rows[min(r0, len(rows)):], cols)
+				tileAVX2(&got, rows[min(r0, len(rows)):], cols)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Errorf("n=%d mix=%d rows from %d: sum %d (row %d, column %d) is %v (%#x) on AVX2, %v (%#x) portable",
+							n, mix, r0, i, i/8, i%8, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -187,14 +245,20 @@ func TestMeanPairwisePearsonInlineAllocs(t *testing.T) {
 var sinkF float64
 
 // BenchmarkMeanPairwisePearson is the fabric_topo64 shape: 64×63
-// connections, 105 correlation bins, on one core and on all of them.
+// connections, 105 correlation bins, on one core and on all of them,
+// and on one core with the AVX2 tile off.
 func BenchmarkMeanPairwisePearson(b *testing.B) {
 	series := pairwiseCase(rand.New(rand.NewSource(42)), 4032, 105)
 	for _, c := range []struct {
-		name  string
-		procs int
-	}{{"procs=1", 1}, {"procs=GOMAXPROCS", runtime.GOMAXPROCS(0)}} {
+		name     string
+		procs    int
+		portable bool
+	}{{"procs=1", 1, false}, {"procs=GOMAXPROCS", runtime.GOMAXPROCS(0), false}, {"tile=portable", 1, true}} {
 		b.Run(c.name, func(b *testing.B) {
+			if c.portable {
+				defer func(v bool) { useAVX2 = v }(useAVX2)
+				useAVX2 = false
+			}
 			withProcs(c.procs, func() {
 				b.ReportAllocs()
 				b.ResetTimer()

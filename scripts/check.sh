@@ -72,6 +72,9 @@ if grep -n 'sync\.Map\|perm  *\[\]int32' internal/dsp/*.go | grep -v '_test\.go:
 # a second kernel whose bits nobody holds to the naive fold.
 if grep -n 'sync\.Pool' internal/stats/*.go | grep -v '_test\.go:'; then exit 1; fi
 if grep -n '^func [A-Z][A-Za-z0-9]*Pairwise' internal/stats/*.go | grep -v '_test\.go:' | grep -v 'func MeanPairwisePearson('; then exit 1; fi
+# The AVX2 pair tile multiplies, then adds: a fused multiply-add rounds
+# once where PearsonR rounds twice, and moves the last bits.
+if grep -niE 'VFN?M(ADD|SUB)' internal/stats/*.s; then exit 1; fi
 
 # One way in: the fxnet façade is the examples' and README quickstart's
 # surface. A command that imports it, or an example that reaches the same

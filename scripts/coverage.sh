@@ -61,7 +61,7 @@ run() {
 
 # -cpu 2: the pair statistic stripes its rows over workers only when
 # GOMAXPROCS > 1, so a one-core host would otherwise leave that path
-# (26 statements of stats) unrun.
+# (25 statements of stats) unrun.
 run go test -count=1 -cpu 2 -coverpkg=$sim,$svc,$ana,$front -coverprofile="$dir/repro.out" ./cmd/fxrepro \
 	-run . -bench PaperFigures -benchtime 1x
 run go test -count=1 -cpu 2 -coverpkg=$sim,$ana -coverprofile="$dir/root.out" . -run . -bench . -benchtime 1x
