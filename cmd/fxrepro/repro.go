@@ -3,9 +3,11 @@ package main
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,10 +30,9 @@ type reproOptions struct {
 	CSVDir string
 	// Jobs bounds concurrent simulations; <= 0 selects GOMAXPROCS.
 	Jobs int
-	// CacheDir enables the on-disk run cache. The runs are stream jobs,
-	// so new entries are spectrum-level; a full-run entry another tool
-	// left under the same key answers too, with a Report that is
-	// bit-identical, SD included.
+	// CacheDir enables the on-disk run cache: spectrum-level entries for
+	// stream jobs, full-run entries for trace jobs. A full-run entry
+	// answers a stream job too, with a bit-identical Report.
 	CacheDir string
 }
 
@@ -88,38 +89,51 @@ var spikeCounts = []int{1, 2, 4, 8, 16, 32}
 
 const spikeSepHz = 0.05
 
-// reproConfig builds the run configuration for one program at the
-// requested scale.
-func reproConfig(name string, opts reproOptions) core.RunConfig {
-	cfg := core.RunConfig{Program: name, Seed: opts.Seed}
+// scaled shrinks cfg to the requested scale: -tiny and -quick replace
+// its problem size, so the figure and ablation runs shrink together,
+// and the paper scale keeps it.
+func scaled(cfg core.RunConfig, opts reproOptions) core.RunConfig {
 	switch {
+	case opts.Tiny && cfg.Program == "airshed":
+		cfg.AirshedParams = airshed.Params{Layers: 2, Species: 4, Grid: 64, Steps: 1, Hours: 2, Band: 2}
 	case opts.Tiny:
-		if name == "airshed" {
-			cfg.AirshedParams = airshed.Params{Layers: 2, Species: 4, Grid: 64, Steps: 1, Hours: 2, Band: 2}
-		} else {
-			cfg.Params = kernels.Params{N: 32, Iters: 4}
-		}
+		cfg.Params = kernels.Params{N: 32, Iters: 4}
 	case opts.Quick:
-		cfg = core.QuickConfig(name, 0, opts.Seed)
+		q := core.QuickConfig(cfg.Program, cfg.P, cfg.Seed)
+		cfg.Params, cfg.AirshedParams = q.Params, q.AirshedParams
 	}
 	return cfg
 }
 
-// repro regenerates every table and figure of the paper: collect runs
-// the programs, render prints them. The stdout tables are a pure
-// function of the run results, which are themselves byte-identical for
-// any -j and any cache state — repro_test.go holds that contract.
+// reproConfig builds the run configuration for one program at the
+// requested scale.
+func reproConfig(name string, opts reproOptions) core.RunConfig {
+	return scaled(core.RunConfig{Program: name, Seed: opts.Seed}, opts)
+}
+
+// runs are one reproduction's completed jobs by label: each program's
+// figure run under its name, and the ablation runs (ablations.go).
+type runs map[string]farm.JobResult
+
+func (r runs) report(label string) *core.Report { return r[label].Report }
+
+// repro regenerates every table and figure of the paper and every
+// ablation: collect runs them, render prints them. The stdout document
+// is a pure function of the run results, which are themselves
+// byte-identical for any -j and any cache state — repro_test.go holds
+// that contract.
 func repro(opts reproOptions, stdout, stderr io.Writer) (farm.Stats, error) {
-	reports, st, err := collect(opts, stderr)
+	r, st, err := collect(opts, stderr)
 	if err != nil {
 		return st, err
 	}
-	return st, render(stdout, reports)
+	return st, render(stdout, r)
 }
 
-// collect runs every program through the experiment farm as a stream
-// job and returns its report by program name.
-func collect(opts reproOptions, stderr io.Writer) (map[string]*core.Report, farm.Stats, error) {
+// collect runs every program and every ablation through the experiment
+// farm in one batch. The figure runs are stream jobs, except SEQ's,
+// whose packets the window-size ablation re-bins.
+func collect(opts reproOptions, stderr io.Writer) (runs, farm.Stats, error) {
 	start := time.Now()
 	f, err := farm.Open(nil, opts.CacheDir, farm.Options{
 		Workers: opts.Jobs,
@@ -141,15 +155,19 @@ func collect(opts reproOptions, stderr io.Writer) (map[string]*core.Report, farm
 
 	var jobs []farm.Job
 	for _, name := range core.ProgramNames() {
-		jobs = append(jobs, farm.Job{Label: name, Config: reproConfig(name, opts), Stream: true})
+		jobs = append(jobs, farm.Job{Label: name, Config: reproConfig(name, opts), Stream: name != "seq"})
 	}
-	reports := map[string]*core.Report{}
-	for _, jr := range f.RunBatch(jobs) {
+	for _, j := range ablationJobs() {
+		j.Config = scaled(j.Config, opts)
+		jobs = append(jobs, j)
+	}
+	r := runs{}
+	for i, jr := range f.RunBatch(jobs) {
 		if jr.Err != nil {
 			return nil, f.Stats(), jr.Err
 		}
-		reports[jr.Job.Label] = jr.Report
-		if opts.CSVDir != "" {
+		r[jr.Job.Label] = jr
+		if opts.CSVDir != "" && i < len(core.ProgramNames()) {
 			if err := writeSeriesCSV(opts.CSVDir, jr.Job.Label, jr.Report); err != nil {
 				return nil, f.Stats(), err
 			}
@@ -160,61 +178,73 @@ func collect(opts reproOptions, stderr io.Writer) (map[string]*core.Report, farm
 	fmt.Fprintf(stderr, "farm: jobs=%d executed=%d hits=%d dedup=%d workers=%d wall=%.2fs\n",
 		st.Submitted, st.Executed, st.CacheHits, st.Deduped,
 		f.Workers(), time.Since(start).Seconds())
-	return reports, st, nil
+	return r, st, nil
 }
 
-// render prints every figure's rows beside the paper's values.
-func render(w io.Writer, reports map[string]*core.Report) error {
+// render writes the Markdown document: every figure's rows beside the
+// paper's values, then the ablations beside the claims they test.
+func render(w io.Writer, r runs) error {
 	programs := core.ProgramNames()
+	fmt.Fprint(w, intro)
 
-	fmt.Fprintln(w, "\n=== Figures 1/2: kernels and their communication patterns ===")
-	fmt.Fprintf(w, "%-8s %-12s %16s\n", "program", "pattern", "pairs at P=4")
+	section(w, "Calibration", whyCalibration)
+	table(w, "class", "rate (ops/s)")
+	for _, spec := range kernels.All {
+		for _, class := range slices.Sorted(maps.Keys(spec.Rates)) {
+			row(w, "`%s` | %.0f", class, spec.Rates[class])
+		}
+	}
+	for _, class := range slices.Sorted(maps.Keys(airshed.Rates)) {
+		row(w, "`%s` | %.0f", class, airshed.Rates[class])
+	}
+
+	section(w, "Figures 1/2 — kernels and their communication patterns (`TestKernelTrafficMatchesCompiler`)", whyPatterns)
+	table(w, "program", "pattern", "pairs at P=4")
 	for _, name := range kernels.Names() {
 		spec, _ := kernels.Lookup(name)
 		pat := spec.QoS(spec.Params).Pattern
-		fmt.Fprintf(w, "%-8s %-12v %16d\n", name, pat, pat.Connections(4))
+		row(w, "%s | %v | %d", name, pat, pat.Connections(4))
 	}
 
-	fmt.Fprintln(w, "\n=== Figures 3/8: packet size statistics (bytes) ===")
-	fmt.Fprintf(w, "%-8s %30s %30s %5s %16s %11s\n", "program", "aggregate min/max/avg/sd", "connection min/max/avg/sd", "modes", "paper avg a/c", "paper modes")
+	section(w, "Figures 3/8 — packet sizes, bytes (AIRSHED connection mean within 200 B of aggregate)", whySizes)
+	table(w, "program", "aggregate min/max/avg/sd", "connection min/max/avg/sd", "modes", "paper avg a/c", "paper modes")
 	for _, name := range programs {
-		r, pa := reports[name], paper[name]
-		fmt.Fprintf(w, "%-8s %30s %30s %5d %16s %11s\n", name, fmtSummary(r.AggSize), fmtSummary(r.ConnSize),
-			r.SizeModes, pub2(pa.pkt, "%.0f"), pub(pa.modes, "%.0f"))
+		rep, pa := r.report(name), paper[name]
+		row(w, "%s | %s | %s | %d | %s | %s", name, fmtSummary(rep.AggSize), fmtSummary(rep.ConnSize),
+			rep.SizeModes, pub2(pa.pkt, "%.0f"), pub(pa.modes, "%.0f"))
 	}
 
-	fmt.Fprintln(w, "\n=== Figures 4/9: interarrival statistics (ms) ===")
-	fmt.Fprintf(w, "%-8s %34s %34s %18s %14s\n", "program", "aggregate min/max/avg/sd", "connection min/max/avg/sd", "paper max a/c", "paper avg a/c")
+	section(w, "Figures 4/9 — interarrival times, ms (AIRSHED max gap above SOR's)", whyGaps)
+	table(w, "program", "aggregate min/max/avg/sd", "connection min/max/avg/sd", "paper max a/c", "paper avg a/c")
 	for _, name := range programs {
-		r, pa := reports[name], paper[name]
-		fmt.Fprintf(w, "%-8s %34s %34s %18s %14s\n", name, fmtSummary(r.AggInterarrival), fmtSummary(r.ConnInterarrival),
+		rep, pa := r.report(name), paper[name]
+		row(w, "%s | %s | %s | %s | %s", name, fmtSummary(rep.AggInterarrival), fmtSummary(rep.ConnInterarrival),
 			pub2(pa.maxIA, "%.1f"), pub2(pa.avgIA, "%.1f"))
 	}
 
-	fmt.Fprintln(w, "\n=== Figure 5 / §6.2: average bandwidth (KB/s) ===")
-	fmt.Fprintf(w, "%-8s %10s %10s %12s %12s\n", "program", "agg", "conn", "paper agg", "paper conn")
+	section(w, "Figure 5 / §6.2 — average bandwidth, KB/s (ordering; AIRSHED ratio in 8–16)", whyBandwidth)
+	table(w, "program", "agg", "conn", "paper agg", "paper conn")
 	for _, name := range programs {
-		r, pa := reports[name], paper[name]
+		rep, pa := r.report(name), paper[name]
 		conn := "-"
-		if r.ConnSize.N > 0 {
-			conn = fmt.Sprintf("%.1f", r.ConnKBps)
+		if rep.ConnSize.N > 0 {
+			conn = fmt.Sprintf("%.1f", rep.ConnKBps)
 		}
-		fmt.Fprintf(w, "%-8s %10.1f %10s %12s %12s\n", name, r.AggKBps, conn, pub(pa.kbps[0], "%.1f"), pub(pa.kbps[1], "%.1f"))
+		row(w, "%s | %.1f | %s | %s | %s", name, rep.AggKBps, conn, pub(pa.kbps[0], "%.1f"), pub(pa.kbps[1], "%.1f"))
 	}
-	air, pa := reports["airshed"], paper["airshed"]
-	fmt.Fprintf(w, "airshed  agg/conn ratio %.1f (paper %.1f)\n", air.AggKBps/air.ConnKBps, pa.kbps[0]/pa.kbps[1])
+	air, pa := r.report("airshed"), paper["airshed"]
+	fmt.Fprintf(w, "\nAIRSHED aggregate/connection ratio: %.1f (paper %.1f).\n", air.AggKBps/air.ConnKBps, pa.kbps[0]/pa.kbps[1])
 
-	fmt.Fprintln(w, "\n=== Figures 6/10: 10 ms-windowed bandwidth over the plotted spans (KB/s) ===")
-	fmt.Fprintf(w, "%-8s %12s %7s %7s %6s %8s %11s\n", "program", "span (s)", "bins", "peak", "idle", "mean", "paper peak")
+	section(w, "Figures 6/10 — 10 ms-windowed bandwidth over the plotted spans, KB/s (peak ≥ 1.5 × mean; AIRSHED 500 s peak ≥ 800)", whyBursts)
+	table(w, "program", "span (s)", "bins", "peak", "idle", "mean", "paper peak")
 	spanRow := func(name string, sp span, paperPeak string) {
-		r := reports[name]
-		bins, peak, idle := window(r, sp)
+		rep := r.report(name)
+		bins, peak, idle := window(rep, sp)
 		idleShare := 0.0
 		if bins > 0 {
 			idleShare = 100 * float64(idle) / float64(bins)
 		}
-		fmt.Fprintf(w, "%-8s %12s %7d %7.0f %5.1f%% %8.1f %11s\n", name, fmt.Sprintf("%g-%g", sp.from, sp.to),
-			bins, peak, idleShare, r.AggKBps, paperPeak)
+		row(w, "%s | %g–%g | %d | %.0f | %.1f %% | %.1f | %s", name, sp.from, sp.to, bins, peak, idleShare, rep.AggKBps, paperPeak)
 	}
 	for _, name := range programs {
 		spanRow(name, fig6Span, "-")
@@ -223,53 +253,66 @@ func render(w io.Writer, reports map[string]*core.Report) error {
 		spanRow("airshed", sp, pub(pa.peakKBps, "%.0f"))
 	}
 
-	fmt.Fprintln(w, "\n=== Figures 7/11: spectral spikes of the bandwidth (Hz) ===")
-	fmt.Fprintf(w, "%-8s %-36s %-24s %s\n", "program", "aggregate", "connection", "paper fundamental")
+	section(w, "Figures 7/11 — spectral spikes of the bandwidth, Hz (AIRSHED hour peak in 0.008–0.03 Hz)", whySpectra)
+	table(w, "program", "aggregate", "connection", "paper fundamental")
 	for _, name := range programs {
-		r := reports[name]
-		fmt.Fprintf(w, "%-8s %-36s %-24s %s\n", name, spikes(r.AggSpectrum, 4), spikes(r.ConnSpectrum, 3), pub(paper[name].fundHz, "%g"))
+		rep := r.report(name)
+		row(w, "%s | %s | %s | %s", name, spikes(rep.AggSpectrum, 4), spikes(rep.ConnSpectrum, 3), pub(paper[name].fundHz, "%g"))
 	}
-
-	fmt.Fprintln(w, "\n=== Figure 11: AIRSHED time scales (strongest bin in each band) ===")
-	fmt.Fprintf(w, "%-10s %12s %10s %10s\n", "scale", "band (Hz)", "measured", "paper")
+	table(w, "AIRSHED scale", "band (Hz)", "strongest bin (Hz)", "paper")
 	for i, band := range airshedBands {
-		fmt.Fprintf(w, "%-10s %12s %10.4g %10g\n", band.name, fmt.Sprintf("%g-%g", band.lo, band.hi),
-			strongestIn(air.AggSpectrum, band.lo, band.hi), pa.scalesHz[i])
+		row(w, "%s | %g–%g | %.4g | %g", band.name, band.lo, band.hi, strongestIn(air.AggSpectrum, band.lo, band.hi), pa.scalesHz[i])
 	}
+	var views []any
 	for _, zoom := range []float64{0.1, 1, 20} {
 		freq, _ := air.AggSpectrum.Slice(zoom)
-		fmt.Fprintf(w, "0-%g Hz view: %d bins\n", zoom, len(freq))
+		views = append(views, len(freq))
 	}
+	fmt.Fprintf(w, "\nAIRSHED's 0–0.1, 0–1 and 0–20 Hz views hold %d, %d and %d bins.\n", views...)
 
-	fmt.Fprintln(w, "\n=== §7.2: truncated Fourier models of the aggregate bandwidth (NRMSE by spike count k) ===")
-	fmt.Fprintf(w, "%-8s", "program")
+	section(w, "§7.2 — truncated Fourier models of the aggregate bandwidth, NRMSE by spike count k (2DFFT monotone in k)", whyModels)
+	cols := []string{"program"}
 	for _, k := range spikeCounts {
-		fmt.Fprintf(w, " %7s", fmt.Sprintf("k=%d", k))
+		cols = append(cols, fmt.Sprintf("k=%d", k))
 	}
-	fmt.Fprintf(w, " %8s %9s\n", "corr", "energy")
+	table(w, append(cols, "corr", "energy")...)
 	for _, name := range programs {
-		mets := fits(reports[name])
-		fmt.Fprintf(w, "%-8s", name)
+		mets := fits(r.report(name))
+		cells := name
 		for _, met := range mets {
-			fmt.Fprintf(w, " %7.4f", met.NRMSE)
+			cells += fmt.Sprintf(" | %.4f", met.NRMSE)
 		}
 		last := mets[len(mets)-1]
-		fmt.Fprintf(w, " %8.3f %9.3f\n", last.Correlation, last.EnergyFraction)
+		row(w, "%s | %.3f | %.3f", cells, last.Correlation, last.EnergyFraction)
 	}
 
-	fmt.Fprintln(w, "\n=== §7.3: QoS negotiation on a 10 Mb/s network ===")
+	section(w, "§7.3 — QoS negotiation on a 10 Mb/s network (`TestAnalyticTableIsTheRegistry`; a refused negotiation fails)", whyNegotiation)
 	net := qos.NewNetwork(1.25e6)
-	fmt.Fprintf(w, "%-8s %4s %12s %12s %14s\n", "program", "P", "B (KB/s)", "tbi (s)", "mean (KB/s)")
+	table(w, "program", "P", "B (KB/s)", "tbi (s)", "mean (KB/s)")
 	for _, name := range []string{"sor", "2dfft", "hist"} {
 		spec, _ := kernels.Lookup(name)
 		off, err := net.Negotiate(spec.QoS(spec.Params), 32)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-8s %4d %12.1f %12.4f %14.1f\n", off.Program, off.P, off.BurstBandwidth/1000, off.BurstInterval, off.MeanBandwidth/1000)
+		row(w, "%s | %d | %.1f | %.4f | %.1f", off.Program, off.P, off.BurstBandwidth/1000, off.BurstInterval, off.MeanBandwidth/1000)
 	}
+
+	renderAblations(w, measure(r))
+	fmt.Fprint(w, notes)
 	return nil
 }
+
+// section starts a Markdown section: its heading, then its prose.
+func section(w io.Writer, title, why string) { fmt.Fprintf(w, "\n## %s\n\n%s", title, why) }
+
+// table starts a pipe table with the given columns.
+func table(w io.Writer, cols ...string) {
+	fmt.Fprintf(w, "\n| %s |\n|%s\n", strings.Join(cols, " | "), strings.Repeat("---|", len(cols)))
+}
+
+// row writes one table row; format separates its cells with " | ".
+func row(w io.Writer, format string, args ...any) { fmt.Fprintf(w, "| "+format+" |\n", args...) }
 
 // window returns the bins, peak and idle bins of r's aggregate series
 // within sp.

@@ -109,7 +109,7 @@ func TestDocsCiteOnlyWhatExists(t *testing.T) {
 // designLineBudget caps DESIGN.md. A change that explains something new
 // makes room by cutting what no longer holds; lower the budget when the
 // document shrinks, never raise it.
-const designLineBudget = 1421
+const designLineBudget = 1420
 
 func TestDesignWithinLineBudget(t *testing.T) {
 	b, err := os.ReadFile("DESIGN.md")

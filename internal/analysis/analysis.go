@@ -21,12 +21,6 @@ import (
 // PaperWindow is the paper's 10 ms averaging interval.
 const PaperWindow = 10 * sim.Millisecond
 
-// Sample is one point of an instantaneous-bandwidth series.
-type Sample struct {
-	T    sim.Time // window end
-	KBps float64
-}
-
 // SizeStats summarizes packet sizes in bytes.
 func SizeStats(t *trace.Trace) stats.Summary {
 	var r running
@@ -54,28 +48,6 @@ func AverageBandwidthKBps(t *trace.Trace) float64 {
 		return 0
 	}
 	return kbps(t.TotalBytes(), int64(n), t.Packets[0].Time, t.Packets[n-1].Time)
-}
-
-// SlidingBandwidth computes the instantaneous average bandwidth with a
-// sliding window that moves a single packet at a time, as the paper's
-// figure 6 plots: sample i is the number of bytes in (tᵢ−window, tᵢ]
-// divided by the window.
-func SlidingBandwidth(t *trace.Trace, window sim.Duration) []Sample {
-	if len(t.Packets) == 0 || window <= 0 {
-		return nil
-	}
-	out := make([]Sample, len(t.Packets))
-	var sum int64
-	lo := 0
-	for i, p := range t.Packets {
-		sum += int64(p.Size)
-		for t.Packets[lo].Time <= p.Time.Add(-window) {
-			sum -= int64(t.Packets[lo].Size)
-			lo++
-		}
-		out[i] = Sample{T: p.Time, KBps: float64(sum) / window.Seconds() / 1000}
-	}
-	return out
 }
 
 // BinnedBandwidth computes the bandwidth along static intervals of the

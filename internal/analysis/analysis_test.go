@@ -58,41 +58,6 @@ func TestAverageBandwidth(t *testing.T) {
 	}
 }
 
-func TestSlidingBandwidthWindow(t *testing.T) {
-	tr := burstyTrace(1, 200, 4, 1250, 100)
-	sb := SlidingBandwidth(tr, PaperWindow)
-	if len(sb) != tr.Len() {
-		t.Fatalf("len = %d", len(sb))
-	}
-	// At the last packet of a burst, the window holds the whole burst:
-	// 5000 B / 10 ms = 500 KB/s.
-	peak := 0.0
-	for _, s := range sb {
-		if s.KBps > peak {
-			peak = s.KBps
-		}
-	}
-	if math.Abs(peak-500) > 1 {
-		t.Errorf("peak = %v KB/s, want 500", peak)
-	}
-	if SlidingBandwidth(trace.New(), PaperWindow) != nil {
-		t.Error("sliding bandwidth of empty trace")
-	}
-}
-
-func TestSlidingWindowExpiry(t *testing.T) {
-	// Two packets 20 ms apart: the second window must not include the first.
-	tr := trace.New()
-	tr.Packets = []trace.Packet{
-		{Time: 0, Size: 1000},
-		{Time: sim.Time(20 * sim.Millisecond), Size: 500},
-	}
-	sb := SlidingBandwidth(tr, PaperWindow)
-	if sb[1].KBps != 50 { // 500 B / 10 ms
-		t.Errorf("second sample = %v, want 50", sb[1].KBps)
-	}
-}
-
 func TestBinnedBandwidthConservesBytes(t *testing.T) {
 	tr := burstyTrace(2, 70, 3, 800, 300)
 	series, dt := BinnedBandwidth(tr, PaperWindow)

@@ -19,14 +19,6 @@ func BenchmarkBinnedBandwidth(b *testing.B) {
 	}
 }
 
-func BenchmarkSlidingBandwidth(b *testing.B) {
-	tr := burstyTrace(100, 200, 20, 1000, 500)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		SlidingBandwidth(tr, PaperWindow)
-	}
-}
-
 func BenchmarkSpectrum(b *testing.B) {
 	tr := burstyTrace(100, 200, 20, 1000, 500)
 	b.ReportAllocs()

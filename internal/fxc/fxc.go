@@ -37,19 +37,6 @@ const (
 	DistSerial
 )
 
-func (d Dist) String() string {
-	switch d {
-	case DistRows:
-		return "block-rows"
-	case DistCols:
-		return "block-cols"
-	case DistSerial:
-		return "serial"
-	default:
-		return fmt.Sprintf("dist(%d)", int(d))
-	}
-}
-
 // Array is a distributed two-dimensional array declaration.
 type Array struct {
 	Name       string

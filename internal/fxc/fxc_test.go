@@ -210,12 +210,6 @@ func TestCompileBoundaryClipsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestDistString(t *testing.T) {
-	if DistRows.String() != "block-rows" || DistCols.String() != "block-cols" || DistSerial.String() != "serial" {
-		t.Error("Dist.String wrong")
-	}
-}
-
 func TestBadDeclarationsPanic(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"empty shape": func() {

@@ -5,9 +5,10 @@
 #
 #   simulator (sim, core, ethernet, netstack, pvm, fx, faults): the
 #   golden and exclusion tests in cmd/fxrepro with its paper-scale figure
-#   checks (BenchmarkPaperFigures) run once, the root tests with every
-#   paper ablation run once, the benchmark workloads at smoke scale, and
-#   the core tests that run every fault kind and feature flag;
+#   and ablation checks (BenchmarkPaperFigures: every fxrepro block, the
+#   ablations' faulted runs held to the exclusion oracle) run once, the
+#   root tests, the benchmark workloads at smoke scale, and the core
+#   tests that run every fault kind and feature flag;
 #
 #   service (server, farm, catalog, journal, durable, client):
 #   scripts/serve_smoke.sh and scripts/chaos.sh against fxnetd and
@@ -64,7 +65,7 @@ run() {
 # (25 statements of stats) unrun.
 run go test -count=1 -cpu 2 -coverpkg=$sim,$svc,$ana,$front -coverprofile="$dir/repro.out" ./cmd/fxrepro \
 	-run . -bench PaperFigures -benchtime 1x
-run go test -count=1 -cpu 2 -coverpkg=$sim,$ana -coverprofile="$dir/root.out" . -run . -bench . -benchtime 1x
+run go test -count=1 -cpu 2 -coverpkg=$sim,$ana -coverprofile="$dir/root.out" . -run .
 run go test -count=1 -coverpkg=$sim,$svc,$ana -coverprofile="$dir/bench.out" ./bench -run TestSmoke
 run go test -count=1 -coverpkg=$sim,$ana -coverprofile="$dir/core.out" ./internal/core \
 	-run 'Fault|Crash|Degrade|Stall|Switched|Guarantee|CrossTraffic|Nagle|FrameLoss'
@@ -152,17 +153,14 @@ run go tool covdata textfmt -i "$dir/cov" -o "$dir/procs.out" -pkg "$(echo $fron
 #   catalog   the listing's tie-break on key, a switched fit's codec bit,
 #             a zero-traffic fit's relative error;
 #   client    the nil-HTTP and zero-interval defaults, the backoff clamp;
-#   farm      a cost-model override in the key (every RunConfig field is
-#             hashed, and only the figure tests set Cost);
 #   journal   Op.String for an op a newer build wrote;
 #   server    the breaker's open/half-open metric labels, the model
 #             listing's filters, NDJSON flushes past 8192 records, and
 #             /healthz's "starting" during replay;
 #   dsp       dsp.FFT2D, the 2-D reference the kernels' tests share, and
 #             the twiddle table's lost compare-and-swap;
-#   analysis  SlidingBandwidth (the paper's figure-6 definition);
-#   fxc       Dist.String, the partition class (a user's program reaches
-#             it; no kernel's statement is one);
+#   fxc       the partition class (a user's program reaches it; no
+#             kernel's statement is one);
 #   kernels   T2DFFT's one-row fragment clamp (N > 512 per receiver);
 #   stats     Quantile's end clamps, the Hurst estimator's degenerate
 #             scales;
@@ -185,20 +183,20 @@ sim 37
 catalog 45
 client 19
 durable 18
-farm 40
+farm 31
 journal 14
 server 98
 airshed 4
-analysis 18
+analysis 6
 dsp 16
-fxc 51
+fxc 46
 kernels 8
 linalg 12
 media 0
 model 4
 profiling 10
 qos 12
-stats 20
+stats 19
 trace 68
 version 8
 fxanalyze 11
