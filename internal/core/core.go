@@ -146,7 +146,8 @@ const (
 	// PDESSerial runs the partitioned engine on one goroutine — the
 	// byte-identical baseline parallel mode is verified against.
 	PDESSerial
-	// PDESParallel forces one worker goroutine per segment partition.
+	// PDESParallel forces the parallel executor: Run's goroutine and up
+	// to GOMAXPROCS−1 helpers share each round's partitions.
 	PDESParallel
 )
 

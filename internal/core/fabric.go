@@ -184,10 +184,10 @@ func (f *fabric) run(opts RunOpts) sim.Time {
 	return f.eng.Run(opts.PDES.parallel())
 }
 
-// parallel reports whether the engine runs one goroutine per partition:
+// parallel reports whether the engine shares rounds between goroutines:
 // forced, or automatic when the scheduler may run more than one at once.
-// GOMAXPROCS, not NumCPU, is that bound — under GOMAXPROCS=1 the workers
-// would only take turns.
+// GOMAXPROCS, not NumCPU, is that bound — under GOMAXPROCS=1 the engine
+// starts no helper anyway.
 func (m PDESMode) parallel() bool {
 	return m == PDESParallel || m == PDESAuto && runtime.GOMAXPROCS(0) > 1
 }

@@ -317,7 +317,7 @@ func TestTopologySerialParallelIdentical(t *testing.T) {
 }
 
 // PDESAuto follows GOMAXPROCS, not the host's CPU count: under
-// GOMAXPROCS=1 one goroutine per partition would only take turns.
+// GOMAXPROCS=1 the engine would have no helper to share rounds with.
 func TestPDESAutoFollowsGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if PDESAuto.parallel() {

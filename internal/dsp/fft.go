@@ -52,9 +52,13 @@ func twiddlesFor(n int) []complex128 {
 // An empty input returns an empty slice.
 func FFT(x []complex128) []complex128 {
 	out := append([]complex128(nil), x...)
-	dft(out)
+	FFTInPlace(out)
 	return out
 }
+
+// FFTInPlace overwrites x with FFT(x), bit for bit. Power-of-two
+// lengths allocate nothing.
+func FFTInPlace(x []complex128) { dft(x) }
 
 // dft computes an in-place unnormalized DFT of x: radix-2 for powers of
 // two, Bluestein otherwise.

@@ -49,6 +49,15 @@ func EncodeComplex64s(xs []complex64) []byte {
 	return out
 }
 
+// AppendComplex64s appends xs to dst in EncodeComplex64s's format.
+func AppendComplex64s(dst []byte, xs []complex64) []byte {
+	for _, x := range xs {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(real(x)))
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(imag(x)))
+	}
+	return dst
+}
+
 // DecodeComplex64s unpacks a slice written by EncodeComplex64s.
 func DecodeComplex64s(b []byte) []complex64 {
 	if len(b)%8 != 0 {

@@ -316,6 +316,9 @@ func TestEncodeRoundtrips(t *testing.T) {
 	if got := DecodeComplex64s(EncodeComplex64s(c64)); len(got) != 2 || got[0] != complex(1, -2) {
 		t.Errorf("complex64 roundtrip = %v", got)
 	}
+	if got := AppendComplex64s(AppendComplex64s([]byte{}, c64[:1]), c64[1:]); string(got) != string(EncodeComplex64s(c64)) {
+		t.Errorf("AppendComplex64s in two pieces = %x, EncodeComplex64s = %x", got, EncodeComplex64s(c64))
+	}
 	i64 := []int64{-5, 0, 1 << 40}
 	if got := DecodeInt64s(EncodeInt64s(i64)); len(got) != 3 || got[0] != -5 || got[2] != 1<<40 {
 		t.Errorf("int64 roundtrip = %v", got)

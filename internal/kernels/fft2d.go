@@ -17,14 +17,15 @@ func fftFlops(n int) float64 {
 
 // fftRow transforms one row of complex64 data in place via the complex128
 // FFT, rounding back to COMPLEX*8 as the Fx program stores it; tmp is the
-// caller's widening scratch, len(row) long, reused row after row. The
+// caller's widening scratch, len(row) long, reused row after row and
+// transformed in place, so a power-of-two row allocates nothing. The
 // sequential references use the same helper, so results match exactly.
 func fftRow(row []complex64, tmp []complex128) {
 	for i, v := range row {
 		tmp[i] = complex128(v)
 	}
-	out := dsp.FFT(tmp)
-	for i, v := range out {
+	dsp.FFTInPlace(tmp)
+	for i, v := range tmp {
 		row[i] = complex64(v)
 	}
 }
@@ -75,6 +76,12 @@ func FFT2D(w *fx.Worker, p Params) [][]complex64 {
 	rows := newMatrix(len(input), n)
 	cols := newMatrix(myCols, n)
 	tmp := make([]complex128, n)
+	// One encoding buffer holds every part of an iteration back to back
+	// and is reused by the next: the 2DFFT's copy-loop Send copies a body
+	// before it returns, and this rank's own part is decoded below,
+	// before the next iteration overwrites it.
+	enc := make([]byte, 0, 8*len(rows)*n)
+	parts := make([][]byte, w.P)
 	for it := 0; it < p.Iters; it++ {
 		// Phase 1: local FFT over each owned row.
 		for r, row := range rows {
@@ -85,14 +92,14 @@ func FFT2D(w *fx.Worker, p Params) [][]complex64 {
 
 		// Communication phase: all-to-all transpose. Part q carries, for
 		// each owned row, the slice of columns rank q will own.
-		parts := make([][]byte, w.P)
+		enc = enc[:0]
 		for q := 0; q < w.P; q++ {
 			qlo, qhi := fx.BlockRange(n, w.P, q)
-			block := make([]complex64, 0, len(rows)*(qhi-qlo))
+			start := len(enc)
 			for _, row := range rows {
-				block = append(block, row[qlo:qhi]...)
+				enc = fx.AppendComplex64s(enc, row[qlo:qhi])
 			}
-			parts[q] = fx.EncodeComplex64s(block)
+			parts[q] = enc[start:len(enc):len(enc)]
 		}
 		got := w.AllToAll(fftTagBase+it*w.P, parts)
 

@@ -159,6 +159,17 @@ func TestFFT2DMatchesSequential(t *testing.T) {
 	}
 }
 
+// A power-of-two row transforms in its widening scratch: the 2DFFT's
+// row and column phases allocate nothing per row.
+func TestFFTRowDoesNotAllocate(t *testing.T) {
+	const n = 256
+	row := initRows(0, 1, n)[0]
+	tmp := make([]complex128, n)
+	if allocs := testing.AllocsPerRun(20, func() { fftRow(row, tmp) }); allocs != 0 {
+		t.Errorf("fftRow at N=%d: %.1f allocs per row, want 0", n, allocs)
+	}
+}
+
 func TestFFT2DSequentialAgainstDSP(t *testing.T) {
 	// The complex64-rounded kernel result must agree with the full
 	// double-precision 2D FFT to single precision.

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // eventChain returns a function that schedules and dispatches n events
 // on k, one at a time, from a callback built once.
@@ -47,8 +50,56 @@ func enginePingPong() func(n int) {
 	}
 }
 
+// engineRing returns a function that runs n hops on each of nPart
+// partitions: one token per partition circles the ring with
+// once-allocated callbacks, so every round advances every partition —
+// in parallel mode, the rounds the executor shares out.
+func engineRing(nPart int, parallel bool) func(n int) {
+	parts := make([]*Kernel, nPart)
+	for i := range parts {
+		parts[i] = New(int64(i + 1))
+	}
+	eng := NewEngineMatrix(parts, uniform(nPart, 2*Millisecond))
+	left := make([]int, nPart) // hops still to run on each partition
+	fns := make([]func(), nPart)
+	for src := range fns {
+		fns[src] = func() {
+			if left[src]--; left[src] > 0 {
+				dst := (src + 1) % nPart
+				eng.Send(src, dst, parts[src].Now().Add(2*Millisecond), "hop", fns[dst])
+			}
+		}
+	}
+	return func(n int) {
+		for i, k := range parts {
+			left[i] = n
+			k.After(0, "seed", fns[i])
+		}
+		eng.Run(parallel)
+		for _, l := range left {
+			if l > 0 {
+				panic("sim: ring stopped early")
+			}
+		}
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS=1, under
+// which a parallel Run would start no helper.
+func mallocsPerRun(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
 // The kernel's schedule + dispatch of a pre-built event and the
-// engine's window loop allocate nothing in steady state.
+// engine's window loop allocate nothing in steady state. A parallel Run
+// starts its helpers once, so what it allocates does not grow with the
+// number of rounds.
 func TestEventLoopsDoNotAllocate(t *testing.T) {
 	const batch = 256
 	for _, tc := range []struct {
@@ -62,6 +113,19 @@ func TestEventLoopsDoNotAllocate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { tc.run(batch) }); allocs != 0 {
 			t.Errorf("%s: %.1f allocs per %d events, want 0", tc.name, allocs, batch)
 		}
+	}
+
+	// A parallel Run allocates its helpers' goroutines, and the runtime
+	// allocates a wait record when a parked helper's P has none cached;
+	// the allowance tolerates those, while an allocation in the round
+	// loop would add 3×batch per longer Run.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ring := engineRing(4, true)
+	ring(4 * batch)
+	short := mallocsPerRun(20, func() { ring(batch) })
+	long := mallocsPerRun(20, func() { ring(4 * batch) })
+	if allowance := float64(3*batch) / 100; long-short > allowance {
+		t.Errorf("parallel engine ring: %.1f allocs per Run of %d rounds, %.1f per Run of %d", long, 4*batch, short, batch)
 	}
 }
 

@@ -3,7 +3,10 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // pingPong wires nPart partitions into a ring: each partition's callback
@@ -12,7 +15,7 @@ import (
 // (time, partition) order up to each barrier's watermark — the same
 // discipline the topology runner uses for per-segment capture buffers —
 // so the returned log is well-defined in both serial and parallel mode.
-func pingPong(parallel bool, nPart, rounds int, delay Duration) []string {
+func pingPong(parallel bool, nPart, rounds int, delay Duration) ([]string, EngineStats) {
 	parts := make([]*Kernel, nPart)
 	for i := range parts {
 		parts[i] = New(int64(i + 1))
@@ -65,19 +68,114 @@ func pingPong(parallel bool, nPart, rounds int, delay Duration) []string {
 		parts[i].At(0, "seed", hop(i, 0))
 	}
 	eng.Run(parallel)
-	return merged
+	return merged, eng.Stats()
 }
 
+// TestEngineSerialParallelIdentical: the number of runners — none under
+// GOMAXPROCS=1, up to one per partition beyond it — changes only who
+// executes a round. Every ring gives the serial log and the serial
+// EngineStats, whatever GOMAXPROCS is.
 func TestEngineSerialParallelIdentical(t *testing.T) {
-	for _, nPart := range []int{1, 2, 4} {
-		serial := pingPong(false, nPart, 50, Millisecond)
-		par := pingPong(true, nPart, 50, Millisecond)
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("nPart=%d: serial and parallel logs differ:\nserial: %v\nparallel: %v", nPart, serial, par)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for nPart := 1; nPart <= 5; nPart++ {
+		want, wantStats := pingPong(false, nPart, 50, Millisecond)
+		if len(want) != nPart*(50+1) {
+			t.Fatalf("nPart=%d: expected %d hops, got %d", nPart, nPart*51, len(want))
 		}
-		if len(serial) != nPart*(50+1) {
-			t.Fatalf("nPart=%d: expected %d hops, got %d", nPart, nPart*51, len(serial))
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, stats := pingPong(true, nPart, 50, Millisecond)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("nPart=%d GOMAXPROCS=%d: serial and parallel logs differ:\nserial: %v\nparallel: %v", nPart, procs, want, got)
+			}
+			if stats != wantStats {
+				t.Fatalf("nPart=%d GOMAXPROCS=%d: parallel stats %+v, serial %+v", nPart, procs, stats, wantStats)
+			}
 		}
+	}
+}
+
+// TestEnginePanicReachesCaller: a panic in a partition's event — a
+// callback or a process body — surfaces in Run's caller in both modes,
+// as the lowest-indexed panicking partition's value. In parallel mode
+// the round finishes first and every helper is gone when Run unwinds.
+func TestEnginePanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, parallel := range []bool{false, true} {
+		before := goroutinesSettled()
+		parts := []*Kernel{New(1), New(2), New(3), New(4)}
+		eng := NewEngineMatrix(parts, uniform(len(parts), Millisecond))
+		ran := make([]bool, len(parts))
+		parts[0].At(0, "fine", func() { ran[0] = true })
+		parts[1].Go("body", func(p *Proc) {
+			ran[1] = true
+			panic("partition 1")
+		})
+		parts[2].At(0, "callback", func() {
+			ran[2] = true
+			panic("partition 2")
+		})
+		parts[3].At(0, "fine", func() { ran[3] = true })
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			eng.Run(parallel)
+			return nil
+		}()
+		if got != "partition 1" {
+			t.Errorf("parallel=%v: Run raised %v, want the panic of partition 1", parallel, got)
+		}
+		if parallel && !reflect.DeepEqual(ran, []bool{true, true, true, true}) {
+			t.Errorf("parallel round did not finish before the panic surfaced: ran %v", ran)
+		}
+		for _, k := range parts {
+			k.Close()
+		}
+		if after := goroutinesSettled(); after != before {
+			t.Errorf("parallel=%v: %d goroutines after Run unwound, %d before", parallel, after, before)
+		}
+	}
+}
+
+// TestIdleRunnerParks: a runner with nothing to do polls for spinFor,
+// then parks until roused, so no helper spins between rounds for longer
+// than the bound. A late rouse — one sent before its work is ready, as a
+// runner finishing the previous round's last partition can — does not
+// release it: it parks again.
+func TestIdleRunnerParks(t *testing.T) {
+	s := sleeper{wake: make(chan struct{}, 1)}
+	var ready atomic.Bool
+	start := time.Now()
+	done := make(chan struct{})
+	go func() {
+		s.await(ready.Load)
+		close(done)
+	}()
+	parks := func() bool {
+		for !s.parked.Load() {
+			select {
+			case <-done:
+				return false
+			default:
+				runtime.Gosched()
+			}
+		}
+		return true
+	}
+	if !parks() {
+		t.Fatal("await returned before its work was ready")
+	}
+	if waited := time.Since(start); waited < spinFor {
+		t.Errorf("parked after %v, before its %v bound", waited, spinFor)
+	}
+	s.rouse()
+	if !parks() {
+		t.Fatal("await returned on a late rouse")
+	}
+	ready.Store(true)
+	s.rouse()
+	<-done
+	if s.parked.Load() {
+		t.Error("roused runner still marked parked")
 	}
 }
 

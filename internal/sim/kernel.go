@@ -188,9 +188,7 @@ func (k *Kernel) RunUntil(limit Time) Time {
 		case k.immN > 0 && len(k.queue) > 0:
 			ie, he := k.imm[k.immHead], k.queue[0]
 			if he.at < ie.at || (he.at == ie.at && he.seq < ie.seq) {
-				if he.at > limit {
-					e = nil
-				} else {
+				if he.at <= limit {
 					e = k.heapPop()
 				}
 			} else if ie.at <= limit {

@@ -5,14 +5,32 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
+
+// goroutinesSettled reads the goroutine count once it has held still for
+// 20 ms: a parallel Engine.Run's helpers have signalled their exit when
+// Run returns but may finish it after the next test has started, and a
+// baseline read too early counts them.
+func goroutinesSettled() int {
+	n, held := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); held < 20 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			held++
+		} else {
+			n, held = m, 0
+		}
+	}
+	return n
+}
 
 // TestCloseUnwindsParkedProcsInSpawnOrder: Close runs the deferred calls
 // of every process still parked — suspended or asleep — in spawn order,
 // leaves finished and never-started processes alone, gives the goroutines
 // back, and can be called again.
 func TestCloseUnwindsParkedProcsInSpawnOrder(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutinesSettled()
 	k := New(1)
 	var unwound []string
 	spawn := func(name string, body func(p *Proc)) *Proc {
@@ -115,7 +133,7 @@ func TestCloseFromInsideProcessPanics(t *testing.T) {
 // the goroutine that called Run, with its value intact, and the other
 // processes can still be closed.
 func TestBodyPanicReachesRunCaller(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutinesSettled()
 	k := New(1)
 	k.Go("bystander", func(p *Proc) { p.Suspend() })
 	k.Go("faulty", func(p *Proc) {
@@ -139,7 +157,7 @@ func TestBodyPanicReachesRunCaller(t *testing.T) {
 // TestKill: a killed process unwinds through its defers at its park point
 // without resuming the body; one killed before its start event never runs.
 func TestKill(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutinesSettled()
 	k := New(1)
 	var log []string
 	parked := k.Go("parked", func(p *Proc) {

@@ -171,9 +171,12 @@ rmdir "$fmtdir"
 # them back in row order; run dsp, stats, and the characterizer above
 # both, under the race detector first so a synchronization regression
 # fails fast. The
-# conservative parallel engine runs one worker goroutine per segment
-# partition, so the DES kernel and the Ethernet layer get the same
-# fail-fast treatment. Then sweep the tree: core has one run path, and
+# conservative parallel engine shares each round between Run's goroutine
+# and up to GOMAXPROCS−1 helpers, so the DES kernel and the Ethernet
+# layer get the same fail-fast treatment, the kernel at -cpu 1,2,4 so the
+# 0-, 1- and 3-helper executors each run under the detector (its tests
+# that need helpers set GOMAXPROCS themselves; the others follow -cpu).
+# Then sweep the tree: core has one run path, and
 # the engine is its only multi-partition branch (a one-segment topology
 # is the bare kernel loop), so the internal/core serial ≡ parallel tests
 # in the sweep — with and without frame loss — are what race-checks that
@@ -181,7 +184,8 @@ rmdir "$fmtdir"
 # per rank beside the rank's charge (fx.Worker.ComputeWith), so fx and
 # airshed are race-checked up front too.
 go test -race ./internal/dsp/... ./internal/stats/... ./internal/analysis/...
-go test -race ./internal/sim/... ./internal/ethernet/... ./internal/airshed/... ./internal/fx/...
+go test -race -cpu 1,2,4 ./internal/sim/...
+go test -race ./internal/ethernet/... ./internal/airshed/... ./internal/fx/...
 go test -race ./...
 
 # Service smoke: every README endpoint once, dedup over HTTP, a
