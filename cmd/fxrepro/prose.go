@@ -87,14 +87,14 @@ paper's smaller transposes would collapse toward the transport phase.
 
 const whyModels = `The reconstruction error falls as spikes are added (spikes kept apart
 so one spike's leakage is not counted twice), the paper's convergence
-claim. examples/spectral-model closes the loop: a model regenerates a
-synthetic trace whose mean rate and dominant frequency match the run.
+claim. ExampleFitModel closes the loop: a model regenerates a synthetic
+trace whose mean rate and dominant frequency match the run.
 `
 
 const whyNegotiation = `The kernels' [l(), b(), c] characterizations on a 1.25 MB/s network
 negotiate finite optimal processor counts and burst intervals. cmd/fxqos
-and examples/qos-negotiation show the burst-size/processor-count tension
-and the capacity effect.
+and ExampleNewQoSNetwork show the burst-size/processor-count tension and
+the capacity effect.
 `
 
 const whyPeriodicity = `§1: the period depends on the available bandwidth. The same 2DFFT on

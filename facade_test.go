@@ -6,12 +6,11 @@ import (
 	"go/token"
 	"os"
 	"regexp"
-	"strings"
 	"testing"
 )
 
-// The façade is what the examples and the README quickstart write as
-// fxnet.Name, and nothing else: every other caller imports the internal
+// The façade is what the examples in example_test.go and the README write
+// as fxnet.Name, and nothing else: every other caller imports the internal
 // package that owns the name. An exported name with no such user is a
 // second way in that nobody takes.
 func TestFacadeNamesHaveUsers(t *testing.T) {
@@ -40,17 +39,16 @@ func TestFacadeNamesHaveUsers(t *testing.T) {
 		}
 	}
 
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var users strings.Builder
-	users.Write(readme)
-	for _, src := range goSources(t, "examples") {
-		users.WriteString(src)
+	var users []byte
+	for _, name := range []string{"README.md", "example_test.go"} {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		users = append(users, b...)
 	}
 	used := map[string]bool{}
-	for _, m := range regexp.MustCompile(`\bfxnet\.([A-Z]\w*)`).FindAllStringSubmatch(users.String(), -1) {
+	for _, m := range regexp.MustCompile(`\bfxnet\.([A-Z]\w*)`).FindAllStringSubmatch(string(users), -1) {
 		used[m[1]] = true
 	}
 
@@ -61,7 +59,7 @@ func TestFacadeNamesHaveUsers(t *testing.T) {
 		}
 		exported++
 		if !used[n] {
-			t.Errorf("fxnet.%s is written nowhere in examples/ or README.md; callers import its internal package", n)
+			t.Errorf("fxnet.%s is written nowhere in example_test.go or README.md; callers import its internal package", n)
 		}
 	}
 	t.Logf("fxnet.go exports %d names", exported)

@@ -2,8 +2,8 @@
 // Compiler-Parallelized Programs" (Dinda, Garcia, Leung; CMU-CS-98-144 /
 // ICPP 2001) as a deterministic simulation study in pure Go.
 //
-// The package is the surface the examples and the README quickstart use,
-// over the internal packages:
+// The package is the surface the examples in example_test.go and the
+// README use, over the internal packages:
 //
 //   - internal/sim        — discrete-event simulation kernel
 //   - internal/ethernet   — shared 10 Mb/s CSMA/CD collision domain
@@ -18,12 +18,9 @@
 //   - internal/model      — truncated-Fourier traffic models (§7.2)
 //   - internal/qos        — [l(), b(), c] negotiation (§7.3)
 //
-// A typical session: run a program on the simulated testbed, characterize
-// its captured trace, and build a spectral model of its bandwidth demand:
-//
-//	res, err := fxnet.Run(fxnet.RunConfig{Program: "2dfft", Seed: 1})
-//	rep := fxnet.Characterize(res)
-//	m, fit := fxnet.FitModel(rep.AggSeries, rep.SeriesDT, 8, 0.1)
+// A typical session — run a program on the simulated testbed,
+// characterize its captured trace, and build a spectral model of its
+// bandwidth demand — is ExampleFitModel.
 package fxnet
 
 import (
@@ -48,10 +45,6 @@ type (
 	KernelParams = kernels.Params
 	// Trace is a captured packet trace.
 	Trace = trace.Trace
-	// Spectrum is a one-sided power spectrum with Fourier coefficients.
-	Spectrum = dsp.Spectrum
-	// BandwidthModel is a truncated Fourier-series traffic model.
-	BandwidthModel = model.BandwidthModel
 	// Pattern is a global communication pattern.
 	Pattern = fx.Pattern
 	// QoSProgram is the [l(), b(), c] characterization of §7.3.
@@ -98,11 +91,11 @@ func BinnedBandwidth(t *Trace, bin Duration) ([]float64, float64) {
 }
 
 // SpectrumOf computes the periodogram of a trace's binned bandwidth.
-func SpectrumOf(t *Trace, bin Duration) *Spectrum { return analysis.Spectrum(t, bin) }
+func SpectrumOf(t *Trace, bin Duration) *dsp.Spectrum { return analysis.Spectrum(t, bin) }
 
 // FitModel builds a k-spike truncated Fourier model of a bandwidth series
 // and reports its fit (§7.2).
-func FitModel(series []float64, dt float64, k int, minSepHz float64) (*BandwidthModel, model.FitMetrics) {
+func FitModel(series []float64, dt float64, k int, minSepHz float64) (*model.BandwidthModel, model.FitMetrics) {
 	return model.Fit(series, dt, k, minSepHz)
 }
 

@@ -83,11 +83,3 @@ func BenchmarkPeriodogramWorkspace_20000Samples(b *testing.B) {
 		spectrum()
 	}
 }
-
-func BenchmarkFFT2D_64x64(b *testing.B) {
-	m := benchSignal(64 * 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		FFT2D(m, 64, 64)
-	}
-}

@@ -243,29 +243,3 @@ func NextPow2(n int) int {
 	}
 	return p
 }
-
-// FFT2D transforms a dense rows×cols matrix stored row-major: first a DFT
-// of each row, then of each column. Used as the sequential reference for
-// the 2DFFT and T2DFFT kernels. Rows transform in place in the output,
-// columns through one column scratch.
-func FFT2D(m []complex128, rows, cols int) []complex128 {
-	if len(m) != rows*cols {
-		panic("dsp: FFT2D shape mismatch")
-	}
-	out := make([]complex128, len(m))
-	copy(out, m)
-	for r := 0; r < rows; r++ {
-		dft(out[r*cols : (r+1)*cols])
-	}
-	col := make([]complex128, rows)
-	for c := 0; c < cols; c++ {
-		for r := 0; r < rows; r++ {
-			col[r] = out[r*cols+c]
-		}
-		dft(col)
-		for r := 0; r < rows; r++ {
-			out[r*cols+c] = col[r]
-		}
-	}
-	return out
-}

@@ -182,40 +182,6 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-func TestFFT2DMatchesSeparableNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	rows, cols := 8, 4
-	m := randComplex(r, rows*cols)
-	got := FFT2D(m, rows, cols)
-	// Naive: row DFTs then column DFTs.
-	want := make([]complex128, rows*cols)
-	for rr := 0; rr < rows; rr++ {
-		copy(want[rr*cols:(rr+1)*cols], naiveDFT(m[rr*cols:(rr+1)*cols]))
-	}
-	col := make([]complex128, rows)
-	for c := 0; c < cols; c++ {
-		for rr := 0; rr < rows; rr++ {
-			col[rr] = want[rr*cols+c]
-		}
-		fc := naiveDFT(col)
-		for rr := 0; rr < rows; rr++ {
-			want[rr*cols+c] = fc[rr]
-		}
-	}
-	if e := maxErr(got, want); e > 1e-8 {
-		t.Errorf("FFT2D error %g", e)
-	}
-}
-
-func TestFFT2DShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on shape mismatch")
-		}
-	}()
-	FFT2D(make([]complex128, 7), 2, 4)
-}
-
 func TestQuickFFTRoundtrip(t *testing.T) {
 	f := func(re, im []float64) bool {
 		n := len(re)

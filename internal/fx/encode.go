@@ -27,16 +27,16 @@ func AppendFloat32s(dst []byte, xs []float32) []byte {
 	return dst
 }
 
-// DecodeFloat32s unpacks a slice written by EncodeFloat32s.
-func DecodeFloat32s(b []byte) []float32 {
-	if len(b)%4 != 0 {
-		panic("fx: DecodeFloat32s length not a multiple of 4")
+// DecodeFloat32s unpacks a slice written by EncodeFloat32s into dst,
+// which must hold exactly len(b)/4 values: the caller owns the storage,
+// so a kernel decodes every message into the same rows.
+func DecodeFloat32s(dst []float32, b []byte) {
+	if len(b) != 4*len(dst) {
+		panic("fx: DecodeFloat32s length mismatch")
 	}
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
-	return out
 }
 
 // EncodeComplex64s packs xs (real, imag float32 pairs).
@@ -58,18 +58,17 @@ func AppendComplex64s(dst []byte, xs []complex64) []byte {
 	return dst
 }
 
-// DecodeComplex64s unpacks a slice written by EncodeComplex64s.
-func DecodeComplex64s(b []byte) []complex64 {
-	if len(b)%8 != 0 {
-		panic("fx: DecodeComplex64s length not a multiple of 8")
+// DecodeComplex64s unpacks a slice written by EncodeComplex64s into dst,
+// which must hold exactly len(b)/8 values.
+func DecodeComplex64s(dst []complex64, b []byte) {
+	if len(b) != 8*len(dst) {
+		panic("fx: DecodeComplex64s length mismatch")
 	}
-	out := make([]complex64, len(b)/8)
-	for i := range out {
+	for i := range dst {
 		re := math.Float32frombits(binary.LittleEndian.Uint32(b[8*i:]))
 		im := math.Float32frombits(binary.LittleEndian.Uint32(b[8*i+4:]))
-		out[i] = complex(re, im)
+		dst[i] = complex(re, im)
 	}
-	return out
 }
 
 // EncodeInt64s packs xs.

@@ -306,15 +306,27 @@ func TestLaunchTooManyWorkersPanics(t *testing.T) {
 
 func TestEncodeRoundtrips(t *testing.T) {
 	f32 := []float32{1.5, -2.25, 0, 3e30}
-	if got := DecodeFloat32s(EncodeFloat32s(f32)); len(got) != 4 || got[1] != -2.25 || got[3] != 3e30 {
-		t.Errorf("float32 roundtrip = %v", got)
+	f32b := EncodeFloat32s(f32)
+	gotF32 := make([]float32, 4)
+	if DecodeFloat32s(gotF32, f32b); gotF32[1] != -2.25 || gotF32[3] != 3e30 {
+		t.Errorf("float32 roundtrip = %v", gotF32)
 	}
 	if got := AppendFloat32s(AppendFloat32s([]byte{}, f32[:1]), f32[1:]); string(got) != string(EncodeFloat32s(f32)) {
 		t.Errorf("AppendFloat32s in two pieces = %x, EncodeFloat32s = %x", got, EncodeFloat32s(f32))
 	}
 	c64 := []complex64{complex(1, -2), complex(0.5, 3)}
-	if got := DecodeComplex64s(EncodeComplex64s(c64)); len(got) != 2 || got[0] != complex(1, -2) {
-		t.Errorf("complex64 roundtrip = %v", got)
+	c64b := EncodeComplex64s(c64)
+	gotC64 := make([]complex64, 2)
+	if DecodeComplex64s(gotC64, c64b); gotC64[0] != complex(1, -2) || gotC64[1] != complex(0.5, 3) {
+		t.Errorf("complex64 roundtrip = %v", gotC64)
+	}
+	// The decoders fill the caller's slice: a kernel decodes every
+	// message of a run into the same rows.
+	if allocs := testing.AllocsPerRun(10, func() {
+		DecodeFloat32s(gotF32, f32b)
+		DecodeComplex64s(gotC64, c64b)
+	}); allocs != 0 {
+		t.Errorf("decoding into a caller's slice: %.1f allocs, want 0", allocs)
 	}
 	if got := AppendComplex64s(AppendComplex64s([]byte{}, c64[:1]), c64[1:]); string(got) != string(EncodeComplex64s(c64)) {
 		t.Errorf("AppendComplex64s in two pieces = %x, EncodeComplex64s = %x", got, EncodeComplex64s(c64))
@@ -327,9 +339,11 @@ func TestEncodeRoundtrips(t *testing.T) {
 
 func TestDecodeBadLengthPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"f32": func() { DecodeFloat32s(make([]byte, 3)) },
-		"c64": func() { DecodeComplex64s(make([]byte, 7)) },
-		"i64": func() { DecodeInt64s(make([]byte, 7)) },
+		"f32":       func() { DecodeFloat32s(make([]float32, 1), make([]byte, 3)) },
+		"f32 long":  func() { DecodeFloat32s(make([]float32, 1), make([]byte, 8)) },
+		"c64":       func() { DecodeComplex64s(make([]complex64, 1), make([]byte, 7)) },
+		"c64 short": func() { DecodeComplex64s(make([]complex64, 2), make([]byte, 8)) },
+		"i64":       func() { DecodeInt64s(make([]byte, 7)) },
 	} {
 		func() {
 			defer func() {

@@ -210,8 +210,7 @@ func parseAffine(tok string) (Affine, error) {
 	if err != nil || (rest[0] != '+' && rest[0] != '-') {
 		return Affine{}, fmt.Errorf("bad subscript offset %q", tok)
 	}
-	a.C0 = c
-	return a, nil
+	return a.Shifted(c), nil
 }
 
 // parseReduce handles: reduce name bytes

@@ -82,6 +82,10 @@ func FFT2D(w *fx.Worker, p Params) [][]complex64 {
 	// before the next iteration overwrites it.
 	enc := make([]byte, 0, 8*len(rows)*n)
 	parts := make([][]byte, w.P)
+	// Every received part decodes into one scratch block, sized for the
+	// largest (rank 0's rows × my columns) and reused part after part.
+	lo0, hi0 := fx.BlockRange(n, w.P, 0)
+	scratch := make([]complex64, (hi0-lo0)*myCols)
 	for it := 0; it < p.Iters; it++ {
 		// Phase 1: local FFT over each owned row.
 		for r, row := range rows {
@@ -107,7 +111,8 @@ func FFT2D(w *fx.Worker, p Params) [][]complex64 {
 		// the blocks cover every i, so each iteration overwrites them all.
 		for q := 0; q < w.P; q++ {
 			qlo, qhi := fx.BlockRange(n, w.P, q)
-			block := fx.DecodeComplex64s(got[q])
+			block := scratch[:(qhi-qlo)*myCols]
+			fx.DecodeComplex64s(block, got[q])
 			idx := 0
 			for i := qlo; i < qhi; i++ {
 				for c := 0; c < myCols; c++ {

@@ -182,7 +182,7 @@ func TestFFT2DSequentialAgainstDSP(t *testing.T) {
 			flat[i*n+j] = complex128(initComplex(i, j, n))
 		}
 	}
-	want := dspFFT2D(flat, n)
+	want := fft2D(flat, n)
 	for c := 0; c < n; c++ {
 		for i := 0; i < n; i++ {
 			diff := complex128(cols[c][i]) - want[i*n+c]
@@ -290,13 +290,22 @@ func TestHISTNonPowerOfTwoP(t *testing.T) {
 	}
 }
 
-// dspFFT2D is a local helper calling the dsp reference without an import
-// cycle concern (kernels already depends on dsp).
-func dspFFT2D(m []complex128, n int) []complex128 {
-	return fftRef(m, n)
-}
-
-// fftRef wraps dsp.FFT2D for the precision test.
-func fftRef(m []complex128, n int) []complex128 {
-	return dsp.FFT2D(m, n, n)
+// fft2D is the double-precision 2-D DFT of an n×n row-major matrix —
+// row transforms, then column transforms, through dsp.FFT — that the
+// precision test holds the complex64 kernels to.
+func fft2D(m []complex128, n int) []complex128 {
+	out := make([]complex128, 0, n*n)
+	for r := 0; r < n; r++ {
+		out = append(out, dsp.FFT(m[r*n:(r+1)*n])...)
+	}
+	col := make([]complex128, n)
+	for c := 0; c < n; c++ {
+		for r := range col {
+			col[r] = out[r*n+c]
+		}
+		for r, v := range dsp.FFT(col) {
+			out[r*n+c] = v
+		}
+	}
+	return out
 }

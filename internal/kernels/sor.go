@@ -41,10 +41,10 @@ func SOR(w *fx.Worker, p Params) [][]float32 {
 		fromPrev, fromNext := w.NeighborExchange(tag,
 			fx.EncodeFloat32s(cur[0]), fx.EncodeFloat32s(cur[rows-1]))
 		if fromPrev != nil {
-			copy(haloUp, fx.DecodeFloat32s(fromPrev))
+			fx.DecodeFloat32s(haloUp, fromPrev)
 		}
 		if fromNext != nil {
-			copy(haloDown, fx.DecodeFloat32s(fromNext))
+			fx.DecodeFloat32s(haloDown, fromNext)
 		}
 
 		// Local computation phase: relax interior points.

@@ -78,11 +78,16 @@ func T2DFFT(w *fx.Worker, p Params) [][]complex64 {
 	myCols := chi - clo
 	cols := newMatrix(myCols, n)
 	tmp := make([]complex128, n)
+	// Each sender's block decodes into one scratch, sized for the largest
+	// (sender 0's rows × my columns) and reused block after block.
+	lo0, hi0 := fx.BlockRange(n, half, 0)
+	scratch := make([]complex64, (hi0-lo0)*myCols)
 	for m := 0; m < p.Iters; m++ {
 		w.Phase("partition-exchange")
 		for s := 0; s < half; s++ {
 			rlo, rhi := fx.BlockRange(n, half, s)
-			block := fx.DecodeComplex64s(w.Recv(s, tfftTagBase+m))
+			block := scratch[:(rhi-rlo)*myCols]
+			fx.DecodeComplex64s(block, w.Recv(s, tfftTagBase+m))
 			idx := 0
 			for i := rlo; i < rhi; i++ {
 				for c := 0; c < myCols; c++ {

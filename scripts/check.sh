@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 # One durable store: a hand-rolled temp+rename outside internal/durable,
 # or another directory-fsync helper, is a fourth store coming back.
 if grep -rn 'os\.Rename(\|os\.CreateTemp(' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -v '^internal/durable/'; then exit 1; fi
-if grep -rn 'func syncDir' --include='*.go' internal cmd bench examples ./*.go; then exit 1; fi
+if grep -rn 'func syncDir' --include='*.go' internal cmd bench ./*.go; then exit 1; fi
 
 # One dispatch and one allocation per message: the TCP header rides in
 # the frame by value (no boxed Frame.Opaque), and a PVM reader is an
@@ -35,12 +35,12 @@ if grep -rn 'CharacterizeTracePool\|CharacterizePool' --include='*.go' . | grep 
 
 # One command surface: fxfarm is the only batch runner, the §7.3 laws and
 # their calibrated rates are written once (internal/kernels; 12.5e6 is a
-# capacity, not a rate) — not in cmd/, internal/ or examples/, nor in any
-# root Go file, tests included — and one float type renders NaN/Inf as
-# JSON null.
+# capacity, not a rate) — not in cmd/ or internal/, nor in any root Go
+# file, tests and examples included — and one float type renders NaN/Inf
+# as JSON null.
 if [ -e cmd/fxsweep ]; then exit 1; fi
 rates='38500\|8\.4e6\|2\.5e6\|364000'
-if grep -rnw "$rates" --include='*.go' cmd internal examples | grep -v '_test\.go:' | grep -v '^internal/kernels/'; then exit 1; fi
+if grep -rnw "$rates" --include='*.go' cmd internal | grep -v '_test\.go:' | grep -v '^internal/kernels/'; then exit 1; fi
 if grep -nw "$rates" ./*.go; then exit 1; fi
 if grep -rn 'func ([a-z]* \*\?\w*[Ff]loat\w*) MarshalJSON' --include='*.go' . | grep -v '^\./internal/catalog/json\.go:'; then exit 1; fi
 
@@ -76,20 +76,18 @@ if grep -n '^func [A-Z][A-Za-z0-9]*Pairwise' internal/stats/*.go | grep -v '_tes
 # once where PearsonR rounds twice, and moves the last bits.
 if grep -niE 'VFN?M(ADD|SUB)' internal/stats/*.s; then exit 1; fi
 
-# One way in: the fxnet façade is the examples' and README quickstart's
-# surface. A command that imports it, or an example that reaches the same
+# One way in: the fxnet façade is the surface the examples and the README
+# write. A command that imports it, or an example that reaches the same
 # code through both the façade and internal/, is a second route back.
 if grep -rn '"fxnet"' cmd; then exit 1; fi
-for d in examples/*/; do
-	if grep -q '"fxnet"' "$d"*.go && grep -q '"fxnet/internal/' "$d"*.go; then echo "$d imports fxnet and internal/"; exit 1; fi
-done
+if grep -n '"fxnet/internal/' example_test.go; then exit 1; fi
 
 # A minimal stack: the RunConfig fields, collectives, gate deadline and
 # TCP teardown that no figure, fault kind or flag reached are deleted
 # (DESIGN.md §3 "A minimal stack"). One coming back in non-test Go fails
 # here; new code nothing claim-carrying runs fails the coverage ratchet
 # below.
-if grep -rnE 'ForceFragments|TreeBcast|WaitTimeout|func \(c \*Conn\) Close' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
+if grep -rnE 'ForceFragments|TreeBcast|WaitTimeout|func \(c \*Conn\) Close' --include='*.go' internal cmd bench ./*.go | grep -v '_test\.go:'; then exit 1; fi
 if grep -rn 'HeartbeatMisses' --include='*.go' internal/core | grep -v '_test\.go:'; then exit 1; fi
 
 # A minimal service: the client calls, farm entry points, catalog
@@ -99,8 +97,8 @@ if grep -rn 'HeartbeatMisses' --include='*.go' internal/core | grep -v '_test\.g
 # receive wildcards (DESIGN.md §3 "A minimal stack"). One coming back
 # in non-test Go fails here; new service code nothing claim-carrying
 # runs fails the coverage ratchet below.
-if grep -rnE 'CustomProgram|StoreStream|RunStreamCtx|func FromJSON|func \(f \*Farm\) (Submit|RunCtx|RunStream)\(|func \(c \*Client\) (Trace|Models?)\(|func \(ft \*Fitter\) Catalog\(' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
-if grep -rnE 'TryGet|AnySource|AnyTag|func \(k \*Kernel\) Stop\(' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
+if grep -rnE 'CustomProgram|StoreStream|RunStreamCtx|func FromJSON|func \(f \*Farm\) (Submit|RunCtx|RunStream)\(|func \(c \*Client\) (Trace|Models?)\(|func \(ft \*Fitter\) Catalog\(' --include='*.go' internal cmd bench ./*.go | grep -v '_test\.go:'; then exit 1; fi
+if grep -rnE 'TryGet|AnySource|AnyTag|func \(k \*Kernel\) Stop\(' --include='*.go' internal cmd bench ./*.go | grep -v '_test\.go:'; then exit 1; fi
 
 # A minimal analysis half: the spectral estimators, vector helpers,
 # statistics, capture controls and burst/fault summaries that no figure,
@@ -113,8 +111,8 @@ if grep -rnE 'TryGet|AnySource|AnyTag|func \(k \*Kernel\) Stop\(' --include='*.g
 # report's 10 ms bins).
 # One coming back in non-test Go fails here; new analysis code nothing
 # claim-carrying runs fails the coverage ratchet below.
-if grep -rnE 'Welch|IFFT|FFTReal\b|BandPower|\bHann\b|Hamming|Window +Window|getWS|putWS|func \(p \*Pool\) Map\(' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
-if grep -rnE 'func (Dot|Norm2|AXPY)\(|linalg\.(Dot|Norm2|AXPY)|StdDev|NewHistogram|func \(c \*Collector\) (Pause|Resume)\(|MarksBetween|func Bursts\(|analysis\.Bursts|BurstStats|FaultWindow|SlidingBandwidth' --include='*.go' internal cmd bench examples ./*.go | grep -v '_test\.go:'; then exit 1; fi
+if grep -rnE 'Welch|IFFT|FFTReal\b|BandPower|\bHann\b|Hamming|Window +Window|getWS|putWS|func \(p \*Pool\) Map\(' --include='*.go' internal cmd bench ./*.go | grep -v '_test\.go:'; then exit 1; fi
+if grep -rnE 'func (Dot|Norm2|AXPY)\(|linalg\.(Dot|Norm2|AXPY)|StdDev|NewHistogram|func \(c \*Collector\) (Pause|Resume)\(|MarksBetween|func Bursts\(|analysis\.Bursts|BurstStats|FaultWindow|SlidingBandwidth' --include='*.go' internal cmd bench ./*.go | grep -v '_test\.go:'; then exit 1; fi
 if grep -rnE 'func \(t \*Trace\) Between\(|func \(a \*Accumulator\) (Fold|N)\(|func \(n \*Network\) Release\(' --include='*.go' internal | grep -v '_test\.go:'; then exit 1; fi
 
 # A minimal front end: fxanalyze is the one reader of trace files — one
@@ -151,9 +149,6 @@ go test ./...
 # seven simulator, six service and thirteen analysis packages — and in
 # the nine commands under the claim-carrying runs may fall but never rise.
 ./scripts/coverage.sh
-
-# Every example runs to completion.
-for d in examples/*/; do go run "./$d" >/dev/null; done
 
 # fxfarm's "-json -" is the batch alone on stdout: valid JSON, loss
 # dimension included.

@@ -27,7 +27,7 @@
 #   binary one and its stats of the fault run (marks decoded), a crashed
 #   and a bridged fxrun, fxqos from the registry and from the fitted
 #   catalog, fxcompile on the dialect's listing, -version and the
-#   profiling flags — and all six examples;
+#   profiling flags (the root tests above run the five examples);
 #
 #   front end (the nine commands under cmd/): the fxrepro and cmd/ tests
 #   and every binary run above, plus the README lines no other group
@@ -83,7 +83,7 @@ mkdir "$dir/cov"
 for script in serve_smoke chaos; do
 	run env GOFLAGS="-cover -coverpkg=$front,$svc,$ana" GOCOVERDIR="$dir/cov" ./scripts/$script.sh
 done
-mkdir "$dir/bin" "$dir/ex"
+mkdir "$dir/bin"
 run go build -cover -coverpkg=$front,$svc,$ana -o "$dir/bin/" \
 	./cmd/fxrun ./cmd/fxanalyze ./cmd/fxmodel ./cmd/fxqos ./cmd/fxcompile ./cmd/fxrepro ./cmd/fxfarm
 export GOCOVERDIR="$dir/cov"
@@ -120,14 +120,18 @@ cmd fxrepro -tiny -csvdir "$dir/csv"
 cmd fxfarm -programs 2dfft -bitrates 10e6,40e6,100e6 -json "$dir/sweep.json"
 cmd fxqos -capacity 1.25e6
 cmd fxqos -catalog "$dir/models"
-# The dialect as internal/fxc/parse.go lists it, every statement kind.
+# Every statement kind of the dialect (internal/fxc/parse.go's listing,
+# with a full-size serial input that broadcasts), a transpose, a local copy.
 cat >"$dir/program.fx" <<'EOF'
 array  a(512,512) real*8 block(rows)
+array  b(512,512) real*8 block(rows)
 array  c(512,512) real*8 block(cols)
-array  in(64,64)  real*8 serial
+array  in(512,512) real*8 serial
 assign c(i,j) = a(i,j)
 assign a(i,j) = a(i-1,j)
 assign a(i,j) = in(i,j)
+assign b(i,j) = a(j,i)
+assign b(i,j) = a(i,j)
 reduce a 2048
 EOF
 cmd fxcompile -p 4 "$dir/program.fx"
@@ -136,10 +140,6 @@ cmd fxcompile -p 8 <"$dir/program.fx"
 for b in "$dir"/bin/*; do cmd "${b##*/}" -version; done
 cmd fxanalyze -in "$dir/fft.trace" -mode stats \
 	-cpuprofile "$dir/cpu.pprof" -memprofile "$dir/mem.pprof" -trace "$dir/exec.trace"
-for d in examples/*/; do
-	run go build -cover -coverpkg="./$d,$ana" -o "$dir/ex/" "./$d"
-done
-for ex in "$dir"/ex/*; do run "$ex"; done
 unset GOCOVERDIR
 run go tool covdata textfmt -i "$dir/cov" -o "$dir/procs.out" -pkg "$(echo $front,$svc,$ana | sed 's|\./|fxnet/|g')"
 
@@ -157,8 +157,7 @@ run go tool covdata textfmt -i "$dir/cov" -o "$dir/procs.out" -pkg "$(echo $fron
 #   server    the breaker's open/half-open metric labels, the model
 #             listing's filters, NDJSON flushes past 8192 records, and
 #             /healthz's "starting" during replay;
-#   dsp       dsp.FFT2D, the 2-D reference the kernels' tests share, and
-#             the twiddle table's lost compare-and-swap;
+#   dsp       the twiddle table's lost compare-and-swap;
 #   fxc       the partition class (a user's program reaches it; no
 #             kernel's statement is one);
 #   kernels   T2DFFT's one-row fragment clamp (N > 512 per receiver);
@@ -188,7 +187,7 @@ journal 14
 server 98
 airshed 4
 analysis 6
-dsp 16
+dsp 2
 fxc 46
 kernels 8
 linalg 12
