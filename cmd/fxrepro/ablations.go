@@ -321,7 +321,7 @@ func spikeShare(s *dsp.Spectrum) float64 {
 func burstCoV(tr *trace.Trace, gap sim.Duration) float64 {
 	var sizes []float64
 	cur := 0.0
-	last := tr.Packets[0].Time
+	last := tr.At(0).Time
 	for i, p := range tr.Packets {
 		if i > 0 && p.Time.Sub(last) >= gap {
 			sizes = append(sizes, cur)

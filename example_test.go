@@ -258,7 +258,7 @@ func burstSizes(tr *fxnet.Trace, gap fxnet.Duration) []float64 {
 	var sizes []float64
 	cur := 0.0
 	for i, p := range tr.Packets {
-		if i > 0 && p.Time.Sub(tr.Packets[i-1].Time) >= gap {
+		if i > 0 && p.Time.Sub(tr.At(i-1).Time) >= gap {
 			sizes = append(sizes, cur)
 			cur = 0
 		}

@@ -17,7 +17,7 @@ func burstyTrace(durationSec float64, periodMs int, count, bytes, spacingUs int)
 	period := sim.Duration(periodMs) * sim.Millisecond
 	for start := sim.Time(0); start < sim.TimeOf(durationSec); start = start.Add(period) {
 		for i := 0; i < count; i++ {
-			t.Packets = append(t.Packets, trace.Packet{
+			t.Append(trace.Packet{
 				Time: start.Add(sim.Duration(i*spacingUs) * sim.Microsecond),
 				Size: uint16(bytes), Src: 0, Dst: 1,
 				Proto: ethernet.ProtoTCP, Flags: ethernet.FlagData,
@@ -104,8 +104,8 @@ func TestModeCountTrimodal(t *testing.T) {
 	tr := trace.New()
 	add := func(n int, size uint16) {
 		for i := 0; i < n; i++ {
-			tr.Packets = append(tr.Packets, trace.Packet{
-				Time: sim.Time(len(tr.Packets)) * sim.Time(sim.Millisecond), Size: size,
+			tr.Append(trace.Packet{
+				Time: sim.Time(tr.Len()) * sim.Time(sim.Millisecond), Size: size,
 			})
 		}
 	}
@@ -128,17 +128,17 @@ func TestConnectionCorrelation(t *testing.T) {
 	// Two connections bursting in phase → high correlation; out of phase
 	// → low.
 	mk := func(offsetMs int) *trace.Trace {
-		tr := trace.New()
+		var pkts []trace.Packet
 		for b := 0; b < 50; b++ {
 			base := sim.Time(sim.Duration(b*200) * sim.Millisecond)
 			for i := 0; i < 3; i++ {
-				tr.Packets = append(tr.Packets,
+				pkts = append(pkts,
 					trace.Packet{Time: base.Add(sim.Duration(i) * sim.Millisecond), Size: 1000, Src: 0, Dst: 1},
 					trace.Packet{Time: base.Add(sim.Duration(offsetMs+i) * sim.Millisecond), Size: 1000, Src: 2, Dst: 3},
 				)
 			}
 		}
-		return tr
+		return trace.FromPackets(pkts)
 	}
 	pairs := [][2]int{{0, 1}, {2, 3}}
 	inPhase := foldCorrelation(mk(0), PaperWindow)
@@ -160,18 +160,18 @@ func TestConnectionCorrelation(t *testing.T) {
 // foldCorrelation streams a trace through the fold's correlation
 // tracker at the given bin, as addPacket does at CorrelationBin.
 func foldCorrelation(tr *trace.Trace, bin sim.Duration) float64 {
-	if len(tr.Packets) == 0 {
+	if tr.Len() == 0 {
 		return 0
 	}
 	c := corrTracker{bin: bin}
 	var pairs pairSlots
-	t0 := tr.Packets[0].Time
+	t0 := tr.At(0).Time
 	for _, p := range tr.Packets {
 		if p.Dst != trace.Broadcast {
 			c.add(t0, p.Time, pairs.of(p.Src, p.Dst), p.Size)
 		}
 	}
-	return c.correlation(t0, tr.Packets[len(tr.Packets)-1].Time, pairs.keys)
+	return c.correlation(t0, tr.At(tr.Len()-1).Time, pairs.keys)
 }
 
 // TestConnectionCorrelationMatchesPerPairScan: the fold's one-pass
@@ -183,15 +183,17 @@ func TestConnectionCorrelationMatchesPerPairScan(t *testing.T) {
 	one := burstyTrace(3, 300, 4, 700, 200)
 	many := allToAllTrace(6, 9)
 	late := allToAllTrace(4, 5)
-	late.Packets = append(late.Packets, trace.Packet{
-		Time: late.Packets[len(late.Packets)-1].Time.Add(3 * CorrelationBin), Size: 900, Src: 9, Dst: 8,
+	late.Append(trace.Packet{
+		Time: late.At(late.Len() - 1).Time.Add(3 * CorrelationBin), Size: 900, Src: 9, Dst: 8,
 	})
-	bcast := allToAllTrace(5, 7)
-	for i := range bcast.Packets {
+	var pkts []trace.Packet
+	for i, p := range allToAllTrace(5, 7).Packets {
 		if i%11 == 0 {
-			bcast.Packets[i].Dst = trace.Broadcast
+			p.Dst = trace.Broadcast
 		}
+		pkts = append(pkts, p)
 	}
+	bcast := trace.FromPackets(pkts)
 	for _, c := range []struct {
 		name  string
 		tr    *trace.Trace
@@ -225,7 +227,7 @@ func TestPhaseCoincidence(t *testing.T) {
 	for b := 0; b < 10; b++ {
 		base := sim.Time(sim.Duration(b) * sim.Second)
 		for i, c := range conns {
-			tr.Packets = append(tr.Packets, trace.Packet{
+			tr.Append(trace.Packet{
 				Time: base.Add(sim.Duration(i) * sim.Millisecond),
 				Size: 1000, Src: uint16(c[0]), Dst: uint16(c[1]),
 			})
@@ -241,7 +243,7 @@ func TestPhaseCoincidence(t *testing.T) {
 	tr2 := trace.New()
 	for b := 0; b < 12; b++ {
 		c := conns[b%3]
-		tr2.Packets = append(tr2.Packets, trace.Packet{
+		tr2.Append(trace.Packet{
 			Time: sim.Time(sim.Duration(b) * sim.Second),
 			Size: 1000, Src: uint16(c[0]), Dst: uint16(c[1]),
 		})

@@ -46,14 +46,13 @@ func BenchmarkCharacterizeManyPairs(b *testing.B) {
 func BenchmarkCharacterizeSmallPackets(b *testing.B) {
 	const hosts, packets = 4, 1_500_000
 	tr := trace.New()
-	tr.Packets = make([]trace.Packet, packets)
-	for i := range tr.Packets {
+	for i := range packets {
 		src := i % hosts
-		tr.Packets[i] = trace.Packet{
+		tr.Append(trace.Packet{
 			Time: sim.Time(i) * sim.Time(60*sim.Microsecond), Size: 75,
 			Src: uint16(src), Dst: uint16((src + 1 + i/hosts%(hosts-1)) % hosts),
 			Proto: ethernet.ProtoTCP, Flags: ethernet.FlagData,
-		}
+		})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

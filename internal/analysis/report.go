@@ -56,14 +56,14 @@ const CorrelationBin = 250 * sim.Millisecond
 // the phase-coincidence statistic.
 const CoincidenceGap = 100 * sim.Millisecond
 
-// CharacterizeTrace computes the full report for a materialized trace
-// by replaying its packets, in order, through the StreamCharacterizer a
-// live run folds into — the one implementation of the Report.
+// CharacterizeTrace computes the full report for a retained trace
+// by folding its chunks, in order, into the StreamCharacterizer a live
+// run folds into — the one implementation of the Report.
 // repConn is the program's representative connection, or (-1, -1).
 func CharacterizeTrace(tr *trace.Trace, program string, repConn [2]int) *Report {
 	sc := NewStreamCharacterizer(program, repConn)
-	for _, p := range tr.Packets {
-		sc.Observe(p)
+	for _, ch := range tr.Chunks() {
+		sc.Fold(ch)
 	}
 	return sc.Report()
 }

@@ -3,7 +3,7 @@
 // and folds every captured packet into windowed aggregates during the
 // simulation, so an analysis-only run never materializes the packet
 // trace; a trace.Reader feeds it one decoded packet at a time through
-// Observe, and CharacterizeTrace replays a materialized trace through
+// Observe, and CharacterizeTrace folds a retained trace's chunks into
 // it. Memory is O(windows + connections), not O(packets).
 //
 // The fold is a function of the packet sequence alone: chunk boundaries,

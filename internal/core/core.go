@@ -208,6 +208,10 @@ func Validate(cfg RunConfig) error {
 	return err
 }
 
+// finiteRate reports whether a rate field holds a usable value: finite
+// and non-negative, 0 selecting the default. Written so NaN fails too.
+func finiteRate(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+
 // validate is the one place this package refuses a configuration:
 // malformed input first, then the refusal table (DESIGN.md §13), keyed
 // on what the builder can observe — the medium kind and the partition
@@ -231,6 +235,14 @@ func validate(cfg RunConfig) (*faults.Schedule, error) {
 	}
 	if !(cfg.FrameLossProb >= 0 && cfg.FrameLossProb < 1) { // written so NaN fails too
 		return nil, fmt.Errorf("core: FrameLossProb %g outside [0,1)", cfg.FrameLossProb)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"BitRate", cfg.BitRate}, {"CrossTrafficKBps", cfg.CrossTrafficKBps}} {
+		if !finiteRate(f.v) {
+			return nil, fmt.Errorf("core: %s %g is not a finite non-negative rate", f.name, f.v)
+		}
 	}
 	schedule, err := faults.Parse(cfg.FaultScript)
 	if err != nil {
@@ -386,7 +398,7 @@ func run(cfg RunConfig, stream bool, opts RunOpts) (*Result, *Report, error) {
 		// pvm.DistributeExits). One partition keeps the exact count.
 		machine.DistributeExits(len(fab.parts),
 			func(hostIndex int) int { return fab.segOf[hostIndex] },
-			func(src, dst int, fn func()) { fab.send(src, dst, "pvm.exit", fn) })
+			func(src, dst int, fn func()) { fab.send(src, dst, "pvm.exit", func(any) { fn() }, nil) })
 	}
 
 	team := launchTeam(cfg, machine, p)
@@ -629,7 +641,7 @@ func buildCost(cfg RunConfig, spec kernels.Spec, isKernel bool) fx.CostModel {
 type Report = analysis.Report
 
 // Characterize computes the full report for a run that retained its
-// trace, by replaying the trace through the fold a stream run feeds live
+// trace, by folding the trace's chunks into the fold a stream run feeds live
 // — so it equals the report RunStream returns for the same configuration
 // bit for bit.
 func Characterize(res *Result) *Report {

@@ -100,11 +100,18 @@ func TestAirshedParamsValidated(t *testing.T) {
 	}
 }
 
+// oneSegment is a one-segment topology holding the default four hosts
+// at the given bit rate.
+func oneSegment(bitRate float64) *Topology {
+	return &Topology{Segments: []TopoSegment{{Name: "lan0", Hosts: []int{0, 1, 2, 3}, BitRate: bitRate}}}
+}
+
 // A fault script naming a host the run does not have, or a wire fault on
 // a switched fabric, is refused by Validate with the message faults.Apply
 // gave once the fabric was built — so a front end never accepts (and
 // fxnetd never journals) a job that can only fail. So is a negative size:
-// P < 0 and N < 0 used to panic in makeslice, Iters < 0 to run nothing.
+// P < 0 and N < 0 used to panic in makeslice, Iters < 0 to run nothing;
+// and so is a rate that is negative, NaN or infinite.
 func TestFaultScriptValidated(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -125,6 +132,19 @@ func TestFaultScriptValidated(t *testing.T) {
 		{"negative P", RunConfig{P: -1}, "core: P -1 is negative (0 selects the paper's default)"},
 		{"negative N", RunConfig{Params: kernels.Params{N: -5, Iters: 2}}, "core: N -5 is negative (0 selects the paper's default)"},
 		{"negative Iters", RunConfig{Params: kernels.Params{N: 16, Iters: -2}}, "core: Iters -2 is negative (0 selects the paper's default)"},
+		// A rate is refused by name unless finite and non-negative: BitRate
+		// -5 used to run at the 10 Mb/s default, and NaN passed a "< 0" check.
+		{"negative BitRate", RunConfig{BitRate: -5}, "core: BitRate -5 is not a finite non-negative rate"},
+		{"NaN BitRate", RunConfig{BitRate: math.NaN()}, "core: BitRate NaN is not a finite non-negative rate"},
+		{"+Inf BitRate", RunConfig{BitRate: math.Inf(1)}, "core: BitRate +Inf is not a finite non-negative rate"},
+		{"-Inf BitRate", RunConfig{BitRate: math.Inf(-1)}, "core: BitRate -Inf is not a finite non-negative rate"},
+		{"negative CrossTrafficKBps", RunConfig{CrossTrafficKBps: -1}, "core: CrossTrafficKBps -1 is not a finite non-negative rate"},
+		{"NaN CrossTrafficKBps", RunConfig{CrossTrafficKBps: math.NaN()}, "core: CrossTrafficKBps NaN is not a finite non-negative rate"},
+		{"+Inf CrossTrafficKBps", RunConfig{CrossTrafficKBps: math.Inf(1)}, "core: CrossTrafficKBps +Inf is not a finite non-negative rate"},
+		{"negative segment BitRate", RunConfig{Topology: oneSegment(-1)}, `core: segment "lan0" bit rate -1 is not a finite non-negative rate`},
+		{"NaN segment BitRate", RunConfig{Topology: oneSegment(math.NaN())}, `core: segment "lan0" bit rate NaN is not a finite non-negative rate`},
+		{"+Inf segment BitRate", RunConfig{Topology: oneSegment(math.Inf(1))}, `core: segment "lan0" bit rate +Inf is not a finite non-negative rate`},
+		{"finite rates", RunConfig{BitRate: 20e6, Topology: oneSegment(40e6)}, ""},
 	} {
 		cfg := tc.cfg
 		cfg.Program, cfg.Seed = "sor", 1
@@ -154,8 +174,8 @@ func TestDeterministicRuns(t *testing.T) {
 	if a.Trace.Len() != b.Trace.Len() || a.Elapsed != b.Elapsed {
 		t.Fatalf("nondeterministic: %d/%v vs %d/%v", a.Trace.Len(), a.Elapsed, b.Trace.Len(), b.Elapsed)
 	}
-	for i := range a.Trace.Packets {
-		if a.Trace.Packets[i] != b.Trace.Packets[i] {
+	for i := range a.Trace.Len() {
+		if a.Trace.At(i) != b.Trace.At(i) {
 			t.Fatalf("trace diverges at packet %d", i)
 		}
 	}
@@ -170,8 +190,8 @@ func TestSeedChangesTrace(t *testing.T) {
 	}
 	// Elapsed virtual time is quantized by the final daemon keepalive
 	// tick, so compare the last packet timestamps instead.
-	lastA := a.Trace.Packets[a.Trace.Len()-1].Time
-	lastB := b.Trace.Packets[b.Trace.Len()-1].Time
+	lastA := a.Trace.At(a.Trace.Len() - 1).Time
+	lastB := b.Trace.At(b.Trace.Len() - 1).Time
 	if lastA == lastB {
 		t.Error("different seeds produced identical traces (jitter not applied?)")
 	}

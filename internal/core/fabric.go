@@ -94,6 +94,16 @@ func (f *fabric) bridge(topo *Topology, p int) {
 	f.segOf = topo.segmentOf()
 	f.capBuf = make([][]ethernet.Capture, n)
 	bridges := make([]*ethernet.Bridge, n)
+	// relay[i][d] hands a frame from segment i to bridge d: bound once per
+	// trunk direction, so a relayed frame travels as the engine message's
+	// argument and allocates no closure of its own.
+	relay := make([][]func(any), n)
+	for i := range relay {
+		relay[i] = make([]func(any), n)
+		for d := range relay[i] {
+			relay[i][d] = func(fr any) { bridges[d].DeliverFromTrunk(i, fr.(*ethernet.Frame)) }
+		}
+	}
 	for i, seg := range f.segs {
 		// Captures record only frames addressed into this segment
 		// (broadcasts always pass), so a frame relayed across several
@@ -105,19 +115,19 @@ func (f *fabric) bridge(topo *Topology, p int) {
 		})
 		seg.Tap(func(c ethernet.Capture) { f.capBuf[i] = append(f.capBuf[i], c) })
 		bridges[i] = ethernet.NewBridge(seg, i, n, p, func(dstSeg int, fr *ethernet.Frame) {
-			f.send(i, dstSeg, "trunk", func() { bridges[dstSeg].DeliverFromTrunk(i, fr) })
+			f.send(i, dstSeg, "trunk", relay[i][dstSeg], fr)
 		})
 	}
 	f.eng.OnBarrier(f.mergeCaptures)
 }
 
-// send schedules fn on partition dst one trunk path after partition
+// send schedules fn(arg) on partition dst one trunk path after partition
 // src's present. The path is the pair's lookahead (both trunk latencies),
 // so now + path ≥ window start + lookahead: exactly the conservative
 // contract the engine enforces.
-func (f *fabric) send(src, dst int, name string, fn func()) {
+func (f *fabric) send(src, dst int, name string, fn func(any), arg any) {
 	at := f.parts[src].Now().Add(f.eng.Lookahead(src, dst))
-	f.eng.Send(src, dst, at, name, fn)
+	f.eng.SendArg(src, dst, at, name, fn, arg)
 }
 
 // attach creates the station with address id and returns its partition's

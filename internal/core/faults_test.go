@@ -38,10 +38,10 @@ func dataEnd(t *testing.T, tr *trace.Trace) sim.Time {
 	data := tr.Filter(func(p trace.Packet) bool {
 		return p.Proto == ethernet.ProtoTCP && p.Flags&ethernet.FlagData != 0
 	})
-	if len(data.Packets) == 0 {
+	if data.Len() == 0 {
 		t.Fatal("trace has no data packets")
 	}
-	return data.Packets[len(data.Packets)-1].Time
+	return data.At(data.Len() - 1).Time
 }
 
 // crashSilence reports the first frame a crashed host started between its

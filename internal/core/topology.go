@@ -148,8 +148,8 @@ func (t *Topology) Validate() error {
 			seen[h] = s.Name
 			total++
 		}
-		if s.BitRate < 0 {
-			return fmt.Errorf("core: segment %q has negative bit rate", s.Name)
+		if !finiteRate(s.BitRate) {
+			return fmt.Errorf("core: segment %q bit rate %g is not a finite non-negative rate", s.Name, s.BitRate)
 		}
 		if s.TrunkLatency < 0 {
 			return fmt.Errorf("core: segment %q has negative trunk latency", s.Name)

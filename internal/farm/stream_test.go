@@ -9,7 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"fxnet/internal/analysis"
 	"fxnet/internal/core"
+	"fxnet/internal/trace"
 )
 
 // streamBitsMatch compares the fields of a stream report that must be
@@ -235,5 +237,45 @@ func TestStreamReportIndependentOfCacheState(t *testing.T) {
 					len(cold), len(warm), coldRep.AggSize.SD, warmRep.AggSize.SD)
 			}
 		})
+	}
+}
+
+// TestDecodedTraceReportMatchesLiveStream: the characterization a trace
+// run's file yields — encoded, decoded into chunks, folded chunk by
+// chunk by CharacterizeTrace — marshals to the bytes of the Report the
+// stream run of the same -quick configuration folded live.
+func TestDecodedTraceReportMatchesLiveStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two -quick programs twice")
+	}
+	for _, name := range []string{"seq", "airshed"} {
+		cfg := core.QuickConfig(name, 0, 42)
+		res, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc bytes.Buffer
+		if err := res.Trace.WriteBinary(&enc); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := trace.ReadBinary(&enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay, err := MarshalReport(analysis.CharacterizeTrace(decoded, name, res.RepConn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, liveRep, err := core.RunStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, err := MarshalReport(liveRep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(replay, live) {
+			t.Errorf("%s: decoded-trace report (%d bytes) differs from the live stream report (%d bytes)", name, len(replay), len(live))
+		}
 	}
 }

@@ -104,7 +104,7 @@ func emitFrameBytes(tr *trace.Trace, at sim.Time, bytes, pktPayload, src, dst in
 			payload = bytes
 		}
 		bytes -= payload
-		tr.Packets = append(tr.Packets, trace.Packet{
+		tr.Append(trace.Packet{
 			Time:  at.Add(sim.Duration(off) * perPacket),
 			Size:  uint16(payload + 58),
 			Src:   trace.MustAddr(src),
@@ -155,8 +155,7 @@ func (c OnOffConfig) withDefaults() OnOffConfig {
 // GenerateOnOff synthesizes superposed heavy-tailed on/off traffic.
 func GenerateOnOff(cfg OnOffConfig, duration sim.Duration, seed int64) *trace.Trace {
 	cfg = cfg.withDefaults()
-	tr := trace.New()
-	tr.Meta["generator"] = "pareto-onoff"
+	var pkts []trace.Packet
 	for s := 0; s < cfg.Sources; s++ {
 		rng := rand.New(rand.NewSource(seed + int64(s)*7919))
 		pareto := func() float64 {
@@ -171,7 +170,7 @@ func GenerateOnOff(cfg OnOffConfig, duration sim.Duration, seed int64) *trace.Tr
 			period := sim.DurationOf(pareto())
 			if on {
 				for pt := t; pt < t.Add(period) && pt < sim.Time(duration); pt = pt.Add(perPacket) {
-					tr.Packets = append(tr.Packets, trace.Packet{
+					pkts = append(pkts, trace.Packet{
 						Time: pt, Size: uint16(cfg.PacketBytes + 58),
 						Src: uint16(s % 4), Dst: uint16((s + 1) % 4),
 						Proto: ethernet.ProtoUDP, Flags: ethernet.FlagData,
@@ -182,13 +181,9 @@ func GenerateOnOff(cfg OnOffConfig, duration sim.Duration, seed int64) *trace.Tr
 			on = !on
 		}
 	}
-	sortByTime(tr)
+	// Merge the per-source streams chronologically.
+	sort.Slice(pkts, func(i, j int) bool { return pkts[i].Time < pkts[j].Time })
+	tr := trace.FromPackets(pkts)
+	tr.Meta["generator"] = "pareto-onoff"
 	return tr
-}
-
-// sortByTime orders the merged per-source streams chronologically.
-func sortByTime(tr *trace.Trace) {
-	sort.Slice(tr.Packets, func(i, j int) bool {
-		return tr.Packets[i].Time < tr.Packets[j].Time
-	})
 }

@@ -175,7 +175,7 @@ func (m *BandwidthModel) GenerateTrace(duration sim.Duration, bin sim.Duration, 
 		carry = bytes - float64(n*pktSize)
 		for i := 0; i < n; i++ {
 			off := sim.Duration(float64(bin) * (float64(i) + 0.5) / float64(n))
-			tr.Packets = append(tr.Packets, trace.Packet{
+			tr.Append(trace.Packet{
 				Time: t0.Add(off), Size: uint16(pktSize),
 				Src: srcAddr, Dst: dstAddr,
 				Proto: ethernet.ProtoTCP, Flags: ethernet.FlagData,

@@ -180,6 +180,50 @@ func TestSubmitUnrunnableFaultScriptLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// A rate that is negative, NaN or infinite is a 400 naming the field,
+// and nothing is journaled: a negative bit rate used to run at the
+// 10 Mb/s default, and a NaN segment rate passed the "< 0" check. JSON
+// has no NaN or Inf, but the topology spec's "@Mb/s" parses both.
+func TestSubmitBadRateLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := journaledServer(t, dir, Options{Workers: 1})
+	journalSize := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, "journal.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := journalSize()
+	for _, tc := range []struct {
+		mutate func(*RunRequest)
+		want   string
+	}{
+		{func(r *RunRequest) { r.BitRate = -5 }, "core: BitRate -5 is not a finite non-negative rate"},
+		{func(r *RunRequest) { r.CrossKBps = -1 }, "core: CrossTrafficKBps -1 is not a finite non-negative rate"},
+		{func(r *RunRequest) { r.Topology = "lan0:0-3@NaN" }, `bad topology: core: segment "lan0" bit rate NaN is not a finite non-negative rate`},
+		{func(r *RunRequest) { r.Topology = "lan0:0-3@Inf" }, `bad topology: core: segment "lan0" bit rate +Inf is not a finite non-negative rate`},
+	} {
+		req := cheapRun()
+		tc.mutate(&req)
+		var e map[string]string
+		if code := doJSON(t, "POST", ts.URL+"/v1/runs", req, &e); code != http.StatusBadRequest {
+			t.Errorf("%+v: HTTP %d, want 400", req, code)
+		}
+		if e["error"] != tc.want {
+			t.Errorf("%+v: error %q, want %q", req, e["error"], tc.want)
+		}
+	}
+	for state, n := range s.jobs.counts() {
+		if n != 0 {
+			t.Errorf("%d %s job(s) after refused submits", n, state)
+		}
+	}
+	if after := journalSize(); after != before {
+		t.Errorf("journal grew %d → %d bytes on refused submits", before, after)
+	}
+}
+
 // The tentpole invariant: every job acknowledged with a 202 before a
 // crash reaches done after restart, and the recomputed (or cache-served)
 // trace is byte-identical to what the pre-crash server would have

@@ -58,15 +58,14 @@ func streamTraceNDJSON(w http.ResponseWriter, tr *trace.Trace) error {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	bw := bufio.NewWriterSize(w, 1<<16)
 	enc := json.NewEncoder(bw)
-	head := traceHeaderJSON{Hosts: tr.Hosts, Meta: tr.Meta, Packets: len(tr.Packets)}
+	head := traceHeaderJSON{Hosts: tr.Hosts, Meta: tr.Meta, Packets: tr.Len()}
 	for _, m := range tr.Marks {
 		head.Marks = append(head.Marks, traceMarkJSON{T: m.Time.Seconds(), Label: m.Label})
 	}
 	if err := enc.Encode(head); err != nil {
 		return err
 	}
-	for i := range tr.Packets {
-		p := &tr.Packets[i]
+	for i, p := range tr.Packets {
 		if err := enc.Encode(tracePacketJSON{
 			T:     p.Time.Seconds(),
 			Size:  int(p.Size),

@@ -200,8 +200,12 @@ func pearson(sab, saa, sbb float64) float64 {
 // m-aggregated means of a self-similar process scales as m^(2H−2). The
 // slope β of log Var against log m gives H = 1 + β/2. Short-range-
 // dependent traffic yields H ≈ 0.5; the self-similar LAN/video traffic of
-// the QoS literature yields H in (0.7, 0.95); strongly periodic series
-// fall below 0.5. Returns 0.5 when the series is too short or constant.
+// the QoS literature yields H in (0.7, 0.95). A strongly periodic series
+// falls below 0.5 only once the record spans many periods, so that the
+// largest scales average whole periods away; over a few periods it
+// reads between the two (the 2DFFT's 10 ms bandwidth, period 2.28 s,
+// reads 0.61–0.67). Returns 0.5 when the series is too short or
+// constant.
 func HurstAggVar(series []float64, scales []int) float64 {
 	if len(scales) == 0 {
 		// Default: octave scales while at least 8 blocks remain, so slow

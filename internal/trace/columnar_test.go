@@ -24,7 +24,9 @@ type recordingSink struct {
 
 func (s *recordingSink) Fold(ch *Chunk) {
 	s.folds++
-	s.packets = ch.appendTo(s.packets)
+	for i := range ch.Len() {
+		s.packets = append(s.packets, ch.Packet(i))
+	}
 }
 
 // drive pushes n synthetic packets through a collector's record path.
@@ -57,16 +59,16 @@ func TestSinkSeesEveryPacketOnce(t *testing.T) {
 			}
 			tr := c.Trace()
 			if retain {
-				if len(tr.Packets) != n {
-					t.Fatalf("retain n=%d: trace has %d packets", n, len(tr.Packets))
+				if tr.Len() != n {
+					t.Fatalf("retain n=%d: trace has %d packets", n, tr.Len())
 				}
-				for i := range tr.Packets {
-					if tr.Packets[i] != sink.packets[i] {
+				for i := range tr.Len() {
+					if tr.At(i) != sink.packets[i] {
 						t.Fatalf("retain n=%d: trace/sink disagree at %d", n, i)
 					}
 				}
-			} else if len(tr.Packets) != 0 {
-				t.Fatalf("streaming n=%d: trace retained %d packets", n, len(tr.Packets))
+			} else if tr.Len() != 0 {
+				t.Fatalf("streaming n=%d: trace retained %d packets", n, tr.Len())
 			}
 		}
 	}
@@ -81,8 +83,8 @@ func TestStreamingReusesOneChunk(t *testing.T) {
 	sink := &countingSink{}
 	c.AddSink(sink)
 	drive(c, 5*collectorChunk+3)
-	if len(c.chunks) != 0 {
-		t.Fatalf("streaming collector retained %d chunks", len(c.chunks))
+	if n := len(c.Trace().Chunks()); n != 0 {
+		t.Fatalf("streaming collector retained %d chunks", n)
 	}
 	if got := cap(c.cur.Time); got != collectorChunk {
 		t.Fatalf("current chunk capacity %d, want %d", got, collectorChunk)

@@ -11,10 +11,8 @@ func markedTrace() *Trace {
 	tr := New()
 	tr.Hosts = []string{"a", "b"}
 	tr.Meta["program"] = "sor"
-	tr.Packets = []Packet{
-		{Time: sim.Time(1 * sim.Second), Size: 100, Src: 0, Dst: 1, Proto: 1},
-		{Time: sim.Time(6 * sim.Second), Size: 200, Src: 1, Dst: 0, Proto: 1},
-	}
+	tr.Append(Packet{Time: sim.Time(1 * sim.Second), Size: 100, Src: 0, Dst: 1, Proto: 1})
+	tr.Append(Packet{Time: sim.Time(6 * sim.Second), Size: 200, Src: 1, Dst: 0, Proto: 1})
 	tr.AddMark(sim.Time(5*sim.Second), "5s:linkdown host1")
 	tr.AddMark(sim.Time(7*sim.Second), "7s:linkup host1")
 	return tr

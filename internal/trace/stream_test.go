@@ -3,12 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"fxnet/internal/ethernet"
 	"fxnet/internal/sim"
@@ -29,25 +29,6 @@ func synthPacket(i int) Packet {
 	}
 }
 
-// captureThroughCollector drives n packets through the collector's
-// chunked record path, so the resulting trace has crossed the columnar
-// chunk boundary the same way a live capture does.
-func captureThroughCollector(n int) *Trace {
-	c := NewCollector()
-	for i := 0; i < n; i++ {
-		p := synthPacket(i)
-		c.record(ethernet.Capture{
-			Time: p.Time, Size: int(p.Size), Src: int(p.Src), Dst: int(p.Dst),
-			Proto: p.Proto, Flags: p.Flags, SrcPort: p.SrcPort, DstPort: p.DstPort,
-		})
-	}
-	t := c.Trace()
-	t.Hosts = []string{"alpha0", "alpha1"}
-	t.Meta["program"] = "synthetic"
-	t.AddMark(sim.Time(5), "mark-a")
-	return t
-}
-
 // fragmentedReader returns data in fixed odd-sized fragments, so packet
 // records straddle every read boundary.
 type fragmentedReader struct {
@@ -63,48 +44,6 @@ func (r *fragmentedReader) Read(p []byte) (int, error) {
 	copy(p, r.data[:n])
 	r.data = r.data[n:]
 	return n, nil
-}
-
-// TestReaderRoundTripChunkBoundaries round-trips traces whose lengths
-// bracket the collector's chunk size through WriteBinary and the
-// streaming Reader, delivering the bytes in 7-byte fragments so records
-// straddle both the columnar chunk boundary and every read boundary.
-func TestReaderRoundTripChunkBoundaries(t *testing.T) {
-	for _, n := range []int{0, 1, collectorChunk - 1, collectorChunk, collectorChunk + 1, 2*collectorChunk + 3} {
-		tr := captureThroughCollector(n)
-		if len(tr.Packets) != n {
-			t.Fatalf("n=%d: collector produced %d packets", n, len(tr.Packets))
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteBinary(&buf); err != nil {
-			t.Fatalf("n=%d: write: %v", n, err)
-		}
-		rd, err := NewReader(&fragmentedReader{data: buf.Bytes(), frag: 7})
-		if err != nil {
-			t.Fatalf("n=%d: NewReader: %v", n, err)
-		}
-		if rd.Len() != n {
-			t.Fatalf("n=%d: reader declares %d packets", n, rd.Len())
-		}
-		if len(rd.Hosts()) != 2 || rd.Meta()["program"] != "synthetic" {
-			t.Fatalf("n=%d: header mangled: hosts=%v meta=%v", n, rd.Hosts(), rd.Meta())
-		}
-		if len(rd.Marks()) != 1 || rd.Marks()[0].Label != "mark-a" {
-			t.Fatalf("n=%d: marks mangled: %v", n, rd.Marks())
-		}
-		var p Packet
-		for i := 0; i < n; i++ {
-			if err := rd.Next(&p); err != nil {
-				t.Fatalf("n=%d: Next(%d): %v", n, i, err)
-			}
-			if p != tr.Packets[i] {
-				t.Fatalf("n=%d: packet %d mismatch: got %+v want %+v", n, i, p, tr.Packets[i])
-			}
-		}
-		if err := rd.Next(&p); err != io.EOF {
-			t.Fatalf("n=%d: Next past end: %v, want io.EOF", n, err)
-		}
-	}
 }
 
 // writeV1 encodes a trace exactly as the pre-widening codec did: the
@@ -135,10 +74,10 @@ func writeV1(t testing.TB, tr *Trace) []byte {
 		writeStr(k)
 		writeStr(meta[k])
 	}
-	binary.Write(&buf, binary.LittleEndian, uint64(len(tr.Packets)))
+	binary.Write(&buf, binary.LittleEndian, uint64(tr.Len()))
 	var rec [18]byte
-	for i := range tr.Packets {
-		p := &tr.Packets[i]
+	for i := range tr.Len() {
+		p := tr.At(i)
 		binary.LittleEndian.PutUint64(rec[0:], uint64(int64(p.Time)))
 		binary.LittleEndian.PutUint16(rec[8:], p.Size)
 		rec[10] = uint8(p.Src)
@@ -157,8 +96,8 @@ func writeV1(t testing.TB, tr *Trace) []byte {
 // must encode to the exact bytes the old codec wrote. This is the
 // golden-digest compatibility contract of the versioned codec.
 func TestNarrowEncodeMatchesV1ByteForByte(t *testing.T) {
-	tr := captureThroughCollector(2*collectorChunk + 7)
-	tr.Packets = append(tr.Packets, Packet{Time: sim.Time(1 << 40), Size: 60, Src: 3, Dst: Broadcast})
+	tr := chunkTrace(2*collectorChunk+7, false)
+	tr.Append(Packet{Time: sim.Time(1 << 40), Size: 60, Src: 3, Dst: Broadcast})
 	var buf bytes.Buffer
 	if err := tr.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
@@ -172,21 +111,21 @@ func TestNarrowEncodeMatchesV1ByteForByte(t *testing.T) {
 // through the versioned reader, with the 0xFF destination surfacing as
 // the widened Broadcast address.
 func TestV1StreamDecodes(t *testing.T) {
-	tr := captureThroughCollector(12)
-	tr.Packets = append(tr.Packets, Packet{Time: sim.Time(1 << 40), Size: 60, Src: 3, Dst: Broadcast})
+	tr := chunkTrace(12, false)
+	tr.Append(Packet{Time: sim.Time(1 << 40), Size: 60, Src: 3, Dst: Broadcast})
 	got, err := ReadBinary(bytes.NewReader(writeV1(t, tr)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Packets) != len(tr.Packets) {
-		t.Fatalf("decoded %d packets, want %d", len(got.Packets), len(tr.Packets))
+	if got.Len() != tr.Len() {
+		t.Fatalf("decoded %d packets, want %d", got.Len(), tr.Len())
 	}
-	for i := range got.Packets {
-		if got.Packets[i] != tr.Packets[i] {
-			t.Fatalf("packet %d: got %+v want %+v", i, got.Packets[i], tr.Packets[i])
+	for i := range got.Len() {
+		if got.At(i) != tr.At(i) {
+			t.Fatalf("packet %d: got %+v want %+v", i, got.At(i), tr.At(i))
 		}
 	}
-	if got.Packets[len(got.Packets)-1].Dst != Broadcast {
+	if got.At(got.Len()-1).Dst != Broadcast {
 		t.Fatal("v1 broadcast byte did not widen to Broadcast")
 	}
 }
@@ -206,7 +145,7 @@ func TestWideAddressRoundTrip(t *testing.T) {
 		if i%97 == 0 {
 			p.Dst = Broadcast
 		}
-		tr.Packets = append(tr.Packets, p)
+		tr.Append(p)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteBinary(&buf); err != nil {
@@ -220,12 +159,12 @@ func TestWideAddressRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var p Packet
-	for i := range tr.Packets {
+	for i := range tr.Len() {
 		if err := rd.Next(&p); err != nil {
 			t.Fatalf("Next(%d): %v", i, err)
 		}
-		if p != tr.Packets[i] {
-			t.Fatalf("packet %d: got %+v want %+v", i, p, tr.Packets[i])
+		if p != tr.At(i) {
+			t.Fatalf("packet %d: got %+v want %+v", i, p, tr.At(i))
 		}
 	}
 	if err := rd.Next(&p); err != io.EOF {
@@ -235,11 +174,11 @@ func TestWideAddressRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Packets) != len(tr.Packets) {
-		t.Fatalf("ReadBinary: %d packets, want %d", len(got.Packets), len(tr.Packets))
+	if got.Len() != tr.Len() {
+		t.Fatalf("ReadBinary: %d packets, want %d", got.Len(), tr.Len())
 	}
-	for i := range got.Packets {
-		if got.Packets[i] != tr.Packets[i] {
+	for i := range got.Len() {
+		if got.At(i) != tr.At(i) {
 			t.Fatalf("ReadBinary packet %d mismatch", i)
 		}
 	}
@@ -256,7 +195,7 @@ func TestReaderNextAllocatesNothing(t *testing.T) {
 			if wide {
 				p.Src = 500
 			}
-			tr.Packets = append(tr.Packets, p)
+			tr.Append(p)
 		}
 		var buf bytes.Buffer
 		if err := tr.WriteBinary(&buf); err != nil {
@@ -288,7 +227,7 @@ func TestReaderTruncationWide(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p := synthPacket(i)
 		p.Src = 500
-		tr.Packets = append(tr.Packets, p)
+		tr.Append(p)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteBinary(&buf); err != nil {
@@ -314,7 +253,7 @@ func TestReaderTruncationWide(t *testing.T) {
 // TestReaderTruncation: a stream that ends mid-record must surface
 // io.ErrUnexpectedEOF, not a silent short trace.
 func TestReaderTruncation(t *testing.T) {
-	tr := captureThroughCollector(10)
+	tr := chunkTrace(10, false)
 	var buf bytes.Buffer
 	if err := tr.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
@@ -339,7 +278,7 @@ func TestReaderTruncation(t *testing.T) {
 // TestReadBinaryMatchesReader: the materializing decoder is a thin loop
 // over the streaming one; the two must agree exactly.
 func TestReadBinaryMatchesReader(t *testing.T) {
-	tr := captureThroughCollector(collectorChunk + 5)
+	tr := chunkTrace(collectorChunk+5, false)
 	var buf bytes.Buffer
 	if err := tr.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
@@ -348,11 +287,11 @@ func TestReadBinaryMatchesReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Packets) != len(tr.Packets) {
-		t.Fatalf("ReadBinary produced %d packets, want %d", len(got.Packets), len(tr.Packets))
+	if got.Len() != tr.Len() {
+		t.Fatalf("ReadBinary produced %d packets, want %d", got.Len(), tr.Len())
 	}
-	for i := range got.Packets {
-		if got.Packets[i] != tr.Packets[i] {
+	for i := range got.Len() {
+		if got.At(i) != tr.At(i) {
 			t.Fatalf("packet %d mismatch", i)
 		}
 	}
@@ -361,18 +300,16 @@ func TestReadBinaryMatchesReader(t *testing.T) {
 	}
 }
 
-// TestReadBinaryAllocationBound: decoding a trace past the
-// preallocation bound costs one regrowth to the declared count, not
-// append's chain of 1.25× copies, which at this size (wire_seq decodes
-// 1.47 M packets) allocate about 2.7× the final slice.
+// TestReadBinaryAllocationBound: decoding allocates the trace's chunks
+// and one block buffer, nothing else — no slice regrown on the way, no
+// per-packet row beside the columns (wire_seq decodes 1.47 M packets).
 func TestReadBinaryAllocationBound(t *testing.T) {
 	const n = 1_500_000
 	var buf bytes.Buffer
 	func() {
 		tr := New()
-		tr.Packets = make([]Packet, n)
-		for i := range tr.Packets {
-			tr.Packets[i] = synthPacket(i)
+		for i := range n {
+			tr.Append(synthPacket(i))
 		}
 		if err := tr.WriteBinary(&buf); err != nil {
 			t.Fatal(err)
@@ -385,12 +322,13 @@ func TestReadBinaryAllocationBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Packets) != n || got.Packets[n-1] != synthPacket(n-1) {
-		t.Fatalf("decoded %d packets, want %d intact", len(got.Packets), n)
+	if got.Len() != n || got.At(n-1) != synthPacket(n-1) {
+		t.Fatalf("decoded %d packets, want %d intact", got.Len(), n)
 	}
-	limit := 2 * n * uint64(unsafe.Sizeof(Packet{}))
+	const row = 8 + 2 + 2 + 2 + 1 + 1 + 2 + 2 // one packet across the eight columns
+	limit := uint64(n*row + collectorChunk*packetRecBytes + 1<<16)
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
-		t.Errorf("ReadBinary of %d packets allocated %d bytes, want ≤ %d (2 × N × sizeof(Packet))", n, alloc, limit)
+		t.Errorf("ReadBinary of %d packets allocated %d bytes, want ≤ %d (N × %d B of columns + one block)", n, alloc, limit, row)
 	}
 }
 
@@ -404,14 +342,20 @@ func TestTimeGoesBackwards(t *testing.T) {
 	at := func(times ...int64) *Trace {
 		tr := New()
 		for _, ns := range times {
-			tr.Packets = append(tr.Packets, Packet{Time: sim.Time(ns), Size: 100, Src: 0, Dst: 1, Proto: ethernet.ProtoTCP})
+			tr.Append(Packet{Time: sim.Time(ns), Size: 100, Src: 0, Dst: 1, Proto: ethernet.ProtoTCP})
 		}
 		return tr
 	}
 	wide := func(tr *Trace) *Trace {
-		tr.Packets[0].Src = 1000
+		tr.chunks[0].Src[0] = 1000
 		return tr
 	}
+	// The first record of the second chunk dips below its predecessor.
+	ramp := make([]int64, collectorChunk+1)
+	for i := range ramp {
+		ramp[i] = int64(i)
+	}
+	ramp[collectorChunk] = collectorChunk - 2
 	for _, c := range []struct {
 		name    string
 		tr      *Trace
@@ -422,6 +366,7 @@ func TestTimeGoesBackwards(t *testing.T) {
 		{"negative start", at(-50, -20, 0, 7), ""},
 		{"equal", at(3, 3, 3), ""},
 		{"late dip", at(1, 2, 3, 4, 3), "record 5: time goes backwards"},
+		{"across a chunk boundary", wide(at(ramp...)), fmt.Sprintf("record %d: time goes backwards", collectorChunk+1)},
 	} {
 		var bin bytes.Buffer
 		if err := c.tr.WriteBinary(&bin); err != nil {
@@ -454,7 +399,7 @@ func TestTimeGoesBackwards(t *testing.T) {
 // accepts must re-encode to a trace that decodes identically (the
 // decoder is a function, not a guesser).
 func FuzzReader(f *testing.F) {
-	seedTrace := captureThroughCollector(20)
+	seedTrace := chunkTrace(20, false)
 	var seed bytes.Buffer
 	if err := seedTrace.WriteBinary(&seed); err != nil {
 		f.Fatal(err)
@@ -463,11 +408,11 @@ func FuzzReader(f *testing.F) {
 	// An old-codec stream with a broadcast record, a wide-record stream,
 	// and a wide stream truncated mid-record: the corpus spans both
 	// format versions and their failure edges.
-	v1Trace := captureThroughCollector(5)
-	v1Trace.Packets = append(v1Trace.Packets, Packet{Time: 1 << 20, Size: 60, Src: 1, Dst: Broadcast})
+	v1Trace := chunkTrace(5, false)
+	v1Trace.Append(Packet{Time: 1 << 20, Size: 60, Src: 1, Dst: Broadcast})
 	f.Add(writeV1(f, v1Trace))
-	wideTrace := captureThroughCollector(5)
-	wideTrace.Packets = append(wideTrace.Packets, Packet{Time: 1 << 20, Size: 60, Src: 1000, Dst: 2000})
+	wideTrace := chunkTrace(5, false)
+	wideTrace.Append(Packet{Time: 1 << 20, Size: 60, Src: 1000, Dst: 2000})
 	var wideSeed bytes.Buffer
 	if err := wideTrace.WriteBinary(&wideSeed); err != nil {
 		f.Fatal(err)
@@ -476,8 +421,8 @@ func FuzzReader(f *testing.F) {
 	f.Add(wideSeed.Bytes()[:wideSeed.Len()-packetRecBytesWide/2])
 	// A well-formed stream whose last record is stamped before the one
 	// ahead of it: the decoder must stop there with an error.
-	backTrace := captureThroughCollector(5)
-	backTrace.Packets = append(backTrace.Packets, Packet{Time: 99, Size: 60, Src: 1, Dst: 2})
+	backTrace := chunkTrace(5, false)
+	backTrace.Append(Packet{Time: 99, Size: 60, Src: 1, Dst: 2})
 	var backSeed bytes.Buffer
 	if err := backTrace.WriteBinary(&backSeed); err != nil {
 		f.Fatal(err)
@@ -505,10 +450,10 @@ func FuzzReader(f *testing.F) {
 				}
 				break
 			}
-			if n := len(first.Packets); n > 0 && p.Time < first.Packets[n-1].Time {
-				t.Fatalf("record %d accepted at %v, before its predecessor at %v", n+1, p.Time, first.Packets[n-1].Time)
+			if n := first.Len(); n > 0 && p.Time < first.At(n-1).Time {
+				t.Fatalf("record %d accepted at %v, before its predecessor at %v", n+1, p.Time, first.At(n-1).Time)
 			}
-			first.Packets = append(first.Packets, p)
+			first.Append(p)
 		}
 		// Accepted stream: must round-trip exactly.
 		var buf bytes.Buffer
@@ -519,13 +464,147 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of accepted stream failed: %v", err)
 		}
-		if len(second.Packets) != len(first.Packets) {
-			t.Fatalf("round-trip packet count %d != %d", len(second.Packets), len(first.Packets))
+		if second.Len() != first.Len() {
+			t.Fatalf("round-trip packet count %d != %d", second.Len(), first.Len())
 		}
-		for i := range second.Packets {
-			if second.Packets[i] != first.Packets[i] {
+		for i := range second.Len() {
+			if second.At(i) != first.At(i) {
 				t.Fatalf("round-trip packet %d mismatch", i)
 			}
 		}
 	})
 }
+
+// chunkTrace captures n synthetic packets through the collector's
+// chunked record path, as a live capture does: wide (addresses past a
+// byte, so the v2 record) or narrow.
+func chunkTrace(n int, wide bool) *Trace {
+	c := NewCollector()
+	for i := 0; i < n; i++ {
+		p := synthPacket(i)
+		if wide {
+			p.Src = uint16(1000 + i%1024)
+		}
+		c.record(captureOf(p))
+	}
+	t := c.Trace()
+	t.Hosts = []string{"alpha0", "alpha1"}
+	t.Meta["program"] = "synthetic"
+	t.AddMark(sim.Time(5), "mark-a")
+	return t
+}
+
+// growRecorder is a writer with bytes.Buffer's Grow; plainWriter hides
+// it, so WriteBinary cannot pre-size.
+type growRecorder struct {
+	bytes.Buffer
+	grows []int
+}
+
+func (g *growRecorder) Grow(n int) {
+	g.grows = append(g.grows, n)
+	g.Buffer.Grow(n)
+}
+
+type plainWriter struct{ w io.Writer }
+
+func (p plainWriter) Write(b []byte) (int, error) { return p.w.Write(b) }
+
+// TestReaderRoundTripChunkBoundaries: at every length that brackets a
+// chunk boundary, narrow and wide, the collector's chunks encode to the
+// same bytes through a pre-grown and a plain writer (grown once, to the
+// exact length), decode through ReadBinary into full chunks but the
+// last, and stream through Reader in 7-byte fragments, so records
+// straddle every read boundary, header and packets intact; the decoded
+// trace encodes back to the same bytes.
+func TestReaderRoundTripChunkBoundaries(t *testing.T) {
+	for _, wide := range []bool{false, true} {
+		for _, n := range []int{0, 1, collectorChunk - 1, collectorChunk, collectorChunk + 1, 2*collectorChunk + 3} {
+			tr := chunkTrace(n, wide)
+			var grown growRecorder
+			if err := tr.WriteBinary(&grown); err != nil {
+				t.Fatal(err)
+			}
+			var plain bytes.Buffer
+			if err := tr.WriteBinary(plainWriter{&plain}); err != nil {
+				t.Fatal(err)
+			}
+			enc := grown.Bytes()
+			if !bytes.Equal(enc, plain.Bytes()) {
+				t.Fatalf("wide=%v n=%d: pre-grown and plain writers disagree", wide, n)
+			}
+			if len(grown.grows) != 1 || grown.grows[0] != len(enc) {
+				t.Fatalf("wide=%v n=%d: Grow calls %v for %d encoded bytes", wide, n, grown.grows, len(enc))
+			}
+			if got := bytes.HasPrefix(enc, []byte(binaryMagicWide)); got != (wide && n > 0) { // no packet needs the wide record
+				t.Fatalf("wide=%v n=%d: magic %q", wide, n, enc[:8])
+			}
+
+			got, err := ReadBinary(bytes.NewReader(enc))
+			if err != nil {
+				t.Fatalf("wide=%v n=%d: ReadBinary: %v", wide, n, err)
+			}
+			chunks := got.Chunks()
+			if want := (n + collectorChunk - 1) / collectorChunk; len(chunks) != want {
+				t.Fatalf("wide=%v n=%d: decoded into %d chunks, want %d", wide, n, len(chunks), want)
+			}
+			for i, ch := range chunks[:max(len(chunks)-1, 0)] {
+				if ch.Len() != collectorChunk {
+					t.Fatalf("wide=%v n=%d: chunk %d holds %d packets, not full", wide, n, i, ch.Len())
+				}
+			}
+			rd, err := NewReader(&fragmentedReader{data: enc, frag: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rd.Len() != n || len(rd.Hosts()) != 2 || rd.Meta()["program"] != "synthetic" ||
+				len(rd.Marks()) != 1 || rd.Marks()[0].Label != "mark-a" {
+				t.Fatalf("wide=%v n=%d: header mangled: len=%d hosts=%v meta=%v marks=%v",
+					wide, n, rd.Len(), rd.Hosts(), rd.Meta(), rd.Marks())
+			}
+			var p Packet
+			for i, want := range tr.Packets {
+				if got.At(i) != want {
+					t.Fatalf("wide=%v n=%d: ReadBinary packet %d: %+v, want %+v", wide, n, i, got.At(i), want)
+				}
+				if err := rd.Next(&p); err != nil || p != want {
+					t.Fatalf("wide=%v n=%d: Next(%d) = %+v, %v; want %+v", wide, n, i, p, err, want)
+				}
+			}
+			if err := rd.Next(&p); err != io.EOF {
+				t.Fatalf("wide=%v n=%d: Next past end: %v", wide, n, err)
+			}
+			var again bytes.Buffer
+			if err := got.WriteBinary(&again); err != nil || !bytes.Equal(again.Bytes(), enc) {
+				t.Fatalf("wide=%v n=%d: decoded trace re-encodes differently (err %v)", wide, n, err)
+			}
+		}
+	}
+}
+
+// TestCollectorTraceHandsOverChunks: Trace allocates nothing — no
+// packet-sized buffer, no copy — and its chunks are the ones the
+// collector filled and its sinks folded.
+func TestCollectorTraceHandsOverChunks(t *testing.T) {
+	c := NewCollector()
+	var folded []*Chunk
+	c.AddSink(sinkFunc(func(ch *Chunk) { folded = append(folded, ch) }))
+	drive(c, 3*collectorChunk+17)
+	c.Flush()
+	if allocs := testing.AllocsPerRun(10, func() { c.Trace() }); allocs != 0 {
+		t.Errorf("Trace allocates %v objects, want 0", allocs)
+	}
+	chunks := c.Trace().Chunks()
+	if len(chunks) != len(folded) {
+		t.Fatalf("trace holds %d chunks, sinks folded %d", len(chunks), len(folded))
+	}
+	for i := range chunks {
+		if chunks[i] != folded[i] {
+			t.Errorf("chunk %d is a copy, not the collector's", i)
+		}
+	}
+}
+
+type sinkFunc func(*Chunk)
+
+func (f sinkFunc) Fold(ch *Chunk) { f(ch) }

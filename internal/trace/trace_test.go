@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,16 +19,15 @@ func pkt(tMs int, size int, src, dst int, proto ethernet.Proto, flags uint8) Pac
 }
 
 func sampleTrace() *Trace {
-	t := New()
-	t.Hosts = []string{"alpha0", "alpha1", "alpha2"}
-	t.Meta["program"] = "sor"
-	t.Packets = []Packet{
+	t := FromPackets([]Packet{
 		pkt(0, 1518, 0, 1, ethernet.ProtoTCP, ethernet.FlagData),
 		pkt(1, 58, 1, 0, ethernet.ProtoTCP, ethernet.FlagAck),
 		pkt(5, 90, 0, 2, ethernet.ProtoUDP, ethernet.FlagData),
 		pkt(12, 600, 2, 1, ethernet.ProtoTCP, ethernet.FlagData),
 		pkt(20, 58, 1, 2, ethernet.ProtoTCP, ethernet.FlagAck),
-	}
+	})
+	t.Hosts = []string{"alpha0", "alpha1", "alpha2"}
+	t.Meta["program"] = "sor"
 	return t
 }
 
@@ -43,13 +43,13 @@ func TestTraceSummaries(t *testing.T) {
 
 func TestIsAck(t *testing.T) {
 	tr := sampleTrace()
-	if tr.Packets[0].IsAck() {
+	if tr.At(0).IsAck() {
 		t.Error("data packet classified as ACK")
 	}
-	if !tr.Packets[1].IsAck() {
+	if !tr.At(1).IsAck() {
 		t.Error("ACK not classified")
 	}
-	if tr.Packets[2].IsAck() {
+	if tr.At(2).IsAck() {
 		t.Error("UDP classified as ACK")
 	}
 }
@@ -57,8 +57,8 @@ func TestIsAck(t *testing.T) {
 func TestConnectionFilter(t *testing.T) {
 	tr := sampleTrace()
 	conn := tr.Connection(1, 0)
-	if conn.Len() != 1 || !conn.Packets[0].IsAck() {
-		t.Errorf("connection 1→0 = %+v", conn.Packets)
+	if conn.Len() != 1 || !conn.At(0).IsAck() {
+		t.Errorf("connection 1→0 = %d packets", conn.Len())
 	}
 	// Connection extraction keeps all protocols from src to dst.
 	if got := tr.Connection(0, 2).Len(); got != 1 {
@@ -90,8 +90,8 @@ func TestCaptureFromSegment(t *testing.T) {
 	a.Send(&ethernet.Frame{Dst: 1, Proto: ethernet.ProtoTCP, NetLen: 100, Flags: ethernet.FlagData})
 	k.Run()
 	tr := col.Trace()
-	if tr.Len() != 1 || tr.Packets[0].Size != 118 || tr.Packets[0].Src != 0 || tr.Packets[0].Dst != 1 {
-		t.Errorf("trace = %+v", tr.Packets)
+	if tr.Len() != 1 || tr.At(0).Size != 118 || tr.At(0).Src != 0 || tr.At(0).Dst != 1 {
+		t.Errorf("trace = %+v", tr.At(0))
 	}
 }
 
@@ -122,7 +122,7 @@ func TestCaptureBroadcastAddress(t *testing.T) {
 	col := Capture(seg)
 	a.Send(&ethernet.Frame{Dst: ethernet.Broadcast, NetLen: 50})
 	k.Run()
-	if got := col.Trace().Packets[0].Dst; got != Broadcast {
+	if got := col.Trace().At(0).Dst; got != Broadcast {
 		t.Errorf("broadcast dst = %d, want %d", got, Broadcast)
 	}
 	if name := col.Trace().HostName(int(Broadcast)); name != "broadcast" {
@@ -143,9 +143,9 @@ func TestBinaryRoundtrip(t *testing.T) {
 	if got.Len() != tr.Len() {
 		t.Fatalf("len %d vs %d", got.Len(), tr.Len())
 	}
-	for i := range tr.Packets {
-		if got.Packets[i] != tr.Packets[i] {
-			t.Errorf("packet %d: %+v vs %+v", i, got.Packets[i], tr.Packets[i])
+	for i := range tr.Len() {
+		if got.At(i) != tr.At(i) {
+			t.Errorf("packet %d: %+v vs %+v", i, got.At(i), tr.At(i))
 		}
 	}
 	if len(got.Hosts) != 3 || got.Hosts[2] != "alpha2" {
@@ -162,15 +162,30 @@ func TestReadBinaryBadMagic(t *testing.T) {
 	}
 }
 
+// TestReadBinaryTruncated: the block decoder keeps Next's refusal of a
+// short stream. Cut mid-record, at a chunk boundary or before the first
+// record, narrow and wide, ReadBinary returns io.ErrUnexpectedEOF.
 func TestReadBinaryTruncated(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := ReadBinary(bytes.NewReader(raw[:len(raw)-5])); err == nil {
-		t.Error("no error on truncated input")
+	for _, wide := range []bool{false, true} {
+		const n = collectorChunk + 5
+		var buf bytes.Buffer
+		if err := chunkTrace(n, wide).WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rec := packetRecBytes
+		if wide {
+			rec = packetRecBytesWide
+		}
+		body := buf.Len() - n*rec
+		for name, cut := range map[string]int{
+			"mid-record":     buf.Len() - rec/2,
+			"chunk boundary": body + collectorChunk*rec,
+			"no records":     body,
+		} {
+			if _, err := ReadBinary(bytes.NewReader(buf.Bytes()[:cut])); err != io.ErrUnexpectedEOF {
+				t.Errorf("wide=%v %s: ReadBinary error %v, want io.ErrUnexpectedEOF", wide, name, err)
+			}
+		}
 	}
 }
 
@@ -205,7 +220,7 @@ func TestQuickBinaryRoundtripPreservesPackets(t *testing.T) {
 		last := sim.Time(0)
 		for i := 0; i < n; i++ {
 			last += sim.Time(times[i])
-			tr.Packets = append(tr.Packets, Packet{Time: last, Size: sizes[i], Src: uint16(i), Dst: uint16(i + 1)})
+			tr.Append(Packet{Time: last, Size: sizes[i], Src: uint16(i), Dst: uint16(i + 1)})
 		}
 		var buf bytes.Buffer
 		if err := tr.WriteBinary(&buf); err != nil {
@@ -215,8 +230,8 @@ func TestQuickBinaryRoundtripPreservesPackets(t *testing.T) {
 		if err != nil || got.Len() != n {
 			return false
 		}
-		for i := range tr.Packets {
-			if got.Packets[i] != tr.Packets[i] {
+		for i := range tr.Len() {
+			if got.At(i) != tr.At(i) {
 				return false
 			}
 		}
@@ -240,9 +255,9 @@ func TestTextRoundtrip(t *testing.T) {
 	if got.Len() != tr.Len() {
 		t.Fatalf("len %d vs %d", got.Len(), tr.Len())
 	}
-	for i := range tr.Packets {
-		if got.Packets[i] != tr.Packets[i] {
-			t.Errorf("packet %d: %+v vs %+v", i, got.Packets[i], tr.Packets[i])
+	for i := range tr.Len() {
+		if got.At(i) != tr.At(i) {
+			t.Errorf("packet %d: %+v vs %+v", i, got.At(i), tr.At(i))
 		}
 	}
 	if len(got.Hosts) != 3 || got.Hosts[1] != "alpha1" {
@@ -258,7 +273,7 @@ func TestTextRoundtrip(t *testing.T) {
 // the text parser) and the text listing.
 func TestReadDetectsFormat(t *testing.T) {
 	wide := sampleTrace()
-	wide.Packets[0].Dst = 1000
+	wide.chunks[0].Dst[0] = 1000
 	for _, tc := range []struct {
 		name string
 		tr   *Trace
@@ -287,9 +302,9 @@ func TestReadDetectsFormat(t *testing.T) {
 		if got.Len() != tc.tr.Len() {
 			t.Fatalf("%s: %d packets, want %d", tc.name, got.Len(), tc.tr.Len())
 		}
-		for i := range tc.tr.Packets {
-			if got.Packets[i] != tc.tr.Packets[i] {
-				t.Errorf("%s: packet %d: %+v vs %+v", tc.name, i, got.Packets[i], tc.tr.Packets[i])
+		for i := range tc.tr.Len() {
+			if got.At(i) != tc.tr.At(i) {
+				t.Errorf("%s: packet %d: %+v vs %+v", tc.name, i, got.At(i), tc.tr.At(i))
 			}
 		}
 	}

@@ -19,9 +19,16 @@ if grep -n '\.Go(.*reader\|func.*readLoop' internal/pvm/*.go | grep -v '_test\.g
 
 # One benchmark: performance numbers come from `go run ./bench` →
 # BENCHMARK.json, and every invariant is a Go test or a smoke script run
-# from here. A BENCH_*.json at the root or a bench*.sh beside this
-# script is a second emitter coming back.
-if find . scripts -maxdepth 1 \( -name 'BENCH_*.json' -o -name 'bench*.sh' \) | grep .; then exit 1; fi
+# from here. The one tracked result is ./BENCH_head.json, the output of
+# `go run ./bench -repeat 5 -out BENCH_head.json` at the head that
+# committed it; any other BENCH_*.json at the root or beside this
+# script, or a bench*.sh, is a second emitter coming back.
+if find . scripts -maxdepth 1 \( -name 'BENCH_*.json' -o -name 'bench*.sh' \) | grep -vx './BENCH_head.json' | grep .; then exit 1; fi
+
+# One packet representation: a trace is its columnar chunks (DESIGN.md
+# §10 "Columnar layout"). A []Packet field on trace.Trace is a second
+# copy of every capture coming back.
+if awk '/^type Trace struct/,/^}/' $(find internal/trace -name '*.go' ! -name '*_test.go') | grep '\[\]\*\?Packet'; then exit 1; fi
 
 # One characterizer: every Report comes out of StreamCharacterizer.Report()
 # (fed live, by Observe, or by CharacterizeTrace's replay). The batch
