@@ -19,9 +19,8 @@ import (
 // any number of times → done, because the body returned, Kill unwound it,
 // or Kernel.Close did. Only a done process has released its goroutine.
 type Proc struct {
-	k        *Kernel
-	name     string
-	wakeName string // precomputed "wake:"+name: Sleep/Wake allocate nothing
+	k    *Kernel
+	name string
 
 	// The iter.Pull coroutine running the body. resume switches into it
 	// and returns at its next park (or its end); yield is the park side
@@ -45,7 +44,7 @@ type killedSignal struct{}
 // virtual time (via an immediate event) and runs until it returns. A panic
 // in the body surfaces in the caller of Run/RunUntil.
 func (k *Kernel) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, wakeName: "wake:" + name}
+	p := &Proc{k: k, name: name}
 	k.At(k.now, "start:"+name, func() {
 		if p.killed {
 			p.done = true // killed before its first instruction
