@@ -139,7 +139,7 @@ func TestReadmeQuotesExampleCode(t *testing.T) {
 // designLineBudget caps DESIGN.md. A change that explains something new
 // makes room by cutting what no longer holds; lower the budget when the
 // document shrinks, never raise it.
-const designLineBudget = 1414
+const designLineBudget = 1396
 
 func TestDesignWithinLineBudget(t *testing.T) {
 	b, err := os.ReadFile("DESIGN.md")

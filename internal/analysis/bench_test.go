@@ -29,8 +29,8 @@ func BenchmarkSpectrum(b *testing.B) {
 
 // BenchmarkCharacterizeManyPairs is the fabric_topo64 shape, one end of
 // the fold: 64 hosts all-to-all, so the report's cost is the
-// 4032-connection correlation (binning in one pass, then 8.1 M pairs in
-// stats.MeanPairwisePearson).
+// 4032-connection correlation (binning in one pass, then the 8.1 M pairs
+// summed through stats.MeanPairwisePearson's identity).
 func BenchmarkCharacterizeManyPairs(b *testing.B) {
 	tr := allToAllTrace(64, 53) // 53 phases 500 ms apart: 105 correlation bins
 	b.ReportAllocs()

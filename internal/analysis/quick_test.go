@@ -27,13 +27,13 @@ func TestFoldMatchesReferenceOnQuickPrograms(t *testing.T) {
 			}
 			want := analysis.ReferenceReport(res.Trace, name, res.RepConn)
 			replay := analysis.CharacterizeTrace(res.Trace, name, res.RepConn)
-			analysis.CheckAgainstReference(t, replay, want)
+			analysis.CheckAgainstReference(t, replay, want, 0)
 			for _, chunkLen := range []int{1, 7, 16384} {
 				sc := analysis.NewStreamCharacterizer(name, res.RepConn)
 				analysis.FoldInChunks(sc, res.Trace, chunkLen)
 				if got := sc.Report(); !reflect.DeepEqual(got, replay) {
 					t.Errorf("chunk length %d: Report differs from the replay's", chunkLen)
-					analysis.CheckAgainstReference(t, got, want)
+					analysis.CheckAgainstReference(t, got, want, 0)
 				}
 			}
 			analysis.CheckPrimitivesMatchReport(t, res.Trace, res.RepConn)

@@ -241,11 +241,12 @@ func sameBits(a, b []float64) bool {
 
 // CheckAgainstReference fails unless got, a Report out of the fold,
 // equals the reference want: N/Min/Max/Mean of every summary, every
-// series, both spectra, the bandwidths, Correlation, Coincidence and
-// SizeModes to the last bit, and every SD — the one place the fold's
-// moment form (E[x²] − E[x]²) and the two-pass definition round
-// differently — within 1e-9 relative.
-func CheckAgainstReference(t testing.TB, got, want *Report) {
+// series, both spectra, the bandwidths, Coincidence and SizeModes to the
+// last bit; Correlation within corrTol (0: to the last bit; the pair
+// statistic is exact only below stats' identityWork); and every SD — the
+// one place the fold's moment form (E[x²] − E[x]²) and the two-pass
+// definition round differently — within 1e-9 relative.
+func CheckAgainstReference(t testing.TB, got, want *Report, corrTol float64) {
 	t.Helper()
 	if got.Program != want.Program {
 		t.Errorf("Program %q, reference %q", got.Program, want.Program)
@@ -276,13 +277,17 @@ func CheckAgainstReference(t testing.TB, got, want *Report) {
 		{"AggKBps", got.AggKBps, want.AggKBps},
 		{"ConnKBps", got.ConnKBps, want.ConnKBps},
 		{"SeriesDT", got.SeriesDT, want.SeriesDT},
-		{"Correlation", got.Correlation, want.Correlation},
 		{"Coincidence", got.Coincidence, want.Coincidence},
 	} {
 		if math.Float64bits(f.got) != math.Float64bits(f.want) {
 			t.Errorf("%s %v (%#x), reference %v (%#x)", f.what,
 				f.got, math.Float64bits(f.got), f.want, math.Float64bits(f.want))
 		}
+	}
+	if d := math.Abs(got.Correlation - want.Correlation); math.Float64bits(got.Correlation) != math.Float64bits(want.Correlation) &&
+		!(corrTol > 0 && d <= corrTol) {
+		t.Errorf("Correlation %v (%#x), reference %v (%#x): |Δ| = %.3g, tolerance %g", got.Correlation,
+			math.Float64bits(got.Correlation), want.Correlation, math.Float64bits(want.Correlation), d, corrTol)
 	}
 	if got.SizeModes != want.SizeModes {
 		t.Errorf("SizeModes %d, reference %d", got.SizeModes, want.SizeModes)

@@ -113,11 +113,13 @@ func TestStreamCharacterizerMatchesTrace(t *testing.T) {
 		}
 	}
 	small := trace.FromPackets(pkts)
-	t.Run("small", func(t *testing.T) { checkStreamMatchesTrace(t, small, 3) })
-	t.Run("alltoall64", func(t *testing.T) { checkStreamMatchesTrace(t, allToAllTrace(64, 12), 64*63) })
+	t.Run("small", func(t *testing.T) { checkStreamMatchesTrace(t, small, 3, 0) })
+	// 4032 connections put the pair statistic above stats' identityWork:
+	// its Correlation is within 1e-12 of the per-pair reference.
+	t.Run("alltoall64", func(t *testing.T) { checkStreamMatchesTrace(t, allToAllTrace(64, 12), 64*63, 1e-12) })
 }
 
-func checkStreamMatchesTrace(t *testing.T, tr *trace.Trace, pairs int) {
+func checkStreamMatchesTrace(t *testing.T, tr *trace.Trace, pairs int, corrTol float64) {
 	if got := len(tr.Pairs()); got != pairs {
 		t.Fatalf("trace has %d connections, want %d", got, pairs)
 	}
@@ -128,13 +130,13 @@ func checkStreamMatchesTrace(t *testing.T, tr *trace.Trace, pairs int) {
 			want.Correlation, want.Coincidence)
 	}
 	replay := CharacterizeTrace(tr, "synthetic", repConn)
-	CheckAgainstReference(t, replay, want)
+	CheckAgainstReference(t, replay, want, corrTol)
 	for _, chunkLen := range []int{1, 7, 16384} {
 		sc := NewStreamCharacterizer("synthetic", repConn)
 		feed(sc, tr, chunkLen)
 		if got := sc.Report(); !reflect.DeepEqual(got, replay) {
 			t.Errorf("chunk length %d: Report differs from the replay's", chunkLen)
-			CheckAgainstReference(t, got, want)
+			CheckAgainstReference(t, got, want, corrTol)
 		}
 	}
 }

@@ -279,7 +279,7 @@ func modelDigest(t *testing.T, dir string) string {
 // warm run cache without simulating, and pinned by digest.
 func TestCatalogPromises(t *testing.T) {
 	const (
-		wantDigest   = "7cbb9029514b8b541f0154a5ccd9df4efde9df9cddf616dcaa642c5b84d8b29a"
+		wantDigest   = "24270de338cadd3cc65194f34823aa2aa6b1abc02202eb31a268197e7e036410"
 		speedupFloor = 100
 		admitReps    = 64
 	)

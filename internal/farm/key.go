@@ -13,9 +13,11 @@ import (
 
 // keyVersion namespaces cache keys. Bump it whenever the simulator's
 // observable behaviour changes (a new transport default, a cost-model
-// tweak, a trace-format change): old cache entries then simply miss and
-// are recomputed, which is the only safe reaction to a semantic change.
-const keyVersion = "fxfarm-v1"
+// tweak, a trace-format change) or a stored Report's value does (v2: the
+// pair statistic above stats' identity rule): old cache entries then
+// simply miss and are recomputed, which is the only safe reaction to a
+// semantic change.
+const keyVersion = "fxfarm-v2"
 
 // Key computes the content-addressed identity of a run configuration: two
 // configs hash equal exactly when core.Run would produce byte-identical

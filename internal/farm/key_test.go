@@ -88,7 +88,7 @@ func TestKeyDeterministic(t *testing.T) {
 // canonical form.
 func TestKeyTopologyVersioned(t *testing.T) {
 	base := core.RunConfig{Program: "2dfft", Seed: 1}
-	const pretopology = "f53c0ab5b72235a888b866d28e16f033e2f7e69aff95a9c7811b85a42db260d9"
+	const pretopology = "9f41ba1775bca1eb4dc2de50ef2b1eb6a02fd8d9eb203f6a59f9fc95edfe81c6"
 	if k := Key(base); k != pretopology {
 		t.Errorf("nil-topology key changed: %s", k)
 	}
@@ -104,9 +104,10 @@ func TestKeyTopologyVersioned(t *testing.T) {
 	}
 }
 
-// TestKeyPins holds the key of one config per feature group to the bytes
-// written before RunConfig lost its ForceFragments, Net, Faults and
-// HeartbeatMisses fields: the cache entries written then still hit.
+// TestKeyPins holds the key of one config per feature group to its
+// fxfarm-v2 bytes: removing a RunConfig field (ForceFragments, Net,
+// Faults and HeartbeatMisses went this way) must not move a key, so the
+// cache entries written before it still hit.
 func TestKeyPins(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -114,13 +115,13 @@ func TestKeyPins(t *testing.T) {
 		want string
 	}{
 		{"fault script", core.RunConfig{Program: "sor", Seed: 7, FaultScript: "5s:linkdown host2,7s:linkup host2"},
-			"53ad233efae6e49c2251848cdddbb750304a4681dd23f76c903dd7cf29c53462"},
+			"6f8c94f55efb5fd52d3c70b6a347cbc9a90661f30890c50be90593e35964c8d6"},
 		{"nagle+cross traffic", core.RunConfig{Program: "seq", P: 4, Seed: 3, Nagle: true, CrossTrafficKBps: 200},
-			"7338aca63feff5e804d4d0227dcfcd401d05cdf8c870cf9a4071fc7edf7561eb"},
+			"9eefe359a096cd7ce8469ac99d085fda8ae4bfe1cf74c66d6974027b317153fd"},
 		{"switched+guarantee", core.RunConfig{Program: "2dfft", Seed: 1, Switched: true, GuaranteeProgram: true},
-			"a3d30f79c5aecf68664b1e8549183a98a8d1b4813baca61c66c7b052bfc27076"},
+			"be707b6ffff86955021f6f408625bf8ec0abb4eff71209a3bf3abcc8165da8af"},
 		{"one-segment topology", core.RunConfig{Program: "sor", Seed: 1, Topology: mustTopology("lan0:0-3")},
-			"4c9d61baeb2000ea6642908b1c9e208d0e7e2366a310f4e758c297fcc7368b1c"},
+			"daaa3ded99aa648daaec1a6342a136e155d042b5cbe5cd800ada5d7df51766c0"},
 	} {
 		if got := Key(tc.cfg); got != tc.want {
 			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)

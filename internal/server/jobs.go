@@ -93,6 +93,11 @@ type jobRegistry struct {
 	seq  uint64
 	wg   sync.WaitGroup
 
+	// live counts jobs from start until they are terminal. The farm
+	// counts a job only once its goroutine reaches it, after the 202, so
+	// the shed depth reads this instead (queueDepth).
+	live atomic.Int64
+
 	// engine accumulates the conservative-PDES window statistics of every
 	// executed multi-segment run (cache-served results carry zeros), for
 	// the fxnetd_engine_* metrics.
@@ -177,9 +182,11 @@ func (r *jobRegistry) start(id string, cfg core.RunConfig, stream bool, fitSpike
 	r.jobs[j.ID] = j
 	r.wg.Add(1)
 	r.mu.Unlock()
+	r.live.Add(1)
 
 	go func() {
 		defer r.wg.Done()
+		defer r.live.Add(-1)
 		defer cancel()
 		if fitSpikes > 0 {
 			r.runFit(ctx, j, cfg, fitSpikes)

@@ -117,10 +117,12 @@ func (m *metrics) emitLatency(e emit) {
 	}
 }
 
-// queueDepth is the farm's queued-but-not-running job count: the load
-// shedder's input and the fxnetd_queue_depth gauge.
-func queueDepth(fs farm.Stats) int64 {
-	return max(fs.Submitted-fs.Completed-fs.Running, 0)
+// queueDepth is the accepted-but-not-running job count: the load
+// shedder's input and the fxnetd_queue_depth gauge. live is the
+// registry's count of unfinished jobs, so a job counts from the moment
+// it is acknowledged; every simulation the farm runs is one of theirs.
+func queueDepth(live int64, fs farm.Stats) int64 {
+	return max(live-fs.Running, 0)
 }
 
 // scrape is one /metrics request's view of the server: farm stats, job
@@ -204,7 +206,7 @@ var families = []family{
 	{"fxnetd_farm_failed_total", "counter", always, "Farm jobs that failed.", func(m *scrape, e emit) { e("", m.fs.Failed) }},
 	{"fxnetd_farm_cancelled_total", "counter", always, "Farm jobs cancelled before executing.", func(m *scrape, e emit) { e("", m.fs.Cancelled) }},
 	{"fxnetd_sims_in_flight", "gauge", always, "Simulations holding a worker slot right now.", func(m *scrape, e emit) { e("", m.fs.Running) }},
-	{"fxnetd_queue_depth", "gauge", always, "Farm jobs submitted but neither running nor completed.", func(m *scrape, e emit) { e("", queueDepth(m.fs)) }},
+	{"fxnetd_queue_depth", "gauge", always, "Farm jobs submitted but neither running nor completed.", func(m *scrape, e emit) { e("", queueDepth(m.jobs.live.Load(), m.fs)) }},
 	{"fxnetd_jobs", "gauge", always, "Run submissions by state.", func(m *scrape, e emit) {
 		for _, st := range []string{stateQueued, stateDone, stateFailed, stateCancelled} {
 			e(fmt.Sprintf("{state=%q}", st), m.jobCounts[st])

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"fxnet/internal/core"
 	"fxnet/internal/durable"
 )
 
@@ -287,6 +289,26 @@ func TestLoadSheddingEndToEnd(t *testing.T) {
 
 	doJSON(t, "DELETE", ts.URL+"/v1/runs/"+queued, nil, nil)
 	doJSON(t, "DELETE", ts.URL+"/v1/runs/"+blocker, nil, nil)
+}
+
+// TestShedDepthCountsJobOnStart: a job counts toward the shed depth as
+// soon as start returns (the 202 follows), before its goroutine reaches
+// the farm. Two jobs are submitted back to back with no wait; at
+// GOMAXPROCS 1 neither goroutine has run when the depth is read, and
+// 2 = 2 × MaxQueue is tier 2.
+func TestShedDepthCountsJobOnStart(t *testing.T) {
+	s, _ := newTestServer(t, Options{Workers: 1, MaxQueue: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	a := s.jobs.start(s.jobs.allocID(), core.RunConfig{Program: "seq", P: 4, Seed: 1}, true, 0)
+	b := s.jobs.start(s.jobs.allocID(), core.RunConfig{Program: "seq", P: 4, Seed: 2}, true, 0)
+	depth, tier := s.shedder.queue(), s.shedder.tier()
+	for _, j := range []*job{a, b} {
+		j.cancel()
+		<-j.done
+	}
+	if depth != 2 || tier != shedPolls {
+		t.Errorf("queue depth %d, tier %d with two jobs just started: want 2, %d", depth, tier, shedPolls)
+	}
 }
 
 // Liveness vs readiness: /healthz answers 200 even when /readyz says

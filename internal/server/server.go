@@ -177,7 +177,7 @@ func New(opts Options) (*Server, error) {
 		started:     time.Now(),
 	}
 	s.jobs.fitter = fitter
-	s.shedder = newShedder(opts.MaxQueue, func() int64 { return queueDepth(f.Stats()) })
+	s.shedder = newShedder(opts.MaxQueue, func() int64 { return queueDepth(s.jobs.live.Load(), f.Stats()) })
 	s.jobs.onTerminal = func(j *job, state, errMsg string) {
 		switch state {
 		case stateDone:

@@ -139,11 +139,13 @@ func (s inboxSorter) Less(a, b int) bool {
 }
 
 // xfer is one cross-partition message: a callback and its argument, to
-// be scheduled on the destination kernel at a future virtual time.
+// be scheduled on the destination kernel at a future virtual time. It is
+// copied through the outbox, the staging and the inbox slices, so its
+// partition indices are int32: 64 B, one cache line.
 type xfer struct {
 	at   Time
-	dst  int
-	src  int
+	dst  int32
+	src  int32
 	seq  uint64
 	name string
 	call func(any)
@@ -234,7 +236,7 @@ func (e *Engine) Send(src, dst int, at Time, name string, fn func()) {
 func (e *Engine) SendArg(src, dst int, at Time, name string, fn func(any), arg any) {
 	s := &e.state[src]
 	s.outbox = append(s.outbox, xfer{
-		at: at, dst: dst, src: src, seq: s.seq, name: name, call: fn, arg: arg,
+		at: at, dst: int32(dst), src: int32(src), seq: s.seq, name: name, call: fn, arg: arg,
 	})
 	s.seq++
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // pingPong wires nPart partitions into a ring: each partition's callback
@@ -437,4 +438,12 @@ func uniform(n int, d Duration) [][]Duration {
 		}
 	}
 	return lat
+}
+
+// TestXferIsOneCacheLine: every cross-partition message is copied
+// through the outbox, staging and inbox slices, so it stays 64 B.
+func TestXferIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(xfer{}); size != 64 {
+		t.Errorf("xfer is %d B, want 64", size)
+	}
 }

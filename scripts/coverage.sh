@@ -60,9 +60,9 @@ run() {
 	"$@" >"$dir/step.log" 2>&1 || { cat "$dir/step.log"; exit 1; }
 }
 
-# -cpu 2: the pair statistic stripes its rows over workers only when
-# GOMAXPROCS > 1, so a one-core host would otherwise leave that path
-# (25 statements of stats) unrun.
+# -cpu 2: sim.Engine runs its partitions on helpers only when
+# GOMAXPROCS > 1, so a one-core host would otherwise leave the parallel
+# executor (60 statements of sim) unrun.
 run go test -count=1 -cpu 2 -coverpkg=$sim,$svc,$ana,$front -coverprofile="$dir/repro.out" ./cmd/fxrepro \
 	-run . -bench PaperFigures -benchtime 1x
 run go test -count=1 -cpu 2 -coverpkg=$sim,$ana -coverprofile="$dir/root.out" . -run .
