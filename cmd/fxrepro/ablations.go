@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"io"
+	"math"
 
 	"fxnet/internal/analysis"
 	"fxnet/internal/core"
@@ -19,8 +19,7 @@ import (
 )
 
 // The ablations are contrasts between runs that differ in one
-// mechanism. Each prints in its own block beside the claim it tests, and
-// BenchmarkPaperFigures holds its direction on the same values.
+// mechanism. Each prints in its own block under the claims it tests.
 
 // scaleP are the processor counts of the §7.1 pair counts and the §7.3
 // validation; flapScript is the link-flap ablation's fault, and
@@ -196,7 +195,7 @@ func measure(r runs) ablations {
 	for i, q := range qosRuns {
 		// Program traffic only: connections among the four worker hosts.
 		prog := packets("qos/" + q.name).Filter(func(p trace.Packet) bool { return p.Src < 4 && p.Dst < 4 })
-		a.qosPeriod[i] = 1 / analysis.Spectrum(prog, analysis.PaperWindow).DominantFreq()
+		a.qosPeriod[i] = period(analysis.Spectrum(prog, analysis.PaperWindow).DominantFreq())
 	}
 
 	spec, _ := kernels.Lookup("2dfft")
@@ -204,90 +203,125 @@ func measure(r runs) ablations {
 		jr := r[fmt.Sprintf("sec73/%d", P)]
 		law := spec.QoS(jr.Job.Config.Params)
 		wire := float64(P*(P-1)) * law.Burst(P) * 1.06 // + header overhead
-		a.sec73[i] = [2]float64{law.Local(P) + wire/qos.EffectiveCapacityBps, 1 / jr.Report.AggSpectrum.DominantFreq()}
+		a.sec73[i] = [2]float64{law.Local(P) + wire/qos.EffectiveCapacityBps, period(jr.Report.AggSpectrum.DominantFreq())}
 	}
 	return a
 }
 
-// renderAblations writes one block per ablation.
-func renderAblations(w io.Writer, a ablations) {
-	section(w, "Ablation — bandwidth-dependent periodicity (2DFFT)", whyPeriodicity)
-	table(w, "segment", "fundamental (Hz)", "period (s)")
+// renderAblations writes one block per ablation, under the claims it
+// tests.
+func renderAblations(d *doc, a ablations) {
+	hz := func(v float64) string { return orDash("%.3f", v) }
+	d.section("Ablation — bandwidth-dependent periodicity (2DFFT)", whyPeriodicity,
+		says(a.bwHz[1] > a.bwHz[0], "the fundamental rises with the bit rate: %s → %s Hz", hz(a.bwHz[0]), hz(a.bwHz[1])))
+	table(d, "segment", "fundamental (Hz)", "period (s)")
 	for i, rate := range []string{"10 Mb/s", "40 Mb/s"} {
-		row(w, "%s | %.3f | %.2f", rate, a.bwHz[i], 1/a.bwHz[i])
+		row(d, "%s | %s | %s", rate, hz(a.bwHz[i]), orDash("%.2f", period(a.bwHz[i])))
 	}
 
-	section(w, "Ablation — correlated connections (2DFFT)", whyCorrelated)
-	table(w, "run", "mean fraction of connections active per phase")
-	row(w, "figure run | %.3f", a.coincidence)
+	d.section("Ablation — correlated connections (2DFFT)", whyCorrelated,
+		says(a.coincidence >= 0.9, "%.3f of connections active per phase, ≥ 0.9", a.coincidence))
+	table(d, "run", "mean fraction of connections active per phase")
+	row(d, "figure run | %.3f", a.coincidence)
 
-	section(w, "Ablation — constant burst sizes (2DFFT)", whyConstantBursts)
-	table(w, "run", "burst byte total sd/mean")
-	row(w, "deschedule-free | %.5f", a.burstCoV)
+	d.section("Ablation — constant burst sizes (2DFFT)", whyConstantBursts,
+		says(a.burstCoV <= 0.05, "burst byte total sd/mean %.5f ≤ 0.05", a.burstCoV))
+	table(d, "run", "burst byte total sd/mean")
+	row(d, "deschedule-free | %.5f", a.burstCoV)
 
-	section(w, "Ablation — parallel vs media vs self-similar traffic", whyMedia)
-	table(w, "traffic", "burst-size CoV", "Hurst")
-	row(w, "2DFFT | %.5f | %.2f", a.parCoV, a.parH)
-	row(w, "VBR video | %.4f | -", a.vidCoV)
-	row(w, "Pareto on/off | - | %.2f", a.onoffH)
+	d.section("Ablation — parallel vs media vs self-similar traffic", whyMedia,
+		says(a.parCoV < 0.1, "2DFFT burst-size CoV %.5f < 0.1", a.parCoV),
+		says(a.vidCoV > 3*a.parCoV, "VBR video burst-size CoV %.4f > 3 × 2DFFT's", a.vidCoV),
+		says(a.onoffH > a.parH, "Pareto on/off Hurst %.2f above 2DFFT's %.2f", a.onoffH, a.parH))
+	table(d, "traffic", "burst-size CoV", "Hurst")
+	row(d, "2DFFT | %.5f | %.2f", a.parCoV, a.parH)
+	row(d, "VBR video | %.4f | -", a.vidCoV)
+	row(d, "Pareto on/off | - | %.2f", a.onoffH)
 
-	section(w, "Ablation — PVM fragment-list vs copy-loop packing (T2DFFT)", whyFragments)
-	table(w, "packing", "data packets at 1518 B")
-	row(w, "fragment list | %.1f %%", 100*a.fullFrac[0])
-	row(w, "copy loop | %.1f %%", 100*a.fullFrac[1])
+	d.section("Ablation — PVM fragment-list vs copy-loop packing (T2DFFT)", whyFragments,
+		says(a.fullFrac[1] >= a.fullFrac[0]+0.3, "the copy loop fills %.1f %% of data packets, ≥ 30 points above the fragment list's %.1f %%",
+			100*a.fullFrac[1], 100*a.fullFrac[0]))
+	table(d, "packing", "data packets at 1518 B")
+	row(d, "fragment list | %.1f %%", 100*a.fullFrac[0])
+	row(d, "copy loop | %.1f %%", 100*a.fullFrac[1])
 
-	section(w, "Ablation — shared CSMA/CD vs switched full duplex (2DFFT, 10 Mb/s links)", whySwitched)
-	table(w, "medium", "fundamental (Hz)", "aggregate (KB/s)")
+	d.section("Ablation — shared CSMA/CD vs switched full duplex (2DFFT, 10 Mb/s links)", whySwitched,
+		says(a.switchHz[1] > a.switchHz[0], "switching raises the fundamental: %s → %s Hz", hz(a.switchHz[0]), hz(a.switchHz[1])),
+		says(a.switchKBps[1] > a.switchKBps[0], "switching raises the aggregate: %.1f → %.1f KB/s", a.switchKBps[0], a.switchKBps[1]))
+	table(d, "medium", "fundamental (Hz)", "aggregate (KB/s)")
 	for i, medium := range []string{"shared", "switched"} {
-		row(w, "%s | %.3f | %.1f", medium, a.switchHz[i], a.switchKBps[i])
+		row(d, "%s | %s | %.1f", medium, hz(a.switchHz[i]), a.switchKBps[i])
 	}
 
-	section(w, "Ablation — averaging-window size (SEQ)", whyWindow)
-	table(w, "bin", "dominant spike (Hz)")
+	d.section("Ablation — averaging-window size (SEQ)", whyWindow,
+		says(within(a.windowHz[1]/a.windowHz[0], 0.8, 1.25) && within(a.windowHz[2]/a.windowHz[0], 0.8, 1.25),
+			"the dominant spike at 10 and 20 ms bins is within 0.8–1.25 × its 5 ms value"))
+	table(d, "bin", "dominant spike (Hz)")
 	for i, bin := range []string{"5 ms", "10 ms", "20 ms"} {
-		row(w, "%s | %.3f", bin, a.windowHz[i])
+		row(d, "%s | %s", bin, hz(a.windowHz[i]))
 	}
 
-	section(w, "Ablation — §7.1 pattern connection scaling", whyScaling)
-	table(w, "P", "neighbor (SOR)", "all-to-all (2DFFT)", "partition P²/4")
+	var scaling, validation []claim
 	for i, P := range scaleP {
-		row(w, "%d | %d | %d | %d", P, a.pairs[i][0], a.pairs[i][1], fx.Partition.Connections(P))
+		got := a.pairs[i]
+		scaling = append(scaling, says(got == [2]int{2 * (P - 1), P * (P - 1)},
+			"P=%d: %d neighbor pairs = 2(P−1), %d all-to-all pairs = P(P−1)", P, got[0], got[1]))
+		validation = append(validation, says(within(a.sec73[i][1]/a.sec73[i][0], 0.75, 1.33),
+			"P=%d: measured %s s within 0.75–1.33 × predicted %.2f s", P, orDash("%.2f", a.sec73[i][1]), a.sec73[i][0]))
+	}
+	d.section("Ablation — §7.1 pattern connection scaling", whyScaling, scaling...)
+	table(d, "P", "neighbor (SOR)", "all-to-all (2DFFT)", "partition P²/4")
+	for i, P := range scaleP {
+		row(d, "%d | %d | %d | %d", P, a.pairs[i][0], a.pairs[i][1], fx.Partition.Connections(P))
 	}
 
-	section(w, "Ablation — OS descheduling injection (2DFFT)", whyDesched)
-	table(w, "stall injection", "max interarrival (ms)")
-	row(w, "off | %.1f", a.deschedMaxIA[0])
-	row(w, "on | %.1f", a.deschedMaxIA[1])
+	d.section("Ablation — OS descheduling injection (2DFFT)", whyDesched,
+		says(a.deschedMaxIA[1] >= a.deschedMaxIA[0]+100, "stall injection lengthens the max gap by ≥ 100 ms: %.1f → %.1f ms",
+			a.deschedMaxIA[0], a.deschedMaxIA[1]))
+	table(d, "stall injection", "max interarrival (ms)")
+	row(d, "off | %.1f", a.deschedMaxIA[0])
+	row(d, "on | %.1f", a.deschedMaxIA[1])
 
-	section(w, "Ablation — 2 % frame loss (2DFFT, TCP retransmission)", whyLoss)
-	table(w, "segment", "dominant-spike power share", "aggregate (KB/s)")
+	d.section("Ablation — 2 % frame loss (2DFFT, TCP retransmission)", whyLoss,
+		says(a.lossShare[1] < a.lossShare[0], "loss lowers the dominant spike's power share: %.3f → %.3f", a.lossShare[0], a.lossShare[1]),
+		says(a.lossKBps[1] < a.lossKBps[0], "loss lowers the aggregate: %.1f → %.1f KB/s", a.lossKBps[0], a.lossKBps[1]))
+	table(d, "segment", "dominant-spike power share", "aggregate (KB/s)")
 	for i, seg := range []string{"clean", "lossy"} {
-		row(w, "%s | %.3f | %.1f", seg, a.lossShare[i], a.lossKBps[i])
+		row(d, "%s | %.3f | %.1f", seg, a.lossShare[i], a.lossKBps[i])
 	}
 
-	section(w, "Ablation — TCP_NODELAY (measured) vs Nagle (SEQ)", whyNagle)
-	table(w, "sender", "packets", "avg size (bytes)")
+	d.section("Ablation — TCP_NODELAY (measured) vs Nagle (SEQ)", whyNagle,
+		says(a.naglePkts[1] < a.naglePkts[0], "Nagle sends fewer packets: %d → %d", a.naglePkts[0], a.naglePkts[1]),
+		says(a.nagleAvg[1] > a.nagleAvg[0], "Nagle sends larger packets: %.0f → %.0f B", a.nagleAvg[0], a.nagleAvg[1]))
+	table(d, "sender", "packets", "avg size (bytes)")
 	for i, s := range []string{"no delay", "Nagle"} {
-		row(w, "%s | %d | %.0f", s, a.naglePkts[i], a.nagleAvg[i])
+		row(d, "%s | %d | %.0f", s, a.naglePkts[i], a.nagleAvg[i])
 	}
 
-	section(w, "Ablation — 2 s link outage mid-run (2DFFT, TCP recovery)", whyFlap)
-	table(w, "window", "fundamental (Hz)")
+	pre, during, post := a.flapHz[0], a.flapHz[1], a.flapHz[2]
+	d.section("Ablation — 2 s link outage mid-run (2DFFT, TCP recovery)", whyFlap,
+		says(pre != 0 && math.Abs(during-pre)/pre >= 0.15, "the outage moves the fundamental by ≥ 15 %%: %s → %s Hz", hz(pre), hz(during)),
+		says(pre != 0 && math.Abs(post-pre)/pre <= 0.10, "it returns within 10 %% after the heal: %s Hz", hz(post)),
+		says(a.flapMaxIA[1] >= 2000 && a.flapMaxIA[0] <= 1500, "max interarrival %.0f ms ≥ 2000 ms with the outage, %.0f ms ≤ 1500 ms without",
+			a.flapMaxIA[1], a.flapMaxIA[0]))
+	table(d, "window", "fundamental (Hz)")
 	for i, win := range []string{"pre-fault", "outage + recovery", "post-heal"} {
-		row(w, "%s | %.3f", win, a.flapHz[i])
+		row(d, "%s | %s", win, hz(a.flapHz[i]))
 	}
-	fmt.Fprintf(w, "\nMax interarrival: %.0f ms with the outage, %.0f ms without.\n", a.flapMaxIA[1], a.flapMaxIA[0])
 
-	section(w, "Ablation — §7.3 validation: predicted vs measured burst interval (2DFFT)", whyValidation)
-	table(w, "P", "predicted (s)", "measured (s)")
+	d.section("Ablation — §7.3 validation: predicted vs measured burst interval (2DFFT)", whyValidation, validation...)
+	table(d, "P", "predicted (s)", "measured (s)")
 	for i, P := range scaleP {
-		row(w, "%d | %.2f | %.2f", P, a.sec73[i][0], a.sec73[i][1])
+		row(d, "%d | %.2f | %s", P, a.sec73[i][0], orDash("%.2f", a.sec73[i][1]))
 	}
 
-	section(w, "Ablation — QoS guarantee under load (2DFFT, switched 10 Mb/s, 900 KB/s video)", whyQoS)
-	table(w, "program traffic", "burst interval (s)")
+	clean, loaded, guaranteed := a.qosPeriod[0], a.qosPeriod[1], a.qosPeriod[2]
+	d.section("Ablation — QoS guarantee under load (2DFFT, switched 10 Mb/s, 900 KB/s video)", whyQoS,
+		says(loaded >= clean*1.05 && guaranteed <= clean*1.1, "video stretches the interval ≥ 5 %% (%s s) and the guarantee holds it within 10 %% (%s s) of unloaded (%s s)",
+			orDash("%.2f", loaded), orDash("%.2f", guaranteed), orDash("%.2f", clean)))
+	table(d, "program traffic", "burst interval (s)")
 	for i, q := range qosRuns {
-		row(w, "%s | %.2f", q.name, a.qosPeriod[i])
+		row(d, "%s | %s", q.name, orDash("%.2f", a.qosPeriod[i]))
 	}
 }
 

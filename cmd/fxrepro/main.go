@@ -1,20 +1,18 @@
 // Command fxrepro regenerates every table and figure of the paper in one
 // run: figures 1–7 over the five Fx kernels, figures 8–11 and the §6.2
 // text numbers for AIRSHED, the §7.2 spectral models, and the §7.3 QoS
-// negotiation; then the ablations, each beside the paper claim it
-// tests. Measured values print next to the paper's, which are one table
-// (paper, in repro.go). Its stdout is Markdown, and EXPERIMENTS.md is
-// that output at the default flags; BenchmarkPaperFigures checks each
-// figure's shape and each ablation's direction on the same runs, and
-// fails when EXPERIMENTS.md drifts from the rendering.
+// negotiation; then the ablations. Each block prints under the claims
+// it tests, ✓ or ✗, and every published value (paper, in repro.go) is
+// graded once against its measurement. Its stdout is Markdown, and
+// EXPERIMENTS.md is that output at the default flags;
+// BenchmarkPaperFigures fails on a claim that does not hold, on a miss
+// without a reason, and when EXPERIMENTS.md drifts from the rendering.
 //
 // Runs are submitted through the experiment farm (internal/farm) in one
-// batch. A run whose packets a block or the exclusion oracle reads is a
-// trace job; every other run is a stream job, which folds its
-// characterization during the simulation and keeps no trace. -j executes them on a bounded worker
-// pool and -cache reuses results from a content-addressed on-disk cache
-// across invocations. The output is byte-identical for any -j and any
-// cache state.
+// batch: a run whose packets a block or the exclusion oracle reads is a
+// trace job, every other a stream job, which keeps no trace. -j bounds
+// the worker pool and -cache reuses results from a content-addressed
+// on-disk cache; the output is byte-identical for any -j and cache state.
 //
 // A full run takes under a minute on two cores; -quick and -tiny shrink
 // every run's problem size for a fast smoke pass (numbers then differ

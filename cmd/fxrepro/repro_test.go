@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -71,6 +72,22 @@ func TestReproWarmCacheRunsNothing(t *testing.T) {
 	}
 	if cold.String() != warm.String() {
 		t.Errorf("warm-cache output differs from cold run:\n%s", firstDiff(cold.String(), warm.String()))
+	}
+}
+
+// Every published value prints as exactly one graded row, here at
+// -tiny, where most rows miss.
+func TestEveryPaperValueGradedOnce(t *testing.T) {
+	var doc strings.Builder
+	if _, err := repro(reproOptions{Tiny: true, Seed: 42}, &doc, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for name, row := range paper {
+		for f := range row {
+			if n := strings.Count(doc.String(), "| `"+name+"/"+f+"` |"); n != 1 {
+				t.Errorf("%s/%s prints %d times, want once", name, f, n)
+			}
+		}
 	}
 }
 

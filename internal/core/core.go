@@ -212,6 +212,10 @@ func Validate(cfg RunConfig) error {
 // and non-negative, 0 selecting the default. Written so NaN fails too.
 func finiteRate(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
+// belowFloor reports whether a bit rate is set but too slow to time a
+// frame (faults.MinBitRate).
+func belowFloor(bps float64) bool { return bps != 0 && bps < faults.MinBitRate }
+
 // validate is the one place this package refuses a configuration:
 // malformed input first, then the refusal table (DESIGN.md §13), keyed
 // on what the builder can observe — the medium kind and the partition
@@ -243,6 +247,9 @@ func validate(cfg RunConfig) (*faults.Schedule, error) {
 		if !finiteRate(f.v) {
 			return nil, fmt.Errorf("core: %s %g is not a finite non-negative rate", f.name, f.v)
 		}
+	}
+	if belowFloor(cfg.BitRate) {
+		return nil, fmt.Errorf("core: BitRate %g is below the %g b/s floor", cfg.BitRate, faults.MinBitRate)
 	}
 	schedule, err := faults.Parse(cfg.FaultScript)
 	if err != nil {

@@ -111,7 +111,7 @@ func oneSegment(bitRate float64) *Topology {
 // gave once the fabric was built — so a front end never accepts (and
 // fxnetd never journals) a job that can only fail. So is a negative size:
 // P < 0 and N < 0 used to panic in makeslice, Iters < 0 to run nothing;
-// and so is a rate that is negative, NaN or infinite.
+// and so is a rate that is negative, NaN, infinite or below the floor.
 func TestFaultScriptValidated(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -144,6 +144,16 @@ func TestFaultScriptValidated(t *testing.T) {
 		{"negative segment BitRate", RunConfig{Topology: oneSegment(-1)}, `core: segment "lan0" bit rate -1 is not a finite non-negative rate`},
 		{"NaN segment BitRate", RunConfig{Topology: oneSegment(math.NaN())}, `core: segment "lan0" bit rate NaN is not a finite non-negative rate`},
 		{"+Inf segment BitRate", RunConfig{Topology: oneSegment(math.Inf(1))}, `core: segment "lan0" bit rate +Inf is not a finite non-negative rate`},
+		// A rate under faults.MinBitRate cannot time one frame: 1e-300
+		// used to panic the MAC with a negative delay, and NaN passed
+		// faults.Parse's "<= 0" and "< 0 || > 1" checks.
+		{"sub-floor BitRate", RunConfig{BitRate: 1e-300}, "core: BitRate 1e-300 is below the 1 b/s floor"},
+		{"sub-floor segment BitRate", RunConfig{Topology: oneSegment(1e-300)}, `core: segment "lan0" bit rate 1e-300 is below the 1 b/s floor`},
+		{"sub-floor fault bit rate", RunConfig{FaultScript: "0s:bitrate 1e-300"}, `faults: "0s:bitrate 1e-300": bit rate must be positive, finite and at least 1 b/s`},
+		{"NaN fault bit rate", RunConfig{FaultScript: "0s:bitrate NaN"}, `faults: "0s:bitrate NaN": bit rate must be positive, finite and at least 1 b/s`},
+		{"+Inf fault bit rate", RunConfig{FaultScript: "0s:bitrate +Inf"}, `faults: "0s:bitrate +Inf": bit rate must be positive, finite and at least 1 b/s`},
+		{"NaN duplicate", RunConfig{FaultScript: "1s:duplicate NaN"}, `faults: "1s:duplicate NaN": probability outside [0,1]`},
+		{"NaN reorder", RunConfig{FaultScript: "1s:reorder NaN"}, `faults: "1s:reorder NaN": probability outside [0,1]`},
 		{"finite rates", RunConfig{BitRate: 20e6, Topology: oneSegment(40e6)}, ""},
 	} {
 		cfg := tc.cfg

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"fxnet/internal/faults"
 	"fxnet/internal/sim"
 )
 
@@ -150,6 +151,9 @@ func (t *Topology) Validate() error {
 		}
 		if !finiteRate(s.BitRate) {
 			return fmt.Errorf("core: segment %q bit rate %g is not a finite non-negative rate", s.Name, s.BitRate)
+		}
+		if belowFloor(s.BitRate) {
+			return fmt.Errorf("core: segment %q bit rate %g is below the %g b/s floor", s.Name, s.BitRate, faults.MinBitRate)
 		}
 		if s.TrunkLatency < 0 {
 			return fmt.Errorf("core: segment %q has negative trunk latency", s.Name)

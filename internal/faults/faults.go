@@ -14,6 +14,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,6 +55,12 @@ const (
 	// phase of the named host's workers (§6.1's stall, on demand).
 	ComputeStall
 )
+
+// MinBitRate is the slowest bit rate (bits/s) a segment may run at, for a
+// bitrate fault here and for a configured rate in core.Validate. A
+// maximal frame then takes 3.4 hours of virtual time, which sim.Duration
+// holds 7·10⁵ times over; at 1e-300 b/s one frame's time overflowed it.
+const MinBitRate = 1.0
 
 var kindNames = map[Kind]string{
 	LinkDown:       "linkdown",
@@ -224,10 +231,11 @@ func Parse(script string) (*Schedule, error) {
 			if err != nil {
 				return nil, fmt.Errorf("faults: %q: bad value: %v", item, err)
 			}
-			if kind == BitRateDegrade && v <= 0 {
-				return nil, fmt.Errorf("faults: %q: bit rate must be positive", item)
+			// Written so NaN fails too; ParseFloat accepts "NaN" and "Inf".
+			if kind == BitRateDegrade && !(v >= MinBitRate && v <= math.MaxFloat64) {
+				return nil, fmt.Errorf("faults: %q: bit rate must be positive, finite and at least %g b/s", item, MinBitRate)
 			}
-			if kind != BitRateDegrade && (v < 0 || v > 1) {
+			if kind != BitRateDegrade && !(v >= 0 && v <= 1) {
 				return nil, fmt.Errorf("faults: %q: probability outside [0,1]", item)
 			}
 			f.Rate = v

@@ -2,22 +2,44 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"fxnet/internal/sim"
 )
 
+// goodScripts round-trip through Parse and String; badScripts are
+// refused with an error naming the wanted word. Both seed FuzzFaultScript.
+var goodScripts = []string{
+	"5s:linkdown host2,7s:linkup host2",
+	"2s:partition host0+host1|host2+host3,4s:heal",
+	"3s:crash host3,10s:restart host3",
+	"1s:bitrate 5e+06,2s:duplicate 0.01,2s:reorder 0.005",
+	"6s:stall host1 2s",
+	"250ms:segdown,1s:segup",
+}
+
+var badScripts = []struct{ script, wants string }{
+	{"5s linkdown host2", "offset"},
+	{"xx:linkdown host2", "offset"},
+	{"5s:frobnicate host2", "unknown fault"},
+	{"5s:linkdown", "host"},
+	{"5s:heal host2", "no arguments"},
+	{"5s:partition host0+host1", "two groups"},
+	{"5s:bitrate -3", "positive"},
+	{"5s:bitrate NaN", "finite"},
+	{"5s:bitrate +Inf", "finite"},
+	{"5s:bitrate 1e-300", "at least 1 b/s"},
+	{"5s:duplicate 1.5", "probability"},
+	{"5s:duplicate NaN", "probability"},
+	{"5s:reorder NaN", "probability"},
+	{"5s:stall host1", "duration"},
+	{"-2s:linkdown host2", "negative"},
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	scripts := []string{
-		"5s:linkdown host2,7s:linkup host2",
-		"2s:partition host0+host1|host2+host3,4s:heal",
-		"3s:crash host3,10s:restart host3",
-		"1s:bitrate 5e+06,2s:duplicate 0.01,2s:reorder 0.005",
-		"6s:stall host1 2s",
-		"250ms:segdown,1s:segup",
-	}
-	for _, script := range scripts {
+	for _, script := range goodScripts {
 		s, err := Parse(script)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", script, err)
@@ -40,25 +62,46 @@ func TestParseSortsByOffset(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	bad := []struct{ script, wants string }{
-		{"5s linkdown host2", "offset"},
-		{"xx:linkdown host2", "offset"},
-		{"5s:frobnicate host2", "unknown fault"},
-		{"5s:linkdown", "host"},
-		{"5s:heal host2", "no arguments"},
-		{"5s:partition host0+host1", "two groups"},
-		{"5s:bitrate -3", "positive"},
-		{"5s:duplicate 1.5", "probability"},
-		{"5s:stall host1", "duration"},
-		{"-2s:linkdown host2", "negative"},
-	}
-	for _, tc := range bad {
+	for _, tc := range badScripts {
 		if _, err := Parse(tc.script); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error mentioning %q", tc.script, tc.wants)
 		} else if !strings.Contains(err.Error(), tc.wants) {
 			t.Errorf("Parse(%q) error %q, want mention of %q", tc.script, err, tc.wants)
 		}
 	}
+}
+
+// FuzzFaultScript: the POST body's faults field reaches Parse, so any
+// input is either refused or yields a schedule the fabric can run —
+// rates finite and in range, offsets non-negative and sorted.
+func FuzzFaultScript(f *testing.F) {
+	for _, script := range goodScripts {
+		f.Add(script)
+	}
+	for _, tc := range badScripts {
+		f.Add(tc.script)
+	}
+	f.Fuzz(func(t *testing.T, script string) {
+		s, err := Parse(script)
+		if err != nil {
+			return
+		}
+		for i, ft := range s.Faults {
+			if ft.At < 0 || i > 0 && ft.At < s.Faults[i-1].At {
+				t.Fatalf("%q: fault %d at %v out of order or negative: %v", script, i, ft.At, s)
+			}
+			switch ft.Kind {
+			case BitRateDegrade:
+				if !(ft.Rate >= MinBitRate && ft.Rate <= math.MaxFloat64) {
+					t.Fatalf("%q: bit rate %g accepted", script, ft.Rate)
+				}
+			case FrameDuplicate, FrameReorder:
+				if !(ft.Rate >= 0 && ft.Rate <= 1) {
+					t.Fatalf("%q: probability %g accepted", script, ft.Rate)
+				}
+			}
+		}
+	})
 }
 
 // testHooks records fired faults and resolves hostN names.

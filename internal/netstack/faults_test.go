@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"cmp"
 	"errors"
 	"testing"
 
@@ -115,3 +116,41 @@ func TestCrashResetsConnections(t *testing.T) {
 }
 
 const time500ms = 500 * sim.Millisecond
+
+// With unbounded retries the backoff outgrows any shift: RTO << 34
+// wrapped negative, slipped under the MaxRTO clamp and scheduled the
+// timer in the past. Past 64 consecutive timeouts against a blackholed
+// peer the deadline stays within MaxRTO of now, and an unset MaxRTO
+// takes the one-day ceiling.
+func TestRTOBackoffStaysClamped(t *testing.T) {
+	for _, maxRTO := range []sim.Duration{8 * sim.Second, 0} {
+		cfg := DefaultConfig()
+		cfg.MaxRTO = maxRTO
+		limit := cmp.Or(maxRTO, rtoCeiling)
+		r := newFaultRig(t, cfg)
+		l := r.hosts[1].Listen(80)
+		r.k.Go("server", func(p *sim.Proc) {
+			_, _ = l.Accept(p).ReadErr(p, 1<<20)
+		})
+		var c *Conn
+		r.k.Go("client", func(p *sim.Proc) {
+			c = r.hosts[0].Connect(p, 1, 80)
+			p.Sleep(100 * sim.Millisecond)
+			r.seg.SetLinkDown(1, true)
+			_ = c.WriteErr(p, make([]byte, 64*1024))
+		})
+		for step := 0; c == nil || c.rtoBackoff <= 64; step++ {
+			now := r.k.RunUntil(r.k.Now().Add(limit))
+			if step == 200 {
+				t.Fatalf("MaxRTO %v: %d timeouts after 200 steps of %v", maxRTO, c.rtoBackoff, limit)
+			}
+			if c == nil {
+				continue
+			}
+			if d := c.rtoDeadline; d <= now || d > now.Add(limit) {
+				t.Fatalf("MaxRTO %v: after %d timeouts the deadline is %v at %v, want within (now, now+%v]",
+					maxRTO, c.rtoBackoff, d, now, limit)
+			}
+		}
+	}
+}

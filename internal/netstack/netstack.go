@@ -11,6 +11,7 @@
 package netstack
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -58,6 +59,7 @@ type Config struct {
 	DelayedAckTimeout sim.Duration
 	// RTO is the initial retransmission timeout; it backs off
 	// exponentially up to MaxRTO on repeated losses of the same segment.
+	// A MaxRTO of zero or less caps it at a day instead.
 	RTO    sim.Duration
 	MaxRTO sim.Duration
 	// Nagle enables sender-side small-segment coalescing. PVM sets
@@ -74,6 +76,10 @@ type Config struct {
 	// ErrTimedOut when it elapses. Zero waits forever.
 	ConnectTimeout sim.Duration
 }
+
+// rtoCeiling caps the backed-off timeout when MaxRTO is unset: a day,
+// unbounded for any run, yet 10⁵ timeouts of it still fit sim.Time.
+const rtoCeiling = 24 * sim.Hour
 
 // DefaultConfig mirrors mid-1990s BSD-derived stacks: 16 KB socket
 // buffers, ack-every-other-segment, 200 ms delayed-ACK timer.
@@ -145,6 +151,7 @@ func NewHost(k *sim.Kernel, st ethernet.Port, name string, cfg Config) *Host {
 	if cfg.SendWindow <= 0 {
 		cfg = DefaultConfig()
 	}
+	cfg.MaxRTO = cmp.Or(max(cfg.MaxRTO, 0), rtoCeiling)
 	h := &Host{
 		k: k, st: st, name: name, cfg: cfg,
 		udp:       make(map[uint16]UDPHandler),
@@ -698,9 +705,13 @@ func (c *Conn) armRTO(reset bool) {
 		c.rtoTimer = sim.Event{}
 		return
 	}
-	rto := c.h.cfg.RTO << c.rtoBackoff
-	if max := c.h.cfg.MaxRTO; max > 0 && rto > max {
-		rto = max
+	// Clamp before shifting: with unbounded retries the backoff grows
+	// without limit, and RTO << 34 already wraps negative.
+	rto, limit := c.h.cfg.RTO, c.h.cfg.MaxRTO
+	if rto > limit>>c.rtoBackoff {
+		rto = limit
+	} else {
+		rto <<= c.rtoBackoff
 	}
 	c.rtoDeadline = c.h.k.Now().Add(rto)
 	if !c.rtoTimer.Pending() {

@@ -180,10 +180,12 @@ func TestSubmitUnrunnableFaultScriptLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// A rate that is negative, NaN or infinite is a 400 naming the field,
-// and nothing is journaled: a negative bit rate used to run at the
-// 10 Mb/s default, and a NaN segment rate passed the "< 0" check. JSON
-// has no NaN or Inf, but the topology spec's "@Mb/s" parses both.
+// A rate that is negative, NaN, infinite or below faults.MinBitRate is a
+// 400 naming the field, and nothing is journaled: a negative bit rate
+// used to run at the 10 Mb/s default, a NaN segment rate passed the "< 0"
+// check, and a 1e-300 b/s rate (or a NaN fault rate) panicked the run.
+// JSON has no NaN or Inf, but the topology spec's "@Mb/s" and the fault
+// script parse both.
 func TestSubmitBadRateLeavesNoTrace(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := journaledServer(t, dir, Options{Workers: 1})
@@ -203,6 +205,11 @@ func TestSubmitBadRateLeavesNoTrace(t *testing.T) {
 		{func(r *RunRequest) { r.CrossKBps = -1 }, "core: CrossTrafficKBps -1 is not a finite non-negative rate"},
 		{func(r *RunRequest) { r.Topology = "lan0:0-3@NaN" }, `bad topology: core: segment "lan0" bit rate NaN is not a finite non-negative rate`},
 		{func(r *RunRequest) { r.Topology = "lan0:0-3@Inf" }, `bad topology: core: segment "lan0" bit rate +Inf is not a finite non-negative rate`},
+		{func(r *RunRequest) { r.BitRate = 1e-300 }, "core: BitRate 1e-300 is below the 1 b/s floor"},
+		{func(r *RunRequest) { r.Topology = "lan0:0-3@1e-300" }, `bad topology: core: segment "lan0" bit rate 1e-294 is below the 1 b/s floor`},
+		{func(r *RunRequest) { r.Faults = "0s:bitrate 1e-300" }, `faults: "0s:bitrate 1e-300": bit rate must be positive, finite and at least 1 b/s`},
+		{func(r *RunRequest) { r.Faults = "0s:bitrate NaN" }, `faults: "0s:bitrate NaN": bit rate must be positive, finite and at least 1 b/s`},
+		{func(r *RunRequest) { r.Faults = "1s:duplicate NaN" }, `faults: "1s:duplicate NaN": probability outside [0,1]`},
 	} {
 		req := cheapRun()
 		tc.mutate(&req)

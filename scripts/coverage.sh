@@ -174,7 +174,7 @@ run go tool covdata textfmt -i "$dir/cov" -o "$dir/procs.out" -pkg "$(echo $fron
 cat >"$dir/budget" <<'EOF'
 core 76
 ethernet 33
-faults 28
+faults 26
 fx 28
 netstack 32
 pvm 29
