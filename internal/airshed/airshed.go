@@ -246,33 +246,39 @@ func newHeun(p Params) *heun {
 }
 
 // deriv evaluates y′ at state into out, which must not alias it: layer li
-// reads layers li±1 of state.
+// reads layers li±1 of state. A missing neighbour's term is skipped, not
+// added as zero, so the interior and bottom layers have loops of their
+// own, and the top layer adds its lower neighbour's term in a second
+// pass, which a single layer skips. Each element sees the same
+// operations in the same order in every case.
 func (h *heun) deriv(state, out []float32) {
-	s := h.s
+	s, l := h.s, h.l
+	// Reslicing to the one length lets the compiler drop the inner loops'
+	// bounds checks.
 	decay := h.decay[:s]
-	for li := 0; li < h.l; li++ {
-		cur := state[li*s : (li+1)*s]
-		// A missing neighbour's term is skipped, not added as zero, so
-		// up and dn are only placeholders at the edges.
-		hasUp, hasDn := li > 0, li < h.l-1
-		up, dn := cur, cur
-		if hasUp {
-			up = state[(li-1)*s : li*s]
+	layer := func(b []float32, li int) []float32 { return b[li*s:][:s] }
+	cur, o := layer(state, 0), layer(out, 0)
+	for si, c := range cur {
+		o[si] = -decay[si] * c
+	}
+	if l > 1 {
+		dn := layer(state, 1)
+		for si, c := range cur {
+			o[si] += 0.1 * (dn[si] - c)
 		}
-		if hasDn {
-			dn = state[(li+1)*s : (li+2)*s]
+		for li := 1; li < l-1; li++ {
+			up, cur, dn, o := layer(state, li-1), layer(state, li), layer(state, li+1), layer(out, li)
+			for si, c := range cur {
+				v := -decay[si] * c
+				v += 0.1 * (up[si] - c)
+				v += 0.1 * (dn[si] - c)
+				o[si] = v
+			}
 		}
-		// Reslicing to the one length lets the compiler drop the inner
-		// loop's bounds checks.
-		cur, up, dn, o := cur[:s], up[:s], dn[:s], out[li*s:][:s]
+		up, cur, o := layer(state, l-2), layer(state, l-1), layer(out, l-1)
 		for si, c := range cur {
 			v := -decay[si] * c
-			if hasUp {
-				v += 0.1 * (up[si] - c)
-			}
-			if hasDn {
-				v += 0.1 * (dn[si] - c)
-			}
+			v += 0.1 * (up[si] - c)
 			o[si] = v
 		}
 	}
@@ -315,37 +321,54 @@ func Run(w *fx.Worker, p Params) [][][]float32 {
 	llo, lhi := fx.BlockRange(p.Layers, w.P, w.Rank)
 	glo, ghi := fx.BlockRange(p.Grid, w.P, w.Rank)
 	st := newState(p, llo, lhi-llo, ghi-glo)
+	fwd, rev := st.parts(w.P)
 
 	// The local phases' arithmetic runs beside their charge (DESIGN.md
 	// §8 "Kernel numerics"): each op count is known from structure before
-	// the work, and the work touches only this rank's state.
-	transport := func(lus []*linalg.BandedLU) {
-		w.ComputeWith("airshed.solve", st.transportOps(lus), func() { st.transport(lus) })
+	// the work, and the work touches only this rank's state. Each
+	// transpose's pack and unpack ride with the phase on either side.
+	var (
+		lus []*linalg.BandedLU
+		got [][]byte // the last AllToAll's parts, by source rank
+	)
+	transportThenPack := func() {
+		st.transport(lus)
+		st.packForward(fwd)
+	}
+	chemistry := func() {
+		st.unpackForward(got)
+		st.chemistry()
+		st.packReverse(rev)
+	}
+	unpackThenTransport := func() {
+		st.unpackReverse(got)
+		st.transport(lus)
 	}
 	tag := tagBase
 	for hour := 0; hour < p.Hours; hour++ {
 		// Preprocessing: assemble and factor stiffness per owned layer.
 		// Synchronous: the factor's op count depends on its values.
-		lus, preOps := st.factor(hour)
+		var preOps float64
+		lus, preOps = st.factor(hour)
 		w.Compute("airshed.factor", preOps)
 
 		for step := 0; step < p.Steps; step++ {
 			// Horizontal transport (by-layer, local).
-			transport(lus)
+			w.ComputeWith("airshed.solve", st.transportOps(lus), transportThenPack)
 
 			// Transpose to by-grid distribution.
-			st.transposeForward(w, tag)
+			got = w.AllToAll(tag, fwd)
 			tag += w.P
 
 			// Chemistry / vertical transport (by-grid, local).
-			w.ComputeWith("airshed.chem", st.chemOps(), st.chemistry)
+			w.ComputeWith("airshed.chem", st.chemOps(), chemistry)
 
 			// Reverse transpose back to by-layer.
-			st.transposeReverse(w, tag)
+			got = w.AllToAll(tag, rev)
 			tag += w.P
 
 			// Second horizontal transport.
-			transport(lus)
+			w.ComputeWith("airshed.solve", st.transportOps(lus), unpackThenTransport)
 		}
 	}
 	return st.layers()

@@ -169,8 +169,9 @@ func TestStiffnessDiagonallyDominant(t *testing.T) {
 	}
 }
 
+// TestTransposeRoundTrip runs the two transposes over the wire: forward
+// gives every point its column, and reverse restores the by-layer block.
 func TestTransposeRoundTrip(t *testing.T) {
-	// Forward followed by reverse must restore the by-layer block.
 	p := smallParams()
 	p.Steps = 0 // no simulation; we call the transposes directly
 	const P = 4
@@ -189,7 +190,9 @@ func TestTransposeRoundTrip(t *testing.T) {
 		glo, ghi := fx.BlockRange(p.Grid, P, w.Rank)
 		st := newState(p, llo, lhi-llo, ghi-glo)
 		orig := append([]float32(nil), st.block...)
-		st.transposeForward(w, 1000)
+		fwd, rev := st.parts(P)
+		st.packForward(fwd)
+		st.unpackForward(w.AllToAll(1000, fwd))
 		// Verify the by-grid view holds the right elements.
 		for g := 0; g < ghi-glo; g++ {
 			want := column(glo+g, p)
@@ -200,7 +203,8 @@ func TestTransposeRoundTrip(t *testing.T) {
 			}
 		}
 		clear(st.block)
-		st.transposeReverse(w, 2000)
+		st.packReverse(rev)
+		st.unpackReverse(w.AllToAll(2000, rev))
 		for i, v := range st.block {
 			if v != orig[i] {
 				panic("round trip corrupted block")

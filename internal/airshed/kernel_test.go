@@ -1,8 +1,10 @@
 package airshed
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"fxnet/internal/fx"
@@ -117,6 +119,98 @@ func TestOpCountsMatchLegacy(t *testing.T) {
 	}
 }
 
+// transposeShapes are the teams the transposes are held to the legacy
+// ones on: P = 1 to 5 on a grid and layer count no P > 1 divides, and
+// TestDistributedMatchesLegacy's idle-rank shape (Layers < P and
+// Grid < P).
+var transposeShapes = []struct {
+	P int
+	p Params
+}{
+	{1, unevenParams}, {2, unevenParams}, {3, unevenParams}, {4, unevenParams}, {5, unevenParams},
+	{4, Params{Layers: 2, Species: 5, Grid: 3, Steps: 1, Hours: 2, Band: 1}},
+}
+
+var unevenParams = Params{Layers: 4, Species: 7, Grid: 50, Steps: 2, Hours: 2, Band: 4}
+
+// teamStates builds every rank's state of a team of P.
+func teamStates(P int, p Params) []*state {
+	sts := make([]*state, P)
+	for r := range sts {
+		llo, lhi := fx.BlockRange(p.Layers, P, r)
+		glo, ghi := fx.BlockRange(p.Grid, P, r)
+		sts[r] = newState(p, llo, lhi-llo, ghi-glo)
+	}
+	return sts
+}
+
+// route is the all-to-all among a team's sent parts: rank r receives
+// sent[q][r] from every rank q, its own part included.
+func route(sent [][][]byte, r int) [][]byte {
+	got := make([][]byte, len(sent))
+	for q := range sent {
+		got[q] = sent[q][r]
+	}
+	return got
+}
+
+// TestTransposePartsMatchLegacy holds the split transposes to the legacy
+// ones: every part packForward and packReverse write is byte-identical
+// to the legacy part, what the unpacks fill is bit-identical to the
+// legacy array, and forward then reverse gives the block back.
+func TestTransposePartsMatchLegacy(t *testing.T) {
+	for _, tc := range transposeShapes {
+		P, name := tc.P, fmt.Sprintf("P=%d %+v", tc.P, tc.p)
+		sts, legacy := teamStates(P, tc.p), teamStates(P, tc.p)
+		fwd, rev := make([][][]byte, P), make([][][]byte, P)
+		orig := make([][]float32, P)
+		for r, st := range sts {
+			orig[r] = slices.Clone(st.block)
+			fwd[r], rev[r] = st.parts(P)
+			st.packForward(fwd[r])
+		}
+		// exchange checks legacy rank r's parts against the split pack's
+		// and hands it what the split rank receives.
+		exchange := func(dir string, sent [][][]byte, r int) func([][]byte) [][]byte {
+			return func(parts [][]byte) [][]byte {
+				for q, part := range parts {
+					if !bytes.Equal(sent[r][q], part) {
+						t.Fatalf("%s %s: rank %d's part for rank %d differs from the legacy part", name, dir, r, q)
+					}
+				}
+				return route(sent, r)
+			}
+		}
+		for r, st := range sts {
+			legacy[r].legacyTransposeForward(P, exchange("forward", fwd, r))
+			st.unpackForward(route(fwd, r))
+			sameFloats(t, fmt.Sprintf("%s rank %d points", name, r), st.points, legacy[r].points)
+			st.packReverse(rev[r])
+		}
+		for r, st := range sts {
+			clear(st.block)
+			legacy[r].legacyTransposeReverse(P, exchange("reverse", rev, r))
+			st.unpackReverse(route(rev, r))
+			sameFloats(t, fmt.Sprintf("%s rank %d block", name, r), st.block, legacy[r].block)
+			sameFloats(t, fmt.Sprintf("%s rank %d round trip", name, r), st.block, orig[r])
+		}
+	}
+}
+
+// sameFloats fails the test at the first element of got that is not
+// bit-equal to want.
+func sameFloats(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i, v := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(v) {
+			t.Fatalf("%s: [%d] = %v, want %v", what, i, got[i], v)
+		}
+	}
+}
+
 func TestKernelsAllocateNothing(t *testing.T) {
 	p := Params{Layers: 4, Species: 35, Grid: 64, Steps: 1, Hours: 1, Band: 8}
 	st := newState(p, 0, p.Layers, p.Grid)
@@ -127,6 +221,15 @@ func TestKernelsAllocateNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(3, func() { st.transport(lus) }); n != 0 {
 		t.Errorf("one transport phase allocates %v", n)
+	}
+	fwd, rev := st.parts(1)
+	if n := testing.AllocsPerRun(3, func() {
+		st.packForward(fwd)
+		st.unpackForward(fwd)
+		st.packReverse(rev)
+		st.unpackReverse(rev)
+	}); n != 0 {
+		t.Errorf("one step's transpose halves allocate %v", n)
 	}
 }
 
@@ -166,6 +269,38 @@ func BenchmarkChemPoint_4x35(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(y, y0)
 		h.point(y)
+	}
+}
+
+// BenchmarkTranspose_4x35x1024 is one step's two transposes at the
+// paper's dimensions on P = 4, without the wire: every rank packs its
+// forward parts, unpacks what it receives, packs the reverse parts and
+// unpacks those.
+func BenchmarkTranspose_4x35x1024(b *testing.B) {
+	const P = 4
+	sts := teamStates(P, PaperParams())
+	fwd, rev := make([][][]byte, P), make([][][]byte, P)
+	for r, st := range sts {
+		fwd[r], rev[r] = st.parts(P)
+	}
+	// The parts are reused, so what each rank receives is fixed.
+	gotFwd, gotRev := make([][][]byte, P), make([][][]byte, P)
+	for r := range sts {
+		gotFwd[r], gotRev[r] = route(fwd, r), route(rev, r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r, st := range sts {
+			st.packForward(fwd[r])
+		}
+		for r, st := range sts {
+			st.unpackForward(gotFwd[r])
+			st.packReverse(rev[r])
+		}
+		for r, st := range sts {
+			st.unpackReverse(gotRev[r])
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package airshed
 
 import (
+	"encoding/binary"
 	"math"
 
+	"fxnet/internal/fx"
 	"fxnet/internal/linalg"
 )
 
@@ -168,4 +170,72 @@ func legacySequential(p Params) [][][]float32 {
 		}
 	}
 	return block
+}
+
+// legacyTransposeForward and legacyTransposeReverse are the transposes as
+// they stood before each was split into a pack and an unpack that run off
+// the simulator goroutine: verbatim, but for the all-to-all, which they
+// take as exchange (and P) so a test sees the parts they send. They are
+// the byte-identity reference for packForward/packReverse and the
+// bit-identity reference for unpackForward/unpackReverse.
+func (st *state) legacyTransposeForward(P int, exchange func(parts [][]byte) [][]byte) {
+	p := st.p
+	parts := make([][]byte, P)
+	for q := range parts {
+		qglo, qghi := fx.BlockRange(p.Grid, P, q)
+		buf := make([]byte, 0, 4*st.nl*p.Species*(qghi-qglo))
+		for li := 0; li < st.nl; li++ {
+			for si := 0; si < p.Species; si++ {
+				buf = fx.AppendFloat32s(buf, st.row(li, si)[qglo:qghi])
+			}
+		}
+		parts[q] = buf
+	}
+	got := exchange(parts)
+	n := p.Layers * p.Species
+	for q, vals := range got {
+		qllo, qlhi := fx.BlockRange(p.Layers, P, q)
+		idx := 0
+		for r := qllo * p.Species; r < qlhi*p.Species; r++ { // r = layer·Species + species
+			for g := 0; g < st.np; g++ {
+				st.points[g*n+r] = legacyGet32(vals, idx)
+				idx++
+			}
+		}
+	}
+}
+
+func (st *state) legacyTransposeReverse(P int, exchange func(parts [][]byte) [][]byte) {
+	p := st.p
+	n := p.Layers * p.Species
+	parts := make([][]byte, P)
+	for q := range parts {
+		qllo, qlhi := fx.BlockRange(p.Layers, P, q)
+		buf := make([]byte, 0, 4*(qlhi-qllo)*p.Species*st.np)
+		for r := qllo * p.Species; r < qlhi*p.Species; r++ {
+			for g := 0; g < st.np; g++ {
+				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(st.points[g*n+r]))
+			}
+		}
+		parts[q] = buf
+	}
+	got := exchange(parts)
+	for q, vals := range got {
+		qglo, qghi := fx.BlockRange(p.Grid, P, q)
+		idx := 0
+		for li := 0; li < st.nl; li++ {
+			for si := 0; si < p.Species; si++ {
+				row := st.row(li, si)[qglo:qghi]
+				for g := range row {
+					row[g] = legacyGet32(vals, idx)
+					idx++
+				}
+			}
+		}
+	}
+}
+
+// legacyGet32 decodes element i of a buffer written by fx.AppendFloat32s.
+func legacyGet32(b []byte, i int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 }

@@ -7,78 +7,102 @@ import (
 	"fxnet/internal/fx"
 )
 
-// The transposes move values straight between the flat arrays and the
-// wire: rows are encoded from the block into the send buffer and decoded
-// from the received bytes into place, with no []float32 in between. Send
-// buffers are allocated per transpose because frames on the simulated
-// wire alias the message payload.
+// Each transpose is a pack, an fx.Worker.AllToAll and an unpack, and Run
+// does the pack and the unpack inside the rank's ComputeWith charges
+// (DESIGN.md §8 "Ranks on every core"), so the simulator goroutine only
+// moves the parts. Parts hold float32s in fx.AppendFloat32s's format,
+// ordered (layer, species, grid), so the by-grid halves are a transpose
+// of the points array; each writes contiguously and reads strided from a
+// span that stays in cache. The parts are this rank's own buffers,
+// reused by every transpose: Worker.Send copies a body before it returns
+// (AIRSHED sends copy-loop messages), and AllToAll's result — the
+// received bodies and this rank's own part, aliased — is unpacked before
+// the pack that next writes the buffers.
 
-// get32 decodes element i of a buffer written by fx.AppendFloat32s.
-func get32(b []byte, i int) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+// parts allocates this rank's send parts of both transposes for a team
+// of P: forward, to rank q, the owned layers × all species × q's grid
+// slice; reverse, to rank q, q's layers × all species × the owned points.
+func (st *state) parts(P int) (fwd, rev [][]byte) {
+	fwd, rev = make([][]byte, P), make([][]byte, P)
+	for q := range P {
+		glo, ghi := fx.BlockRange(st.p.Grid, P, q)
+		llo, lhi := fx.BlockRange(st.p.Layers, P, q)
+		fwd[q] = make([]byte, 4*st.nl*st.p.Species*(ghi-glo))
+		rev[q] = make([]byte, 4*(lhi-llo)*st.p.Species*st.np)
+	}
+	return fwd, rev
 }
 
-// transposeForward redistributes the concentration array from by-layer
-// blocks to by-grid-point blocks with one all-to-all: each rank sends, to
-// every rank q, its owned layers × all species × q's grid slice — the
-// O(p·s·l/P²)-element message of the paper's §3.2. Elements are ordered
-// (layer, species, grid) within each part.
-func (st *state) transposeForward(w *fx.Worker, tag int) {
-	p := st.p
-	parts := make([][]byte, w.P)
-	for q := range parts {
-		qglo, qghi := fx.BlockRange(p.Grid, w.P, q)
-		buf := make([]byte, 0, 4*st.nl*p.Species*(qghi-qglo))
-		for li := 0; li < st.nl; li++ {
-			for si := 0; si < p.Species; si++ {
-				buf = fx.AppendFloat32s(buf, st.row(li, si)[qglo:qghi])
-			}
+// packForward writes the forward transpose's parts: to every rank q, its
+// grid slice of every owned species row — the O(p·s·l/P²)-element
+// message of the paper's §3.2.
+func (st *state) packForward(parts [][]byte) {
+	G := st.p.Grid
+	for q, part := range parts {
+		qglo, qghi := fx.BlockRange(G, len(parts), q)
+		// part has exactly the capacity the rows need, so the appends
+		// fill it in place.
+		b := part[:0]
+		for r := 0; r < st.nl*st.p.Species; r++ { // r = ownedLayer·Species + species
+			b = fx.AppendFloat32s(b, st.block[r*G+qglo:r*G+qghi])
 		}
-		parts[q] = buf
 	}
-	got := w.AllToAll(tag, parts)
-	n := p.Layers * p.Species
-	for q, vals := range got {
-		qllo, qlhi := fx.BlockRange(p.Layers, w.P, q)
-		idx := 0
-		for r := qllo * p.Species; r < qlhi*p.Species; r++ { // r = layer·Species + species
-			for g := 0; g < st.np; g++ {
-				st.points[g*n+r] = get32(vals, idx)
-				idx++
+}
+
+// unpackForward moves the forward transpose's received parts into the
+// owned points: from rank q, q's layers × all species × the owned points,
+// so point g's column is element g of every row of every part, in rank
+// order. It writes one column at a time and reads the parts strided.
+func (st *state) unpackForward(got [][]byte) {
+	n, np := st.p.Layers*st.p.Species, st.np
+	for g := 0; g < np; g++ {
+		col := st.points[g*n : (g+1)*n]
+		r := 0 // the column's row: layer·Species + species
+		for _, part := range got {
+			for o := 4 * g; o < len(part); o += 4 * np {
+				col[r] = math.Float32frombits(binary.LittleEndian.Uint32(part[o:]))
+				r++
 			}
 		}
 	}
 }
 
-// transposeReverse is the inverse redistribution: each rank sends, to
-// every layer owner q, the slice of its grid points for q's layers,
-// ordered (layer, species, grid).
-func (st *state) transposeReverse(w *fx.Worker, tag int) {
-	p := st.p
-	n := p.Layers * p.Species
-	parts := make([][]byte, w.P)
-	for q := range parts {
-		qllo, qlhi := fx.BlockRange(p.Layers, w.P, q)
-		buf := make([]byte, 0, 4*(qlhi-qllo)*p.Species*st.np)
-		for r := qllo * p.Species; r < qlhi*p.Species; r++ {
-			for g := 0; g < st.np; g++ {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(st.points[g*n+r]))
-			}
-		}
-		parts[q] = buf
-	}
-	got := w.AllToAll(tag, parts)
-	for q, vals := range got {
-		qglo, qghi := fx.BlockRange(p.Grid, w.P, q)
-		idx := 0
-		for li := 0; li < st.nl; li++ {
-			for si := 0; si < p.Species; si++ {
-				row := st.row(li, si)[qglo:qghi]
-				for g := range row {
-					row[g] = get32(vals, idx)
-					idx++
+// pointTile is how many points packReverse reads at once: 16 float32s
+// are one 64-byte line of a part's row, and 16 columns of the points
+// array stay in L1 while every row's line is written.
+const pointTile = 16
+
+// packReverse writes the reverse transpose's parts, unpackForward's
+// inverse: to every rank q, the owned points' values of q's layers. It
+// writes a line of a part at a time from a tile of points.
+func (st *state) packReverse(parts [][]byte) {
+	n, np := st.p.Layers*st.p.Species, st.np
+	for g0 := 0; g0 < np; g0 += pointTile {
+		tile := st.points[g0*n : min(g0+pointTile, np)*n]
+		r := 0
+		for _, part := range parts {
+			for o := 4 * g0; o < len(part); o += 4 * np {
+				line := part[o : o+4*len(tile)/n]
+				for i := r; len(line) >= 4; i += n { // tile[i]: row r of the line's next point
+					binary.LittleEndian.PutUint32(line, math.Float32bits(tile[i]))
+					line = line[4:]
 				}
+				r++
 			}
+		}
+	}
+}
+
+// unpackReverse moves the reverse transpose's received parts into the
+// owned species rows, packForward's inverse: from rank q, q's grid slice
+// of every owned row.
+func (st *state) unpackReverse(got [][]byte) {
+	G := st.p.Grid
+	for q, part := range got {
+		qglo, qghi := fx.BlockRange(G, len(got), q)
+		m := qghi - qglo
+		for r := 0; r < st.nl*st.p.Species; r++ {
+			fx.DecodeFloat32s(st.block[r*G+qglo:r*G+qghi], part[4*r*m:4*(r+1)*m])
 		}
 	}
 }

@@ -35,7 +35,8 @@ func DecodeFloat32s(dst []float32, b []byte) {
 		panic("fx: DecodeFloat32s length mismatch")
 	}
 	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b))
+		b = b[4:]
 	}
 }
 

@@ -37,6 +37,9 @@ func SEQ(w *fx.Worker, p Params) [][]float64 {
 		block[r] = make([]float64, n)
 	}
 
+	// One element's body, rewritten per element: w.Send copies it before
+	// it returns (SEQ sends copy-loop messages).
+	var body [seqElemBytes]byte
 	for it := 0; it < p.Iters; it++ {
 		w.Phase("produce-broadcast")
 		if w.Rank == 0 {
@@ -46,12 +49,11 @@ func SEQ(w *fx.Worker, p Params) [][]float64 {
 				w.Compute("seq.produce", float64(n))
 				for j := 0; j < n; j++ {
 					v := seqValue(i, j, n)
-					body := make([]byte, seqElemBytes)
 					binary.LittleEndian.PutUint32(body[0:], uint32(i))
 					binary.LittleEndian.PutUint32(body[4:], uint32(j))
 					binary.LittleEndian.PutUint64(body[8:], math.Float64bits(v))
 					for dst := 1; dst < w.P; dst++ {
-						w.Send(dst, seqTag, body)
+						w.Send(dst, seqTag, body[:])
 					}
 					if i >= lo && i < hi {
 						block[i-lo][j] = v

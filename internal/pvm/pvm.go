@@ -401,9 +401,10 @@ type Task struct {
 	mbox      []message
 	gate      sim.Gate
 	cancelErr error
-	lost      bool   // its host was marked dead; a restart does not revive it
-	sendChunk []byte // unused tail of the current send chunk (see sendBuf)
-	chunkLen  int    // that chunk's full length
+	lost      bool                  // its host was marked dead; a restart does not revive it
+	sends     carver                // small outgoing writes (see sendBuf)
+	bodies    carver                // small bodies its readers receive (see bodyBuf)
+	frameHead [headerBytes + 4]byte // what a large sendBuf appends to
 
 	// Counters.
 	MsgsSent, BytesSent int64
@@ -519,13 +520,13 @@ func (r *reader) run() {
 			r.src = int(int32(binary.LittleEndian.Uint32(b[4:])))
 			r.tag = int(int32(binary.LittleEndian.Uint32(b[8:])))
 			r.bodyLen = int(binary.LittleEndian.Uint32(b[12:]))
-			r.body = make([]byte, 0, r.bodyLen)
 			r.frags = int(binary.LittleEndian.Uint32(b[16:]))
+			r.body = r.bodyBuf()
 			r.await(readFragLen, 4)
 		case readFragLen:
 			r.await(readFrag, int(binary.LittleEndian.Uint32(b)))
 		case readFrag:
-			r.body = append(r.body, b...)
+			r.body = append(r.body, b...) // b is only lent: copy it out
 			r.frags--
 			r.await(readFragLen, 4)
 		}
@@ -533,6 +534,22 @@ func (r *reader) run() {
 			r.deliver()
 		}
 	}
+}
+
+// bodyBuf returns the empty body the message the header announced is
+// assembled into. A small body is carved like a small send, from a chunk
+// the task's readers share: they all run on its host's kernel, and a
+// delivered body is the application's, so none is handed out twice. A
+// large body in one fragment is nil: that fragment's append is then the
+// one copy, into memory it allocates without zero-filling first.
+func (r *reader) bodyBuf() []byte {
+	switch {
+	case r.bodyLen <= carveMaxBody:
+		return r.t.bodies.carve(r.bodyLen)[:0]
+	case r.frags == 1:
+		return nil
+	}
+	return make([]byte, 0, r.bodyLen)
 }
 
 // deliver queues the assembled message and wakes the task's receives.
@@ -613,31 +630,54 @@ func (t *Task) putHeader(b []byte, tag, bodyLen, nfrag int) {
 	binary.LittleEndian.PutUint32(b[16:], uint32(nfrag))
 }
 
-// Small sends are carved from per-task chunks: the paper's SEQ kernel
-// sends O(1)-byte messages, where one allocation per send is most of the
-// send's cost. Chunks double from minSendChunk to sendChunkBytes, so a
-// task that sends a dozen messages does not pay for 64 KB.
+// Small sends and small received bodies are carved from chunks: the
+// paper's SEQ kernel sends O(1)-byte messages, where one allocation per
+// message is most of its cost. Chunks double from minChunk to maxChunk,
+// so a task or connection that carries a dozen messages does not pay for
+// 64 KB.
 const (
-	minSendChunk   = 2 << 10
-	sendChunkBytes = 64 << 10
-	sendCarveMax   = 1<<10 + headerBytes + 4 // a 1 KB body, framed
+	minChunk     = 2 << 10
+	maxChunk     = 64 << 10
+	carveMaxBody = 1 << 10
+	sendCarveMax = carveMaxBody + headerBytes + 4 // a 1 KB body, framed
 )
 
-// sendBuf returns n bytes for an outgoing write. The transport holds
-// what it is given until the peer acknowledges it (and a frame on the
-// wire holds it longer), so carved bytes are never handed out again: a
-// chunk is collected once the last buffer carved from it is unreachable.
-func (t *Task) sendBuf(n int) []byte {
-	if n > sendCarveMax {
-		return make([]byte, n)
+// carver hands out byte slices carved from its current chunk. Carved
+// bytes are never handed out again: a chunk is collected once the last
+// slice carved from it is unreachable.
+type carver struct {
+	tail     []byte // unused tail of the current chunk
+	chunkLen int    // that chunk's full length
+}
+
+// carve returns n bytes, a non-nil slice even for n = 0.
+func (c *carver) carve(n int) []byte {
+	if c.tail == nil || len(c.tail) < n {
+		c.chunkLen = min(max(2*c.chunkLen, minChunk), maxChunk)
+		c.tail = make([]byte, c.chunkLen)
 	}
-	if len(t.sendChunk) < n {
-		t.chunkLen = min(max(2*t.chunkLen, minSendChunk), sendChunkBytes)
-		t.sendChunk = make([]byte, t.chunkLen)
-	}
-	b := t.sendChunk[:n:n]
-	t.sendChunk = t.sendChunk[n:]
+	b := c.tail[:n:n]
+	c.tail = c.tail[n:]
 	return b
+}
+
+// sendBuf returns a framed message of body for an outgoing write, its
+// 20-byte header left for the caller. The transport holds what it is
+// given until the peer acknowledges it (and a frame on the wire holds it
+// longer), so a small one is carved. A large one is body's one copy:
+// append allocates it without zero-filling the bytes it copies, and
+// frameHead is too short to be the result.
+func (t *Task) sendBuf(body []byte) []byte {
+	n := headerBytes + 4 + len(body)
+	var buf []byte
+	if n > sendCarveMax {
+		buf = append(t.frameHead[:], body...)
+	} else {
+		buf = t.sends.carve(n)
+		copy(buf[headerBytes+4:], body)
+	}
+	binary.LittleEndian.PutUint32(buf[headerBytes:], uint32(len(body)))
+	return buf
 }
 
 // Send transmits body to task dst with the copy-loop discipline: header,
@@ -661,10 +701,8 @@ func (t *Task) SendErr(dst, tag int, body []byte) error {
 	if err != nil {
 		return err
 	}
-	buf := t.sendBuf(headerBytes + 4 + len(body))
+	buf := t.sendBuf(body)
 	t.putHeader(buf, tag, len(body), 1)
-	binary.LittleEndian.PutUint32(buf[headerBytes:], uint32(len(body)))
-	copy(buf[headerBytes+4:], body)
 	if err := c.WriteErr(t.proc, buf); err != nil {
 		return t.sendFailure(dst, err)
 	}
@@ -701,13 +739,13 @@ func (t *Task) SendFragsErr(dst, tag int, frags [][]byte) error {
 	for _, f := range frags {
 		total += len(f)
 	}
-	hdr := t.sendBuf(headerBytes)
+	hdr := t.sends.carve(headerBytes)
 	t.putHeader(hdr, tag, total, len(frags))
 	if err := c.WriteErr(t.proc, hdr); err != nil {
 		return t.sendFailure(dst, err)
 	}
 	for _, f := range frags {
-		lenb := t.sendBuf(4)
+		lenb := t.sends.carve(4)
 		binary.LittleEndian.PutUint32(lenb, uint32(len(f)))
 		if err := c.WriteErr(t.proc, lenb); err != nil {
 			return t.sendFailure(dst, err)

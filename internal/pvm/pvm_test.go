@@ -85,6 +85,48 @@ func TestLargeMessageIntegrity(t *testing.T) {
 	}
 }
 
+// TestSendDoesNotAliasBody: SendErr copies the body before it returns,
+// so a caller may overwrite its buffer at once (AIRSHED reuses its
+// transpose parts, SEQ its element), and a delivered body stays the
+// application's while later messages are carved from the same chunk.
+// Sizes straddle the carving limit and the send window.
+func TestSendDoesNotAliasBody(t *testing.T) {
+	r := newRig(t, 2, Config{})
+	sizes := []int{16, carveMaxBody, carveMaxBody + 1, 40000, 0, 3}
+	fill := func(b []byte, seed int) {
+		for i := range b {
+			b[i] = byte(i*7 + seed)
+		}
+	}
+	r.m.Spawn("send", 0, func(task *Task) {
+		buf := make([]byte, 40000)
+		for i, n := range sizes {
+			fill(buf[:n], i)
+			if err := task.SendErr(1, 5, buf[:n]); err != nil {
+				t.Errorf("send %d: %v", i, err)
+			}
+			fill(buf, 100+i) // the transport must not see this
+		}
+	})
+	var got [][]byte
+	r.m.Spawn("recv", 1, func(task *Task) {
+		for range sizes {
+			got = append(got, recvBody(task, 0, 5))
+		}
+	})
+	r.k.Run()
+	if len(got) != len(sizes) {
+		t.Fatalf("received %d of %d messages", len(got), len(sizes))
+	}
+	for i, n := range sizes {
+		want := make([]byte, n)
+		fill(want, i)
+		if !bytes.Equal(got[i], want) {
+			t.Errorf("message %d (%d bytes) does not hold the bytes sent", i, n)
+		}
+	}
+}
+
 func TestCopyLoopProducesMaximalSegments(t *testing.T) {
 	r := newRig(t, 2, Config{})
 	r.m.Spawn("send", 0, func(task *Task) { task.Send(1, 1, make([]byte, 20000)) })
