@@ -189,7 +189,9 @@ func printReport(w io.Writer, rep *core.Report) error {
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(append(b, '\n'))
+	if _, err = w.Write(b); err == nil {
+		_, err = w.Write([]byte{'\n'}) // not appended: that would copy the report
+	}
 	return err
 }
 

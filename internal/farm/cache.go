@@ -10,12 +10,10 @@ import (
 	"io"
 
 	"fxnet/internal/core"
-	"fxnet/internal/dsp"
 	"fxnet/internal/durable"
 	"fxnet/internal/ethernet"
 	"fxnet/internal/fx"
 	"fxnet/internal/sim"
-	"fxnet/internal/stats"
 	"fxnet/internal/trace"
 )
 
@@ -202,10 +200,9 @@ func encodeEntry(res *core.Result, rep *core.Report, magic string) ([]byte, erro
 	if err != nil {
 		return nil, fmt.Errorf("farm: encode meta: %w", err)
 	}
-	repBytes, err := MarshalReport(rep)
-	if err != nil {
-		repBytes = nil // degenerate characterization: recompute on load
-	}
+	// A degenerate characterization (NaNs) marshals to nil: the section
+	// is empty and Load recomputes it.
+	repBytes, _ := MarshalReport(rep)
 	writeSection := func(b []byte) {
 		var n [4]byte
 		binary.LittleEndian.PutUint32(n[:], uint32(len(b)))
@@ -264,9 +261,7 @@ func decodeEntry(body []byte, cfg core.RunConfig, magic string) (*core.Result, *
 	}
 	var rep *core.Report
 	if len(repBytes) > 0 {
-		if rep, err = unmarshalReport(repBytes); err != nil {
-			rep = nil // damaged report section: trace is still good
-		}
+		rep, _ = unmarshalReport(repBytes) // nil if damaged: the trace is still good
 	}
 	tr, err := trace.ReadBinary(bytes.NewReader(payload))
 	if err != nil {
@@ -288,122 +283,4 @@ func decodeEntry(body []byte, cfg core.RunConfig, magic string) (*core.Result, *
 		}
 	}
 	return res, rep, nil
-}
-
-// reportJSON mirrors core.Report field for field with JSON-marshalable
-// spectra (complex128 coefficients split into re/im arrays). Go's JSON
-// float encoding is shortest-round-trip, so numbers printed from a
-// revived report are byte-identical to the originals.
-type reportJSON struct {
-	Program          string        `json:"program"`
-	AggSize          stats.Summary `json:"agg_size"`
-	ConnSize         stats.Summary `json:"conn_size"`
-	AggInterarrival  stats.Summary `json:"agg_interarrival"`
-	ConnInterarrival stats.Summary `json:"conn_interarrival"`
-	AggKBps          float64       `json:"agg_kbps"`
-	ConnKBps         float64       `json:"conn_kbps"`
-	AggSeries        []float64     `json:"agg_series"`
-	ConnSeries       []float64     `json:"conn_series"`
-	SeriesDT         float64       `json:"series_dt"`
-	AggSpectrum      *spectrumJSON `json:"agg_spectrum"`
-	ConnSpectrum     *spectrumJSON `json:"conn_spectrum"`
-	SizeModes        int           `json:"size_modes"`
-	Correlation      float64       `json:"correlation"`
-	Coincidence      float64       `json:"coincidence"`
-}
-
-type spectrumJSON struct {
-	Freq    []float64 `json:"freq"`
-	Power   []float64 `json:"power"`
-	CoeffRe []float64 `json:"coeff_re"`
-	CoeffIm []float64 `json:"coeff_im"`
-	DF      float64   `json:"df"`
-	N       int       `json:"n"`
-	DT      float64   `json:"dt"`
-}
-
-func spectrumToJSON(s *dsp.Spectrum) *spectrumJSON {
-	if s == nil {
-		return nil
-	}
-	out := &spectrumJSON{Freq: s.Freq, Power: s.Power, DF: s.DF, N: s.N, DT: s.DT}
-	out.CoeffRe = make([]float64, len(s.Coeff))
-	out.CoeffIm = make([]float64, len(s.Coeff))
-	for i, c := range s.Coeff {
-		out.CoeffRe[i] = real(c)
-		out.CoeffIm[i] = imag(c)
-	}
-	return out
-}
-
-func spectrumFromJSON(s *spectrumJSON) (*dsp.Spectrum, error) {
-	if s == nil {
-		return nil, nil
-	}
-	if len(s.CoeffRe) != len(s.CoeffIm) {
-		return nil, errors.New("farm: spectrum coefficient arrays disagree")
-	}
-	out := &dsp.Spectrum{Freq: s.Freq, Power: s.Power, DF: s.DF, N: s.N, DT: s.DT}
-	out.Coeff = make([]complex128, len(s.CoeffRe))
-	for i := range s.CoeffRe {
-		out.Coeff[i] = complex(s.CoeffRe[i], s.CoeffIm[i])
-	}
-	return out, nil
-}
-
-// MarshalReport renders a characterization as JSON — the cache's report
-// section and fxfarm's -out artifact format.
-func MarshalReport(rep *core.Report) ([]byte, error) {
-	if rep == nil {
-		return nil, nil
-	}
-	return json.Marshal(reportJSON{
-		Program:          rep.Program,
-		AggSize:          rep.AggSize,
-		ConnSize:         rep.ConnSize,
-		AggInterarrival:  rep.AggInterarrival,
-		ConnInterarrival: rep.ConnInterarrival,
-		AggKBps:          rep.AggKBps,
-		ConnKBps:         rep.ConnKBps,
-		AggSeries:        rep.AggSeries,
-		ConnSeries:       rep.ConnSeries,
-		SeriesDT:         rep.SeriesDT,
-		AggSpectrum:      spectrumToJSON(rep.AggSpectrum),
-		ConnSpectrum:     spectrumToJSON(rep.ConnSpectrum),
-		SizeModes:        rep.SizeModes,
-		Correlation:      rep.Correlation,
-		Coincidence:      rep.Coincidence,
-	})
-}
-
-func unmarshalReport(b []byte) (*core.Report, error) {
-	var rj reportJSON
-	if err := json.Unmarshal(b, &rj); err != nil {
-		return nil, err
-	}
-	agg, err := spectrumFromJSON(rj.AggSpectrum)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := spectrumFromJSON(rj.ConnSpectrum)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Report{
-		Program:          rj.Program,
-		AggSize:          rj.AggSize,
-		ConnSize:         rj.ConnSize,
-		AggInterarrival:  rj.AggInterarrival,
-		ConnInterarrival: rj.ConnInterarrival,
-		AggKBps:          rj.AggKBps,
-		ConnKBps:         rj.ConnKBps,
-		AggSeries:        rj.AggSeries,
-		ConnSeries:       rj.ConnSeries,
-		SeriesDT:         rj.SeriesDT,
-		AggSpectrum:      agg,
-		ConnSpectrum:     conn,
-		SizeModes:        rj.SizeModes,
-		Correlation:      rj.Correlation,
-		Coincidence:      rj.Coincidence,
-	}, nil
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -180,6 +181,23 @@ func TestSubmitUnrunnableFaultScriptLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// refusedRequests are cheapRun edits that config() refuses, with the
+// message the 400 carries.
+var refusedRequests = []struct {
+	mutate func(*RunRequest)
+	want   string
+}{
+	{func(r *RunRequest) { r.BitRate = -5 }, "core: BitRate -5 is not a finite non-negative rate"},
+	{func(r *RunRequest) { r.CrossKBps = -1 }, "core: CrossTrafficKBps -1 is not a finite non-negative rate"},
+	{func(r *RunRequest) { r.Topology = "lan0:0-3@NaN" }, `bad topology: core: segment "lan0" bit rate NaN is not a finite non-negative rate`},
+	{func(r *RunRequest) { r.Topology = "lan0:0-3@Inf" }, `bad topology: core: segment "lan0" bit rate +Inf is not a finite non-negative rate`},
+	{func(r *RunRequest) { r.BitRate = 1e-300 }, "core: BitRate 1e-300 is below the 1 b/s floor"},
+	{func(r *RunRequest) { r.Topology = "lan0:0-3@1e-300" }, `bad topology: core: segment "lan0" bit rate 1e-294 is below the 1 b/s floor`},
+	{func(r *RunRequest) { r.Faults = "0s:bitrate 1e-300" }, `faults: "0s:bitrate 1e-300": bit rate must be positive, finite and at least 1 b/s`},
+	{func(r *RunRequest) { r.Faults = "0s:bitrate NaN" }, `faults: "0s:bitrate NaN": bit rate must be positive, finite and at least 1 b/s`},
+	{func(r *RunRequest) { r.Faults = "1s:duplicate NaN" }, `faults: "1s:duplicate NaN": probability outside [0,1]`},
+}
+
 // A rate that is negative, NaN, infinite or below faults.MinBitRate is a
 // 400 naming the field, and nothing is journaled: a negative bit rate
 // used to run at the 10 Mb/s default, a NaN segment rate passed the "< 0"
@@ -197,20 +215,7 @@ func TestSubmitBadRateLeavesNoTrace(t *testing.T) {
 		return fi.Size()
 	}
 	before := journalSize()
-	for _, tc := range []struct {
-		mutate func(*RunRequest)
-		want   string
-	}{
-		{func(r *RunRequest) { r.BitRate = -5 }, "core: BitRate -5 is not a finite non-negative rate"},
-		{func(r *RunRequest) { r.CrossKBps = -1 }, "core: CrossTrafficKBps -1 is not a finite non-negative rate"},
-		{func(r *RunRequest) { r.Topology = "lan0:0-3@NaN" }, `bad topology: core: segment "lan0" bit rate NaN is not a finite non-negative rate`},
-		{func(r *RunRequest) { r.Topology = "lan0:0-3@Inf" }, `bad topology: core: segment "lan0" bit rate +Inf is not a finite non-negative rate`},
-		{func(r *RunRequest) { r.BitRate = 1e-300 }, "core: BitRate 1e-300 is below the 1 b/s floor"},
-		{func(r *RunRequest) { r.Topology = "lan0:0-3@1e-300" }, `bad topology: core: segment "lan0" bit rate 1e-294 is below the 1 b/s floor`},
-		{func(r *RunRequest) { r.Faults = "0s:bitrate 1e-300" }, `faults: "0s:bitrate 1e-300": bit rate must be positive, finite and at least 1 b/s`},
-		{func(r *RunRequest) { r.Faults = "0s:bitrate NaN" }, `faults: "0s:bitrate NaN": bit rate must be positive, finite and at least 1 b/s`},
-		{func(r *RunRequest) { r.Faults = "1s:duplicate NaN" }, `faults: "1s:duplicate NaN": probability outside [0,1]`},
-	} {
+	for _, tc := range refusedRequests {
 		req := cheapRun()
 		tc.mutate(&req)
 		var e map[string]string
@@ -229,6 +234,62 @@ func TestSubmitBadRateLeavesNoTrace(t *testing.T) {
 	if after := journalSize(); after != before {
 		t.Errorf("journal grew %d → %d bytes on refused submits", before, after)
 	}
+}
+
+// FuzzRunRequest: a POST /v1/runs body that decodes never panics
+// config(), and a configuration config() accepts is the one recovery
+// rebuilds: the request, journaled as a submittedRec and read back,
+// passes config() again with an equal configuration and the journaled
+// farm key.
+func FuzzRunRequest(f *testing.F) {
+	seed := func(req RunRequest) {
+		b, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	seed(cheapRun())
+	for _, tc := range refusedRequests {
+		req := cheapRun()
+		tc.mutate(&req)
+		seed(req)
+	}
+	seed(RunRequest{Program: "airshed", Hours: 2, Analysis: "stream"})
+	seed(RunRequest{Program: "2dfft", P: 4, Topology: "lan0:0-1~2ms,lan1:2-3@100", Faults: "1s:crash host1"})
+	seed(RunRequest{Program: "2dfft", P: 4, Topology: "lan0:0-1~2ms,lan1:2-3@100e6"})
+	seed(RunRequest{Program: "seq", P: 4, Switched: true, Nagle: true, Loss: 0.5, CrossKBps: 100, Guarantee: true, Degrade: true})
+	for _, body := range []string{`{"program":"sor","p":-1}`, `{"program":"hist","hours":-3}`, `{"program":"nosuch"}`,
+		`{"program":"sor","loss":2}`, `{"program":"sor","topology":"lan0:0-3,lan0:0-3"}`, `{}`, `null`} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req RunRequest
+		if json.Unmarshal(body, &req) != nil {
+			return
+		}
+		cfg, err := req.config()
+		if err != nil {
+			return
+		}
+		rec, err := json.Marshal(submittedRec{ID: "1", Key: farm.Key(cfg), Request: req})
+		if err != nil {
+			t.Fatalf("%s: journal record: %v", body, err)
+		}
+		var sub submittedRec
+		if err := json.Unmarshal(rec, &sub); err != nil {
+			t.Fatalf("%s: journal record %s: %v", body, rec, err)
+		}
+		replayed, err := sub.Request.config()
+		switch {
+		case err != nil:
+			t.Fatalf("%s: accepted at submit, refused on replay of %s: %v", body, rec, err)
+		case farm.Key(replayed) != sub.Key:
+			t.Fatalf("%s: replay keys %s, the journal %s", body, farm.Key(replayed), sub.Key)
+		case !reflect.DeepEqual(replayed, cfg):
+			t.Fatalf("%s: replay builds %+v, submit built %+v", body, replayed, cfg)
+		}
+	})
 }
 
 // The tentpole invariant: every job acknowledged with a 202 before a

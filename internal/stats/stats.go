@@ -204,8 +204,11 @@ func pearson(sab, saa, sbb float64) float64 {
 // falls below 0.5 only once the record spans many periods, so that the
 // largest scales average whole periods away; over a few periods it
 // reads between the two (the 2DFFT's 10 ms bandwidth, period 2.28 s,
-// reads 0.61–0.67). Returns 0.5 when the series is too short or
-// constant.
+// reads 0.61–0.67). It overstates H at light tails: superposed Pareto
+// on/off sources of tail index α, whose H is (3 − α)/2, read 0.83–0.88
+// at α = 1.2 (H = 0.90) and 0.77–0.83 at α = 1.4 (0.80), but 0.66–0.73
+// at α = 1.8 (0.60), n = 2¹⁶: weak long-range dependence reads up to
+// 0.13 too high. Returns 0.5 when the series is too short or constant.
 func HurstAggVar(series []float64, scales []int) float64 {
 	if len(scales) == 0 {
 		// Default: octave scales while at least 8 blocks remain, so slow

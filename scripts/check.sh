@@ -83,6 +83,14 @@ if ls internal/stats/*.s 2>/dev/null; then exit 1; fi
 if grep -nE '^[[:space:]]*go[[:space:]]|[[:space:]]go func' internal/stats/*.go | grep -v '_test\.go:'; then exit 1; fi
 if grep -nE '^[[:space:]]*(import[[:space:]]+)?"(sync|sync/atomic|runtime)"' internal/stats/*.go | grep -v '_test\.go:'; then exit 1; fi
 
+# One report encoder: farm.MarshalReport appends the report JSON and is
+# held byte for byte to json.Marshal over the reportJSON mirror (DESIGN.md
+# §7 "Cache entry"), which lives on only as the oracle in
+# internal/farm's tests; decoding still reads the mirror. A reportJSON
+# literal or a json.Marshal of one in non-test farm code is the
+# reflective encoder coming back.
+if grep -n 'json\.Marshal(&\?reportJSON\|reportJSON{' internal/farm/*.go | grep -v '_test\.go:'; then exit 1; fi
+
 # One way in: the fxnet façade is the surface the examples and the README
 # write. A command that imports it, or an example that reaches the same
 # code through both the façade and internal/, is a second route back.
@@ -152,6 +160,12 @@ go build ./...
 go vet ./...
 go test ./...
 
+# The fuzzers of the report encoder (against its reflective oracle) and
+# of the POST /v1/runs body run their seed corpora in go test above;
+# here each also explores for a few seconds.
+go test -run '^$' -fuzz '^FuzzMarshalReport$' -fuzztime 5s ./internal/farm
+go test -run '^$' -fuzz '^FuzzRunRequest$' -fuzztime 5s ./internal/server
+
 # Coverage ratchet: uncovered statements in every internal package — the
 # seven simulator, six service and thirteen analysis packages — and in
 # the nine commands under the claim-carrying runs may fall but never rise.
@@ -182,8 +196,10 @@ rmdir "$fmtdir"
 # in the sweep — with and without frame loss — are what race-checks that
 # branch end to end. AIRSHED's transport and chemistry run on a goroutine
 # per rank beside the rank's charge (fx.Worker.ComputeWith), so fx and
-# airshed are race-checked up front too.
+# airshed are race-checked up front too, and so is the report encoder,
+# which formats a long report's chunks on up to GOMAXPROCS goroutines.
 go test -race ./internal/dsp/... ./internal/analysis/...
+go test -race -run 'MarshalReport|FormatterStops' ./internal/farm
 go test -race -cpu 1,2,4 ./internal/sim/...
 go test -race ./internal/ethernet/... ./internal/airshed/... ./internal/fx/...
 go test -race ./...
